@@ -2,7 +2,7 @@ r"""Ricci contraction, scalar-curvature decomposition, and oracles.
 
 Three independent routes to the total-space scalar curvature live here:
 
-1. ``ricci_nonholonomic`` contracts the frame Ricci tensor built from a
+1. ``ricci_scalar_pair`` contracts the frame Ricci tensor built from a
    Christoffel provider (table or general formula) via
 
    .. math::
@@ -13,7 +13,7 @@ Three independent routes to the total-space scalar curvature live here:
            - \Gamma^L_{AC}\Gamma^B_{BL}
            - \mathbb{C}^E_{AB}\Gamma^B_{EC},
 
-2. ``assemble_scalar_curvature`` sums the closed decomposition: orbit-space
+2. ``decomposition_terms`` sums the closed decomposition: orbit-space
    curvature, orbit curvature, connection-curvature term, covariant-derivative
    term, and the log-density terms,
 
@@ -24,14 +24,12 @@ Three independent routes to the total-space scalar curvature live here:
 The sign conventions are the ones the Christoffel formula and the Ricci
 display above imply; they are internally consistent and are never adjusted
 to match external references (the round two-sphere comes out negative
-here). The overall sign of the group-direction rule is calibrated once per
-process against the closed-form orbit curvature; see
-``calibrate_group_sign``.
+here). The overall sign of the group-direction rule is the fixed
+convention ``liecore.RULE_SIGN``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,28 +37,24 @@ import numpy as np
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
                      invert_spd, partial, second_partial)
 from .geometry import AdaptedGeometry, OriginalGeometry, ambient_partial
-from .liecore import (OrbitMetric, group_direction_derivative,
-                      orbit_scalar_curvature, su2_constants)
-from .connection import (NonholonomicStructure, base_levi_civita,
-                         christoffel_general, christoffel_table,
+from .liecore import group_direction_derivative, orbit_scalar_curvature
+from .connection import (base_levi_civita, christoffel_table,
                          covariant_D_orbit_metric, curvature_F,
                          frame_structure_functions)
-from . import liecore
 
 __all__ = [
     "CurvatureBreakdown",
     "GroupChart",
     "RICCI_OUTER_SCALE",
-    "ricci_nonholonomic",
     "ricci_scalar_pair",
     "log_density_terms",
+    "ff_term",
+    "dddd_term",
     "decomposition_terms",
-    "assemble_scalar_curvature",
     "coordinate_ricci_scalar",
     "oracle_metric",
     "scalar_curvature_coordinate_oracle",
     "validate_group_chart",
-    "calibrate_group_sign",
 ]
 
 #: Step inflation for the outer finite-difference layer (derivatives of
@@ -126,20 +120,6 @@ class GroupChart:
     rho_bar: object
 
 
-def _sector_slice(label, n_x, n_v, n_g):
-    n_h = n_x + n_v
-    table = {
-        "x": slice(0, n_x),
-        "v": slice(n_x, n_h),
-        "h": slice(0, n_h),
-        "g": slice(n_h, n_h + n_g),
-    }
-    try:
-        return table[label]
-    except KeyError:
-        raise KeyError("unknown sector label %r (use x/v/h/g)" % (label,))
-
-
 def _hat_gamma(provider, adapted, point, engine, gamma0):
     """Frame derivatives hat[A, D, B, C] of the Christoffel field."""
     n_h, n_g, n_t = adapted.n_h, adapted.n_g, adapted.n_t
@@ -176,30 +156,6 @@ def _internal_mask(n_h, n_t, internal):
     elif internal != "all":
         raise ValueError("internal must be 'all' or 'horizontal'")
     return mask
-
-
-def ricci_nonholonomic(provider, structure, point, sectors=("h", "h"), *,
-                       adapted: AdaptedGeometry,
-                       internal: str = "all",
-                       engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:
-    r"""Frame Ricci block for a sector pair.
-
-    ``provider`` maps a chart point to ChristoffelBlocks (table or general
-    route); ``structure`` carries the frame structure functions. Frame
-    derivatives of the symbols are finite differences over the chart along
-    horizontal directions (connection-corrected) and algebraic along group
-    directions. ``internal`` restricts the summed indices: ``"horizontal"``
-    yields the orbit-space Ricci convention, ``"all"`` the total-space one.
-    """
-    cc = structure.CC if isinstance(structure, NonholonomicStructure) \
-        else np.asarray(structure, dtype=float)
-    gamma0 = provider(point).gamma
-    hat = _hat_gamma(provider, adapted, point, _widened(engine), gamma0)
-    mask = _internal_mask(adapted.n_h, adapted.n_t, internal)
-    full = _ricci_from_pieces(gamma0, hat, cc, mask)
-    s1 = _sector_slice(sectors[0], adapted.n_x, adapted.n_v, adapted.n_g)
-    s2 = _sector_slice(sectors[1], adapted.n_x, adapted.n_v, adapted.n_g)
-    return full[s1, s2]
 
 
 def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
@@ -279,6 +235,22 @@ def log_density_terms(adapted: AdaptedGeometry, point: ChartPoint,
     return lap, grad_sq
 
 
+def ff_term(h_inv, d_val, f_val) -> float:
+    r"""Connection-curvature term
+    :math:`\tfrac14 \tilde h^{AB}\tilde h^{CD} d_{\mu\nu}
+    \mathcal F^\mu_{AC}\mathcal F^\nu_{BD}`."""
+    return 0.25 * float(np.einsum("ab,cd,mn,mac,nbd->", h_inv, h_inv, d_val,
+                                  f_val, f_val))
+
+
+def dddd_term(h_inv, d_inv, dd) -> float:
+    r"""Covariant-derivative term
+    :math:`\tfrac14 \tilde h^{AB} d^{\mu\sigma} d^{\nu\kappa}
+    \mathcal D_A d_{\mu\nu}\mathcal D_B d_{\sigma\kappa}`."""
+    return 0.25 * float(np.einsum("ab,ms,nk,amn,bsk->", h_inv, d_inv, d_inv,
+                                  dd, dd))
+
+
 def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
                         engine: DerivEngine = DEFAULT_ENGINE
                         ) -> CurvatureBreakdown:
@@ -304,30 +276,18 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
     r_m = coordinate_ricci_scalar(h_of_z, point.coords, _widened(engine))
     r_g = orbit_scalar_curvature(adapted.c, d_val)
 
-    f_val = curvature_F(adapted, point, engine)
-    ff = 0.25 * np.einsum("ab,cd,mn,mac,nbd->", h_inv, h_inv, d_val,
-                          f_val, f_val)
-    dd = covariant_D_orbit_metric(adapted, point, engine)
-    dddd = 0.25 * np.einsum("ab,ms,nk,amn,bsk->", h_inv, d_inv, d_inv,
-                            dd, dd)
+    ff = ff_term(h_inv, d_val, curvature_F(adapted, point, engine))
+    dddd = dddd_term(h_inv, d_inv,
+                     covariant_D_orbit_metric(adapted, point, engine))
 
     lap, grad_sq = log_density_terms(adapted, point, engine)
 
     r_m = float(r_m)
     r_g = float(r_g)
-    ff = float(ff)
-    dddd = float(dddd)
     total = r_m + r_g + ff + dddd + lap + grad_sq
     return CurvatureBreakdown(R_M=r_m, R_G=r_g, FF=ff, DdDd=dddd,
                               lap_ln_d=lap, grad_ln_d=grad_sq,
                               R_total=total)
-
-
-def assemble_scalar_curvature(adapted: AdaptedGeometry, point: ChartPoint,
-                              engine: DerivEngine = DEFAULT_ENGINE
-                              ) -> CurvatureBreakdown:
-    """Decomposition with the assembled total; see decomposition_terms."""
-    return decomposition_terms(adapted, point, engine)
 
 
 def coordinate_ricci_scalar(metric, z0, engine: DerivEngine = DEFAULT_ENGINE,
@@ -453,75 +413,3 @@ def validate_group_chart(chart: GroupChart, samples) -> float:
         worst = max(worst, float(np.max(np.abs(rho @ rho_bar - eye))))
         worst = max(worst, float(np.max(np.abs(u_bar @ v - rho))))
     return worst
-
-
-_CALIBRATION_LOCK = threading.Lock()
-
-
-def _calibration_anchor():
-    d0 = np.diag([1.0, 1.7, 2.3])
-    d0_inv = np.diag(1.0 / np.array([1.0, 1.7, 2.3]))
-    orbit = OrbitMetric(
-        d=FieldHandle(lambda p: d0, "matrix", ("orbit", "orbit")),
-        d_inv=FieldHandle(lambda p: d0_inv, "matrix", ("orbit", "orbit")))
-    return AdaptedGeometry(
-        n_x=1, n_v=0, n_g=3,
-        h_tilde=FieldHandle(lambda p: np.eye(1), "matrix",
-                            ("mixed", "mixed")),
-        d=orbit,
-        A_conn=FieldHandle(lambda p: np.zeros((3, 1)), "matrix",
-                           ("orbit", "mixed")),
-        c=su2_constants())
-
-
-def calibrate_group_sign(force: bool = False) -> int:
-    r"""Fix the overall sign of the group-direction rule, once per process.
-
-    A pure-orbit block geometry (one flat base direction, constant
-    anisotropic ``d``, no connection) has total scalar curvature equal to
-    the closed-form orbit curvature. The general Christoffel route depends
-    on the rule's sign; the sign that reproduces the closed form wins. If
-    that test is somehow indecisive, the pure-orbit Christoffel sector is
-    compared against its closed form as a tiebreaker; remaining ambiguity
-    is a hard error rather than a silent convention choice.
-    """
-    with _CALIBRATION_LOCK:
-        if liecore._RULE_SIGN is not None and not force:
-            return liecore._RULE_SIGN
-        anchor = _calibration_anchor()
-        point = ChartPoint(np.array([0.3]), np.zeros(0))
-        engine = DerivEngine()
-        target = orbit_scalar_curvature(anchor.c, anchor.d.d(point))
-        tol = 1e-6 * max(1.0, abs(target))
-
-        def total_scalar():
-            def provider(p):
-                return christoffel_general(anchor, p, engine)
-            r_total, _ = ricci_scalar_pair(anchor, point, provider, engine)
-            return r_total
-
-        residuals = {}
-        for sign in (+1, -1):
-            liecore.set_rule_sign(sign)
-            residuals[sign] = abs(total_scalar() - target)
-        winners = [s for s in (+1, -1) if residuals[s] <= tol]
-        if len(winners) == 1:
-            liecore.set_rule_sign(winners[0])
-            return winners[0]
-
-        table_gamma = christoffel_table(anchor, point, engine)
-        gaps = {}
-        for sign in (+1, -1):
-            liecore.set_rule_sign(sign)
-            general = christoffel_general(anchor, point, engine)
-            gaps[sign] = float(np.max(np.abs(general.gamma
-                                             - table_gamma.gamma)))
-        winners = [s for s in (+1, -1) if gaps[s] <= 1e-8]
-        if len(winners) == 1:
-            liecore.set_rule_sign(winners[0])
-            return winners[0]
-
-        liecore._RULE_SIGN = None
-        raise RuntimeError(
-            "group-direction sign calibration ambiguous: scalar residuals "
-            "%r, table gaps %r" % (residuals, gaps))

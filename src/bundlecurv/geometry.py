@@ -137,7 +137,6 @@ class Projectors:
     T: np.ndarray
     Lambda: np.ndarray
     n_P: int
-    P_perp: np.ndarray = None
 
     @property
     def Pi_PP(self):
@@ -309,9 +308,9 @@ def _compute_frame(orig: OriginalGeometry, point: ChartPoint) -> PointFrame:
     pi_tilde = np.eye(n_P + n_v) - k_full @ d_inv @ gk.T
     t_op = h_base_inv @ q_jac.T @ gh_p
     proj = Projectors(Pi_tilde=pi_tilde, N=n_full, T=t_op, Lambda=lam,
-                      n_P=n_P, P_perp=q_jac @ t_op)
+                      n_P=n_P)
 
-    return PointFrame(
+    frame = PointFrame(
         point=point, Q=q, Q_jac=q_jac, G_P=g_p, G_P_inv=g_p_inv,
         K_P=k_p, K_V=k_v, gamma=gamma, gamma_prime=gamma_prime,
         d=d, d_inv=d_inv, det_d=det_d,
@@ -319,6 +318,12 @@ def _compute_frame(orig: OriginalGeometry, point: ChartPoint) -> PointFrame:
         Gt_H=gt_h, GH_P=gh_p, h=h, h_tilde=h_tilde,
         h_tilde_inv=h_tilde_inv, det_h=det_h, h_base_inv=h_base_inv,
         projectors=proj)
+    # the frame is cached and shared by every later lookup of the point
+    for part in (frame, h, proj):
+        for value in vars(part).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+    return frame
 
 
 @lru_cache(maxsize=8192)
@@ -410,12 +415,6 @@ def compile_adapted(orig: OriginalGeometry, d_analytic=None,
         dd = np.asarray(d_analytic(point, slot), dtype=float)
         return -frame.d_inv @ dd @ frame.d_inv
 
-    def from_base(point):
-        return point_frame(orig, point).gamma
-
-    def from_vector(point):
-        return point_frame(orig, point).gamma_prime
-
     def h_eval(point):
         return point_frame(orig, point).h_tilde
 
@@ -427,10 +426,7 @@ def compile_adapted(orig: OriginalGeometry, d_analytic=None,
     d_inv_field = FieldHandle(
         d_inv_eval, "matrix", ("orbit", "orbit"),
         d_func=d_inv_analytic if d_analytic is not None else None)
-    orbit = OrbitMetric(
-        d=d_field, d_inv=d_inv_field,
-        from_base=FieldHandle(from_base, "matrix", ("orbit", "orbit")),
-        from_vector=FieldHandle(from_vector, "matrix", ("orbit", "orbit")))
+    orbit = OrbitMetric(d=d_field, d_inv=d_inv_field)
     return AdaptedGeometry(
         n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
         h_tilde=FieldHandle(h_eval, "matrix", ("mixed", "mixed"),

@@ -40,7 +40,8 @@ from .geometry import (AdaptedGeometry, OriginalGeometry, ambient_partial,
                        compile_adapted, point_frame)
 from .liecore import orbit_scalar_curvature
 from .connection import covariant_D_orbit_metric, curvature_F
-from .curvature import log_density_terms, ricci_scalar_pair
+from .curvature import (_log_det_d_field, dddd_term, ff_term,
+                        log_density_terms, ricci_scalar_pair)
 
 __all__ = [
     "SigmaField",
@@ -77,21 +78,6 @@ def sigma_field(adapted: AdaptedGeometry,
                 engine: DerivEngine = DEFAULT_ENGINE) -> SigmaField:
     n_h = adapted.n_h
 
-    def sigma_eval(point):
-        sign, logdet = np.linalg.slogdet(adapted.d.d(point))
-        if sign <= 0:
-            raise ValueError("orbit metric lost positivity; log det "
-                             "undefined")
-        return logdet
-
-    d_analytic = getattr(adapted.d.d, "d_func", None)
-    sigma_d = None
-    if d_analytic is not None:
-        def sigma_d(point, slot):
-            d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-            return float(np.trace(
-                d_inv @ np.asarray(d_analytic(point, slot), dtype=float)))
-
     def grad_eval(point):
         d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
         return np.array([
@@ -99,7 +85,7 @@ def sigma_field(adapted: AdaptedGeometry,
             for s in range(n_h)])
 
     return SigmaField(
-        sigma=FieldHandle(sigma_eval, "scalar", (), d_func=sigma_d),
+        sigma=_log_det_d_field(adapted),
         grad=FieldHandle(grad_eval, "vector", ("mixed",)))
 
 
@@ -129,12 +115,9 @@ def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     r_g = orbit_scalar_curvature(adapted.c, d_val)
-    f_val = curvature_F(adapted, point, engine)
-    ff = 0.25 * float(np.einsum("ab,cd,mn,mac,nbd->", h_inv, h_inv, d_val,
-                                f_val, f_val))
-    dd = covariant_D_orbit_metric(adapted, point, engine)
-    dddd = 0.25 * float(np.einsum("ab,ms,nk,amn,bsk->", h_inv, d_inv,
-                                  d_inv, dd, dd))
+    ff = ff_term(h_inv, d_val, curvature_F(adapted, point, engine))
+    dddd = dddd_term(h_inv, d_inv,
+                     covariant_D_orbit_metric(adapted, point, engine))
     return r_total - r_base - r_g - ff - dddd
 
 
@@ -492,9 +475,7 @@ def hamiltonian_terms(adapted: AdaptedGeometry, point: ChartPoint,
     d_val = np.asarray(adapted.d.d(point), dtype=float)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     r_g = orbit_scalar_curvature(adapted.c, d_val)
-    f_val = curvature_F(adapted, point, engine)
-    ff = 0.25 * float(np.einsum("ab,cd,mn,mac,nbd->", h_inv, h_inv, d_val,
-                                f_val, f_val))
+    ff = ff_term(h_inv, d_val, curvature_F(adapted, point, engine))
     norm2 = j_norm_squared(adapted, point, engine)
     bracket = r_total - r_base - r_g - ff - norm2
     hbar = mu2 * m

@@ -28,7 +28,7 @@ __all__ = [
     "ad_matrix",
     "orbit_scalar_curvature",
     "group_direction_derivative",
-    "set_rule_sign",
+    "RULE_SIGN",
 ]
 
 VALIDITY_TOL = 1e-12
@@ -60,15 +60,10 @@ class OrbitMetric:
     r"""Orbit metric :math:`d_{\alpha\beta}` and its inverse as chart fields.
 
     ``d`` and ``d_inv`` map a chart point to an ``n_g`` x ``n_g`` matrix.
-    ``from_base`` / ``from_vector`` expose the two additive contributions
-    (base-dependent and vector-space-dependent) when the geometry splits
-    that way; builders leave them ``None`` otherwise.
     """
 
     d: object
     d_inv: object
-    from_base: object = None
-    from_vector: object = None
 
 
 @dataclass(frozen=True)
@@ -176,25 +171,10 @@ def orbit_scalar_curvature(c, d, point=None) -> float:
 # and lower indices is forced (contracting an upper against a lower index
 # must produce an invariant), but the global sign depends on whether the
 # adjoint conjugation reads rho^T d rho or rho d rho^T, which the chart
-# conventions leave open. calibrate_group_sign() in the curvature module
-# fixes it once per process against the orbit scalar curvature.
-_RULE_SIGN = None
-
-
-def set_rule_sign(sign: int):
-    global _RULE_SIGN
-    if sign not in (+1, -1):
-        raise ValueError("rule sign must be +1 or -1")
-    _RULE_SIGN = sign
-
-
-def _get_rule_sign() -> int:
-    if _RULE_SIGN is None:
-        from . import curvature
-        curvature.calibrate_group_sign()
-        if _RULE_SIGN is None:
-            raise RuntimeError("group-sign calibration did not set a sign")
-    return _RULE_SIGN
+# conventions leave open. +1 is the convention under which the frame Ricci
+# contraction of a pure-orbit block reproduces the closed-form orbit
+# curvature; the curvature tests hold it there.
+RULE_SIGN = +1
 
 
 def _apply_on_axis(tensor, mat, axis):
@@ -252,4 +232,4 @@ def group_direction_derivative(tensor_value, covariance_signature, c,
         else:
             raise ValueError("signature entries must be 'lower', 'upper' or "
                              "'inert', got %r" % (kind,))
-    return _get_rule_sign() * total
+    return RULE_SIGN * total

@@ -59,11 +59,9 @@ class SdeParams:
 
     mu2: float = 1.0
     kappa: float = 1.0
-    m: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("mu2", "kappa", "m", "hbar"):
+        for name in ("mu2", "kappa"):
             if not float(getattr(self, name)) > 0.0:
                 raise ConfigError(f"SdeParams.{name} must be positive")
 

@@ -6,17 +6,15 @@ point and the relative gap ``|a - b| / max(1, |a|, |b|)`` is recorded.
 The command line front end is the main consumer, but the runner is plain
 library code and the test suite drives it directly.
 
-Point evaluation may fan out across a thread pool (capped by the
-``BCL_THREADS`` environment variable); the reduction into a report is an
-ordered pass over point indices, so a config with a fixed seed always
-produces the identical report.
+Points are evaluated one after another in the order given, and the
+reduction into a report is an ordered pass over point indices, so a config
+with a fixed seed always produces the identical report. A residual that is
+NaN, infinite or missing at some point fails its part.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +24,8 @@ from .geometry import (assemble_block_metric, det_factorization_check,
                        point_frame, validate_original)
 from .connection import (christoffel_general, christoffel_table,
                          covariant_D_orbit_metric)
-from .curvature import decomposition_terms, ricci_scalar_pair, _widened
+from .curvature import (decomposition_terms, dddd_term, ricci_scalar_pair,
+                        _widened)
 from .jacobian import (jacobian_direct, jacobian_geometric, j_norm_squared,
                        killing_identities_check, second_fundamental_form)
 from .sde import (diffusion_coefficients, drift_coefficients,
@@ -40,7 +39,6 @@ __all__ = [
     "VerificationReport",
     "relative_gap",
     "run_checks",
-    "worker_count",
 ]
 
 #: Canonical check order; reports always list selected checks in this order.
@@ -80,19 +78,13 @@ def relative_gap(a, b) -> float:
     return float(np.max(np.abs(a - b), initial=0.0)) / scale
 
 
-def worker_count(n_jobs: int) -> int:
-    """Thread-pool width: min(BCL_THREADS or cpu count, job count)."""
-    raw = os.environ.get("BCL_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError("BCL_THREADS must be an integer, got %r" % raw)
-        if cap < 1:
-            raise ConfigError("BCL_THREADS must be positive, got %d" % cap)
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
+def _worst(values) -> float:
+    """Largest value, or NaN if any value is NaN, whatever its position.
+
+    The builtin ``max`` keeps or drops a NaN depending on where it sits.
+    """
+    values = tuple(values)
+    return float(np.max(values)) if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ class CheckPart:
 
     @property
     def max_residual(self) -> float:
-        return float(max(self.residuals)) if self.residuals else 0.0
+        return _worst(self.residuals)
 
     @property
     def mean_residual(self) -> float:
@@ -131,7 +123,7 @@ class CheckResult:
 
     @property
     def max_residual(self) -> float:
-        return max((p.max_residual for p in self.parts), default=0.0)
+        return _worst(p.max_residual for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((r.max_residual for r in self.results), default=0.0)
+        return _worst(r.max_residual for r in self.results)
 
 
 def _check_christoffel(scenario, point, engine):
@@ -202,9 +194,8 @@ def _check_secondform(scenario, point, engine):
         parts["raw_vs_closed"] = relative_gap(form.raw, form.closed)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-    dd = covariant_D_orbit_metric(adapted, point, engine)
-    dddd = 0.25 * float(np.einsum("ab,ms,nk,amn,bsk->", h_inv, d_inv, d_inv,
-                                  dd, dd))
+    dddd = dddd_term(h_inv, d_inv,
+                     covariant_D_orbit_metric(adapted, point, engine))
     norm2 = j_norm_squared(adapted, point, engine)
     parts["norm_vs_decomposition"] = relative_gap(norm2, dddd)
     return parts
@@ -295,8 +286,8 @@ def run_checks(scenario, points, checks=CHECK_NAMES, *,
     ``checks`` must be a nonempty subset of CHECK_NAMES; unselected checks
     are reported under ``not_run``. ``tol_identity`` and ``tol_oracle``
     override the per-part defaults for their check classes (see
-    DEFAULT_TOLERANCES). The per-point evaluations run on a small thread
-    pool; results are reduced in point order.
+    DEFAULT_TOLERANCES). Points are evaluated in order; a part missing at
+    some point records NaN there, so the part fails.
     """
     selected = [c for c in CHECK_NAMES if c in set(checks)]
     unknown = set(checks) - set(CHECK_NAMES)
@@ -318,12 +309,7 @@ def run_checks(scenario, points, checks=CHECK_NAMES, *,
         return {name: _CHECK_FUNCS[name](scenario, point, engine)
                 for name in selected}
 
-    workers = worker_count(len(points))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(evaluate, points))
-    else:
-        per_point = [evaluate(p) for p in points]
+    per_point = [evaluate(p) for p in points]
 
     results = []
     for name in selected:
@@ -334,7 +320,7 @@ def run_checks(scenario, points, checks=CHECK_NAMES, *,
                     part_names.append(pname)
         parts = tuple(
             CheckPart(name=pname,
-                      residuals=tuple(row[name].get(pname, 0.0)
+                      residuals=tuple(row[name].get(pname, float("nan"))
                                       for row in per_point),
                       tolerance=_resolve_tolerance(name, pname,
                                                    tol_identity, tol_oracle))

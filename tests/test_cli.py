@@ -144,14 +144,6 @@ def test_verify_rejects_double_config(tmp_path, capsys):
     assert "once" in capsys.readouterr().err
 
 
-def test_verify_bad_thread_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("BCL_THREADS", "many")
-    rc = main(["verify", "--scenario", "flat_product", "--points", "1",
-               "--checks", "detfact"])
-    assert rc == 2
-    assert "BCL_THREADS" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # report command
 

@@ -6,7 +6,6 @@ import pytest
 from bundlecurv.connection import christoffel_general
 from bundlecurv.curvature import (
     _widened,
-    calibrate_group_sign,
     coordinate_ricci_scalar,
     decomposition_terms,
     log_density_terms,
@@ -37,12 +36,6 @@ def _pure_orbit_block(d_matrix):
         A_conn=lambda p: np.zeros((3, 1)),
         c=su2_constants(),
     )
-
-
-def test_calibration_is_deterministic():
-    sign = calibrate_group_sign()
-    assert sign in (+1, -1)
-    assert calibrate_group_sign() == sign
 
 
 # ---------------------------------------------------------------------------

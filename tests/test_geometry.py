@@ -232,6 +232,19 @@ def test_point_frame_is_cached(twisted):
     assert point_frame(twisted.orig, point) is point_frame(twisted.orig, point)
 
 
+def test_point_frame_arrays_are_frozen(twisted):
+    """A cached frame is shared by every later lookup; writes must fail."""
+    frame = point_frame(twisted.orig, ChartPoint([0.15, -0.1],
+                                                 [0.2, 0.0, 0.1]))
+    before = frame.d.copy()
+    with pytest.raises(ValueError):
+        frame.d[0, 0] += 1.0
+    for array in (frame.h_tilde_inv, frame.h.h_xv, frame.projectors.Lambda):
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+    np.testing.assert_array_equal(frame.d, before)
+
+
 # ---------------------------------------------------------------------------
 # block assembly and determinant factorization
 

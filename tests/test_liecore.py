@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import calibrate_group_sign
 from bundlecurv.liecore import (
     StructureConstants,
     ad_matrix,
@@ -11,7 +10,6 @@ from bundlecurv.liecore import (
     group_direction_derivative,
     killing_form,
     orbit_scalar_curvature,
-    set_rule_sign,
     su2_constants,
     validate_structure_constants,
 )
@@ -204,7 +202,6 @@ def test_rule_scalar_and_abelian_give_zero():
 
 def test_rule_matches_conjugation_difference():
     """FD of rho^T d rho along a one-parameter subgroup, at the identity."""
-    sign = calibrate_group_sign()
     c = su2_constants()
     d = np.diag([1.0, 1.7, 2.3])
     t = 1e-6
@@ -214,7 +211,7 @@ def test_rule_matches_conjugation_difference():
         rho_m = _series_exp(-t * m_hat)
         fd = (rho_p.T @ d @ rho_p - rho_m.T @ d @ rho_m) / (2.0 * t)
         got = group_direction_derivative(d, ("lower", "lower"), c, gamma)
-        assert_close(got, sign * fd, 1e-9, "conjugation rule, gamma=%d" % gamma)
+        assert_close(got, fd, 1e-9, "conjugation rule, gamma=%d" % gamma)
 
 
 def test_rule_respects_contraction_invariance():
@@ -237,21 +234,8 @@ def test_rule_acts_on_trailing_orbit_block():
     got = group_direction_derivative(vec, ("lower",), c, 0)
     head, tail = got[:2], got[2:]
     np.testing.assert_allclose(head, np.zeros(2))
-    want_tail = calibrate_group_sign() * (ad_matrix(c, 0).T @ vec[2:])
+    want_tail = ad_matrix(c, 0).T @ vec[2:]
     assert_close(tail, want_tail, 1e-12, "trailing block action")
-
-
-def test_rule_sign_flip_negates():
-    sign = calibrate_group_sign()
-    c = su2_constants()
-    d = np.diag([1.0, 1.7, 2.3])
-    base = group_direction_derivative(d, ("lower", "lower"), c, 2)
-    try:
-        set_rule_sign(-sign)
-        flipped = group_direction_derivative(d, ("lower", "lower"), c, 2)
-    finally:
-        set_rule_sign(sign)
-    np.testing.assert_allclose(flipped, -base)
 
 
 def test_rule_input_gates():
@@ -262,5 +246,3 @@ def test_rule_input_gates():
         group_direction_derivative(np.eye(3), ("lower", "lower"), c, 5)
     with pytest.raises(ValueError):
         group_direction_derivative(np.eye(3), ("lower", "sideways"), c, 0)
-    with pytest.raises(ValueError):
-        set_rule_sign(2)

@@ -1,7 +1,6 @@
-"""The verification layer: parts, tolerances, thread fan-out, reports."""
+"""The verification layer: parts, tolerances, the serial runner, reports."""
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -16,8 +15,8 @@ from bundlecurv.verify import (
     gate_scenario,
     relative_gap,
     run_checks,
-    worker_count,
 )
+from bundlecurv import verify
 
 from conftest import assert_close
 
@@ -40,20 +39,6 @@ def test_relative_gap_definition():
     assert relative_gap(np.zeros(0), np.zeros(0)) == 0.0
 
 
-def test_worker_count_env_control(monkeypatch):
-    monkeypatch.setenv("BCL_THREADS", "2")
-    assert worker_count(8) == 2
-    assert worker_count(1) == 1
-    monkeypatch.setenv("BCL_THREADS", "not-a-number")
-    with pytest.raises(ConfigError):
-        worker_count(4)
-    monkeypatch.setenv("BCL_THREADS", "0")
-    with pytest.raises(ConfigError):
-        worker_count(4)
-    monkeypatch.delenv("BCL_THREADS")
-    assert 1 <= worker_count(4) <= 4
-
-
 def test_check_part_statistics():
     part = CheckPart(name="p", residuals=(1e-9, 3e-9, 2e-9), tolerance=1e-8)
     assert part.max_residual == pytest.approx(3e-9)
@@ -64,6 +49,36 @@ def test_check_part_statistics():
     result = CheckResult(name="c", parts=(part, failing))
     assert not result.passed
     assert result.max_residual == pytest.approx(1e-7)
+
+
+@pytest.mark.parametrize("residuals", [(1e-12, float("nan")),
+                                       (float("nan"), 1e-12),
+                                       (1e-12, float("inf"))])
+def test_check_part_fails_on_non_finite(residuals):
+    part = CheckPart(name="p", residuals=residuals, tolerance=1e-8)
+    assert not part.passed
+    assert not np.isfinite(part.max_residual)
+    result = CheckResult(name="c", parts=(CheckPart("q", (0.0,), 1e-8),
+                                          part))
+    assert not result.passed
+    assert not np.isfinite(result.max_residual)
+
+
+def test_run_checks_missing_part_fails(flat, engine, monkeypatch):
+    """A part reported at some points only is non-finite where it is
+    missing, so the report fails instead of reading 0 there."""
+    calls = iter(range(10))
+
+    def patchy(scenario, point, engine):
+        return {"det_product": 0.0} if next(calls) == 0 else {}
+
+    monkeypatch.setitem(verify._CHECK_FUNCS, "detfact", patchy)
+    report = run_checks(flat, sample_points(flat, 2, seed=5), ("detfact",),
+                        engine=engine)
+    part = report.results[0].parts[0]
+    assert part.residuals[0] == 0.0
+    assert np.isnan(part.residuals[1])
+    assert not report.passed
 
 
 def test_run_checks_flat_cheap_subset(flat, engine):
@@ -115,22 +130,6 @@ def test_run_checks_flat_jacobian_magnitude(flat, engine):
     assert "flat_absolute" in parts
     assert parts["flat_absolute"].max_residual <= 1e-10
     assert parts["flat_absolute"].tolerance == 1e-10
-
-
-def test_run_checks_thread_fanout_is_deterministic(flat, engine,
-                                                   monkeypatch):
-    points = sample_points(flat, 3, seed=17)
-    monkeypatch.setenv("BCL_THREADS", "1")
-    serial = run_checks(flat, points, ("christoffel", "detfact"),
-                        engine=engine)
-    monkeypatch.setenv("BCL_THREADS", "3")
-    threaded = run_checks(flat, points, ("christoffel", "detfact"),
-                          engine=engine)
-    for left, right in zip(serial.results, threaded.results):
-        assert left.name == right.name
-        for lp, rp in zip(left.parts, right.parts):
-            assert lp.name == rp.name
-            assert lp.residuals == rp.residuals
 
 
 def test_gate_scenario_flags_broken_geometry(twisted, engine):
