@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     invert_spd, partial, second_partial)
-from .geometry import AdaptedGeometry, OriginalGeometry, ambient_partial
+from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, EvaluationError,
+                     FieldHandle, invert_spd, partial, second_partial)
+from .geometry import AdaptedGeometry, OriginalGeometry, point_frames
 from .liecore import group_direction_derivative, orbit_scalar_curvature
 from .connection import (base_levi_civita, christoffel_table,
                          covariant_D_orbit_metric, curvature_F,
@@ -262,18 +262,27 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
     the quarter-contraction of the covariant derivative of ``d``; the last
     two are the horizontal Laplacian and squared gradient of
     ``ln det d``. ``R_total`` is their sum, definitionally.
+
+    When the geometry carries bundle data, h~ on the whole ``R_M``
+    stencil comes from one ``point_frames`` call; that also puts in the
+    frame cache the frames the Ricci routes read at the same point.
     """
     h_val = np.asarray(adapted.h_tilde(point), dtype=float)
     h_inv, _ = invert_spd(h_val)
     d_val = np.asarray(adapted.d.d(point), dtype=float)
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
 
-    def h_of_z(z):
-        return adapted.h_tilde(ChartPoint(z[:adapted.n_x], z[adapted.n_x:]))
+    def h_of_stack(zs):
+        points = [ChartPoint(z[:adapted.n_x], z[adapted.n_x:]) for z in zs]
+        if adapted.orig is not None:
+            return np.stack([frame.h_tilde for frame in
+                             point_frames(adapted.orig, points)])
+        return np.stack([adapted.h_tilde(p) for p in points])
 
     # the chart metric is exact linear algebra of closed-form inputs, so
     # the widened stencils of the coordinate oracle apply here as well
-    r_m = coordinate_ricci_scalar(h_of_z, point.coords, _widened(engine))
+    r_m = coordinate_ricci_scalar(h_of_stack, point.coords,
+                                  _widened(engine))
     r_g = orbit_scalar_curvature(adapted.c, d_val)
 
     ff = ff_term(h_inv, d_val, curvature_F(adapted, point, engine))
@@ -290,39 +299,92 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
                               R_total=total)
 
 
+def _stencil(zs, fd_step, richardson):
+    """The points and steps of ``ambient_partial`` at each row of ``zs``.
+
+    ``zs`` is ``(m, k)``. Returns the ``(m, 1 + 2 r k, k)`` stencil rows
+    -- the centre, then for each slot ``+h, -h`` and, with Richardson
+    (``r = 2``), ``+h/2, -h/2`` -- and the ``(m, r, k)`` steps. The rows
+    are shifted with exactly the arithmetic of ``ambient_partial``.
+    """
+    m, k = zs.shape
+    h = fd_step * (1.0 + np.abs(zs))
+    steps = np.stack([h, 0.5 * h] if richardson else [h], axis=1)
+    n_r = steps.shape[1]
+    rows = np.repeat(zs[:, None, :], 1 + 2 * n_r * k, axis=1)
+    for s in range(k):
+        for r in range(n_r):
+            hi = 1 + 2 * (s * n_r + r)
+            rows[:, hi, s] += steps[:, r, s]
+            rows[:, hi + 1, s] -= steps[:, r, s]
+    return rows, steps
+
+
+def _stencil_partials(values, steps):
+    """``ambient_partial`` along every slot, from values on ``_stencil`` rows.
+
+    ``values`` is ``(m, 1 + 2 r k, ...)``; returns ``(m, k, ...)``:
+    ``(hi - lo) / (2 step)`` at each step, then ``(4 D(h/2) - D(h)) / 3``
+    with Richardson.
+    """
+    m, n_r, k = steps.shape
+    tail = values.shape[2:]
+    pairs = values[:, 1:].reshape((m, k, n_r, 2) + tail)
+    steps = steps.reshape((m, n_r, k) + (1,) * len(tail))
+
+    def central(r):
+        return (pairs[:, :, r, 0] - pairs[:, :, r, 1]) / (2.0 * steps[:, r])
+
+    d_h = central(0)
+    if n_r == 1:
+        return d_h
+    return (4.0 * central(1) - d_h) / 3.0
+
+
 def coordinate_ricci_scalar(metric, z0, engine: DerivEngine = DEFAULT_ENGINE,
                             outer_scale: float = RICCI_OUTER_SCALE) -> float:
     r"""Scalar curvature of a metric field by the plain coordinate formulas.
 
-    ``metric`` maps a coordinate vector to an SPD matrix. Levi-Civita
-    symbols come from first differences of the metric, the Ricci tensor
-    from differences of the symbols at an inflated outer step, and the
-    scalar from the inverse-metric contraction. This is the completely
-    frame-free evaluation path used by every oracle comparison.
+    ``metric`` maps an ``(N, k)`` stack of coordinate vectors to the
+    ``(N, n, n)`` stack of SPD matrices there; it is called once, on the
+    whole nested stencil. Levi-Civita symbols come from first differences
+    of the metric, the Ricci tensor from differences of the symbols at an
+    inflated outer step, and the scalar from the inverse-metric
+    contraction. Both layers difference with exactly the arithmetic of
+    ``ambient_partial``. A non-finite metric value anywhere on the stencil
+    raises ``EvaluationError``. This is the completely frame-free
+    evaluation path used by every oracle comparison.
     """
     z0 = np.asarray(z0, dtype=float)
     k = z0.shape[0]
+    outer, outer_steps = _stencil(z0[None, :],
+                                  engine.fd_step * outer_scale,
+                                  engine.richardson)
+    inner, inner_steps = _stencil(outer[0], engine.fd_step,
+                                  engine.richardson)
+    zs = inner.reshape(-1, k)
+    values = np.asarray(metric(zs), dtype=float)
+    finite = np.all(np.isfinite(values.reshape(len(zs), -1)), axis=1)
+    if not np.all(finite):
+        raise EvaluationError(
+            "metric produced non-finite value at z=%s"
+            % (zs[np.argmin(finite)].tolist(),))
+    values = values.reshape(inner.shape[:2] + values.shape[1:])
 
-    def gamma_at(z):
-        g = np.asarray(metric(z), dtype=float)
+    gammas = []
+    for g, dg in zip(values[:, 0], _stencil_partials(values, inner_steps)):
         g_inv, _ = invert_spd(g)
-        dg = np.stack([ambient_partial(metric, z, s, engine.fd_step,
-                                       engine.richardson)
-                       for s in range(k)])
         combo = (np.einsum("bcd->bcd", dg) + np.einsum("cbd->bcd", dg)
                  - np.einsum("dbc->bcd", dg))
-        return 0.5 * np.einsum("ad,bcd->abc", g_inv, combo)
-
-    gamma0 = gamma_at(z0)
-    dgamma = np.stack([ambient_partial(gamma_at, z0, s,
-                                       engine.fd_step * outer_scale,
-                                       engine.richardson)
-                       for s in range(k)])     # dgamma[A, D, B, C]
+        gammas.append(0.5 * np.einsum("ad,bcd->abc", g_inv, combo))
+    gamma0 = gammas[0]
+    dgamma = _stencil_partials(np.stack(gammas)[None],
+                               outer_steps)[0]     # dgamma[A, D, B, C]
     ricci = (np.einsum("abbc->ac", dgamma)
              - np.einsum("bbac->ac", dgamma)
              + np.einsum("dbc,bad->ac", gamma0, gamma0)
              - np.einsum("lac,bbl->ac", gamma0, gamma0))
-    g_inv, _ = invert_spd(np.asarray(metric(z0), dtype=float))
+    g_inv, _ = invert_spd(values[0, 0])
     return float(np.einsum("ac,ac->", g_inv, ricci))
 
 
@@ -384,12 +446,12 @@ def scalar_curvature_coordinate_oracle(orig: OriginalGeometry, chart, x, f,
     a = np.asarray(a, dtype=float)
     n_x, n_v = orig.n_x, orig.n_v
 
-    def metric(z):
-        return oracle_metric(orig, z[:n_x], z[n_x:n_x + n_v],
-                             z[n_x + n_v:])
+    def metric_stack(zs):
+        return np.stack([oracle_metric(orig, z[:n_x], z[n_x:n_x + n_v],
+                                       z[n_x + n_v:]) for z in zs])
 
     z0 = np.concatenate([x, f, a])
-    return coordinate_ricci_scalar(metric, z0, _widened(engine))
+    return coordinate_ricci_scalar(metric_stack, z0, _widened(engine))
 
 
 def validate_group_chart(chart: GroupChart, samples) -> float:

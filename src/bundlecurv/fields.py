@@ -48,7 +48,17 @@ class EvaluationError(RuntimeError):
 
 
 class NearSingularError(RuntimeError):
-    """A matrix inversion hit a (near-)singular or non-SPD input."""
+    """A matrix inversion hit a (near-)singular, non-SPD or non-finite input.
+
+    ``reason`` is the message without position; ``index`` names the first
+    offending matrix of a stacked input and is ``None`` otherwise.
+    """
+
+    def __init__(self, reason, index=None):
+        super().__init__(reason if index is None
+                         else "%s at index %s" % (reason, index))
+        self.reason = reason
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -248,32 +258,73 @@ def second_partial(engine: DerivEngine, field, point: ChartPoint,
 
 
 def invert_spd(matrix):
-    r"""Invert a symmetric positive definite matrix.
+    r"""Invert a symmetric positive definite matrix, or a stack of them.
 
-    Returns ``(inverse, determinant)``. Inversion goes through an
-    eigendecomposition so the inverse is symmetric by construction and the
-    determinant comes for free as the eigenvalue product. A condition number
-    beyond 1e12 (or a non-positive spectrum) raises ``NearSingularError`` --
-    downstream that signals a gauge-section or free-action breakdown rather
-    than a numerics bug.
+    Returns ``(inverse, determinant)``. ``matrix`` is one ``(n, n)``
+    matrix, giving a float determinant, or an ``(..., n, n)`` stack, giving
+    a stack of inverses and an array of determinants. Inversion goes
+    through an eigendecomposition so the inverse is symmetric by
+    construction and the determinant comes for free as the eigenvalue
+    product; a stack is inverted matrix by matrix with the same arithmetic
+    as a single matrix.
+
+    Every gate runs on each matrix: a non-finite entry, a non-positive
+    spectrum or a condition number beyond 1e12 raises
+    ``NearSingularError`` -- downstream that signals a gauge-section or
+    free-action breakdown rather than a numerics bug -- and asymmetry
+    beyond 1e-10 raises ``ValueError``. On a stack the error names the
+    first offending index.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.size == 0:
-        return m.reshape(0, 0).copy(), 1.0
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("expected a square matrix, got shape %s" % (m.shape,))
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    w_min = float(np.min(w))
-    w_max = float(np.max(np.abs(w)))
-    if w_min <= 0.0:
-        raise NearSingularError(
-            "matrix not positive definite (min eigenvalue %.3e)" % w_min)
-    if w_max / w_min > _MAX_CONDITION:
-        raise NearSingularError(
-            "matrix near singular (condition number %.3e)" % (w_max / w_min))
-    inv = (v / w) @ v.T
-    det = float(np.prod(w))
-    return inv, det
+    if m.size == 0:
+        inv = np.zeros(m.shape)
+        return (inv, np.ones(m.shape[:-2])) if m.ndim > 2 else (inv, 1.0)
+
+    # max propagates NaN and keeps inf, so one reduction finds both
+    mag = np.abs(m).max(axis=(-2, -1))
+    finite = np.isfinite(mag)
+    if not finite.all():
+        _first_failure(~finite, NearSingularError,
+                       "matrix has non-finite entries")
+    m_t = m.swapaxes(-1, -2)
+    asym = np.abs(m - m_t).max(axis=(-2, -1)) > 1e-10 * np.maximum(1.0, mag)
+    if asym.any():
+        _first_failure(asym, ValueError,
+                       "matrix is not symmetric within 1e-10")
+    w, v = np.linalg.eigh(0.5 * (m + m_t))
+    # eigenvalues come in ascending order: the first is the smallest, and
+    # once it is positive the last is the largest in magnitude
+    w_min = w[..., 0]
+    indefinite = w_min <= 0.0
+    if indefinite.any():
+        _first_failure(indefinite, NearSingularError,
+                       "matrix not positive definite (min eigenvalue %.3e)",
+                       w_min)
+    cond = w[..., -1] / w_min
+    ill = cond > _MAX_CONDITION
+    if ill.any():
+        _first_failure(ill, NearSingularError,
+                       "matrix near singular (condition number %.3e)", cond)
+    inv = (v / w[..., None, :]) @ v.swapaxes(-1, -2)
+    det = w.prod(axis=-1)
+    return (inv, det) if m.ndim > 2 else (inv, float(det))
+
+
+def _first_failure(bad, error, reason, values=None):
+    """Raise ``error`` for the first matrix flagged in ``bad``.
+
+    ``bad`` holds one flag per matrix: a 0-d array for a single matrix, in
+    which case no index is named. ``values``, when given, fills the
+    ``%`` slot of ``reason`` with the flagged matrix's value.
+    """
+    at = None
+    if bad.ndim:
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        at = at[0] if len(at) == 1 else at
+    if values is not None:
+        reason = reason % values[() if at is None else at]
+    if error is NearSingularError:
+        raise NearSingularError(reason, at)
+    raise error(reason if at is None else "%s at index %s" % (reason, at))

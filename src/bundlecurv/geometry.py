@@ -20,12 +20,19 @@ All group-dependent quantities are evaluated at the group identity; the
 identities verified downstream are functions on the orbit space, so nothing
 is lost, and the coordinate-basis oracle reintroduces group coordinates
 independently.
+
+Everything at a chart point lives in one ``PointFrame``. ``point_frames``
+compiles the frames of many points in one stacked pass -- the scenario
+callables point by point, the linear algebra on ``(N, ...)`` stacks -- and
+``point_frame`` is its one-point case. Compiled frames are read-only and
+kept in a bounded LRU cache keyed on the geometry object and the point;
+``frame_cache_info`` reports its counters.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +47,9 @@ __all__ = [
     "BlockMetric",
     "PointFrame",
     "point_frame",
+    "point_frames",
+    "frame_cache_info",
+    "FrameCacheInfo",
     "build_orbit_metric",
     "orbit_metric_split",
     "build_connection",
@@ -232,110 +242,209 @@ def _as_matrix(value, n, what):
     return m
 
 
-def _spd_or_error(matrix, what):
+def _spd_or_error(matrix, what, points=None):
+    """``invert_spd`` with ``what`` prefixed to its error; on a stack of
+    frames the error names the chart point in ``points`` that failed."""
     try:
         return invert_spd(matrix)
     except NearSingularError as exc:
-        raise NearSingularError("%s: %s" % (what, exc)) from exc
+        where = ""
+        if exc.index is not None:
+            bad = points[exc.index]
+            where = " at x=%s f=%s" % (bad.x.tolist(), bad.f.tolist())
+        raise NearSingularError("%s%s: %s" % (what, where, exc.reason)) \
+            from exc
 
 
-def _compute_frame(orig: OriginalGeometry, point: ChartPoint) -> PointFrame:
-    n_P, n_v, n_g = orig.n_P, orig.n_v, orig.n_g
-    q = np.asarray(orig.section(point.x), dtype=float)
-    q_jac = np.asarray(orig.section_jac(point.x), dtype=float)
-    if q.shape != (n_P,) or q_jac.shape != (n_P, orig.n_x):
-        raise ValueError("section/section_jac shape mismatch")
-    g_p = _as_matrix(orig.G_P(q), n_P, "G_P")
-    g_p_inv, _ = _spd_or_error(g_p, "bundle metric not positive definite")
-    k_p = np.asarray(orig.K_P(q), dtype=float).reshape(n_P, n_g)
-    k_v = orig.K_vector(point.f)
+def _compute_frames(orig: OriginalGeometry, points) -> list:
+    """Compile the frames at a sequence of chart points in one pass.
 
-    gamma = k_p.T @ g_p @ k_p
-    gamma_prime = k_v.T @ orig.G_V @ k_v
+    The scenario callables are evaluated point by point, since
+    ``OriginalGeometry`` promises them one point at a time; all the linear
+    algebra then runs on ``(N, ...)`` stacks, matrix by matrix with the
+    arithmetic of a single point, so a frame is bit-identical whatever
+    stack it was compiled in. Every gate runs at every point; the first
+    gate, in frame order, that fails at any point raises.
+    """
+    n_P, n_v, n_g, n_x = orig.n_P, orig.n_v, orig.n_g, orig.n_x
+    rows = []
+    for point in points:
+        q = np.asarray(orig.section(point.x), dtype=float)
+        q_jac = np.asarray(orig.section_jac(point.x), dtype=float)
+        if q.shape != (n_P,) or q_jac.shape != (n_P, n_x):
+            raise ValueError("section/section_jac shape mismatch")
+        rows.append((
+            q, q_jac, _as_matrix(orig.G_P(q), n_P, "G_P"),
+            np.asarray(orig.K_P(q), dtype=float).reshape(n_P, n_g),
+            orig.K_vector(point.f),
+            np.asarray(orig.chi_jac(q), dtype=float).reshape(n_g, n_P)))
+    q, q_jac, g_p, k_p, k_v, chi_jac = (np.array(col) for col in zip(*rows))
+    q_jac_t, k_v_t = q_jac.swapaxes(1, 2), k_v.swapaxes(1, 2)
+
+    g_p_inv, _ = _spd_or_error(g_p, "bundle metric not positive definite",
+                               points)
+    kt_g = k_p.swapaxes(1, 2) @ g_p
+    gamma = kt_g @ k_p
+    gamma_prime = k_v_t @ orig.G_V @ k_v
     d = gamma + gamma_prime
     d_inv, det_d = _spd_or_error(
-        d, "orbit metric degenerate (group action not free here)")
+        d, "orbit metric degenerate (group action not free here)", points)
 
     # mechanical connection: full-d version on both sectors, gamma version
     # on the base sector only
-    kg_q = k_p.T @ g_p @ q_jac              # K^C G_{DC} Q*^D_i
+    kg_q = kt_g @ q_jac                     # K^C G_{DC} Q*^D_i
     a_base = d_inv @ kg_q
-    a_vector = d_inv @ (k_v.T @ orig.G_V)
+    a_vector = d_inv @ (k_v_t @ orig.G_V)
     if n_g:
         gamma_inv, _ = _spd_or_error(
-            gamma, "bundle-side orbit metric gamma degenerate")
+            gamma, "bundle-side orbit metric gamma degenerate", points)
     else:
         gamma_inv = gamma.copy()
     a_gamma = gamma_inv @ kg_q
 
     # horizontal metric: project out orbit directions from the joint metric
-    g_full = np.zeros((n_P + n_v, n_P + n_v))
-    g_full[:n_P, :n_P] = g_p
-    g_full[n_P:, n_P:] = orig.G_V
-    k_full = np.vstack([k_p, k_v])
+    g_full = np.zeros((len(points), n_P + n_v, n_P + n_v))
+    g_full[:, :n_P, :n_P] = g_p
+    g_full[:, n_P:, n_P:] = orig.G_V
+    k_full = np.concatenate([k_p, k_v], axis=1)
     gk = g_full @ k_full
-    gt_h = g_full - gk @ d_inv @ gk.T
-    gh_p = g_p - (g_p @ k_p) @ gamma_inv @ (k_p.T @ g_p)
+    gk_t = gk.swapaxes(1, 2)
+    gt_h = g_full - gk @ d_inv @ gk_t
+    gh_p = g_p - (g_p @ k_p) @ gamma_inv @ kt_g
 
-    h_xx = q_jac.T @ gt_h[:n_P, :n_P] @ q_jac
-    h_xv = q_jac.T @ gt_h[:n_P, n_P:]
-    h_vv = gt_h[n_P:, n_P:]
-    h_base = q_jac.T @ gh_p @ q_jac
-    h = HorizontalMetric(h_xx, h_xv, h_vv, h_base)
-    h_tilde = h.full
+    h_xx = q_jac_t @ gt_h[:, :n_P, :n_P] @ q_jac
+    h_xv = q_jac_t @ gt_h[:, :n_P, n_P:]
+    h_vv = gt_h[:, n_P:, n_P:]
+    h_base = q_jac_t @ gh_p @ q_jac
+    h_tilde = np.concatenate(
+        [np.concatenate([h_xx, h_xv], axis=2),
+         np.concatenate([h_xv.swapaxes(1, 2), h_vv], axis=2)], axis=1)
     h_tilde_inv, det_h = _spd_or_error(
-        h_tilde, "horizontal metric degenerate")
-    h_base_inv, _ = _spd_or_error(h_base, "reduced base metric degenerate")
+        h_tilde, "horizontal metric degenerate", points)
+    h_base_inv, _ = _spd_or_error(h_base, "reduced base metric degenerate",
+                                  points)
 
     # projectors
-    chi_jac = np.asarray(orig.chi_jac(q), dtype=float).reshape(n_g, n_P)
     if n_g:
         phi = chi_jac @ k_p
-        if np.linalg.cond(phi) > _PHI_MAX_COND:
+        singular = np.linalg.cond(phi) > _PHI_MAX_COND
+        if singular.any():
             raise NearSingularError(
                 "Faddeev-Popov matrix near singular: section not "
-                "transversal to the orbits at x=%s" % (point.x.tolist(),))
+                "transversal to the orbits at x=%s"
+                % (points[int(np.argmax(singular))].x.tolist(),))
         lam = np.linalg.solve(phi, chi_jac)
     else:
-        lam = np.zeros((0, n_P))
-    n_pp = np.eye(n_P) - k_p @ lam
-    n_vp = -k_v @ lam
-    n_full = np.zeros((n_P + n_v, n_P + n_v))
-    n_full[:n_P, :n_P] = n_pp
-    n_full[n_P:, :n_P] = n_vp
-    n_full[n_P:, n_P:] = np.eye(n_v)
+        lam = np.zeros((len(points), 0, n_P))
+    n_full = np.zeros((len(points), n_P + n_v, n_P + n_v))
+    n_full[:, :n_P, :n_P] = np.eye(n_P) - k_p @ lam
+    n_full[:, n_P:, :n_P] = -k_v @ lam
+    n_full[:, n_P:, n_P:] = np.eye(n_v)
 
-    pi_tilde = np.eye(n_P + n_v) - k_full @ d_inv @ gk.T
-    t_op = h_base_inv @ q_jac.T @ gh_p
-    proj = Projectors(Pi_tilde=pi_tilde, N=n_full, T=t_op, Lambda=lam,
-                      n_P=n_P)
+    pi_tilde = np.eye(n_P + n_v) - k_full @ d_inv @ gk_t
+    t_op = h_base_inv @ q_jac_t @ gh_p
 
-    frame = PointFrame(
-        point=point, Q=q, Q_jac=q_jac, G_P=g_p, G_P_inv=g_p_inv,
-        K_P=k_p, K_V=k_v, gamma=gamma, gamma_prime=gamma_prime,
-        d=d, d_inv=d_inv, det_d=det_d,
-        A_base=a_base, A_vector=a_vector, A_gamma=a_gamma,
-        Gt_H=gt_h, GH_P=gh_p, h=h, h_tilde=h_tilde,
-        h_tilde_inv=h_tilde_inv, det_h=det_h, h_base_inv=h_base_inv,
-        projectors=proj)
-    # the frame is cached and shared by every later lookup of the point
-    for part in (frame, h, proj):
-        for value in vars(part).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-    return frame
+    # frames are cached and shared by every later lookup of the point:
+    # freeze the stacks, so that every per-point view is read-only too
+    for array in (q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d,
+                  d_inv, a_base, a_vector, a_gamma, gt_h, gh_p, h_xx, h_xv,
+                  h_vv, h_base, h_tilde, h_tilde_inv, h_base_inv, pi_tilde,
+                  n_full, t_op, lam):
+        array.setflags(write=False)
+    return [PointFrame(
+        point=point, Q=q[i], Q_jac=q_jac[i], G_P=g_p[i], G_P_inv=g_p_inv[i],
+        K_P=k_p[i], K_V=k_v[i], gamma=gamma[i], gamma_prime=gamma_prime[i],
+        d=d[i], d_inv=d_inv[i], det_d=float(det_d[i]),
+        A_base=a_base[i], A_vector=a_vector[i], A_gamma=a_gamma[i],
+        Gt_H=gt_h[i], GH_P=gh_p[i],
+        h=HorizontalMetric(h_xx[i], h_xv[i], h_vv[i], h_base[i]),
+        h_tilde=h_tilde[i], h_tilde_inv=h_tilde_inv[i],
+        det_h=float(det_h[i]), h_base_inv=h_base_inv[i],
+        projectors=Projectors(Pi_tilde=pi_tilde[i], N=n_full[i], T=t_op[i],
+                              Lambda=lam[i], n_P=n_P))
+        for i, point in enumerate(points)]
 
 
-@lru_cache(maxsize=8192)
-def _frame_from_key(orig: OriginalGeometry, x_bytes: bytes, f_bytes: bytes):
-    x = np.frombuffer(x_bytes, dtype=float)
-    f = np.frombuffer(f_bytes, dtype=float)
-    return _compute_frame(orig, ChartPoint(x, f))
+class _FrameCache:
+    """Bounded LRU of compiled frames with hit and compile counters.
+
+    Keys are the geometry object itself followed by ``ChartPoint.key()``.
+    A geometry hashes by identity, so a cached frame keeps its geometry
+    alive and two geometries never share a frame. Lookups are not locked:
+    verification runs on one thread.
+    """
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.frames = OrderedDict()
+        self.hits = self.misses = self.compiles = 0
+
+    def get(self, key):
+        """The cached frame under ``key``, now most recent, or None."""
+        frame = self.frames.get(key)
+        if frame is not None:
+            self.frames.move_to_end(key)
+            self.hits += 1
+        return frame
+
+    def compile(self, orig, missing):
+        """Compile the frames of ``missing`` (key -> point) in one stacked
+        call, cache them, and return them in the order of ``missing``."""
+        self.misses += len(missing)
+        self.compiles += 1
+        frames = _compute_frames(orig, list(missing.values()))
+        self.frames.update(zip(missing, frames))
+        while len(self.frames) > self.maxsize:
+            self.frames.popitem(last=False)
+        return frames
+
+
+_FRAMES = _FrameCache(maxsize=8192)
+
+FrameCacheInfo = namedtuple("FrameCacheInfo",
+                            "hits misses compiles currsize maxsize")
+
+
+def frame_cache_info() -> FrameCacheInfo:
+    """Counters of the frame cache: lookups served from it (``hits``),
+    frames compiled (``misses``), stacked compile calls (``compiles``),
+    and its current and maximum size."""
+    cache = _FRAMES
+    return FrameCacheInfo(cache.hits, cache.misses, cache.compiles,
+                          len(cache.frames), cache.maxsize)
+
+
+def point_frames(orig: OriginalGeometry, points) -> list:
+    """Frames at many chart points, every cache miss compiled in one call.
+
+    Returns one frame per point, in order. A point repeated in ``points``
+    compiles once, and every compiled frame enters the cache, so later
+    ``point_frame`` lookups of the same points are hits. A frame keeps the
+    (read-only) ``ChartPoint`` it was compiled for.
+    """
+    keys = [(orig,) + p.key() for p in points]
+    found = {}
+    missing = {}
+    for key, point in zip(keys, points):
+        if key in found:
+            _FRAMES.hits += 1
+            continue
+        found[key] = _FRAMES.get(key)
+        if found[key] is None:
+            missing[key] = point
+    if missing:
+        found.update(zip(missing, _FRAMES.compile(orig, missing)))
+    return [found[key] for key in keys]
 
 
 def point_frame(orig: OriginalGeometry, point: ChartPoint) -> PointFrame:
-    """Cached per-point evaluation hub for all builders."""
-    return _frame_from_key(orig, point.x.tobytes(), point.f.tobytes())
+    """Cached per-point evaluation hub for all builders: a cache lookup,
+    and on a miss the one-point case of the stacked compile."""
+    key = (orig,) + point.key()
+    frame = _FRAMES.get(key)
+    if frame is None:
+        frame = _FRAMES.compile(orig, {key: point})[0]
+    return frame
 
 
 def build_orbit_metric(orig: OriginalGeometry, point: ChartPoint):

@@ -14,8 +14,9 @@ from bundlecurv.curvature import (
     scalar_curvature_coordinate_oracle,
     validate_group_chart,
 )
-from bundlecurv.fields import ChartPoint, DerivEngine, FieldHandle
-from bundlecurv.geometry import AdaptedGeometry
+from bundlecurv.fields import (ChartPoint, DerivEngine, EvaluationError,
+                               FieldHandle)
+from bundlecurv.geometry import AdaptedGeometry, frame_cache_info
 from bundlecurv.liecore import OrbitMetric, orbit_scalar_curvature, su2_constants
 from bundlecurv.scenarios import (
     build_scenario,
@@ -43,8 +44,9 @@ def _pure_orbit_block(d_matrix):
 
 
 def test_coordinate_ricci_flat_plane(engine):
-    got = coordinate_ricci_scalar(lambda z: np.eye(2), np.array([0.3, 0.4]),
-                                  engine)
+    got = coordinate_ricci_scalar(
+        lambda zs: np.broadcast_to(np.eye(2), (len(zs), 2, 2)),
+        np.array([0.3, 0.4]), engine)
     assert abs(got) <= 1e-9
 
 
@@ -53,9 +55,10 @@ def test_coordinate_ricci_round_sphere(engine):
     round sphere come out negative."""
     radius = 1.7
 
-    def metric(z):
-        return np.diag([radius ** 2,
-                        radius ** 2 * np.sin(z[0]) ** 2])
+    def metric(zs):
+        return np.stack([np.diag([radius ** 2,
+                                  radius ** 2 * np.sin(z[0]) ** 2])
+                         for z in zs])
 
     got = coordinate_ricci_scalar(metric, np.array([1.0, 0.7]), engine)
     assert_close(got, -2.0 / radius ** 2, 1e-6, "round sphere")
@@ -65,9 +68,19 @@ def test_coordinate_ricci_conformal_plane(engine):
     """e^{2x} flat metric in 2d: scalar curvature is identically zero in
     absolute value 2 e^{-2x} * (laplacian of x) = 0."""
     got = coordinate_ricci_scalar(
-        lambda z: np.exp(2.0 * z[0]) * np.eye(2), np.array([0.2, -0.1]),
-        engine)
+        lambda zs: np.exp(2.0 * zs[:, 0])[:, None, None] * np.eye(2),
+        np.array([0.2, -0.1]), engine)
     assert abs(got) <= 1e-6
+
+
+def test_coordinate_ricci_raises_on_non_finite_stencil(engine):
+    """A metric that is NaN on one side of the stencil fails loudly."""
+    def metric(zs):
+        blown = np.where(zs[:, 0] > 0.3, np.nan, 1.0)
+        return blown[:, None, None] * np.eye(2)
+
+    with pytest.raises(EvaluationError, match="non-finite"):
+        coordinate_ricci_scalar(metric, np.array([0.3, 0.4]), engine)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +114,56 @@ def test_scaled_orbit_breakdown(scaled, engine):
     assert_close(b.DdDd, scaled.expected["dddd"], 1e-8, "DdDd piece")
     assert_close(b.R_G, -1.5 * np.exp(-2.0 * slope * 0.2), 1e-10,
                  "pointwise orbit curvature")
+
+
+#: ``(R_M, R_total)`` of ``decomposition_terms`` at ``_PIN`` with the
+#: default engine, recorded from the serial per-point frame compile; the
+#: stacked stencil must reproduce them bit for bit.
+_PIN = ChartPoint([0.12, -0.21], [0.3, -0.15, 0.22])
+_PINNED_DECOMPOSITION = {
+    "twisted_bundle": (-13.73220446630276, -1.4331566315439004),
+    "abelian_limit": (-6.900613069226026, -0.009642649961681182),
+    "flat_product": (0.0, -1.5),
+    "scaled_orbit": (0.0, 10.820058208648037),
+}
+#: The coordinate oracle at ``_PIN`` and group coordinates ``_PIN_A``,
+#: recorded the same way.
+_PIN_A = np.array([0.2, -0.1, 0.15])
+_PINNED_ORACLE = {
+    "twisted_bundle": -1.4331565983394752,
+    "flat_product": -1.4999999832350597,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DECOMPOSITION))
+def test_decomposition_pinned_values(name, engine):
+    b = decomposition_terms(build_scenario(name).adapted, _PIN, engine)
+    assert (b.R_M, b.R_total) == _PINNED_DECOMPOSITION[name]
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_ORACLE))
+def test_oracle_pinned_values(name, engine):
+    scen = build_scenario(name)
+    got = scalar_curvature_coordinate_oracle(scen.orig, scen.chart, _PIN.x,
+                                             _PIN.f, _PIN_A, engine)
+    assert got == _PINNED_ORACLE[name]
+
+
+def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
+    """The stacked R_M stencil fills the frame cache with exactly the
+    frames both Ricci routes read next, so they compile none."""
+    point = ChartPoint([-0.17, 0.26], [0.05, 0.31, -0.22])
+    decomposition_terms(twisted.adapted, point, engine)
+    before = frame_cache_info()
+    ricci_scalar_pair(twisted.adapted, point, engine=engine)
+    wide = _widened(engine)
+    ricci_scalar_pair(twisted.adapted, point,
+                      lambda p: christoffel_general(twisted.adapted, p, wide),
+                      engine)
+    after = frame_cache_info()
+    assert after.misses == before.misses
+    assert after.compiles == before.compiles
+    assert after.hits > before.hits
 
 
 def test_twisted_ff_matches_loop_oracle(twisted, engine):

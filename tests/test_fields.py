@@ -266,5 +266,52 @@ def test_invert_spd_rejects_bad_input():
         invert_spd(np.diag([1.0, 1e-13]))
 
 
+def test_invert_spd_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(3)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(NearSingularError, match="non-finite") as info:
+            invert_spd(m)
+        assert info.value.index is None
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 0, 0] = bad
+        with pytest.raises(NearSingularError,
+                           match="non-finite entries at index 2"):
+            invert_spd(stack)
+
+
+def test_invert_spd_stack_equals_matrix_by_matrix():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(2, 3, 6, 6))
+    stack = a @ np.swapaxes(a, -1, -2) + np.eye(6)
+    inv, det = invert_spd(stack)
+    assert inv.shape == stack.shape and det.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            inv1, det1 = invert_spd(stack[i, j])
+            assert inv1.tobytes() == inv[i, j].tobytes()
+            assert det1 == det[i, j]
+
+
+def test_invert_spd_gates_every_matrix_of_a_stack():
+    stack = np.stack([np.eye(2)] * 3)
+    asym = stack.copy()
+    asym[1, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="symmetric within 1e-10 at index 1"):
+        invert_spd(asym)
+    indefinite = stack.copy()
+    indefinite[2] = np.diag([1.0, -1.0])
+    with pytest.raises(NearSingularError, match="index 2") as info:
+        invert_spd(indefinite)
+    assert info.value.index == 2
+    assert info.value.reason.startswith("matrix not positive definite")
+    near = stack.copy()
+    near[1] = np.diag([1.0, 1e-13])
+    with pytest.raises(NearSingularError, match="condition number"):
+        invert_spd(near)
+    inv, det = invert_spd(np.zeros((4, 0, 0)))
+    assert inv.shape == (4, 0, 0) and np.all(det == 1.0)
+
+
 def test_config_error_is_value_error():
     assert issubclass(ConfigError, ValueError)

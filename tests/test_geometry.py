@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bundlecurv.curvature import oracle_metric
-from bundlecurv.fields import ChartPoint
+from bundlecurv.fields import ChartPoint, NearSingularError
 from bundlecurv.geometry import (
     OriginalGeometry,
     ambient_partial,
@@ -17,8 +17,10 @@ from bundlecurv.geometry import (
     build_projectors,
     compile_adapted,
     det_factorization_check,
+    frame_cache_info,
     orbit_metric_split,
     point_frame,
+    point_frames,
     validate_original,
 )
 from bundlecurv.liecore import StructureConstants, su2_constants
@@ -243,6 +245,94 @@ def test_point_frame_arrays_are_frozen(twisted):
         with pytest.raises(ValueError):
             array[...] = 0.0
     np.testing.assert_array_equal(frame.d, before)
+
+
+def _frame_parts(frame):
+    """Every array and float of a frame, by name."""
+    parts = {"point.x": frame.point.x, "point.f": frame.point.f,
+             "det_d": frame.det_d, "det_h": frame.det_h}
+    for prefix, part in (("", frame), ("h.", frame.h),
+                         ("projectors.", frame.projectors)):
+        for name, value in vars(part).items():
+            if isinstance(value, np.ndarray):
+                parts[prefix + name] = value
+    return parts
+
+
+def test_point_frames_match_one_at_a_time_compiles(twisted):
+    """A stacked compile over a stencil equals per-point compiles, field by
+    field and bit for bit; duplicates compile once; arrays are read-only."""
+    # fresh copies of the geometry, so that no earlier test's cache entry
+    # serves these points
+    stacked = dataclasses.replace(twisted.orig)
+    single = dataclasses.replace(twisted.orig)
+    center = np.array([0.12, -0.21, 0.3, -0.15, 0.22])
+    coords = [center] + [center + sign * 1e-3 * np.eye(5)[s]
+                         for s in range(5) for sign in (1.0, -1.0)]
+    points = [ChartPoint.from_coords(c, 2) for c in coords]
+    points.append(points[3])
+    before = frame_cache_info()
+    batch = point_frames(stacked, points)
+    after = frame_cache_info()
+    assert after.compiles == before.compiles + 1
+    assert after.misses == before.misses + len(coords)
+    assert batch[-1] is batch[3]
+    for point, frame in zip(points, batch):
+        want = _frame_parts(point_frame(single, point))
+        got = _frame_parts(frame)
+        assert got.keys() == want.keys()
+        for name, value in got.items():
+            if isinstance(value, np.ndarray):
+                assert value.shape == want[name].shape, name
+                assert value.tobytes() == want[name].tobytes(), name
+                assert not value.flags.writeable, name
+            else:
+                assert value == want[name], name
+    assert frame_cache_info().compiles == after.compiles + len(coords)
+
+
+def test_point_frames_gate_every_point():
+    """A degenerate metric at one point of a stack fails the whole compile,
+    names that point, and caches nothing."""
+    def g_p(q):
+        return np.diag([1.0, q[0]])
+
+    orig = dataclasses.replace(_conformal_orig(), G_P=g_p)
+    points = [ChartPoint([x0, 0.1], []) for x0 in (0.3, 0.2, -0.1, 0.4)]
+    size = frame_cache_info().currsize
+    with pytest.raises(NearSingularError,
+                       match=r"bundle metric not positive definite at "
+                             r"x=\[-0.1, 0.1\]"):
+        point_frames(orig, points)
+    assert frame_cache_info().currsize == size
+    assert point_frames(orig, points[:2])[1].G_P[1, 1] == 0.2
+
+
+def test_same_point_on_two_geometries_gives_two_frames(twisted, abelian):
+    point = ChartPoint([0.05, 0.15], [0.2, -0.1, 0.3])
+    a = point_frame(twisted.orig, point)
+    b = point_frame(abelian.orig, point)
+    assert a is not b
+    assert not np.array_equal(a.h_tilde, b.h_tilde)
+    twin = dataclasses.replace(twisted.orig)
+    assert point_frame(twin, point) is not a
+    assert point_frame(twisted.orig, point) is a
+
+
+def test_frame_cache_stays_at_maxsize(flat):
+    maxsize = frame_cache_info().maxsize
+    rng = np.random.default_rng(17)
+    coords = rng.uniform(-0.4, 0.4, size=(maxsize + 40, 5))
+    points = [ChartPoint.from_coords(c, 2) for c in coords]
+    for start in range(0, len(points), 1024):
+        point_frames(flat.orig, points[start:start + 1024])
+    info = frame_cache_info()
+    assert info.currsize == maxsize
+    point_frame(flat.orig, points[-1])
+    assert frame_cache_info().misses == info.misses
+    point_frame(flat.orig, points[0])        # least recently used: evicted
+    assert frame_cache_info().misses == info.misses + 1
+    assert frame_cache_info().currsize == maxsize
 
 
 # ---------------------------------------------------------------------------
