@@ -15,7 +15,7 @@ import numpy as np
 
 from bundlecurv.connection import christoffel_general
 from bundlecurv.curvature import decomposition_terms, ricci_scalar_pair
-from bundlecurv.fields import DEFAULT_ENGINE, DerivEngine
+from bundlecurv.fields import DEFAULT_ENGINE
 from bundlecurv.geometry import assemble_block_metric, point_frame
 from bundlecurv.scenarios import build_scenario, sample_points
 
@@ -38,16 +38,10 @@ def main():
     print(metric.matrix)
     print("determinant: %.6f" % metric.det)
 
-    wide_engine = DerivEngine(fd_step=1e-4)
-
-    def general_provider(p):
-        return christoffel_general(scenario.adapted, p, wide_engine)
-
     table_value, _ = ricci_scalar_pair(scenario.adapted, point,
                                        engine=DEFAULT_ENGINE)
     general_value, _ = ricci_scalar_pair(scenario.adapted, point,
-                                         provider=general_provider,
-                                         engine=DEFAULT_ENGINE)
+                                         christoffel_general, DEFAULT_ENGINE)
     terms = decomposition_terms(scenario.adapted, point, DEFAULT_ENGINE)
     assembled = terms.R_total
 

@@ -23,7 +23,9 @@ the central certification of the whole connection layer.
 Frame derivatives never difference over group coordinates: along horizontal
 lifts they are chart partials corrected by the connection times the
 group-direction rule, and along orbit directions they are purely algebraic
-(``liecore.group_direction_derivative``).
+(``liecore.group_direction_derivative``). ``frame_derivatives`` applies
+that rule to any chart field; the general formula here and the Ricci
+contraction of the curvature module both use it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "curvature_F",
     "covariant_D_orbit_metric",
     "frame_metric_field",
+    "frame_derivatives",
     "frame_structure_functions",
     "base_levi_civita",
     "christoffel_general",
@@ -121,8 +124,8 @@ def curvature_F(adapted: AdaptedGeometry, point: ChartPoint,
     """
     n_h = adapted.n_h
     a_val = np.asarray(adapted.A_conn(point), dtype=float)
-    da = np.stack([partial(engine, adapted.A_conn, point, s)
-                   for s in range(n_h)])        # da[B', mu, C']
+    da = partial(engine, adapted.A_conn, point,
+                 range(n_h))                    # da[B', mu, C']
     grad = np.einsum("amc->mac", da)            # d_{A'} A^mu_{C'}
     comm = np.einsum("msn,sa,nc->mac", adapted.c.c, a_val, a_val)
     return grad - np.einsum("mca->mac", grad) + comm
@@ -144,8 +147,7 @@ def covariant_D_orbit_metric(adapted: AdaptedGeometry, point: ChartPoint,
     n_h = adapted.n_h
     a_val = np.asarray(adapted.A_conn(point), dtype=float)
     d_val = np.asarray(adapted.d.d(point), dtype=float)
-    dd = np.stack([partial(engine, adapted.d.d, point, s)
-                   for s in range(n_h)])
+    dd = partial(engine, adapted.d.d, point, range(n_h))
     c = adapted.c.c
     corr = (np.einsum("ksm,sa,kn->amn", c, a_val, d_val)
             + np.einsum("ksn,sa,mk->amn", c, a_val, d_val))
@@ -162,17 +164,7 @@ def frame_metric_field(adapted: AdaptedGeometry) -> FieldHandle:
         out[n_h:, n_h:] = adapted.d.d(point)
         return out
 
-    h_d = getattr(adapted.h_tilde, "d_func", None)
-    d_d = getattr(adapted.d.d, "d_func", None)
-    analytic = None
-    if h_d is not None and d_d is not None:
-        def analytic(point, slot):
-            out = np.zeros((n_t, n_t))
-            out[:n_h, :n_h] = h_d(point, slot)
-            out[n_h:, n_h:] = d_d(point, slot)
-            return out
-
-    return FieldHandle(evaluate, "matrix", ("mixed", "mixed"), d_func=analytic)
+    return FieldHandle(evaluate, "matrix", ("mixed", "mixed"))
 
 
 def frame_structure_functions(adapted: AdaptedGeometry, point: ChartPoint,
@@ -197,29 +189,38 @@ def base_levi_civita(adapted: AdaptedGeometry, point: ChartPoint,
     n_h = adapted.n_h
     h_val = np.asarray(adapted.h_tilde(point), dtype=float)
     h_inv, _ = invert_spd(h_val)
-    dh = np.stack([partial(engine, adapted.h_tilde, point, s)
-                   for s in range(n_h)])        # dh[B', A', C']
+    dh = partial(engine, adapted.h_tilde, point,
+                 range(n_h))                    # dh[B', A', C']
     combo = (np.einsum("abd->abd", dh) + np.einsum("bad->abd", dh)
              - np.einsum("dab->abd", dh))
     return 0.5 * np.einsum("cd,abd->cab", h_inv, combo)
 
 
-def _hat_derivatives_of_frame_metric(adapted, point, engine):
-    """All frame derivatives of the frame metric: hat[B, A, C]."""
-    n_h, n_g, n_t = adapted.n_h, adapted.n_g, adapted.n_t
-    gf = frame_metric_field(adapted)
-    gf_val = gf(point)
+def frame_derivatives(adapted: AdaptedGeometry, field, value, signature,
+                      point: ChartPoint, engine: DerivEngine = DEFAULT_ENGINE,
+                      step_scale: float = 1.0) -> np.ndarray:
+    r"""Frame derivatives ``hat[A, ...]`` of a chart field at a point.
+
+    ``value`` is the field at ``point`` and ``signature`` its covariance
+    signature. Along the horizontal lift of slot ``B'`` the derivative is
+    the chart partial (at ``step_scale`` times the engine step) minus
+    :math:`\mathcal A^\sigma_{B'}` times the group-direction rule along
+    :math:`\sigma`; along orbit direction :math:`\sigma` it is the rule
+    itself (``liecore.group_direction_derivative``).
+    """
+    n_h, n_g = adapted.n_h, adapted.n_g
     a_val = np.asarray(adapted.A_conn(point), dtype=float)
-    rule = [group_direction_derivative(gf_val, ("lower", "lower"),
-                                       adapted.c, s) for s in range(n_g)]
-    hat = np.zeros((n_t, n_t, n_t))
+    rule = [group_direction_derivative(value, signature, adapted.c, s)
+            for s in range(n_g)]
+    grad = partial(engine, field, point, range(n_h), step_scale)
+    hat = np.zeros((n_h + n_g,) + value.shape)
     for bp in range(n_h):
         correction = sum((a_val[s, bp] * rule[s] for s in range(n_g)),
-                         np.zeros((n_t, n_t)))
-        hat[bp] = partial(engine, gf, point, bp) - correction
+                         np.zeros_like(value))
+        hat[bp] = grad[bp] - correction
     for s in range(n_g):
         hat[n_h + s] = rule[s]
-    return hat, gf_val
+    return hat
 
 
 def christoffel_general(adapted: AdaptedGeometry, point: ChartPoint,
@@ -232,7 +233,10 @@ def christoffel_general(adapted: AdaptedGeometry, point: ChartPoint,
     table entries are consulted.
     """
     structure = frame_structure_functions(adapted, point, engine)
-    hat, gf_val = _hat_derivatives_of_frame_metric(adapted, point, engine)
+    gf = frame_metric_field(adapted)
+    gf_val = gf(point)
+    hat = frame_derivatives(adapted, gf, gf_val, ("lower", "lower"), point,
+                            engine)
     n_h = adapted.n_h
     g_inv = np.zeros_like(gf_val)
     g_inv[:n_h, :n_h] = invert_spd(gf_val[:n_h, :n_h])[0]

@@ -3,7 +3,7 @@ r"""Ricci contraction, scalar-curvature decomposition, and oracles.
 Three independent routes to the total-space scalar curvature live here:
 
 1. ``ricci_scalar_pair`` contracts the frame Ricci tensor built from a
-   Christoffel provider (table or general formula) via
+   Christoffel route (table or general formula) via
 
    .. math::
 
@@ -21,6 +21,12 @@ Three independent routes to the total-space scalar curvature live here:
    coordinate basis over ``(x, f, a)`` -- group chart included, no frames, no
    structure constants -- and applies the standard coordinate formulas.
 
+Every derivative here comes from the stencil kernel of ``fields``: the
+frame derivatives of the Christoffel field through ``partial`` over all
+horizontal slots at once, the ``ln det d`` Hessian through
+``second_partial``, and the nested stencil of ``coordinate_ricci_scalar``
+(``R_M`` and the oracle) as one coordinate stack.
+
 The sign conventions are the ones the Christoffel formula and the Ricci
 display above imply; they are internally consistent and are never adjusted
 to match external references (the round two-sphere comes out negative
@@ -35,12 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, EvaluationError,
-                     FieldHandle, invert_spd, partial, second_partial)
+                     FieldHandle, _stencil, _stencil_partials, invert_spd,
+                     partial, second_partial)
 from .geometry import AdaptedGeometry, OriginalGeometry, point_frames
-from .liecore import group_direction_derivative, orbit_scalar_curvature
+from .liecore import orbit_scalar_curvature
 from .connection import (base_levi_civita, christoffel_table,
                          covariant_D_orbit_metric, curvature_F,
-                         frame_structure_functions)
+                         frame_derivatives, frame_structure_functions)
 
 __all__ = [
     "CurvatureBreakdown",
@@ -79,7 +86,6 @@ def _widened(engine):
     return DerivEngine(
         fd_step=min(10.0 * engine.fd_step, 9e-3),
         richardson=engine.richardson,
-        mode=engine.mode,
     )
 
 
@@ -120,26 +126,6 @@ class GroupChart:
     rho_bar: object
 
 
-def _hat_gamma(provider, adapted, point, engine, gamma0):
-    """Frame derivatives hat[A, D, B, C] of the Christoffel field."""
-    n_h, n_g, n_t = adapted.n_h, adapted.n_g, adapted.n_t
-    field = FieldHandle(lambda p: provider(p).gamma, "rank3",
-                        ("mixed",) * 3)
-    a_val = np.asarray(adapted.A_conn(point), dtype=float)
-    rule = [group_direction_derivative(gamma0, _GAMMA_SIGNATURE,
-                                       adapted.c, s) for s in range(n_g)]
-    hat = np.zeros((n_t, n_t, n_t, n_t))
-    for bp in range(n_h):
-        grad = partial(engine, field, point, bp,
-                       step_scale=RICCI_OUTER_SCALE)
-        correction = sum((a_val[s, bp] * rule[s] for s in range(n_g)),
-                         np.zeros_like(gamma0))
-        hat[bp] = grad - correction
-    for s in range(n_g):
-        hat[n_h + s] = rule[s]
-    return hat
-
-
 def _ricci_from_pieces(gamma0, hat, cc, mask):
     t1 = np.einsum("abbc,b->ac", hat, mask)
     t2 = np.einsum("bbac,b->ac", hat, mask)
@@ -159,7 +145,7 @@ def _internal_mask(n_h, n_t, internal):
 
 
 def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
-                      provider=None,
+                      christoffel=christoffel_table,
                       engine: DerivEngine = DEFAULT_ENGINE):
     r"""Total-space and orbit-space scalar curvatures from one derivative pass.
 
@@ -168,14 +154,18 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
     only horizontal internal indices and contracts the horizontal block
     with h~^{-1}. Sharing the frame-derivative array between the two keeps
     their FD noise correlated, which the difference formulas rely on.
+
+    ``christoffel`` is the Christoffel route, ``christoffel_table`` or
+    ``christoffel_general``; it is called as ``christoffel(adapted, p,
+    engine)`` with the widened engine of the nested differencing.
     """
     wide = _widened(engine)
-    if provider is None:
-        def provider(p):
-            return christoffel_table(adapted, p, wide)
     structure = frame_structure_functions(adapted, point, engine)
-    gamma0 = provider(point).gamma
-    hat = _hat_gamma(provider, adapted, point, wide, gamma0)
+    gamma0 = christoffel(adapted, point, wide).gamma
+    field = FieldHandle(lambda p: christoffel(adapted, p, wide).gamma,
+                        "rank3", ("mixed",) * 3)
+    hat = frame_derivatives(adapted, field, gamma0, _GAMMA_SIGNATURE, point,
+                            wide, RICCI_OUTER_SCALE)
     n_h, n_t = adapted.n_h, adapted.n_t
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
@@ -200,15 +190,7 @@ def _log_det_d_field(adapted: AdaptedGeometry) -> FieldHandle:
                              "undefined")
         return logdet
 
-    d_func = None
-    d_analytic = getattr(adapted.d.d, "d_func", None)
-    if d_analytic is not None:
-        def d_func(point, slot):
-            d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-            return float(np.trace(d_inv @ np.asarray(
-                d_analytic(point, slot), dtype=float)))
-
-    return FieldHandle(evaluate, "scalar", (), d_func=d_func)
+    return FieldHandle(evaluate, "scalar", ())
 
 
 def log_density_terms(adapted: AdaptedGeometry, point: ChartPoint,
@@ -222,12 +204,8 @@ def log_density_terms(adapted: AdaptedGeometry, point: ChartPoint,
     n_h = adapted.n_h
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     sigma = _log_det_d_field(adapted)
-    grad = np.array([partial(engine, sigma, point, s) for s in range(n_h)])
-    hess = np.zeros((n_h, n_h))
-    for i in range(n_h):
-        for j in range(i, n_h):
-            hess[i, j] = hess[j, i] = second_partial(engine, sigma, point,
-                                                     i, j)
+    grad = partial(engine, sigma, point, range(n_h))
+    hess = second_partial(engine, sigma, point, range(n_h))
     lc = base_levi_civita(adapted, point, engine)
     lap = float(np.einsum("ab,ab->", h_inv, hess)
                 - np.einsum("ab,cab,c->", h_inv, lc, grad))
@@ -299,48 +277,6 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
                               R_total=total)
 
 
-def _stencil(zs, fd_step, richardson):
-    """The points and steps of ``ambient_partial`` at each row of ``zs``.
-
-    ``zs`` is ``(m, k)``. Returns the ``(m, 1 + 2 r k, k)`` stencil rows
-    -- the centre, then for each slot ``+h, -h`` and, with Richardson
-    (``r = 2``), ``+h/2, -h/2`` -- and the ``(m, r, k)`` steps. The rows
-    are shifted with exactly the arithmetic of ``ambient_partial``.
-    """
-    m, k = zs.shape
-    h = fd_step * (1.0 + np.abs(zs))
-    steps = np.stack([h, 0.5 * h] if richardson else [h], axis=1)
-    n_r = steps.shape[1]
-    rows = np.repeat(zs[:, None, :], 1 + 2 * n_r * k, axis=1)
-    for s in range(k):
-        for r in range(n_r):
-            hi = 1 + 2 * (s * n_r + r)
-            rows[:, hi, s] += steps[:, r, s]
-            rows[:, hi + 1, s] -= steps[:, r, s]
-    return rows, steps
-
-
-def _stencil_partials(values, steps):
-    """``ambient_partial`` along every slot, from values on ``_stencil`` rows.
-
-    ``values`` is ``(m, 1 + 2 r k, ...)``; returns ``(m, k, ...)``:
-    ``(hi - lo) / (2 step)`` at each step, then ``(4 D(h/2) - D(h)) / 3``
-    with Richardson.
-    """
-    m, n_r, k = steps.shape
-    tail = values.shape[2:]
-    pairs = values[:, 1:].reshape((m, k, n_r, 2) + tail)
-    steps = steps.reshape((m, n_r, k) + (1,) * len(tail))
-
-    def central(r):
-        return (pairs[:, :, r, 0] - pairs[:, :, r, 1]) / (2.0 * steps[:, r])
-
-    d_h = central(0)
-    if n_r == 1:
-        return d_h
-    return (4.0 * central(1) - d_h) / 3.0
-
-
 def coordinate_ricci_scalar(metric, z0, engine: DerivEngine = DEFAULT_ENGINE,
                             outer_scale: float = RICCI_OUTER_SCALE) -> float:
     r"""Scalar curvature of a metric field by the plain coordinate formulas.
@@ -350,18 +286,18 @@ def coordinate_ricci_scalar(metric, z0, engine: DerivEngine = DEFAULT_ENGINE,
     whole nested stencil. Levi-Civita symbols come from first differences
     of the metric, the Ricci tensor from differences of the symbols at an
     inflated outer step, and the scalar from the inverse-metric
-    contraction. Both layers difference with exactly the arithmetic of
-    ``ambient_partial``. A non-finite metric value anywhere on the stencil
-    raises ``EvaluationError``. This is the completely frame-free
+    contraction. Both layers run on the stencil kernel of ``fields``,
+    with the centre rows kept. A non-finite metric value anywhere on the
+    stencil raises ``EvaluationError``. This is the completely frame-free
     evaluation path used by every oracle comparison.
     """
     z0 = np.asarray(z0, dtype=float)
     k = z0.shape[0]
     outer, outer_steps = _stencil(z0[None, :],
                                   engine.fd_step * outer_scale,
-                                  engine.richardson)
+                                  engine.richardson, centre=True)
     inner, inner_steps = _stencil(outer[0], engine.fd_step,
-                                  engine.richardson)
+                                  engine.richardson, centre=True)
     zs = inner.reshape(-1, k)
     values = np.asarray(metric(zs), dtype=float)
     finite = np.all(np.isfinite(values.reshape(len(zs), -1)), axis=1)

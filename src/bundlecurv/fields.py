@@ -6,6 +6,16 @@ sector ``f``. This module supplies the chart point type, a thin wrapper for
 field callables, central-difference differentiation with optional Richardson
 extrapolation, and the small dense linear algebra used everywhere else.
 
+All differentiation goes through one stencil kernel on coordinate stacks:
+``_stencil`` builds the shifted rows around each row of an ``(m, k)``
+array, and ``_stencil_partials`` applies ``(hi - lo)/(2h)`` and Richardson
+extrapolation to the values there. ``partial`` (all requested chart slots
+in one call), ``second_partial`` (the same rows plus corner rows),
+``coordinate_partials`` (plain coordinate vectors such as the bundle
+coordinates ``Q``) and the nested stencil of the curvature module's
+coordinate Ricci scalar are all built on it. Fields are evaluated one row
+at a time.
+
 All matrices here are tiny (at most ~12x12), so no attention is paid to
 asymptotics; accuracy and determinism are what matter.
 """
@@ -24,6 +34,7 @@ __all__ = [
     "FieldHandle",
     "DerivEngine",
     "DEFAULT_ENGINE",
+    "coordinate_partials",
     "partial",
     "second_partial",
     "invert_spd",
@@ -37,6 +48,12 @@ __all__ = [
 SECOND_PARTIAL_STEP_SCALE = 100.0
 
 _MAX_CONDITION = 1e12
+
+# stencil steps h and h/2 (Richardson), each taken with sign + then -
+_STEP_LEVELS = np.array([1.0, 0.5])
+_SIGNS = np.array([1.0, -1.0])
+_STEP_LEVELS.setflags(write=False)
+_SIGNS.setflags(write=False)
 
 
 class ConfigError(ValueError):
@@ -103,12 +120,6 @@ class ChartPoint:
         coords = np.asarray(coords, dtype=float)
         return cls(coords[:n_x], coords[n_x:])
 
-    def shifted(self, slot: int, delta: float) -> "ChartPoint":
-        """New point with coordinate ``slot`` (over the joint vector) shifted."""
-        c = self.coords.copy()
-        c[slot] += delta
-        return ChartPoint.from_coords(c, self.n_x)
-
     def key(self) -> tuple:
         """Hashable identity of the coordinate values (used for caching)."""
         return (self.x.tobytes(), self.f.tobytes())
@@ -121,14 +132,12 @@ class FieldHandle:
     ``arity`` is one of ``"scalar"``, ``"vector"``, ``"matrix"``, ``"rank3"``;
     ``sectors`` names the index sector of each slot (``"base"``, ``"vector"``,
     ``"orbit"`` or ``"mixed"``) and is carried for documentation and shape
-    checks only. ``d_func(point, slot)`` may supply an analytic partial
-    derivative with respect to joint chart coordinate ``slot``.
+    checks only.
     """
 
     func: object
     arity: str = "scalar"
     sectors: tuple = ()
-    d_func: object = None
 
     _NDIM = {"scalar": 0, "vector": 1, "matrix": 2, "rank3": 3}
 
@@ -154,107 +163,177 @@ class DerivEngine:
     point is ``fd_step * (1 + |coordinate|)``. With ``richardson`` enabled
     each derivative is computed at steps ``h`` and ``h/2`` and extrapolated,
     ``(4 D(h/2) - D(h))/3``, killing the leading :math:`O(h^2)` truncation
-    term. ``mode`` selects ``"fd"`` (always difference) or ``"analytic"``
-    (use a field's registered derivative when present, fall back to FD).
+    term.
     """
 
     fd_step: float = 1e-5
     richardson: bool = True
-    mode: str = "fd"
 
     def __post_init__(self):
         if not (0.0 < self.fd_step < 1e-2):
             raise ValueError("fd_step must lie in (0, 1e-2)")
-        if self.mode not in ("fd", "analytic"):
-            raise ValueError("mode must be 'fd' or 'analytic'")
-
-    def step(self, point: ChartPoint, slot: int, scale: float = 1.0) -> float:
-        return self.fd_step * scale * (1.0 + abs(point.coords[slot]))
 
 
 DEFAULT_ENGINE = DerivEngine()
 
 
-def _eval_checked(field, point):
-    value = np.asarray(field(point), dtype=float)
-    if not np.all(np.isfinite(value)):
-        raise EvaluationError(
-            "field produced non-finite value at x=%s f=%s"
-            % (point.x.tolist(), point.f.tolist())
-        )
-    return value
+def _stencil(zs, fd_step, richardson, slots=None, centre=False):
+    """Central-difference rows around each row of ``zs``.
 
-
-def _central(field, point, slot, h):
-    lo = _eval_checked(field, point.shifted(slot, -h))
-    hi = _eval_checked(field, point.shifted(slot, +h))
-    return (hi - lo) / (2.0 * h)
-
-
-def partial(engine: DerivEngine, field, point: ChartPoint, slot: int,
-            step_scale: float = 1.0):
-    r"""Partial derivative of ``field`` along joint chart coordinate ``slot``.
-
-    Realizes every :math:`\partial_i`, :math:`\partial_a` appearing in the
-    metric, connection and curvature formulas. ``step_scale`` inflates the
-    step for outer layers of nested differentiation; see the curvature
-    module for the noise budget that picks those scales.
+    ``zs`` is ``(m, k)``; ``slots`` lists the coordinates differenced (all
+    ``k`` by default). Returns the read-only ``(m, c + 2 r s, k)`` rows --
+    the centre when ``centre`` is set (``c = 1``), then for each slot
+    ``+h, -h`` and, with Richardson (``r = 2``), ``+h/2, -h/2`` -- and the
+    ``(m, r, s)`` steps, ``h = fd_step * (1 + |z|)``. Rows are frozen
+    before any of them becomes a ``ChartPoint``, since cached frames keep
+    the point they were compiled for.
     """
+    m, k = zs.shape
+    cols = np.arange(k) if slots is None else np.asarray(slots, dtype=int)
+    z = zs[:, cols]
+    h = fd_step * (1.0 + np.abs(z))
+    levels = _STEP_LEVELS if richardson else _STEP_LEVELS[:1]
+    steps = h[:, None, :] * levels[:, None]                  # [m, step, slot]
+    # z + (-h) is exactly z - h, so one broadcast gives both signs
+    shifted = z[:, None, :, None] + steps[..., None] * _SIGNS
+    n_r, n_d = len(levels), 2 * len(levels) * len(cols)
+    rows = np.repeat(zs[:, None, :], int(centre) + n_d, axis=1)
+    rows[:, int(centre) + np.arange(n_d), np.repeat(cols, 2 * n_r)] = \
+        shifted.transpose(0, 2, 1, 3).reshape(m, n_d)
+    rows.setflags(write=False)
+    return rows, steps
+
+
+def _richardson(d):
+    """Extrapolate derivatives stacked by step along axis 0:
+    ``(4 D(h/2) - D(h)) / 3``, or ``D(h)`` alone without Richardson."""
+    return d[0] if len(d) == 1 else (4.0 * d[1] - d[0]) / 3.0
+
+
+def _stencil_partials(values, steps):
+    """Partials along every stencil slot, from values on ``_stencil`` rows.
+
+    ``values`` is ``(m, c + 2 r s, ...)``, the differenced rows last;
+    returns ``(m, s, ...)``: ``(hi - lo) / (2 step)`` at each step, then
+    Richardson extrapolation.
+    """
+    m, n_r, n_s = steps.shape
+    tail = values.shape[2:]
+    pairs = values[:, values.shape[1] - 2 * n_r * n_s:].reshape(
+        (m, n_s, n_r, 2) + tail)
+    steps = steps.swapaxes(1, 2).reshape((m, n_s, n_r) + (1,) * len(tail))
+    central = (pairs[:, :, :, 0] - pairs[:, :, :, 1]) / (2.0 * steps)
+    return _richardson(np.moveaxis(central, 2, 0))
+
+
+def _eval_rows(func, rows, n_x=None):
+    """``func`` at each row of ``rows``, stacked.
+
+    With ``n_x`` the rows are joint chart coordinates and ``func`` takes
+    the ``ChartPoint`` split there; otherwise it takes the row itself. A
+    non-finite value raises ``EvaluationError`` naming the first row that
+    produced one.
+    """
+    args = rows if n_x is None else [ChartPoint.from_coords(z, n_x)
+                                     for z in rows]
+    values = np.asarray(np.stack([func(a) for a in args]), dtype=float)
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+        bad = args[int(np.argmin(finite))]
+        where = ("z=%s" % (bad.tolist(),) if n_x is None else
+                 "x=%s f=%s" % (bad.x.tolist(), bad.f.tolist()))
+        raise EvaluationError("field produced non-finite value at %s"
+                              % where)
+    return values
+
+
+def _slot_list(slots, point):
+    slots = list(slots)
     n_tot = point.n_x + point.n_v
-    if not 0 <= slot < n_tot:
-        raise IndexError("slot %d out of range for %d chart coordinates"
-                         % (slot, n_tot))
-    d_func = getattr(field, "d_func", None)
-    if engine.mode == "analytic" and d_func is not None:
-        value = np.asarray(d_func(point, slot), dtype=float)
-        if not np.all(np.isfinite(value)):
-            raise EvaluationError("analytic derivative non-finite at slot %d"
-                                  % slot)
-        return value
-    h = engine.step(point, slot, step_scale)
-    d_h = _central(field, point, slot, h)
-    if not engine.richardson:
-        return d_h
-    d_h2 = _central(field, point, slot, 0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0
+    for slot in slots:
+        if not 0 <= slot < n_tot:
+            raise IndexError("slot %d out of range for %d chart coordinates"
+                             % (slot, n_tot))
+    return slots
 
 
-def _second_same(field, point, slot, h):
-    mid = _eval_checked(field, point)
-    lo = _eval_checked(field, point.shifted(slot, -h))
-    hi = _eval_checked(field, point.shifted(slot, +h))
-    return (hi - 2.0 * mid + lo) / (h * h)
+def coordinate_partials(func, z, fd_step: float, richardson: bool = True,
+                        slots=None, n_x=None):
+    r"""Partials of ``func`` at the coordinate vector ``z``, one per slot.
 
-
-def _second_mixed(field, point, s1, s2, h1, h2):
-    pp = _eval_checked(field, point.shifted(s1, +h1).shifted(s2, +h2))
-    pm = _eval_checked(field, point.shifted(s1, +h1).shifted(s2, -h2))
-    mp = _eval_checked(field, point.shifted(s1, -h1).shifted(s2, +h2))
-    mm = _eval_checked(field, point.shifted(s1, -h1).shifted(s2, -h2))
-    return (pp - pm - mp + mm) / (4.0 * h1 * h2)
-
-
-def second_partial(engine: DerivEngine, field, point: ChartPoint,
-                   slot1: int, slot2: int):
-    r"""Second partial derivative, symmetric in the two slots.
-
-    Uses second-difference stencils at an internally inflated step
-    (see ``SECOND_PARTIAL_STEP_SCALE``); Richardson extrapolation is applied
-    when the engine enables it since both stencils have :math:`O(h^2)` error.
+    Returns a stack with one leading entry per slot of ``slots`` (all
+    coordinates by default; no slots give an empty stack). ``func`` takes
+    a plain coordinate vector -- the bundle coordinates ``Q`` of the
+    Killing gate and the Killing derivatives, say -- or, with ``n_x``, the
+    ``ChartPoint`` split there. All stencil rows are evaluated one by one
+    and differenced in one pass.
     """
-    h1 = engine.step(point, slot1, SECOND_PARTIAL_STEP_SCALE)
-    h2 = engine.step(point, slot2, SECOND_PARTIAL_STEP_SCALE)
-    if slot1 == slot2:
-        d_h = _second_same(field, point, slot1, h1)
-        if not engine.richardson:
-            return d_h
-        d_h2 = _second_same(field, point, slot1, 0.5 * h1)
-    else:
-        d_h = _second_mixed(field, point, slot1, slot2, h1, h2)
-        if not engine.richardson:
-            return d_h
-        d_h2 = _second_mixed(field, point, slot1, slot2, 0.5 * h1, 0.5 * h2)
-    return (4.0 * d_h2 - d_h) / 3.0
+    z = np.asarray(z, dtype=float)
+    rows, steps = _stencil(z[None], fd_step, richardson, slots)
+    if not rows.shape[1]:
+        return np.zeros(0)
+    return _stencil_partials(_eval_rows(func, rows[0], n_x)[None], steps)[0]
+
+
+def partial(engine: DerivEngine, field, point: ChartPoint, slots,
+            step_scale: float = 1.0):
+    r"""Partials of ``field`` along the joint chart coordinates ``slots``.
+
+    Returns a stack with one leading entry per slot. Realizes every
+    :math:`\partial_i`, :math:`\partial_a` appearing in the metric,
+    connection and curvature formulas. ``step_scale`` inflates the step
+    for outer layers of nested differentiation; see the curvature module
+    for the noise budget that picks those scales.
+    """
+    return coordinate_partials(field, point.coords,
+                               engine.fd_step * step_scale,
+                               engine.richardson, _slot_list(slots, point),
+                               point.n_x)
+
+
+def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
+    r"""Symmetric Hessian block of ``field`` over the chart ``slots``.
+
+    Returns ``(s, s, ...)``. The diagonal is ``(hi - 2 mid + lo)/(h h)``,
+    the off-diagonal ``(pp - pm - mp + mm)/(4 h1 h2)`` with the earlier slot
+    of ``slots`` first, both at the internally inflated step of
+    ``SECOND_PARTIAL_STEP_SCALE``; Richardson extrapolation is applied
+    when the engine enables it since both stencils have :math:`O(h^2)`
+    error. The corner rows take each shifted coordinate from the axis row
+    of its slot.
+    """
+    slots = _slot_list(slots, point)
+    n_s = len(slots)
+    rows, steps = _stencil(point.coords[None],
+                           engine.fd_step * SECOND_PARTIAL_STEP_SCALE,
+                           engine.richardson, slots, centre=True)
+    rows, steps = rows[0], steps[0]
+    n_r, k = steps.shape[0], rows.shape[1]
+    axis = rows[1:].reshape(n_s, n_r, 2, k)      # [slot, step, +/-, coord]
+    pairs = [(i, j) for i in range(n_s) for j in range(i + 1, n_s)]
+    blocks = [rows]
+    for i, j in pairs:
+        corner = np.repeat(axis[i][:, :, None, :], 2, axis=2)
+        corner[..., slots[j]] = axis[j][:, None, :, slots[j]]
+        blocks.append(corner.reshape(-1, k))  # step, +/- on i, +/- on j
+    rows = np.concatenate(blocks)
+    rows.setflags(write=False)
+    values = _eval_rows(field, rows, point.n_x)
+    mid = values[0]
+    ax_vals = values[1:1 + 2 * n_r * n_s].reshape(
+        (n_s, n_r, 2) + mid.shape)
+    corner_vals = values[1 + 2 * n_r * n_s:].reshape(
+        (len(pairs), n_r, 2, 2) + mid.shape)
+    hess = np.zeros((n_s, n_s) + mid.shape)
+    for i in range(n_s):
+        hess[i, i] = _richardson([
+            (ax_vals[i, r, 0] - 2.0 * mid + ax_vals[i, r, 1])
+            / (steps[r, i] * steps[r, i]) for r in range(n_r)])
+    for (i, j), c in zip(pairs, corner_vals):
+        hess[i, j] = hess[j, i] = _richardson([
+            (c[r, 0, 0] - c[r, 0, 1] - c[r, 1, 0] + c[r, 1, 1])
+            / (4.0 * steps[r, i] * steps[r, j]) for r in range(n_r)])
+    return hess
 
 
 def invert_spd(matrix):

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ChartPoint, FieldHandle, NearSingularError, invert_spd
+from .fields import (ChartPoint, FieldHandle, NearSingularError,
+                     coordinate_partials, invert_spd)
 from .liecore import OrbitMetric, StructureConstants
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "det_factorization_check",
     "compile_adapted",
     "validate_original",
-    "ambient_partial",
 ]
 
 _PHI_MAX_COND = 1e12
@@ -505,24 +505,13 @@ def build_projectors(orig: OriginalGeometry, point: ChartPoint) -> Projectors:
     return frame.projectors
 
 
-def compile_adapted(orig: OriginalGeometry, d_analytic=None,
-                    h_analytic=None, a_analytic=None) -> "AdaptedGeometry":
-    """Wrap the builders into chart fields.
-
-    Optional ``*_analytic(point, slot)`` callables register closed-form
-    partial derivatives for scenarios that have them; the differentiation
-    engine uses them only in analytic mode, and tests compare both paths.
-    """
+def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
+    """Wrap the builders into chart fields."""
     def d_eval(point):
         return point_frame(orig, point).d
 
     def d_inv_eval(point):
         return point_frame(orig, point).d_inv
-
-    def d_inv_analytic(point, slot):
-        frame = point_frame(orig, point)
-        dd = np.asarray(d_analytic(point, slot), dtype=float)
-        return -frame.d_inv @ dd @ frame.d_inv
 
     def h_eval(point):
         return point_frame(orig, point).h_tilde
@@ -530,19 +519,14 @@ def compile_adapted(orig: OriginalGeometry, d_analytic=None,
     def a_eval(point):
         return point_frame(orig, point).A
 
-    d_field = FieldHandle(d_eval, "matrix", ("orbit", "orbit"),
-                          d_func=d_analytic)
-    d_inv_field = FieldHandle(
-        d_inv_eval, "matrix", ("orbit", "orbit"),
-        d_func=d_inv_analytic if d_analytic is not None else None)
-    orbit = OrbitMetric(d=d_field, d_inv=d_inv_field)
+    orbit = OrbitMetric(
+        d=FieldHandle(d_eval, "matrix", ("orbit", "orbit")),
+        d_inv=FieldHandle(d_inv_eval, "matrix", ("orbit", "orbit")))
     return AdaptedGeometry(
         n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
-        h_tilde=FieldHandle(h_eval, "matrix", ("mixed", "mixed"),
-                            d_func=h_analytic),
+        h_tilde=FieldHandle(h_eval, "matrix", ("mixed", "mixed")),
         d=orbit,
-        A_conn=FieldHandle(a_eval, "matrix", ("orbit", "mixed"),
-                           d_func=a_analytic),
+        A_conn=FieldHandle(a_eval, "matrix", ("orbit", "mixed")),
         c=orig.c, orig=orig)
 
 
@@ -635,31 +619,6 @@ def det_factorization_check(orig: OriginalGeometry,
     return abs(det_direct - det_fact) / abs(det_direct)
 
 
-def ambient_partial(func, q, slot: int, fd_step: float = 1e-5,
-                    richardson: bool = True):
-    """Central-difference partial of a field over bundle coordinates ``Q``.
-
-    The chart machinery differentiates over ``(x, f)`` only; the Killing
-    gate and the direct covariant derivative of Killing fields need
-    derivatives over ``Q``, which this supplies.
-    """
-    q = np.asarray(q, dtype=float)
-    h = fd_step * (1.0 + abs(float(q[slot])))
-
-    def central(step):
-        q_hi = q.copy()
-        q_hi[slot] += step
-        q_lo = q.copy()
-        q_lo[slot] -= step
-        return (np.asarray(func(q_hi), dtype=float)
-                - np.asarray(func(q_lo), dtype=float)) / (2.0 * step)
-
-    d_h = central(h)
-    if not richardson:
-        return d_h
-    return (4.0 * central(0.5 * h) - d_h) / 3.0
-
-
 @dataclass(frozen=True)
 class OriginalValidity:
     """Sampled-gate report for an OriginalGeometry."""
@@ -687,11 +646,9 @@ def validate_original(orig: OriginalGeometry, points,
     for point in points:
         frame = point_frame(orig, point)
         q = frame.Q
-        n_P, n_g = orig.n_P, orig.n_g
-        dg = np.stack([ambient_partial(orig.G_P, q, s, fd_step)
-                       for s in range(n_P)])          # dg[C, A, B]
-        dk = np.stack([ambient_partial(orig.K_P, q, s, fd_step)
-                       for s in range(n_P)])          # dk[C, A, alpha]
+        n_g = orig.n_g
+        dg = coordinate_partials(orig.G_P, q, fd_step)  # dg[C, A, B]
+        dk = coordinate_partials(orig.K_P, q, fd_step)  # dk[C, A, alpha]
         for alpha in range(n_g):
             k = frame.K_P[:, alpha]
             grad_k = dk[:, :, alpha]     # grad_k[slot A, component C]

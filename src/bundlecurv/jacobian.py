@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     invert_spd, partial)
-from .geometry import (AdaptedGeometry, OriginalGeometry, ambient_partial,
-                       compile_adapted, point_frame)
+                     coordinate_partials, invert_spd, partial)
+from .geometry import (AdaptedGeometry, OriginalGeometry, compile_adapted,
+                       point_frame)
 from .liecore import orbit_scalar_curvature
 from .connection import covariant_D_orbit_metric, curvature_F
 from .curvature import (_log_det_d_field, dddd_term, ff_term,
@@ -81,8 +81,8 @@ def sigma_field(adapted: AdaptedGeometry,
     def grad_eval(point):
         d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
         return np.array([
-            float(np.trace(d_inv @ partial(engine, adapted.d.d, point, s)))
-            for s in range(n_h)])
+            float(np.trace(d_inv @ dd))
+            for dd in partial(engine, adapted.d.d, point, range(n_h))])
 
     return SigmaField(
         sigma=_log_det_d_field(adapted),
@@ -103,14 +103,13 @@ def jacobian_direct(adapted: AdaptedGeometry, point: ChartPoint,
 
 
 def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
-                       engine: DerivEngine = DEFAULT_ENGINE,
-                       provider=None) -> float:
+                       engine: DerivEngine = DEFAULT_ENGINE) -> float:
     """Reduction Jacobian as a curvature deficit; see the module docstring.
 
     Both scalar curvatures come from a single frame-derivative pass so
     their FD noise largely cancels in the difference.
     """
-    r_total, r_base = ricci_scalar_pair(adapted, point, provider, engine)
+    r_total, r_base = ricci_scalar_pair(adapted, point, engine=engine)
     d_val = np.asarray(adapted.d.d(point), dtype=float)
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
@@ -145,8 +144,7 @@ def quadratic_form_paths(adapted: AdaptedGeometry, point: ChartPoint,
                          "bundle data")
     n_x, n_h = adapted.n_x, adapted.n_h
     sf = sigma_field(adapted, engine)
-    grad = np.array([partial(engine, sf.sigma, point, s)
-                     for s in range(n_h)])
+    grad = partial(engine, sf.sigma, point, range(n_h))
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     block_path = float(np.einsum("ab,a,b->", h_inv, grad, grad))
 
@@ -171,8 +169,7 @@ def _bundle_christoffel(orig: OriginalGeometry, q, fd_step: float):
     """Levi-Civita symbols of G_P at a bundle point, by plain FD."""
     g = np.asarray(orig.G_P(q), dtype=float)
     g_inv, _ = invert_spd(g)
-    dg = np.stack([ambient_partial(orig.G_P, q, s, fd_step)
-                   for s in range(orig.n_P)])
+    dg = coordinate_partials(orig.G_P, q, fd_step)
     combo = (np.einsum("bcd->bcd", dg) + np.einsum("cbd->bcd", dg)
              - np.einsum("dbc->bcd", dg))
     return 0.5 * np.einsum("ad,bcd->abc", g_inv, combo)
@@ -191,8 +188,7 @@ def covariant_derivative_killing(orig: OriginalGeometry, point: ChartPoint,
     frame = point_frame(orig, point)
     q = frame.Q
     gamma_p = _bundle_christoffel(orig, q, engine.fd_step)
-    dk = np.stack([ambient_partial(orig.K_P, q, s, engine.fd_step)
-                   for s in range(orig.n_P)])        # dk[A, C, beta]
+    dk = coordinate_partials(orig.K_P, q, engine.fd_step)  # dk[A, C, beta]
     k_a = frame.K_P[:, alpha]
     k_b = frame.K_P[:, beta]
     p_part = (np.einsum("a,ac->c", k_a, dk[:, :, beta])
@@ -284,8 +280,8 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
         k = np.asarray(orig.K_P(q), dtype=float).reshape(n_P, n_g)
         return k.T @ np.asarray(orig.G_P(q), dtype=float) @ k
 
-    dd_q = np.stack([ambient_partial(gamma_of_q, frame.Q, s, engine.fd_step)
-                     for s in range(n_P)])           # dd_q[C, a, b]
+    dd_q = coordinate_partials(gamma_of_q, frame.Q,
+                               engine.fd_step)       # dd_q[C, a, b]
     lhs_base = -np.einsum("ec,cab->eab", frame.G_P_inv, dd_q)
     raw_base = float(np.max(np.abs(lhs_base - 2.0 * sym_p))) / scale
 
@@ -296,9 +292,8 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
             k = orig.K_vector(f)
             return k.T @ orig.G_V @ k
 
-        dd_f = np.stack([ambient_partial(gamma_prime_of_f, point.f, s,
-                                         engine.fd_step)
-                         for s in range(n_v)])       # dd_f[q, a, b]
+        dd_f = coordinate_partials(gamma_prime_of_f, point.f,
+                                   engine.fd_step)   # dd_f[q, a, b]
         lhs_vec = -np.einsum("pq,qab->pab", g_v_inv, dd_f)
         raw_vector = float(np.max(np.abs(lhs_vec - 2.0 * sym_v))) / scale
     else:
@@ -307,8 +302,8 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
     # chart versions: the same right-hand sides, left sides rewritten over
     # the (x, f) chart through the section operators
     adapted_geom = compile_adapted(orig)
-    dd_chart = np.stack([partial(engine, adapted_geom.d.d, point, s)
-                         for s in range(n_x + n_v)]) # dd_chart[A', a, b]
+    dd_chart = partial(engine, adapted_geom.d.d, point,
+                       range(n_x + n_v))             # dd_chart[A', a, b]
     dd_x = dd_chart[:n_x]
     dd_f_chart = dd_chart[n_x:]
     c = orig.c.c
@@ -471,7 +466,7 @@ def hamiltonian_terms(adapted: AdaptedGeometry, point: ChartPoint,
     ``bracket`` for :math:`\tilde J` through the certified identity
     between the covariant-derivative term and the form norm.
     """
-    r_total, r_base = ricci_scalar_pair(adapted, point, None, engine)
+    r_total, r_base = ricci_scalar_pair(adapted, point, engine=engine)
     d_val = np.asarray(adapted.d.d(point), dtype=float)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     r_g = orbit_scalar_curvature(adapted.c, d_val)

@@ -343,14 +343,9 @@ def _build_scaled(params: dict) -> Scenario:
         gens=np.zeros((3, 3, 3)), g_v=np.eye(3),
         c=su2_constants(), abelian_group=False)
 
-    def d_analytic(point, slot):
-        if slot == 0:
-            return 2.0 * slope * np.exp(2.0 * slope * point.x[0]) * np.eye(3)
-        return np.zeros((3, 3))
-
     return Scenario(
         name="scaled_orbit", n_x=2, n_v=3, n_g=3,
-        adapted=compile_adapted(orig, d_analytic=d_analytic), orig=orig,
+        adapted=compile_adapted(orig), orig=orig,
         chart=_su2_chart(), potential=_quadratic_potential(),
         sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
         params={"slope": slope},

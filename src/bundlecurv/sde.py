@@ -246,20 +246,22 @@ def drift_coefficients(geometry, point: ChartPoint,
     f_dens = FieldHandle(lambda p: sqrt_h(p), "scalar", ())
     f_w = FieldHandle(w_matrix, "matrix", ("vector",))
 
+    base, vector = range(n_x), range(n_x, n_x + n_v)
+    d_hinv = partial(engine, f_dens_hinv, point, base)
+    d_killing = partial(engine, f_dens_killing, point, vector)
+    grad_dens = partial(engine, f_dens, point, vector)
+    d_w = partial(engine, f_w, point, vector)
+    d_conn = partial(engine, f_dens_conn, point, base)
     div_hinv = np.zeros((n_x, n_x))       # div_hinv[j, i] = d_j(vH h^{ij})
-    for j in range(n_x):
-        div_hinv[j] = partial(engine, f_dens_hinv, point, j)[:, j]
     div_killing = np.zeros(orig.n_g)      # sum_b d_b(vH K^b_mu)
     div_conn = np.zeros(orig.n_g)         # sum_j d_j(vH h^{mj} gA^mu_m)
-    grad_dens = np.zeros(n_v)
     div_w = np.zeros(n_v)                 # sum_b d_b W^{ab}
-    for b in range(n_v):
-        slot = n_x + b
-        div_killing += partial(engine, f_dens_killing, point, slot)[b]
-        grad_dens[b] = partial(engine, f_dens, point, slot)
-        div_w += partial(engine, f_w, point, slot)[:, b]
     for j in range(n_x):
-        div_conn += partial(engine, f_dens_conn, point, j)[j]
+        div_hinv[j] = d_hinv[j][:, j]
+        div_conn += d_conn[j][j]
+    for b in range(n_v):
+        div_killing += d_killing[b][b]
+        div_w += d_w[b][:, b]
 
     b_base = (div_hinv.sum(axis=0) / sqrt_h0
               + np.einsum("mn,ni,m->i", frame0.A_gamma, frame0.h_base_inv,
@@ -295,9 +297,10 @@ def drift_divergence_form(geometry, point: ChartPoint,
             return np.sqrt(det) * inv
     field = FieldHandle(dens_inv, "matrix", ("mixed",))
     sqrt_h0 = np.sqrt(density_H(adapted, point))
+    grad = partial(engine, field, point, range(n_h))
     drift = np.zeros(n_h)
     for slot in range(n_h):
-        drift += partial(engine, field, point, slot)[:, slot]
+        drift += grad[slot][:, slot]
     return drift / sqrt_h0
 
 

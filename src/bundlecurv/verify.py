@@ -24,8 +24,7 @@ from .geometry import (assemble_block_metric, det_factorization_check,
                        point_frame, validate_original)
 from .connection import (christoffel_general, christoffel_table,
                          covariant_D_orbit_metric)
-from .curvature import (decomposition_terms, dddd_term, ricci_scalar_pair,
-                        _widened)
+from .curvature import decomposition_terms, dddd_term, ricci_scalar_pair
 from .jacobian import (jacobian_direct, jacobian_geometric, j_norm_squared,
                        killing_identities_check, second_fundamental_form)
 from .sde import (diffusion_coefficients, drift_coefficients,
@@ -162,15 +161,9 @@ def _check_christoffel(scenario, point, engine):
 def _check_curvature(scenario, point, engine):
     adapted = scenario.adapted
     breakdown = decomposition_terms(adapted, point, engine)
-    wide = _widened(engine)
-
-    def general_provider(p):
-        return christoffel_general(adapted, p, wide)
-
     r_table, _ = ricci_scalar_pair(adapted, point, engine=engine)
-    r_general, _ = ricci_scalar_pair(adapted, point,
-                                     provider=general_provider,
-                                     engine=engine)
+    r_general, _ = ricci_scalar_pair(adapted, point, christoffel_general,
+                                     engine)
     values = (breakdown.R_total, r_table, r_general)
     scale = max(1.0, max(abs(v) for v in values))
     spread = max(values) - min(values)

@@ -130,9 +130,9 @@ def test_covariant_d_loop_oracle(twisted, engine):
         a_val = np.asarray(adapted.A_conn(point), dtype=float)
         d_val = np.asarray(adapted.d.d(point), dtype=float)
         got = covariant_D_orbit_metric(adapted, point, engine)
+        grads = partial(engine, adapted.d.d, point, range(adapted.n_h))
         for slot in range(adapted.n_h):
-            want = np.asarray(partial(engine, adapted.d.d, point, slot),
-                              dtype=float).copy()
+            want = grads[slot].copy()
             for m in range(3):
                 for n in range(3):
                     for k in range(3):

@@ -5,7 +5,6 @@ import pytest
 
 from bundlecurv.connection import christoffel_general
 from bundlecurv.curvature import (
-    _widened,
     coordinate_ricci_scalar,
     decomposition_terms,
     log_density_terms,
@@ -14,8 +13,7 @@ from bundlecurv.curvature import (
     scalar_curvature_coordinate_oracle,
     validate_group_chart,
 )
-from bundlecurv.fields import (ChartPoint, DerivEngine, EvaluationError,
-                               FieldHandle)
+from bundlecurv.fields import ChartPoint, EvaluationError
 from bundlecurv.geometry import AdaptedGeometry, frame_cache_info
 from bundlecurv.liecore import OrbitMetric, orbit_scalar_curvature, su2_constants
 from bundlecurv.scenarios import (
@@ -156,10 +154,7 @@ def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
     decomposition_terms(twisted.adapted, point, engine)
     before = frame_cache_info()
     ricci_scalar_pair(twisted.adapted, point, engine=engine)
-    wide = _widened(engine)
-    ricci_scalar_pair(twisted.adapted, point,
-                      lambda p: christoffel_general(twisted.adapted, p, wide),
-                      engine)
+    ricci_scalar_pair(twisted.adapted, point, christoffel_general, engine)
     after = frame_cache_info()
     assert after.misses == before.misses
     assert after.compiles == before.compiles
@@ -194,13 +189,13 @@ def test_log_density_flat_and_analytic_route(flat, scaled, engine):
     point = sample_points(flat, 1)[0]
     lap, grad = log_density_terms(flat.adapted, point, engine)
     assert abs(lap) <= 1e-10 and abs(grad) <= 1e-12
+    # ln det d = 6 slope x0 on a flat h~: closed-form gradient term,
+    # vanishing Laplacian
     point = ChartPoint([0.15, 0.2], [0.0, 0.1, 0.0])
-    fd = log_density_terms(scaled.adapted, point, engine)
-    an = log_density_terms(scaled.adapted, point,
-                           DerivEngine(fd_step=engine.fd_step,
-                                       mode="analytic"))
-    assert_close(an[1], fd[1], 1e-9, "analytic vs FD gradient term")
-    assert abs(an[0] - fd[0]) <= 1e-7
+    lap, grad = log_density_terms(scaled.adapted, point, engine)
+    assert_close(grad, 9.0 * scaled.params["slope"] ** 2, 1e-9,
+                 "closed-form gradient term")
+    assert abs(lap) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +221,12 @@ def test_flat_ricci_pair(flat, engine):
 
 def test_three_way_agreement(twisted, engine):
     """Decomposition, table Ricci, and general-formula Ricci coincide."""
-    wide = _widened(engine)
     for point in sample_points(twisted, 2, seed=83):
         b = decomposition_terms(twisted.adapted, point, engine)
         t_total, t_base = ricci_scalar_pair(twisted.adapted, point,
                                             engine=engine)
-
-        def provider(p):
-            return christoffel_general(twisted.adapted, p, wide)
-
         g_total, g_base = ricci_scalar_pair(twisted.adapted, point,
-                                            provider, engine)
+                                            christoffel_general, engine)
         assert_close(t_total, b.R_total, 1e-6, "table vs decomposition")
         assert_close(g_total, b.R_total, 1e-6, "general vs decomposition")
         assert_close(t_base, b.R_M, 1e-6, "orbit-space block vs chart value")

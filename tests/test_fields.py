@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bundlecurv.curvature import _log_det_d_field
 from bundlecurv.fields import (
     ChartPoint,
     ConfigError,
@@ -10,10 +11,13 @@ from bundlecurv.fields import (
     EvaluationError,
     FieldHandle,
     NearSingularError,
+    _stencil,
+    coordinate_partials,
     invert_spd,
     partial,
     second_partial,
 )
+from bundlecurv.geometry import point_frame
 
 from conftest import assert_close
 
@@ -32,12 +36,17 @@ def test_chart_point_sectors_and_coords():
 def test_chart_point_round_trip_and_shift():
     p = ChartPoint.from_coords([1.0, 2.0, 3.0], n_x=1)
     assert p.n_x == 1 and p.n_v == 2
-    q = p.shifted(2, 0.5)
-    np.testing.assert_allclose(q.coords, [1.0, 2.0, 3.5])
-    # the original is untouched and frozen
+    # stencil rows shift one slot by fd_step * (1 + |z|): here 0.125 * 4
+    rows, steps = _stencil(p.coords[None], 0.125, False, slots=[2])
+    np.testing.assert_allclose(rows[0], [[1.0, 2.0, 3.5], [1.0, 2.0, 2.5]])
+    np.testing.assert_allclose(steps, [[[0.5]]])
+    q = ChartPoint.from_coords(rows[0, 0], n_x=1)
+    # the original is untouched; it, the rows and a point cut from them
+    # are read-only
     np.testing.assert_allclose(p.coords, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        p.x[0] = 9.0
+    for frozen in (p.x, rows, q.f):
+        with pytest.raises(ValueError):
+            frozen[..., 0] = 9.0
 
 
 def test_chart_point_rejects_bad_coordinates():
@@ -68,59 +77,44 @@ def test_field_handle_checks_declared_arity():
 def test_partial_constant_is_zero(engine):
     field = FieldHandle(lambda p: 4.2, arity="scalar")
     point = ChartPoint([0.7, -0.3], [0.2])
-    for slot in range(3):
-        assert abs(partial(engine, field, point, slot)) < 1e-12
+    got = partial(engine, field, point, range(3))
+    assert got.shape == (3,)
+    assert np.all(np.abs(got) < 1e-12)
 
 
 def test_partial_polynomial(engine):
     field = FieldHandle(lambda p: float(p.x[0] ** 2), arity="scalar")
-    value = partial(engine, field, ChartPoint([3.0], []), 0)
+    value = partial(engine, field, ChartPoint([3.0], []), [0])[0]
     assert_close(value, 6.0, 1e-9, "d/dx x^2 at 3")
 
 
 def test_partial_sine(engine):
     field = FieldHandle(lambda p: float(np.sin(p.x[0])), arity="scalar")
-    value = partial(engine, field, ChartPoint([0.7], []), 0)
+    value = partial(engine, field, ChartPoint([0.7], []), [0])[0]
     assert_close(value, np.cos(0.7), 1e-10, "d/dx sin")
-
-
-def test_partial_analytic_path_matches_fd():
-    field = FieldHandle(
-        lambda p: float(np.exp(p.x[0]) * p.f[0]),
-        arity="scalar",
-        d_func=lambda p, slot: (
-            float(np.exp(p.x[0]) * p.f[0]) if slot == 0
-            else float(np.exp(p.x[0]))
-        ),
-    )
-    point = ChartPoint([0.4], [1.3])
-    fd = DerivEngine(mode="fd")
-    an = DerivEngine(mode="analytic")
-    for slot in range(2):
-        assert_close(
-            partial(an, field, point, slot),
-            partial(fd, field, point, slot),
-            1e-9,
-            "analytic vs fd, slot %d" % slot,
-        )
 
 
 def test_partial_slot_out_of_range(engine):
     field = FieldHandle(lambda p: 0.0, arity="scalar")
     with pytest.raises(IndexError):
-        partial(engine, field, ChartPoint([0.0], [0.0]), 2)
+        partial(engine, field, ChartPoint([0.0], [0.0]), range(3))
+    with pytest.raises(IndexError):
+        second_partial(engine, field, ChartPoint([0.0], [0.0]), [-1])
 
 
 def test_partial_matrix_valued(engine):
-    """Differencing applies componentwise to array-valued fields."""
+    """Differencing applies componentwise to array-valued fields, one
+    leading entry per requested slot, in the order requested."""
     field = FieldHandle(
         lambda p: np.array([[p.x[0], p.x[0] ** 2], [0.0, p.f[0] * p.x[0]]]),
         arity="matrix",
     )
     point = ChartPoint([1.5], [2.0])
-    got = partial(engine, field, point, 0)
-    want = np.array([[1.0, 3.0], [0.0, 2.0]])
+    got = partial(engine, field, point, [1, 0])
+    want = np.array([[[0.0, 0.0], [0.0, 1.5]],
+                     [[1.0, 3.0], [0.0, 2.0]]])
     assert_close(got, want, 1e-9, "matrix field partial")
+    assert partial(engine, field, point, []).shape == (0,)
 
 
 def test_partial_richardson_beats_plain_stencil():
@@ -129,20 +123,27 @@ def test_partial_richardson_beats_plain_stencil():
     exact = 2.0 * np.exp(0.6)
     plain = DerivEngine(fd_step=1e-4, richardson=False)
     rich = DerivEngine(fd_step=1e-4, richardson=True)
-    err_plain = abs(partial(plain, field, point, 0) - exact)
-    err_rich = abs(partial(rich, field, point, 0) - exact)
+    err_plain = abs(partial(plain, field, point, [0])[0] - exact)
+    err_rich = abs(partial(rich, field, point, [0])[0] - exact)
     assert err_rich < err_plain
     assert err_rich / exact < 1e-9
 
 
 def test_partial_raises_on_non_finite_stencil(engine):
-    # blows up on one side of the stencil
+    # blows up on one side of the stencil: the error names the first
+    # stencil row that produced a non-finite value, -h along slot 0
     field = FieldHandle(
         lambda p: float(np.nan) if p.x[0] < 0 else float(p.x[0]),
         arity="scalar",
     )
-    with pytest.raises(EvaluationError):
-        partial(engine, field, ChartPoint([0.0], []), 0)
+    point = ChartPoint([0.0], [0.5])
+    with pytest.raises(EvaluationError, match=r"x=\[-1e-05\] f=\[0.5\]"):
+        partial(engine, field, point, range(2))
+    with pytest.raises(EvaluationError, match=r"x=\[-0.001\] f=\[0.5\]"):
+        second_partial(engine, field, point, range(2))
+    with pytest.raises(EvaluationError, match=r"z=\[-1e-05, 0.5\]"):
+        coordinate_partials(lambda z: np.nan if z[0] < 0 else z[0],
+                            [0.0, 0.5], 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +155,17 @@ def test_second_partial_constant_and_linear(engine):
     const = FieldHandle(lambda p: 1.0, arity="scalar")
     linear = FieldHandle(lambda p: float(p.coords @ [1.0, 2.0, 3.0]),
                          arity="scalar")
-    for slot1 in range(3):
-        for slot2 in range(3):
-            assert abs(second_partial(engine, const, point, slot1, slot2)) < 1e-9
-            assert abs(second_partial(engine, linear, point, slot1, slot2)) < 1e-7
+    assert np.all(np.abs(second_partial(engine, const, point, range(3)))
+                  < 1e-9)
+    assert np.all(np.abs(second_partial(engine, linear, point, range(3)))
+                  < 1e-7)
 
 
 def test_second_partial_mixed_product(engine):
     field = FieldHandle(lambda p: float(p.x[0] * p.x[1]), arity="scalar")
     point = ChartPoint([0.9, -0.4], [])
-    assert_close(second_partial(engine, field, point, 0, 1), 1.0, 1e-8,
-                 "d2/dx0dx1 of x0*x1")
+    assert_close(second_partial(engine, field, point, [0, 1]),
+                 [[0.0, 1.0], [1.0, 0.0]], 1e-8, "hessian of x0*x1")
 
 
 def test_second_partial_slot_symmetry(engine):
@@ -179,9 +180,11 @@ def test_second_partial_slot_symmetry(engine):
     point = ChartPoint(rng.normal(size=2) * 0.5, rng.normal(size=1) * 0.5)
     for s1 in range(3):
         for s2 in range(s1 + 1, 3):
-            a = second_partial(engine, field, point, s1, s2)
-            b = second_partial(engine, field, point, s2, s1)
-            assert_close(a, b, 1e-9, "slot symmetry (%d,%d)" % (s1, s2))
+            a = second_partial(engine, field, point, [s1, s2])
+            b = second_partial(engine, field, point, [s2, s1])
+            assert np.array_equal(a, a.T)
+            assert_close(a, b[::-1, ::-1], 1e-9,
+                         "slot symmetry (%d,%d)" % (s1, s2))
 
 
 def test_second_partial_quadratic_exact(engine):
@@ -195,10 +198,10 @@ def test_second_partial_quadratic_exact(engine):
 
     field = FieldHandle(quad, arity="scalar")
     point = ChartPoint(rng.normal(size=2), rng.normal(size=2))
-    for s1 in range(4):
-        for s2 in range(4):
-            assert_close(second_partial(engine, field, point, s1, s2),
-                         sym[s1, s2], 1e-7, "hessian entry")
+    assert_close(second_partial(engine, field, point, range(4)), sym, 1e-7,
+                 "hessian")
+    assert_close(second_partial(engine, field, point, [3, 1]),
+                 sym[np.ix_([3, 1], [3, 1])], 1e-7, "hessian sub-block")
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +213,99 @@ def test_engine_rejects_bad_step():
         DerivEngine(fd_step=0.0)
     with pytest.raises(ValueError):
         DerivEngine(fd_step=0.5)
-    with pytest.raises(ValueError):
-        DerivEngine(mode="symbolic")
 
 
 def test_engine_step_scales_with_coordinate():
-    eng = DerivEngine(fd_step=1e-5)
-    point = ChartPoint([9.0], [0.0])
-    assert eng.step(point, 0) == pytest.approx(1e-5 * 10.0)
-    assert eng.step(point, 1) == pytest.approx(1e-5)
-    assert eng.step(point, 1, scale=10.0) == pytest.approx(1e-4)
+    zs = np.array([[9.0, 0.0]])
+    _, steps = _stencil(zs, 1e-5, True)
+    np.testing.assert_allclose(steps, [[[1e-5 * 10.0, 1e-5],
+                                        [0.5e-5 * 10.0, 0.5e-5]]])
+    _, steps = _stencil(zs, 1e-5 * 10.0, False, slots=[1])
+    np.testing.assert_allclose(steps, [[[1e-4]]])
+
+
+def test_coordinate_partials_product_field():
+    def func(q):
+        return np.array([np.sin(q[0]) * q[1], q[1] ** 2])
+
+    got = coordinate_partials(func, np.array([0.5, 2.0]), 1e-5)
+    assert_close(got, [[np.cos(0.5) * 2.0, 0.0], [np.sin(0.5), 4.0]], 1e-9,
+                 "coordinate partials")
+
+
+# ---------------------------------------------------------------------------
+# the kernel, pinned bit for bit
+
+#: Derivatives at ``_PIN`` on twisted_bundle, recorded from the per-slot
+#: point-by-point differencing the stencil kernel replaced, as
+#: ``{(slot, *component): (with Richardson, without)}``.
+_PIN = ChartPoint([-0.17, 0.26], [0.05, 0.31, -0.22])
+_PINNED_PARTIALS = {
+    "h_tilde": {
+        (0, 0, 0): (0.09856230188926085, 0.09856230189558693),
+        (1, 0, 4): (0.09521018423339818, 0.09521018423248034),
+        (2, 3, 2): (0.44845271838461054, 0.44845271832821826),
+        (3, 2, 2): (-0.7794965825457393, -0.7794965822858398),
+        (4, 3, 3): (0.5102353863430965, 0.5102353862096272)},
+    "d": {
+        (0, 0, 1): (0.1971169533819029, 0.19711695337715834),
+        (1, 1, 2): (0.15000000000053182, 0.14999999999979755),
+        (2, 0, 1): (-0.3719999999998063, -0.3719999999998063),
+        (3, 2, 2): (0.7439999999951329, 0.7440000000007829),
+        (4, 0, 0): (-0.5279999999847763, -0.5279999999969098)},
+    "A_conn": {
+        (0, 1, 1): (0.24020381465508467, 0.2402038146479679),
+        (1, 0, 0): (0.2576726349361187, 0.25767263493318165),
+        (2, 2, 3): (-1.2411823787446414, -1.2411823785838356),
+        (3, 2, 2): (0.9709955150748667, 0.9709955150211917),
+        (4, 0, 3): (0.9197839374757568, 0.9197839373908216)},
+    "G_P": {
+        (0, 1, 3): (0.33846927037787083, 0.33846927037708),
+        (1, 0, 2): (0.30000000000106364, 0.2999999999995951),
+        (2, 3, 4): (-0.2500000000007126, -0.2499999999933111),
+        (3, 2, 4): (0.09999999999999998, 0.09999999999749995),
+        (4, 2, 3): (0.15000000000061262, 0.14999999999598668)},
+}
+#: Upper triangle of the ``ln det d`` Hessian at ``_PIN``, row by row.
+_PINNED_HESSIAN = (
+    (-0.04718870116266256, -0.047188680183943225),
+    (0.0009402377089120199, 0.0009402373323610009),
+    (0.10097124324863281, 0.10097112996702423),
+    (0.007627653471641048, 0.007627661270558796),
+    (0.007109572023648742, 0.007109542636002241),
+    (-0.03737520792050405, -0.03737520843333067),
+    (0.0016416820836599553, 0.0016416762234502387),
+    (-0.041707010694885915, -0.04170701208496281),
+    (0.08169084669567568, 0.08169077707200956),
+    (4.0736586836297715, 4.0736563111930995),
+    (-0.1897487347483895, -0.1897478675960038),
+    (0.07885052107951615, 0.0788501224479157),
+    (3.588186748387091, 3.588185730483176),
+    (0.6055147214493779, 0.6055116256369558),
+    (3.298509914709799, 3.2985082700620305),
+)
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_kernel_pinned_values(twisted, richardson):
+    engine = DerivEngine(richardson=richardson)
+    adapted = twisted.adapted
+    col = 0 if richardson else 1
+    got = {name: partial(engine, field, _PIN, range(5))
+           for name, field in (("h_tilde", adapted.h_tilde),
+                               ("d", adapted.d.d),
+                               ("A_conn", adapted.A_conn))}
+    got["G_P"] = coordinate_partials(
+        twisted.orig.G_P, point_frame(twisted.orig, _PIN).Q,
+        engine.fd_step, richardson)
+    for name, pins in _PINNED_PARTIALS.items():
+        assert got[name].shape[0] == 5
+        for index, values in pins.items():
+            assert got[name][index] == values[col], (name, index)
+    hess = second_partial(engine, _log_det_d_field(adapted), _PIN, range(5))
+    upper = [hess[i, j] for i in range(5) for j in range(i, 5)]
+    assert upper == [values[col] for values in _PINNED_HESSIAN]
+    assert np.array_equal(hess, hess.T)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from bundlecurv.curvature import oracle_metric
 from bundlecurv.fields import ChartPoint, NearSingularError
 from bundlecurv.geometry import (
     OriginalGeometry,
-    ambient_partial,
     assemble_block_metric,
     build_connection,
     build_horizontal_metric,
@@ -392,16 +391,6 @@ def test_det_factorization_residuals(twisted, flat):
 
 # ---------------------------------------------------------------------------
 # ambient derivatives and validity gates
-
-
-def test_ambient_partial_product_field():
-    def func(q):
-        return np.array([np.sin(q[0]) * q[1], q[1] ** 2])
-
-    got0 = ambient_partial(func, np.array([0.5, 2.0]), 0)
-    got1 = ambient_partial(func, np.array([0.5, 2.0]), 1)
-    assert_close(got0, [np.cos(0.5) * 2.0, 0.0], 1e-9, "ambient slot 0")
-    assert_close(got1, [np.sin(0.5), 4.0], 1e-9, "ambient slot 1")
 
 
 def test_validate_original_accepts_twisted(twisted):
