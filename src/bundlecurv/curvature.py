@@ -25,7 +25,8 @@ Every derivative here comes from the stencil kernel of ``fields``: the
 frame derivatives of the Christoffel field through ``partial`` over all
 horizontal slots at once, the ``ln det d`` Hessian through
 ``second_partial``, and the nested stencil of ``coordinate_ricci_scalar``
-(``R_M`` and the oracle) as one coordinate stack.
+(``R_M`` and the oracle) as one coordinate stack, on which the oracle
+evaluates ``oracle_metric`` in one call.
 
 The sign conventions are the ones the Christoffel formula and the Ricci
 display above imply; they are internally consistent and are never adjusted
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, EvaluationError,
-                     FieldHandle, _stencil, _stencil_partials, invert_spd,
+from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
+                     _eval_stack, _stencil, _stencil_partials, invert_spd,
                      partial, second_partial)
 from .geometry import AdaptedGeometry, OriginalGeometry, point_frames
 from .liecore import orbit_scalar_curvature
@@ -299,12 +300,7 @@ def coordinate_ricci_scalar(metric, z0, engine: DerivEngine = DEFAULT_ENGINE,
     inner, inner_steps = _stencil(outer[0], engine.fd_step,
                                   engine.richardson, centre=True)
     zs = inner.reshape(-1, k)
-    values = np.asarray(metric(zs), dtype=float)
-    finite = np.all(np.isfinite(values.reshape(len(zs), -1)), axis=1)
-    if not np.all(finite):
-        raise EvaluationError(
-            "metric produced non-finite value at z=%s"
-            % (zs[np.argmin(finite)].tolist(),))
+    values = _eval_stack(metric, zs, "metric")
     values = values.reshape(inner.shape[:2] + values.shape[1:])
 
     gammas = []
@@ -325,40 +321,42 @@ def coordinate_ricci_scalar(metric, z0, engine: DerivEngine = DEFAULT_ENGINE,
 
 
 def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:
-    r"""Total-space metric in the coordinate basis at ``(x, f, a)``.
+    r"""Total-space metric in the coordinate basis at the rows of
+    ``(x, f, a)``.
 
-    Honest pullback: the chart map sends ``(x, f, a)`` to the bundle point
-    (group-translated section point, represented vector), and the metric is
-    the Jacobian congruence of blockdiag(G_P, G_V). Exact closed form --
-    the Jacobian is analytic, so oracle derivatives carry no hidden FD
-    noise beyond their own stencils.
+    ``x``, ``f`` and ``a`` are ``(N, n_x)``, ``(N, n_v)`` and ``(N, n_g)``
+    stacks; returns the ``(N, n_t, n_t)`` stack of metrics, from one call
+    of each group-chart callable on the whole stack. Honest pullback: the
+    chart map sends ``(x, f, a)`` to the bundle point (group-translated
+    section point, represented vector), and the metric is the Jacobian
+    congruence of blockdiag(G_P, G_V). Exact closed form -- the Jacobian
+    is analytic, so oracle derivatives carry no hidden FD noise beyond
+    their own stencils.
     """
     if orig.right_translate is None or orig.vspace_action is None:
         raise ValueError("geometry supplies no group-chart action; "
                          "coordinate oracle unavailable")
-    x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
-    a = np.asarray(a, dtype=float)
-    n_P, n_v, n_g, n_x = orig.n_P, orig.n_v, orig.n_g, orig.n_x
-    n_t = n_x + n_v + n_g
+    n_P, n_v, n_x = orig.n_P, orig.n_v, orig.n_x
+    n_t = n_x + n_v + orig.n_g
 
-    q = np.asarray(orig.right_translate(x, a), dtype=float)
-    g_p = np.asarray(orig.G_P(q), dtype=float)
-    dq = np.asarray(orig.right_translate_jac(x, a), dtype=float)
-    dbar = np.asarray(orig.vspace_action(a), dtype=float)
-    dvec = np.asarray(orig.vspace_action_d(a), dtype=float)
+    g_p = orig.G_P(orig.right_translate(x, a))
+    dq = orig.right_translate_jac(x, a)
+    dbar = orig.vspace_action(a)
+    dvec = orig.vspace_action_d(a)
 
-    jac = np.zeros((n_P + n_v, n_t))
-    jac[:n_P, :n_x] = dq[:, :n_x]
-    jac[:n_P, n_x + n_v:] = dq[:, n_x:]
-    jac[n_P:, n_x:n_x + n_v] = dbar
-    for g in range(n_g):
-        jac[n_P:, n_x + n_v + g] = dvec[g] @ f
+    jac = np.zeros((len(f), n_P + n_v, n_t))
+    jac[:, :n_P, :n_x] = dq[:, :, :n_x]
+    jac[:, :n_P, n_x + n_v:] = dq[:, :, n_x:]
+    jac[:, n_P:, n_x:n_x + n_v] = dbar
+    # column g of the vector rows is dvec[g] @ f
+    jac[:, n_P:, n_x + n_v:] = (dvec @ f[:, None, :, None])[..., 0] \
+        .swapaxes(1, 2)
 
-    big = np.zeros((n_P + n_v, n_P + n_v))
-    big[:n_P, :n_P] = g_p
-    big[n_P:, n_P:] = orig.G_V
-    return jac.T @ big @ jac
+    big = np.zeros((len(f), n_P + n_v, n_P + n_v))
+    big[:, :n_P, :n_P] = g_p
+    big[:, n_P:, n_P:] = orig.G_V
+    return jac.swapaxes(1, 2) @ big @ jac
 
 
 def scalar_curvature_coordinate_oracle(orig: OriginalGeometry, chart, x, f,
@@ -375,18 +373,19 @@ def scalar_curvature_coordinate_oracle(orig: OriginalGeometry, chart, x, f,
     negligible at steps an order larger than the engine default; the
     stencils run widened (10x inner, 10x outer on top) to keep the
     rounding noise of the nested second differences well under the
-    oracle's comparison budget.
+    oracle's comparison budget. ``oracle_metric`` is called once, on the
+    whole nested stencil (1,089 rows for the eight coordinates of the
+    built-in scenarios).
     """
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    a = np.asarray(a, dtype=float)
     n_x, n_v = orig.n_x, orig.n_v
 
     def metric_stack(zs):
-        return np.stack([oracle_metric(orig, z[:n_x], z[n_x:n_x + n_v],
-                                       z[n_x + n_v:]) for z in zs])
+        return oracle_metric(orig, zs[:, :n_x], zs[:, n_x:n_x + n_v],
+                             zs[:, n_x + n_v:])
 
-    z0 = np.concatenate([x, f, a])
+    z0 = np.concatenate([np.asarray(x, dtype=float),
+                         np.asarray(f, dtype=float),
+                         np.asarray(a, dtype=float)])
     return coordinate_ricci_scalar(metric_stack, z0, _widened(engine))
 
 

@@ -13,8 +13,10 @@ extrapolation to the values there. ``partial`` (all requested chart slots
 in one call), ``second_partial`` (the same rows plus corner rows),
 ``coordinate_partials`` (plain coordinate vectors such as the bundle
 coordinates ``Q``) and the nested stencil of the curvature module's
-coordinate Ricci scalar are all built on it. Fields are evaluated one row
-at a time.
+coordinate Ricci scalar are all built on it. Chart fields keep their
+one-point contract and are evaluated one row at a time; the plain
+coordinate functions of ``coordinate_partials`` and the coordinate Ricci
+scalar take the whole stack of rows in one call.
 
 All matrices here are tiny (at most ~12x12), so no attention is paid to
 asymptotics; accuracy and determinism are what matter.
@@ -22,7 +24,7 @@ asymptotics; accuracy and determinism are what matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,25 +228,35 @@ def _stencil_partials(values, steps):
     return _richardson(np.moveaxis(central, 2, 0))
 
 
-def _eval_rows(func, rows, n_x=None):
-    """``func`` at each row of ``rows``, stacked.
-
-    With ``n_x`` the rows are joint chart coordinates and ``func`` takes
-    the ``ChartPoint`` split there; otherwise it takes the row itself. A
-    non-finite value raises ``EvaluationError`` naming the first row that
-    produced one.
-    """
-    args = rows if n_x is None else [ChartPoint.from_coords(z, n_x)
-                                     for z in rows]
-    values = np.asarray(np.stack([func(a) for a in args]), dtype=float)
+def _finite_or_raise(values, where, what="field"):
+    """Raise ``EvaluationError`` unless every entry of the ``(N, ...)``
+    stack ``values`` is finite; ``where(i)`` describes row ``i``."""
     if not np.isfinite(values).all():
         finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-        bad = args[int(np.argmin(finite))]
-        where = ("z=%s" % (bad.tolist(),) if n_x is None else
-                 "x=%s f=%s" % (bad.x.tolist(), bad.f.tolist()))
-        raise EvaluationError("field produced non-finite value at %s"
-                              % where)
+        raise EvaluationError("%s produced non-finite value at %s"
+                              % (what, where(int(np.argmin(finite)))))
     return values
+
+
+def _eval_stack(func, zs, what="field"):
+    """``func`` called once on the ``(N, k)`` stack ``zs``, its result
+    checked to hold one finite entry per row."""
+    values = np.asarray(func(zs), dtype=float)
+    if values.ndim == 0 or len(values) != len(zs):
+        raise ValueError("%s returned shape %s for a stack of %d rows"
+                         % (getattr(func, "__name__", repr(func)),
+                            values.shape, len(zs)))
+    return _finite_or_raise(values, lambda i: "z=%s" % (zs[i].tolist(),),
+                            what)
+
+
+def _eval_points(field, rows, n_x):
+    """The chart field ``field`` at each joint-coordinate row of ``rows``,
+    split into a ``ChartPoint`` at ``n_x``, stacked and checked finite."""
+    points = [ChartPoint.from_coords(z, n_x) for z in rows]
+    values = np.asarray(np.stack([field(p) for p in points]), dtype=float)
+    return _finite_or_raise(values, lambda i: "x=%s f=%s"
+                            % (points[i].x.tolist(), points[i].f.tolist()))
 
 
 def _slot_list(slots, point):
@@ -257,22 +269,32 @@ def _slot_list(slots, point):
     return slots
 
 
-def coordinate_partials(func, z, fd_step: float, richardson: bool = True,
-                        slots=None, n_x=None):
-    r"""Partials of ``func`` at the coordinate vector ``z``, one per slot.
-
-    Returns a stack with one leading entry per slot of ``slots`` (all
-    coordinates by default; no slots give an empty stack). ``func`` takes
-    a plain coordinate vector -- the bundle coordinates ``Q`` of the
-    Killing gate and the Killing derivatives, say -- or, with ``n_x``, the
-    ``ChartPoint`` split there. All stencil rows are evaluated one by one
-    and differenced in one pass.
-    """
-    z = np.asarray(z, dtype=float)
+def _first_partials(evaluate, z, fd_step, richardson, slots):
+    """Partials at ``z``, one per slot, from ``evaluate`` on the stencil
+    rows; no slots give an empty stack."""
     rows, steps = _stencil(z[None], fd_step, richardson, slots)
     if not rows.shape[1]:
         return np.zeros(0)
-    return _stencil_partials(_eval_rows(func, rows[0], n_x)[None], steps)[0]
+    return _stencil_partials(evaluate(rows[0])[None], steps)[0]
+
+
+def coordinate_partials(func, z, fd_step: float, richardson: bool = True,
+                        slots=None):
+    r"""Partials of ``func`` at the coordinate vector ``z``, one per slot.
+
+    Returns a stack with one leading entry per slot of ``slots`` (all
+    coordinates by default; no slots give an empty stack). ``func`` maps
+    an ``(N, k)`` stack of plain coordinate vectors -- the bundle
+    coordinates ``Q`` of the Killing gate and the Killing derivatives,
+    say -- to the ``(N, ...)`` stack of its values, the contract of the
+    ``metric`` of the curvature module's coordinate Ricci scalar. It is
+    called once, on all the stencil rows, and the rows are differenced
+    in one pass. A result without one entry per row raises
+    ``ValueError``; a non-finite one, ``EvaluationError``.
+    """
+    return _first_partials(lambda rows: _eval_stack(func, rows),
+                           np.asarray(z, dtype=float), fd_step, richardson,
+                           slots)
 
 
 def partial(engine: DerivEngine, field, point: ChartPoint, slots,
@@ -283,12 +305,13 @@ def partial(engine: DerivEngine, field, point: ChartPoint, slots,
     :math:`\partial_i`, :math:`\partial_a` appearing in the metric,
     connection and curvature formulas. ``step_scale`` inflates the step
     for outer layers of nested differentiation; see the curvature module
-    for the noise budget that picks those scales.
+    for the noise budget that picks those scales. ``field`` takes one
+    ``ChartPoint`` and is evaluated at the stencil rows one by one.
     """
-    return coordinate_partials(field, point.coords,
-                               engine.fd_step * step_scale,
-                               engine.richardson, _slot_list(slots, point),
-                               point.n_x)
+    return _first_partials(
+        lambda rows: _eval_points(field, rows, point.n_x), point.coords,
+        engine.fd_step * step_scale, engine.richardson,
+        _slot_list(slots, point))
 
 
 def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
@@ -318,7 +341,7 @@ def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
         blocks.append(corner.reshape(-1, k))  # step, +/- on i, +/- on j
     rows = np.concatenate(blocks)
     rows.setflags(write=False)
-    values = _eval_rows(field, rows, point.n_x)
+    values = _eval_points(field, rows, point.n_x)
     mid = values[0]
     ax_vals = values[1:1 + 2 * n_r * n_s].reshape(
         (n_s, n_r, 2) + mid.shape)

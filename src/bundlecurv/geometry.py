@@ -21,12 +21,14 @@ identities verified downstream are functions on the orbit space, so nothing
 is lost, and the coordinate-basis oracle reintroduces group coordinates
 independently.
 
-Everything at a chart point lives in one ``PointFrame``. ``point_frames``
-compiles the frames of many points in one stacked pass -- the scenario
-callables point by point, the linear algebra on ``(N, ...)`` stacks -- and
-``point_frame`` is its one-point case. Compiled frames are read-only and
-kept in a bounded LRU cache keyed on the geometry object and the point;
-``frame_cache_info`` reports its counters.
+Every bundle callable of ``OriginalGeometry`` maps coordinate stacks to
+value stacks. Everything at a chart point lives in one ``PointFrame``.
+``point_frames`` compiles the frames of many points in one stacked pass --
+one call of each bundle callable on the stack of points, the linear
+algebra on ``(N, ...)`` stacks -- and ``point_frame`` is its one-point
+case. Compiled frames are read-only and kept in a bounded LRU cache keyed
+on the geometry object and the point; ``frame_cache_info`` reports its
+counters.
 """
 
 from __future__ import annotations
@@ -65,21 +67,60 @@ __all__ = [
 _PHI_MAX_COND = 1e12
 
 
+class _StackCallable:
+    """A bundle callable on coordinate stacks, with its result checked.
+
+    Called with ``(N, k)`` coordinate stacks, it returns the ``(N,) +
+    shape`` float stack, a fresh array owned by the caller. Any other
+    input or result shape raises ``ValueError`` naming the callable.
+    """
+
+    def __init__(self, name, func, shape):
+        self.__name__ = name
+        self.func = func
+        self.shape = shape
+
+    def __call__(self, *stacks):
+        for stack in stacks:
+            if np.ndim(stack) != 2:
+                raise ValueError("%s takes (N, k) coordinate stacks, got "
+                                 "shape %s" % (self.__name__,
+                                               np.shape(stack)))
+        value = np.array(self.func(*stacks), dtype=float)
+        want = (len(stacks[0]),) + self.shape
+        if value.shape != want:
+            raise ValueError("%s returned shape %s, expected %s"
+                             % (self.__name__, value.shape, want))
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class OriginalGeometry:
     r"""Bundle-side data, all supplied as exact closed-form callables.
 
-    ``G_P(Q)`` is the metric on the group-extended factor (``Q`` of length
-    ``n_P``), ``G_V`` the constant vector-sector metric. ``K_P(Q)`` returns
-    the Killing fields as columns of an ``(n_P, n_g)`` matrix; the vector
-    sector action is linear, ``K^a_alpha(f) = (gens[alpha] f)^a``.
-    ``section(x)`` embeds the chart into the ``Q``-space with analytic
-    Jacobian ``section_jac``; ``chi`` is the gauge function vanishing on the
-    section, with analytic Jacobian ``chi_jac``.
+    Every callable maps coordinate stacks to value stacks: the ``N`` rows
+    of an ``(N, k)`` input give the ``N`` leading entries of the output.
+    ``G_P(Q)`` is the ``(N, n_P, n_P)`` metric on the group-extended
+    factor at the rows of ``Q`` (``(N, n_P)``), ``G_V`` the constant
+    vector-sector metric. ``K_P(Q)`` returns the Killing fields as columns
+    of ``(N, n_P, n_g)`` matrices; the vector sector action is linear,
+    ``K^a_alpha(f) = (gens[alpha] f)^a``, and ``K_vector`` stacks it.
+    ``section(x)`` embeds chart rows into the ``Q``-space, ``(N, n_P)``,
+    with analytic Jacobian ``section_jac`` (``(N, n_P, n_x)``); ``chi`` is
+    the gauge function vanishing on the section, ``(N, n_g)``, with
+    analytic Jacobian ``chi_jac`` (``(N, n_g, n_P)``).
 
-    The optional trailing callables describe the group action on charts and
-    are consumed only by the coordinate-basis oracle and by scenarios; the
-    builders in this module never touch them.
+    The optional trailing callables describe the group action on charts
+    and are consumed only by the coordinate-basis oracle and by
+    scenarios; the builders in this module never touch them.
+    ``right_translate(x, a)`` and ``right_translate_jac(x, a)`` give the
+    ``(N, n_P)`` bundle point and its ``(N, n_P, n_P)`` Jacobian over
+    ``(x, a)``; ``vspace_action(a)`` the ``(N, n_v, n_v)`` action on the
+    vector sector and ``vspace_action_d(a)`` its ``(N, n_g, n_v, n_v)``
+    derivatives along the group coordinates.
+
+    Construction wraps each callable so that a call checks its input and
+    result shapes, naming the callable when one is off.
     """
 
     n_P: int
@@ -114,6 +155,20 @@ class OriginalGeometry:
         gens.setflags(write=False)
         object.__setattr__(self, "G_V", g_v)
         object.__setattr__(self, "gens", gens)
+        n_P, n_v, n_g, n_x = self.n_P, self.n_v, self.n_g, self.n_x
+        shapes = {"section": (n_P,), "section_jac": (n_P, n_x),
+                  "G_P": (n_P, n_P), "K_P": (n_P, n_g), "chi": (n_g,),
+                  "chi_jac": (n_g, n_P), "right_translate": (n_P,),
+                  "right_translate_jac": (n_P, n_P),
+                  "vspace_action": (n_v, n_v),
+                  "vspace_action_d": (n_g, n_v, n_v)}
+        for name, shape in shapes.items():
+            func = getattr(self, name)
+            if isinstance(func, _StackCallable):   # dataclasses.replace
+                func = func.func
+            if func is not None:
+                object.__setattr__(self, name,
+                                   _StackCallable(name, func, shape))
 
     @property
     def n_x(self) -> int:
@@ -124,11 +179,13 @@ class OriginalGeometry:
         return self.n_x + self.n_v
 
     def K_vector(self, f) -> np.ndarray:
-        """Vector-sector Killing components, columns over the orbit index."""
+        """Vector-sector Killing components at the rows of an ``(N, n_v)``
+        stack: ``(N, n_v, n_g)``, columns over the orbit index."""
         f = np.asarray(f, dtype=float)
-        if self.n_g == 0:
-            return np.zeros((self.n_v, 0))
-        return np.einsum("mab,b->am", self.gens, f)
+        if f.ndim != 2:
+            raise ValueError("K_vector takes an (N, n_v) stack, got shape %s"
+                             % (f.shape,))
+        return np.einsum("mab,nb->nam", self.gens, f)
 
 
 @dataclass(frozen=True)
@@ -234,14 +291,6 @@ class PointFrame:
         return np.hstack([self.A_base, self.A_vector])
 
 
-def _as_matrix(value, n, what):
-    m = np.asarray(value, dtype=float)
-    if m.shape != (n, n):
-        raise ValueError("%s must have shape (%d, %d), got %s"
-                         % (what, n, n, m.shape))
-    return m
-
-
 def _spd_or_error(matrix, what, points=None):
     """``invert_spd`` with ``what`` prefixed to its error; on a stack of
     frames the error names the chart point in ``points`` that failed."""
@@ -259,26 +308,21 @@ def _spd_or_error(matrix, what, points=None):
 def _compute_frames(orig: OriginalGeometry, points) -> list:
     """Compile the frames at a sequence of chart points in one pass.
 
-    The scenario callables are evaluated point by point, since
-    ``OriginalGeometry`` promises them one point at a time; all the linear
-    algebra then runs on ``(N, ...)`` stacks, matrix by matrix with the
-    arithmetic of a single point, so a frame is bit-identical whatever
-    stack it was compiled in. Every gate runs at every point; the first
-    gate, in frame order, that fails at any point raises.
+    The bundle callables run once each on the stack of all the points;
+    all the linear algebra then runs on ``(N, ...)`` stacks, matrix by
+    matrix with the arithmetic of a single point, so a frame is
+    bit-identical whatever stack it was compiled in. Every gate runs at
+    every point; the first gate, in frame order, that fails at any point
+    raises.
     """
-    n_P, n_v, n_g, n_x = orig.n_P, orig.n_v, orig.n_g, orig.n_x
-    rows = []
-    for point in points:
-        q = np.asarray(orig.section(point.x), dtype=float)
-        q_jac = np.asarray(orig.section_jac(point.x), dtype=float)
-        if q.shape != (n_P,) or q_jac.shape != (n_P, n_x):
-            raise ValueError("section/section_jac shape mismatch")
-        rows.append((
-            q, q_jac, _as_matrix(orig.G_P(q), n_P, "G_P"),
-            np.asarray(orig.K_P(q), dtype=float).reshape(n_P, n_g),
-            orig.K_vector(point.f),
-            np.asarray(orig.chi_jac(q), dtype=float).reshape(n_g, n_P)))
-    q, q_jac, g_p, k_p, k_v, chi_jac = (np.array(col) for col in zip(*rows))
+    n_P, n_v, n_g = orig.n_P, orig.n_v, orig.n_g
+    xs = np.array([point.x for point in points])
+    q = orig.section(xs)
+    q_jac = orig.section_jac(xs)
+    g_p = orig.G_P(q)
+    k_p = orig.K_P(q)
+    k_v = orig.K_vector(np.array([point.f for point in points]))
+    chi_jac = orig.chi_jac(q)
     q_jac_t, k_v_t = q_jac.swapaxes(1, 2), k_v.swapaxes(1, 2)
 
     g_p_inv, _ = _spd_or_error(g_p, "bundle metric not positive definite",
@@ -344,13 +388,15 @@ def _compute_frames(orig: OriginalGeometry, points) -> list:
     pi_tilde = np.eye(n_P + n_v) - k_full @ d_inv @ gk_t
     t_op = h_base_inv @ q_jac_t @ gh_p
 
-    # frames are cached and shared by every later lookup of the point:
-    # freeze the stacks, so that every per-point view is read-only too
-    for array in (q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d,
-                  d_inv, a_base, a_vector, a_gamma, gt_h, gh_p, h_xx, h_xv,
-                  h_vv, h_base, h_tilde, h_tilde_inv, h_base_inv, pi_tilde,
-                  n_full, t_op, lam):
-        array.setflags(write=False)
+    # frames are cached and shared by every later lookup of the point, so
+    # their arrays are read-only
+    (q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d, d_inv, a_base,
+     a_vector, a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base, h_tilde,
+     h_tilde_inv, h_base_inv, pi_tilde, n_full, t_op, lam) = (
+        _frame_arrays(stack, len(points) == 1) for stack in (
+            q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d, d_inv,
+            a_base, a_vector, a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base,
+            h_tilde, h_tilde_inv, h_base_inv, pi_tilde, n_full, t_op, lam))
     return [PointFrame(
         point=point, Q=q[i], Q_jac=q_jac[i], G_P=g_p[i], G_P_inv=g_p_inv[i],
         K_P=k_p[i], K_V=k_v[i], gamma=gamma[i], gamma_prime=gamma_prime[i],
@@ -363,6 +409,21 @@ def _compute_frames(orig: OriginalGeometry, points) -> list:
         projectors=Projectors(Pi_tilde=pi_tilde[i], N=n_full[i], T=t_op[i],
                               Lambda=lam[i], n_P=n_P))
         for i, point in enumerate(points)]
+
+
+def _frame_arrays(stack, single):
+    """The read-only per-frame arrays of a compiled stack.
+
+    In a stack of frames they are views of the frozen stack. A lone frame
+    gets an owned copy instead, so that it keeps no one-row stack alive
+    behind a view.
+    """
+    if single:
+        row = stack[0].copy()
+        row.setflags(write=False)
+        return [row]
+    stack.setflags(write=False)
+    return stack
 
 
 class _FrameCache:
@@ -640,27 +701,24 @@ def validate_original(orig: OriginalGeometry, points,
     the Faddeev-Popov matrix is well conditioned. Sampled, not proven;
     scenario construction treats failure as a configuration error.
     """
+    frames = point_frames(orig, list(points))
     worst_k = 0.0
-    worst_s = 0.0
-    worst_cond = 1.0
-    for point in points:
-        frame = point_frame(orig, point)
-        q = frame.Q
-        n_g = orig.n_g
-        dg = coordinate_partials(orig.G_P, q, fd_step)  # dg[C, A, B]
-        dk = coordinate_partials(orig.K_P, q, fd_step)  # dk[C, A, alpha]
-        for alpha in range(n_g):
+    for frame in frames:
+        dg = coordinate_partials(orig.G_P, frame.Q, fd_step)  # dg[C, A, B]
+        dk = coordinate_partials(orig.K_P, frame.Q, fd_step)  # dk[C, A, alpha]
+        for alpha in range(orig.n_g):
             k = frame.K_P[:, alpha]
             grad_k = dk[:, :, alpha]     # grad_k[slot A, component C]
             lie = (np.einsum("c,cab->ab", k, dg)
                    + grad_k @ frame.G_P + frame.G_P @ grad_k.T)
             worst_k = max(worst_k, float(np.max(np.abs(lie))))
-        chi_val = np.asarray(orig.chi(q), dtype=float)
-        if chi_val.size:
-            worst_s = max(worst_s, float(np.max(np.abs(chi_val))))
-        if n_g:
-            phi = np.asarray(orig.chi_jac(q), dtype=float) @ frame.K_P
-            worst_cond = max(worst_cond, float(np.linalg.cond(phi)))
+    qs = np.array([frame.Q for frame in frames]).reshape(-1, orig.n_P)
+    chi_val = orig.chi(qs)
+    worst_s = float(np.max(np.abs(chi_val))) if chi_val.size else 0.0
+    worst_cond = 1.0
+    if orig.n_g and frames:
+        phi = orig.chi_jac(qs) @ np.array([frame.K_P for frame in frames])
+        worst_cond = max(worst_cond, float(np.max(np.linalg.cond(phi))))
     ok = (worst_k <= killing_tol and worst_s <= section_tol
           and worst_cond <= _PHI_MAX_COND)
     return OriginalValidity(worst_k, worst_s, worst_cond, ok)

@@ -167,8 +167,7 @@ def quadratic_form_paths(adapted: AdaptedGeometry, point: ChartPoint,
 
 def _bundle_christoffel(orig: OriginalGeometry, q, fd_step: float):
     """Levi-Civita symbols of G_P at a bundle point, by plain FD."""
-    g = np.asarray(orig.G_P(q), dtype=float)
-    g_inv, _ = invert_spd(g)
+    g_inv, _ = invert_spd(orig.G_P(q[None])[0])
     dg = coordinate_partials(orig.G_P, q, fd_step)
     combo = (np.einsum("bcd->bcd", dg) + np.einsum("cbd->bcd", dg)
              - np.einsum("dbc->bcd", dg))
@@ -270,15 +269,15 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
     :math:`(\ldots)^p = -\tfrac12 G^{pq}\partial_q d_{\alpha\beta}`.
     """
     frame = point_frame(orig, point)
-    n_P, n_v, n_g, n_x = orig.n_P, orig.n_v, orig.n_g, orig.n_x
+    n_v, n_g, n_x = orig.n_v, orig.n_g, orig.n_x
     if n_g == 0:
         return KillingIdentityResiduals(0.0, 0.0, 0.0, 0.0)
     sym_p, sym_v = _symmetrized_killing_halves(orig, point, engine)
     scale = max(1.0, float(np.max(np.abs(frame.d))))
 
-    def gamma_of_q(q):
-        k = np.asarray(orig.K_P(q), dtype=float).reshape(n_P, n_g)
-        return k.T @ np.asarray(orig.G_P(q), dtype=float) @ k
+    def gamma_of_q(qs):
+        k = orig.K_P(qs)
+        return k.swapaxes(1, 2) @ orig.G_P(qs) @ k
 
     dd_q = coordinate_partials(gamma_of_q, frame.Q,
                                engine.fd_step)       # dd_q[C, a, b]
@@ -288,9 +287,9 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
     if n_v:
         g_v_inv, _ = invert_spd(orig.G_V)
 
-        def gamma_prime_of_f(f):
-            k = orig.K_vector(f)
-            return k.T @ orig.G_V @ k
+        def gamma_prime_of_f(fs):
+            k = orig.K_vector(fs)
+            return k.swapaxes(1, 2) @ orig.G_V @ k
 
         dd_f = coordinate_partials(gamma_prime_of_f, point.f,
                                    engine.fd_step)   # dd_f[q, a, b]

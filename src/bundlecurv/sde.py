@@ -27,8 +27,7 @@ import numpy as np
 
 from .fields import (ChartPoint, ConfigError, DEFAULT_ENGINE, DerivEngine,
                      FieldHandle, NearSingularError, invert_spd, partial)
-from .geometry import (AdaptedGeometry, OriginalGeometry, compile_adapted,
-                       point_frame)
+from .geometry import OriginalGeometry, compile_adapted, point_frame
 
 __all__ = [
     "SdeParams",

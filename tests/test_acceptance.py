@@ -91,13 +91,13 @@ def test_coordinate_oracle_confirms_total(announce, twisted):
         worst_invar = max(worst_invar,
                           abs(values[0] - values[1]) / scale)
     elapsed = time.perf_counter() - start
-    ok = worst_match <= 1e-6 and worst_invar <= 1e-6 and elapsed <= 600.0
+    ok = worst_match <= 1e-6 and worst_invar <= 1e-6 and elapsed <= 120.0
     announce(ok, "coordinate-basis curvature oracle",
              "match %.3e, group-shift %.3e <= 1e-06 at 25 points, %.1fs"
              % (worst_match, worst_invar, elapsed))
     assert worst_match <= 1e-6
     assert worst_invar <= 1e-6
-    assert elapsed <= 600.0
+    assert elapsed <= 120.0
 
 
 def test_jacobian_routes_agree(announce, twisted, abelian, scaled, flat):
@@ -140,7 +140,8 @@ def test_determinant_factorization(announce, twisted):
         H = density_H(twisted.adapted, point)
         for a in sample_group_coordinates(twisted, 2, seed=5):
             det_full = np.linalg.det(
-                oracle_metric(twisted.orig, point.x, point.f, a))
+                oracle_metric(twisted.orig, point.x[None], point.f[None],
+                              a[None])[0])
             u_bar = twisted.chart.u_bar(a)
             product = (np.linalg.det(frame.d)
                        * np.linalg.det(u_bar) ** 2 * H)

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from bundlecurv.cli import REPORT_COLUMNS, RunConfig, load_config, main

@@ -14,7 +14,7 @@ from bundlecurv.connection import (
 from bundlecurv.fields import ChartPoint
 from bundlecurv.geometry import AdaptedGeometry
 from bundlecurv.liecore import OrbitMetric, StructureConstants, su2_constants
-from bundlecurv.scenarios import build_scenario, sample_points
+from bundlecurv.scenarios import sample_points
 
 from conftest import assert_close
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bundlecurv import curvature
 from bundlecurv.connection import christoffel_general
 from bundlecurv.curvature import (
     coordinate_ricci_scalar,
@@ -239,11 +240,28 @@ def test_three_way_agreement(twisted, engine):
 def test_oracle_metric_block_structure(twisted):
     x = np.array([0.1, -0.2])
     f = np.array([0.3, 0.0, 0.1])
-    got = oracle_metric(twisted.orig, x, f, np.zeros(3))
+    got = oracle_metric(twisted.orig, x[None], f[None], np.zeros((1, 3)))[0]
     assert got.shape == (8, 8)
     assert_close(got, got.T, 1e-12, "metric symmetry")
     w = np.linalg.eigvalsh(got)
     assert np.min(w) > 0
+
+
+def test_oracle_calls_oracle_metric_once(flat, engine, monkeypatch):
+    """The whole nested 8-dim stencil goes to one oracle_metric call."""
+    rows = []
+    real = curvature.oracle_metric
+
+    def counting(orig, x, f, a):
+        rows.append(len(x))
+        return real(orig, x, f, a)
+
+    monkeypatch.setattr(curvature, "oracle_metric", counting)
+    point = sample_points(flat, 1)[0]
+    scalar_curvature_coordinate_oracle(flat.orig, flat.chart, point.x,
+                                       point.f, np.array([0.2, 0.15, 0.1]),
+                                       engine)
+    assert rows == [1089]
 
 
 def test_oracle_flat_values(engine):

@@ -142,8 +142,9 @@ def test_partial_raises_on_non_finite_stencil(engine):
     with pytest.raises(EvaluationError, match=r"x=\[-0.001\] f=\[0.5\]"):
         second_partial(engine, field, point, range(2))
     with pytest.raises(EvaluationError, match=r"z=\[-1e-05, 0.5\]"):
-        coordinate_partials(lambda z: np.nan if z[0] < 0 else z[0],
-                            [0.0, 0.5], 1e-5)
+        coordinate_partials(
+            lambda zs: np.where(zs[:, 0] < 0, np.nan, zs[:, 0]),
+            [0.0, 0.5], 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +226,32 @@ def test_engine_step_scales_with_coordinate():
 
 
 def test_coordinate_partials_product_field():
-    def func(q):
-        return np.array([np.sin(q[0]) * q[1], q[1] ** 2])
+    def func(qs):
+        return np.stack([np.sin(qs[:, 0]) * qs[:, 1], qs[:, 1] ** 2], axis=1)
 
     got = coordinate_partials(func, np.array([0.5, 2.0]), 1e-5)
     assert_close(got, [[np.cos(0.5) * 2.0, 0.0], [np.sin(0.5), 4.0]], 1e-9,
                  "coordinate partials")
+
+
+def test_coordinate_partials_calls_once_per_stencil():
+    calls = []
+
+    def func(qs):
+        calls.append(qs.shape)
+        return np.sin(qs)
+
+    z = np.array([0.1, 0.2, 0.3])
+    coordinate_partials(func, z, 1e-5)
+    coordinate_partials(func, z, 1e-5, richardson=False, slots=[1])
+    assert calls == [(12, 3), (2, 3)]
+
+    def one_row(qs):
+        return np.sin(qs[0])
+
+    with pytest.raises(ValueError, match=r"one_row returned shape \(3,\) "
+                                         r"for a stack of 12 rows"):
+        coordinate_partials(one_row, z, 1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from bundlecurv.geometry import (
     build_horizontal_metric,
     build_orbit_metric,
     build_projectors,
-    compile_adapted,
     det_factorization_check,
     frame_cache_info,
     orbit_metric_split,
@@ -37,18 +36,18 @@ from conftest import assert_close
 
 def _conformal_orig(scale=1.0):
     """No group at all: a conformally flat plane plus nothing."""
-    def g_p(q):
-        return scale * np.exp(2.0 * q[0]) * np.eye(2)
+    def g_p(qs):
+        return scale * np.exp(2.0 * qs[:, 0])[:, None, None] * np.eye(2)
 
     return OriginalGeometry(
         n_P=2, n_v=0, n_g=0,
         G_P=g_p, G_V=np.zeros((0, 0)),
-        K_P=lambda q: np.zeros((2, 0)),
+        K_P=lambda qs: np.zeros((len(qs), 2, 0)),
         gens=np.zeros((0, 0, 0)),
-        section=lambda x: np.asarray(x, dtype=float).copy(),
-        section_jac=lambda x: np.eye(2),
-        chi=lambda q: np.zeros(0),
-        chi_jac=lambda q: np.zeros((0, 2)),
+        section=lambda xs: xs.copy(),
+        section_jac=lambda xs: np.repeat(np.eye(2)[None], len(xs), axis=0),
+        chi=lambda qs: np.zeros((len(qs), 0)),
+        chi_jac=lambda qs: np.zeros((len(qs), 0, 2)),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
     )
 
@@ -89,10 +88,10 @@ def test_orbit_metric_twisted_loop_oracle(twisted):
     orig = twisted.orig
     for point in sample_points(twisted, 5, seed=101):
         frame = point_frame(orig, point)
-        q = frame.Q
-        k_p = np.asarray(orig.K_P(q), dtype=float)
-        g_p = np.asarray(orig.G_P(q), dtype=float)
-        k_v = orig.K_vector(point.f)
+        q = frame.Q[None]
+        k_p = orig.K_P(q)[0]
+        g_p = orig.G_P(q)[0]
+        k_v = orig.K_vector(point.f[None])[0]
         n_g = orig.n_g
         want = np.zeros((n_g, n_g))
         for m in range(n_g):
@@ -124,10 +123,10 @@ def test_connection_twisted_loop_oracle(twisted):
     orig = twisted.orig
     for point in sample_points(twisted, 4, seed=7):
         frame = point_frame(orig, point)
-        q = frame.Q
-        k_p = np.asarray(orig.K_P(q), dtype=float)
-        g_p = np.asarray(orig.G_P(q), dtype=float)
-        k_v = orig.K_vector(point.f)
+        q = frame.Q[None]
+        k_p = orig.K_P(q)[0]
+        g_p = orig.G_P(q)[0]
+        k_v = orig.K_vector(point.f[None])[0]
         q_jac = frame.Q_jac
         base = np.einsum("ab,cb,dc,di->ai", frame.d_inv, k_p, g_p, q_jac)
         vector = np.einsum("ab,cb,cd->ad", frame.d_inv, k_v, orig.G_V)
@@ -162,14 +161,13 @@ def test_horizontal_metric_sandwich_oracle(twisted):
     orig = twisted.orig
     for point in sample_points(twisted, 4, seed=13):
         frame = point_frame(orig, point)
-        q = frame.Q
-        g_p = np.asarray(orig.G_P(q), dtype=float)
+        q = frame.Q[None]
+        g_p = orig.G_P(q)[0]
         n_P, n_v = orig.n_P, orig.n_v
         g_joint = np.zeros((n_P + n_v, n_P + n_v))
         g_joint[:n_P, :n_P] = g_p
         g_joint[n_P:, n_P:] = orig.G_V
-        k_joint = np.vstack([np.asarray(orig.K_P(q), dtype=float),
-                             orig.K_vector(point.f)])
+        k_joint = np.vstack([orig.K_P(q)[0], orig.K_vector(point.f[None])[0]])
         gh = g_joint - g_joint @ k_joint @ frame.d_inv @ k_joint.T @ g_joint
         jac = np.zeros((n_P + n_v, orig.n_h))
         jac[:n_P, :orig.n_x] = frame.Q_jac
@@ -203,8 +201,8 @@ def test_projector_identities(twisted):
         qt = frame.Q_jac @ pr.T
         assert_close(qt @ qt, qt, 1e-10, "section projector idempotent")
         assert_close(pr.N @ pr.N, pr.N, 1e-10, "gauge projector idempotent")
-        k_joint = np.vstack([np.asarray(orig.K_P(frame.Q), dtype=float),
-                             orig.K_vector(point.f)])
+        k_joint = np.vstack([orig.K_P(frame.Q[None])[0],
+                             orig.K_vector(point.f[None])[0]])
         annihilated = pr.Pi_tilde @ k_joint
         np.testing.assert_allclose(annihilated, np.zeros_like(annihilated),
                                    atol=1e-10)
@@ -290,11 +288,47 @@ def test_point_frames_match_one_at_a_time_compiles(twisted):
     assert frame_cache_info().compiles == after.compiles + len(coords)
 
 
+def test_lone_frame_owns_its_arrays(twisted):
+    """A frame compiled alone holds read-only copies, not views of one-row
+    stacks, with the values of the same point compiled in a stack."""
+    alone = dataclasses.replace(twisted.orig)
+    stacked = dataclasses.replace(twisted.orig)
+    point = ChartPoint([0.07, -0.31], [0.12, 0.2, -0.05])
+    frame = point_frame(alone, point)
+    in_stack = point_frames(stacked, [ChartPoint([0.2, 0.1], [0.0] * 3),
+                                      point])[1]
+    got, want = _frame_parts(frame), _frame_parts(in_stack)
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        if not isinstance(value, np.ndarray):
+            assert value == want[name], name
+            continue
+        assert value.tobytes() == want[name].tobytes(), name
+        assert not value.flags.writeable, name
+        if not name.startswith("point."):
+            assert value.base is None and value.flags.owndata, name
+    assert in_stack.d.base is not None
+
+
+def test_wrong_stack_shape_names_the_callable(twisted):
+    one_point = dataclasses.replace(twisted.orig, G_P=lambda qs: np.eye(5))
+    with pytest.raises(ValueError, match=r"G_P returned shape \(5, 5\), "
+                                         r"expected \(1, 5, 5\)"):
+        point_frame(one_point, ChartPoint([0.1, 0.2], [0.0, 0.1, 0.2]))
+    with pytest.raises(ValueError, match=r"K_P takes \(N, k\) coordinate "
+                                         r"stacks"):
+        twisted.orig.K_P(np.zeros(5))
+    with pytest.raises(ValueError, match=r"K_vector takes an \(N, n_v\)"):
+        twisted.orig.K_vector(np.zeros(3))
+
+
 def test_point_frames_gate_every_point():
     """A degenerate metric at one point of a stack fails the whole compile,
     names that point, and caches nothing."""
-    def g_p(q):
-        return np.diag([1.0, q[0]])
+    def g_p(qs):
+        out = np.zeros((len(qs), 2, 2))
+        out[:, 0, 0], out[:, 1, 1] = 1.0, qs[:, 0]
+        return out
 
     orig = dataclasses.replace(_conformal_orig(), G_P=g_p)
     points = [ChartPoint([x0, 0.1], []) for x0 in (0.3, 0.2, -0.1, 0.4)]
@@ -377,7 +411,8 @@ def test_assembled_det_scales_with_orbit_volume():
 def test_assembled_matches_coordinate_oracle_at_identity(twisted):
     for point in sample_points(twisted, 3, seed=43):
         block = assemble_block_metric(twisted.adapted, point)
-        oracle = oracle_metric(twisted.orig, point.x, point.f, np.zeros(3))
+        oracle = oracle_metric(twisted.orig, point.x[None], point.f[None],
+                               np.zeros((1, 3)))[0]
         assert_close(block.matrix, oracle, 1e-10,
                      "adapted blocks vs coordinate pullback")
 
@@ -403,8 +438,8 @@ def test_validate_original_accepts_twisted(twisted):
 def test_validate_original_flags_broken_invariance(twisted):
     good = twisted.orig
 
-    def broken_metric(q):
-        return np.asarray(good.G_P(q), dtype=float) + 0.1 * q[2] * np.eye(5)
+    def broken_metric(qs):
+        return good.G_P(qs) + 0.1 * qs[:, 2, None, None] * np.eye(5)
 
     broken = dataclasses.replace(good, G_P=broken_metric)
     report = validate_original(broken, sample_points(twisted, 3, seed=3))
@@ -412,20 +447,26 @@ def test_validate_original_flags_broken_invariance(twisted):
     assert report.killing_residual > 1e-3
 
 
+def _stack_of(mat):
+    """A bundle callable giving ``mat`` at every row of its stack."""
+    return lambda *stacks: np.repeat(np.asarray(mat)[None], len(stacks[0]),
+                                     axis=0)
+
+
 def test_constructor_shape_gates():
     with pytest.raises(ValueError):
         OriginalGeometry(
             n_P=2, n_v=3, n_g=3,  # n_P < n_g
-            G_P=lambda q: np.eye(2), G_V=np.eye(3),
-            K_P=lambda q: np.zeros((2, 3)), gens=np.zeros((3, 3, 3)),
-            section=lambda x: x, section_jac=lambda x: np.eye(2),
-            chi=lambda q: np.zeros(3), chi_jac=lambda q: np.zeros((3, 2)),
+            G_P=_stack_of(np.eye(2)), G_V=np.eye(3),
+            K_P=_stack_of(np.zeros((2, 3))), gens=np.zeros((3, 3, 3)),
+            section=lambda xs: xs, section_jac=_stack_of(np.eye(2)),
+            chi=_stack_of(np.zeros(3)), chi_jac=_stack_of(np.zeros((3, 2))),
             c=su2_constants())
     with pytest.raises(ValueError):
         OriginalGeometry(
             n_P=5, n_v=3, n_g=3,
-            G_P=lambda q: np.eye(5), G_V=np.eye(2),  # wrong G_V shape
-            K_P=lambda q: np.zeros((5, 3)), gens=np.zeros((3, 3, 3)),
-            section=lambda x: x, section_jac=lambda x: np.eye(2),
-            chi=lambda q: np.zeros(3), chi_jac=lambda q: np.zeros((3, 5)),
+            G_P=_stack_of(np.eye(5)), G_V=np.eye(2),  # wrong G_V shape
+            K_P=_stack_of(np.zeros((5, 3))), gens=np.zeros((3, 3, 3)),
+            section=lambda xs: xs, section_jac=_stack_of(np.eye(2)),
+            chi=_stack_of(np.zeros(3)), chi_jac=_stack_of(np.zeros((3, 5))),
             c=su2_constants())

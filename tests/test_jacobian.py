@@ -7,7 +7,6 @@ import pytest
 
 from bundlecurv.curvature import decomposition_terms
 from bundlecurv.fields import ChartPoint, partial
-from bundlecurv.geometry import compile_adapted
 from bundlecurv.jacobian import (
     covariant_derivative_killing,
     hamiltonian_terms,

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import decomposition_terms
+from bundlecurv.curvature import decomposition_terms, oracle_metric
 from bundlecurv.fields import ChartPoint, ConfigError, partial
 from bundlecurv.scenarios import (
     SCENARIO_NAMES,
+    _SERIES_TERMS,
+    _SU2_GENS,
+    _cross,
+    _dexp_apply,
+    _exp_series,
+    _phi_series,
     build_scenario,
     sample_group_coordinates,
     sample_points,
@@ -122,6 +128,103 @@ def test_potential_field(twisted):
     point = ChartPoint([0.3, -0.4], [0.1, 0.2, 0.3])
     want = 0.5 * (0.09 + 0.16) + 0.15 * (0.01 + 0.04 + 0.09)
     assert_close(twisted.potential(point), want, 1e-12, "potential values")
+
+
+def _exp_one(mat):
+    """One-matrix reference of the exponential series."""
+    total = term = np.eye(3)
+    for k in range(1, _SERIES_TERMS):
+        term = term @ mat / k
+        total = total + term
+        if np.max(np.abs(term)) < 1e-18:
+            break
+    return total
+
+
+def _phi_one(mat):
+    """One-matrix reference of the subgroup Jacobian series."""
+    total = term = np.eye(3)
+    fact = 1.0
+    for k in range(1, _SERIES_TERMS):
+        term = term @ mat
+        fact = fact * (k + 1)
+        piece = term / fact
+        total = total + piece
+        if np.max(np.abs(piece)) < 1e-18:
+            break
+    return total
+
+
+def _dexp_one(x_mat, y_mat):
+    """One-matrix reference of phi(ad_X)(Y)."""
+    total = np.zeros_like(y_mat)
+    term = y_mat
+    fact = 1.0
+    for k in range(_SERIES_TERMS):
+        total = total + term / fact
+        term = x_mat @ term - term @ x_mat
+        fact = fact * (k + 2)
+        if np.max(np.abs(term)) / fact < 1e-18:
+            break
+    return total
+
+
+def test_stacked_series_equal_one_matrix_sums():
+    """Mixed scales in one stack: each matrix stops where it would alone,
+    so every sum equals the one-matrix loop bit for bit."""
+    rng = np.random.default_rng(67)
+    vecs = np.concatenate([np.zeros((2, 3)),
+                           rng.uniform(-2e-3, 2e-3, (3, 3)),
+                           rng.uniform(-0.4, 0.4, (3, 3)),
+                           rng.uniform(-2.0, 2.0, (2, 3))])
+    mats = _cross(vecs)
+    for v, m in zip(vecs, mats):
+        want = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]],
+                         [-v[1], v[0], 0.0]])
+        assert m.tobytes() == want.tobytes()
+    for g, gen in enumerate(_SU2_GENS):
+        want = np.stack([_dexp_one(m, gen) for m in mats])
+        assert _dexp_apply(mats, gen).tobytes() == want.tobytes(), g
+    for series, one in ((_exp_series, _exp_one), (_phi_series, _phi_one)):
+        want = np.stack([one(m) for m in mats])
+        got = series(mats.reshape(2, 5, 3, 3))
+        assert got.shape == (2, 5, 3, 3)
+        assert got.reshape(mats.shape).tobytes() == want.tobytes()
+
+
+def _assert_rowwise(func, args, what):
+    """``func`` on whole stacks equals the stack of its one-row calls,
+    bit for bit."""
+    stacked = func(*args)
+    rows = np.concatenate([func(*(arg[i:i + 1] for arg in args))
+                           for i in range(len(args[0]))])
+    assert stacked.shape == rows.shape, what
+    assert stacked.tobytes() == rows.tobytes(), what
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_callables_on_a_stack_equal_their_one_row_calls(name):
+    """Section rows (b = 0), finite-difference offsets (|b| near 1e-3) and
+    group draws of the oracle, all in one stack."""
+    orig = build_scenario(name).orig
+    rng = np.random.default_rng(61)
+    xs = rng.uniform(-0.4, 0.4, (12, orig.n_x))
+    fs = rng.uniform(-0.4, 0.4, (12, orig.n_v))
+    bs = np.concatenate([
+        np.zeros((4, orig.n_g)),
+        rng.choice([-1.0, 1.0], (4, orig.n_g))
+        * rng.uniform(0.5e-3, 2e-3, (4, orig.n_g)),
+        rng.uniform(0.1, 0.35, (4, orig.n_g))])
+    qs = np.concatenate([xs, bs], axis=1)
+    calls = {"section": (xs,), "section_jac": (xs,), "G_P": (qs,),
+             "K_P": (qs,), "chi": (qs,), "chi_jac": (qs,),
+             "right_translate": (xs, bs), "right_translate_jac": (xs, bs),
+             "vspace_action": (bs,), "vspace_action_d": (bs,)}
+    for what, args in calls.items():
+        _assert_rowwise(getattr(orig, what), args, what)
+    _assert_rowwise(orig.K_vector, (fs,), "K_vector")
+    _assert_rowwise(lambda x, f, a: oracle_metric(orig, x, f, a),
+                    (xs, fs, bs), "oracle_metric")
 
 
 def test_abelian_scenario_is_torsion_free(abelian):

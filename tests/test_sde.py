@@ -39,18 +39,18 @@ def _bare_plane(h_diag):
 
 
 def _conformal_orig():
-    def g_p(q):
-        return np.exp(2.0 * q[0]) * np.eye(2)
+    def g_p(qs):
+        return np.exp(2.0 * qs[:, 0])[:, None, None] * np.eye(2)
 
     return OriginalGeometry(
         n_P=2, n_v=0, n_g=0,
         G_P=g_p, G_V=np.zeros((0, 0)),
-        K_P=lambda q: np.zeros((2, 0)),
+        K_P=lambda qs: np.zeros((len(qs), 2, 0)),
         gens=np.zeros((0, 0, 0)),
-        section=lambda x: np.asarray(x, dtype=float).copy(),
-        section_jac=lambda x: np.eye(2),
-        chi=lambda q: np.zeros(0),
-        chi_jac=lambda q: np.zeros((0, 2)),
+        section=lambda xs: xs.copy(),
+        section_jac=lambda xs: np.repeat(np.eye(2)[None], len(xs), axis=0),
+        chi=lambda qs: np.zeros((len(qs), 0)),
+        chi_jac=lambda qs: np.zeros((len(qs), 0, 2)),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
     )
 

@@ -18,8 +18,6 @@ from bundlecurv.verify import (
 )
 from bundlecurv import verify
 
-from conftest import assert_close
-
 
 CHEAP_CHECKS = ("christoffel", "secondform", "detfact", "sde")
 
@@ -135,9 +133,8 @@ def test_run_checks_flat_jacobian_magnitude(flat, engine):
 def test_gate_scenario_flags_broken_geometry(twisted, engine):
     gate_scenario(twisted, engine)  # healthy geometry passes
 
-    def broken_metric(q):
-        return np.asarray(twisted.orig.G_P(q), dtype=float) \
-            + 0.1 * q[2] * np.eye(5)
+    def broken_metric(qs):
+        return twisted.orig.G_P(qs) + 0.1 * qs[:, 2, None, None] * np.eye(5)
 
     broken_orig = dataclasses.replace(twisted.orig, G_P=broken_metric)
     broken = dataclasses.replace(twisted, orig=broken_orig)
