@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     invert_spd, partial)
+                     _field_stack, invert_spd, partial)
 from .geometry import AdaptedGeometry
 from .liecore import group_direction_derivative
 
@@ -158,13 +158,13 @@ def frame_metric_field(adapted: AdaptedGeometry) -> FieldHandle:
     """The frame metric blockdiag(h~, d) as one chart field."""
     n_h, n_t = adapted.n_h, adapted.n_t
 
-    def evaluate(point):
-        out = np.zeros((n_t, n_t))
-        out[:n_h, :n_h] = adapted.h_tilde(point)
-        out[n_h:, n_h:] = adapted.d.d(point)
+    def frame_metric(points):
+        out = np.zeros((len(points), n_t, n_t))
+        out[:, :n_h, :n_h] = _field_stack(adapted.h_tilde, points)
+        out[:, n_h:, n_h:] = _field_stack(adapted.d.d, points)
         return out
 
-    return FieldHandle(evaluate, "matrix", ("mixed", "mixed"))
+    return FieldHandle(frame_metric, "matrix", ("mixed", "mixed"))
 
 
 def frame_structure_functions(adapted: AdaptedGeometry, point: ChartPoint,

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     _eval_stack, _stencil, _stencil_partials, invert_spd,
-                     partial, second_partial)
-from .geometry import AdaptedGeometry, OriginalGeometry, point_frames
+                     _eval_points, _eval_stack, _field_stack, _stencil,
+                     _stencil_partials, invert_spd, partial, second_partial)
+from .geometry import AdaptedGeometry, OriginalGeometry
 from .liecore import orbit_scalar_curvature
 from .connection import (base_levi_civita, christoffel_table,
                          covariant_D_orbit_metric, curvature_F,
@@ -163,8 +163,12 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
     wide = _widened(engine)
     structure = frame_structure_functions(adapted, point, engine)
     gamma0 = christoffel(adapted, point, wide).gamma
-    field = FieldHandle(lambda p: christoffel(adapted, p, wide).gamma,
-                        "rank3", ("mixed",) * 3)
+
+    def christoffel_symbols(points):
+        return np.array([christoffel(adapted, p, wide).gamma
+                         for p in points])
+
+    field = FieldHandle(christoffel_symbols, "rank3", ("mixed",) * 3)
     hat = frame_derivatives(adapted, field, gamma0, _GAMMA_SIGNATURE, point,
                             wide, RICCI_OUTER_SCALE)
     n_h, n_t = adapted.n_h, adapted.n_t
@@ -184,14 +188,14 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
 
 
 def _log_det_d_field(adapted: AdaptedGeometry) -> FieldHandle:
-    def evaluate(point):
-        sign, logdet = np.linalg.slogdet(adapted.d.d(point))
-        if sign <= 0:
+    def log_det_d(points):
+        sign, logdet = np.linalg.slogdet(_field_stack(adapted.d.d, points))
+        if (sign <= 0).any():
             raise ValueError("orbit metric lost positivity; log det "
                              "undefined")
         return logdet
 
-    return FieldHandle(evaluate, "scalar", ())
+    return FieldHandle(log_det_d, "scalar", ())
 
 
 def log_density_terms(adapted: AdaptedGeometry, point: ChartPoint,
@@ -200,13 +204,15 @@ def log_density_terms(adapted: AdaptedGeometry, point: ChartPoint,
 
     Returns ``(lap_ln_d, grad_ln_d)`` where the Laplacian is the
     orbit-space one, ``h~^{A'B'}(\partial\partial - \Gamma^{C'}\partial)``,
-    and the gradient term carries its quarter factor.
+    and the gradient term carries its quarter factor. The Hessian stencil
+    comes first: it holds the point itself, so the point's frames compile
+    with it.
     """
     n_h = adapted.n_h
-    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     sigma = _log_det_d_field(adapted)
-    grad = partial(engine, sigma, point, range(n_h))
     hess = second_partial(engine, sigma, point, range(n_h))
+    grad = partial(engine, sigma, point, range(n_h))
+    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     lc = base_levi_civita(adapted, point, engine)
     lap = float(np.einsum("ab,ab->", h_inv, hess)
                 - np.einsum("ab,cab,c->", h_inv, lc, grad))
@@ -242,26 +248,21 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
     two are the horizontal Laplacian and squared gradient of
     ``ln det d``. ``R_total`` is their sum, definitionally.
 
-    When the geometry carries bundle data, h~ on the whole ``R_M``
-    stencil comes from one ``point_frames`` call; that also puts in the
-    frame cache the frames the Ricci routes read at the same point.
+    h~ on the whole ``R_M`` stencil, the point itself included, comes
+    from one field call; on compiled bundle data that is one
+    ``point_frames`` call, which also puts in the frame cache the frames
+    the Ricci routes read at the same point.
     """
+    def h_tilde(zs):
+        return _eval_points(adapted.h_tilde, zs, adapted.n_x)
+
+    # the chart metric is exact linear algebra of closed-form inputs, so
+    # the widened stencils of the coordinate oracle apply here as well
+    r_m = coordinate_ricci_scalar(h_tilde, point.coords, _widened(engine))
     h_val = np.asarray(adapted.h_tilde(point), dtype=float)
     h_inv, _ = invert_spd(h_val)
     d_val = np.asarray(adapted.d.d(point), dtype=float)
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-
-    def h_of_stack(zs):
-        points = [ChartPoint(z[:adapted.n_x], z[adapted.n_x:]) for z in zs]
-        if adapted.orig is not None:
-            return np.stack([frame.h_tilde for frame in
-                             point_frames(adapted.orig, points)])
-        return np.stack([adapted.h_tilde(p) for p in points])
-
-    # the chart metric is exact linear algebra of closed-form inputs, so
-    # the widened stencils of the coordinate oracle apply here as well
-    r_m = coordinate_ricci_scalar(h_of_stack, point.coords,
-                                  _widened(engine))
     r_g = orbit_scalar_curvature(adapted.c, d_val)
 
     ff = ff_term(h_inv, d_val, curvature_F(adapted, point, engine))

@@ -13,10 +13,11 @@ extrapolation to the values there. ``partial`` (all requested chart slots
 in one call), ``second_partial`` (the same rows plus corner rows),
 ``coordinate_partials`` (plain coordinate vectors such as the bundle
 coordinates ``Q``) and the nested stencil of the curvature module's
-coordinate Ricci scalar are all built on it. Chart fields keep their
-one-point contract and are evaluated one row at a time; the plain
-coordinate functions of ``coordinate_partials`` and the coordinate Ricci
-scalar take the whole stack of rows in one call.
+coordinate Ricci scalar are all built on it. Every function the kernel
+differences is called once per stencil, on the whole stack of rows: a
+chart field (``FieldHandle``) on the ``ChartPoint`` objects cut from the
+rows, the plain coordinate functions of ``coordinate_partials`` and the
+coordinate Ricci scalar on the ``(N, k)`` row array itself.
 
 All matrices here are tiny (at most ~12x12), so no attention is paid to
 asymptotics; accuracy and determinism are what matter.
@@ -129,12 +130,16 @@ class ChartPoint:
 
 @dataclass(frozen=True)
 class FieldHandle:
-    r"""A chart field together with its declared shape.
+    r"""A chart field on stacks of chart points, with its declared shape.
 
-    ``arity`` is one of ``"scalar"``, ``"vector"``, ``"matrix"``, ``"rank3"``;
-    ``sectors`` names the index sector of each slot (``"base"``, ``"vector"``,
-    ``"orbit"`` or ``"mixed"``) and is carried for documentation and shape
-    checks only.
+    ``func`` maps a sequence of ``N`` ``ChartPoint`` objects to the
+    ``(N, ...)`` stack of the field's values there; the difference kernel
+    calls it once per stencil. Calling the handle on one point is the
+    one-row case and returns that row. ``arity`` is one of ``"scalar"``,
+    ``"vector"``, ``"matrix"``, ``"rank3"``, the number of axes of one
+    row; ``sectors`` names the index sector of each slot (``"base"``,
+    ``"vector"``, ``"orbit"`` or ``"mixed"``) and is carried for
+    documentation only.
     """
 
     func: object
@@ -148,13 +153,7 @@ class FieldHandle:
             raise ValueError("unknown arity %r" % (self.arity,))
 
     def __call__(self, point: ChartPoint) -> np.ndarray:
-        value = np.asarray(self.func(point), dtype=float)
-        if value.ndim != self._NDIM[self.arity]:
-            raise ValueError(
-                "field declared arity %r but produced ndim %d"
-                % (self.arity, value.ndim)
-            )
-        return value
+        return _field_stack(self, [point])[0]
 
 
 @dataclass(frozen=True)
@@ -238,25 +237,43 @@ def _finite_or_raise(values, where, what="field"):
     return values
 
 
+def _name_of(func):
+    return getattr(func, "__name__", repr(func))
+
+
 def _eval_stack(func, zs, what="field"):
     """``func`` called once on the ``(N, k)`` stack ``zs``, its result
     checked to hold one finite entry per row."""
     values = np.asarray(func(zs), dtype=float)
     if values.ndim == 0 or len(values) != len(zs):
         raise ValueError("%s returned shape %s for a stack of %d rows"
-                         % (getattr(func, "__name__", repr(func)),
-                            values.shape, len(zs)))
+                         % (_name_of(func), values.shape, len(zs)))
     return _finite_or_raise(values, lambda i: "z=%s" % (zs[i].tolist(),),
                             what)
 
 
+def _field_stack(field, points):
+    """The ``FieldHandle`` ``field`` on the sequence ``points``, one call,
+    its result checked to hold one entry of the declared arity per point."""
+    values = np.asarray(field.func(points), dtype=float)
+    if (values.ndim != 1 + FieldHandle._NDIM[field.arity]
+            or len(values) != len(points)):
+        raise ValueError(
+            "field %s declared arity %r but returned shape %s for %d "
+            "points" % (_name_of(field.func), field.arity, values.shape,
+                        len(points)))
+    return values
+
+
 def _eval_points(field, rows, n_x):
-    """The chart field ``field`` at each joint-coordinate row of ``rows``,
-    split into a ``ChartPoint`` at ``n_x``, stacked and checked finite."""
+    """The chart field ``field`` at the joint-coordinate rows of ``rows``,
+    each split into a ``ChartPoint`` at ``n_x``: one field call, its
+    result checked by ``_field_stack`` and checked finite."""
     points = [ChartPoint.from_coords(z, n_x) for z in rows]
-    values = np.asarray(np.stack([field(p) for p in points]), dtype=float)
-    return _finite_or_raise(values, lambda i: "x=%s f=%s"
-                            % (points[i].x.tolist(), points[i].f.tolist()))
+    return _finite_or_raise(
+        _field_stack(field, points), lambda i: "x=%s f=%s"
+        % (points[i].x.tolist(), points[i].f.tolist()),
+        "field %s" % _name_of(field.func))
 
 
 def _slot_list(slots, point):
@@ -305,8 +322,8 @@ def partial(engine: DerivEngine, field, point: ChartPoint, slots,
     :math:`\partial_i`, :math:`\partial_a` appearing in the metric,
     connection and curvature formulas. ``step_scale`` inflates the step
     for outer layers of nested differentiation; see the curvature module
-    for the noise budget that picks those scales. ``field`` takes one
-    ``ChartPoint`` and is evaluated at the stencil rows one by one.
+    for the noise budget that picks those scales. ``field`` is called
+    once, on the chart points of all the stencil rows.
     """
     return _first_partials(
         lambda rows: _eval_points(field, rows, point.n_x), point.coords,
@@ -323,7 +340,8 @@ def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
     ``SECOND_PARTIAL_STEP_SCALE``; Richardson extrapolation is applied
     when the engine enables it since both stencils have :math:`O(h^2)`
     error. The corner rows take each shifted coordinate from the axis row
-    of its slot.
+    of its slot; ``field`` is called once, on the chart points of the
+    centre, axis and corner rows together.
     """
     slots = _slot_list(slots, point)
     n_s = len(slots)

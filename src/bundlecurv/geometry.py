@@ -28,7 +28,9 @@ one call of each bundle callable on the stack of points, the linear
 algebra on ``(N, ...)`` stacks -- and ``point_frame`` is its one-point
 case. Compiled frames are read-only and kept in a bounded LRU cache keyed
 on the geometry object and the point; ``frame_cache_info`` reports its
-counters.
+counters. The chart fields of ``compile_adapted`` (and every other
+``frame_field``) read a whole stack of points from one ``point_frames``
+call, so each difference stencil compiles its frames in one pass.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "assemble_block_metric",
     "det_factorization_check",
     "compile_adapted",
+    "frame_field",
     "validate_original",
 ]
 
@@ -566,28 +569,35 @@ def build_projectors(orig: OriginalGeometry, point: ChartPoint) -> Projectors:
     return frame.projectors
 
 
+def frame_field(orig: OriginalGeometry, name, value, arity="matrix",
+                sectors=()) -> FieldHandle:
+    """The chart field ``value(frame)``, named ``name``.
+
+    On a stack of points it reads every frame from one ``point_frames``
+    call, so a stencil compiles its missing frames in one stacked pass,
+    and stacks ``value`` of each frame.
+    """
+    def evaluate(points):
+        return np.array([value(frame)
+                         for frame in point_frames(orig, points)])
+
+    evaluate.__name__ = name
+    return FieldHandle(evaluate, arity, sectors)
+
+
 def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
-    """Wrap the builders into chart fields."""
-    def d_eval(point):
-        return point_frame(orig, point).d
-
-    def d_inv_eval(point):
-        return point_frame(orig, point).d_inv
-
-    def h_eval(point):
-        return point_frame(orig, point).h_tilde
-
-    def a_eval(point):
-        return point_frame(orig, point).A
-
+    """Wrap the builders into chart fields, each read from the frames."""
     orbit = OrbitMetric(
-        d=FieldHandle(d_eval, "matrix", ("orbit", "orbit")),
-        d_inv=FieldHandle(d_inv_eval, "matrix", ("orbit", "orbit")))
+        d=frame_field(orig, "d", lambda fr: fr.d, sectors=("orbit",) * 2),
+        d_inv=frame_field(orig, "d_inv", lambda fr: fr.d_inv,
+                          sectors=("orbit",) * 2))
     return AdaptedGeometry(
         n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
-        h_tilde=FieldHandle(h_eval, "matrix", ("mixed", "mixed")),
+        h_tilde=frame_field(orig, "h_tilde", lambda fr: fr.h_tilde,
+                            sectors=("mixed",) * 2),
         d=orbit,
-        A_conn=FieldHandle(a_eval, "matrix", ("orbit", "mixed")),
+        A_conn=frame_field(orig, "A_conn", lambda fr: fr.A,
+                           sectors=("orbit", "mixed")),
         c=orig.c, orig=orig)
 
 
@@ -595,11 +605,12 @@ def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
 class AdaptedGeometry:
     r"""The universal input of the curvature and Jacobian operations.
 
-    ``h_tilde(point)`` is the horizontal metric over the joint ``(x, f)``
-    chart, ``d`` the orbit metric with inverse, ``A_conn(point)`` the
-    connection components as an ``(n_g, n_x+n_v)`` matrix. ``orig`` is kept
-    when the geometry was compiled from bundle data; operations that need
-    the bundle side (projector identities, drift in gauge form) require it.
+    ``h_tilde`` is the horizontal metric over the joint ``(x, f)`` chart,
+    ``d`` the orbit metric with inverse, ``A_conn`` the connection
+    components as an ``(n_g, n_x+n_v)`` matrix; each of them, and each of
+    the two fields of ``d``, is a ``FieldHandle``. ``orig`` is kept when
+    the geometry was compiled from bundle data; operations that need the
+    bundle side (projector identities, drift in gauge form) require it.
     """
 
     n_x: int

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     coordinate_partials, invert_spd, partial)
+                     _field_stack, coordinate_partials, invert_spd, partial)
 from .geometry import (AdaptedGeometry, OriginalGeometry, compile_adapted,
                        point_frame)
 from .liecore import orbit_scalar_curvature
@@ -78,15 +78,16 @@ def sigma_field(adapted: AdaptedGeometry,
                 engine: DerivEngine = DEFAULT_ENGINE) -> SigmaField:
     n_h = adapted.n_h
 
-    def grad_eval(point):
-        d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
+    def sigma_grad(points):
         return np.array([
-            float(np.trace(d_inv @ dd))
-            for dd in partial(engine, adapted.d.d, point, range(n_h))])
+            [float(np.trace(d_inv @ dd))
+             for dd in partial(engine, adapted.d.d, p, range(n_h))]
+            for p, d_inv in zip(points, _field_stack(adapted.d.d_inv,
+                                                     points))])
 
     return SigmaField(
         sigma=_log_det_d_field(adapted),
-        grad=FieldHandle(grad_eval, "vector", ("mixed",)))
+        grad=FieldHandle(sigma_grad, "vector", ("mixed",)))
 
 
 def jacobian_direct(adapted: AdaptedGeometry, point: ChartPoint,

@@ -59,7 +59,8 @@ class StructureConstants:
 class OrbitMetric:
     r"""Orbit metric :math:`d_{\alpha\beta}` and its inverse as chart fields.
 
-    ``d`` and ``d_inv`` map a chart point to an ``n_g`` x ``n_g`` matrix.
+    ``d`` and ``d_inv`` are ``FieldHandle`` chart fields whose value at a
+    chart point is an ``n_g`` x ``n_g`` matrix.
     """
 
     d: object

@@ -292,11 +292,11 @@ def _build_original(n_x: int, g_func, bbar_func, twist_func, gens,
 
 
 def _quadratic_potential():
-    def value(point):
-        return 0.5 * float(point.x @ point.x) + 0.15 * float(
-            point.f @ point.f)
+    def quadratic_potential(points):
+        return np.array([0.5 * float(p.x @ p.x) + 0.15 * float(p.f @ p.f)
+                         for p in points])
 
-    return FieldHandle(value, "scalar", ())
+    return FieldHandle(quadratic_potential, "scalar", ())
 
 
 def _box(n: int, lo: float, hi: float) -> np.ndarray:
@@ -445,8 +445,7 @@ _REGISTRY = {
 SCENARIO_NAMES = tuple(sorted(_REGISTRY))
 
 
-def build_scenario(name: str, params: dict = None, *,
-                   validate: bool = True, **kwargs) -> Scenario:
+def build_scenario(name: str, params: dict = None, **kwargs) -> Scenario:
     """Construct a registered scenario.
 
     Parameters may come as a dict, as keyword arguments, or both
@@ -460,7 +459,7 @@ def build_scenario(name: str, params: dict = None, *,
     merged = dict(params or {})
     merged.update(kwargs)
     scenario = _REGISTRY[name](merged)
-    if validate and scenario.orig is not None:
+    if scenario.orig is not None:
         probes = sample_points(scenario, 3, seed=20_240_817)
         report = validate_original(scenario.orig, probes)
         if not report.ok:

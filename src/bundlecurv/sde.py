@@ -26,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, ConfigError, DEFAULT_ENGINE, DerivEngine,
-                     FieldHandle, NearSingularError, invert_spd, partial)
-from .geometry import OriginalGeometry, compile_adapted, point_frame
+                     FieldHandle, NearSingularError, _field_stack,
+                     invert_spd, partial)
+from .geometry import (OriginalGeometry, compile_adapted, frame_field,
+                       point_frame)
 
 __all__ = [
     "SdeParams",
@@ -189,10 +191,14 @@ def diffusion_coefficients(geometry, point: ChartPoint) -> DiffusionBlocks:
     return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
 
 
-def _sqrt_density(orig: OriginalGeometry):
-    def eval_at(point):
-        return float(np.sqrt(point_frame(orig, point).det_h))
-    return eval_at
+def _sqrt_h(frame):
+    return float(np.sqrt(frame.det_h))
+
+
+def _w_matrix(frame):
+    r""":math:`W^{ab} = G^{AB}N^a_A N^b_B` at a frame."""
+    n_vp = frame.projectors.N_vP
+    return n_vp @ frame.G_P_inv @ n_vp.T
 
 
 def drift_coefficients(geometry, point: ChartPoint,
@@ -223,27 +229,21 @@ def drift_coefficients(geometry, point: ChartPoint,
         raise ValueError("drift displays need original bundle data")
     n_x, n_v = adapted.n_x, adapted.n_v
     frame0 = point_frame(orig, point)
-    sqrt_h = _sqrt_density(orig)
-    sqrt_h0 = sqrt_h(point)
+    sqrt_h0 = _sqrt_h(frame0)
     g_v_inv, _ = invert_spd(orig.G_V) if n_v else (np.zeros((0, 0)), 1.0)
 
-    def w_matrix(p):
-        fr = point_frame(orig, p)
-        n_vp = fr.projectors.N_vP
-        return n_vp @ fr.G_P_inv @ n_vp.T
-
-    f_dens_hinv = FieldHandle(
-        lambda p: sqrt_h(p) * point_frame(orig, p).h_base_inv,
-        "matrix", ("base",))
-    f_dens_killing = FieldHandle(
-        lambda p: sqrt_h(p) * point_frame(orig, p).K_V,
-        "matrix", ("vector",))
-    f_dens_conn = FieldHandle(
-        lambda p: (lambda fr: sqrt_h(p) * fr.h_base_inv @ fr.A_gamma.T)(
-            point_frame(orig, p)),
-        "matrix", ("base",))
-    f_dens = FieldHandle(lambda p: sqrt_h(p), "scalar", ())
-    f_w = FieldHandle(w_matrix, "matrix", ("vector",))
+    f_dens_hinv = frame_field(
+        orig, "sqrt_h_h_base_inv", lambda fr: _sqrt_h(fr) * fr.h_base_inv,
+        sectors=("base",))
+    f_dens_killing = frame_field(
+        orig, "sqrt_h_K_V", lambda fr: _sqrt_h(fr) * fr.K_V,
+        sectors=("vector",))
+    f_dens_conn = frame_field(
+        orig, "sqrt_h_connection",
+        lambda fr: _sqrt_h(fr) * fr.h_base_inv @ fr.A_gamma.T,
+        sectors=("base",))
+    f_dens = frame_field(orig, "sqrt_h", _sqrt_h, "scalar")
+    f_w = frame_field(orig, "W", _w_matrix, sectors=("vector",))
 
     base, vector = range(n_x), range(n_x, n_x + n_v)
     d_hinv = partial(engine, f_dens_hinv, point, base)
@@ -265,7 +265,7 @@ def drift_coefficients(geometry, point: ChartPoint,
     b_base = (div_hinv.sum(axis=0) / sqrt_h0
               + np.einsum("mn,ni,m->i", frame0.A_gamma, frame0.h_base_inv,
                           div_killing) / sqrt_h0)
-    w0 = w_matrix(point)
+    w0 = _w_matrix(frame0)
     b_vector = (frame0.K_V @ div_conn / sqrt_h0
                 + (g_v_inv + w0) @ grad_dens / sqrt_h0
                 + div_w)
@@ -286,15 +286,15 @@ def drift_divergence_form(geometry, point: ChartPoint,
     n_h = adapted.n_h
     orig = adapted.orig
     if orig is not None:
-        def dens_inv(p):
-            fr = point_frame(orig, p)
-            return np.sqrt(fr.det_h) * fr.h_tilde_inv
+        field = frame_field(orig, "sqrt_h_h_tilde_inv",
+                            lambda fr: _sqrt_h(fr) * fr.h_tilde_inv,
+                            sectors=("mixed",))
     else:
-        def dens_inv(p):
-            inv, det = invert_spd(np.asarray(adapted.h_tilde(p),
-                                             dtype=float))
-            return np.sqrt(det) * inv
-    field = FieldHandle(dens_inv, "matrix", ("mixed",))
+        def sqrt_h_h_tilde_inv(points):
+            inv, det = invert_spd(_field_stack(adapted.h_tilde, points))
+            return np.sqrt(det)[:, None, None] * inv
+
+        field = FieldHandle(sqrt_h_h_tilde_inv, "matrix", ("mixed",))
     sqrt_h0 = np.sqrt(density_H(adapted, point))
     grad = partial(engine, field, point, range(n_h))
     drift = np.zeros(n_h)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine, invert_spd
 from .geometry import (assemble_block_metric, det_factorization_check,
-                       point_frame, validate_original)
+                       point_frame)
 from .connection import (christoffel_general, christoffel_table,
                          covariant_D_orbit_metric)
 from .curvature import decomposition_terms, dddd_term, ricci_scalar_pair
@@ -248,27 +248,6 @@ def _resolve_tolerance(check, part, tol_identity, tol_oracle):
     return default if override is None else float(override)
 
 
-def gate_scenario(scenario, engine: DerivEngine = DEFAULT_ENGINE,
-                  seed: int = 20_240_817) -> None:
-    """Re-run the bundle validity gates before any verification work.
-
-    Raises ConfigError when the Killing, section, or transversality gates
-    fail on probe points; scenarios without bundle data pass vacuously.
-    """
-    if scenario.orig is None:
-        return
-    from .scenarios import sample_points
-    probes = sample_points(scenario, 3, seed=seed)
-    validity = validate_original(scenario.orig, probes,
-                                 fd_step=engine.fd_step)
-    if not validity.ok:
-        raise ConfigError(
-            "scenario %r failed its validity gates (killing %.2e, "
-            "section %.2e, transversality condition %.2e)"
-            % (scenario.name, validity.killing_residual,
-               validity.section_residual, validity.fp_condition))
-
-
 def run_checks(scenario, points, checks=CHECK_NAMES, *,
                engine: DerivEngine = DEFAULT_ENGINE,
                tol_identity: float = None, tol_oracle: float = None,
@@ -296,7 +275,6 @@ def run_checks(scenario, points, checks=CHECK_NAMES, *,
         raise ConfigError("points: need at least one sample point")
 
     start = time.perf_counter()
-    gate_scenario(scenario, engine)
 
     def evaluate(point):
         return {name: _CHECK_FUNCS[name](scenario, point, engine)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bundlecurv.fields import DEFAULT_ENGINE
+from bundlecurv.fields import DEFAULT_ENGINE, FieldHandle
 from bundlecurv.scenarios import build_scenario
 
 
@@ -13,6 +13,18 @@ def assert_close(actual, expected, tol, what=""):
                 float(np.max(np.abs(b), initial=0.0)))
     gap = float(np.max(np.abs(a - b), initial=0.0)) / scale
     assert gap <= tol, "%s: relative gap %.3e exceeds %.0e" % (what, gap, tol)
+
+
+def chart_coords(points):
+    """The ``(N, k)`` joint coordinates of a sequence of chart points."""
+    return np.array([p.coords for p in points])
+
+
+def constant_field(value, arity="matrix"):
+    """A chart field with the same value at every point."""
+    value = np.asarray(value, dtype=float)
+    return FieldHandle(
+        lambda points: np.repeat(value[None], len(points), axis=0), arity)
 
 
 @pytest.fixture(scope="session")

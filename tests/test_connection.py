@@ -11,27 +11,28 @@ from bundlecurv.connection import (
     curvature_F,
     frame_structure_functions,
 )
-from bundlecurv.fields import ChartPoint
+from bundlecurv.fields import ChartPoint, FieldHandle
 from bundlecurv.geometry import AdaptedGeometry
 from bundlecurv.liecore import OrbitMetric, StructureConstants, su2_constants
 from bundlecurv.scenarios import sample_points
 
-from conftest import assert_close
+from conftest import assert_close, constant_field
 
 
 def _const_orbit(matrix):
     matrix = np.asarray(matrix, dtype=float)
     inv = np.linalg.inv(matrix) if matrix.size else matrix
-    return OrbitMetric(d=lambda p: matrix, d_inv=lambda p: inv)
+    return OrbitMetric(d=constant_field(matrix), d_inv=constant_field(inv))
 
 
 def _curl_fixture():
     """One abelian orbit direction over a flat plane, rotational connection."""
     return AdaptedGeometry(
         n_x=2, n_v=0, n_g=1,
-        h_tilde=lambda p: np.eye(2),
+        h_tilde=constant_field(np.eye(2)),
         d=_const_orbit(np.eye(1)),
-        A_conn=lambda p: np.array([[-p.x[1], p.x[0]]]),
+        A_conn=FieldHandle(lambda ps: np.array([[[-p.x[1], p.x[0]]]
+                                                for p in ps]), "matrix"),
         c=StructureConstants(1, np.zeros((1, 1, 1))),
     )
 
@@ -40,9 +41,9 @@ def _pure_orbit(d_matrix):
     """One flat base direction, constant anisotropic orbit metric, no twist."""
     return AdaptedGeometry(
         n_x=1, n_v=0, n_g=3,
-        h_tilde=lambda p: np.eye(1),
+        h_tilde=constant_field(np.eye(1)),
         d=_const_orbit(d_matrix),
-        A_conn=lambda p: np.zeros((3, 1)),
+        A_conn=constant_field(np.zeros((3, 1))),
         c=su2_constants(),
     )
 
@@ -51,9 +52,9 @@ def _const_connection(a_matrix, d_matrix):
     a_matrix = np.asarray(a_matrix, dtype=float)
     return AdaptedGeometry(
         n_x=a_matrix.shape[1], n_v=0, n_g=3,
-        h_tilde=lambda p: np.eye(a_matrix.shape[1]),
+        h_tilde=constant_field(np.eye(a_matrix.shape[1])),
         d=_const_orbit(d_matrix),
-        A_conn=lambda p: a_matrix,
+        A_conn=constant_field(a_matrix),
         c=su2_constants(),
     )
 
@@ -155,9 +156,11 @@ def test_levi_civita_constant_metric(flat, engine):
 def test_levi_civita_conformal_plane(engine):
     adapted = AdaptedGeometry(
         n_x=2, n_v=0, n_g=0,
-        h_tilde=lambda p: np.exp(2.0 * p.x[0]) * np.eye(2),
+        h_tilde=FieldHandle(lambda ps: np.array([np.exp(2.0 * p.x[0])
+                                                 * np.eye(2) for p in ps]),
+                            "matrix"),
         d=_const_orbit(np.zeros((0, 0))),
-        A_conn=lambda p: np.zeros((0, 2)),
+        A_conn=constant_field(np.zeros((0, 2))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
     )
     got = base_levi_civita(adapted, ChartPoint([0.3, -0.5], []), engine)

@@ -1,11 +1,14 @@
 """Scalar-curvature decomposition, frame Ricci routes, and the coordinate oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bundlecurv import curvature
 from bundlecurv.connection import christoffel_general
 from bundlecurv.curvature import (
+    _log_det_d_field,
     coordinate_ricci_scalar,
     decomposition_terms,
     log_density_terms,
@@ -15,7 +18,8 @@ from bundlecurv.curvature import (
     validate_group_chart,
 )
 from bundlecurv.fields import ChartPoint, EvaluationError
-from bundlecurv.geometry import AdaptedGeometry, frame_cache_info
+from bundlecurv.geometry import (AdaptedGeometry, compile_adapted,
+                                 frame_cache_info)
 from bundlecurv.liecore import OrbitMetric, orbit_scalar_curvature, su2_constants
 from bundlecurv.scenarios import (
     build_scenario,
@@ -23,7 +27,7 @@ from bundlecurv.scenarios import (
     sample_points,
 )
 
-from conftest import assert_close
+from conftest import assert_close, constant_field
 
 
 def _pure_orbit_block(d_matrix):
@@ -31,9 +35,10 @@ def _pure_orbit_block(d_matrix):
     d_inv = np.linalg.inv(d_matrix)
     return AdaptedGeometry(
         n_x=1, n_v=0, n_g=3,
-        h_tilde=lambda p: np.eye(1),
-        d=OrbitMetric(d=lambda p: d_matrix, d_inv=lambda p: d_inv),
-        A_conn=lambda p: np.zeros((3, 1)),
+        h_tilde=constant_field(np.eye(1)),
+        d=OrbitMetric(d=constant_field(d_matrix),
+                      d_inv=constant_field(d_inv)),
+        A_conn=constant_field(np.zeros((3, 1))),
         c=su2_constants(),
     )
 
@@ -160,6 +165,27 @@ def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
     assert after.misses == before.misses
     assert after.compiles == before.compiles
     assert after.hits > before.hits
+
+
+def test_log_density_terms_compile_two_stacks(twisted, engine):
+    """The Hessian stencil holds the point itself and the gradient
+    stencil the rest, so a point no earlier call has seen costs two
+    stacked compiles (121 single ones when each row compiled alone)."""
+    adapted = compile_adapted(dataclasses.replace(twisted.orig))
+    before = frame_cache_info()
+    log_density_terms(adapted, ChartPoint([0.21, -0.08],
+                                          [-0.17, 0.05, 0.29]), engine)
+    assert frame_cache_info().compiles - before.compiles <= 2
+
+
+def test_log_det_d_on_a_stack_equals_one_row_calls(twisted):
+    """``slogdet`` over the stack of orbit metrics gives the values of
+    one-matrix calls, bit for bit."""
+    adapted = twisted.adapted
+    points = sample_points(twisted, 12, seed=211)
+    stacked = _log_det_d_field(adapted).func(points)
+    single = [np.linalg.slogdet(adapted.d.d(p))[1] for p in points]
+    assert stacked.tolist() == single
 
 
 def test_twisted_ff_matches_loop_oracle(twisted, engine):

@@ -19,7 +19,7 @@ from bundlecurv.fields import (
 )
 from bundlecurv.geometry import point_frame
 
-from conftest import assert_close
+from conftest import assert_close, chart_coords
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +61,13 @@ def test_chart_point_rejects_bad_coordinates():
 
 
 def test_field_handle_checks_declared_arity():
-    good = FieldHandle(lambda p: float(p.x[0]), arity="scalar")
+    good = FieldHandle(lambda ps: chart_coords(ps)[:, 0], arity="scalar")
     assert good(ChartPoint([2.0], [])) == 2.0
-    bad = FieldHandle(lambda p: p.coords, arity="scalar")
-    with pytest.raises(ValueError):
+    bad = FieldHandle(chart_coords, arity="scalar")
+    with pytest.raises(ValueError, match="chart_coords declared arity"):
         bad(ChartPoint([1.0], [2.0]))
     with pytest.raises(ValueError):
-        FieldHandle(lambda p: 0.0, arity="tensor7")
+        FieldHandle(lambda ps: np.zeros(len(ps)), arity="tensor7")
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ def test_field_handle_checks_declared_arity():
 
 
 def test_partial_constant_is_zero(engine):
-    field = FieldHandle(lambda p: 4.2, arity="scalar")
+    field = FieldHandle(lambda ps: np.full(len(ps), 4.2), arity="scalar")
     point = ChartPoint([0.7, -0.3], [0.2])
     got = partial(engine, field, point, range(3))
     assert got.shape == (3,)
@@ -83,19 +83,21 @@ def test_partial_constant_is_zero(engine):
 
 
 def test_partial_polynomial(engine):
-    field = FieldHandle(lambda p: float(p.x[0] ** 2), arity="scalar")
+    field = FieldHandle(lambda ps: chart_coords(ps)[:, 0] ** 2,
+                        arity="scalar")
     value = partial(engine, field, ChartPoint([3.0], []), [0])[0]
     assert_close(value, 6.0, 1e-9, "d/dx x^2 at 3")
 
 
 def test_partial_sine(engine):
-    field = FieldHandle(lambda p: float(np.sin(p.x[0])), arity="scalar")
+    field = FieldHandle(lambda ps: np.sin(chart_coords(ps)[:, 0]),
+                        arity="scalar")
     value = partial(engine, field, ChartPoint([0.7], []), [0])[0]
     assert_close(value, np.cos(0.7), 1e-10, "d/dx sin")
 
 
 def test_partial_slot_out_of_range(engine):
-    field = FieldHandle(lambda p: 0.0, arity="scalar")
+    field = FieldHandle(lambda ps: np.zeros(len(ps)), arity="scalar")
     with pytest.raises(IndexError):
         partial(engine, field, ChartPoint([0.0], [0.0]), range(3))
     with pytest.raises(IndexError):
@@ -105,10 +107,12 @@ def test_partial_slot_out_of_range(engine):
 def test_partial_matrix_valued(engine):
     """Differencing applies componentwise to array-valued fields, one
     leading entry per requested slot, in the order requested."""
-    field = FieldHandle(
-        lambda p: np.array([[p.x[0], p.x[0] ** 2], [0.0, p.f[0] * p.x[0]]]),
-        arity="matrix",
-    )
+    def matrix(points):
+        x, f = chart_coords(points).T
+        return np.stack([np.stack([x, x ** 2], axis=1),
+                         np.stack([0.0 * x, f * x], axis=1)], axis=1)
+
+    field = FieldHandle(matrix, arity="matrix")
     point = ChartPoint([1.5], [2.0])
     got = partial(engine, field, point, [1, 0])
     want = np.array([[[0.0, 0.0], [0.0, 1.5]],
@@ -118,7 +122,8 @@ def test_partial_matrix_valued(engine):
 
 
 def test_partial_richardson_beats_plain_stencil():
-    field = FieldHandle(lambda p: float(np.exp(2.0 * p.x[0])), arity="scalar")
+    field = FieldHandle(lambda ps: np.exp(2.0 * chart_coords(ps)[:, 0]),
+                        arity="scalar")
     point = ChartPoint([0.3], [])
     exact = 2.0 * np.exp(0.6)
     plain = DerivEngine(fd_step=1e-4, richardson=False)
@@ -132,12 +137,15 @@ def test_partial_richardson_beats_plain_stencil():
 def test_partial_raises_on_non_finite_stencil(engine):
     # blows up on one side of the stencil: the error names the first
     # stencil row that produced a non-finite value, -h along slot 0
-    field = FieldHandle(
-        lambda p: float(np.nan) if p.x[0] < 0 else float(p.x[0]),
-        arity="scalar",
-    )
+    def half_line(points):
+        x = chart_coords(points)[:, 0]
+        return np.where(x < 0, np.nan, x)
+
+    field = FieldHandle(half_line, arity="scalar")
     point = ChartPoint([0.0], [0.5])
-    with pytest.raises(EvaluationError, match=r"x=\[-1e-05\] f=\[0.5\]"):
+    with pytest.raises(EvaluationError, match=r"field half_line produced "
+                                              r"non-finite value at "
+                                              r"x=\[-1e-05\] f=\[0.5\]"):
         partial(engine, field, point, range(2))
     with pytest.raises(EvaluationError, match=r"x=\[-0.001\] f=\[0.5\]"):
         second_partial(engine, field, point, range(2))
@@ -147,14 +155,56 @@ def test_partial_raises_on_non_finite_stencil(engine):
             [0.0, 0.5], 1e-5)
 
 
+def test_kernel_calls_a_field_once_per_stencil(engine):
+    """``partial`` and ``second_partial`` each make one field call, on the
+    chart points of all their rows."""
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        z = chart_coords(points)
+        return z[:, 0] * z[:, 1] + z[:, 2] ** 2
+
+    field = FieldHandle(counted, arity="scalar")
+    point = ChartPoint([0.3, -0.4], [0.2])
+    partial(engine, field, point, range(3))
+    assert calls == [12]            # +-h, +-h/2 on three slots
+    second_partial(engine, field, point, range(3))
+    assert calls == [12, 37]        # centre, 12 axis rows, 3 x 8 corners
+    field(point)
+    assert calls == [12, 37, 1]
+
+
+def test_field_result_shape_is_checked(engine):
+    """A stacked result with the wrong row count or arity names the
+    field."""
+    point = ChartPoint([0.3], [0.2])
+
+    def short(points):
+        return np.zeros(len(points) - 1)
+
+    def flat(points):
+        return np.zeros((len(points), 2))
+
+    with pytest.raises(ValueError, match=r"field short declared arity "
+                                         r"'scalar' but returned shape "
+                                         r"\(7,\) for 8 points"):
+        partial(engine, FieldHandle(short, "scalar"), point, range(2))
+    with pytest.raises(ValueError, match=r"field flat declared arity "
+                                         r"'matrix' but returned shape "
+                                         r"\(17, 2\) for 17 points"):
+        second_partial(engine, FieldHandle(flat, "matrix"), point,
+                       range(2))
+
+
 # ---------------------------------------------------------------------------
 # second_partial
 
 
 def test_second_partial_constant_and_linear(engine):
     point = ChartPoint([0.2, 0.4], [0.6])
-    const = FieldHandle(lambda p: 1.0, arity="scalar")
-    linear = FieldHandle(lambda p: float(p.coords @ [1.0, 2.0, 3.0]),
+    const = FieldHandle(lambda ps: np.ones(len(ps)), arity="scalar")
+    linear = FieldHandle(lambda ps: chart_coords(ps) @ [1.0, 2.0, 3.0],
                          arity="scalar")
     assert np.all(np.abs(second_partial(engine, const, point, range(3)))
                   < 1e-9)
@@ -163,7 +213,8 @@ def test_second_partial_constant_and_linear(engine):
 
 
 def test_second_partial_mixed_product(engine):
-    field = FieldHandle(lambda p: float(p.x[0] * p.x[1]), arity="scalar")
+    field = FieldHandle(lambda ps: np.prod(chart_coords(ps), axis=1),
+                        arity="scalar")
     point = ChartPoint([0.9, -0.4], [])
     assert_close(second_partial(engine, field, point, [0, 1]),
                  [[0.0, 1.0], [1.0, 0.0]], 1e-8, "hessian of x0*x1")
@@ -173,9 +224,10 @@ def test_second_partial_slot_symmetry(engine):
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(3, 3))
 
-    def poly(p):
-        z = p.coords
-        return float(z @ coeffs @ z + np.sin(z[0]) * z[2])
+    def poly(points):
+        z = chart_coords(points)
+        return (np.einsum("ni,ij,nj->n", z, coeffs, z)
+                + np.sin(z[:, 0]) * z[:, 2])
 
     field = FieldHandle(poly, arity="scalar")
     point = ChartPoint(rng.normal(size=2) * 0.5, rng.normal(size=1) * 0.5)
@@ -193,9 +245,9 @@ def test_second_partial_quadratic_exact(engine):
     sym = rng.normal(size=(4, 4))
     sym = sym + sym.T
 
-    def quad(p):
-        z = p.coords
-        return float(0.5 * z @ sym @ z)
+    def quad(points):
+        z = chart_coords(points)
+        return 0.5 * np.einsum("ni,ij,nj->n", z, sym, z)
 
     field = FieldHandle(quad, arity="scalar")
     point = ChartPoint(rng.normal(size=2), rng.normal(size=2))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bundlecurv.curvature import oracle_metric
-from bundlecurv.fields import ChartPoint, NearSingularError
+from bundlecurv.fields import (ChartPoint, NearSingularError, _stencil,
+                               partial, second_partial)
 from bundlecurv.geometry import (
     OriginalGeometry,
     assemble_block_metric,
@@ -14,6 +15,7 @@ from bundlecurv.geometry import (
     build_horizontal_metric,
     build_orbit_metric,
     build_projectors,
+    compile_adapted,
     det_factorization_check,
     frame_cache_info,
     orbit_metric_split,
@@ -286,6 +288,43 @@ def test_point_frames_match_one_at_a_time_compiles(twisted):
             else:
                 assert value == want[name], name
     assert frame_cache_info().compiles == after.compiles + len(coords)
+
+
+def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
+    """Each compiled chart field reads a stencil from one stacked compile,
+    with the values of one-point calls on a separate geometry, bit for
+    bit."""
+    stacked = compile_adapted(dataclasses.replace(twisted.orig))
+    single = compile_adapted(dataclasses.replace(twisted.orig))
+    rows, _ = _stencil(np.array([[0.14, -0.06, 0.21, -0.3, 0.05]]),
+                       engine.fd_step, engine.richardson)
+    points = [ChartPoint.from_coords(z, 2) for z in rows[0]]
+    for name, pick in (("h_tilde", lambda a: a.h_tilde),
+                       ("d", lambda a: a.d.d), ("d_inv", lambda a: a.d.d_inv),
+                       ("A_conn", lambda a: a.A_conn)):
+        before = frame_cache_info()
+        got = pick(stacked).func(points)
+        assert frame_cache_info().compiles - before.compiles <= 1, name
+        want = np.array([pick(single)(p) for p in points])
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_degenerate_frame_in_a_stencil_names_its_point(engine):
+    """A frame that fails its gate inside a ``second_partial`` stencil
+    raises with the chart point of that row; the narrower first-derivative
+    stencil stays clear of it."""
+    def g_p(qs):
+        return (8e-4 - qs[:, 0])[:, None, None] * np.eye(2)
+
+    orig = dataclasses.replace(_conformal_orig(), G_P=g_p)
+    h_tilde = compile_adapted(orig).h_tilde
+    point = ChartPoint([0.0, 0.0], [])
+    partial(engine, h_tilde, point, range(2))
+    with pytest.raises(NearSingularError,
+                       match=r"bundle metric not positive definite at "
+                             r"x=\[0.001, 0.0\] f=\[\]"):
+        second_partial(engine, h_tilde, point, range(2))
 
 
 def test_lone_frame_owns_its_arrays(twisted):

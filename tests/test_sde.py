@@ -21,7 +21,7 @@ from bundlecurv.sde import (
 )
 from bundlecurv.scenarios import sample_points
 
-from conftest import assert_close
+from conftest import assert_close, constant_field
 
 
 def _bare_plane(h_diag):
@@ -31,9 +31,9 @@ def _bare_plane(h_diag):
     empty = np.zeros((0, 0))
     return AdaptedGeometry(
         n_x=n, n_v=0, n_g=0,
-        h_tilde=lambda p: h,
-        d=OrbitMetric(d=lambda p: empty, d_inv=lambda p: empty),
-        A_conn=lambda p: np.zeros((0, n)),
+        h_tilde=constant_field(h),
+        d=OrbitMetric(d=constant_field(empty), d_inv=constant_field(empty)),
+        A_conn=constant_field(np.zeros((0, n))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
     )
 

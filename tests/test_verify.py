@@ -5,14 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bundlecurv.fields import ConfigError
+from bundlecurv.fields import ChartPoint, ConfigError
+from bundlecurv.geometry import compile_adapted, frame_cache_info
 from bundlecurv.scenarios import sample_points
 from bundlecurv.verify import (
     CHECK_NAMES,
     CheckPart,
     CheckResult,
     DEFAULT_TOLERANCES,
-    gate_scenario,
     relative_gap,
     run_checks,
 )
@@ -130,18 +130,6 @@ def test_run_checks_flat_jacobian_magnitude(flat, engine):
     assert parts["flat_absolute"].tolerance == 1e-10
 
 
-def test_gate_scenario_flags_broken_geometry(twisted, engine):
-    gate_scenario(twisted, engine)  # healthy geometry passes
-
-    def broken_metric(qs):
-        return twisted.orig.G_P(qs) + 0.1 * qs[:, 2, None, None] * np.eye(5)
-
-    broken_orig = dataclasses.replace(twisted.orig, G_P=broken_metric)
-    broken = dataclasses.replace(twisted, orig=broken_orig)
-    with pytest.raises(ConfigError, match="validity gates"):
-        gate_scenario(broken, engine)
-
-
 def test_run_checks_twisted_cheap_subset(twisted, engine):
     report = run_checks(twisted, sample_points(twisted, 2, seed=19),
                         CHEAP_CHECKS, engine=engine)
@@ -153,3 +141,22 @@ def test_run_checks_twisted_cheap_subset(twisted, engine):
         "diffusion_square", "drift_vs_divergence"}
     assert {p.name for p in by_name["detfact"].parts} == {
         "det_product", "inverse_round_trip"}
+
+
+@pytest.mark.parametrize("check, most", [("christoffel", 2),
+                                         ("curvature", 4)])
+def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
+                                                most):
+    """Every stencil compiles its missing frames in one stacked pass: at a
+    point no earlier call has seen (a fresh copy of the geometry), the
+    christoffel check compiles at most 2 stacks and the curvature check at
+    most 4, against 21 and 102 when each row compiled alone."""
+    orig = dataclasses.replace(twisted.orig)
+    fresh = dataclasses.replace(twisted, orig=orig,
+                                adapted=compile_adapted(orig))
+    before = frame_cache_info()
+    report = run_checks(fresh, [ChartPoint([-0.11, 0.23],
+                                           [0.14, -0.27, 0.08])],
+                        (check,), engine=engine)
+    assert report.passed
+    assert frame_cache_info().compiles - before.compiles <= most
