@@ -158,13 +158,13 @@ def frame_metric_field(adapted: AdaptedGeometry) -> FieldHandle:
     """The frame metric blockdiag(h~, d) as one chart field."""
     n_h, n_t = adapted.n_h, adapted.n_t
 
-    def frame_metric(points):
-        out = np.zeros((len(points), n_t, n_t))
-        out[:, :n_h, :n_h] = _field_stack(adapted.h_tilde, points)
-        out[:, n_h:, n_h:] = _field_stack(adapted.d.d, points)
+    def frame_metric(zs):
+        out = np.zeros((len(zs), n_t, n_t))
+        out[:, :n_h, :n_h] = _field_stack(adapted.h_tilde, zs)
+        out[:, n_h:, n_h:] = _field_stack(adapted.d.d, zs)
         return out
 
-    return FieldHandle(frame_metric, "matrix", ("mixed", "mixed"))
+    return FieldHandle(frame_metric, "matrix")
 
 
 def frame_structure_functions(adapted: AdaptedGeometry, point: ChartPoint,

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     _eval_points, _eval_stack, _field_stack, _stencil,
-                     _stencil_partials, invert_spd, partial, second_partial)
+                     _eval_stack, _field_stack, _stencil, _stencil_partials,
+                     invert_spd, partial, second_partial)
 from .geometry import AdaptedGeometry, OriginalGeometry
 from .liecore import orbit_scalar_curvature
 from .connection import (base_levi_civita, christoffel_table,
@@ -164,11 +164,12 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
     structure = frame_structure_functions(adapted, point, engine)
     gamma0 = christoffel(adapted, point, wide).gamma
 
-    def christoffel_symbols(points):
-        return np.array([christoffel(adapted, p, wide).gamma
-                         for p in points])
+    def christoffel_symbols(zs):
+        return np.array([
+            christoffel(adapted, ChartPoint.from_coords(z, adapted.n_x),
+                        wide).gamma for z in zs])
 
-    field = FieldHandle(christoffel_symbols, "rank3", ("mixed",) * 3)
+    field = FieldHandle(christoffel_symbols, "rank3")
     hat = frame_derivatives(adapted, field, gamma0, _GAMMA_SIGNATURE, point,
                             wide, RICCI_OUTER_SCALE)
     n_h, n_t = adapted.n_h, adapted.n_t
@@ -188,14 +189,14 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
 
 
 def _log_det_d_field(adapted: AdaptedGeometry) -> FieldHandle:
-    def log_det_d(points):
-        sign, logdet = np.linalg.slogdet(_field_stack(adapted.d.d, points))
+    def log_det_d(zs):
+        sign, logdet = np.linalg.slogdet(_field_stack(adapted.d.d, zs))
         if (sign <= 0).any():
             raise ValueError("orbit metric lost positivity; log det "
                              "undefined")
         return logdet
 
-    return FieldHandle(log_det_d, "scalar", ())
+    return FieldHandle(log_det_d, "scalar")
 
 
 def log_density_terms(adapted: AdaptedGeometry, point: ChartPoint,
@@ -249,16 +250,14 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
     ``ln det d``. ``R_total`` is their sum, definitionally.
 
     h~ on the whole ``R_M`` stencil, the point itself included, comes
-    from one field call; on compiled bundle data that is one
-    ``point_frames`` call, which also puts in the frame cache the frames
-    the Ricci routes read at the same point.
+    from one call of its field function on the stencil rows; on compiled
+    bundle data that is one ``point_frames`` call, which also puts in the
+    frame cache the frames the Ricci routes read at the same point.
     """
-    def h_tilde(zs):
-        return _eval_points(adapted.h_tilde, zs, adapted.n_x)
-
     # the chart metric is exact linear algebra of closed-form inputs, so
     # the widened stencils of the coordinate oracle apply here as well
-    r_m = coordinate_ricci_scalar(h_tilde, point.coords, _widened(engine))
+    r_m = coordinate_ricci_scalar(adapted.h_tilde.func, point.coords,
+                                  _widened(engine))
     h_val = np.asarray(adapted.h_tilde(point), dtype=float)
     h_inv, _ = invert_spd(h_val)
     d_val = np.asarray(adapted.d.d(point), dtype=float)

@@ -14,10 +14,10 @@ in one call), ``second_partial`` (the same rows plus corner rows),
 ``coordinate_partials`` (plain coordinate vectors such as the bundle
 coordinates ``Q``) and the nested stencil of the curvature module's
 coordinate Ricci scalar are all built on it. Every function the kernel
-differences is called once per stencil, on the whole stack of rows: a
-chart field (``FieldHandle``) on the ``ChartPoint`` objects cut from the
-rows, the plain coordinate functions of ``coordinate_partials`` and the
-coordinate Ricci scalar on the ``(N, k)`` row array itself.
+differences has one contract: it maps an ``(N, k)`` array of coordinate
+rows to the ``(N, ...)`` stack of its values, and it is called once per
+stencil, on the read-only rows themselves. For a chart field
+(``FieldHandle``) a row holds the joint chart coordinates, ``x`` first.
 
 All matrices here are tiny (at most ~12x12), so no attention is paid to
 asymptotics; accuracy and determinism are what matter.
@@ -115,36 +115,32 @@ class ChartPoint:
 
     @property
     def coords(self) -> np.ndarray:
-        """All chart coordinates as one vector, ``x`` first."""
-        return np.concatenate([self.x, self.f])
+        """All chart coordinates as one read-only vector, ``x`` first."""
+        coords = np.concatenate([self.x, self.f])
+        coords.setflags(write=False)
+        return coords
 
     @classmethod
     def from_coords(cls, coords, n_x: int) -> "ChartPoint":
         coords = np.asarray(coords, dtype=float)
         return cls(coords[:n_x], coords[n_x:])
 
-    def key(self) -> tuple:
-        """Hashable identity of the coordinate values (used for caching)."""
-        return (self.x.tobytes(), self.f.tobytes())
-
 
 @dataclass(frozen=True)
 class FieldHandle:
-    r"""A chart field on stacks of chart points, with its declared shape.
+    r"""A chart field on coordinate stacks, with its declared shape.
 
-    ``func`` maps a sequence of ``N`` ``ChartPoint`` objects to the
-    ``(N, ...)`` stack of the field's values there; the difference kernel
-    calls it once per stencil. Calling the handle on one point is the
-    one-row case and returns that row. ``arity`` is one of ``"scalar"``,
-    ``"vector"``, ``"matrix"``, ``"rank3"``, the number of axes of one
-    row; ``sectors`` names the index sector of each slot (``"base"``,
-    ``"vector"``, ``"orbit"`` or ``"mixed"``) and is carried for
-    documentation only.
+    ``func`` maps an ``(N, n_x + n_v)`` array of joint chart coordinates,
+    ``x`` first, to the ``(N, ...)`` stack of the field's values there;
+    the difference kernel calls it once per stencil, on the read-only
+    stencil rows. Calling the handle on one ``ChartPoint`` is the one-row
+    case, ``point.coords[None]``, and returns that row. ``arity`` is one
+    of ``"scalar"``, ``"vector"``, ``"matrix"``, ``"rank3"``, the number
+    of axes of one row.
     """
 
     func: object
     arity: str = "scalar"
-    sectors: tuple = ()
 
     _NDIM = {"scalar": 0, "vector": 1, "matrix": 2, "rank3": 3}
 
@@ -153,7 +149,7 @@ class FieldHandle:
             raise ValueError("unknown arity %r" % (self.arity,))
 
     def __call__(self, point: ChartPoint) -> np.ndarray:
-        return _field_stack(self, [point])[0]
+        return _field_stack(self, point.coords[None])[0]
 
 
 @dataclass(frozen=True)
@@ -186,8 +182,8 @@ def _stencil(zs, fd_step, richardson, slots=None, centre=False):
     the centre when ``centre`` is set (``c = 1``), then for each slot
     ``+h, -h`` and, with Richardson (``r = 2``), ``+h/2, -h/2`` -- and the
     ``(m, r, s)`` steps, ``h = fd_step * (1 + |z|)``. Rows are frozen
-    before any of them becomes a ``ChartPoint``, since cached frames keep
-    the point they were compiled for.
+    before any field sees them: a field must not change rows that the
+    stencil shares between its slots and step levels.
     """
     m, k = zs.shape
     cols = np.arange(k) if slots is None else np.asarray(slots, dtype=int)
@@ -252,27 +248,27 @@ def _eval_stack(func, zs, what="field"):
                             what)
 
 
-def _field_stack(field, points):
-    """The ``FieldHandle`` ``field`` on the sequence ``points``, one call,
-    its result checked to hold one entry of the declared arity per point."""
-    values = np.asarray(field.func(points), dtype=float)
+def _field_stack(field, zs):
+    """The ``FieldHandle`` ``field`` on the joint-coordinate rows ``zs``,
+    one call, its result checked to hold one entry of the declared arity
+    per row."""
+    values = np.asarray(field.func(zs), dtype=float)
     if (values.ndim != 1 + FieldHandle._NDIM[field.arity]
-            or len(values) != len(points)):
+            or len(values) != len(zs)):
         raise ValueError(
             "field %s declared arity %r but returned shape %s for %d "
             "points" % (_name_of(field.func), field.arity, values.shape,
-                        len(points)))
+                        len(zs)))
     return values
 
 
 def _eval_points(field, rows, n_x):
-    """The chart field ``field`` at the joint-coordinate rows of ``rows``,
-    each split into a ``ChartPoint`` at ``n_x``: one field call, its
-    result checked by ``_field_stack`` and checked finite."""
-    points = [ChartPoint.from_coords(z, n_x) for z in rows]
+    """The chart field ``field`` at the joint-coordinate rows of ``rows``:
+    one field call, its result checked by ``_field_stack`` and checked
+    finite; a non-finite row is named split at ``n_x``."""
     return _finite_or_raise(
-        _field_stack(field, points), lambda i: "x=%s f=%s"
-        % (points[i].x.tolist(), points[i].f.tolist()),
+        _field_stack(field, rows), lambda i: "x=%s f=%s"
+        % (rows[i, :n_x].tolist(), rows[i, n_x:].tolist()),
         "field %s" % _name_of(field.func))
 
 
@@ -323,7 +319,7 @@ def partial(engine: DerivEngine, field, point: ChartPoint, slots,
     connection and curvature formulas. ``step_scale`` inflates the step
     for outer layers of nested differentiation; see the curvature module
     for the noise budget that picks those scales. ``field`` is called
-    once, on the chart points of all the stencil rows.
+    once, on all the stencil rows.
     """
     return _first_partials(
         lambda rows: _eval_points(field, rows, point.n_x), point.coords,
@@ -340,8 +336,8 @@ def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
     ``SECOND_PARTIAL_STEP_SCALE``; Richardson extrapolation is applied
     when the engine enables it since both stencils have :math:`O(h^2)`
     error. The corner rows take each shifted coordinate from the axis row
-    of its slot; ``field`` is called once, on the chart points of the
-    centre, axis and corner rows together.
+    of its slot; ``field`` is called once, on the centre, axis and corner
+    rows together.
     """
     slots = _slot_list(slots, point)
     n_s = len(slots)

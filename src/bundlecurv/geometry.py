@@ -23,14 +23,17 @@ independently.
 
 Every bundle callable of ``OriginalGeometry`` maps coordinate stacks to
 value stacks. Everything at a chart point lives in one ``PointFrame``.
-``point_frames`` compiles the frames of many points in one stacked pass --
-one call of each bundle callable on the stack of points, the linear
-algebra on ``(N, ...)`` stacks -- and ``point_frame`` is its one-point
-case. Compiled frames are read-only and kept in a bounded LRU cache keyed
-on the geometry object and the point; ``frame_cache_info`` reports its
-counters. The chart fields of ``compile_adapted`` (and every other
-``frame_field``) read a whole stack of points from one ``point_frames``
-call, so each difference stencil compiles its frames in one pass.
+``point_frames`` compiles the frames at the rows of an ``(N, n_x + n_v)``
+array of joint chart coordinates in one stacked pass -- one call of each
+bundle callable on the stack, the linear algebra on ``(N, ...)`` stacks --
+and ``point_frame`` is its one-point case for a ``ChartPoint``. Compiled
+frames are read-only and kept in a bounded LRU cache keyed on the
+geometry object and the bytes of the coordinates, so a stencil row and
+the ``ChartPoint`` at the same coordinates share one frame;
+``frame_cache_info`` reports its counters. The chart fields of
+``compile_adapted`` (and every other ``frame_field``) hand their rows to
+one ``point_frames`` call, so each difference stencil compiles its frames
+in one pass.
 """
 
 from __future__ import annotations
@@ -55,11 +58,6 @@ __all__ = [
     "point_frames",
     "frame_cache_info",
     "FrameCacheInfo",
-    "build_orbit_metric",
-    "orbit_metric_split",
-    "build_connection",
-    "build_horizontal_metric",
-    "build_projectors",
     "assemble_block_metric",
     "det_factorization_check",
     "compile_adapted",
@@ -209,26 +207,6 @@ class Projectors:
     n_P: int
 
     @property
-    def Pi_PP(self):
-        return self.Pi_tilde[:self.n_P, :self.n_P]
-
-    @property
-    def Pi_Pv(self):
-        return self.Pi_tilde[:self.n_P, self.n_P:]
-
-    @property
-    def Pi_vP(self):
-        return self.Pi_tilde[self.n_P:, :self.n_P]
-
-    @property
-    def Pi_vv(self):
-        return self.Pi_tilde[self.n_P:, self.n_P:]
-
-    @property
-    def N_PP(self):
-        return self.N[:self.n_P, :self.n_P]
-
-    @property
     def N_vP(self):
         return self.N[self.n_P:, :self.n_P]
 
@@ -263,9 +241,44 @@ class BlockMetric:
 
 @dataclass
 class PointFrame:
-    """Everything the builders produce at one chart point (cached)."""
+    r"""Everything compiled at one chart point (cached).
 
-    point: ChartPoint
+    ``Q`` and ``Q_jac`` are the section point ``Q*(x)`` and its Jacobian;
+    ``G_P``, ``K_P`` and ``K_V`` the bundle metric and the Killing fields
+    there. The orbit metric and its additive pieces,
+
+    .. math::
+
+        d_{\mu\nu} = \gamma_{\mu\nu} + \gamma'_{\mu\nu}
+            = G_{AB}K^A_\mu K^B_\nu + G_{ab}K^a_\mu K^b_\nu,
+
+    are ``d`` (with ``d_inv`` and ``det_d``), ``gamma`` and
+    ``gamma_prime``; a degenerate ``d`` raises, the working witness that
+    the group action stopped being free. The mechanical connection,
+
+    .. math::
+
+        \mathcal A^\alpha_i = d^{\alpha\beta} K^C_\beta G_{DC} Q^{*D}_i,
+        \qquad
+        \mathcal A^\alpha_c = d^{\alpha\beta} K^a_\beta G_{ac},
+
+    is ``A_base`` and ``A_vector`` (``A`` joins them); ``A_gamma`` is the
+    base-sector variant with :math:`\gamma^{\mu\nu}` in place of
+    :math:`d^{\alpha\beta}`, which the inverse-metric and drift formulas
+    use. The horizontal metric ``Gt_H`` is the joint metric on
+    ``P (+) V`` minus its orbit components,
+
+    .. math::
+
+        \tilde G^{\rm H} = G - G K d^{-1} K^{\rm T} G;
+
+    pulled back through the section Jacobian on the ``P`` legs it gives
+    the blocks ``h`` and the joint ``h_tilde`` (with ``h_tilde_inv`` and
+    ``det_h``). ``GH_P`` and ``h.h_base`` (inverse ``h_base_inv``) are the
+    analogous base-only reduction of ``G_P`` built with ``gamma``.
+    ``projectors`` holds the projector family; see ``Projectors``.
+    """
+
     Q: np.ndarray
     Q_jac: np.ndarray
     G_P: np.ndarray
@@ -294,48 +307,48 @@ class PointFrame:
         return np.hstack([self.A_base, self.A_vector])
 
 
-def _spd_or_error(matrix, what, points=None):
+def _spd_or_error(matrix, what, xs=None, fs=None):
     """``invert_spd`` with ``what`` prefixed to its error; on a stack of
-    frames the error names the chart point in ``points`` that failed."""
+    frames the error names the chart row ``xs[i], fs[i]`` that failed."""
     try:
         return invert_spd(matrix)
     except NearSingularError as exc:
         where = ""
         if exc.index is not None:
-            bad = points[exc.index]
-            where = " at x=%s f=%s" % (bad.x.tolist(), bad.f.tolist())
+            where = " at x=%s f=%s" % (xs[exc.index].tolist(),
+                                       fs[exc.index].tolist())
         raise NearSingularError("%s%s: %s" % (what, where, exc.reason)) \
             from exc
 
 
-def _compute_frames(orig: OriginalGeometry, points) -> list:
-    """Compile the frames at a sequence of chart points in one pass.
+def _compute_frames(orig: OriginalGeometry, zs) -> list:
+    """Compile the frames at the rows of ``zs`` in one pass.
 
-    The bundle callables run once each on the stack of all the points;
-    all the linear algebra then runs on ``(N, ...)`` stacks, matrix by
-    matrix with the arithmetic of a single point, so a frame is
-    bit-identical whatever stack it was compiled in. Every gate runs at
-    every point; the first gate, in frame order, that fails at any point
-    raises.
+    ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates. The
+    bundle callables run once each on the whole stack; all the linear
+    algebra then runs on ``(N, ...)`` stacks, matrix by matrix with the
+    arithmetic of a single point, so a frame is bit-identical whatever
+    stack it was compiled in. Every gate runs at every row; the first
+    gate, in frame order, that fails at any row raises.
     """
     n_P, n_v, n_g = orig.n_P, orig.n_v, orig.n_g
-    xs = np.array([point.x for point in points])
+    xs, fs = zs[:, :orig.n_x], zs[:, orig.n_x:]
     q = orig.section(xs)
     q_jac = orig.section_jac(xs)
     g_p = orig.G_P(q)
     k_p = orig.K_P(q)
-    k_v = orig.K_vector(np.array([point.f for point in points]))
+    k_v = orig.K_vector(fs)
     chi_jac = orig.chi_jac(q)
     q_jac_t, k_v_t = q_jac.swapaxes(1, 2), k_v.swapaxes(1, 2)
 
     g_p_inv, _ = _spd_or_error(g_p, "bundle metric not positive definite",
-                               points)
+                               xs, fs)
     kt_g = k_p.swapaxes(1, 2) @ g_p
     gamma = kt_g @ k_p
     gamma_prime = k_v_t @ orig.G_V @ k_v
     d = gamma + gamma_prime
     d_inv, det_d = _spd_or_error(
-        d, "orbit metric degenerate (group action not free here)", points)
+        d, "orbit metric degenerate (group action not free here)", xs, fs)
 
     # mechanical connection: full-d version on both sectors, gamma version
     # on the base sector only
@@ -344,13 +357,13 @@ def _compute_frames(orig: OriginalGeometry, points) -> list:
     a_vector = d_inv @ (k_v_t @ orig.G_V)
     if n_g:
         gamma_inv, _ = _spd_or_error(
-            gamma, "bundle-side orbit metric gamma degenerate", points)
+            gamma, "bundle-side orbit metric gamma degenerate", xs, fs)
     else:
         gamma_inv = gamma.copy()
     a_gamma = gamma_inv @ kg_q
 
     # horizontal metric: project out orbit directions from the joint metric
-    g_full = np.zeros((len(points), n_P + n_v, n_P + n_v))
+    g_full = np.zeros((len(zs), n_P + n_v, n_P + n_v))
     g_full[:, :n_P, :n_P] = g_p
     g_full[:, n_P:, n_P:] = orig.G_V
     k_full = np.concatenate([k_p, k_v], axis=1)
@@ -367,9 +380,9 @@ def _compute_frames(orig: OriginalGeometry, points) -> list:
         [np.concatenate([h_xx, h_xv], axis=2),
          np.concatenate([h_xv.swapaxes(1, 2), h_vv], axis=2)], axis=1)
     h_tilde_inv, det_h = _spd_or_error(
-        h_tilde, "horizontal metric degenerate", points)
+        h_tilde, "horizontal metric degenerate", xs, fs)
     h_base_inv, _ = _spd_or_error(h_base, "reduced base metric degenerate",
-                                  points)
+                                  xs, fs)
 
     # projectors
     if n_g:
@@ -379,11 +392,11 @@ def _compute_frames(orig: OriginalGeometry, points) -> list:
             raise NearSingularError(
                 "Faddeev-Popov matrix near singular: section not "
                 "transversal to the orbits at x=%s"
-                % (points[int(np.argmax(singular))].x.tolist(),))
+                % (xs[int(np.argmax(singular))].tolist(),))
         lam = np.linalg.solve(phi, chi_jac)
     else:
-        lam = np.zeros((len(points), 0, n_P))
-    n_full = np.zeros((len(points), n_P + n_v, n_P + n_v))
+        lam = np.zeros((len(zs), 0, n_P))
+    n_full = np.zeros((len(zs), n_P + n_v, n_P + n_v))
     n_full[:, :n_P, :n_P] = np.eye(n_P) - k_p @ lam
     n_full[:, n_P:, :n_P] = -k_v @ lam
     n_full[:, n_P:, n_P:] = np.eye(n_v)
@@ -396,12 +409,12 @@ def _compute_frames(orig: OriginalGeometry, points) -> list:
     (q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d, d_inv, a_base,
      a_vector, a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base, h_tilde,
      h_tilde_inv, h_base_inv, pi_tilde, n_full, t_op, lam) = (
-        _frame_arrays(stack, len(points) == 1) for stack in (
+        _frame_arrays(stack, len(zs) == 1) for stack in (
             q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d, d_inv,
             a_base, a_vector, a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base,
             h_tilde, h_tilde_inv, h_base_inv, pi_tilde, n_full, t_op, lam))
     return [PointFrame(
-        point=point, Q=q[i], Q_jac=q_jac[i], G_P=g_p[i], G_P_inv=g_p_inv[i],
+        Q=q[i], Q_jac=q_jac[i], G_P=g_p[i], G_P_inv=g_p_inv[i],
         K_P=k_p[i], K_V=k_v[i], gamma=gamma[i], gamma_prime=gamma_prime[i],
         d=d[i], d_inv=d_inv[i], det_d=float(det_d[i]),
         A_base=a_base[i], A_vector=a_vector[i], A_gamma=a_gamma[i],
@@ -411,7 +424,7 @@ def _compute_frames(orig: OriginalGeometry, points) -> list:
         det_h=float(det_h[i]), h_base_inv=h_base_inv[i],
         projectors=Projectors(Pi_tilde=pi_tilde[i], N=n_full[i], T=t_op[i],
                               Lambda=lam[i], n_P=n_P))
-        for i, point in enumerate(points)]
+        for i in range(len(zs))]
 
 
 def _frame_arrays(stack, single):
@@ -432,10 +445,10 @@ def _frame_arrays(stack, single):
 class _FrameCache:
     """Bounded LRU of compiled frames with hit and compile counters.
 
-    Keys are the geometry object itself followed by ``ChartPoint.key()``.
-    A geometry hashes by identity, so a cached frame keeps its geometry
-    alive and two geometries never share a frame. Lookups are not locked:
-    verification runs on one thread.
+    Keys are the geometry object itself and the bytes of the joint chart
+    coordinates of a point, ``x`` first. A geometry hashes by identity, so
+    a cached frame keeps its geometry alive and two geometries never share
+    a frame. Lookups are not locked: verification runs on one thread.
     """
 
     def __init__(self, maxsize):
@@ -452,11 +465,12 @@ class _FrameCache:
         return frame
 
     def compile(self, orig, missing):
-        """Compile the frames of ``missing`` (key -> point) in one stacked
-        call, cache them, and return them in the order of ``missing``."""
+        """Compile the frames at the rows of ``missing`` (key -> row) in one
+        stacked call, cache them, and return them in the order of
+        ``missing``."""
         self.misses += len(missing)
         self.compiles += 1
-        frames = _compute_frames(orig, list(missing.values()))
+        frames = _compute_frames(orig, np.array(list(missing.values())))
         self.frames.update(zip(missing, frames))
         while len(self.frames) > self.maxsize:
             self.frames.popitem(last=False)
@@ -478,126 +492,67 @@ def frame_cache_info() -> FrameCacheInfo:
                           len(cache.frames), cache.maxsize)
 
 
-def point_frames(orig: OriginalGeometry, points) -> list:
-    """Frames at many chart points, every cache miss compiled in one call.
+def point_frames(orig: OriginalGeometry, zs) -> list:
+    """Frames at the rows of ``zs``, every cache miss compiled in one call.
 
-    Returns one frame per point, in order. A point repeated in ``points``
+    ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates;
+    returns one frame per row, in order. A row repeated in ``zs``
     compiles once, and every compiled frame enters the cache, so later
-    ``point_frame`` lookups of the same points are hits. A frame keeps the
-    (read-only) ``ChartPoint`` it was compiled for.
+    lookups of the same coordinates -- rows here, or a ``ChartPoint`` in
+    ``point_frame`` -- are hits.
     """
-    keys = [(orig,) + p.key() for p in points]
+    zs = np.asarray(zs, dtype=float)
+    keys = [(orig, z.tobytes()) for z in zs]
     found = {}
     missing = {}
-    for key, point in zip(keys, points):
+    for key, z in zip(keys, zs):
         if key in found:
             _FRAMES.hits += 1
             continue
         found[key] = _FRAMES.get(key)
         if found[key] is None:
-            missing[key] = point
+            missing[key] = z
     if missing:
         found.update(zip(missing, _FRAMES.compile(orig, missing)))
     return [found[key] for key in keys]
 
 
 def point_frame(orig: OriginalGeometry, point: ChartPoint) -> PointFrame:
-    """Cached per-point evaluation hub for all builders: a cache lookup,
-    and on a miss the one-point case of the stacked compile."""
-    key = (orig,) + point.key()
+    """Cached per-point evaluation hub: a cache lookup, and on a miss the
+    one-point case of the stacked compile."""
+    coords = point.coords
+    key = (orig, coords.tobytes())
     frame = _FRAMES.get(key)
     if frame is None:
-        frame = _FRAMES.compile(orig, {key: point})[0]
+        frame = _FRAMES.compile(orig, {key: coords})[0]
     return frame
 
 
-def build_orbit_metric(orig: OriginalGeometry, point: ChartPoint):
-    r"""Orbit metric :math:`d_{\mu\nu} = G_{AB}K^A_\mu K^B_\nu + G_{ab}K^a_\mu K^b_\nu`.
-
-    Returns ``(d, d_inv)`` at ``(Q*(x), f)``. Degenerate ``d`` raises, which
-    is the working witness that the group action stopped being free.
-    """
-    frame = point_frame(orig, point)
-    return frame.d, frame.d_inv
-
-
-def orbit_metric_split(orig: OriginalGeometry, point: ChartPoint):
-    """The additive pieces ``gamma(x)`` and ``gamma'(f)`` of the orbit metric."""
-    frame = point_frame(orig, point)
-    return frame.gamma, frame.gamma_prime
-
-
-def build_connection(orig: OriginalGeometry, point: ChartPoint):
-    r"""Mechanical-connection components at a point.
-
-    Returns ``(A_base, A_vector, A_gamma)``:
-
-    .. math::
-
-        \mathcal A^\alpha_i = d^{\alpha\beta} K^C_\beta G_{DC} Q^{*D}_i,
-        \qquad
-        \mathcal A^\alpha_c = d^{\alpha\beta} K^a_\beta G_{ac},
-
-    and ``A_gamma`` the base-sector variant with :math:`\gamma^{\mu\nu}` in
-    place of :math:`d^{\alpha\beta}`, which is what the inverse-metric and
-    drift formulas use.
-    """
-    frame = point_frame(orig, point)
-    return frame.A_base, frame.A_vector, frame.A_gamma
-
-
-def build_horizontal_metric(orig: OriginalGeometry,
-                            point: ChartPoint) -> HorizontalMetric:
-    r"""Horizontal metric blocks.
-
-    The joint metric on ``P (+) V`` minus its orbit components,
-
-    .. math::
-
-        \tilde G^{\rm H} = G - G K d^{-1} K^{\rm T} G,
-
-    pulled back through the section Jacobian on the ``P`` legs. ``h_base``
-    is the analogous base-only reduction of ``G_P`` built with ``gamma``.
-    """
-    frame = point_frame(orig, point)
-    return frame.h
-
-
-def build_projectors(orig: OriginalGeometry, point: ChartPoint) -> Projectors:
-    """Projector family at a point; see ``Projectors``."""
-    frame = point_frame(orig, point)
-    return frame.projectors
-
-
-def frame_field(orig: OriginalGeometry, name, value, arity="matrix",
-                sectors=()) -> FieldHandle:
+def frame_field(orig: OriginalGeometry, name, value,
+                arity="matrix") -> FieldHandle:
     """The chart field ``value(frame)``, named ``name``.
 
-    On a stack of points it reads every frame from one ``point_frames``
+    On a stack of rows it reads every frame from one ``point_frames``
     call, so a stencil compiles its missing frames in one stacked pass,
     and stacks ``value`` of each frame.
     """
-    def evaluate(points):
-        return np.array([value(frame)
-                         for frame in point_frames(orig, points)])
+    def evaluate(zs):
+        return np.array([value(frame) for frame in point_frames(orig, zs)])
 
     evaluate.__name__ = name
-    return FieldHandle(evaluate, arity, sectors)
+    return FieldHandle(evaluate, arity)
 
 
 def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
     """Wrap the builders into chart fields, each read from the frames."""
     orbit = OrbitMetric(
-        d=frame_field(orig, "d", lambda fr: fr.d, sectors=("orbit",) * 2),
-        d_inv=frame_field(orig, "d_inv", lambda fr: fr.d_inv,
-                          sectors=("orbit",) * 2))
+        d=frame_field(orig, "d", lambda fr: fr.d),
+        d_inv=frame_field(orig, "d_inv", lambda fr: fr.d_inv))
     return AdaptedGeometry(
         n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
-        h_tilde=frame_field(orig, "h_tilde", lambda fr: fr.h_tilde,
-                            sectors=("mixed",) * 2),
+        h_tilde=frame_field(orig, "h_tilde", lambda fr: fr.h_tilde),
         d=orbit,
-        A_conn=frame_field(orig, "A_conn", lambda fr: fr.A,
-                           sectors=("orbit", "mixed")),
+        A_conn=frame_field(orig, "A_conn", lambda fr: fr.A),
         c=orig.c, orig=orig)
 
 
@@ -712,7 +667,7 @@ def validate_original(orig: OriginalGeometry, points,
     the Faddeev-Popov matrix is well conditioned. Sampled, not proven;
     scenario construction treats failure as a configuration error.
     """
-    frames = point_frames(orig, list(points))
+    frames = point_frames(orig, [p.coords for p in points])
     worst_k = 0.0
     for frame in frames:
         dg = coordinate_partials(orig.G_P, frame.Q, fd_step)  # dg[C, A, B]

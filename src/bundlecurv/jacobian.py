@@ -52,7 +52,7 @@ __all__ = [
     "jacobian_direct",
     "jacobian_geometric",
     "quadratic_form_paths",
-    "covariant_derivative_killing",
+    "killing_derivatives",
     "killing_identities_check",
     "second_fundamental_form",
     "j_norm_squared",
@@ -76,18 +76,18 @@ class SigmaField:
 
 def sigma_field(adapted: AdaptedGeometry,
                 engine: DerivEngine = DEFAULT_ENGINE) -> SigmaField:
-    n_h = adapted.n_h
+    n_x, n_h = adapted.n_x, adapted.n_h
 
-    def sigma_grad(points):
+    def sigma_grad(zs):
         return np.array([
             [float(np.trace(d_inv @ dd))
-             for dd in partial(engine, adapted.d.d, p, range(n_h))]
-            for p, d_inv in zip(points, _field_stack(adapted.d.d_inv,
-                                                     points))])
+             for dd in partial(engine, adapted.d.d,
+                               ChartPoint.from_coords(z, n_x), range(n_h))]
+            for z, d_inv in zip(zs, _field_stack(adapted.d.d_inv, zs))])
 
     return SigmaField(
         sigma=_log_det_d_field(adapted),
-        grad=FieldHandle(sigma_grad, "vector", ("mixed",)))
+        grad=FieldHandle(sigma_grad, "vector"))
 
 
 def jacobian_direct(adapted: AdaptedGeometry, point: ChartPoint,
@@ -175,49 +175,28 @@ def _bundle_christoffel(orig: OriginalGeometry, q, fd_step: float):
     return 0.5 * np.einsum("ad,bcd->abc", g_inv, combo)
 
 
-def covariant_derivative_killing(orig: OriginalGeometry, point: ChartPoint,
-                                 alpha: int, beta: int,
-                                 engine: DerivEngine = DEFAULT_ENGINE):
-    r"""Covariant derivative :math:`\nabla_{K_\alpha}K_\beta` at the section point.
+def killing_derivatives(orig: OriginalGeometry, point: ChartPoint,
+                        engine: DerivEngine = DEFAULT_ENGINE):
+    r"""Covariant derivatives :math:`\nabla_{K_\alpha}K_\beta` at the section point.
 
-    Returns ``(p_part, v_part)``. The bundle part uses the Levi-Civita
-    connection of ``G_P`` (finite-differenced); the vector part uses the
-    flat connection of the constant ``G_V``, i.e. the plain directional
-    derivative of the linear field, ``gens[beta] gens[alpha] f``.
+    Returns ``(p, v)`` with ``p[c, alpha, beta]`` the bundle part and
+    ``v[q, alpha, beta]`` the vector part, for every pair at once. The
+    bundle part uses the Levi-Civita connection of ``G_P``, from one
+    finite-differenced Christoffel table and one all-slot derivative of
+    ``K_P``; the vector part uses the flat connection of the constant
+    ``G_V``, i.e. the plain directional derivative of the linear field,
+    ``gens[beta] gens[alpha] f``.
     """
     frame = point_frame(orig, point)
-    q = frame.Q
+    q, k = frame.Q, frame.K_P
     gamma_p = _bundle_christoffel(orig, q, engine.fd_step)
     dk = coordinate_partials(orig.K_P, q, engine.fd_step)  # dk[A, C, beta]
-    k_a = frame.K_P[:, alpha]
-    k_b = frame.K_P[:, beta]
-    p_part = (np.einsum("a,ac->c", k_a, dk[:, :, beta])
-              + np.einsum("cab,a,b->c", gamma_p, k_a, k_b))
-    v_part = orig.gens[beta] @ orig.gens[alpha] @ point.f \
-        if orig.n_v else np.zeros(0)
-    return p_part, v_part
-
-
-def _symmetrized_killing_halves(orig, point, engine):
-    """sym[:, alpha, beta] = half the symmetrized covariant derivative."""
-    n_P, n_v, n_g = orig.n_P, orig.n_v, orig.n_g
-    sym_p = np.zeros((n_P, n_g, n_g))
-    sym_v = np.zeros((n_v, n_g, n_g))
-    for alpha in range(n_g):
-        for beta in range(alpha, n_g):
-            p_ab, v_ab = covariant_derivative_killing(orig, point, alpha,
-                                                      beta, engine)
-            if alpha == beta:
-                sym_p[:, alpha, alpha] = p_ab
-                sym_v[:, alpha, alpha] = v_ab
-            else:
-                p_ba, v_ba = covariant_derivative_killing(orig, point, beta,
-                                                          alpha, engine)
-                sym_p[:, alpha, beta] = sym_p[:, beta, alpha] = \
-                    0.5 * (p_ab + p_ba)
-                sym_v[:, alpha, beta] = sym_v[:, beta, alpha] = \
-                    0.5 * (v_ab + v_ba)
-    return sym_p, sym_v
+    p = (np.einsum("aA,acB->cAB", k, dk)
+         + np.einsum("cab,aA,bB->cAB", gamma_p, k, k))
+    # v_products[alpha, beta] = gens[beta] gens[alpha]
+    v_products = orig.gens[None] @ orig.gens[:, None]
+    v = np.moveaxis(v_products @ point.f, -1, 0)
+    return p, v
 
 
 @dataclass(frozen=True)
@@ -273,7 +252,8 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
     n_v, n_g, n_x = orig.n_v, orig.n_g, orig.n_x
     if n_g == 0:
         return KillingIdentityResiduals(0.0, 0.0, 0.0, 0.0)
-    sym_p, sym_v = _symmetrized_killing_halves(orig, point, engine)
+    p, v = killing_derivatives(orig, point, engine)
+    sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
     scale = max(1.0, float(np.max(np.abs(frame.d))))
 
     def gamma_of_q(qs):
@@ -376,7 +356,8 @@ def second_fundamental_form(geometry, point: ChartPoint,
                                      n_g=n_g)
 
     frame = point_frame(orig, point)
-    sym_p, sym_v = _symmetrized_killing_halves(orig, point, engine)
+    p, v = killing_derivatives(orig, point, engine)
+    sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
     n_P = orig.n_P
     gt_pp = frame.Gt_H[:n_P, :n_P]
     gt_pv = frame.Gt_H[:n_P, n_P:]

@@ -291,12 +291,12 @@ def _build_original(n_x: int, g_func, bbar_func, twist_func, gens,
         vspace_action_d=vspace_action_d)
 
 
-def _quadratic_potential():
-    def quadratic_potential(points):
-        return np.array([0.5 * float(p.x @ p.x) + 0.15 * float(p.f @ p.f)
-                         for p in points])
+def _quadratic_potential(n_x: int):
+    def quadratic_potential(zs):
+        return np.array([0.5 * float(z[:n_x] @ z[:n_x])
+                         + 0.15 * float(z[n_x:] @ z[n_x:]) for z in zs])
 
-    return FieldHandle(quadratic_potential, "scalar", ())
+    return FieldHandle(quadratic_potential, "scalar")
 
 
 def _box(n: int, lo: float, hi: float) -> np.ndarray:
@@ -354,7 +354,7 @@ def _build_twisted(params: dict) -> Scenario:
     return Scenario(
         name="twisted_bundle", n_x=2, n_v=3, n_g=3,
         adapted=compile_adapted(orig), orig=orig, chart=_su2_chart(),
-        potential=_quadratic_potential(),
+        potential=_quadratic_potential(orig.n_x),
         sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
         params={"lam_v": lam_v})
 
@@ -372,7 +372,7 @@ def _build_abelian(params: dict) -> Scenario:
     return Scenario(
         name="abelian_limit", n_x=2, n_v=3, n_g=3,
         adapted=compile_adapted(orig), orig=orig, chart=_trivial_chart(),
-        potential=_quadratic_potential(),
+        potential=_quadratic_potential(orig.n_x),
         sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
         params={})
 
@@ -403,7 +403,7 @@ def _build_flat(params: dict) -> Scenario:
         name="flat_product", n_x=2, n_v=3, n_g=3,
         adapted=compile_adapted(orig), orig=orig,
         chart=_su2_chart() if su2 else _trivial_chart(),
-        potential=_quadratic_potential(),
+        potential=_quadratic_potential(orig.n_x),
         sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
         params={"lam": lam, "group": group, "gv_offdiag": gv_offdiag},
         expected={"jacobian_zero": True, "r_group": expected_rg})
@@ -427,7 +427,7 @@ def _build_scaled(params: dict) -> Scenario:
     return Scenario(
         name="scaled_orbit", n_x=2, n_v=3, n_g=3,
         adapted=compile_adapted(orig), orig=orig,
-        chart=_su2_chart(), potential=_quadratic_potential(),
+        chart=_su2_chart(), potential=_quadratic_potential(orig.n_x),
         sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
         params={"slope": slope},
         expected={"grad_ln_d": 9.0 * slope * slope,

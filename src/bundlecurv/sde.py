@@ -233,17 +233,14 @@ def drift_coefficients(geometry, point: ChartPoint,
     g_v_inv, _ = invert_spd(orig.G_V) if n_v else (np.zeros((0, 0)), 1.0)
 
     f_dens_hinv = frame_field(
-        orig, "sqrt_h_h_base_inv", lambda fr: _sqrt_h(fr) * fr.h_base_inv,
-        sectors=("base",))
+        orig, "sqrt_h_h_base_inv", lambda fr: _sqrt_h(fr) * fr.h_base_inv)
     f_dens_killing = frame_field(
-        orig, "sqrt_h_K_V", lambda fr: _sqrt_h(fr) * fr.K_V,
-        sectors=("vector",))
+        orig, "sqrt_h_K_V", lambda fr: _sqrt_h(fr) * fr.K_V)
     f_dens_conn = frame_field(
         orig, "sqrt_h_connection",
-        lambda fr: _sqrt_h(fr) * fr.h_base_inv @ fr.A_gamma.T,
-        sectors=("base",))
+        lambda fr: _sqrt_h(fr) * fr.h_base_inv @ fr.A_gamma.T)
     f_dens = frame_field(orig, "sqrt_h", _sqrt_h, "scalar")
-    f_w = frame_field(orig, "W", _w_matrix, sectors=("vector",))
+    f_w = frame_field(orig, "W", _w_matrix)
 
     base, vector = range(n_x), range(n_x, n_x + n_v)
     d_hinv = partial(engine, f_dens_hinv, point, base)
@@ -287,14 +284,13 @@ def drift_divergence_form(geometry, point: ChartPoint,
     orig = adapted.orig
     if orig is not None:
         field = frame_field(orig, "sqrt_h_h_tilde_inv",
-                            lambda fr: _sqrt_h(fr) * fr.h_tilde_inv,
-                            sectors=("mixed",))
+                            lambda fr: _sqrt_h(fr) * fr.h_tilde_inv)
     else:
-        def sqrt_h_h_tilde_inv(points):
-            inv, det = invert_spd(_field_stack(adapted.h_tilde, points))
+        def sqrt_h_h_tilde_inv(zs):
+            inv, det = invert_spd(_field_stack(adapted.h_tilde, zs))
             return np.sqrt(det)[:, None, None] * inv
 
-        field = FieldHandle(sqrt_h_h_tilde_inv, "matrix", ("mixed",))
+        field = FieldHandle(sqrt_h_h_tilde_inv, "matrix")
     sqrt_h0 = np.sqrt(density_H(adapted, point))
     grad = partial(engine, field, point, range(n_h))
     drift = np.zeros(n_h)

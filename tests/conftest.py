@@ -15,16 +15,11 @@ def assert_close(actual, expected, tol, what=""):
     assert gap <= tol, "%s: relative gap %.3e exceeds %.0e" % (what, gap, tol)
 
 
-def chart_coords(points):
-    """The ``(N, k)`` joint coordinates of a sequence of chart points."""
-    return np.array([p.coords for p in points])
-
-
 def constant_field(value, arity="matrix"):
     """A chart field with the same value at every point."""
     value = np.asarray(value, dtype=float)
-    return FieldHandle(
-        lambda points: np.repeat(value[None], len(points), axis=0), arity)
+    return FieldHandle(lambda zs: np.repeat(value[None], len(zs), axis=0),
+                       arity)
 
 
 @pytest.fixture(scope="session")

@@ -31,8 +31,8 @@ def _curl_fixture():
         n_x=2, n_v=0, n_g=1,
         h_tilde=constant_field(np.eye(2)),
         d=_const_orbit(np.eye(1)),
-        A_conn=FieldHandle(lambda ps: np.array([[[-p.x[1], p.x[0]]]
-                                                for p in ps]), "matrix"),
+        A_conn=FieldHandle(lambda zs: np.stack([-zs[:, 1], zs[:, 0]],
+                                               axis=1)[:, None], "matrix"),
         c=StructureConstants(1, np.zeros((1, 1, 1))),
     )
 
@@ -156,9 +156,8 @@ def test_levi_civita_constant_metric(flat, engine):
 def test_levi_civita_conformal_plane(engine):
     adapted = AdaptedGeometry(
         n_x=2, n_v=0, n_g=0,
-        h_tilde=FieldHandle(lambda ps: np.array([np.exp(2.0 * p.x[0])
-                                                 * np.eye(2) for p in ps]),
-                            "matrix"),
+        h_tilde=FieldHandle(lambda zs: np.exp(2.0 * zs[:, 0])[:, None, None]
+                            * np.eye(2), "matrix"),
         d=_const_orbit(np.zeros((0, 0))),
         A_conn=constant_field(np.zeros((0, 2))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),

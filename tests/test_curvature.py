@@ -183,7 +183,8 @@ def test_log_det_d_on_a_stack_equals_one_row_calls(twisted):
     one-matrix calls, bit for bit."""
     adapted = twisted.adapted
     points = sample_points(twisted, 12, seed=211)
-    stacked = _log_det_d_field(adapted).func(points)
+    stacked = _log_det_d_field(adapted).func(
+        np.array([p.coords for p in points]))
     single = [np.linalg.slogdet(adapted.d.d(p))[1] for p in points]
     assert stacked.tolist() == single
 

@@ -19,7 +19,7 @@ from bundlecurv.fields import (
 )
 from bundlecurv.geometry import point_frame
 
-from conftest import assert_close, chart_coords
+from conftest import assert_close
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +61,17 @@ def test_chart_point_rejects_bad_coordinates():
 
 
 def test_field_handle_checks_declared_arity():
-    good = FieldHandle(lambda ps: chart_coords(ps)[:, 0], arity="scalar")
+    good = FieldHandle(lambda zs: zs[:, 0], arity="scalar")
     assert good(ChartPoint([2.0], [])) == 2.0
-    bad = FieldHandle(chart_coords, arity="scalar")
-    with pytest.raises(ValueError, match="chart_coords declared arity"):
+
+    def rows(zs):
+        return zs
+
+    bad = FieldHandle(rows, arity="scalar")
+    with pytest.raises(ValueError, match="rows declared arity"):
         bad(ChartPoint([1.0], [2.0]))
     with pytest.raises(ValueError):
-        FieldHandle(lambda ps: np.zeros(len(ps)), arity="tensor7")
+        FieldHandle(lambda zs: np.zeros(len(zs)), arity="tensor7")
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +79,7 @@ def test_field_handle_checks_declared_arity():
 
 
 def test_partial_constant_is_zero(engine):
-    field = FieldHandle(lambda ps: np.full(len(ps), 4.2), arity="scalar")
+    field = FieldHandle(lambda zs: np.full(len(zs), 4.2), arity="scalar")
     point = ChartPoint([0.7, -0.3], [0.2])
     got = partial(engine, field, point, range(3))
     assert got.shape == (3,)
@@ -83,21 +87,19 @@ def test_partial_constant_is_zero(engine):
 
 
 def test_partial_polynomial(engine):
-    field = FieldHandle(lambda ps: chart_coords(ps)[:, 0] ** 2,
-                        arity="scalar")
+    field = FieldHandle(lambda zs: zs[:, 0] ** 2, arity="scalar")
     value = partial(engine, field, ChartPoint([3.0], []), [0])[0]
     assert_close(value, 6.0, 1e-9, "d/dx x^2 at 3")
 
 
 def test_partial_sine(engine):
-    field = FieldHandle(lambda ps: np.sin(chart_coords(ps)[:, 0]),
-                        arity="scalar")
+    field = FieldHandle(lambda zs: np.sin(zs[:, 0]), arity="scalar")
     value = partial(engine, field, ChartPoint([0.7], []), [0])[0]
     assert_close(value, np.cos(0.7), 1e-10, "d/dx sin")
 
 
 def test_partial_slot_out_of_range(engine):
-    field = FieldHandle(lambda ps: np.zeros(len(ps)), arity="scalar")
+    field = FieldHandle(lambda zs: np.zeros(len(zs)), arity="scalar")
     with pytest.raises(IndexError):
         partial(engine, field, ChartPoint([0.0], [0.0]), range(3))
     with pytest.raises(IndexError):
@@ -107,8 +109,8 @@ def test_partial_slot_out_of_range(engine):
 def test_partial_matrix_valued(engine):
     """Differencing applies componentwise to array-valued fields, one
     leading entry per requested slot, in the order requested."""
-    def matrix(points):
-        x, f = chart_coords(points).T
+    def matrix(zs):
+        x, f = zs.T
         return np.stack([np.stack([x, x ** 2], axis=1),
                          np.stack([0.0 * x, f * x], axis=1)], axis=1)
 
@@ -122,8 +124,7 @@ def test_partial_matrix_valued(engine):
 
 
 def test_partial_richardson_beats_plain_stencil():
-    field = FieldHandle(lambda ps: np.exp(2.0 * chart_coords(ps)[:, 0]),
-                        arity="scalar")
+    field = FieldHandle(lambda zs: np.exp(2.0 * zs[:, 0]), arity="scalar")
     point = ChartPoint([0.3], [])
     exact = 2.0 * np.exp(0.6)
     plain = DerivEngine(fd_step=1e-4, richardson=False)
@@ -137,8 +138,8 @@ def test_partial_richardson_beats_plain_stencil():
 def test_partial_raises_on_non_finite_stencil(engine):
     # blows up on one side of the stencil: the error names the first
     # stencil row that produced a non-finite value, -h along slot 0
-    def half_line(points):
-        x = chart_coords(points)[:, 0]
+    def half_line(zs):
+        x = zs[:, 0]
         return np.where(x < 0, np.nan, x)
 
     field = FieldHandle(half_line, arity="scalar")
@@ -156,14 +157,15 @@ def test_partial_raises_on_non_finite_stencil(engine):
 
 
 def test_kernel_calls_a_field_once_per_stencil(engine):
-    """``partial`` and ``second_partial`` each make one field call, on the
-    chart points of all their rows."""
+    """``partial`` and ``second_partial`` each make one field call, on
+    all their rows: a read-only float ``(N, n_x + n_v)`` array."""
     calls = []
 
-    def counted(points):
-        calls.append(len(points))
-        z = chart_coords(points)
-        return z[:, 0] * z[:, 1] + z[:, 2] ** 2
+    def counted(zs):
+        assert zs.dtype == float and zs.ndim == 2 and zs.shape[1] == 3
+        assert not zs.flags.writeable
+        calls.append(len(zs))
+        return zs[:, 0] * zs[:, 1] + zs[:, 2] ** 2
 
     field = FieldHandle(counted, arity="scalar")
     point = ChartPoint([0.3, -0.4], [0.2])
@@ -180,11 +182,11 @@ def test_field_result_shape_is_checked(engine):
     field."""
     point = ChartPoint([0.3], [0.2])
 
-    def short(points):
-        return np.zeros(len(points) - 1)
+    def short(zs):
+        return np.zeros(len(zs) - 1)
 
-    def flat(points):
-        return np.zeros((len(points), 2))
+    def flat(zs):
+        return np.zeros((len(zs), 2))
 
     with pytest.raises(ValueError, match=r"field short declared arity "
                                          r"'scalar' but returned shape "
@@ -203,9 +205,8 @@ def test_field_result_shape_is_checked(engine):
 
 def test_second_partial_constant_and_linear(engine):
     point = ChartPoint([0.2, 0.4], [0.6])
-    const = FieldHandle(lambda ps: np.ones(len(ps)), arity="scalar")
-    linear = FieldHandle(lambda ps: chart_coords(ps) @ [1.0, 2.0, 3.0],
-                         arity="scalar")
+    const = FieldHandle(lambda zs: np.ones(len(zs)), arity="scalar")
+    linear = FieldHandle(lambda zs: zs @ [1.0, 2.0, 3.0], arity="scalar")
     assert np.all(np.abs(second_partial(engine, const, point, range(3)))
                   < 1e-9)
     assert np.all(np.abs(second_partial(engine, linear, point, range(3)))
@@ -213,8 +214,7 @@ def test_second_partial_constant_and_linear(engine):
 
 
 def test_second_partial_mixed_product(engine):
-    field = FieldHandle(lambda ps: np.prod(chart_coords(ps), axis=1),
-                        arity="scalar")
+    field = FieldHandle(lambda zs: np.prod(zs, axis=1), arity="scalar")
     point = ChartPoint([0.9, -0.4], [])
     assert_close(second_partial(engine, field, point, [0, 1]),
                  [[0.0, 1.0], [1.0, 0.0]], 1e-8, "hessian of x0*x1")
@@ -224,8 +224,7 @@ def test_second_partial_slot_symmetry(engine):
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=(3, 3))
 
-    def poly(points):
-        z = chart_coords(points)
+    def poly(z):
         return (np.einsum("ni,ij,nj->n", z, coeffs, z)
                 + np.sin(z[:, 0]) * z[:, 2])
 
@@ -245,8 +244,7 @@ def test_second_partial_quadratic_exact(engine):
     sym = rng.normal(size=(4, 4))
     sym = sym + sym.T
 
-    def quad(points):
-        z = chart_coords(points)
+    def quad(z):
         return 0.5 * np.einsum("ni,ij,nj->n", z, sym, z)
 
     field = FieldHandle(quad, arity="scalar")

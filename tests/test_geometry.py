@@ -11,14 +11,9 @@ from bundlecurv.fields import (ChartPoint, NearSingularError, _stencil,
 from bundlecurv.geometry import (
     OriginalGeometry,
     assemble_block_metric,
-    build_connection,
-    build_horizontal_metric,
-    build_orbit_metric,
-    build_projectors,
     compile_adapted,
     det_factorization_check,
     frame_cache_info,
-    orbit_metric_split,
     point_frame,
     point_frames,
     validate_original,
@@ -68,25 +63,26 @@ def _gens_zero_twisted():
 
 def test_orbit_metric_scaled_is_pure_base(scaled):
     point = ChartPoint([0.25, -0.1], [0.3, 0.1, -0.2])
-    d, d_inv = build_orbit_metric(scaled.orig, point)
+    frame = point_frame(scaled.orig, point)
     want = np.exp(2.0 * 0.25) * np.eye(3)
-    assert_close(d, want, 1e-12, "scaled orbit metric")
-    assert_close(d_inv, np.linalg.inv(want), 1e-12, "scaled orbit inverse")
-    gamma, gamma_prime = orbit_metric_split(scaled.orig, point)
-    np.testing.assert_allclose(gamma_prime, np.zeros((3, 3)), atol=1e-14)
-    assert_close(gamma, want, 1e-12, "gens=0 puts everything in gamma")
+    assert_close(frame.d, want, 1e-12, "scaled orbit metric")
+    assert_close(frame.d_inv, np.linalg.inv(want), 1e-12,
+                 "scaled orbit inverse")
+    np.testing.assert_allclose(frame.gamma_prime, np.zeros((3, 3)),
+                               atol=1e-14)
+    assert_close(frame.gamma, want, 1e-12, "gens=0 puts everything in gamma")
 
 
 def test_orbit_metric_flat_scales_linearly():
     for lam in (1.0, 2.0):
         scen = build_scenario("flat_product", {"lam": lam})
-        d, _ = build_orbit_metric(scen.orig, ChartPoint([0.0, 0.0],
-                                                        [0.1, 0.2, 0.3]))
+        d = point_frame(scen.orig, ChartPoint([0.0, 0.0],
+                                              [0.1, 0.2, 0.3])).d
         assert_close(d, lam * np.eye(3), 1e-12, "flat d, lam=%g" % lam)
 
 
 def test_orbit_metric_twisted_loop_oracle(twisted):
-    """Loop-summed K.G.K over both sectors against the builder."""
+    """Loop-summed K.G.K over both sectors against the frame."""
     orig = twisted.orig
     for point in sample_points(twisted, 5, seed=101):
         frame = point_frame(orig, point)
@@ -105,8 +101,8 @@ def test_orbit_metric_twisted_loop_oracle(twisted):
                     for b in range(orig.n_v):
                         want[m, n] += k_v[a, m] * orig.G_V[a, b] * k_v[b, n]
         assert_close(frame.d, want, 1e-12, "orbit metric loop oracle")
-        gamma, gamma_prime = orbit_metric_split(orig, point)
-        assert_close(gamma + gamma_prime, frame.d, 1e-12, "additive split")
+        assert_close(frame.gamma + frame.gamma_prime, frame.d, 1e-12,
+                     "additive split")
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +110,10 @@ def test_orbit_metric_twisted_loop_oracle(twisted):
 
 
 def test_connection_vanishes_without_twist(scaled):
-    point = ChartPoint([0.2, 0.1], [0.1, -0.3, 0.2])
-    a_base, a_vector, a_gamma = build_connection(scaled.orig, point)
-    np.testing.assert_allclose(a_base, np.zeros((3, 2)), atol=1e-13)
-    np.testing.assert_allclose(a_vector, np.zeros((3, 3)), atol=1e-13)
-    np.testing.assert_allclose(a_gamma, np.zeros((3, 2)), atol=1e-13)
+    frame = point_frame(scaled.orig, ChartPoint([0.2, 0.1], [0.1, -0.3, 0.2]))
+    np.testing.assert_allclose(frame.A_base, np.zeros((3, 2)), atol=1e-13)
+    np.testing.assert_allclose(frame.A_vector, np.zeros((3, 3)), atol=1e-13)
+    np.testing.assert_allclose(frame.A_gamma, np.zeros((3, 2)), atol=1e-13)
 
 
 def test_connection_twisted_loop_oracle(twisted):
@@ -138,11 +133,11 @@ def test_connection_twisted_loop_oracle(twisted):
 
 def test_connection_gamma_variant_matches_when_vector_action_trivial():
     orig = _gens_zero_twisted()
-    point = ChartPoint([0.3, -0.2], [0.1, 0.0, 0.4])
-    a_base, a_vector, a_gamma = build_connection(orig, point)
-    np.testing.assert_allclose(a_vector, np.zeros((3, 3)), atol=1e-13)
-    assert np.max(np.abs(a_base)) > 1e-3  # the twist keeps it alive
-    assert_close(a_gamma, a_base, 1e-12, "gamma variant, gamma' = 0")
+    frame = point_frame(orig, ChartPoint([0.3, -0.2], [0.1, 0.0, 0.4]))
+    np.testing.assert_allclose(frame.A_vector, np.zeros((3, 3)), atol=1e-13)
+    assert np.max(np.abs(frame.A_base)) > 1e-3  # the twist keeps it alive
+    assert_close(frame.A_gamma, frame.A_base, 1e-12,
+                 "gamma variant, gamma' = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +145,8 @@ def test_connection_gamma_variant_matches_when_vector_action_trivial():
 
 
 def test_horizontal_blocks_decouple_without_vector_action(scaled):
-    point = ChartPoint([0.15, 0.05], [0.2, -0.1, 0.3])
-    h = build_horizontal_metric(scaled.orig, point)
+    h = point_frame(scaled.orig, ChartPoint([0.15, 0.05],
+                                            [0.2, -0.1, 0.3])).h
     np.testing.assert_allclose(h.h_xv, np.zeros((2, 3)), atol=1e-13)
     assert_close(h.h_vv, np.eye(3), 1e-12, "vector block is G_V")
     assert_close(h.h_xx, np.eye(2), 1e-12, "base block, twist-free")
@@ -197,7 +192,7 @@ def test_projector_identities(twisted):
     orig = twisted.orig
     for point in sample_points(twisted, 5, seed=31):
         frame = point_frame(orig, point)
-        pr = build_projectors(orig, point)
+        pr = frame.projectors
         np.testing.assert_allclose(pr.T @ frame.Q_jac, np.eye(orig.n_x),
                                    atol=1e-10)
         qt = frame.Q_jac @ pr.T
@@ -214,7 +209,7 @@ def test_projector_identities(twisted):
 
 def test_projectors_trivial_without_group():
     orig = _conformal_orig()
-    pr = build_projectors(orig, ChartPoint([0.3, -0.2], []))
+    pr = point_frame(orig, ChartPoint([0.3, -0.2], [])).projectors
     np.testing.assert_allclose(pr.N, np.eye(2), atol=1e-13)
     np.testing.assert_allclose(pr.Pi_tilde, np.eye(2), atol=1e-13)
 
@@ -248,8 +243,7 @@ def test_point_frame_arrays_are_frozen(twisted):
 
 def _frame_parts(frame):
     """Every array and float of a frame, by name."""
-    parts = {"point.x": frame.point.x, "point.f": frame.point.f,
-             "det_d": frame.det_d, "det_h": frame.det_h}
+    parts = {"det_d": frame.det_d, "det_h": frame.det_h}
     for prefix, part in (("", frame), ("h.", frame.h),
                          ("projectors.", frame.projectors)):
         for name, value in vars(part).items():
@@ -268,16 +262,15 @@ def test_point_frames_match_one_at_a_time_compiles(twisted):
     center = np.array([0.12, -0.21, 0.3, -0.15, 0.22])
     coords = [center] + [center + sign * 1e-3 * np.eye(5)[s]
                          for s in range(5) for sign in (1.0, -1.0)]
-    points = [ChartPoint.from_coords(c, 2) for c in coords]
-    points.append(points[3])
+    zs = np.array(coords + [coords[3]])
     before = frame_cache_info()
-    batch = point_frames(stacked, points)
+    batch = point_frames(stacked, zs)
     after = frame_cache_info()
     assert after.compiles == before.compiles + 1
     assert after.misses == before.misses + len(coords)
     assert batch[-1] is batch[3]
-    for point, frame in zip(points, batch):
-        want = _frame_parts(point_frame(single, point))
+    for z, frame in zip(zs, batch):
+        want = _frame_parts(point_frame(single, ChartPoint.from_coords(z, 2)))
         got = _frame_parts(frame)
         assert got.keys() == want.keys()
         for name, value in got.items():
@@ -303,11 +296,27 @@ def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
                        ("d", lambda a: a.d.d), ("d_inv", lambda a: a.d.d_inv),
                        ("A_conn", lambda a: a.A_conn)):
         before = frame_cache_info()
-        got = pick(stacked).func(points)
+        got = pick(stacked).func(rows[0])
         assert frame_cache_info().compiles - before.compiles <= 1, name
         want = np.array([pick(single)(p) for p in points])
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+def test_stencil_rows_and_chart_points_share_frames(twisted, engine):
+    """Frames are keyed on coordinate values: after ``point_frames`` on
+    stencil rows, ``point_frame`` on the chart point at each row's
+    coordinates is a hit, with no compile."""
+    orig = dataclasses.replace(twisted.orig)
+    rows, _ = _stencil(np.array([[0.11, -0.24, 0.05, 0.3, -0.12]]),
+                       engine.fd_step, engine.richardson)
+    frames = point_frames(orig, rows[0])
+    before = frame_cache_info()
+    for z, frame in zip(rows[0], frames):
+        assert point_frame(orig, ChartPoint.from_coords(z, 2)) is frame
+    after = frame_cache_info()
+    assert (after.misses, after.compiles) == (before.misses, before.compiles)
+    assert after.hits == before.hits + len(frames)
 
 
 def test_degenerate_frame_in_a_stencil_names_its_point(engine):
@@ -334,8 +343,8 @@ def test_lone_frame_owns_its_arrays(twisted):
     stacked = dataclasses.replace(twisted.orig)
     point = ChartPoint([0.07, -0.31], [0.12, 0.2, -0.05])
     frame = point_frame(alone, point)
-    in_stack = point_frames(stacked, [ChartPoint([0.2, 0.1], [0.0] * 3),
-                                      point])[1]
+    in_stack = point_frames(stacked, [[0.2, 0.1, 0.0, 0.0, 0.0],
+                                      point.coords])[1]
     got, want = _frame_parts(frame), _frame_parts(in_stack)
     assert got.keys() == want.keys()
     for name, value in got.items():
@@ -344,8 +353,7 @@ def test_lone_frame_owns_its_arrays(twisted):
             continue
         assert value.tobytes() == want[name].tobytes(), name
         assert not value.flags.writeable, name
-        if not name.startswith("point."):
-            assert value.base is None and value.flags.owndata, name
+        assert value.base is None and value.flags.owndata, name
     assert in_stack.d.base is not None
 
 
@@ -370,14 +378,14 @@ def test_point_frames_gate_every_point():
         return out
 
     orig = dataclasses.replace(_conformal_orig(), G_P=g_p)
-    points = [ChartPoint([x0, 0.1], []) for x0 in (0.3, 0.2, -0.1, 0.4)]
+    zs = np.array([[x0, 0.1] for x0 in (0.3, 0.2, -0.1, 0.4)])
     size = frame_cache_info().currsize
     with pytest.raises(NearSingularError,
                        match=r"bundle metric not positive definite at "
                              r"x=\[-0.1, 0.1\]"):
-        point_frames(orig, points)
+        point_frames(orig, zs)
     assert frame_cache_info().currsize == size
-    assert point_frames(orig, points[:2])[1].G_P[1, 1] == 0.2
+    assert point_frames(orig, zs[:2])[1].G_P[1, 1] == 0.2
 
 
 def test_same_point_on_two_geometries_gives_two_frames(twisted, abelian):
@@ -395,14 +403,14 @@ def test_frame_cache_stays_at_maxsize(flat):
     maxsize = frame_cache_info().maxsize
     rng = np.random.default_rng(17)
     coords = rng.uniform(-0.4, 0.4, size=(maxsize + 40, 5))
-    points = [ChartPoint.from_coords(c, 2) for c in coords]
-    for start in range(0, len(points), 1024):
-        point_frames(flat.orig, points[start:start + 1024])
+    for start in range(0, len(coords), 1024):
+        point_frames(flat.orig, coords[start:start + 1024])
     info = frame_cache_info()
     assert info.currsize == maxsize
-    point_frame(flat.orig, points[-1])
+    point_frame(flat.orig, ChartPoint.from_coords(coords[-1], 2))
     assert frame_cache_info().misses == info.misses
-    point_frame(flat.orig, points[0])        # least recently used: evicted
+    # least recently used: evicted
+    point_frame(flat.orig, ChartPoint.from_coords(coords[0], 2))
     assert frame_cache_info().misses == info.misses + 1
     assert frame_cache_info().currsize == maxsize
 
