@@ -31,7 +31,7 @@ def main():
     print("\norbit metric d(x, f):")
     print(frame.d)
     print("\nconnection coefficients on the base directions:")
-    print(frame.A_base)
+    print(frame.A[:, :point.n_x])
 
     metric = assemble_block_metric(scenario.adapted, point)
     print("\nfull block metric (8x8), horizontal block first:")

@@ -26,6 +26,15 @@ group-direction rule, and along orbit directions they are purely algebraic
 (``liecore.group_direction_derivative``). ``frame_derivatives`` applies
 that rule to any chart field; the general formula here and the Ricci
 contraction of the curvature module both use it.
+
+Every function here works on row stacks, the contract of the chart fields:
+it takes an ``(N, n_x + n_v)`` array of joint chart coordinates, ``x``
+first, and returns the ``(N, ...)`` stack of its values at those rows.
+Each chart partial inside it is one ``partial`` call over all ``N`` rows,
+so each field is evaluated once, on every row's stencil together, and each
+SPD inverse runs once per stack. The arithmetic is that of one row, matrix
+by matrix, so a row's result is bit-identical whatever stack it comes in.
+A one-point caller passes ``point.coords[None]`` and reads row 0.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     _field_stack, invert_spd, partial)
+from .fields import (DEFAULT_ENGINE, DerivEngine, FieldHandle, _field_stack,
+                     invert_spd, partial)
 from .geometry import AdaptedGeometry
 from .liecore import group_direction_derivative
 
@@ -55,13 +64,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonholonomicStructure:
-    r"""Structure functions of the adapted frame at a point.
+    r"""Structure functions of the adapted frame at the rows of a stack.
 
-    ``CC`` is the full rank-3 array :math:`\mathbb{C}^A_{BC}`; only
-    components with an upper orbit index are nonzero:
-    :math:`\mathbb{C}^\gamma_{A'B'} = -\mathcal F^\gamma_{A'B'}` and
-    :math:`\mathbb{C}^\gamma_{\alpha\beta} = c^\gamma_{\alpha\beta}`.
-    ``F`` is the connection curvature on its own.
+    ``CC`` is the ``(N, n_t, n_t, n_t)`` stack of the full rank-3 arrays
+    :math:`\mathbb{C}^A_{BC}`; only components with an upper orbit index
+    are nonzero: :math:`\mathbb{C}^\gamma_{A'B'} = -\mathcal F^\gamma_{A'B'}`
+    and :math:`\mathbb{C}^\gamma_{\alpha\beta} = c^\gamma_{\alpha\beta}`.
+    ``F`` is the stack of connection curvatures on their own.
     """
 
     CC: np.ndarray
@@ -72,12 +81,12 @@ class NonholonomicStructure:
 
 @dataclass(frozen=True)
 class ChristoffelBlocks:
-    """Full Christoffel table, sector-addressable.
+    """Full Christoffel tables at the rows of a stack, sector-addressable.
 
-    ``gamma[A, B, C]`` holds every symbol over the joint index order
-    (base, vector, group). ``block(up, lo1, lo2)`` slices by sector label:
-    ``"x"`` base, ``"v"`` vector, ``"h"`` the joint horizontal range,
-    ``"g"`` group.
+    ``gamma[i, A, B, C]`` holds every symbol at row ``i`` over the joint
+    index order (base, vector, group). ``block(up, lo1, lo2)`` slices the
+    last three axes by sector label: ``"x"`` base, ``"v"`` vector, ``"h"``
+    the joint horizontal range, ``"g"`` group.
     """
 
     gamma: np.ndarray
@@ -99,18 +108,19 @@ class ChristoffelBlocks:
             raise KeyError("unknown sector label %r (use x/v/h/g)" % (label,))
 
     def block(self, up: str, lo1: str, lo2: str) -> np.ndarray:
-        return self.gamma[self._slice(up), self._slice(lo1), self._slice(lo2)]
+        return self.gamma[..., self._slice(up), self._slice(lo1),
+                          self._slice(lo2)]
 
     def trace_group_base(self) -> np.ndarray:
-        r"""The contraction :math:`\Gamma^\gamma_{\gamma i}`."""
-        return np.einsum("ggi->i", self.block("g", "g", "x"))
+        r"""The contraction :math:`\Gamma^\gamma_{\gamma i}`, per row."""
+        return np.einsum("...ggi->...i", self.block("g", "g", "x"))
 
     def trace_group_vector(self) -> np.ndarray:
-        r"""The contraction :math:`\Gamma^\gamma_{\gamma a}`."""
-        return np.einsum("gga->a", self.block("g", "g", "v"))
+        r"""The contraction :math:`\Gamma^\gamma_{\gamma a}`, per row."""
+        return np.einsum("...gga->...a", self.block("g", "g", "v"))
 
 
-def curvature_F(adapted: AdaptedGeometry, point: ChartPoint,
+def curvature_F(adapted: AdaptedGeometry, zs,
                 engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:
     r"""Curvature of the mechanical connection.
 
@@ -120,18 +130,18 @@ def curvature_F(adapted: AdaptedGeometry, point: ChartPoint,
             - \partial_{C'}\mathcal A^\mu_{A'}
             + c^\mu_{\sigma\nu}\mathcal A^\sigma_{A'}\mathcal A^\nu_{C'}
 
-    Returned with shape ``(n_g, n_h, n_h)``, antisymmetric in the last pair.
+    Returned with shape ``(N, n_g, n_h, n_h)`` at the ``N`` chart rows of
+    ``zs``, antisymmetric in the last pair.
     """
-    n_h = adapted.n_h
-    a_val = np.asarray(adapted.A_conn(point), dtype=float)
-    da = partial(engine, adapted.A_conn, point,
-                 range(n_h))                    # da[B', mu, C']
-    grad = np.einsum("amc->mac", da)            # d_{A'} A^mu_{C'}
-    comm = np.einsum("msn,sa,nc->mac", adapted.c.c, a_val, a_val)
-    return grad - np.einsum("mca->mac", grad) + comm
+    a_val = _field_stack(adapted.A_conn, zs)
+    da = partial(engine, adapted.A_conn, zs, adapted.n_x,
+                 range(adapted.n_h))            # da[i, B', mu, C']
+    grad = np.einsum("...amc->...mac", da)      # d_{A'} A^mu_{C'}
+    comm = np.einsum("msn,...sa,...nc->...mac", adapted.c.c, a_val, a_val)
+    return grad - np.einsum("...mca->...mac", grad) + comm
 
 
-def covariant_D_orbit_metric(adapted: AdaptedGeometry, point: ChartPoint,
+def covariant_D_orbit_metric(adapted: AdaptedGeometry, zs,
                              engine: DerivEngine = DEFAULT_ENGINE
                              ) -> np.ndarray:
     r"""Covariant derivative of the orbit metric along horizontal directions.
@@ -142,15 +152,15 @@ def covariant_D_orbit_metric(adapted: AdaptedGeometry, point: ChartPoint,
             - c^\kappa_{\sigma\mu}\mathcal A^\sigma_{A'} d_{\kappa\nu}
             - c^\kappa_{\sigma\nu}\mathcal A^\sigma_{A'} d_{\mu\kappa}
 
-    Returned with shape ``(n_h, n_g, n_g)``, symmetric in the orbit pair.
+    Returned with shape ``(N, n_h, n_g, n_g)`` at the ``N`` chart rows of
+    ``zs``, symmetric in the orbit pair.
     """
-    n_h = adapted.n_h
-    a_val = np.asarray(adapted.A_conn(point), dtype=float)
-    d_val = np.asarray(adapted.d.d(point), dtype=float)
-    dd = partial(engine, adapted.d.d, point, range(n_h))
+    a_val = _field_stack(adapted.A_conn, zs)
+    d_val = _field_stack(adapted.d.d, zs)
+    dd = partial(engine, adapted.d.d, zs, adapted.n_x, range(adapted.n_h))
     c = adapted.c.c
-    corr = (np.einsum("ksm,sa,kn->amn", c, a_val, d_val)
-            + np.einsum("ksn,sa,mk->amn", c, a_val, d_val))
+    corr = (np.einsum("ksm,...sa,...kn->...amn", c, a_val, d_val)
+            + np.einsum("ksn,...sa,...mk->...amn", c, a_val, d_val))
     return dd - corr
 
 
@@ -167,99 +177,107 @@ def frame_metric_field(adapted: AdaptedGeometry) -> FieldHandle:
     return FieldHandle(frame_metric, "matrix")
 
 
-def frame_structure_functions(adapted: AdaptedGeometry, point: ChartPoint,
+def frame_structure_functions(adapted: AdaptedGeometry, zs,
                               engine: DerivEngine = DEFAULT_ENGINE
                               ) -> NonholonomicStructure:
-    """Structure functions of the adapted frame; see NonholonomicStructure."""
+    """Structure functions of the adapted frame at the chart rows of
+    ``zs``; see NonholonomicStructure."""
     n_h, n_g, n_t = adapted.n_h, adapted.n_g, adapted.n_t
-    f_val = curvature_F(adapted, point, engine)
-    cc = np.zeros((n_t, n_t, n_t))
-    cc[n_h:, :n_h, :n_h] = -f_val
-    cc[n_h:, n_h:, n_h:] = adapted.c.c
+    f_val = curvature_F(adapted, zs, engine)
+    cc = np.zeros((len(zs), n_t, n_t, n_t))
+    cc[:, n_h:, :n_h, :n_h] = -f_val
+    cc[:, n_h:, n_h:, n_h:] = adapted.c.c
     return NonholonomicStructure(CC=cc, F=f_val, n_h=n_h, n_g=n_g)
 
 
-def base_levi_civita(adapted: AdaptedGeometry, point: ChartPoint,
+def base_levi_civita(adapted: AdaptedGeometry, zs,
                      engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:
     r"""Levi-Civita symbols of the orbit-space metric h~ on the (x,f) chart.
 
-    These fill the purely horizontal sector of the table; the frame is
-    holonomic there, so the standard coordinate formula applies.
+    Returned with shape ``(N, n_h, n_h, n_h)`` at the ``N`` chart rows of
+    ``zs``. These fill the purely horizontal sector of the table; the
+    frame is holonomic there, so the standard coordinate formula applies.
     """
-    n_h = adapted.n_h
-    h_val = np.asarray(adapted.h_tilde(point), dtype=float)
-    h_inv, _ = invert_spd(h_val)
-    dh = partial(engine, adapted.h_tilde, point,
-                 range(n_h))                    # dh[B', A', C']
-    combo = (np.einsum("abd->abd", dh) + np.einsum("bad->abd", dh)
-             - np.einsum("dab->abd", dh))
-    return 0.5 * np.einsum("cd,abd->cab", h_inv, combo)
+    h_inv, _ = invert_spd(_field_stack(adapted.h_tilde, zs))
+    dh = partial(engine, adapted.h_tilde, zs, adapted.n_x,
+                 range(adapted.n_h))            # dh[i, B', A', C']
+    combo = (np.einsum("...abd->...abd", dh) + np.einsum("...bad->...abd", dh)
+             - np.einsum("...dab->...abd", dh))
+    return 0.5 * np.einsum("...cd,...abd->...cab", h_inv, combo)
 
 
 def frame_derivatives(adapted: AdaptedGeometry, field, value, signature,
-                      point: ChartPoint, engine: DerivEngine = DEFAULT_ENGINE,
+                      zs, engine: DerivEngine = DEFAULT_ENGINE,
                       step_scale: float = 1.0) -> np.ndarray:
-    r"""Frame derivatives ``hat[A, ...]`` of a chart field at a point.
+    r"""Frame derivatives ``hat[i, A, ...]`` of a chart field at chart rows.
 
-    ``value`` is the field at ``point`` and ``signature`` its covariance
-    signature. Along the horizontal lift of slot ``B'`` the derivative is
-    the chart partial (at ``step_scale`` times the engine step) minus
+    ``value`` is the ``(N, ...)`` stack of the field at the ``N`` rows of
+    ``zs`` and ``signature`` the covariance signature of one row. Along
+    the horizontal lift of slot ``B'`` the derivative is the chart partial
+    (at ``step_scale`` times the engine step) minus
     :math:`\mathcal A^\sigma_{B'}` times the group-direction rule along
     :math:`\sigma`; along orbit direction :math:`\sigma` it is the rule
-    itself (``liecore.group_direction_derivative``).
+    itself (``liecore.group_direction_derivative``, with the row axis
+    inert).
     """
     n_h, n_g = adapted.n_h, adapted.n_g
-    a_val = np.asarray(adapted.A_conn(point), dtype=float)
-    rule = [group_direction_derivative(value, signature, adapted.c, s)
+    rule = [group_direction_derivative(value, ("inert",) + tuple(signature),
+                                       adapted.c, s)
             for s in range(n_g)]
-    grad = partial(engine, field, point, range(n_h), step_scale)
-    hat = np.zeros((n_h + n_g,) + value.shape)
+    grad = partial(engine, field, zs, adapted.n_x, range(n_h), step_scale)
+    # one connection coefficient per row, broadcast over the field's axes
+    a_val = _field_stack(adapted.A_conn, zs)
+    a_val = a_val.reshape(a_val.shape + (1,) * (value.ndim - 1))
+    hat = np.zeros((len(zs), n_h + n_g) + value.shape[1:])
     for bp in range(n_h):
-        correction = sum((a_val[s, bp] * rule[s] for s in range(n_g)),
+        correction = sum((a_val[:, s, bp] * rule[s] for s in range(n_g)),
                          np.zeros_like(value))
-        hat[bp] = grad[bp] - correction
+        hat[:, bp] = grad[:, bp] - correction
     for s in range(n_g):
-        hat[n_h + s] = rule[s]
+        hat[:, n_h + s] = rule[s]
     return hat
 
 
-def christoffel_general(adapted: AdaptedGeometry, point: ChartPoint,
+def christoffel_general(adapted: AdaptedGeometry, zs,
                         engine: DerivEngine = DEFAULT_ENGINE
                         ) -> ChristoffelBlocks:
-    """Christoffel table from the general nonholonomic formula.
+    """Christoffel tables from the general nonholonomic formula.
 
-    Every sector comes out of one einsum pipeline over the frame metric,
-    its frame derivatives, and the structure functions; no closed-form
-    table entries are consulted.
+    At the chart rows of ``zs``, every sector comes out of one einsum
+    pipeline over the frame metric, its frame derivatives, and the
+    structure functions; no closed-form table entries are consulted.
     """
-    structure = frame_structure_functions(adapted, point, engine)
+    structure = frame_structure_functions(adapted, zs, engine)
     gf = frame_metric_field(adapted)
-    gf_val = gf(point)
-    hat = frame_derivatives(adapted, gf, gf_val, ("lower", "lower"), point,
+    gf_val = _field_stack(gf, zs)
+    hat = frame_derivatives(adapted, gf, gf_val, ("lower", "lower"), zs,
                             engine)
     n_h = adapted.n_h
     g_inv = np.zeros_like(gf_val)
-    g_inv[:n_h, :n_h] = invert_spd(gf_val[:n_h, :n_h])[0]
-    g_inv[n_h:, n_h:] = invert_spd(gf_val[n_h:, n_h:])[0]
+    g_inv[:, :n_h, :n_h] = invert_spd(gf_val[:, :n_h, :n_h])[0]
+    g_inv[:, n_h:, n_h:] = invert_spd(gf_val[:, n_h:, n_h:])[0]
     cc = structure.CC
 
-    combo = (np.einsum("bcd->bcd", hat) + np.einsum("cbd->bcd", hat)
-             - np.einsum("dbc->bcd", hat))
-    metric_part = 0.5 * np.einsum("ad,bcd->abc", g_inv, combo)
-    frame_part = -0.5 * (np.einsum("ad,ebd,ce->abc", g_inv, cc, gf_val)
-                         + np.einsum("ad,ecd,be->abc", g_inv, cc, gf_val))
+    combo = (np.einsum("...bcd->...bcd", hat)
+             + np.einsum("...cbd->...bcd", hat)
+             - np.einsum("...dbc->...bcd", hat))
+    metric_part = 0.5 * np.einsum("...ad,...bcd->...abc", g_inv, combo)
+    frame_part = -0.5 * (
+        np.einsum("...ad,...ebd,...ce->...abc", g_inv, cc, gf_val)
+        + np.einsum("...ad,...ecd,...be->...abc", g_inv, cc, gf_val))
     torsion_part = 0.5 * cc
     gamma = metric_part + frame_part + torsion_part
     return ChristoffelBlocks(gamma=gamma, n_x=adapted.n_x, n_v=adapted.n_v,
                              n_g=adapted.n_g)
 
 
-def christoffel_table(adapted: AdaptedGeometry, point: ChartPoint,
+def christoffel_table(adapted: AdaptedGeometry, zs,
                       engine: DerivEngine = DEFAULT_ENGINE
                       ) -> ChristoffelBlocks:
-    r"""Christoffel table from the closed forms, sector by sector.
+    r"""Christoffel tables from the closed forms, sector by sector.
 
-    Horizontal sector: Levi-Civita of h~. Mixed and orbit sectors:
+    At the chart rows of ``zs``. Horizontal sector: Levi-Civita of h~.
+    Mixed and orbit sectors:
 
     .. math::
 
@@ -277,37 +295,36 @@ def christoffel_table(adapted: AdaptedGeometry, point: ChartPoint,
 
     with the mixed entries symmetric in their stated index pairs.
     """
-    n_h, n_g, n_t = adapted.n_h, adapted.n_g, adapted.n_t
-    h_val = np.asarray(adapted.h_tilde(point), dtype=float)
-    d_val = np.asarray(adapted.d.d(point), dtype=float)
+    n_h, n_t = adapted.n_h, adapted.n_t
+    h_val = _field_stack(adapted.h_tilde, zs)
+    d_val = _field_stack(adapted.d.d, zs)
     h_inv, _ = invert_spd(h_val)
     d_inv, _ = invert_spd(d_val)
     c = adapted.c.c
-    f_val = curvature_F(adapted, point, engine)
-    dd = covariant_D_orbit_metric(adapted, point, engine)
-    h_slice = slice(0, n_h)
-    g_slice = slice(n_h, n_t)
+    f_val = curvature_F(adapted, zs, engine)
+    dd = covariant_D_orbit_metric(adapted, zs, engine)
+    h, g = slice(0, n_h), slice(n_h, n_t)     # horizontal, orbit
 
-    gamma = np.zeros((n_t, n_t, n_t))
-    gamma[h_slice, h_slice, h_slice] = base_levi_civita(adapted, point, engine)
+    gamma = np.zeros((len(zs), n_t, n_t, n_t))
+    gamma[:, h, h, h] = base_levi_civita(adapted, zs, engine)
 
-    mixed = 0.5 * np.einsum("ab,nc,bmc->nma", d_val, h_inv, f_val)
-    gamma[h_slice, h_slice, g_slice] = mixed
-    gamma[h_slice, g_slice, h_slice] = np.einsum("nma->nam", mixed)
+    mixed = 0.5 * np.einsum("...ab,...nc,...bmc->...nma", d_val, h_inv,
+                            f_val)
+    gamma[:, h, h, g] = mixed
+    gamma[:, h, g, h] = np.einsum("...nma->...nam", mixed)
 
-    gamma[h_slice, g_slice, g_slice] = \
-        -0.5 * np.einsum("nm,mab->nab", h_inv, dd)
+    gamma[:, h, g, g] = -0.5 * np.einsum("...nm,...mab->...nab", h_inv, dd)
 
-    gamma[g_slice, h_slice, h_slice] = -0.5 * f_val
+    gamma[:, g, h, h] = -0.5 * f_val
 
-    lowered = 0.5 * np.einsum("ag,mbg->abm", d_inv, dd)
-    gamma[g_slice, g_slice, h_slice] = lowered
-    gamma[g_slice, h_slice, g_slice] = np.einsum("abm->amb", lowered)
+    lowered = 0.5 * np.einsum("...ag,...mbg->...abm", d_inv, dd)
+    gamma[:, g, g, h] = lowered
+    gamma[:, g, h, g] = np.einsum("...abm->...amb", lowered)
 
-    gamma[g_slice, g_slice, g_slice] = (
-        0.5 * np.einsum("am,ebg,em->abg", d_inv, c, d_val)
-        - 0.5 * np.einsum("am,emg,eb->abg", d_inv, c, d_val)
-        - 0.5 * np.einsum("am,emb,eg->abg", d_inv, c, d_val))
+    gamma[:, g, g, g] = (
+        0.5 * np.einsum("...am,ebg,...em->...abg", d_inv, c, d_val)
+        - 0.5 * np.einsum("...am,emg,...eb->...abg", d_inv, c, d_val)
+        - 0.5 * np.einsum("...am,emb,...eg->...abg", d_inv, c, d_val))
 
     return ChristoffelBlocks(gamma=gamma, n_x=adapted.n_x, n_v=adapted.n_v,
                              n_g=adapted.n_g)

@@ -157,21 +157,24 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
     their FD noise correlated, which the difference formulas rely on.
 
     ``christoffel`` is the Christoffel route, ``christoffel_table`` or
-    ``christoffel_general``; it is called as ``christoffel(adapted, p,
-    engine)`` with the widened engine of the nested differencing.
+    ``christoffel_general``. It is called on row stacks, as
+    ``christoffel(adapted, zs, wide)`` with ``wide`` the widened engine of
+    the nested differencing, and twice only: once on the point's row, and
+    once as the chart field whose frame derivatives enter the Ricci
+    tensor, on all the rows of the outer stencil together.
     """
     wide = _widened(engine)
-    structure = frame_structure_functions(adapted, point, engine)
-    gamma0 = christoffel(adapted, point, wide).gamma
+    zs = point.coords[None]
+    structure = frame_structure_functions(adapted, zs, engine)
+    gamma0 = christoffel(adapted, zs, wide).gamma
 
-    def christoffel_symbols(zs):
-        return np.array([
-            christoffel(adapted, ChartPoint.from_coords(z, adapted.n_x),
-                        wide).gamma for z in zs])
+    def christoffel_symbols(rows):
+        return christoffel(adapted, rows, wide).gamma
 
     field = FieldHandle(christoffel_symbols, "rank3")
-    hat = frame_derivatives(adapted, field, gamma0, _GAMMA_SIGNATURE, point,
-                            wide, RICCI_OUTER_SCALE)
+    hat = frame_derivatives(adapted, field, gamma0, _GAMMA_SIGNATURE, zs,
+                            wide, RICCI_OUTER_SCALE)[0]
+    gamma0, cc = gamma0[0], structure.CC[0]
     n_h, n_t = adapted.n_h, adapted.n_t
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
@@ -179,9 +182,9 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
     g_inv[:n_h, :n_h] = h_inv
     g_inv[n_h:, n_h:] = d_inv
 
-    full = _ricci_from_pieces(gamma0, hat, structure.CC,
+    full = _ricci_from_pieces(gamma0, hat, cc,
                               _internal_mask(n_h, n_t, "all"))
-    base = _ricci_from_pieces(gamma0, hat, structure.CC,
+    base = _ricci_from_pieces(gamma0, hat, cc,
                               _internal_mask(n_h, n_t, "horizontal"))
     r_total = float(np.einsum("ac,ac->", g_inv, full))
     r_base = float(np.einsum("ac,ac->", h_inv, base[:n_h, :n_h]))
@@ -210,11 +213,12 @@ def log_density_terms(adapted: AdaptedGeometry, point: ChartPoint,
     with it.
     """
     n_h = adapted.n_h
+    zs = point.coords[None]
     sigma = _log_det_d_field(adapted)
     hess = second_partial(engine, sigma, point, range(n_h))
-    grad = partial(engine, sigma, point, range(n_h))
+    grad = partial(engine, sigma, zs, adapted.n_x, range(n_h))[0]
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
-    lc = base_levi_civita(adapted, point, engine)
+    lc = base_levi_civita(adapted, zs, engine)[0]
     lap = float(np.einsum("ab,ab->", h_inv, hess)
                 - np.einsum("ab,cab,c->", h_inv, lc, grad))
     grad_sq = 0.25 * float(np.einsum("ab,a,b->", h_inv, grad, grad))
@@ -264,9 +268,10 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
     r_g = orbit_scalar_curvature(adapted.c, d_val)
 
-    ff = ff_term(h_inv, d_val, curvature_F(adapted, point, engine))
+    zs = point.coords[None]
+    ff = ff_term(h_inv, d_val, curvature_F(adapted, zs, engine)[0])
     dddd = dddd_term(h_inv, d_inv,
-                     covariant_D_orbit_metric(adapted, point, engine))
+                     covariant_D_orbit_metric(adapted, zs, engine)[0])
 
     lap, grad_sq = log_density_terms(adapted, point, engine)
 

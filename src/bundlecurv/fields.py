@@ -10,7 +10,8 @@ All differentiation goes through one stencil kernel on coordinate stacks:
 ``_stencil`` builds the shifted rows around each row of an ``(m, k)``
 array, and ``_stencil_partials`` applies ``(hi - lo)/(2h)`` and Richardson
 extrapolation to the values there. ``partial`` (all requested chart slots
-in one call), ``second_partial`` (the same rows plus corner rows),
+at every row of a stack of centres, in one call), ``second_partial`` (the
+same rows plus corner rows, around one point),
 ``coordinate_partials`` (plain coordinate vectors such as the bundle
 coordinates ``Q``) and the nested stencil of the curvature module's
 coordinate Ricci scalar are all built on it. Every function the kernel
@@ -272,9 +273,8 @@ def _eval_points(field, rows, n_x):
         "field %s" % _name_of(field.func))
 
 
-def _slot_list(slots, point):
+def _slot_list(slots, n_tot):
     slots = list(slots)
-    n_tot = point.n_x + point.n_v
     for slot in slots:
         if not 0 <= slot < n_tot:
             raise IndexError("slot %d out of range for %d chart coordinates"
@@ -282,13 +282,17 @@ def _slot_list(slots, point):
     return slots
 
 
-def _first_partials(evaluate, z, fd_step, richardson, slots):
-    """Partials at ``z``, one per slot, from ``evaluate`` on the stencil
-    rows; no slots give an empty stack."""
-    rows, steps = _stencil(z[None], fd_step, richardson, slots)
-    if not rows.shape[1]:
-        return np.zeros(0)
-    return _stencil_partials(evaluate(rows[0])[None], steps)[0]
+def _first_partials(evaluate, zs, fd_step, richardson, slots):
+    """Partials at each row of the ``(m, k)`` stack ``zs``, ``(m, s, ...)``,
+    from one ``evaluate`` call on all ``m`` stencils' rows; no slots give
+    an ``(m, 0)`` stack."""
+    rows, steps = _stencil(zs, fd_step, richardson, slots)
+    m, n, k = rows.shape
+    if not n:
+        return np.zeros((m, 0))
+    values = evaluate(rows.reshape(m * n, k))
+    return _stencil_partials(values.reshape((m, n) + values.shape[1:]),
+                             steps)
 
 
 def coordinate_partials(func, z, fd_step: float, richardson: bool = True,
@@ -306,25 +310,29 @@ def coordinate_partials(func, z, fd_step: float, richardson: bool = True,
     ``ValueError``; a non-finite one, ``EvaluationError``.
     """
     return _first_partials(lambda rows: _eval_stack(func, rows),
-                           np.asarray(z, dtype=float), fd_step, richardson,
-                           slots)
+                           np.asarray(z, dtype=float)[None], fd_step,
+                           richardson, slots)[0]
 
 
-def partial(engine: DerivEngine, field, point: ChartPoint, slots,
+def partial(engine: DerivEngine, field, zs, n_x: int, slots,
             step_scale: float = 1.0):
     r"""Partials of ``field`` along the joint chart coordinates ``slots``.
 
-    Returns a stack with one leading entry per slot. Realizes every
-    :math:`\partial_i`, :math:`\partial_a` appearing in the metric,
-    connection and curvature formulas. ``step_scale`` inflates the step
-    for outer layers of nested differentiation; see the curvature module
-    for the noise budget that picks those scales. ``field`` is called
-    once, on all the stencil rows.
+    ``zs`` is an ``(m, n_x + n_v)`` array of joint chart coordinates,
+    ``x`` first; returns the ``(m, s, ...)`` stack of partials, one entry
+    per row and slot. Realizes every :math:`\partial_i`,
+    :math:`\partial_a` appearing in the metric, connection and curvature
+    formulas. ``step_scale`` inflates the step for outer layers of nested
+    differentiation; see the curvature module for the noise budget that
+    picks those scales. ``field`` is called once, on the stencil rows of
+    every row of ``zs`` together; ``n_x`` splits a row that produced a
+    non-finite value into ``x`` and ``f`` for the error. A one-point
+    caller passes ``point.coords[None]`` and reads row 0.
     """
     return _first_partials(
-        lambda rows: _eval_points(field, rows, point.n_x), point.coords,
+        lambda rows: _eval_points(field, rows, n_x), zs,
         engine.fd_step * step_scale, engine.richardson,
-        _slot_list(slots, point))
+        _slot_list(slots, zs.shape[1]))
 
 
 def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
@@ -339,7 +347,7 @@ def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
     of its slot; ``field`` is called once, on the centre, axis and corner
     rows together.
     """
-    slots = _slot_list(slots, point)
+    slots = _slot_list(slots, point.n_x + point.n_v)
     n_s = len(slots)
     rows, steps = _stencil(point.coords[None],
                            engine.fd_step * SECOND_PARTIAL_STEP_SCALE,

@@ -262,7 +262,8 @@ class PointFrame:
         \qquad
         \mathcal A^\alpha_c = d^{\alpha\beta} K^a_\beta G_{ac},
 
-    is ``A_base`` and ``A_vector`` (``A`` joins them); ``A_gamma`` is the
+    is ``A``, the ``(n_g, n_x + n_v)`` matrix with the base columns
+    :math:`\mathcal A^\alpha_i` first; ``A_gamma`` is the
     base-sector variant with :math:`\gamma^{\mu\nu}` in place of
     :math:`d^{\alpha\beta}`, which the inverse-metric and drift formulas
     use. The horizontal metric ``Gt_H`` is the joint metric on
@@ -290,8 +291,7 @@ class PointFrame:
     d: np.ndarray
     d_inv: np.ndarray
     det_d: float
-    A_base: np.ndarray
-    A_vector: np.ndarray
+    A: np.ndarray
     A_gamma: np.ndarray
     Gt_H: np.ndarray
     GH_P: np.ndarray
@@ -301,10 +301,6 @@ class PointFrame:
     det_h: float
     h_base_inv: np.ndarray
     projectors: Projectors
-
-    @property
-    def A(self) -> np.ndarray:
-        return np.hstack([self.A_base, self.A_vector])
 
 
 def _spd_or_error(matrix, what, xs=None, fs=None):
@@ -355,6 +351,7 @@ def _compute_frames(orig: OriginalGeometry, zs) -> list:
     kg_q = kt_g @ q_jac                     # K^C G_{DC} Q*^D_i
     a_base = d_inv @ kg_q
     a_vector = d_inv @ (k_v_t @ orig.G_V)
+    a_joint = np.concatenate([a_base, a_vector], axis=2)    # base first
     if n_g:
         gamma_inv, _ = _spd_or_error(
             gamma, "bundle-side orbit metric gamma degenerate", xs, fs)
@@ -406,18 +403,18 @@ def _compute_frames(orig: OriginalGeometry, zs) -> list:
 
     # frames are cached and shared by every later lookup of the point, so
     # their arrays are read-only
-    (q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d, d_inv, a_base,
-     a_vector, a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base, h_tilde,
-     h_tilde_inv, h_base_inv, pi_tilde, n_full, t_op, lam) = (
+    (q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d, d_inv, a_joint,
+     a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base, h_tilde, h_tilde_inv,
+     h_base_inv, pi_tilde, n_full, t_op, lam) = (
         _frame_arrays(stack, len(zs) == 1) for stack in (
             q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d, d_inv,
-            a_base, a_vector, a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base,
-            h_tilde, h_tilde_inv, h_base_inv, pi_tilde, n_full, t_op, lam))
+            a_joint, a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base, h_tilde,
+            h_tilde_inv, h_base_inv, pi_tilde, n_full, t_op, lam))
     return [PointFrame(
         Q=q[i], Q_jac=q_jac[i], G_P=g_p[i], G_P_inv=g_p_inv[i],
         K_P=k_p[i], K_V=k_v[i], gamma=gamma[i], gamma_prime=gamma_prime[i],
         d=d[i], d_inv=d_inv[i], det_d=float(det_d[i]),
-        A_base=a_base[i], A_vector=a_vector[i], A_gamma=a_gamma[i],
+        A=a_joint[i], A_gamma=a_gamma[i],
         Gt_H=gt_h[i], GH_P=gh_p[i],
         h=HorizontalMetric(h_xx[i], h_xv[i], h_vv[i], h_base[i]),
         h_tilde=h_tilde[i], h_tilde_inv=h_tilde_inv[i],

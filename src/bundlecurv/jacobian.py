@@ -79,11 +79,9 @@ def sigma_field(adapted: AdaptedGeometry,
     n_x, n_h = adapted.n_x, adapted.n_h
 
     def sigma_grad(zs):
-        return np.array([
-            [float(np.trace(d_inv @ dd))
-             for dd in partial(engine, adapted.d.d,
-                               ChartPoint.from_coords(z, n_x), range(n_h))]
-            for z, d_inv in zip(zs, _field_stack(adapted.d.d_inv, zs))])
+        dd = partial(engine, adapted.d.d, zs, n_x, range(n_h))
+        d_inv = _field_stack(adapted.d.d_inv, zs)
+        return np.trace(d_inv[:, None] @ dd, axis1=-2, axis2=-1)
 
     return SigmaField(
         sigma=_log_det_d_field(adapted),
@@ -115,9 +113,10 @@ def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     r_g = orbit_scalar_curvature(adapted.c, d_val)
-    ff = ff_term(h_inv, d_val, curvature_F(adapted, point, engine))
+    zs = point.coords[None]
+    ff = ff_term(h_inv, d_val, curvature_F(adapted, zs, engine)[0])
     dddd = dddd_term(h_inv, d_inv,
-                     covariant_D_orbit_metric(adapted, point, engine))
+                     covariant_D_orbit_metric(adapted, zs, engine)[0])
     return r_total - r_base - r_g - ff - dddd
 
 
@@ -145,7 +144,7 @@ def quadratic_form_paths(adapted: AdaptedGeometry, point: ChartPoint,
                          "bundle data")
     n_x, n_h = adapted.n_x, adapted.n_h
     sf = sigma_field(adapted, engine)
-    grad = partial(engine, sf.sigma, point, range(n_h))
+    grad = partial(engine, sf.sigma, point.coords[None], n_x, range(n_h))[0]
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     block_path = float(np.einsum("ab,a,b->", h_inv, grad, grad))
 
@@ -282,8 +281,8 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
     # chart versions: the same right-hand sides, left sides rewritten over
     # the (x, f) chart through the section operators
     adapted_geom = compile_adapted(orig)
-    dd_chart = partial(engine, adapted_geom.d.d, point,
-                       range(n_x + n_v))             # dd_chart[A', a, b]
+    dd_chart = partial(engine, adapted_geom.d.d, point.coords[None], n_x,
+                       range(n_x + n_v))[0]          # dd_chart[A', a, b]
     dd_x = dd_chart[:n_x]
     dd_f_chart = dd_chart[n_x:]
     c = orig.c.c
@@ -332,6 +331,24 @@ class SecondFundamentalForm:
         return float(np.max(np.abs(self.closed
                                    - np.einsum("nab->nba", self.closed))))
 
+    def norm_squared(self, d_inv, h_tilde) -> float:
+        r"""Squared norm of the closed form, given :math:`d^{-1}` and
+        :math:`\tilde h` at its point.
+
+        The trace pairing contracts the orbit legs with :math:`d^{-1}d^{-1}`
+        and the basis legs with :math:`\tilde h`:
+
+        .. math::
+
+            \|j\|^2 = d^{\alpha\mu} d^{\beta\nu} \tilde h_{N'M'}
+                j^{N'}_{\alpha\beta} j^{M'}_{\mu\nu},
+
+        which reproduces the covariant-derivative term of the curvature
+        decomposition identically.
+        """
+        return float(np.einsum("am,bn,NM,Nab,Mmn->", d_inv, d_inv, h_tilde,
+                               self.closed, self.closed))
+
 
 def second_fundamental_form(geometry, point: ChartPoint,
                             engine: DerivEngine = DEFAULT_ENGINE
@@ -349,7 +366,7 @@ def second_fundamental_form(geometry, point: ChartPoint,
     n_x, n_v, n_g, n_h = adapted.n_x, adapted.n_v, adapted.n_g, adapted.n_h
 
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
-    dd = covariant_D_orbit_metric(adapted, point, engine)
+    dd = covariant_D_orbit_metric(adapted, point.coords[None], engine)[0]
     closed = -0.5 * np.einsum("nb,bst->nst", h_inv, dd)
     if orig is None or n_g == 0:
         return SecondFundamentalForm(closed=closed, n_x=n_x, n_v=n_v,
@@ -399,24 +416,12 @@ def second_fundamental_form(geometry, point: ChartPoint,
 
 def j_norm_squared(adapted: AdaptedGeometry, point: ChartPoint,
                    engine: DerivEngine = DEFAULT_ENGINE) -> float:
-    r"""Squared norm of the second fundamental form.
-
-    The trace pairing contracts the orbit legs with :math:`d^{-1}d^{-1}`
-    and the basis legs with :math:`\tilde h`:
-
-    .. math::
-
-        \|j\|^2 = d^{\alpha\mu} d^{\beta\nu} \tilde h_{N'M'}
-            j^{N'}_{\alpha\beta} j^{M'}_{\mu\nu},
-
-    which reproduces the covariant-derivative term of the curvature
-    decomposition identically.
-    """
+    """Squared norm of the second fundamental form at ``point``; see
+    ``SecondFundamentalForm.norm_squared``."""
     form = second_fundamental_form(adapted, point, engine)
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
     h_val = np.asarray(adapted.h_tilde(point), dtype=float)
-    return float(np.einsum("am,bn,NM,Nab,Mmn->", d_inv, d_inv, h_val,
-                           form.closed, form.closed))
+    return form.norm_squared(d_inv, h_val)
 
 
 @dataclass(frozen=True)
@@ -451,7 +456,8 @@ def hamiltonian_terms(adapted: AdaptedGeometry, point: ChartPoint,
     d_val = np.asarray(adapted.d.d(point), dtype=float)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     r_g = orbit_scalar_curvature(adapted.c, d_val)
-    ff = ff_term(h_inv, d_val, curvature_F(adapted, point, engine))
+    ff = ff_term(h_inv, d_val,
+                 curvature_F(adapted, point.coords[None], engine)[0])
     norm2 = j_norm_squared(adapted, point, engine)
     bracket = r_total - r_base - r_g - ff - norm2
     hbar = mu2 * m

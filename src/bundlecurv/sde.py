@@ -243,11 +243,12 @@ def drift_coefficients(geometry, point: ChartPoint,
     f_w = frame_field(orig, "W", _w_matrix)
 
     base, vector = range(n_x), range(n_x, n_x + n_v)
-    d_hinv = partial(engine, f_dens_hinv, point, base)
-    d_killing = partial(engine, f_dens_killing, point, vector)
-    grad_dens = partial(engine, f_dens, point, vector)
-    d_w = partial(engine, f_w, point, vector)
-    d_conn = partial(engine, f_dens_conn, point, base)
+    zs = point.coords[None]
+    d_hinv = partial(engine, f_dens_hinv, zs, n_x, base)[0]
+    d_killing = partial(engine, f_dens_killing, zs, n_x, vector)[0]
+    grad_dens = partial(engine, f_dens, zs, n_x, vector)[0]
+    d_w = partial(engine, f_w, zs, n_x, vector)[0]
+    d_conn = partial(engine, f_dens_conn, zs, n_x, base)[0]
     div_hinv = np.zeros((n_x, n_x))       # div_hinv[j, i] = d_j(vH h^{ij})
     div_killing = np.zeros(orig.n_g)      # sum_b d_b(vH K^b_mu)
     div_conn = np.zeros(orig.n_g)         # sum_j d_j(vH h^{mj} gA^mu_m)
@@ -292,7 +293,8 @@ def drift_divergence_form(geometry, point: ChartPoint,
 
         field = FieldHandle(sqrt_h_h_tilde_inv, "matrix")
     sqrt_h0 = np.sqrt(density_H(adapted, point))
-    grad = partial(engine, field, point, range(n_h))
+    grad = partial(engine, field, point.coords[None], adapted.n_x,
+                   range(n_h))[0]
     drift = np.zeros(n_h)
     for slot in range(n_h):
         drift += grad[slot][:, slot]

@@ -67,10 +67,10 @@ def test_curvature_three_routes_agree(announce, twisted, abelian, scaled, flat):
         ok = ok and report.passed
         worst = max(worst, report.max_residual)
     elapsed = time.perf_counter() - start
-    announce(ok and elapsed <= 300.0, "scalar curvature, three routes",
+    announce(ok and elapsed <= 120.0, "scalar curvature, three routes",
              "max %.3e <= 1e-06 over 4x100 points, %.1fs" % (worst, elapsed))
     assert ok
-    assert elapsed <= 300.0
+    assert elapsed <= 120.0
 
 
 def test_coordinate_oracle_confirms_total(announce, twisted):
@@ -114,11 +114,11 @@ def test_jacobian_routes_agree(announce, twisted, abelian, scaled, flat):
                 flat_abs = part.max_residual
     elapsed = time.perf_counter() - start
     ok = ok and flat_abs is not None and flat_abs <= 1e-10
-    announce(ok and elapsed <= 150.0, "reduction Jacobian, both routes",
+    announce(ok and elapsed <= 60.0, "reduction Jacobian, both routes",
              "max %.3e <= 1e-06 over 4x100 points, flat |J| %.1e, %.1fs"
              % (worst, flat_abs, elapsed))
     assert ok
-    assert elapsed <= 150.0
+    assert elapsed <= 60.0
 
 
 def test_second_form_and_killing_identities(announce, twisted):

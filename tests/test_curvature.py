@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bundlecurv import curvature
-from bundlecurv.connection import christoffel_general
+from bundlecurv.connection import christoffel_general, christoffel_table
 from bundlecurv.curvature import (
     _log_det_d_field,
     coordinate_ricci_scalar,
@@ -20,6 +20,7 @@ from bundlecurv.curvature import (
 from bundlecurv.fields import ChartPoint, EvaluationError
 from bundlecurv.geometry import (AdaptedGeometry, compile_adapted,
                                  frame_cache_info)
+from bundlecurv.jacobian import jacobian_geometric
 from bundlecurv.liecore import OrbitMetric, orbit_scalar_curvature, su2_constants
 from bundlecurv.scenarios import (
     build_scenario,
@@ -153,6 +154,46 @@ def test_oracle_pinned_values(name, engine):
     assert got == _PINNED_ORACLE[name]
 
 
+#: ``ricci_scalar_pair`` at ``_PIN`` through the table and the general
+#: route, and ``jacobian_geometric`` there, recorded from the Ricci pair
+#: that evaluated its Christoffel field one table per outer stencil row;
+#: the stacked field must reproduce them bit for bit.
+_PINNED_RICCI = {
+    "twisted_bundle": ((-1.4331566308554202, -13.732204466302761),
+                       (-1.4331566308553185, -13.732204466302694),
+                       8.44806991003096),
+    "abelian_limit": ((-0.00964265174368309, -6.900613069226026),
+                      (-0.009642651743679675, -6.900613069226026),
+                      4.247921432416537),
+    "flat_product": ((-1.5, 0.0), (-1.5, 0.0), 0.0),
+    "scaled_orbit": ((10.820058205956325, 0.0), (10.820058205956325, 0.0),
+                     8.999999997527564),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RICCI))
+def test_ricci_pair_pinned_values(name, engine):
+    adapted = build_scenario(name).adapted
+    got = (ricci_scalar_pair(adapted, _PIN, engine=engine),
+           ricci_scalar_pair(adapted, _PIN, christoffel_general, engine),
+           jacobian_geometric(adapted, _PIN, engine))
+    assert got == _PINNED_RICCI[name]
+
+
+@pytest.mark.parametrize("route", [christoffel_table, christoffel_general])
+def test_ricci_pair_calls_its_route_twice(twisted, engine, route):
+    """The route runs once on the point's row and once on all 20 rows of
+    the outer stencil (2 steps, +-, 5 slots), not once per row."""
+    calls = []
+
+    def counted(adapted, zs, engine):
+        calls.append(len(zs))
+        return route(adapted, zs, engine)
+
+    ricci_scalar_pair(twisted.adapted, _PIN, counted, engine)
+    assert calls == [1, 20]
+
+
 def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
     """The stacked R_M stencil fills the frame cache with exactly the
     frames both Ricci routes read next, so they compile none."""
@@ -198,7 +239,7 @@ def test_twisted_ff_matches_loop_oracle(twisted, engine):
     b = decomposition_terms(adapted, point, engine)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     d_val = np.asarray(adapted.d.d(point), dtype=float)
-    f_val = curvature_F(adapted, point, engine)
+    f_val = curvature_F(adapted, point.coords[None], engine)[0]
     n_h, n_g = adapted.n_h, adapted.n_g
     want = 0.0
     for a in range(n_h):

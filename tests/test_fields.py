@@ -81,27 +81,27 @@ def test_field_handle_checks_declared_arity():
 def test_partial_constant_is_zero(engine):
     field = FieldHandle(lambda zs: np.full(len(zs), 4.2), arity="scalar")
     point = ChartPoint([0.7, -0.3], [0.2])
-    got = partial(engine, field, point, range(3))
+    got = partial(engine, field, point.coords[None], point.n_x, range(3))[0]
     assert got.shape == (3,)
     assert np.all(np.abs(got) < 1e-12)
 
 
 def test_partial_polynomial(engine):
     field = FieldHandle(lambda zs: zs[:, 0] ** 2, arity="scalar")
-    value = partial(engine, field, ChartPoint([3.0], []), [0])[0]
+    value = partial(engine, field, np.array([[3.0]]), 1, [0])[0, 0]
     assert_close(value, 6.0, 1e-9, "d/dx x^2 at 3")
 
 
 def test_partial_sine(engine):
     field = FieldHandle(lambda zs: np.sin(zs[:, 0]), arity="scalar")
-    value = partial(engine, field, ChartPoint([0.7], []), [0])[0]
+    value = partial(engine, field, np.array([[0.7]]), 1, [0])[0, 0]
     assert_close(value, np.cos(0.7), 1e-10, "d/dx sin")
 
 
 def test_partial_slot_out_of_range(engine):
     field = FieldHandle(lambda zs: np.zeros(len(zs)), arity="scalar")
     with pytest.raises(IndexError):
-        partial(engine, field, ChartPoint([0.0], [0.0]), range(3))
+        partial(engine, field, np.zeros((1, 2)), 1, range(3))
     with pytest.raises(IndexError):
         second_partial(engine, field, ChartPoint([0.0], [0.0]), [-1])
 
@@ -116,11 +116,12 @@ def test_partial_matrix_valued(engine):
 
     field = FieldHandle(matrix, arity="matrix")
     point = ChartPoint([1.5], [2.0])
-    got = partial(engine, field, point, [1, 0])
+    got = partial(engine, field, point.coords[None], point.n_x, [1, 0])[0]
     want = np.array([[[0.0, 0.0], [0.0, 1.5]],
                      [[1.0, 3.0], [0.0, 2.0]]])
     assert_close(got, want, 1e-9, "matrix field partial")
-    assert partial(engine, field, point, []).shape == (0,)
+    assert partial(engine, field, point.coords[None], point.n_x,
+                   []).shape == (1, 0)
 
 
 def test_partial_richardson_beats_plain_stencil():
@@ -129,8 +130,9 @@ def test_partial_richardson_beats_plain_stencil():
     exact = 2.0 * np.exp(0.6)
     plain = DerivEngine(fd_step=1e-4, richardson=False)
     rich = DerivEngine(fd_step=1e-4, richardson=True)
-    err_plain = abs(partial(plain, field, point, [0])[0] - exact)
-    err_rich = abs(partial(rich, field, point, [0])[0] - exact)
+    zs = point.coords[None]
+    err_plain = abs(partial(plain, field, zs, 1, [0])[0, 0] - exact)
+    err_rich = abs(partial(rich, field, zs, 1, [0])[0, 0] - exact)
     assert err_rich < err_plain
     assert err_rich / exact < 1e-9
 
@@ -147,7 +149,7 @@ def test_partial_raises_on_non_finite_stencil(engine):
     with pytest.raises(EvaluationError, match=r"field half_line produced "
                                               r"non-finite value at "
                                               r"x=\[-1e-05\] f=\[0.5\]"):
-        partial(engine, field, point, range(2))
+        partial(engine, field, point.coords[None], point.n_x, range(2))
     with pytest.raises(EvaluationError, match=r"x=\[-0.001\] f=\[0.5\]"):
         second_partial(engine, field, point, range(2))
     with pytest.raises(EvaluationError, match=r"z=\[-1e-05, 0.5\]"):
@@ -169,12 +171,32 @@ def test_kernel_calls_a_field_once_per_stencil(engine):
 
     field = FieldHandle(counted, arity="scalar")
     point = ChartPoint([0.3, -0.4], [0.2])
-    partial(engine, field, point, range(3))
+    partial(engine, field, point.coords[None], point.n_x, range(3))
     assert calls == [12]            # +-h, +-h/2 on three slots
     second_partial(engine, field, point, range(3))
     assert calls == [12, 37]        # centre, 12 axis rows, 3 x 8 corners
     field(point)
     assert calls == [12, 37, 1]
+
+
+def test_partial_on_a_stack_of_centres_equals_row_calls(engine):
+    """``partial`` on an ``(m, k)`` stack of centres makes one field call
+    on all ``m`` stencils' rows, and each row's partials equal those of a
+    one-row call bit for bit."""
+    calls = []
+
+    def counted(zs):
+        calls.append(len(zs))
+        return np.stack([np.sin(zs[:, 0]) * zs[:, 2], zs[:, 1] ** 3], axis=1)
+
+    field = FieldHandle(counted, arity="vector")
+    centres = np.array([[0.3, -0.4, 0.2], [0.1, 0.2, -0.3], [-0.5, 0.0, 0.4]])
+    stacked = partial(engine, field, centres, 2, [2, 0])
+    assert calls == [24]            # 3 centres x +-h, +-h/2 on two slots
+    assert stacked.shape == (3, 2, 2)
+    for z, got in zip(centres, stacked):
+        assert np.array_equal(got, partial(engine, field, z[None], 2,
+                                           [2, 0])[0])
 
 
 def test_field_result_shape_is_checked(engine):
@@ -191,7 +213,8 @@ def test_field_result_shape_is_checked(engine):
     with pytest.raises(ValueError, match=r"field short declared arity "
                                          r"'scalar' but returned shape "
                                          r"\(7,\) for 8 points"):
-        partial(engine, FieldHandle(short, "scalar"), point, range(2))
+        partial(engine, FieldHandle(short, "scalar"), point.coords[None],
+                point.n_x, range(2))
     with pytest.raises(ValueError, match=r"field flat declared arity "
                                          r"'matrix' but returned shape "
                                          r"\(17, 2\) for 17 points"):
@@ -362,7 +385,7 @@ def test_kernel_pinned_values(twisted, richardson):
     engine = DerivEngine(richardson=richardson)
     adapted = twisted.adapted
     col = 0 if richardson else 1
-    got = {name: partial(engine, field, _PIN, range(5))
+    got = {name: partial(engine, field, _PIN.coords[None], 2, range(5))[0]
            for name, field in (("h_tilde", adapted.h_tilde),
                                ("d", adapted.d.d),
                                ("A_conn", adapted.A_conn))}

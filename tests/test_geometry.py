@@ -111,8 +111,8 @@ def test_orbit_metric_twisted_loop_oracle(twisted):
 
 def test_connection_vanishes_without_twist(scaled):
     frame = point_frame(scaled.orig, ChartPoint([0.2, 0.1], [0.1, -0.3, 0.2]))
-    np.testing.assert_allclose(frame.A_base, np.zeros((3, 2)), atol=1e-13)
-    np.testing.assert_allclose(frame.A_vector, np.zeros((3, 3)), atol=1e-13)
+    np.testing.assert_allclose(frame.A[:, :2], np.zeros((3, 2)), atol=1e-13)
+    np.testing.assert_allclose(frame.A[:, 2:], np.zeros((3, 3)), atol=1e-13)
     np.testing.assert_allclose(frame.A_gamma, np.zeros((3, 2)), atol=1e-13)
 
 
@@ -127,16 +127,16 @@ def test_connection_twisted_loop_oracle(twisted):
         q_jac = frame.Q_jac
         base = np.einsum("ab,cb,dc,di->ai", frame.d_inv, k_p, g_p, q_jac)
         vector = np.einsum("ab,cb,cd->ad", frame.d_inv, k_v, orig.G_V)
-        assert_close(frame.A_base, base, 1e-12, "base connection")
-        assert_close(frame.A_vector, vector, 1e-12, "vector connection")
+        assert_close(frame.A[:, :2], base, 1e-12, "base connection")
+        assert_close(frame.A[:, 2:], vector, 1e-12, "vector connection")
 
 
 def test_connection_gamma_variant_matches_when_vector_action_trivial():
     orig = _gens_zero_twisted()
     frame = point_frame(orig, ChartPoint([0.3, -0.2], [0.1, 0.0, 0.4]))
-    np.testing.assert_allclose(frame.A_vector, np.zeros((3, 3)), atol=1e-13)
-    assert np.max(np.abs(frame.A_base)) > 1e-3  # the twist keeps it alive
-    assert_close(frame.A_gamma, frame.A_base, 1e-12,
+    np.testing.assert_allclose(frame.A[:, 2:], np.zeros((3, 3)), atol=1e-13)
+    assert np.max(np.abs(frame.A[:, :2])) > 1e-3  # the twist keeps it alive
+    assert_close(frame.A_gamma, frame.A[:, :2], 1e-12,
                  "gamma variant, gamma' = 0")
 
 
@@ -329,7 +329,7 @@ def test_degenerate_frame_in_a_stencil_names_its_point(engine):
     orig = dataclasses.replace(_conformal_orig(), G_P=g_p)
     h_tilde = compile_adapted(orig).h_tilde
     point = ChartPoint([0.0, 0.0], [])
-    partial(engine, h_tilde, point, range(2))
+    partial(engine, h_tilde, point.coords[None], point.n_x, range(2))
     with pytest.raises(NearSingularError,
                        match=r"bundle metric not positive definite at "
                              r"x=\[0.001, 0.0\] f=\[\]"):

@@ -58,7 +58,8 @@ def test_sigma_gradient_routes_agree(twisted, engine):
     sf = sigma_field(twisted.adapted, engine)
     for point in sample_points(twisted, 3, seed=103):
         grad = sf.grad(point)
-        fd = partial(engine, sf.sigma, point, range(twisted.adapted.n_h))
+        fd = partial(engine, sf.sigma, point.coords[None], point.n_x,
+                     range(twisted.adapted.n_h))[0]
         assert_close(grad, fd, 1e-9, "gradient routes")
 
 

@@ -88,7 +88,8 @@ def test_scaled_analytic_derivative_wired(engine):
     scen = build_scenario("scaled_orbit")
     slope = scen.params["slope"]
     point = ChartPoint([0.25, 0.1], [0.1, 0.0, -0.2])
-    got = partial(engine, scen.adapted.d.d, point, range(5))
+    got = partial(engine, scen.adapted.d.d, point.coords[None], point.n_x,
+                  range(5))[0]
     want = np.zeros((5, 3, 3))
     want[0] = 2.0 * slope * np.exp(2.0 * slope * 0.25) * np.eye(3)
     assert_close(got, want, 1e-8, "FD vs closed-form orbit-metric derivative")

@@ -160,3 +160,23 @@ def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
                         (check,), engine=engine)
     assert report.passed
     assert frame_cache_info().compiles - before.compiles <= most
+
+
+def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
+                                                         monkeypatch):
+    """The check reads the norm of the form it already holds, so the
+    Killing derivatives are computed once per point, not twice."""
+    from bundlecurv import jacobian
+
+    calls = []
+    original = jacobian.killing_derivatives
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jacobian, "killing_derivatives", counted)
+    points = sample_points(twisted, 2, seed=151)
+    assert run_checks(twisted, points, ("secondform",),
+                      engine=engine).passed
+    assert len(calls) == len(points)
