@@ -27,11 +27,11 @@ def main():
     print("scenario: %s   point x=%s f=%s" % (scenario.name, point.x,
                                               point.f))
 
-    frame = point_frame(scenario.orig, point)
+    frames = point_frame(scenario.orig, point)
     print("\norbit metric d(x, f):")
-    print(frame.d)
+    print(frames.d[0])
     print("\nconnection coefficients on the base directions:")
-    print(frame.A[:, :point.n_x])
+    print(frames.A[0][:, :point.n_x])
 
     metric = assemble_block_metric(scenario.adapted, point)
     print("\nfull block metric (8x8), horizontal block first:")

@@ -36,8 +36,8 @@ def main():
     print("\ndiffusion X (horizontal block):")
     print(coeffs.X)
 
-    frame = point_frame(scenario.orig, point)
-    residual = abs(coeffs.X @ coeffs.X.T - frame.h_tilde_inv).max()
+    h_tilde_inv = point_frame(scenario.orig, point).h_tilde_inv[0]
+    residual = abs(coeffs.X @ coeffs.X.T - h_tilde_inv).max()
     print("\n|X X^T - inverse horizontal metric| = %.3e" % residual)
 
     drift = drift_coefficients(scenario.adapted, point, DEFAULT_ENGINE)

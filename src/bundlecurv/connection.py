@@ -111,14 +111,6 @@ class ChristoffelBlocks:
         return self.gamma[..., self._slice(up), self._slice(lo1),
                           self._slice(lo2)]
 
-    def trace_group_base(self) -> np.ndarray:
-        r"""The contraction :math:`\Gamma^\gamma_{\gamma i}`, per row."""
-        return np.einsum("...ggi->...i", self.block("g", "g", "x"))
-
-    def trace_group_vector(self) -> np.ndarray:
-        r"""The contraction :math:`\Gamma^\gamma_{\gamma a}`, per row."""
-        return np.einsum("...gga->...a", self.block("g", "g", "v"))
-
 
 def curvature_F(adapted: AdaptedGeometry, zs,
                 engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:

@@ -208,9 +208,7 @@ def log_density_terms(adapted: AdaptedGeometry, point: ChartPoint,
 
     Returns ``(lap_ln_d, grad_ln_d)`` where the Laplacian is the
     orbit-space one, ``h~^{A'B'}(\partial\partial - \Gamma^{C'}\partial)``,
-    and the gradient term carries its quarter factor. The Hessian stencil
-    comes first: it holds the point itself, so the point's frames compile
-    with it.
+    and the gradient term carries its quarter factor.
     """
     n_h = adapted.n_h
     zs = point.coords[None]
@@ -255,8 +253,7 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
 
     h~ on the whole ``R_M`` stencil, the point itself included, comes
     from one call of its field function on the stencil rows; on compiled
-    bundle data that is one ``point_frames`` call, which also puts in the
-    frame cache the frames the Ricci routes read at the same point.
+    bundle data that is one ``point_frames`` call.
     """
     # the chart metric is exact linear algebra of closed-form inputs, so
     # the widened stencils of the coordinate oracle apply here as well

@@ -121,11 +121,6 @@ class ChartPoint:
         coords.setflags(write=False)
         return coords
 
-    @classmethod
-    def from_coords(cls, coords, n_x: int) -> "ChartPoint":
-        coords = np.asarray(coords, dtype=float)
-        return cls(coords[:n_x], coords[n_x:])
-
 
 @dataclass(frozen=True)
 class FieldHandle:

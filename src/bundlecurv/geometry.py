@@ -5,14 +5,15 @@ The input is an ``OriginalGeometry``: a metric on the bundle total space
 sector ``G_V``), the Killing fields of the group action, the representation
 generators acting on the vector sector, a local section ``Q*(x)``, and a
 gauge function whose zero level picks the section out. From this the module
-builds, at a chart point:
+builds, at the rows of a stack of chart points:
 
 * the orbit metric ``d = gamma(x) + gamma'(f)`` with its inverse,
 * the mechanical-connection components ``A^alpha_i``, ``A^alpha_a`` and the
   base-only variant built with ``gamma`` instead of ``d``,
-* the horizontal metric blocks ``h~`` (and the base-only ``h``),
-* the projector family (orbit-orthogonal ``Pi~``, gauge projector ``N``,
-  the section left-inverse ``T``),
+* the horizontal metric blocks ``h~`` and the inverse of the base-only
+  ``h``,
+* the Faddeev-Popov pieces of the gauge projector (``Lambda`` and
+  ``N_vP``),
 * the full block metric with closed-form inverse and determinant
   factorization.
 
@@ -22,18 +23,16 @@ is lost, and the coordinate-basis oracle reintroduces group coordinates
 independently.
 
 Every bundle callable of ``OriginalGeometry`` maps coordinate stacks to
-value stacks. Everything at a chart point lives in one ``PointFrame``.
-``point_frames`` compiles the frames at the rows of an ``(N, n_x + n_v)``
-array of joint chart coordinates in one stacked pass -- one call of each
-bundle callable on the stack, the linear algebra on ``(N, ...)`` stacks --
-and ``point_frame`` is its one-point case for a ``ChartPoint``. Compiled
-frames are read-only and kept in a bounded LRU cache keyed on the
-geometry object and the bytes of the coordinates, so a stencil row and
-the ``ChartPoint`` at the same coordinates share one frame;
-``frame_cache_info`` reports its counters. The chart fields of
-``compile_adapted`` (and every other ``frame_field``) hand their rows to
-one ``point_frames`` call, so each difference stencil compiles its frames
-in one pass.
+value stacks, and so does the frame compile. ``point_frames`` compiles
+the ``FrameStack`` at the rows of an ``(N, n_x + n_v)`` array of joint
+chart coordinates in one pass -- one call of each bundle callable on the
+stack, the linear algebra on ``(N, ...)`` stacks -- and ``point_frame``
+is its one-row case for a ``ChartPoint``. A compiled stack is read-only
+and stored whole, keyed on the geometry object and the shape and bytes
+of the coordinates, in a store bounded at 8192 rows, so a repeated
+stencil compiles nothing; ``frame_cache_info`` reports its counters. The
+chart fields of ``compile_adapted`` (and every other ``frame_field``)
+map a stencil's ``FrameStack`` to the stack of their values.
 """
 
 from __future__ import annotations
@@ -50,10 +49,8 @@ from .liecore import OrbitMetric, StructureConstants
 __all__ = [
     "OriginalGeometry",
     "AdaptedGeometry",
-    "Projectors",
-    "HorizontalMetric",
     "BlockMetric",
-    "PointFrame",
+    "FrameStack",
     "point_frame",
     "point_frames",
     "frame_cache_info",
@@ -190,44 +187,6 @@ class OriginalGeometry:
 
 
 @dataclass(frozen=True)
-class Projectors:
-    r"""Projector family at a point.
-
-    ``Pi_tilde`` projects the joint ``P (+) V`` tangent space onto the
-    orthogonal complement of the orbit directions; ``N`` is the
-    gauge-section projector built from the Faddeev-Popov matrix; ``T`` is
-    the left inverse of the section Jacobian with ``T Q*_jac = 1`` and
-    ``Q*_jac T`` idempotent; ``Lambda = Phi^{-1} chi_jac``.
-    """
-
-    Pi_tilde: np.ndarray
-    N: np.ndarray
-    T: np.ndarray
-    Lambda: np.ndarray
-    n_P: int
-
-    @property
-    def N_vP(self):
-        return self.N[self.n_P:, :self.n_P]
-
-
-@dataclass(frozen=True)
-class HorizontalMetric:
-    """Horizontal metric blocks and the base-only reduced metric."""
-
-    h_xx: np.ndarray
-    h_xv: np.ndarray
-    h_vv: np.ndarray
-    h_base: np.ndarray
-
-    @property
-    def full(self) -> np.ndarray:
-        top = np.hstack([self.h_xx, self.h_xv])
-        bot = np.hstack([self.h_xv.T, self.h_vv])
-        return np.vstack([top, bot])
-
-
-@dataclass(frozen=True)
 class BlockMetric:
     """Full adapted block metric at the group identity."""
 
@@ -239,22 +198,23 @@ class BlockMetric:
     A: np.ndarray
 
 
-@dataclass
-class PointFrame:
-    r"""Everything compiled at one chart point (cached).
+@dataclass(frozen=True, eq=False)
+class FrameStack:
+    r"""Everything compiled at the ``N`` rows of one chart-coordinate stack.
 
-    ``Q`` and ``Q_jac`` are the section point ``Q*(x)`` and its Jacobian;
-    ``G_P``, ``K_P`` and ``K_V`` the bundle metric and the Killing fields
-    there. The orbit metric and its additive pieces,
+    Every field is a read-only ``(N, ...)`` array, one leading entry per
+    row. ``Q`` and ``Q_jac`` are the section point ``Q*(x)`` and its
+    Jacobian; ``G_P`` (inverse ``G_P_inv``), ``K_P`` and ``K_V`` the
+    bundle metric and the Killing fields there. The orbit metric,
 
     .. math::
 
         d_{\mu\nu} = \gamma_{\mu\nu} + \gamma'_{\mu\nu}
             = G_{AB}K^A_\mu K^B_\nu + G_{ab}K^a_\mu K^b_\nu,
 
-    are ``d`` (with ``d_inv`` and ``det_d``), ``gamma`` and
-    ``gamma_prime``; a degenerate ``d`` raises, the working witness that
-    the group action stopped being free. The mechanical connection,
+    is ``d`` (with ``d_inv`` and ``det_d``), its bundle-side part
+    ``gamma``; a degenerate ``d`` raises, the working witness that the
+    group action stopped being free. The mechanical connection,
 
     .. math::
 
@@ -262,9 +222,9 @@ class PointFrame:
         \qquad
         \mathcal A^\alpha_c = d^{\alpha\beta} K^a_\beta G_{ac},
 
-    is ``A``, the ``(n_g, n_x + n_v)`` matrix with the base columns
-    :math:`\mathcal A^\alpha_i` first; ``A_gamma`` is the
-    base-sector variant with :math:`\gamma^{\mu\nu}` in place of
+    is ``A``, ``(N, n_g, n_x + n_v)`` with the base columns
+    :math:`\mathcal A^\alpha_i` first; ``A_gamma`` is the base-sector
+    variant with :math:`\gamma^{\mu\nu}` in place of
     :math:`d^{\alpha\beta}`, which the inverse-metric and drift formulas
     use. The horizontal metric ``Gt_H`` is the joint metric on
     ``P (+) V`` minus its orbit components,
@@ -274,10 +234,13 @@ class PointFrame:
         \tilde G^{\rm H} = G - G K d^{-1} K^{\rm T} G;
 
     pulled back through the section Jacobian on the ``P`` legs it gives
-    the blocks ``h`` and the joint ``h_tilde`` (with ``h_tilde_inv`` and
-    ``det_h``). ``GH_P`` and ``h.h_base`` (inverse ``h_base_inv``) are the
-    analogous base-only reduction of ``G_P`` built with ``gamma``.
-    ``projectors`` holds the projector family; see ``Projectors``.
+    the blocks ``h_xx``, ``h_xv``, ``h_vv`` of the joint ``h_tilde``
+    (with ``h_tilde_inv`` and ``det_h``). ``GH_P`` is the analogous
+    base-only reduction of ``G_P`` built with ``gamma``, and
+    ``h_base_inv`` the inverse of its pullback. ``Lambda`` is
+    :math:`\Phi^{-1}\partial\chi` with the Faddeev-Popov matrix
+    :math:`\Phi = \partial\chi\, K_P`, and ``N_vP = -K_V Lambda`` the
+    vector-by-bundle block of the gauge projector.
     """
 
     Q: np.ndarray
@@ -287,20 +250,27 @@ class PointFrame:
     K_P: np.ndarray
     K_V: np.ndarray
     gamma: np.ndarray
-    gamma_prime: np.ndarray
     d: np.ndarray
     d_inv: np.ndarray
-    det_d: float
+    det_d: np.ndarray
     A: np.ndarray
     A_gamma: np.ndarray
     Gt_H: np.ndarray
     GH_P: np.ndarray
-    h: HorizontalMetric
+    h_xx: np.ndarray
+    h_xv: np.ndarray
+    h_vv: np.ndarray
     h_tilde: np.ndarray
     h_tilde_inv: np.ndarray
-    det_h: float
+    det_h: np.ndarray
     h_base_inv: np.ndarray
-    projectors: Projectors
+    Lambda: np.ndarray
+    N_vP: np.ndarray
+
+    def __post_init__(self):
+        # a stack is stored and shared by every later lookup of its rows
+        for array in vars(self).values():
+            array.setflags(write=False)
 
 
 def _spd_or_error(matrix, what, xs=None, fs=None):
@@ -317,13 +287,13 @@ def _spd_or_error(matrix, what, xs=None, fs=None):
             from exc
 
 
-def _compute_frames(orig: OriginalGeometry, zs) -> list:
-    """Compile the frames at the rows of ``zs`` in one pass.
+def _compute_frames(orig: OriginalGeometry, zs) -> FrameStack:
+    """Compile the frame stack at the rows of ``zs`` in one pass.
 
     ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates. The
     bundle callables run once each on the whole stack; all the linear
     algebra then runs on ``(N, ...)`` stacks, matrix by matrix with the
-    arithmetic of a single point, so a frame is bit-identical whatever
+    arithmetic of a single point, so a row is bit-identical whatever
     stack it was compiled in. Every gate runs at every row; the first
     gate, in frame order, that fails at any row raises.
     """
@@ -365,8 +335,7 @@ def _compute_frames(orig: OriginalGeometry, zs) -> list:
     g_full[:, n_P:, n_P:] = orig.G_V
     k_full = np.concatenate([k_p, k_v], axis=1)
     gk = g_full @ k_full
-    gk_t = gk.swapaxes(1, 2)
-    gt_h = g_full - gk @ d_inv @ gk_t
+    gt_h = g_full - gk @ d_inv @ gk.swapaxes(1, 2)
     gh_p = g_p - (g_p @ k_p) @ gamma_inv @ kt_g
 
     h_xx = q_jac_t @ gt_h[:, :n_P, :n_P] @ q_jac
@@ -381,7 +350,7 @@ def _compute_frames(orig: OriginalGeometry, zs) -> list:
     h_base_inv, _ = _spd_or_error(h_base, "reduced base metric degenerate",
                                   xs, fs)
 
-    # projectors
+    # gauge projector pieces
     if n_g:
         phi = chi_jac @ k_p
         singular = np.linalg.cond(phi) > _PHI_MAX_COND
@@ -393,163 +362,112 @@ def _compute_frames(orig: OriginalGeometry, zs) -> list:
         lam = np.linalg.solve(phi, chi_jac)
     else:
         lam = np.zeros((len(zs), 0, n_P))
-    n_full = np.zeros((len(zs), n_P + n_v, n_P + n_v))
-    n_full[:, :n_P, :n_P] = np.eye(n_P) - k_p @ lam
-    n_full[:, n_P:, :n_P] = -k_v @ lam
-    n_full[:, n_P:, n_P:] = np.eye(n_v)
 
-    pi_tilde = np.eye(n_P + n_v) - k_full @ d_inv @ gk_t
-    t_op = h_base_inv @ q_jac_t @ gh_p
-
-    # frames are cached and shared by every later lookup of the point, so
-    # their arrays are read-only
-    (q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d, d_inv, a_joint,
-     a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base, h_tilde, h_tilde_inv,
-     h_base_inv, pi_tilde, n_full, t_op, lam) = (
-        _frame_arrays(stack, len(zs) == 1) for stack in (
-            q, q_jac, g_p, g_p_inv, k_p, k_v, gamma, gamma_prime, d, d_inv,
-            a_joint, a_gamma, gt_h, gh_p, h_xx, h_xv, h_vv, h_base, h_tilde,
-            h_tilde_inv, h_base_inv, pi_tilde, n_full, t_op, lam))
-    return [PointFrame(
-        Q=q[i], Q_jac=q_jac[i], G_P=g_p[i], G_P_inv=g_p_inv[i],
-        K_P=k_p[i], K_V=k_v[i], gamma=gamma[i], gamma_prime=gamma_prime[i],
-        d=d[i], d_inv=d_inv[i], det_d=float(det_d[i]),
-        A=a_joint[i], A_gamma=a_gamma[i],
-        Gt_H=gt_h[i], GH_P=gh_p[i],
-        h=HorizontalMetric(h_xx[i], h_xv[i], h_vv[i], h_base[i]),
-        h_tilde=h_tilde[i], h_tilde_inv=h_tilde_inv[i],
-        det_h=float(det_h[i]), h_base_inv=h_base_inv[i],
-        projectors=Projectors(Pi_tilde=pi_tilde[i], N=n_full[i], T=t_op[i],
-                              Lambda=lam[i], n_P=n_P))
-        for i in range(len(zs))]
+    return FrameStack(
+        Q=q, Q_jac=q_jac, G_P=g_p, G_P_inv=g_p_inv, K_P=k_p, K_V=k_v,
+        gamma=gamma, d=d, d_inv=d_inv, det_d=det_d, A=a_joint,
+        A_gamma=a_gamma, Gt_H=gt_h, GH_P=gh_p, h_xx=h_xx, h_xv=h_xv,
+        h_vv=h_vv, h_tilde=h_tilde, h_tilde_inv=h_tilde_inv, det_h=det_h,
+        h_base_inv=h_base_inv, Lambda=lam, N_vP=-k_v @ lam)
 
 
-def _frame_arrays(stack, single):
-    """The read-only per-frame arrays of a compiled stack.
+class _FrameStore:
+    """Compiled frame stacks, each kept whole, with counters.
 
-    In a stack of frames they are views of the frozen stack. A lone frame
-    gets an owned copy instead, so that it keeps no one-row stack alive
-    behind a view.
-    """
-    if single:
-        row = stack[0].copy()
-        row.setflags(write=False)
-        return [row]
-    stack.setflags(write=False)
-    return stack
-
-
-class _FrameCache:
-    """Bounded LRU of compiled frames with hit and compile counters.
-
-    Keys are the geometry object itself and the bytes of the joint chart
-    coordinates of a point, ``x`` first. A geometry hashes by identity, so
-    a cached frame keeps its geometry alive and two geometries never share
-    a frame. Lookups are not locked: verification runs on one thread.
+    Keys are the geometry object itself, the shape and the bytes of a
+    stack of joint chart coordinates, so a stack is served only to a
+    lookup of exactly its rows. A geometry hashes by identity: a stored
+    stack keeps its geometry alive, and two geometries never share one.
+    The store holds at most ``maxsize`` rows and evicts the least
+    recently used stacks first. Lookups are not locked: verification runs
+    on one thread.
     """
 
     def __init__(self, maxsize):
         self.maxsize = maxsize
-        self.frames = OrderedDict()
-        self.hits = self.misses = self.compiles = 0
+        self.stacks = OrderedDict()
+        self.rows = self.hits = self.misses = self.compiles = 0
 
-    def get(self, key):
-        """The cached frame under ``key``, now most recent, or None."""
-        frame = self.frames.get(key)
-        if frame is not None:
-            self.frames.move_to_end(key)
+    def lookup(self, orig, zs):
+        """The frame stack at the rows of ``zs``, compiled on a miss."""
+        key = (orig, zs.shape, zs.tobytes())
+        frames = self.stacks.get(key)
+        if frames is not None:
+            self.stacks.move_to_end(key)
             self.hits += 1
-        return frame
-
-    def compile(self, orig, missing):
-        """Compile the frames at the rows of ``missing`` (key -> row) in one
-        stacked call, cache them, and return them in the order of
-        ``missing``."""
-        self.misses += len(missing)
+            return frames
+        frames = _compute_frames(orig, zs)
+        self.misses += len(zs)
         self.compiles += 1
-        frames = _compute_frames(orig, np.array(list(missing.values())))
-        self.frames.update(zip(missing, frames))
-        while len(self.frames) > self.maxsize:
-            self.frames.popitem(last=False)
+        self.stacks[key] = frames
+        self.rows += len(zs)
+        while self.rows > self.maxsize:
+            (_, shape, _), _ = self.stacks.popitem(last=False)
+            self.rows -= shape[0]
         return frames
 
 
-_FRAMES = _FrameCache(maxsize=8192)
+_FRAMES = _FrameStore(maxsize=8192)
 
 FrameCacheInfo = namedtuple("FrameCacheInfo",
                             "hits misses compiles currsize maxsize")
 
 
 def frame_cache_info() -> FrameCacheInfo:
-    """Counters of the frame cache: lookups served from it (``hits``),
-    frames compiled (``misses``), stacked compile calls (``compiles``),
-    and its current and maximum size."""
-    cache = _FRAMES
-    return FrameCacheInfo(cache.hits, cache.misses, cache.compiles,
-                          len(cache.frames), cache.maxsize)
+    """Counters of the frame store: lookups served from it (``hits``),
+    rows compiled (``misses``), stacked compile calls (``compiles``), and
+    its current and maximum size in rows."""
+    store = _FRAMES
+    return FrameCacheInfo(store.hits, store.misses, store.compiles,
+                          store.rows, store.maxsize)
 
 
-def point_frames(orig: OriginalGeometry, zs) -> list:
-    """Frames at the rows of ``zs``, every cache miss compiled in one call.
+def point_frames(orig: OriginalGeometry, zs) -> FrameStack:
+    """The frame stack at the rows of ``zs``, compiled in one call on a miss.
 
-    ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates;
-    returns one frame per row, in order. A row repeated in ``zs``
-    compiles once, and every compiled frame enters the cache, so later
-    lookups of the same coordinates -- rows here, or a ``ChartPoint`` in
-    ``point_frame`` -- are hits.
+    ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates; row
+    ``i`` of every field of the result belongs to row ``i`` of ``zs``.
+    The stack is stored whole, so a later lookup of the same rows in the
+    same order compiles nothing.
     """
     zs = np.asarray(zs, dtype=float)
-    keys = [(orig, z.tobytes()) for z in zs]
-    found = {}
-    missing = {}
-    for key, z in zip(keys, zs):
-        if key in found:
-            _FRAMES.hits += 1
-            continue
-        found[key] = _FRAMES.get(key)
-        if found[key] is None:
-            missing[key] = z
-    if missing:
-        found.update(zip(missing, _FRAMES.compile(orig, missing)))
-    return [found[key] for key in keys]
+    if zs.ndim != 2 or zs.shape[1] != orig.n_h:
+        raise ValueError("point_frames takes an (N, %d) coordinate stack, "
+                         "got shape %s" % (orig.n_h, zs.shape))
+    return _FRAMES.lookup(orig, zs)
 
 
-def point_frame(orig: OriginalGeometry, point: ChartPoint) -> PointFrame:
-    """Cached per-point evaluation hub: a cache lookup, and on a miss the
-    one-point case of the stacked compile."""
-    coords = point.coords
-    key = (orig, coords.tobytes())
-    frame = _FRAMES.get(key)
-    if frame is None:
-        frame = _FRAMES.compile(orig, {key: coords})[0]
-    return frame
+def point_frame(orig: OriginalGeometry, point: ChartPoint) -> FrameStack:
+    """The one-row frame stack at ``point``: ``point_frames`` on its
+    coordinates. Callers read row 0 of its fields."""
+    return point_frames(orig, point.coords[None])
 
 
 def frame_field(orig: OriginalGeometry, name, value,
                 arity="matrix") -> FieldHandle:
-    """The chart field ``value(frame)``, named ``name``.
+    """The chart field ``value(frames)``, named ``name``.
 
-    On a stack of rows it reads every frame from one ``point_frames``
-    call, so a stencil compiles its missing frames in one stacked pass,
-    and stacks ``value`` of each frame.
+    ``value`` maps the ``FrameStack`` of a stack of rows to the ``(N,
+    ...)`` stack of the field there, so a stencil reads its frames from
+    one ``point_frames`` call.
     """
     def evaluate(zs):
-        return np.array([value(frame) for frame in point_frames(orig, zs)])
+        return value(point_frames(orig, zs))
 
     evaluate.__name__ = name
     return FieldHandle(evaluate, arity)
 
 
 def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
-    """Wrap the builders into chart fields, each read from the frames."""
+    """Wrap the frame stacks into chart fields."""
     orbit = OrbitMetric(
-        d=frame_field(orig, "d", lambda fr: fr.d),
-        d_inv=frame_field(orig, "d_inv", lambda fr: fr.d_inv))
+        d=frame_field(orig, "d", lambda fs: fs.d),
+        d_inv=frame_field(orig, "d_inv", lambda fs: fs.d_inv))
     return AdaptedGeometry(
         n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
-        h_tilde=frame_field(orig, "h_tilde", lambda fr: fr.h_tilde),
+        h_tilde=frame_field(orig, "h_tilde", lambda fs: fs.h_tilde),
         d=orbit,
-        A_conn=frame_field(orig, "A_conn", lambda fr: fr.A),
+        A_conn=frame_field(orig, "A_conn", lambda fs: fs.A),
         c=orig.c, orig=orig)
 
 
@@ -638,8 +556,8 @@ def det_factorization_check(orig: OriginalGeometry,
     block = assemble_block_metric(adapted, point)
     sign, logdet = np.linalg.slogdet(block.matrix)
     det_direct = sign * np.exp(logdet)
-    frame = point_frame(orig, point)
-    det_fact = frame.det_d * frame.det_h
+    frames = point_frame(orig, point)
+    det_fact = frames.det_d[0] * frames.det_h[0]
     return abs(det_direct - det_fact) / abs(det_direct)
 
 
@@ -664,23 +582,23 @@ def validate_original(orig: OriginalGeometry, points,
     the Faddeev-Popov matrix is well conditioned. Sampled, not proven;
     scenario construction treats failure as a configuration error.
     """
-    frames = point_frames(orig, [p.coords for p in points])
+    frames = point_frames(orig, np.reshape([p.coords for p in points],
+                                           (-1, orig.n_h)))
     worst_k = 0.0
-    for frame in frames:
-        dg = coordinate_partials(orig.G_P, frame.Q, fd_step)  # dg[C, A, B]
-        dk = coordinate_partials(orig.K_P, frame.Q, fd_step)  # dk[C, A, alpha]
+    for q, k_p, g_p in zip(frames.Q, frames.K_P, frames.G_P):
+        dg = coordinate_partials(orig.G_P, q, fd_step)  # dg[C, A, B]
+        dk = coordinate_partials(orig.K_P, q, fd_step)  # dk[C, A, alpha]
         for alpha in range(orig.n_g):
-            k = frame.K_P[:, alpha]
+            k = k_p[:, alpha]
             grad_k = dk[:, :, alpha]     # grad_k[slot A, component C]
             lie = (np.einsum("c,cab->ab", k, dg)
-                   + grad_k @ frame.G_P + frame.G_P @ grad_k.T)
+                   + grad_k @ g_p + g_p @ grad_k.T)
             worst_k = max(worst_k, float(np.max(np.abs(lie))))
-    qs = np.array([frame.Q for frame in frames]).reshape(-1, orig.n_P)
-    chi_val = orig.chi(qs)
+    chi_val = orig.chi(frames.Q)
     worst_s = float(np.max(np.abs(chi_val))) if chi_val.size else 0.0
     worst_cond = 1.0
-    if orig.n_g and frames:
-        phi = orig.chi_jac(qs) @ np.array([frame.K_P for frame in frames])
+    if orig.n_g and len(frames.Q):
+        phi = orig.chi_jac(frames.Q) @ frames.K_P
         worst_cond = max(worst_cond, float(np.max(np.linalg.cond(phi))))
     ok = (worst_k <= killing_tol and worst_s <= section_tol
           and worst_cond <= _PHI_MAX_COND)

@@ -39,7 +39,8 @@ from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
 from .geometry import (AdaptedGeometry, OriginalGeometry, compile_adapted,
                        point_frame)
 from .liecore import orbit_scalar_curvature
-from .connection import covariant_D_orbit_metric, curvature_F
+from .connection import (christoffel_table, covariant_D_orbit_metric,
+                         curvature_F)
 from .curvature import (_log_det_d_field, dddd_term, ff_term,
                         log_density_terms, ricci_scalar_pair)
 
@@ -108,7 +109,8 @@ def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
     Both scalar curvatures come from a single frame-derivative pass so
     their FD noise largely cancels in the difference.
     """
-    r_total, r_base = ricci_scalar_pair(adapted, point, engine=engine)
+    r_total, r_base = ricci_scalar_pair(adapted, point, christoffel_table,
+                                        engine)
     d_val = np.asarray(adapted.d.d(point), dtype=float)
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
@@ -148,19 +150,18 @@ def quadratic_form_paths(adapted: AdaptedGeometry, point: ChartPoint,
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     block_path = float(np.einsum("ab,a,b->", h_inv, grad, grad))
 
-    frame = point_frame(adapted.orig, point)
+    frames = point_frame(adapted.orig, point)
     s_x = grad[:n_x]
     s_v = grad[n_x:]
-    h_red_inv = frame.h_base_inv
-    gamma_inv, _ = invert_spd(frame.gamma)
+    h_red_inv, a_gamma, k_v = (frames.h_base_inv[0], frames.A_gamma[0],
+                               frames.K_V[0])
+    gamma_inv, _ = invert_spd(frames.gamma[0])
     g_v_inv, _ = invert_spd(adapted.orig.G_V)
     t1 = float(np.einsum("ij,i,j->", h_red_inv, s_x, s_x))
-    t2 = 2.0 * float(np.einsum("kj,mk,am,a,j->", h_red_inv, frame.A_gamma,
-                               frame.K_V, s_v, s_x))
-    mid = gamma_inv + np.einsum("kl,ak,bl->ab", h_red_inv, frame.A_gamma,
-                                frame.A_gamma)
-    t3 = float(np.einsum("mn,am,bn,a,b->", mid, frame.K_V, frame.K_V,
-                         s_v, s_v)
+    t2 = 2.0 * float(np.einsum("kj,mk,am,a,j->", h_red_inv, a_gamma,
+                               k_v, s_v, s_x))
+    mid = gamma_inv + np.einsum("kl,ak,bl->ab", h_red_inv, a_gamma, a_gamma)
+    t3 = float(np.einsum("mn,am,bn,a,b->", mid, k_v, k_v, s_v, s_v)
                + np.einsum("ab,a,b->", g_v_inv, s_v, s_v))
     return block_path, t1 + t2 + t3
 
@@ -186,8 +187,8 @@ def killing_derivatives(orig: OriginalGeometry, point: ChartPoint,
     ``G_V``, i.e. the plain directional derivative of the linear field,
     ``gens[beta] gens[alpha] f``.
     """
-    frame = point_frame(orig, point)
-    q, k = frame.Q, frame.K_P
+    frames = point_frame(orig, point)
+    q, k = frames.Q[0], frames.K_P[0]
     gamma_p = _bundle_christoffel(orig, q, engine.fd_step)
     dk = coordinate_partials(orig.K_P, q, engine.fd_step)  # dk[A, C, beta]
     p = (np.einsum("aA,acB->cAB", k, dk)
@@ -247,21 +248,22 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
     with the vector version reducing to
     :math:`(\ldots)^p = -\tfrac12 G^{pq}\partial_q d_{\alpha\beta}`.
     """
-    frame = point_frame(orig, point)
+    frames = point_frame(orig, point)
     n_v, n_g, n_x = orig.n_v, orig.n_g, orig.n_x
     if n_g == 0:
         return KillingIdentityResiduals(0.0, 0.0, 0.0, 0.0)
     p, v = killing_derivatives(orig, point, engine)
     sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
-    scale = max(1.0, float(np.max(np.abs(frame.d))))
+    d, g_p_inv = frames.d[0], frames.G_P_inv[0]
+    scale = max(1.0, float(np.max(np.abs(d))))
 
     def gamma_of_q(qs):
         k = orig.K_P(qs)
         return k.swapaxes(1, 2) @ orig.G_P(qs) @ k
 
-    dd_q = coordinate_partials(gamma_of_q, frame.Q,
+    dd_q = coordinate_partials(gamma_of_q, frames.Q[0],
                                engine.fd_step)       # dd_q[C, a, b]
-    lhs_base = -np.einsum("ec,cab->eab", frame.G_P_inv, dd_q)
+    lhs_base = -np.einsum("ec,cab->eab", g_p_inv, dd_q)
     raw_base = float(np.max(np.abs(lhs_base - 2.0 * sym_p))) / scale
 
     if n_v:
@@ -286,14 +288,14 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
     dd_x = dd_chart[:n_x]
     dd_f_chart = dd_chart[n_x:]
     c = orig.c.c
-    alg = (np.einsum("fea,fb->eab", c, frame.d)
-           + np.einsum("feb,af->eab", c, frame.d))   # alg[eps, alpha, beta]
-    lam = frame.projectors.Lambda
-    bracket = (np.einsum("CD,Dm,mi,iab->Cab", frame.GH_P, frame.Q_jac,
-                         frame.h_base_inv, dd_x)
-               - np.einsum("sC,qs,qab->Cab", lam, frame.K_V, dd_f_chart)
+    alg = (np.einsum("fea,fb->eab", c, d)
+           + np.einsum("feb,af->eab", c, d))   # alg[eps, alpha, beta]
+    lam = frames.Lambda[0]
+    bracket = (np.einsum("CD,Dm,mi,iab->Cab", frames.GH_P[0],
+                         frames.Q_jac[0], frames.h_base_inv[0], dd_x)
+               - np.einsum("sC,qs,qab->Cab", lam, frames.K_V[0], dd_f_chart)
                + np.einsum("eC,eab->Cab", lam, alg))
-    rhs_adapted = -0.5 * np.einsum("ce,cab->eab", frame.G_P_inv, bracket)
+    rhs_adapted = -0.5 * np.einsum("ce,cab->eab", g_p_inv, bracket)
     adapted_base = float(np.max(np.abs(rhs_adapted - sym_p))) / scale
 
     if n_v:
@@ -312,7 +314,9 @@ class SecondFundamentalForm:
 
     ``closed[N', alpha, beta]`` holds the closed form
     :math:`j^{N'}_{\alpha\beta} = -\tfrac12 \tilde h^{N'B'}
-    \mathcal D_{B'} d_{\alpha\beta}`. When the geometry carries bundle
+    \mathcal D_{B'} d_{\alpha\beta}`, and ``Dd[B', alpha, beta]`` the
+    covariant derivative :math:`\mathcal D_{B'} d_{\alpha\beta}` it was
+    built from. When the geometry carries bundle
     data, ``raw`` holds the same components rebuilt from the four raw
     orthogonal projections of the symmetrized Killing derivatives, and
     ``raw_pieces`` the individual projections (base/vector output legs
@@ -320,16 +324,12 @@ class SecondFundamentalForm:
     """
 
     closed: np.ndarray
+    Dd: np.ndarray
     n_x: int
     n_v: int
     n_g: int
     raw: np.ndarray = None
     raw_pieces: tuple = None
-
-    @property
-    def symmetric_residual(self) -> float:
-        return float(np.max(np.abs(self.closed
-                                   - np.einsum("nab->nba", self.closed))))
 
     def norm_squared(self, d_inv, h_tilde) -> float:
         r"""Squared norm of the closed form, given :math:`d^{-1}` and
@@ -369,38 +369,35 @@ def second_fundamental_form(geometry, point: ChartPoint,
     dd = covariant_D_orbit_metric(adapted, point.coords[None], engine)[0]
     closed = -0.5 * np.einsum("nb,bst->nst", h_inv, dd)
     if orig is None or n_g == 0:
-        return SecondFundamentalForm(closed=closed, n_x=n_x, n_v=n_v,
-                                     n_g=n_g)
+        return SecondFundamentalForm(closed=closed, Dd=dd, n_x=n_x,
+                                     n_v=n_v, n_g=n_g)
 
-    frame = point_frame(orig, point)
+    frames = point_frame(orig, point)
     p, v = killing_derivatives(orig, point, engine)
     sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
     n_P = orig.n_P
-    gt_pp = frame.Gt_H[:n_P, :n_P]
-    gt_pv = frame.Gt_H[:n_P, n_P:]
-    gt_vv = frame.Gt_H[n_P:, n_P:]
-    h_xx = frame.h.h_xx
-    h_xv = frame.h.h_xv
-    h_vv = frame.h.h_vv
+    gt_h, q_jac, gh_p, n_vp = (frames.Gt_H[0], frames.Q_jac[0],
+                               frames.GH_P[0], frames.N_vP[0])
+    gt_pp = gt_h[:n_P, :n_P]
+    gt_pv = gt_h[:n_P, n_P:]
+    gt_vv = gt_h[n_P:, n_P:]
+    h_xx, h_xv, h_vv = frames.h_xx[0], frames.h_xv[0], frames.h_vv[0]
+    h_base_inv = frames.h_base_inv[0]
     hi_xx = h_inv[:n_x, :n_x]
     hi_xv = h_inv[:n_x, n_x:]
     hi_vv = h_inv[n_x:, n_x:]
 
     # base output leg, base metric leg
-    j1 = (np.einsum("kn,BM,Bk,Mst->nst", hi_xx,
-                    gt_pp, frame.Q_jac, sym_p)
-          + np.einsum("kn,Bc,Bk,cst->nst", hi_xx,
-                      gt_pv, frame.Q_jac, sym_v))
+    j1 = (np.einsum("kn,BM,Bk,Mst->nst", hi_xx, gt_pp, q_jac, sym_p)
+          + np.einsum("kn,Bc,Bk,cst->nst", hi_xx, gt_pv, q_jac, sym_v))
     # vector output leg, cross metric leg
-    braket2 = (np.einsum("ML,Lm,mi,ki->kM", frame.GH_P, frame.Q_jac,
-                         frame.h_base_inv, h_xx)
-               + np.einsum("aM,ka->kM", frame.projectors.N_vP, h_xv))
+    braket2 = (np.einsum("ML,Lm,mi,ki->kM", gh_p, q_jac, h_base_inv, h_xx)
+               + np.einsum("aM,ka->kM", n_vp, h_xv))
     j2 = (np.einsum("kb,kM,Mst->bst", hi_xv, braket2, sym_p)
           + np.einsum("kb,kc,cst->bst", hi_xv, h_xv, sym_v))
     # base output leg, cross metric leg
-    braket3 = (np.einsum("ML,Lm,mi,ib->bM", frame.GH_P, frame.Q_jac,
-                         frame.h_base_inv, h_xv)
-               + np.einsum("aM,ab->bM", frame.projectors.N_vP, h_vv))
+    braket3 = (np.einsum("ML,Lm,mi,ib->bM", gh_p, q_jac, h_base_inv, h_xv)
+               + np.einsum("aM,ab->bM", n_vp, h_vv))
     j3 = (np.einsum("kb,bM,Mst->kst", hi_xv, braket3, sym_p)
           + np.einsum("kb,cb,cst->kst", hi_xv, h_vv, sym_v))
     # vector output leg, vector metric leg
@@ -410,8 +407,8 @@ def second_fundamental_form(geometry, point: ChartPoint,
     raw = np.zeros_like(closed)
     raw[:n_x] = j1 + j3
     raw[n_x:] = j2 + j4
-    return SecondFundamentalForm(closed=closed, n_x=n_x, n_v=n_v, n_g=n_g,
-                                 raw=raw, raw_pieces=(j1, j2, j3, j4))
+    return SecondFundamentalForm(closed=closed, Dd=dd, n_x=n_x, n_v=n_v,
+                                 n_g=n_g, raw=raw, raw_pieces=(j1, j2, j3, j4))
 
 
 def j_norm_squared(adapted: AdaptedGeometry, point: ChartPoint,
@@ -452,7 +449,8 @@ def hamiltonian_terms(adapted: AdaptedGeometry, point: ChartPoint,
     ``bracket`` for :math:`\tilde J` through the certified identity
     between the covariant-derivative term and the form norm.
     """
-    r_total, r_base = ricci_scalar_pair(adapted, point, engine=engine)
+    r_total, r_base = ricci_scalar_pair(adapted, point, christoffel_table,
+                                        engine)
     d_val = np.asarray(adapted.d.d(point), dtype=float)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     r_g = orbit_scalar_curvature(adapted.c, d_val)

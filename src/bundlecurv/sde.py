@@ -157,7 +157,7 @@ def density_H(geometry, point: ChartPoint) -> float:
     """Determinant of the orbit-space block metric at a point."""
     adapted = _as_adapted(geometry)
     if adapted.orig is not None:
-        return point_frame(adapted.orig, point).det_h
+        return float(point_frame(adapted.orig, point).det_h[0])
     _, det = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     return det
 
@@ -172,13 +172,13 @@ def diffusion_coefficients(geometry, point: ChartPoint) -> DiffusionBlocks:
     adapted = _as_adapted(geometry)
     n_x = adapted.n_x
     if adapted.orig is not None:
-        frame = point_frame(adapted.orig, point)
-        x_base = symmetric_sqrt(frame.h_base_inv)
-        gamma_inv, _ = invert_spd(frame.gamma)
+        frames = point_frame(adapted.orig, point)
+        k_v = frames.K_V[0]
+        x_base = symmetric_sqrt(frames.h_base_inv[0])
+        gamma_inv, _ = invert_spd(frames.gamma[0])
         g_v_inv, _ = invert_spd(adapted.orig.G_V)
-        mixed = frame.K_V @ frame.A_gamma @ x_base
-        x_vector = symmetric_sqrt(
-            frame.K_V @ gamma_inv @ frame.K_V.T + g_v_inv)
+        mixed = k_v @ frames.A_gamma[0] @ x_base
+        x_vector = symmetric_sqrt(k_v @ gamma_inv @ k_v.T + g_v_inv)
         return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     quad_xx = h_inv[:n_x, :n_x]
@@ -191,14 +191,35 @@ def diffusion_coefficients(geometry, point: ChartPoint) -> DiffusionBlocks:
     return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
 
 
-def _sqrt_h(frame):
-    return float(np.sqrt(frame.det_h))
+def _sqrt_h(frames):
+    r""":math:`\sqrt H` at the rows of a frame stack, shaped to scale a
+    stack of matrices."""
+    return np.sqrt(frames.det_h)[:, None, None]
 
 
-def _w_matrix(frame):
-    r""":math:`W^{ab} = G^{AB}N^a_A N^b_B` at a frame."""
-    n_vp = frame.projectors.N_vP
-    return n_vp @ frame.G_P_inv @ n_vp.T
+def _w_matrix(frames):
+    r""":math:`W^{ab} = G^{AB}N^a_A N^b_B` at the rows of a frame stack."""
+    return frames.N_vP @ frames.G_P_inv @ frames.N_vP.swapaxes(1, 2)
+
+
+#: The frame fields the drift routes difference, by name: the value at
+#: the rows of a frame stack, and the arity of one row.
+_DRIFT_FIELDS = {
+    "sqrt_h": (lambda fs: np.sqrt(fs.det_h), "scalar"),
+    "sqrt_h_h_base_inv": (lambda fs: _sqrt_h(fs) * fs.h_base_inv, "matrix"),
+    "sqrt_h_K_V": (lambda fs: _sqrt_h(fs) * fs.K_V, "matrix"),
+    "sqrt_h_connection": (
+        lambda fs: _sqrt_h(fs) * fs.h_base_inv @ fs.A_gamma.swapaxes(1, 2),
+        "matrix"),
+    "W": (_w_matrix, "matrix"),
+    "sqrt_h_h_tilde_inv": (lambda fs: _sqrt_h(fs) * fs.h_tilde_inv,
+                           "matrix"),
+}
+
+
+def _drift_field(orig: OriginalGeometry, name) -> FieldHandle:
+    value, arity = _DRIFT_FIELDS[name]
+    return frame_field(orig, name, value, arity)
 
 
 def drift_coefficients(geometry, point: ChartPoint,
@@ -228,27 +249,21 @@ def drift_coefficients(geometry, point: ChartPoint,
     if orig is None:
         raise ValueError("drift displays need original bundle data")
     n_x, n_v = adapted.n_x, adapted.n_v
-    frame0 = point_frame(orig, point)
-    sqrt_h0 = _sqrt_h(frame0)
+    frames0 = point_frame(orig, point)
+    sqrt_h0 = np.sqrt(frames0.det_h[0])
     g_v_inv, _ = invert_spd(orig.G_V) if n_v else (np.zeros((0, 0)), 1.0)
 
-    f_dens_hinv = frame_field(
-        orig, "sqrt_h_h_base_inv", lambda fr: _sqrt_h(fr) * fr.h_base_inv)
-    f_dens_killing = frame_field(
-        orig, "sqrt_h_K_V", lambda fr: _sqrt_h(fr) * fr.K_V)
-    f_dens_conn = frame_field(
-        orig, "sqrt_h_connection",
-        lambda fr: _sqrt_h(fr) * fr.h_base_inv @ fr.A_gamma.T)
-    f_dens = frame_field(orig, "sqrt_h", _sqrt_h, "scalar")
-    f_w = frame_field(orig, "W", _w_matrix)
+    def grad(name):
+        # over all slots, so that all five fields read the one stencil
+        # that the other first-derivative routes read at this point
+        return partial(engine, _drift_field(orig, name), point.coords[None],
+                       n_x, range(n_x + n_v))[0]
 
-    base, vector = range(n_x), range(n_x, n_x + n_v)
-    zs = point.coords[None]
-    d_hinv = partial(engine, f_dens_hinv, zs, n_x, base)[0]
-    d_killing = partial(engine, f_dens_killing, zs, n_x, vector)[0]
-    grad_dens = partial(engine, f_dens, zs, n_x, vector)[0]
-    d_w = partial(engine, f_w, zs, n_x, vector)[0]
-    d_conn = partial(engine, f_dens_conn, zs, n_x, base)[0]
+    d_hinv = grad("sqrt_h_h_base_inv")[:n_x]
+    d_killing = grad("sqrt_h_K_V")[n_x:]
+    grad_dens = grad("sqrt_h")[n_x:]
+    d_w = grad("W")[n_x:]
+    d_conn = grad("sqrt_h_connection")[:n_x]
     div_hinv = np.zeros((n_x, n_x))       # div_hinv[j, i] = d_j(vH h^{ij})
     div_killing = np.zeros(orig.n_g)      # sum_b d_b(vH K^b_mu)
     div_conn = np.zeros(orig.n_g)         # sum_j d_j(vH h^{mj} gA^mu_m)
@@ -261,10 +276,10 @@ def drift_coefficients(geometry, point: ChartPoint,
         div_w += d_w[b][:, b]
 
     b_base = (div_hinv.sum(axis=0) / sqrt_h0
-              + np.einsum("mn,ni,m->i", frame0.A_gamma, frame0.h_base_inv,
-                          div_killing) / sqrt_h0)
-    w0 = _w_matrix(frame0)
-    b_vector = (frame0.K_V @ div_conn / sqrt_h0
+              + np.einsum("mn,ni,m->i", frames0.A_gamma[0],
+                          frames0.h_base_inv[0], div_killing) / sqrt_h0)
+    w0 = _w_matrix(frames0)[0]
+    b_vector = (frames0.K_V[0] @ div_conn / sqrt_h0
                 + (g_v_inv + w0) @ grad_dens / sqrt_h0
                 + div_w)
     return np.concatenate([b_base, b_vector])
@@ -284,8 +299,7 @@ def drift_divergence_form(geometry, point: ChartPoint,
     n_h = adapted.n_h
     orig = adapted.orig
     if orig is not None:
-        field = frame_field(orig, "sqrt_h_h_tilde_inv",
-                            lambda fr: _sqrt_h(fr) * fr.h_tilde_inv)
+        field = _drift_field(orig, "sqrt_h_h_tilde_inv")
     else:
         def sqrt_h_h_tilde_inv(zs):
             inv, det = invert_spd(_field_stack(adapted.h_tilde, zs))

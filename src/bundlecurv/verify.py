@@ -22,8 +22,7 @@ import numpy as np
 from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine, invert_spd
 from .geometry import (assemble_block_metric, det_factorization_check,
                        point_frame)
-from .connection import (christoffel_general, christoffel_table,
-                         covariant_D_orbit_metric)
+from .connection import christoffel_general, christoffel_table
 from .curvature import decomposition_terms, dddd_term, ricci_scalar_pair
 from .jacobian import (jacobian_direct, jacobian_geometric,
                        killing_identities_check, second_fundamental_form)
@@ -162,7 +161,8 @@ def _check_christoffel(scenario, point, engine):
 def _check_curvature(scenario, point, engine):
     adapted = scenario.adapted
     breakdown = decomposition_terms(adapted, point, engine)
-    r_table, _ = ricci_scalar_pair(adapted, point, engine=engine)
+    r_table, _ = ricci_scalar_pair(adapted, point, christoffel_table,
+                                   engine)
     r_general, _ = ricci_scalar_pair(adapted, point, christoffel_general,
                                      engine)
     values = (breakdown.R_total, r_table, r_general)
@@ -189,8 +189,7 @@ def _check_secondform(scenario, point, engine):
     h_val = np.asarray(adapted.h_tilde(point), dtype=float)
     h_inv, _ = invert_spd(h_val)
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-    dddd = dddd_term(h_inv, d_inv, covariant_D_orbit_metric(
-        adapted, point.coords[None], engine)[0])
+    dddd = dddd_term(h_inv, d_inv, form.Dd)
     parts["norm_vs_decomposition"] = relative_gap(
         form.norm_squared(d_inv, h_val), dddd)
     return parts
@@ -221,7 +220,7 @@ def _check_sde(scenario, point, engine):
     blocks = diffusion_coefficients(adapted, point)
     squared = blocks.full @ blocks.full.T
     if adapted.orig is not None:
-        target = point_frame(adapted.orig, point).h_tilde_inv
+        target = point_frame(adapted.orig, point).h_tilde_inv[0]
     else:
         target, _ = invert_spd(np.asarray(adapted.h_tilde(point),
                                           dtype=float))

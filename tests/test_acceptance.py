@@ -136,14 +136,14 @@ def test_determinant_factorization(announce, twisted):
     report = _check_report(twisted, 50, ("detfact",))
     worst_group = 0.0
     for point in sample_points(twisted, 2, seed=3):
-        frame = point_frame(twisted.orig, point)
+        d = point_frame(twisted.orig, point).d[0]
         H = density_H(twisted.adapted, point)
         for a in sample_group_coordinates(twisted, 2, seed=5):
             det_full = np.linalg.det(
                 oracle_metric(twisted.orig, point.x[None], point.f[None],
                               a[None])[0])
             u_bar = twisted.chart.u_bar(a)
-            product = (np.linalg.det(frame.d)
+            product = (np.linalg.det(d)
                        * np.linalg.det(u_bar) ** 2 * H)
             worst_group = max(worst_group, abs(det_full - product)
                               / max(1.0, abs(det_full)))

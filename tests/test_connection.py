@@ -225,11 +225,13 @@ def test_table_scaled_group_base_trace(scaled, engine):
     slope = scaled.params["slope"]
     point = ChartPoint([0.15, 0.3], [0.0, 0.1, -0.2])
     table = christoffel_table(scaled.adapted, point.coords[None], engine)
-    trace = table.trace_group_base()[0]
+    # Gamma^gamma_{gamma i} and Gamma^gamma_{gamma a}
+    trace = np.einsum("ggi->i", table.block("g", "g", "x")[0])
     assert_close(trace[0], 3.0 * slope, 1e-9, "log-volume slope")
     assert abs(trace[1]) <= 1e-9
-    np.testing.assert_allclose(table.trace_group_vector()[0], np.zeros(3),
-                               atol=1e-9)
+    np.testing.assert_allclose(
+        np.einsum("gga->a", table.block("g", "g", "v")[0]), np.zeros(3),
+        atol=1e-9)
 
 
 def test_table_matches_general_formula(twisted, abelian, engine):

@@ -195,28 +195,37 @@ def test_ricci_pair_calls_its_route_twice(twisted, engine, route):
 
 
 def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
-    """The stacked R_M stencil fills the frame cache with exactly the
-    frames both Ricci routes read next, so they compile none."""
+    """After the decomposition, the table route's Ricci pair reads the
+    point's row and its first-derivative stencil from the store and
+    compiles only its three widened stencils (20 + 20 + 400 rows); the
+    general route then reads all of them and compiles none."""
+    adapted = compile_adapted(dataclasses.replace(twisted.orig))
     point = ChartPoint([-0.17, 0.26], [0.05, 0.31, -0.22])
-    decomposition_terms(twisted.adapted, point, engine)
+    decomposition_terms(adapted, point, engine)
     before = frame_cache_info()
-    ricci_scalar_pair(twisted.adapted, point, engine=engine)
-    ricci_scalar_pair(twisted.adapted, point, christoffel_general, engine)
+    ricci_scalar_pair(adapted, point, christoffel_table, engine)
     after = frame_cache_info()
-    assert after.misses == before.misses
-    assert after.compiles == before.compiles
-    assert after.hits > before.hits
+    assert after.compiles - before.compiles == 3
+    assert after.misses - before.misses == 440
+    ricci_scalar_pair(adapted, point, christoffel_general, engine)
+    final = frame_cache_info()
+    assert (final.misses, final.compiles) == (after.misses, after.compiles)
+    assert final.hits > after.hits
 
 
 def test_log_density_terms_compile_two_stacks(twisted, engine):
-    """The Hessian stencil holds the point itself and the gradient
-    stencil the rest, so a point no earlier call has seen costs two
-    stacked compiles (121 single ones when each row compiled alone)."""
+    """The Hessian stencil (101 rows) and the gradient stencil (20 rows)
+    compile one stack each, and the Levi-Civita route reads the
+    gradient's; the point's own row is a stack of its own, compiled
+    first here."""
     adapted = compile_adapted(dataclasses.replace(twisted.orig))
+    point = ChartPoint([0.21, -0.08], [-0.17, 0.05, 0.29])
+    adapted.h_tilde(point)
     before = frame_cache_info()
-    log_density_terms(adapted, ChartPoint([0.21, -0.08],
-                                          [-0.17, 0.05, 0.29]), engine)
-    assert frame_cache_info().compiles - before.compiles <= 2
+    log_density_terms(adapted, point, engine)
+    after = frame_cache_info()
+    assert after.compiles - before.compiles == 2
+    assert after.misses - before.misses == 121
 
 
 def test_log_det_d_on_a_stack_equals_one_row_calls(twisted):

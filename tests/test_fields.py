@@ -34,13 +34,13 @@ def test_chart_point_sectors_and_coords():
 
 
 def test_chart_point_round_trip_and_shift():
-    p = ChartPoint.from_coords([1.0, 2.0, 3.0], n_x=1)
+    p = ChartPoint([1.0], [2.0, 3.0])
     assert p.n_x == 1 and p.n_v == 2
     # stencil rows shift one slot by fd_step * (1 + |z|): here 0.125 * 4
     rows, steps = _stencil(p.coords[None], 0.125, False, slots=[2])
     np.testing.assert_allclose(rows[0], [[1.0, 2.0, 3.5], [1.0, 2.0, 2.5]])
     np.testing.assert_allclose(steps, [[[0.5]]])
-    q = ChartPoint.from_coords(rows[0, 0], n_x=1)
+    q = ChartPoint(rows[0, 0, :1], rows[0, 0, 1:])
     # the original is untouched; it, the rows and a point cut from them
     # are read-only
     np.testing.assert_allclose(p.coords, [1.0, 2.0, 3.0])
@@ -390,7 +390,7 @@ def test_kernel_pinned_values(twisted, richardson):
                                ("d", adapted.d.d),
                                ("A_conn", adapted.A_conn))}
     got["G_P"] = coordinate_partials(
-        twisted.orig.G_P, point_frame(twisted.orig, _PIN).Q,
+        twisted.orig.G_P, point_frame(twisted.orig, _PIN).Q[0],
         engine.fd_step, richardson)
     for name, pins in _PINNED_PARTIALS.items():
         assert got[name].shape[0] == 5

@@ -1,4 +1,5 @@
-"""Metric-block builders: orbit metric, connection, horizontal blocks, projectors."""
+"""Metric-block builders: orbit metric, connection, horizontal blocks,
+gauge projector, and the frame-stack store."""
 
 import dataclasses
 
@@ -63,46 +64,50 @@ def _gens_zero_twisted():
 
 def test_orbit_metric_scaled_is_pure_base(scaled):
     point = ChartPoint([0.25, -0.1], [0.3, 0.1, -0.2])
-    frame = point_frame(scaled.orig, point)
+    frames = point_frame(scaled.orig, point)
     want = np.exp(2.0 * 0.25) * np.eye(3)
-    assert_close(frame.d, want, 1e-12, "scaled orbit metric")
-    assert_close(frame.d_inv, np.linalg.inv(want), 1e-12,
+    assert_close(frames.d[0], want, 1e-12, "scaled orbit metric")
+    assert_close(frames.d_inv[0], np.linalg.inv(want), 1e-12,
                  "scaled orbit inverse")
-    np.testing.assert_allclose(frame.gamma_prime, np.zeros((3, 3)),
-                               atol=1e-14)
-    assert_close(frame.gamma, want, 1e-12, "gens=0 puts everything in gamma")
+    # gens=0: gamma' vanishes, so d is gamma alone
+    np.testing.assert_allclose(frames.d[0] - frames.gamma[0],
+                               np.zeros((3, 3)), atol=1e-14)
+    assert_close(frames.gamma[0], want, 1e-12,
+                 "gens=0 puts everything in gamma")
 
 
 def test_orbit_metric_flat_scales_linearly():
     for lam in (1.0, 2.0):
         scen = build_scenario("flat_product", {"lam": lam})
         d = point_frame(scen.orig, ChartPoint([0.0, 0.0],
-                                              [0.1, 0.2, 0.3])).d
+                                              [0.1, 0.2, 0.3])).d[0]
         assert_close(d, lam * np.eye(3), 1e-12, "flat d, lam=%g" % lam)
 
 
 def test_orbit_metric_twisted_loop_oracle(twisted):
-    """Loop-summed K.G.K over both sectors against the frame."""
+    """Loop-summed K.G.K over both sectors against the frame, and the
+    bundle-side part ``gamma`` against the bundle sector's sum."""
     orig = twisted.orig
     for point in sample_points(twisted, 5, seed=101):
-        frame = point_frame(orig, point)
-        q = frame.Q[None]
+        frames = point_frame(orig, point)
+        q = frames.Q
         k_p = orig.K_P(q)[0]
         g_p = orig.G_P(q)[0]
         k_v = orig.K_vector(point.f[None])[0]
         n_g = orig.n_g
-        want = np.zeros((n_g, n_g))
+        bundle = np.zeros((n_g, n_g))
+        vector = np.zeros((n_g, n_g))
         for m in range(n_g):
             for n in range(n_g):
                 for a in range(orig.n_P):
                     for b in range(orig.n_P):
-                        want[m, n] += k_p[a, m] * g_p[a, b] * k_p[b, n]
+                        bundle[m, n] += k_p[a, m] * g_p[a, b] * k_p[b, n]
                 for a in range(orig.n_v):
                     for b in range(orig.n_v):
-                        want[m, n] += k_v[a, m] * orig.G_V[a, b] * k_v[b, n]
-        assert_close(frame.d, want, 1e-12, "orbit metric loop oracle")
-        assert_close(frame.gamma + frame.gamma_prime, frame.d, 1e-12,
-                     "additive split")
+                        vector[m, n] += k_v[a, m] * orig.G_V[a, b] * k_v[b, n]
+        assert_close(frames.d[0], bundle + vector, 1e-12,
+                     "orbit metric loop oracle")
+        assert_close(frames.gamma[0], bundle, 1e-12, "additive split")
 
 
 # ---------------------------------------------------------------------------
@@ -110,33 +115,35 @@ def test_orbit_metric_twisted_loop_oracle(twisted):
 
 
 def test_connection_vanishes_without_twist(scaled):
-    frame = point_frame(scaled.orig, ChartPoint([0.2, 0.1], [0.1, -0.3, 0.2]))
-    np.testing.assert_allclose(frame.A[:, :2], np.zeros((3, 2)), atol=1e-13)
-    np.testing.assert_allclose(frame.A[:, 2:], np.zeros((3, 3)), atol=1e-13)
-    np.testing.assert_allclose(frame.A_gamma, np.zeros((3, 2)), atol=1e-13)
+    frames = point_frame(scaled.orig,
+                         ChartPoint([0.2, 0.1], [0.1, -0.3, 0.2]))
+    np.testing.assert_allclose(frames.A, np.zeros((1, 3, 5)), atol=1e-13)
+    np.testing.assert_allclose(frames.A_gamma, np.zeros((1, 3, 2)),
+                               atol=1e-13)
 
 
 def test_connection_twisted_loop_oracle(twisted):
     orig = twisted.orig
     for point in sample_points(twisted, 4, seed=7):
-        frame = point_frame(orig, point)
-        q = frame.Q[None]
+        frames = point_frame(orig, point)
+        q = frames.Q
         k_p = orig.K_P(q)[0]
         g_p = orig.G_P(q)[0]
         k_v = orig.K_vector(point.f[None])[0]
-        q_jac = frame.Q_jac
-        base = np.einsum("ab,cb,dc,di->ai", frame.d_inv, k_p, g_p, q_jac)
-        vector = np.einsum("ab,cb,cd->ad", frame.d_inv, k_v, orig.G_V)
-        assert_close(frame.A[:, :2], base, 1e-12, "base connection")
-        assert_close(frame.A[:, 2:], vector, 1e-12, "vector connection")
+        d_inv, a = frames.d_inv[0], frames.A[0]
+        base = np.einsum("ab,cb,dc,di->ai", d_inv, k_p, g_p, frames.Q_jac[0])
+        vector = np.einsum("ab,cb,cd->ad", d_inv, k_v, orig.G_V)
+        assert_close(a[:, :2], base, 1e-12, "base connection")
+        assert_close(a[:, 2:], vector, 1e-12, "vector connection")
 
 
 def test_connection_gamma_variant_matches_when_vector_action_trivial():
     orig = _gens_zero_twisted()
-    frame = point_frame(orig, ChartPoint([0.3, -0.2], [0.1, 0.0, 0.4]))
-    np.testing.assert_allclose(frame.A[:, 2:], np.zeros((3, 3)), atol=1e-13)
-    assert np.max(np.abs(frame.A[:, :2])) > 1e-3  # the twist keeps it alive
-    assert_close(frame.A_gamma, frame.A[:, :2], 1e-12,
+    frames = point_frame(orig, ChartPoint([0.3, -0.2], [0.1, 0.0, 0.4]))
+    a = frames.A[0]
+    np.testing.assert_allclose(a[:, 2:], np.zeros((3, 3)), atol=1e-13)
+    assert np.max(np.abs(a[:, :2])) > 1e-3  # the twist keeps it alive
+    assert_close(frames.A_gamma[0], a[:, :2], 1e-12,
                  "gamma variant, gamma' = 0")
 
 
@@ -145,33 +152,38 @@ def test_connection_gamma_variant_matches_when_vector_action_trivial():
 
 
 def test_horizontal_blocks_decouple_without_vector_action(scaled):
-    h = point_frame(scaled.orig, ChartPoint([0.15, 0.05],
-                                            [0.2, -0.1, 0.3])).h
-    np.testing.assert_allclose(h.h_xv, np.zeros((2, 3)), atol=1e-13)
-    assert_close(h.h_vv, np.eye(3), 1e-12, "vector block is G_V")
-    assert_close(h.h_xx, np.eye(2), 1e-12, "base block, twist-free")
-    assert_close(h.h_base, h.h_xx, 1e-12, "base-only reduction agrees")
+    frames = point_frame(scaled.orig, ChartPoint([0.15, 0.05],
+                                                 [0.2, -0.1, 0.3]))
+    np.testing.assert_allclose(frames.h_xv[0], np.zeros((2, 3)), atol=1e-13)
+    assert_close(frames.h_vv[0], np.eye(3), 1e-12, "vector block is G_V")
+    assert_close(frames.h_xx[0], np.eye(2), 1e-12, "base block, twist-free")
+    assert_close(np.linalg.inv(frames.h_base_inv[0]), frames.h_xx[0], 1e-12,
+                 "base-only reduction agrees")
 
 
 def test_horizontal_metric_sandwich_oracle(twisted):
     """Joint-space G - G K d^-1 K^T G, pulled back through the section."""
     orig = twisted.orig
     for point in sample_points(twisted, 4, seed=13):
-        frame = point_frame(orig, point)
-        q = frame.Q[None]
+        frames = point_frame(orig, point)
+        q = frames.Q
         g_p = orig.G_P(q)[0]
         n_P, n_v = orig.n_P, orig.n_v
         g_joint = np.zeros((n_P + n_v, n_P + n_v))
         g_joint[:n_P, :n_P] = g_p
         g_joint[n_P:, n_P:] = orig.G_V
         k_joint = np.vstack([orig.K_P(q)[0], orig.K_vector(point.f[None])[0]])
-        gh = g_joint - g_joint @ k_joint @ frame.d_inv @ k_joint.T @ g_joint
+        gh = (g_joint
+              - g_joint @ k_joint @ frames.d_inv[0] @ k_joint.T @ g_joint)
+        assert_close(frames.Gt_H[0], gh, 1e-12, "joint horizontal metric")
         jac = np.zeros((n_P + n_v, orig.n_h))
-        jac[:n_P, :orig.n_x] = frame.Q_jac
+        jac[:n_P, :orig.n_x] = frames.Q_jac[0]
         jac[n_P:, orig.n_x:] = np.eye(n_v)
-        assert_close(frame.h_tilde, jac.T @ gh @ jac, 1e-12,
-                     "horizontal sandwich")
-        assert_close(frame.h.full, frame.h_tilde, 1e-13, "block assembly")
+        h_tilde = frames.h_tilde[0]
+        assert_close(h_tilde, jac.T @ gh @ jac, 1e-12, "horizontal sandwich")
+        blocks = np.block([[frames.h_xx[0], frames.h_xv[0]],
+                           [frames.h_xv[0].T, frames.h_vv[0]]])
+        assert_close(blocks, h_tilde, 1e-13, "block assembly")
 
 
 def test_inverse_quadrant_is_base_inverse(twisted):
@@ -179,84 +191,94 @@ def test_inverse_quadrant_is_base_inverse(twisted):
     orig = twisted.orig
     n_x = orig.n_x
     for point in sample_points(twisted, 5, seed=23):
-        frame = point_frame(orig, point)
-        assert_close(frame.h_tilde_inv[:n_x, :n_x], frame.h_base_inv,
+        frames = point_frame(orig, point)
+        assert_close(frames.h_tilde_inv[0, :n_x, :n_x], frames.h_base_inv[0],
                      1e-10, "inverse quadrant identity")
 
 
 # ---------------------------------------------------------------------------
-# projectors
+# gauge projector
+
+
+def _gauge_projector(frames, orig):
+    """``N = [[1 - K_P Lambda, 0], [N_vP, 1]]`` at row 0 of a frame
+    stack."""
+    n_P, n_v = orig.n_P, orig.n_v
+    n = np.eye(n_P + n_v)
+    n[:n_P, :n_P] -= frames.K_P[0] @ frames.Lambda[0]
+    n[n_P:, :n_P] = frames.N_vP[0]
+    return n
 
 
 def test_projector_identities(twisted):
+    """``Lambda`` inverts the Faddeev-Popov matrix on the Killing fields
+    and kills the section directions; the gauge projector built from
+    ``Lambda`` and ``N_vP`` is idempotent and kills the orbit."""
     orig = twisted.orig
     for point in sample_points(twisted, 5, seed=31):
-        frame = point_frame(orig, point)
-        pr = frame.projectors
-        np.testing.assert_allclose(pr.T @ frame.Q_jac, np.eye(orig.n_x),
+        frames = point_frame(orig, point)
+        lam = frames.Lambda[0]
+        assert_close(lam @ frames.K_P[0], np.eye(orig.n_g), 1e-10,
+                     "Lambda K_P = 1")
+        np.testing.assert_allclose(lam @ frames.Q_jac[0],
+                                   np.zeros((orig.n_g, orig.n_x)),
                                    atol=1e-10)
-        qt = frame.Q_jac @ pr.T
-        assert_close(qt @ qt, qt, 1e-10, "section projector idempotent")
-        assert_close(pr.N @ pr.N, pr.N, 1e-10, "gauge projector idempotent")
-        k_joint = np.vstack([orig.K_P(frame.Q[None])[0],
-                             orig.K_vector(point.f[None])[0]])
-        annihilated = pr.Pi_tilde @ k_joint
-        np.testing.assert_allclose(annihilated, np.zeros_like(annihilated),
+        assert_close(frames.N_vP[0], -frames.K_V[0] @ lam, 1e-13,
+                     "N_vP = -K_V Lambda")
+        n = _gauge_projector(frames, orig)
+        assert_close(n @ n, n, 1e-10, "gauge projector idempotent")
+        k_joint = np.vstack([frames.K_P[0], frames.K_V[0]])
+        np.testing.assert_allclose(n @ k_joint, np.zeros_like(k_joint),
                                    atol=1e-10)
-        assert_close(pr.Pi_tilde @ pr.Pi_tilde, pr.Pi_tilde, 1e-10,
-                     "orbit-complement projector idempotent")
 
 
 def test_projectors_trivial_without_group():
     orig = _conformal_orig()
-    pr = point_frame(orig, ChartPoint([0.3, -0.2], [])).projectors
-    np.testing.assert_allclose(pr.N, np.eye(2), atol=1e-13)
-    np.testing.assert_allclose(pr.Pi_tilde, np.eye(2), atol=1e-13)
+    frames = point_frame(orig, ChartPoint([0.3, -0.2], []))
+    assert frames.Lambda.shape == frames.N_vP.shape == (1, 0, 2)
+    np.testing.assert_allclose(_gauge_projector(frames, orig), np.eye(2),
+                               atol=1e-13)
 
 
 def test_frame_without_group_keeps_ambient_metric():
     orig = _conformal_orig()
     point = ChartPoint([0.4, 0.1], [])
-    frame = point_frame(orig, point)
-    assert frame.d.shape == (0, 0)
-    assert_close(frame.h_tilde, np.exp(0.8) * np.eye(2), 1e-12,
+    frames = point_frame(orig, point)
+    assert frames.d.shape == (1, 0, 0)
+    assert_close(frames.h_tilde[0], np.exp(0.8) * np.eye(2), 1e-12,
                  "no group, no reduction")
 
 
-def test_point_frame_is_cached(twisted):
+def test_point_frame_is_cached(twisted, engine):
+    """A repeated lookup of the same rows is served whole from the store:
+    the same stack object, and no compile."""
     point = ChartPoint([0.1, 0.2], [0.0, 0.1, -0.1])
     assert point_frame(twisted.orig, point) is point_frame(twisted.orig, point)
+    rows, _ = _stencil(point.coords[None], engine.fd_step, engine.richardson)
+    first = point_frames(twisted.orig, rows[0])
+    before = frame_cache_info()
+    assert point_frames(twisted.orig, rows[0].copy()) is first
+    after = frame_cache_info()
+    assert (after.misses, after.compiles) == (before.misses, before.compiles)
+    assert after.hits == before.hits + 1
 
 
 def test_point_frame_arrays_are_frozen(twisted):
-    """A cached frame is shared by every later lookup; writes must fail."""
-    frame = point_frame(twisted.orig, ChartPoint([0.15, -0.1],
-                                                 [0.2, 0.0, 0.1]))
-    before = frame.d.copy()
-    with pytest.raises(ValueError):
-        frame.d[0, 0] += 1.0
-    for array in (frame.h_tilde_inv, frame.h.h_xv, frame.projectors.Lambda):
+    """A stored stack is shared by every later lookup; writes must fail."""
+    frames = point_frame(twisted.orig, ChartPoint([0.15, -0.1],
+                                                  [0.2, 0.0, 0.1]))
+    before = frames.d.copy()
+    for array in vars(frames).values():
         with pytest.raises(ValueError):
             array[...] = 0.0
-    np.testing.assert_array_equal(frame.d, before)
-
-
-def _frame_parts(frame):
-    """Every array and float of a frame, by name."""
-    parts = {"det_d": frame.det_d, "det_h": frame.det_h}
-    for prefix, part in (("", frame), ("h.", frame.h),
-                         ("projectors.", frame.projectors)):
-        for name, value in vars(part).items():
-            if isinstance(value, np.ndarray):
-                parts[prefix + name] = value
-    return parts
+    np.testing.assert_array_equal(frames.d, before)
 
 
 def test_point_frames_match_one_at_a_time_compiles(twisted):
-    """A stacked compile over a stencil equals per-point compiles, field by
-    field and bit for bit; duplicates compile once; arrays are read-only."""
-    # fresh copies of the geometry, so that no earlier test's cache entry
-    # serves these points
+    """A stacked compile over a stencil equals one-row compiles, field by
+    field and bit for bit, and its arrays are read-only."""
+    # fresh copies of the geometry, so that no earlier test's stored stack
+    # serves these rows
     stacked = dataclasses.replace(twisted.orig)
     single = dataclasses.replace(twisted.orig)
     center = np.array([0.12, -0.21, 0.3, -0.15, 0.22])
@@ -267,19 +289,16 @@ def test_point_frames_match_one_at_a_time_compiles(twisted):
     batch = point_frames(stacked, zs)
     after = frame_cache_info()
     assert after.compiles == before.compiles + 1
-    assert after.misses == before.misses + len(coords)
-    assert batch[-1] is batch[3]
-    for z, frame in zip(zs, batch):
-        want = _frame_parts(point_frame(single, ChartPoint.from_coords(z, 2)))
-        got = _frame_parts(frame)
+    assert after.misses == before.misses + len(zs)
+    for i, z in enumerate(zs):
+        want = vars(point_frame(single, ChartPoint(z[:2], z[2:])))
+        got = vars(batch)
         assert got.keys() == want.keys()
         for name, value in got.items():
-            if isinstance(value, np.ndarray):
-                assert value.shape == want[name].shape, name
-                assert value.tobytes() == want[name].tobytes(), name
-                assert not value.flags.writeable, name
-            else:
-                assert value == want[name], name
+            assert value.shape == (len(zs),) + want[name].shape[1:], name
+            assert value[i].tobytes() == want[name][0].tobytes(), name
+            assert not value.flags.writeable, name
+    # the repeated row's one-row stack is served from the store
     assert frame_cache_info().compiles == after.compiles + len(coords)
 
 
@@ -291,7 +310,7 @@ def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
     single = compile_adapted(dataclasses.replace(twisted.orig))
     rows, _ = _stencil(np.array([[0.14, -0.06, 0.21, -0.3, 0.05]]),
                        engine.fd_step, engine.richardson)
-    points = [ChartPoint.from_coords(z, 2) for z in rows[0]]
+    points = [ChartPoint(z[:2], z[2:]) for z in rows[0]]
     for name, pick in (("h_tilde", lambda a: a.h_tilde),
                        ("d", lambda a: a.d.d), ("d_inv", lambda a: a.d.d_inv),
                        ("A_conn", lambda a: a.A_conn)):
@@ -303,20 +322,23 @@ def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
         assert got.tobytes() == want.tobytes(), name
 
 
-def test_stencil_rows_and_chart_points_share_frames(twisted, engine):
-    """Frames are keyed on coordinate values: after ``point_frames`` on
-    stencil rows, ``point_frame`` on the chart point at each row's
-    coordinates is a hit, with no compile."""
+def test_frames_are_shared_by_whole_stacks_only(twisted, engine):
+    """The store keys a stack on all of its rows: the chart point at one
+    stencil row compiles a one-row stack of its own, with that row's
+    values, which a later lookup of the row alone reads."""
     orig = dataclasses.replace(twisted.orig)
     rows, _ = _stencil(np.array([[0.11, -0.24, 0.05, 0.3, -0.12]]),
                        engine.fd_step, engine.richardson)
     frames = point_frames(orig, rows[0])
+    z = rows[0, 3]
     before = frame_cache_info()
-    for z, frame in zip(rows[0], frames):
-        assert point_frame(orig, ChartPoint.from_coords(z, 2)) is frame
+    one = point_frame(orig, ChartPoint(z[:2], z[2:]))
     after = frame_cache_info()
-    assert (after.misses, after.compiles) == (before.misses, before.compiles)
-    assert after.hits == before.hits + len(frames)
+    assert (after.misses, after.compiles) == (before.misses + 1,
+                                              before.compiles + 1)
+    for name, value in vars(one).items():
+        assert value[0].tobytes() == vars(frames)[name][3].tobytes(), name
+    assert point_frames(orig, rows[0, 3:4]) is one
 
 
 def test_degenerate_frame_in_a_stencil_names_its_point(engine):
@@ -334,27 +356,6 @@ def test_degenerate_frame_in_a_stencil_names_its_point(engine):
                        match=r"bundle metric not positive definite at "
                              r"x=\[0.001, 0.0\] f=\[\]"):
         second_partial(engine, h_tilde, point, range(2))
-
-
-def test_lone_frame_owns_its_arrays(twisted):
-    """A frame compiled alone holds read-only copies, not views of one-row
-    stacks, with the values of the same point compiled in a stack."""
-    alone = dataclasses.replace(twisted.orig)
-    stacked = dataclasses.replace(twisted.orig)
-    point = ChartPoint([0.07, -0.31], [0.12, 0.2, -0.05])
-    frame = point_frame(alone, point)
-    in_stack = point_frames(stacked, [[0.2, 0.1, 0.0, 0.0, 0.0],
-                                      point.coords])[1]
-    got, want = _frame_parts(frame), _frame_parts(in_stack)
-    assert got.keys() == want.keys()
-    for name, value in got.items():
-        if not isinstance(value, np.ndarray):
-            assert value == want[name], name
-            continue
-        assert value.tobytes() == want[name].tobytes(), name
-        assert not value.flags.writeable, name
-        assert value.base is None and value.flags.owndata, name
-    assert in_stack.d.base is not None
 
 
 def test_wrong_stack_shape_names_the_callable(twisted):
@@ -385,7 +386,7 @@ def test_point_frames_gate_every_point():
                              r"x=\[-0.1, 0.1\]"):
         point_frames(orig, zs)
     assert frame_cache_info().currsize == size
-    assert point_frames(orig, zs[:2])[1].G_P[1, 1] == 0.2
+    assert point_frames(orig, zs[:2]).G_P[1, 1, 1] == 0.2
 
 
 def test_same_point_on_two_geometries_gives_two_frames(twisted, abelian):
@@ -400,19 +401,32 @@ def test_same_point_on_two_geometries_gives_two_frames(twisted, abelian):
 
 
 def test_frame_cache_stays_at_maxsize(flat):
+    """The store holds at most ``maxsize`` rows and evicts the least
+    recently used stacks first."""
     maxsize = frame_cache_info().maxsize
     rng = np.random.default_rng(17)
     coords = rng.uniform(-0.4, 0.4, size=(maxsize + 40, 5))
-    for start in range(0, len(coords), 1024):
-        point_frames(flat.orig, coords[start:start + 1024])
+    stacks = [coords[start:start + 1024]
+              for start in range(0, len(coords), 1024)]
+    for stack in stacks:
+        point_frames(flat.orig, stack)
+    # every older stack went first, then the first of these
     info = frame_cache_info()
-    assert info.currsize == maxsize
-    point_frame(flat.orig, ChartPoint.from_coords(coords[-1], 2))
-    assert frame_cache_info().misses == info.misses
-    # least recently used: evicted
-    point_frame(flat.orig, ChartPoint.from_coords(coords[0], 2))
-    assert frame_cache_info().misses == info.misses + 1
-    assert frame_cache_info().currsize == maxsize
+    assert info.currsize == len(coords) - 1024
+
+    def compiled(stack):
+        misses = frame_cache_info().misses
+        point_frames(flat.orig, stack)
+        return frame_cache_info().misses - misses
+
+    assert compiled(stacks[-1]) == 0
+    assert compiled(stacks[1]) == 0
+    # room for stacks[0] is made by evicting stacks[2], now the least
+    # recently used, not stacks[1]
+    assert compiled(stacks[0]) == 1024
+    assert compiled(stacks[1]) == 0
+    assert compiled(stacks[2]) == 1024
+    assert frame_cache_info().currsize <= maxsize
 
 
 # ---------------------------------------------------------------------------

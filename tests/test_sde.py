@@ -5,12 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bundlecurv.fields import ChartPoint, ConfigError, NearSingularError
-from bundlecurv.geometry import AdaptedGeometry, OriginalGeometry
+from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
+                               _stencil)
+from bundlecurv.geometry import AdaptedGeometry, OriginalGeometry, point_frame
 from bundlecurv.liecore import OrbitMetric, StructureConstants
 from bundlecurv.sde import (
     ReducedSdeCoeffs,
     SdeParams,
+    _DRIFT_FIELDS,
+    _drift_field,
     density_H,
     diffusion_coefficients,
     drift_coefficients,
@@ -119,8 +122,8 @@ def test_diffusion_squares_to_block_inverse(twisted):
     for point in sample_points(twisted, 3, seed=149):
         blocks = diffusion_coefficients(twisted.adapted, point)
         x = blocks.full
-        frame = point_frame(twisted.orig, point)
-        assert_close(x @ x.T, frame.h_tilde_inv, 1e-9,
+        h_tilde_inv = point_frame(twisted.orig, point).h_tilde_inv[0]
+        assert_close(x @ x.T, h_tilde_inv, 1e-9,
                      "diffusion square vs block inverse")
         # lower block triangular by construction
         np.testing.assert_allclose(x[:2, 2:], np.zeros((2, 3)), atol=1e-15)
@@ -164,6 +167,38 @@ def test_drift_display_matches_divergence(twisted, engine):
         drift = drift_coefficients(twisted.adapted, point, engine)
         div = drift_divergence_form(twisted.adapted, point, engine)
         assert_close(drift, div, 1e-7, "drift displays")
+
+
+def _drift_field_one_row(name, frames):
+    """The drift field ``name`` at a one-row frame stack, by the display
+    on the row's matrices."""
+    sqrt_h = float(np.sqrt(frames.det_h[0]))
+    n_vp = frames.N_vP[0]
+    return {
+        "sqrt_h": sqrt_h,
+        "sqrt_h_h_base_inv": sqrt_h * frames.h_base_inv[0],
+        "sqrt_h_K_V": sqrt_h * frames.K_V[0],
+        "sqrt_h_connection": (sqrt_h * frames.h_base_inv[0]
+                              @ frames.A_gamma[0].T),
+        "W": n_vp @ frames.G_P_inv[0] @ n_vp.T,
+        "sqrt_h_h_tilde_inv": sqrt_h * frames.h_tilde_inv[0],
+    }[name]
+
+
+def test_drift_fields_on_a_stack_equal_one_row_values(twisted, engine):
+    """Each frame field the drift routes difference gives, at every row
+    of a stencil, its one-row value, bit for bit."""
+    orig = dataclasses.replace(twisted.orig)
+    rows, _ = _stencil(np.array([[0.18, -0.12, 0.07, -0.25, 0.16]]),
+                       engine.fd_step, engine.richardson)
+    for name in _DRIFT_FIELDS:
+        got = _drift_field(orig, name).func(rows[0])
+        want = np.array([
+            _drift_field_one_row(name, point_frame(orig, ChartPoint(z[:2],
+                                                                    z[2:])))
+            for z in rows[0]])
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
 
 
 def test_drift_needs_bundle_data(twisted, engine):

@@ -143,14 +143,17 @@ def test_run_checks_twisted_cheap_subset(twisted, engine):
         "det_product", "inverse_round_trip"}
 
 
-@pytest.mark.parametrize("check, most", [("christoffel", 2),
-                                         ("curvature", 4)])
+@pytest.mark.parametrize("check, stacks", [("christoffel", 2),
+                                           ("curvature", 7),
+                                           ("jacobian", 6), ("sde", 2)])
 def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
-                                                most):
-    """Every stencil compiles its missing frames in one stacked pass: at a
-    point no earlier call has seen (a fresh copy of the geometry), the
-    christoffel check compiles at most 2 stacks and the curvature check at
-    most 4, against 21 and 102 when each row compiled alone."""
+                                                stacks):
+    """Every stencil compiles its frames in one stacked pass, and a
+    stencil that an earlier route of the check compiled is read whole
+    from the store: at a point no earlier call has seen (a fresh copy of
+    the geometry), the point's row and each distinct stencil compile once.
+    The sde check differences every field over all slots, so it reads the
+    one 20-row stencil of its point."""
     orig = dataclasses.replace(twisted.orig)
     fresh = dataclasses.replace(twisted, orig=orig,
                                 adapted=compile_adapted(orig))
@@ -159,7 +162,7 @@ def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
                                            [0.14, -0.27, 0.08])],
                         (check,), engine=engine)
     assert report.passed
-    assert frame_cache_info().compiles - before.compiles <= most
+    assert frame_cache_info().compiles - before.compiles == stacks
 
 
 def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
@@ -177,6 +180,28 @@ def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
 
     monkeypatch.setattr(jacobian, "killing_derivatives", counted)
     points = sample_points(twisted, 2, seed=151)
+    assert run_checks(twisted, points, ("secondform",),
+                      engine=engine).passed
+    assert len(calls) == len(points)
+
+
+def test_secondform_check_takes_the_covariant_derivative_once(
+        twisted, engine, monkeypatch):
+    """The check reads the ``D d`` that its form was built from, so
+    ``covariant_D_orbit_metric`` runs once per point, not twice."""
+    from bundlecurv import connection, curvature, jacobian, verify
+
+    calls = []
+    original = connection.covariant_D_orbit_metric
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (connection, curvature, jacobian, verify):
+        if hasattr(module, "covariant_D_orbit_metric"):
+            monkeypatch.setattr(module, "covariant_D_orbit_metric", counted)
+    points = sample_points(twisted, 2, seed=157)
     assert run_checks(twisted, points, ("secondform",),
                       engine=engine).passed
     assert len(calls) == len(points)
