@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, fields
 from . import __version__
 from .fields import ConfigError, DerivEngine
 from .curvature import decomposition_terms
-from .jacobian import jacobian_direct, jacobian_geometric, j_norm_squared
+from .jacobian import (PointRecord, jacobian_direct, jacobian_geometric,
+                       j_norm_squared)
 from .sde import SdeParams, density_H, euler_maruyama_check
 from .scenarios import build_scenario, sample_points
 from .verify import CHECK_NAMES, run_checks
@@ -169,15 +170,12 @@ def load_config(path: str = None, overrides: dict = None) -> RunConfig:
 
 
 def _emit(text: str, output: str = None) -> None:
+    """Write a rendered artifact, which ends in a newline."""
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
 
 
 def _fmt(value: float) -> str:
@@ -186,9 +184,11 @@ def _fmt(value: float) -> str:
 
 
 def _report_rows(scenario, points, engine):
+    adapted = scenario.adapted
     rows = []
     for point in points:
-        breakdown = decomposition_terms(scenario.adapted, point, engine)
+        terms = PointRecord(adapted, point, engine)
+        breakdown = decomposition_terms(adapted, point, engine, terms)
         row = {}
         for i, value in enumerate(point.x):
             row["x%d" % i] = float(value)
@@ -198,11 +198,11 @@ def _report_rows(scenario, points, engine):
             "R_M": breakdown.R_M, "R_G": breakdown.R_G, "FF": breakdown.FF,
             "DdDd": breakdown.DdDd, "lap_ln_d": breakdown.lap_ln_d,
             "grad_ln_d": breakdown.grad_ln_d, "R_total": breakdown.R_total,
-            "J_direct": jacobian_direct(scenario.adapted, point, engine),
-            "J_geometric": jacobian_geometric(scenario.adapted, point,
-                                              engine),
-            "j_norm2": j_norm_squared(scenario.adapted, point, engine),
-            "H": density_H(scenario.adapted, point),
+            "J_direct": jacobian_direct(adapted, point, engine, terms),
+            "J_geometric": jacobian_geometric(adapted, point, engine,
+                                              terms),
+            "j_norm2": j_norm_squared(adapted, point, engine, terms),
+            "H": density_H(adapted, point),
         })
         rows.append(row)
     return rows

@@ -30,9 +30,11 @@ contraction of the curvature module both use it.
 Every function here works on row stacks, the contract of the chart fields:
 it takes an ``(N, n_x + n_v)`` array of joint chart coordinates, ``x``
 first, and returns the ``(N, ...)`` stack of its values at those rows.
-Each chart partial inside it is one ``partial`` call over all ``N`` rows,
-so each field is evaluated once, on every row's stencil together, and each
-SPD inverse runs once per stack. The arithmetic is that of one row, matrix
+Each field it reads is evaluated by one ``value_and_partial`` call over
+all ``N`` rows, which gives the field's values at the rows and its
+horizontal partials there from the centre-first rows of every row's
+stencil together; no field is evaluated on the rows alone. Each SPD
+inverse runs once per stack. The arithmetic is that of one row, matrix
 by matrix, so a row's result is bit-identical whatever stack it comes in.
 A one-point caller passes ``point.coords[None]`` and reads row 0.
 """
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (DEFAULT_ENGINE, DerivEngine, FieldHandle, _field_stack,
-                     invert_spd, partial)
+                     invert_spd, value_and_partial)
 from .geometry import AdaptedGeometry
 from .liecore import group_direction_derivative
 
@@ -70,13 +72,13 @@ class NonholonomicStructure:
     :math:`\mathbb{C}^A_{BC}`; only components with an upper orbit index
     are nonzero: :math:`\mathbb{C}^\gamma_{A'B'} = -\mathcal F^\gamma_{A'B'}`
     and :math:`\mathbb{C}^\gamma_{\alpha\beta} = c^\gamma_{\alpha\beta}`.
-    ``F`` is the stack of connection curvatures on their own.
+    ``F`` is the stack of connection curvatures on their own, and ``A``
+    the stack of connections they were built from.
     """
 
     CC: np.ndarray
     F: np.ndarray
-    n_h: int
-    n_g: int
+    A: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,20 @@ class ChristoffelBlocks:
                           self._slice(lo2)]
 
 
+def _horizontal(adapted: AdaptedGeometry, field, zs, engine,
+                step_scale: float = 1.0):
+    """``field`` at the chart rows of ``zs`` and its partials along every
+    horizontal slot there, from one ``value_and_partial`` call."""
+    return value_and_partial(engine, field, zs, adapted.n_x,
+                             range(adapted.n_h), step_scale)
+
+
+def _curvature(c, a_val, da):
+    grad = np.einsum("...amc->...mac", da)      # d_{A'} A^mu_{C'}
+    comm = np.einsum("msn,...sa,...nc->...mac", c, a_val, a_val)
+    return grad - np.einsum("...mca->...mac", grad) + comm
+
+
 def curvature_F(adapted: AdaptedGeometry, zs,
                 engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:
     r"""Curvature of the mechanical connection.
@@ -125,12 +141,14 @@ def curvature_F(adapted: AdaptedGeometry, zs,
     Returned with shape ``(N, n_g, n_h, n_h)`` at the ``N`` chart rows of
     ``zs``, antisymmetric in the last pair.
     """
-    a_val = _field_stack(adapted.A_conn, zs)
-    da = partial(engine, adapted.A_conn, zs, adapted.n_x,
-                 range(adapted.n_h))            # da[i, B', mu, C']
-    grad = np.einsum("...amc->...mac", da)      # d_{A'} A^mu_{C'}
-    comm = np.einsum("msn,...sa,...nc->...mac", adapted.c.c, a_val, a_val)
-    return grad - np.einsum("...mca->...mac", grad) + comm
+    return _curvature(adapted.c.c,
+                      *_horizontal(adapted, adapted.A_conn, zs, engine))
+
+
+def _covariant_D(c, a_val, d_val, dd):
+    corr = (np.einsum("ksm,...sa,...kn->...amn", c, a_val, d_val)
+            + np.einsum("ksn,...sa,...mk->...amn", c, a_val, d_val))
+    return dd - corr
 
 
 def covariant_D_orbit_metric(adapted: AdaptedGeometry, zs,
@@ -147,13 +165,9 @@ def covariant_D_orbit_metric(adapted: AdaptedGeometry, zs,
     Returned with shape ``(N, n_h, n_g, n_g)`` at the ``N`` chart rows of
     ``zs``, symmetric in the orbit pair.
     """
-    a_val = _field_stack(adapted.A_conn, zs)
-    d_val = _field_stack(adapted.d.d, zs)
-    dd = partial(engine, adapted.d.d, zs, adapted.n_x, range(adapted.n_h))
-    c = adapted.c.c
-    corr = (np.einsum("ksm,...sa,...kn->...amn", c, a_val, d_val)
-            + np.einsum("ksn,...sa,...mk->...amn", c, a_val, d_val))
-    return dd - corr
+    a_val, _ = _horizontal(adapted, adapted.A_conn, zs, engine)
+    return _covariant_D(adapted.c.c, a_val,
+                        *_horizontal(adapted, adapted.d.d, zs, engine))
 
 
 def frame_metric_field(adapted: AdaptedGeometry) -> FieldHandle:
@@ -174,12 +188,20 @@ def frame_structure_functions(adapted: AdaptedGeometry, zs,
                               ) -> NonholonomicStructure:
     """Structure functions of the adapted frame at the chart rows of
     ``zs``; see NonholonomicStructure."""
-    n_h, n_g, n_t = adapted.n_h, adapted.n_g, adapted.n_t
-    f_val = curvature_F(adapted, zs, engine)
+    n_h, n_t = adapted.n_h, adapted.n_t
+    a_val, da = _horizontal(adapted, adapted.A_conn, zs, engine)
+    f_val = _curvature(adapted.c.c, a_val, da)
     cc = np.zeros((len(zs), n_t, n_t, n_t))
     cc[:, n_h:, :n_h, :n_h] = -f_val
     cc[:, n_h:, n_h:, n_h:] = adapted.c.c
-    return NonholonomicStructure(CC=cc, F=f_val, n_h=n_h, n_g=n_g)
+    return NonholonomicStructure(CC=cc, F=f_val, A=a_val)
+
+
+def _levi_civita(h_inv, dh):
+    # dh[i, B', A', C']
+    combo = (np.einsum("...abd->...abd", dh) + np.einsum("...bad->...abd", dh)
+             - np.einsum("...dab->...abd", dh))
+    return 0.5 * np.einsum("...cd,...abd->...cab", h_inv, combo)
 
 
 def base_levi_civita(adapted: AdaptedGeometry, zs,
@@ -190,35 +212,32 @@ def base_levi_civita(adapted: AdaptedGeometry, zs,
     ``zs``. These fill the purely horizontal sector of the table; the
     frame is holonomic there, so the standard coordinate formula applies.
     """
-    h_inv, _ = invert_spd(_field_stack(adapted.h_tilde, zs))
-    dh = partial(engine, adapted.h_tilde, zs, adapted.n_x,
-                 range(adapted.n_h))            # dh[i, B', A', C']
-    combo = (np.einsum("...abd->...abd", dh) + np.einsum("...bad->...abd", dh)
-             - np.einsum("...dab->...abd", dh))
-    return 0.5 * np.einsum("...cd,...abd->...cab", h_inv, combo)
+    h_val, dh = _horizontal(adapted, adapted.h_tilde, zs, engine)
+    return _levi_civita(invert_spd(h_val)[0], dh)
 
 
-def frame_derivatives(adapted: AdaptedGeometry, field, value, signature,
-                      zs, engine: DerivEngine = DEFAULT_ENGINE,
-                      step_scale: float = 1.0) -> np.ndarray:
-    r"""Frame derivatives ``hat[i, A, ...]`` of a chart field at chart rows.
+def frame_derivatives(adapted: AdaptedGeometry, field, signature, zs, a_val,
+                      engine: DerivEngine = DEFAULT_ENGINE,
+                      step_scale: float = 1.0):
+    r"""A chart field at chart rows and its frame derivatives there.
 
-    ``value`` is the ``(N, ...)`` stack of the field at the ``N`` rows of
-    ``zs`` and ``signature`` the covariance signature of one row. Along
-    the horizontal lift of slot ``B'`` the derivative is the chart partial
-    (at ``step_scale`` times the engine step) minus
+    Returns ``(value, hat)``: the ``(N, ...)`` stack of the field at the
+    ``N`` rows of ``zs`` and ``hat[i, A, ...]``, both from one
+    ``value_and_partial`` call (at ``step_scale`` times the engine step).
+    ``signature`` is the covariance signature of one row and ``a_val``
+    the ``(N, n_g, n_h)`` connection at the rows. Along the horizontal
+    lift of slot ``B'`` the derivative is the chart partial minus
     :math:`\mathcal A^\sigma_{B'}` times the group-direction rule along
     :math:`\sigma`; along orbit direction :math:`\sigma` it is the rule
     itself (``liecore.group_direction_derivative``, with the row axis
     inert).
     """
     n_h, n_g = adapted.n_h, adapted.n_g
+    value, grad = _horizontal(adapted, field, zs, engine, step_scale)
     rule = [group_direction_derivative(value, ("inert",) + tuple(signature),
                                        adapted.c, s)
             for s in range(n_g)]
-    grad = partial(engine, field, zs, adapted.n_x, range(n_h), step_scale)
     # one connection coefficient per row, broadcast over the field's axes
-    a_val = _field_stack(adapted.A_conn, zs)
     a_val = a_val.reshape(a_val.shape + (1,) * (value.ndim - 1))
     hat = np.zeros((len(zs), n_h + n_g) + value.shape[1:])
     for bp in range(n_h):
@@ -227,7 +246,7 @@ def frame_derivatives(adapted: AdaptedGeometry, field, value, signature,
         hat[:, bp] = grad[:, bp] - correction
     for s in range(n_g):
         hat[:, n_h + s] = rule[s]
-    return hat
+    return value, hat
 
 
 def christoffel_general(adapted: AdaptedGeometry, zs,
@@ -240,10 +259,9 @@ def christoffel_general(adapted: AdaptedGeometry, zs,
     structure functions; no closed-form table entries are consulted.
     """
     structure = frame_structure_functions(adapted, zs, engine)
-    gf = frame_metric_field(adapted)
-    gf_val = _field_stack(gf, zs)
-    hat = frame_derivatives(adapted, gf, gf_val, ("lower", "lower"), zs,
-                            engine)
+    gf_val, hat = frame_derivatives(adapted, frame_metric_field(adapted),
+                                    ("lower", "lower"), zs, structure.A,
+                                    engine)
     n_h = adapted.n_h
     g_inv = np.zeros_like(gf_val)
     g_inv[:, :n_h, :n_h] = invert_spd(gf_val[:, :n_h, :n_h])[0]
@@ -288,17 +306,18 @@ def christoffel_table(adapted: AdaptedGeometry, zs,
     with the mixed entries symmetric in their stated index pairs.
     """
     n_h, n_t = adapted.n_h, adapted.n_t
-    h_val = _field_stack(adapted.h_tilde, zs)
-    d_val = _field_stack(adapted.d.d, zs)
+    a_val, da = _horizontal(adapted, adapted.A_conn, zs, engine)
+    h_val, dh = _horizontal(adapted, adapted.h_tilde, zs, engine)
+    d_val, d_grad = _horizontal(adapted, adapted.d.d, zs, engine)
     h_inv, _ = invert_spd(h_val)
     d_inv, _ = invert_spd(d_val)
     c = adapted.c.c
-    f_val = curvature_F(adapted, zs, engine)
-    dd = covariant_D_orbit_metric(adapted, zs, engine)
+    f_val = _curvature(c, a_val, da)
+    dd = _covariant_D(c, a_val, d_val, d_grad)
     h, g = slice(0, n_h), slice(n_h, n_t)     # horizontal, orbit
 
     gamma = np.zeros((len(zs), n_t, n_t, n_t))
-    gamma[:, h, h, h] = base_levi_civita(adapted, zs, engine)
+    gamma[:, h, h, h] = _levi_civita(h_inv, dh)
 
     mixed = 0.5 * np.einsum("...ab,...nc,...bmc->...nma", d_val, h_inv,
                             f_val)

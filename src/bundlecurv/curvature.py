@@ -46,12 +46,14 @@ from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
                      invert_spd, partial, second_partial)
 from .geometry import AdaptedGeometry, OriginalGeometry
 from .liecore import orbit_scalar_curvature
-from .connection import (base_levi_civita, christoffel_table,
-                         covariant_D_orbit_metric, curvature_F,
-                         frame_derivatives, frame_structure_functions)
+from .connection import (base_levi_civita, christoffel_general,
+                         christoffel_table, covariant_D_orbit_metric,
+                         curvature_F, frame_derivatives,
+                         frame_structure_functions)
 
 __all__ = [
     "CurvatureBreakdown",
+    "PointTerms",
     "GroupChart",
     "RICCI_OUTER_SCALE",
     "ricci_scalar_pair",
@@ -136,15 +138,6 @@ def _ricci_from_pieces(gamma0, hat, cc, mask):
     return t1 - t2 + t3 - t4 - t5
 
 
-def _internal_mask(n_h, n_t, internal):
-    mask = np.ones(n_t)
-    if internal == "horizontal":
-        mask[n_h:] = 0.0
-    elif internal != "all":
-        raise ValueError("internal must be 'all' or 'horizontal'")
-    return mask
-
-
 def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
                       christoffel=christoffel_table,
                       engine: DerivEngine = DEFAULT_ENGINE):
@@ -157,24 +150,25 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
     their FD noise correlated, which the difference formulas rely on.
 
     ``christoffel`` is the Christoffel route, ``christoffel_table`` or
-    ``christoffel_general``. It is called on row stacks, as
-    ``christoffel(adapted, zs, wide)`` with ``wide`` the widened engine of
-    the nested differencing, and twice only: once on the point's row, and
-    once as the chart field whose frame derivatives enter the Ricci
-    tensor, on all the rows of the outer stencil together.
+    ``christoffel_general``. It is called once, as ``christoffel(adapted,
+    zs, wide)`` with ``wide`` the widened engine of the nested
+    differencing, on the 21 centre-first rows ``zs`` of the outer stencil:
+    the point and its 20 shifted rows. Row 0 gives the symbols at the
+    point, the others their frame derivatives. These are the outer rows of
+    the nested stencil of ``R_M`` in ``decomposition_terms``, so the
+    route's fields read the frames of that stencil's 441 rows.
     """
     wide = _widened(engine)
     zs = point.coords[None]
     structure = frame_structure_functions(adapted, zs, engine)
-    gamma0 = christoffel(adapted, zs, wide).gamma
 
     def christoffel_symbols(rows):
         return christoffel(adapted, rows, wide).gamma
 
-    field = FieldHandle(christoffel_symbols, "rank3")
-    hat = frame_derivatives(adapted, field, gamma0, _GAMMA_SIGNATURE, zs,
-                            wide, RICCI_OUTER_SCALE)[0]
-    gamma0, cc = gamma0[0], structure.CC[0]
+    gamma0, hat = frame_derivatives(
+        adapted, FieldHandle(christoffel_symbols, "rank3"), _GAMMA_SIGNATURE,
+        zs, structure.A, wide, RICCI_OUTER_SCALE)
+    gamma0, hat, cc = gamma0[0], hat[0], structure.CC[0]
     n_h, n_t = adapted.n_h, adapted.n_t
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
@@ -182,10 +176,9 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
     g_inv[:n_h, :n_h] = h_inv
     g_inv[n_h:, n_h:] = d_inv
 
-    full = _ricci_from_pieces(gamma0, hat, cc,
-                              _internal_mask(n_h, n_t, "all"))
-    base = _ricci_from_pieces(gamma0, hat, cc,
-                              _internal_mask(n_h, n_t, "horizontal"))
+    # internal indices: all of them, or the horizontal ones only
+    full = _ricci_from_pieces(gamma0, hat, cc, np.ones(n_t))
+    base = _ricci_from_pieces(gamma0, hat, cc, (np.arange(n_t) < n_h) * 1.0)
     r_total = float(np.einsum("ac,ac->", g_inv, full))
     r_base = float(np.einsum("ac,ac->", h_inv, base[:n_h, :n_h]))
     return r_total, r_base
@@ -239,9 +232,84 @@ def dddd_term(h_inv, d_inv, dd) -> float:
                                   dd, dd))
 
 
+def _frozen(value):
+    value = np.asarray(value, dtype=float)
+    value.setflags(write=False)
+    return value
+
+
+def _breakdown(t) -> CurvatureBreakdown:
+    lap, grad_sq = t.log_density
+    return CurvatureBreakdown(t.R_M, t.R_G, t.FF, t.DdDd, lap, grad_sq,
+                              t.R_M + t.R_G + t.FF + t.DdDd + lap + grad_sq)
+
+
+class PointTerms:
+    r"""The curvature terms at one chart point, each computed on first read.
+
+    An entry (a key of ``_ENTRIES``) is computed from ``adapted``,
+    ``point`` and ``engine`` when first read, and kept: the metrics
+    ``h_tilde``, ``d`` and their inverses, ``F``, ``Dd``, the pieces of
+    the decomposition (``log_density`` is the pair of
+    ``log_density_terms``) and ``breakdown``, their one sum, and the
+    Ricci pair of each Christoffel route, which share no entry. The
+    record takes no assignment and its arrays are read-only.
+    """
+
+    _ENTRIES = {
+        "h_tilde": lambda t: _frozen(t.adapted.h_tilde(t.point)),
+        "h_inv": lambda t: _frozen(invert_spd(t.h_tilde)[0]),
+        "d": lambda t: _frozen(t.adapted.d.d(t.point)),
+        "d_inv": lambda t: _frozen(t.adapted.d.d_inv(t.point)),
+        "F": lambda t: _frozen(curvature_F(t.adapted, t.point.coords[None],
+                                           t.engine)[0]),
+        "Dd": lambda t: _frozen(covariant_D_orbit_metric(
+            t.adapted, t.point.coords[None], t.engine)[0]),
+        # the chart metric is exact linear algebra of closed-form inputs,
+        # so the widened stencils of the coordinate oracle apply here too
+        "R_M": lambda t: coordinate_ricci_scalar(
+            t.adapted.h_tilde.func, t.point.coords, _widened(t.engine)),
+        "R_G": lambda t: orbit_scalar_curvature(t.adapted.c, t.d),
+        "FF": lambda t: ff_term(t.h_inv, t.d, t.F),
+        "DdDd": lambda t: dddd_term(t.h_inv, t.d_inv, t.Dd),
+        "log_density": lambda t: log_density_terms(t.adapted, t.point,
+                                                   t.engine),
+        "pair_table": lambda t: ricci_scalar_pair(
+            t.adapted, t.point, christoffel_table, t.engine),
+        "pair_general": lambda t: ricci_scalar_pair(
+            t.adapted, t.point, christoffel_general, t.engine),
+        "breakdown": _breakdown,
+    }
+
+    def __init__(self, adapted: AdaptedGeometry, point: ChartPoint,
+                 engine: DerivEngine = DEFAULT_ENGINE):
+        self.__dict__.update(adapted=adapted, point=point, engine=engine)
+
+    def __getattr__(self, name):
+        if name not in self._ENTRIES:
+            raise AttributeError(name)
+        value = self.__dict__[name] = self._ENTRIES[name](self)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PointTerms is read-only")
+
+
+def _terms_at(adapted, point, engine, terms, kind=PointTerms):
+    """``terms``, checked to belong to ``adapted``, ``point`` and
+    ``engine``; a new ``kind`` record there when ``terms`` is None."""
+    if terms is None:
+        return kind(adapted, point, engine)
+    if (terms.adapted is not adapted or terms.point is not point
+            or terms.engine != engine):
+        raise ValueError("terms belong to another geometry, point or "
+                         "engine")
+    return terms
+
+
 def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
-                        engine: DerivEngine = DEFAULT_ENGINE
-                        ) -> CurvatureBreakdown:
+                        engine: DerivEngine = DEFAULT_ENGINE,
+                        terms: PointTerms = None) -> CurvatureBreakdown:
     r"""The five-piece decomposition of the total scalar curvature.
 
     ``R_M`` is the scalar curvature of h~ on the honest ``(x, f)`` chart by
@@ -253,31 +321,10 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
 
     h~ on the whole ``R_M`` stencil, the point itself included, comes
     from one call of its field function on the stencil rows; on compiled
-    bundle data that is one ``point_frames`` call.
+    bundle data that is one ``point_frames`` call. ``terms``, the
+    ``PointTerms`` of the same arguments, holds pieces already computed.
     """
-    # the chart metric is exact linear algebra of closed-form inputs, so
-    # the widened stencils of the coordinate oracle apply here as well
-    r_m = coordinate_ricci_scalar(adapted.h_tilde.func, point.coords,
-                                  _widened(engine))
-    h_val = np.asarray(adapted.h_tilde(point), dtype=float)
-    h_inv, _ = invert_spd(h_val)
-    d_val = np.asarray(adapted.d.d(point), dtype=float)
-    d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-    r_g = orbit_scalar_curvature(adapted.c, d_val)
-
-    zs = point.coords[None]
-    ff = ff_term(h_inv, d_val, curvature_F(adapted, zs, engine)[0])
-    dddd = dddd_term(h_inv, d_inv,
-                     covariant_D_orbit_metric(adapted, zs, engine)[0])
-
-    lap, grad_sq = log_density_terms(adapted, point, engine)
-
-    r_m = float(r_m)
-    r_g = float(r_g)
-    total = r_m + r_g + ff + dddd + lap + grad_sq
-    return CurvatureBreakdown(R_M=r_m, R_G=r_g, FF=ff, DdDd=dddd,
-                              lap_ln_d=lap, grad_ln_d=grad_sq,
-                              R_total=total)
+    return _terms_at(adapted, point, engine, terms).breakdown
 
 
 def coordinate_ricci_scalar(metric, z0, engine: DerivEngine = DEFAULT_ENGINE,

@@ -40,6 +40,7 @@ __all__ = [
     "DEFAULT_ENGINE",
     "coordinate_partials",
     "partial",
+    "value_and_partial",
     "second_partial",
     "invert_spd",
     "SECOND_PARTIAL_STEP_SCALE",
@@ -277,19 +278,6 @@ def _slot_list(slots, n_tot):
     return slots
 
 
-def _first_partials(evaluate, zs, fd_step, richardson, slots):
-    """Partials at each row of the ``(m, k)`` stack ``zs``, ``(m, s, ...)``,
-    from one ``evaluate`` call on all ``m`` stencils' rows; no slots give
-    an ``(m, 0)`` stack."""
-    rows, steps = _stencil(zs, fd_step, richardson, slots)
-    m, n, k = rows.shape
-    if not n:
-        return np.zeros((m, 0))
-    values = evaluate(rows.reshape(m * n, k))
-    return _stencil_partials(values.reshape((m, n) + values.shape[1:]),
-                             steps)
-
-
 def coordinate_partials(func, z, fd_step: float, richardson: bool = True,
                         slots=None):
     r"""Partials of ``func`` at the coordinate vector ``z``, one per slot.
@@ -304,30 +292,45 @@ def coordinate_partials(func, z, fd_step: float, richardson: bool = True,
     in one pass. A result without one entry per row raises
     ``ValueError``; a non-finite one, ``EvaluationError``.
     """
-    return _first_partials(lambda rows: _eval_stack(func, rows),
-                           np.asarray(z, dtype=float)[None], fd_step,
-                           richardson, slots)[0]
+    z = np.asarray(z, dtype=float)
+    rows, steps = _stencil(z[None], fd_step, richardson, slots)
+    if not rows.shape[1]:
+        return np.zeros(0)
+    values = _eval_stack(func, rows[0])
+    return _stencil_partials(values[None], steps)[0]
+
+
+def value_and_partial(engine: DerivEngine, field, zs, n_x: int, slots,
+                      step_scale: float = 1.0):
+    r"""``field`` at the rows of ``zs`` and its partials there, together.
+
+    ``zs`` is an ``(m, n_x + n_v)`` array of joint chart coordinates,
+    ``x`` first; returns the ``(m, ...)`` values and the ``(m, s, ...)``
+    partials along the chart ``slots``, both from one field call on the
+    centre-first rows of every row's stencil. ``step_scale`` inflates the
+    step for outer layers of nested differentiation (see the curvature
+    module); ``n_x`` splits a row with a non-finite value for the error.
+    """
+    rows, steps = _stencil(zs, engine.fd_step * step_scale,
+                           engine.richardson,
+                           _slot_list(slots, zs.shape[1]), centre=True)
+    m, n, k = rows.shape
+    values = _eval_points(field, rows.reshape(m * n, k), n_x)
+    values = values.reshape((m, n) + values.shape[1:])
+    return values[:, 0], _stencil_partials(values, steps)
 
 
 def partial(engine: DerivEngine, field, zs, n_x: int, slots,
             step_scale: float = 1.0):
     r"""Partials of ``field`` along the joint chart coordinates ``slots``.
 
-    ``zs`` is an ``(m, n_x + n_v)`` array of joint chart coordinates,
-    ``x`` first; returns the ``(m, s, ...)`` stack of partials, one entry
-    per row and slot. Realizes every :math:`\partial_i`,
+    The ``(m, s, ...)`` partials of ``value_and_partial``, one entry per
+    row of ``zs`` and slot. Realizes every :math:`\partial_i`,
     :math:`\partial_a` appearing in the metric, connection and curvature
-    formulas. ``step_scale`` inflates the step for outer layers of nested
-    differentiation; see the curvature module for the noise budget that
-    picks those scales. ``field`` is called once, on the stencil rows of
-    every row of ``zs`` together; ``n_x`` splits a row that produced a
-    non-finite value into ``x`` and ``f`` for the error. A one-point
-    caller passes ``point.coords[None]`` and reads row 0.
+    formulas. A one-point caller passes ``point.coords[None]`` and reads
+    row 0.
     """
-    return _first_partials(
-        lambda rows: _eval_points(field, rows, n_x), zs,
-        engine.fd_step * step_scale, engine.richardson,
-        _slot_list(slots, zs.shape[1]))
+    return value_and_partial(engine, field, zs, n_x, slots, step_scale)[1]
 
 
 def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):

@@ -137,7 +137,6 @@ class OriginalGeometry:
     right_translate_jac: object = None
     vspace_action: object = None
     vspace_action_d: object = None
-    group_chart: object = None
 
     def __post_init__(self):
         g_v = np.asarray(self.G_V, dtype=float)
@@ -469,6 +468,13 @@ def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
         d=orbit,
         A_conn=frame_field(orig, "A_conn", lambda fs: fs.A),
         c=orig.c, orig=orig)
+
+
+def _as_adapted(geometry) -> "AdaptedGeometry":
+    """``geometry`` itself, or compiled when it is an OriginalGeometry."""
+    if isinstance(geometry, OriginalGeometry):
+        return compile_adapted(geometry)
+    return geometry
 
 
 @dataclass(frozen=True)

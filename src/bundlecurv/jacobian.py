@@ -36,16 +36,13 @@ import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
                      _field_stack, coordinate_partials, invert_spd, partial)
-from .geometry import (AdaptedGeometry, OriginalGeometry, compile_adapted,
-                       point_frame)
-from .liecore import orbit_scalar_curvature
-from .connection import (christoffel_table, covariant_D_orbit_metric,
-                         curvature_F)
-from .curvature import (_log_det_d_field, dddd_term, ff_term,
-                        log_density_terms, ricci_scalar_pair)
+from .geometry import (AdaptedGeometry, OriginalGeometry, _as_adapted,
+                       compile_adapted, point_frame)
+from .curvature import PointTerms, _frozen, _log_det_d_field, _terms_at
 
 __all__ = [
     "SigmaField",
+    "PointRecord",
     "SecondFundamentalForm",
     "HamiltonianTerms",
     "KillingIdentityResiduals",
@@ -90,36 +87,32 @@ def sigma_field(adapted: AdaptedGeometry,
 
 
 def jacobian_direct(adapted: AdaptedGeometry, point: ChartPoint,
-                    engine: DerivEngine = DEFAULT_ENGINE) -> float:
+                    engine: DerivEngine = DEFAULT_ENGINE,
+                    terms: PointTerms = None) -> float:
     r"""Reduction Jacobian from the orbit-volume density.
 
     The quadratic form is contracted with the inverse orbit-space metric
     (the upper-left quadrant of the block inverse); the written-out gauge
     form of the same contraction is available through
-    ``quadratic_form_paths`` when bundle data exists.
+    ``quadratic_form_paths`` when bundle data exists. ``terms``, the
+    ``PointTerms`` of the same arguments, holds the log-density terms.
     """
-    lap, grad_sq = log_density_terms(adapted, point, engine)
+    lap, grad_sq = _terms_at(adapted, point, engine, terms).log_density
     return lap + grad_sq
 
 
 def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
-                       engine: DerivEngine = DEFAULT_ENGINE) -> float:
+                       engine: DerivEngine = DEFAULT_ENGINE,
+                       terms: PointTerms = None) -> float:
     """Reduction Jacobian as a curvature deficit; see the module docstring.
 
     Both scalar curvatures come from a single frame-derivative pass so
-    their FD noise largely cancels in the difference.
+    their FD noise largely cancels in the difference; the other terms
+    are the decomposition's pieces, all read from ``terms``.
     """
-    r_total, r_base = ricci_scalar_pair(adapted, point, christoffel_table,
-                                        engine)
-    d_val = np.asarray(adapted.d.d(point), dtype=float)
-    d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
-    r_g = orbit_scalar_curvature(adapted.c, d_val)
-    zs = point.coords[None]
-    ff = ff_term(h_inv, d_val, curvature_F(adapted, zs, engine)[0])
-    dddd = dddd_term(h_inv, d_inv,
-                     covariant_D_orbit_metric(adapted, zs, engine)[0])
-    return r_total - r_base - r_g - ff - dddd
+    terms = _terms_at(adapted, point, engine, terms)
+    r_total, r_base = terms.pair_table
+    return r_total - r_base - terms.R_G - terms.FF - terms.DdDd
 
 
 def quadratic_form_paths(adapted: AdaptedGeometry, point: ChartPoint,
@@ -199,6 +192,16 @@ def killing_derivatives(orig: OriginalGeometry, point: ChartPoint,
     return p, v
 
 
+class PointRecord(PointTerms):
+    """``PointTerms`` plus ``killing``, the ``killing_derivatives`` at the
+    point: the per-point record that ``verify.run_checks`` shares between
+    its checks and drops after the point."""
+
+    _ENTRIES = dict(PointTerms._ENTRIES, killing=lambda t: tuple(
+        _frozen(part) for part in killing_derivatives(t.adapted.orig,
+                                                      t.point, t.engine)))
+
+
 @dataclass(frozen=True)
 class KillingIdentityResiduals:
     """Residuals of the directional-derivative identities for ``d``.
@@ -221,8 +224,8 @@ class KillingIdentityResiduals:
 
 
 def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
-                             engine: DerivEngine = DEFAULT_ENGINE
-                             ) -> KillingIdentityResiduals:
+                             engine: DerivEngine = DEFAULT_ENGINE,
+                             killing=None) -> KillingIdentityResiduals:
     r"""Check the four directional-derivative identities at a point.
 
     Bundle form: with :math:`d_{\alpha\beta}(Q, f)` extended off the
@@ -247,12 +250,14 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
 
     with the vector version reducing to
     :math:`(\ldots)^p = -\tfrac12 G^{pq}\partial_q d_{\alpha\beta}`.
+    ``killing`` is the ``killing_derivatives`` there, when already
+    computed.
     """
     frames = point_frame(orig, point)
     n_v, n_g, n_x = orig.n_v, orig.n_g, orig.n_x
     if n_g == 0:
         return KillingIdentityResiduals(0.0, 0.0, 0.0, 0.0)
-    p, v = killing_derivatives(orig, point, engine)
+    p, v = killing or killing_derivatives(orig, point, engine)
     sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
     d, g_p_inv = frames.d[0], frames.G_P_inv[0]
     scale = max(1.0, float(np.max(np.abs(d))))
@@ -314,9 +319,7 @@ class SecondFundamentalForm:
 
     ``closed[N', alpha, beta]`` holds the closed form
     :math:`j^{N'}_{\alpha\beta} = -\tfrac12 \tilde h^{N'B'}
-    \mathcal D_{B'} d_{\alpha\beta}`, and ``Dd[B', alpha, beta]`` the
-    covariant derivative :math:`\mathcal D_{B'} d_{\alpha\beta}` it was
-    built from. When the geometry carries bundle
+    \mathcal D_{B'} d_{\alpha\beta}`. When the geometry carries bundle
     data, ``raw`` holds the same components rebuilt from the four raw
     orthogonal projections of the symmetrized Killing derivatives, and
     ``raw_pieces`` the individual projections (base/vector output legs
@@ -324,7 +327,6 @@ class SecondFundamentalForm:
     """
 
     closed: np.ndarray
-    Dd: np.ndarray
     n_x: int
     n_v: int
     n_g: int
@@ -351,29 +353,29 @@ class SecondFundamentalForm:
 
 
 def second_fundamental_form(geometry, point: ChartPoint,
-                            engine: DerivEngine = DEFAULT_ENGINE
+                            engine: DerivEngine = DEFAULT_ENGINE,
+                            terms: PointRecord = None
                             ) -> SecondFundamentalForm:
     """Closed-form second fundamental form, plus raw projections if possible.
 
     ``geometry`` may be an AdaptedGeometry or an OriginalGeometry; raw
-    projections need the original bundle data.
+    projections need the original bundle data. ``terms``, the
+    ``PointRecord`` of the same arguments, supplies ``h~^{-1}``, ``D d``
+    and the Killing derivatives when given.
     """
-    if isinstance(geometry, OriginalGeometry):
-        adapted = compile_adapted(geometry)
-    else:
-        adapted = geometry
+    adapted = _as_adapted(geometry)
+    terms = _terms_at(adapted, point, engine, terms, PointRecord)
     orig = adapted.orig
     n_x, n_v, n_g, n_h = adapted.n_x, adapted.n_v, adapted.n_g, adapted.n_h
 
-    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
-    dd = covariant_D_orbit_metric(adapted, point.coords[None], engine)[0]
+    h_inv, dd = terms.h_inv, terms.Dd
     closed = -0.5 * np.einsum("nb,bst->nst", h_inv, dd)
     if orig is None or n_g == 0:
-        return SecondFundamentalForm(closed=closed, Dd=dd, n_x=n_x,
-                                     n_v=n_v, n_g=n_g)
+        return SecondFundamentalForm(closed=closed, n_x=n_x, n_v=n_v,
+                                     n_g=n_g)
 
     frames = point_frame(orig, point)
-    p, v = killing_derivatives(orig, point, engine)
+    p, v = terms.killing
     sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
     n_P = orig.n_P
     gt_h, q_jac, gh_p, n_vp = (frames.Gt_H[0], frames.Q_jac[0],
@@ -407,18 +409,19 @@ def second_fundamental_form(geometry, point: ChartPoint,
     raw = np.zeros_like(closed)
     raw[:n_x] = j1 + j3
     raw[n_x:] = j2 + j4
-    return SecondFundamentalForm(closed=closed, Dd=dd, n_x=n_x, n_v=n_v,
-                                 n_g=n_g, raw=raw, raw_pieces=(j1, j2, j3, j4))
+    return SecondFundamentalForm(closed=closed, n_x=n_x, n_v=n_v, n_g=n_g,
+                                 raw=raw, raw_pieces=(j1, j2, j3, j4))
 
 
 def j_norm_squared(adapted: AdaptedGeometry, point: ChartPoint,
-                   engine: DerivEngine = DEFAULT_ENGINE) -> float:
+                   engine: DerivEngine = DEFAULT_ENGINE,
+                   terms: PointRecord = None) -> float:
     """Squared norm of the second fundamental form at ``point``; see
-    ``SecondFundamentalForm.norm_squared``."""
-    form = second_fundamental_form(adapted, point, engine)
-    d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-    h_val = np.asarray(adapted.h_tilde(point), dtype=float)
-    return form.norm_squared(d_inv, h_val)
+    ``SecondFundamentalForm.norm_squared``. ``terms`` as for
+    ``second_fundamental_form``."""
+    terms = _terms_at(adapted, point, engine, terms, PointRecord)
+    form = second_fundamental_form(adapted, point, engine, terms)
+    return form.norm_squared(terms.d_inv, terms.h_tilde)
 
 
 @dataclass(frozen=True)
@@ -449,15 +452,10 @@ def hamiltonian_terms(adapted: AdaptedGeometry, point: ChartPoint,
     ``bracket`` for :math:`\tilde J` through the certified identity
     between the covariant-derivative term and the form norm.
     """
-    r_total, r_base = ricci_scalar_pair(adapted, point, christoffel_table,
-                                        engine)
-    d_val = np.asarray(adapted.d.d(point), dtype=float)
-    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
-    r_g = orbit_scalar_curvature(adapted.c, d_val)
-    ff = ff_term(h_inv, d_val,
-                 curvature_F(adapted, point.coords[None], engine)[0])
-    norm2 = j_norm_squared(adapted, point, engine)
-    bracket = r_total - r_base - r_g - ff - norm2
+    terms = PointRecord(adapted, point, engine)
+    r_total, r_base = terms.pair_table
+    norm2 = j_norm_squared(adapted, point, engine, terms)
+    bracket = r_total - r_base - terms.R_G - terms.FF - norm2
     hbar = mu2 * m
     v_value = float(potential(point)) if potential is not None else 0.0
     geom = hbar * hbar / (8.0 * m) * bracket

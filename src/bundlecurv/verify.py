@@ -10,6 +10,20 @@ Points are evaluated one after another in the order given, and the
 reduction into a report is an ordered pass over point indices, so a config
 with a fixed seed always produces the identical report. A residual that is
 NaN, infinite or missing at some point fails its part.
+
+The checks of one point share a ``jacobian.PointRecord``, dropped after
+the point. An entry is computed when a check first reads it, so a check
+run alone computes what it did before, with the same bits. Reads:
+``curvature`` the ``breakdown`` (from ``R_M``, ``R_G``, ``FF``, ``DdDd``,
+``log_density``), ``pair_table`` and ``pair_general``; ``jacobian`` the
+``log_density`` (direct route) and ``pair_table``, ``R_G``, ``FF``,
+``DdDd`` (geometric route); ``secondform`` ``h_inv``, ``Dd``,
+``killing``, ``h_tilde``, ``d_inv`` and ``DdDd``; ``killingderiv``
+``killing``; ``sde`` ``h_inv`` without bundle data only. Route-private:
+the ``christoffel`` check's two tables, each Christoffel route's work
+inside its Ricci pair (the pairs share only the metric fields' frames),
+the Killing identities' bundle-coordinate derivatives, the determinant
+check's block metric and the drift routes' fields.
 """
 
 from __future__ import annotations
@@ -19,12 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine, invert_spd
+from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine
 from .geometry import (assemble_block_metric, det_factorization_check,
                        point_frame)
 from .connection import christoffel_general, christoffel_table
-from .curvature import decomposition_terms, dddd_term, ricci_scalar_pair
-from .jacobian import (jacobian_direct, jacobian_geometric,
+from .curvature import decomposition_terms
+from .jacobian import (PointRecord, jacobian_direct, jacobian_geometric,
                        killing_identities_check, second_fundamental_form)
 from .sde import (diffusion_coefficients, drift_coefficients,
                   drift_divergence_form)
@@ -151,61 +165,55 @@ class VerificationReport:
         return _worst(r.max_residual for r in self.results)
 
 
-def _check_christoffel(scenario, point, engine):
+def _check_christoffel(scenario, point, terms):
     zs = point.coords[None]
-    table = christoffel_table(scenario.adapted, zs, engine).gamma
-    general = christoffel_general(scenario.adapted, zs, engine).gamma
+    table = christoffel_table(scenario.adapted, zs, terms.engine).gamma
+    general = christoffel_general(scenario.adapted, zs, terms.engine).gamma
     return {"table_vs_general": relative_gap(table, general)}
 
 
-def _check_curvature(scenario, point, engine):
-    adapted = scenario.adapted
-    breakdown = decomposition_terms(adapted, point, engine)
-    r_table, _ = ricci_scalar_pair(adapted, point, christoffel_table,
-                                   engine)
-    r_general, _ = ricci_scalar_pair(adapted, point, christoffel_general,
-                                     engine)
-    values = (breakdown.R_total, r_table, r_general)
+def _check_curvature(scenario, point, terms):
+    breakdown = decomposition_terms(scenario.adapted, point, terms.engine,
+                                    terms)
+    values = (breakdown.R_total, terms.pair_table[0], terms.pair_general[0])
     scale = max(1.0, max(abs(v) for v in values))
     spread = max(values) - min(values)
     return {"three_way": spread / scale}
 
 
-def _check_jacobian(scenario, point, engine):
-    direct = jacobian_direct(scenario.adapted, point, engine)
-    geometric = jacobian_geometric(scenario.adapted, point, engine)
+def _check_jacobian(scenario, point, terms):
+    adapted, engine = scenario.adapted, terms.engine
+    direct = jacobian_direct(adapted, point, engine, terms)
+    geometric = jacobian_geometric(adapted, point, engine, terms)
     parts = {"direct_vs_geometric": relative_gap(direct, geometric)}
     if scenario.expected.get("jacobian_zero"):
         parts["flat_absolute"] = max(abs(direct), abs(geometric))
     return parts
 
 
-def _check_secondform(scenario, point, engine):
-    adapted = scenario.adapted
-    form = second_fundamental_form(adapted, point, engine)
+def _check_secondform(scenario, point, terms):
+    form = second_fundamental_form(scenario.adapted, point, terms.engine,
+                                   terms)
     parts = {}
     if form.raw is not None:
         parts["raw_vs_closed"] = relative_gap(form.raw, form.closed)
-    h_val = np.asarray(adapted.h_tilde(point), dtype=float)
-    h_inv, _ = invert_spd(h_val)
-    d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-    dddd = dddd_term(h_inv, d_inv, form.Dd)
     parts["norm_vs_decomposition"] = relative_gap(
-        form.norm_squared(d_inv, h_val), dddd)
+        form.norm_squared(terms.d_inv, terms.h_tilde), terms.DdDd)
     return parts
 
 
-def _check_killingderiv(scenario, point, engine):
+def _check_killingderiv(scenario, point, terms):
     if scenario.orig is None:
         raise ConfigError("check 'killingderiv' needs bundle data; scenario "
                           "%r provides none" % scenario.name)
-    res = killing_identities_check(scenario.orig, point, engine)
+    res = killing_identities_check(scenario.orig, point, terms.engine,
+                                   terms.killing)
     return {"raw_base": res.raw_base, "raw_vector": res.raw_vector,
             "adapted_base": res.adapted_base,
             "adapted_vector": res.adapted_vector}
 
 
-def _check_detfact(scenario, point, engine):
+def _check_detfact(scenario, point, terms):
     parts = {}
     if scenario.orig is not None:
         parts["det_product"] = det_factorization_check(scenario.orig, point)
@@ -215,15 +223,14 @@ def _check_detfact(scenario, point, engine):
     return parts
 
 
-def _check_sde(scenario, point, engine):
-    adapted = scenario.adapted
+def _check_sde(scenario, point, terms):
+    adapted, engine = scenario.adapted, terms.engine
     blocks = diffusion_coefficients(adapted, point)
     squared = blocks.full @ blocks.full.T
     if adapted.orig is not None:
         target = point_frame(adapted.orig, point).h_tilde_inv[0]
     else:
-        target, _ = invert_spd(np.asarray(adapted.h_tilde(point),
-                                          dtype=float))
+        target = terms.h_inv
     parts = {"diffusion_square": relative_gap(squared, target)}
     if adapted.orig is not None:
         drift = drift_coefficients(adapted, point, engine)
@@ -278,7 +285,8 @@ def run_checks(scenario, points, checks=CHECK_NAMES, *,
     start = time.perf_counter()
 
     def evaluate(point):
-        return {name: _CHECK_FUNCS[name](scenario, point, engine)
+        terms = PointRecord(scenario.adapted, point, engine)
+        return {name: _CHECK_FUNCS[name](scenario, point, terms)
                 for name in selected}
 
     per_point = [evaluate(p) for p in points]

@@ -8,6 +8,7 @@ import pytest
 from bundlecurv import curvature
 from bundlecurv.connection import christoffel_general, christoffel_table
 from bundlecurv.curvature import (
+    PointTerms,
     _log_det_d_field,
     coordinate_ricci_scalar,
     decomposition_terms,
@@ -181,9 +182,9 @@ def test_ricci_pair_pinned_values(name, engine):
 
 
 @pytest.mark.parametrize("route", [christoffel_table, christoffel_general])
-def test_ricci_pair_calls_its_route_twice(twisted, engine, route):
-    """The route runs once on the point's row and once on all 20 rows of
-    the outer stencil (2 steps, +-, 5 slots), not once per row."""
+def test_ricci_pair_calls_its_route_once(twisted, engine, route):
+    """The route runs once, on the 21 centre-first rows of the outer
+    stencil: the point and its 20 shifted rows (2 steps, +-, 5 slots)."""
     calls = []
 
     def counted(adapted, zs, engine):
@@ -191,33 +192,53 @@ def test_ricci_pair_calls_its_route_twice(twisted, engine, route):
         return route(adapted, zs, engine)
 
     ricci_scalar_pair(twisted.adapted, _PIN, counted, engine)
-    assert calls == [1, 20]
+    assert calls == [21]
 
 
 def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
-    """After the decomposition, the table route's Ricci pair reads the
-    point's row and its first-derivative stencil from the store and
-    compiles only its three widened stencils (20 + 20 + 400 rows); the
-    general route then reads all of them and compiles none."""
+    """The Ricci pair's route runs on the outer rows of the ``R_M``
+    stencil, so its fields read the 441-row stack that the decomposition
+    compiled, and the structure functions and metrics at the point read
+    the decomposition's stacks too: after the decomposition, neither
+    route's pair compiles a frame."""
     adapted = compile_adapted(dataclasses.replace(twisted.orig))
     point = ChartPoint([-0.17, 0.26], [0.05, 0.31, -0.22])
     decomposition_terms(adapted, point, engine)
     before = frame_cache_info()
     ricci_scalar_pair(adapted, point, christoffel_table, engine)
     after = frame_cache_info()
-    assert after.compiles - before.compiles == 3
-    assert after.misses - before.misses == 440
+    assert (after.misses, after.compiles) == (before.misses, before.compiles)
+    assert after.hits > before.hits
     ricci_scalar_pair(adapted, point, christoffel_general, engine)
     final = frame_cache_info()
     assert (final.misses, final.compiles) == (after.misses, after.compiles)
     assert final.hits > after.hits
 
 
+def test_point_terms_compute_each_entry_once(twisted, engine):
+    """An entry is computed on first read and kept, read-only; the
+    decomposition read from a record is the one computed without it, and
+    a record of another point is refused."""
+    adapted = twisted.adapted
+    terms = PointTerms(adapted, _PIN, engine)
+    assert terms.Dd is terms.Dd and not terms.Dd.flags.writeable
+    breakdown = decomposition_terms(adapted, _PIN, engine, terms)
+    assert breakdown is terms.breakdown
+    assert breakdown == decomposition_terms(adapted, _PIN, engine)
+    with pytest.raises(AttributeError, match="read-only"):
+        terms.R_M = 0.0
+    with pytest.raises(AttributeError):
+        terms.R_P
+    other = ChartPoint(_PIN.x, _PIN.f)
+    with pytest.raises(ValueError, match="another"):
+        decomposition_terms(adapted, other, engine, terms)
+
+
 def test_log_density_terms_compile_two_stacks(twisted, engine):
-    """The Hessian stencil (101 rows) and the gradient stencil (20 rows)
-    compile one stack each, and the Levi-Civita route reads the
-    gradient's; the point's own row is a stack of its own, compiled
-    first here."""
+    """The Hessian stencil (101 rows) and the centre-first gradient
+    stencil (21 rows) compile one stack each, and the Levi-Civita route
+    reads the gradient's; the point's own row is a stack of its own,
+    compiled first here."""
     adapted = compile_adapted(dataclasses.replace(twisted.orig))
     point = ChartPoint([0.21, -0.08], [-0.17, 0.05, 0.29])
     adapted.h_tilde(point)
@@ -225,7 +246,7 @@ def test_log_density_terms_compile_two_stacks(twisted, engine):
     log_density_terms(adapted, point, engine)
     after = frame_cache_info()
     assert after.compiles - before.compiles == 2
-    assert after.misses - before.misses == 121
+    assert after.misses - before.misses == 122
 
 
 def test_log_det_d_on_a_stack_equals_one_row_calls(twisted):

@@ -16,6 +16,7 @@ from bundlecurv.fields import (
     invert_spd,
     partial,
     second_partial,
+    value_and_partial,
 )
 from bundlecurv.geometry import point_frame
 
@@ -121,7 +122,7 @@ def test_partial_matrix_valued(engine):
                      [[1.0, 3.0], [0.0, 2.0]]])
     assert_close(got, want, 1e-9, "matrix field partial")
     assert partial(engine, field, point.coords[None], point.n_x,
-                   []).shape == (1, 0)
+                   []).shape == (1, 0, 2, 2)
 
 
 def test_partial_richardson_beats_plain_stencil():
@@ -172,11 +173,11 @@ def test_kernel_calls_a_field_once_per_stencil(engine):
     field = FieldHandle(counted, arity="scalar")
     point = ChartPoint([0.3, -0.4], [0.2])
     partial(engine, field, point.coords[None], point.n_x, range(3))
-    assert calls == [12]            # +-h, +-h/2 on three slots
+    assert calls == [13]            # centre, +-h, +-h/2 on three slots
     second_partial(engine, field, point, range(3))
-    assert calls == [12, 37]        # centre, 12 axis rows, 3 x 8 corners
+    assert calls == [13, 37]        # centre, 12 axis rows, 3 x 8 corners
     field(point)
-    assert calls == [12, 37, 1]
+    assert calls == [13, 37, 1]
 
 
 def test_partial_on_a_stack_of_centres_equals_row_calls(engine):
@@ -192,11 +193,33 @@ def test_partial_on_a_stack_of_centres_equals_row_calls(engine):
     field = FieldHandle(counted, arity="vector")
     centres = np.array([[0.3, -0.4, 0.2], [0.1, 0.2, -0.3], [-0.5, 0.0, 0.4]])
     stacked = partial(engine, field, centres, 2, [2, 0])
-    assert calls == [24]            # 3 centres x +-h, +-h/2 on two slots
+    assert calls == [27]            # 3 centres x centre, +-h, +-h/2 on
+    #                                 two slots
     assert stacked.shape == (3, 2, 2)
     for z, got in zip(centres, stacked):
         assert np.array_equal(got, partial(engine, field, z[None], 2,
                                            [2, 0])[0])
+
+
+def test_value_and_partial_takes_both_from_one_call(engine):
+    """The values at the centres and the partials come from one field
+    call on the centre-first rows: the values equal the field on the
+    centres, and the partials equal ``partial``'s, bit for bit."""
+    calls = []
+
+    def counted(zs):
+        calls.append(len(zs))
+        return np.stack([np.sin(zs[:, 0]) * zs[:, 2], zs[:, 1] ** 3], axis=1)
+
+    field = FieldHandle(counted, arity="vector")
+    centres = np.array([[0.3, -0.4, 0.2], [0.1, 0.2, -0.3], [-0.5, 0.0, 0.4]])
+    values, partials = value_and_partial(engine, field, centres, 2, [2, 0],
+                                         step_scale=10.0)
+    assert calls == [27]            # 3 centres x centre, +-h, +-h/2 on
+    #                                 two slots
+    assert np.array_equal(values, counted(centres))
+    assert np.array_equal(partials, partial(engine, field, centres, 2,
+                                            [2, 0], step_scale=10.0))
 
 
 def test_field_result_shape_is_checked(engine):
@@ -212,7 +235,7 @@ def test_field_result_shape_is_checked(engine):
 
     with pytest.raises(ValueError, match=r"field short declared arity "
                                          r"'scalar' but returned shape "
-                                         r"\(7,\) for 8 points"):
+                                         r"\(8,\) for 9 points"):
         partial(engine, FieldHandle(short, "scalar"), point.coords[None],
                 point.n_x, range(2))
     with pytest.raises(ValueError, match=r"field flat declared arity "

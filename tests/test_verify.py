@@ -7,7 +7,7 @@ import pytest
 
 from bundlecurv.fields import ChartPoint, ConfigError
 from bundlecurv.geometry import compile_adapted, frame_cache_info
-from bundlecurv.scenarios import sample_points
+from bundlecurv.scenarios import SCENARIO_NAMES, build_scenario, sample_points
 from bundlecurv.verify import (
     CHECK_NAMES,
     CheckPart,
@@ -143,26 +143,89 @@ def test_run_checks_twisted_cheap_subset(twisted, engine):
         "det_product", "inverse_round_trip"}
 
 
-@pytest.mark.parametrize("check, stacks", [("christoffel", 2),
-                                           ("curvature", 7),
-                                           ("jacobian", 6), ("sde", 2)])
+def _fresh(scenario):
+    """A copy of ``scenario`` whose frames no earlier call has compiled."""
+    orig = dataclasses.replace(scenario.orig)
+    return dataclasses.replace(scenario, orig=orig,
+                               adapted=compile_adapted(orig))
+
+
+@pytest.mark.parametrize("check, stacks", [("christoffel", 1),
+                                           ("curvature", 4),
+                                           ("jacobian", 4), ("sde", 2)])
 def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
                                                 stacks):
     """Every stencil compiles its frames in one stacked pass, and a
     stencil that an earlier route of the check compiled is read whole
     from the store: at a point no earlier call has seen (a fresh copy of
-    the geometry), the point's row and each distinct stencil compile once.
-    The sde check differences every field over all slots, so it reads the
-    one 20-row stencil of its point."""
-    orig = dataclasses.replace(twisted.orig)
-    fresh = dataclasses.replace(twisted, orig=orig,
-                                adapted=compile_adapted(orig))
+    the geometry), each distinct stencil compiles once. The stencils are
+    the point's row, its centre-first 21-row first-derivative stencil,
+    the 101-row Hessian stencil of ``ln det d`` and the 441-row nested
+    stencil of ``R_M``, whose outer rows are the rows the Ricci pair
+    runs its route on. The christoffel check reads only the 21-row
+    stencil; the sde check differences every field over all slots, so
+    it reads that stencil and the point's row."""
+    fresh = _fresh(twisted)
     before = frame_cache_info()
     report = run_checks(fresh, [ChartPoint([-0.11, 0.23],
                                            [0.14, -0.27, 0.08])],
                         (check,), engine=engine)
     assert report.passed
     assert frame_cache_info().compiles - before.compiles == stacks
+
+
+def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
+    """All seven checks at a fresh point share one per-point record: one
+    Ricci pair per Christoffel route, one set of log-density terms, one
+    set of Killing derivatives, and 564 frame rows in 4 stacks (1 + 21 +
+    101 + 441, see ``test_check_compiles_frames_once_per_stencil``)."""
+    from bundlecurv import curvature, jacobian
+
+    calls = []
+    for module, name in ((curvature, "ricci_scalar_pair"),
+                         (curvature, "log_density_terms"),
+                         (jacobian, "killing_derivatives")):
+        def counted(*args, _original=getattr(module, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    fresh = _fresh(twisted)
+    before = frame_cache_info()
+    report = run_checks(fresh, [ChartPoint([0.19, -0.07],
+                                           [-0.21, 0.12, 0.26])],
+                        engine=engine)
+    after = frame_cache_info()
+    assert report.passed
+    assert sorted(calls) == ["killing_derivatives", "log_density_terms",
+                             "ricci_scalar_pair", "ricci_scalar_pair"]
+    assert (after.misses - before.misses,
+            after.compiles - before.compiles) == (564, 4)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_residuals_do_not_depend_on_check_selection(name, engine,
+                                                    monkeypatch):
+    """The checks of a point share one record, yet each check's
+    residuals are the same, bit for bit, with all seven checks, alone,
+    and with all seven evaluated in reverse order."""
+    scenario = build_scenario(name)
+    points = sample_points(scenario, 2, seed=163)
+
+    def residuals(report):
+        return {r.name: [(p.name, p.residuals) for p in r.parts]
+                for r in report.results}
+
+    together = residuals(run_checks(scenario, points, engine=engine))
+    alone = {}
+    for check in CHECK_NAMES:
+        alone.update(residuals(run_checks(scenario, points, (check,),
+                                          engine=engine)))
+    monkeypatch.setattr(verify, "CHECK_NAMES", CHECK_NAMES[::-1])
+    reverse = run_checks(scenario, points, engine=engine)
+    assert [r.name for r in reverse.results] == list(CHECK_NAMES[::-1])
+    assert together == alone == residuals(reverse)
 
 
 def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
