@@ -31,9 +31,8 @@ from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .fields import ConfigError, DerivEngine
-from .curvature import decomposition_terms
-from .jacobian import (PointRecord, jacobian_direct, jacobian_geometric,
-                       j_norm_squared)
+from .curvature import PointTerms, decomposition_terms
+from .jacobian import jacobian_direct, jacobian_geometric, j_norm_squared
 from .sde import SdeParams, density_H, euler_maruyama_check
 from .scenarios import build_scenario, sample_points
 from .verify import CHECK_NAMES, run_checks
@@ -187,7 +186,7 @@ def _report_rows(scenario, points, engine):
     adapted = scenario.adapted
     rows = []
     for point in points:
-        terms = PointRecord(adapted, point, engine)
+        terms = PointTerms(adapted, point, engine)
         breakdown = decomposition_terms(adapted, point, engine, terms)
         row = {}
         for i, value in enumerate(point.x):

@@ -352,21 +352,20 @@ def coordinate_ricci_scalar(metric, z0, engine: DerivEngine = DEFAULT_ENGINE,
     values = _eval_stack(metric, zs, "metric")
     values = values.reshape(inner.shape[:2] + values.shape[1:])
 
-    gammas = []
-    for g, dg in zip(values[:, 0], _stencil_partials(values, inner_steps)):
-        g_inv, _ = invert_spd(g)
-        combo = (np.einsum("bcd->bcd", dg) + np.einsum("cbd->bcd", dg)
-                 - np.einsum("dbc->bcd", dg))
-        gammas.append(0.5 * np.einsum("ad,bcd->abc", g_inv, combo))
+    # Levi-Civita symbols at every outer row at once, the point first
+    g_inv, _ = invert_spd(values[:, 0])
+    dg = _stencil_partials(values, inner_steps)
+    combo = (np.einsum("...bcd->...bcd", dg) + np.einsum("...cbd->...bcd", dg)
+             - np.einsum("...dbc->...bcd", dg))
+    gammas = 0.5 * np.einsum("...ad,...bcd->...abc", g_inv, combo)
     gamma0 = gammas[0]
-    dgamma = _stencil_partials(np.stack(gammas)[None],
+    dgamma = _stencil_partials(gammas[None],
                                outer_steps)[0]     # dgamma[A, D, B, C]
     ricci = (np.einsum("abbc->ac", dgamma)
              - np.einsum("bbac->ac", dgamma)
              + np.einsum("dbc,bad->ac", gamma0, gamma0)
              - np.einsum("lac,bbl->ac", gamma0, gamma0))
-    g_inv, _ = invert_spd(values[0, 0])
-    return float(np.einsum("ac,ac->", g_inv, ricci))
+    return float(np.einsum("ac,ac->", g_inv[0], ricci))
 
 
 def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:

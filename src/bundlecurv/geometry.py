@@ -28,16 +28,17 @@ the ``FrameStack`` at the rows of an ``(N, n_x + n_v)`` array of joint
 chart coordinates in one pass -- one call of each bundle callable on the
 stack, the linear algebra on ``(N, ...)`` stacks -- and ``point_frame``
 is its one-row case for a ``ChartPoint``. A compiled stack is read-only
-and stored whole, keyed on the geometry object and the shape and bytes
-of the coordinates, in a store bounded at 8192 rows, so a repeated
-stencil compiles nothing; ``frame_cache_info`` reports its counters. The
-chart fields of ``compile_adapted`` (and every other ``frame_field``)
-map a stencil's ``FrameStack`` to the stack of their values.
+and kept whole, keyed on the shape and bytes of the coordinates, in the
+geometry's memo of the stacks around one chart point, so a repeated
+stencil at the point compiles nothing; ``frame_cache_info(orig)``
+reports its counters. The chart fields of ``compile_adapted`` (and every
+other ``frame_field``) map a stencil's ``FrameStack`` to the stack of
+their values.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,8 @@ class OriginalGeometry:
     derivatives along the group coordinates.
 
     Construction wraps each callable so that a call checks its input and
-    result shapes, naming the callable when one is off.
+    result shapes, naming the callable when one is off, and gives the
+    geometry an empty frame memo of its own (see ``_FrameMemo``).
     """
 
     n_P: int
@@ -166,6 +168,7 @@ class OriginalGeometry:
             if func is not None:
                 object.__setattr__(self, name,
                                    _StackCallable(name, func, shape))
+        object.__setattr__(self, "_frames", _FrameMemo())
 
     @property
     def n_x(self) -> int:
@@ -370,55 +373,48 @@ def _compute_frames(orig: OriginalGeometry, zs) -> FrameStack:
         h_base_inv=h_base_inv, Lambda=lam, N_vP=-k_v @ lam)
 
 
-class _FrameStore:
-    """Compiled frame stacks, each kept whole, with counters.
+class _FrameMemo:
+    """A geometry's compiled frame stacks around one chart point.
 
-    Keys are the geometry object itself, the shape and the bytes of a
-    stack of joint chart coordinates, so a stack is served only to a
-    lookup of exactly its rows. A geometry hashes by identity: a stored
-    stack keeps its geometry alive, and two geometries never share one.
-    The store holds at most ``maxsize`` rows and evicts the least
-    recently used stacks first. Lookups are not locked: verification runs
-    on one thread.
+    Each stack is kept whole under the shape and bytes of its rows, so it
+    is served only to a lookup of exactly its rows. Every stencil lists
+    its centre first, so a lookup whose row 0 is another point drops the
+    held stacks: returning to an earlier point compiles it again. Lookups
+    are not locked: verification runs on one thread.
     """
 
-    def __init__(self, maxsize):
-        self.maxsize = maxsize
-        self.stacks = OrderedDict()
-        self.rows = self.hits = self.misses = self.compiles = 0
+    def __init__(self):
+        self.centre = None
+        self.stacks = {}
+        self.hits = self.misses = self.compiles = 0
 
     def lookup(self, orig, zs):
         """The frame stack at the rows of ``zs``, compiled on a miss."""
-        key = (orig, zs.shape, zs.tobytes())
+        centre = zs[:1].tobytes()
+        if centre != self.centre:
+            self.centre, self.stacks = centre, {}
+        key = (zs.shape, zs.tobytes())
         frames = self.stacks.get(key)
         if frames is not None:
-            self.stacks.move_to_end(key)
             self.hits += 1
             return frames
         frames = _compute_frames(orig, zs)
         self.misses += len(zs)
         self.compiles += 1
         self.stacks[key] = frames
-        self.rows += len(zs)
-        while self.rows > self.maxsize:
-            (_, shape, _), _ = self.stacks.popitem(last=False)
-            self.rows -= shape[0]
         return frames
 
 
-_FRAMES = _FrameStore(maxsize=8192)
-
-FrameCacheInfo = namedtuple("FrameCacheInfo",
-                            "hits misses compiles currsize maxsize")
+FrameCacheInfo = namedtuple("FrameCacheInfo", "hits misses compiles currsize")
 
 
-def frame_cache_info() -> FrameCacheInfo:
-    """Counters of the frame store: lookups served from it (``hits``),
-    rows compiled (``misses``), stacked compile calls (``compiles``), and
-    its current and maximum size in rows."""
-    store = _FRAMES
-    return FrameCacheInfo(store.hits, store.misses, store.compiles,
-                          store.rows, store.maxsize)
+def frame_cache_info(orig: OriginalGeometry) -> FrameCacheInfo:
+    """Counters of the frame memo of ``orig``: lookups served from it
+    (``hits``), rows compiled (``misses``), stacked compile calls
+    (``compiles``) and the rows it holds now (``currsize``)."""
+    memo = orig._frames
+    return FrameCacheInfo(memo.hits, memo.misses, memo.compiles,
+                          sum(shape[0] for shape, _ in memo.stacks))
 
 
 def point_frames(orig: OriginalGeometry, zs) -> FrameStack:
@@ -426,14 +422,15 @@ def point_frames(orig: OriginalGeometry, zs) -> FrameStack:
 
     ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates; row
     ``i`` of every field of the result belongs to row ``i`` of ``zs``.
-    The stack is stored whole, so a later lookup of the same rows in the
-    same order compiles nothing.
+    The stack is kept whole in the frame memo of ``orig``, so a later
+    lookup of the same rows in the same order compiles nothing until a
+    lookup centred on another point.
     """
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != orig.n_h:
         raise ValueError("point_frames takes an (N, %d) coordinate stack, "
                          "got shape %s" % (orig.n_h, zs.shape))
-    return _FRAMES.lookup(orig, zs)
+    return orig._frames.lookup(orig, zs)
 
 
 def point_frame(orig: OriginalGeometry, point: ChartPoint) -> FrameStack:

@@ -30,7 +30,7 @@ numerically as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -352,6 +352,15 @@ class SecondFundamentalForm:
                                self.closed, self.closed))
 
 
+def _closed_form(terms: PointTerms) -> SecondFundamentalForm:
+    """The form with its closed part alone, from the ``h~^{-1}`` and ``D
+    d`` of ``terms``."""
+    adapted = terms.adapted
+    return SecondFundamentalForm(
+        closed=-0.5 * np.einsum("nb,bst->nst", terms.h_inv, terms.Dd),
+        n_x=adapted.n_x, n_v=adapted.n_v, n_g=adapted.n_g)
+
+
 def second_fundamental_form(geometry, point: ChartPoint,
                             engine: DerivEngine = DEFAULT_ENGINE,
                             terms: PointRecord = None
@@ -366,13 +375,10 @@ def second_fundamental_form(geometry, point: ChartPoint,
     adapted = _as_adapted(geometry)
     terms = _terms_at(adapted, point, engine, terms, PointRecord)
     orig = adapted.orig
-    n_x, n_v, n_g, n_h = adapted.n_x, adapted.n_v, adapted.n_g, adapted.n_h
-
-    h_inv, dd = terms.h_inv, terms.Dd
-    closed = -0.5 * np.einsum("nb,bst->nst", h_inv, dd)
-    if orig is None or n_g == 0:
-        return SecondFundamentalForm(closed=closed, n_x=n_x, n_v=n_v,
-                                     n_g=n_g)
+    n_x, h_inv = adapted.n_x, terms.h_inv
+    form = _closed_form(terms)
+    if orig is None or adapted.n_g == 0:
+        return form
 
     frames = point_frame(orig, point)
     p, v = terms.killing
@@ -406,22 +412,22 @@ def second_fundamental_form(geometry, point: ChartPoint,
     j4 = (np.einsum("ab,Ma,Mst->bst", hi_vv, gt_pv, sym_p)
           + np.einsum("ab,da,dst->bst", hi_vv, gt_vv, sym_v))
 
-    raw = np.zeros_like(closed)
+    raw = np.zeros_like(form.closed)
     raw[:n_x] = j1 + j3
     raw[n_x:] = j2 + j4
-    return SecondFundamentalForm(closed=closed, n_x=n_x, n_v=n_v, n_g=n_g,
-                                 raw=raw, raw_pieces=(j1, j2, j3, j4))
+    return replace(form, raw=raw, raw_pieces=(j1, j2, j3, j4))
 
 
 def j_norm_squared(adapted: AdaptedGeometry, point: ChartPoint,
                    engine: DerivEngine = DEFAULT_ENGINE,
-                   terms: PointRecord = None) -> float:
+                   terms: PointTerms = None) -> float:
     """Squared norm of the second fundamental form at ``point``; see
-    ``SecondFundamentalForm.norm_squared``. ``terms`` as for
-    ``second_fundamental_form``."""
-    terms = _terms_at(adapted, point, engine, terms, PointRecord)
-    form = second_fundamental_form(adapted, point, engine, terms)
-    return form.norm_squared(terms.d_inv, terms.h_tilde)
+    ``SecondFundamentalForm.norm_squared``. Only the closed form enters,
+    so no Killing derivative is computed. ``terms``, the ``PointTerms``
+    of the same arguments, supplies ``h~``, its inverse, ``d^{-1}`` and
+    ``D d`` when given."""
+    terms = _terms_at(adapted, point, engine, terms)
+    return _closed_form(terms).norm_squared(terms.d_inv, terms.h_tilde)
 
 
 @dataclass(frozen=True)
@@ -452,7 +458,7 @@ def hamiltonian_terms(adapted: AdaptedGeometry, point: ChartPoint,
     ``bracket`` for :math:`\tilde J` through the certified identity
     between the covariant-derivative term and the form norm.
     """
-    terms = PointRecord(adapted, point, engine)
+    terms = PointTerms(adapted, point, engine)
     r_total, r_base = terms.pair_table
     norm2 = j_norm_squared(adapted, point, engine, terms)
     bracket = r_total - r_base - terms.R_G - terms.FF - norm2

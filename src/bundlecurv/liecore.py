@@ -139,15 +139,7 @@ def ad_matrix(c, gamma: int) -> np.ndarray:
     return raw[:, gamma, :]
 
 
-def _orbit_matrix(d, point):
-    if isinstance(d, OrbitMetric):
-        return np.asarray(d.d(point), dtype=float)
-    if callable(d):
-        return np.asarray(d(point), dtype=float)
-    return np.asarray(d, dtype=float)
-
-
-def orbit_scalar_curvature(c, d, point=None) -> float:
+def orbit_scalar_curvature(c, d) -> float:
     r"""Scalar curvature of a group orbit with orbit metric ``d``.
 
     .. math::
@@ -156,12 +148,12 @@ def orbit_scalar_curvature(c, d, point=None) -> float:
             + \tfrac14 d_{\mu\sigma} d^{\alpha\beta} d^{\varepsilon\nu}
               c^\mu_{\varepsilon\alpha} c^\sigma_{\nu\beta}
 
-    ``d`` may be an ``OrbitMetric`` (evaluated at ``point``), a callable, or
-    a plain matrix. The two contractions are written exactly as above;
-    brute-force loop evaluations of the same expression back this in tests.
+    ``d`` is the ``(n_g, n_g)`` orbit metric at one point. The two
+    contractions are written exactly as above; brute-force loop
+    evaluations of the same expression back this in tests.
     """
     raw = _raw_constants(c)
-    d_val = _orbit_matrix(d, point)
+    d_val = np.asarray(d, dtype=float)
     d_inv, _ = invert_spd(d_val)
     term1 = 0.5 * np.einsum("mn,sma,ans->", d_inv, raw, raw)
     term2 = 0.25 * np.einsum("ms,ab,en,mea,snb->", d_val, d_inv, d_inv, raw, raw)

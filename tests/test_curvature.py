@@ -204,13 +204,13 @@ def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
     adapted = compile_adapted(dataclasses.replace(twisted.orig))
     point = ChartPoint([-0.17, 0.26], [0.05, 0.31, -0.22])
     decomposition_terms(adapted, point, engine)
-    before = frame_cache_info()
+    before = frame_cache_info(adapted.orig)
     ricci_scalar_pair(adapted, point, christoffel_table, engine)
-    after = frame_cache_info()
+    after = frame_cache_info(adapted.orig)
     assert (after.misses, after.compiles) == (before.misses, before.compiles)
     assert after.hits > before.hits
     ricci_scalar_pair(adapted, point, christoffel_general, engine)
-    final = frame_cache_info()
+    final = frame_cache_info(adapted.orig)
     assert (final.misses, final.compiles) == (after.misses, after.compiles)
     assert final.hits > after.hits
 
@@ -242,9 +242,9 @@ def test_log_density_terms_compile_two_stacks(twisted, engine):
     adapted = compile_adapted(dataclasses.replace(twisted.orig))
     point = ChartPoint([0.21, -0.08], [-0.17, 0.05, 0.29])
     adapted.h_tilde(point)
-    before = frame_cache_info()
+    before = frame_cache_info(adapted.orig)
     log_density_terms(adapted, point, engine)
-    after = frame_cache_info()
+    after = frame_cache_info(adapted.orig)
     assert after.compiles - before.compiles == 2
     assert after.misses - before.misses == 122
 

@@ -1,5 +1,5 @@
 """Metric-block builders: orbit metric, connection, horizontal blocks,
-gauge projector, and the frame-stack store."""
+gauge projector, and the per-geometry frame memo."""
 
 import dataclasses
 
@@ -28,6 +28,7 @@ from bundlecurv.scenarios import (
     build_scenario,
     sample_points,
 )
+from bundlecurv.verify import run_checks
 
 from conftest import assert_close
 
@@ -250,15 +251,15 @@ def test_frame_without_group_keeps_ambient_metric():
 
 
 def test_point_frame_is_cached(twisted, engine):
-    """A repeated lookup of the same rows is served whole from the store:
+    """A repeated lookup of the same rows is served whole from the memo:
     the same stack object, and no compile."""
     point = ChartPoint([0.1, 0.2], [0.0, 0.1, -0.1])
     assert point_frame(twisted.orig, point) is point_frame(twisted.orig, point)
     rows, _ = _stencil(point.coords[None], engine.fd_step, engine.richardson)
     first = point_frames(twisted.orig, rows[0])
-    before = frame_cache_info()
+    before = frame_cache_info(twisted.orig)
     assert point_frames(twisted.orig, rows[0].copy()) is first
-    after = frame_cache_info()
+    after = frame_cache_info(twisted.orig)
     assert (after.misses, after.compiles) == (before.misses, before.compiles)
     assert after.hits == before.hits + 1
 
@@ -277,17 +278,16 @@ def test_point_frame_arrays_are_frozen(twisted):
 def test_point_frames_match_one_at_a_time_compiles(twisted):
     """A stacked compile over a stencil equals one-row compiles, field by
     field and bit for bit, and its arrays are read-only."""
-    # fresh copies of the geometry, so that no earlier test's stored stack
-    # serves these rows
+    # fresh copies of the geometry, each with a frame memo of its own
     stacked = dataclasses.replace(twisted.orig)
     single = dataclasses.replace(twisted.orig)
     center = np.array([0.12, -0.21, 0.3, -0.15, 0.22])
     coords = [center] + [center + sign * 1e-3 * np.eye(5)[s]
                          for s in range(5) for sign in (1.0, -1.0)]
     zs = np.array(coords + [coords[3]])
-    before = frame_cache_info()
+    before = frame_cache_info(stacked)
     batch = point_frames(stacked, zs)
-    after = frame_cache_info()
+    after = frame_cache_info(stacked)
     assert after.compiles == before.compiles + 1
     assert after.misses == before.misses + len(zs)
     for i, z in enumerate(zs):
@@ -298,8 +298,9 @@ def test_point_frames_match_one_at_a_time_compiles(twisted):
             assert value.shape == (len(zs),) + want[name].shape[1:], name
             assert value[i].tobytes() == want[name][0].tobytes(), name
             assert not value.flags.writeable, name
-    # the repeated row's one-row stack is served from the store
-    assert frame_cache_info().compiles == after.compiles + len(coords)
+    # each one-row lookup is centred on another point than the last, so
+    # each compiles, the repeated row included
+    assert frame_cache_info(single).compiles == len(zs)
 
 
 def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
@@ -314,28 +315,31 @@ def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
     for name, pick in (("h_tilde", lambda a: a.h_tilde),
                        ("d", lambda a: a.d.d), ("d_inv", lambda a: a.d.d_inv),
                        ("A_conn", lambda a: a.A_conn)):
-        before = frame_cache_info()
+        before = frame_cache_info(stacked.orig)
         got = pick(stacked).func(rows[0])
-        assert frame_cache_info().compiles - before.compiles <= 1, name
+        assert frame_cache_info(stacked.orig).compiles - before.compiles \
+            <= 1, name
         want = np.array([pick(single)(p) for p in points])
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
 
 
 def test_frames_are_shared_by_whole_stacks_only(twisted, engine):
-    """The store keys a stack on all of its rows: the chart point at one
+    """The memo keys a stack on all of its rows: the chart point at one
     stencil row compiles a one-row stack of its own, with that row's
-    values, which a later lookup of the row alone reads."""
+    values, which a later lookup of the row alone reads. Centred on
+    another point, that lookup drops the stencil's stack."""
     orig = dataclasses.replace(twisted.orig)
     rows, _ = _stencil(np.array([[0.11, -0.24, 0.05, 0.3, -0.12]]),
                        engine.fd_step, engine.richardson)
     frames = point_frames(orig, rows[0])
     z = rows[0, 3]
-    before = frame_cache_info()
+    before = frame_cache_info(orig)
     one = point_frame(orig, ChartPoint(z[:2], z[2:]))
-    after = frame_cache_info()
+    after = frame_cache_info(orig)
     assert (after.misses, after.compiles) == (before.misses + 1,
                                               before.compiles + 1)
+    assert after.currsize == 1
     for name, value in vars(one).items():
         assert value[0].tobytes() == vars(frames)[name][3].tobytes(), name
     assert point_frames(orig, rows[0, 3:4]) is one
@@ -372,7 +376,7 @@ def test_wrong_stack_shape_names_the_callable(twisted):
 
 def test_point_frames_gate_every_point():
     """A degenerate metric at one point of a stack fails the whole compile,
-    names that point, and caches nothing."""
+    names that point, and keeps nothing."""
     def g_p(qs):
         out = np.zeros((len(qs), 2, 2))
         out[:, 0, 0], out[:, 1, 1] = 1.0, qs[:, 0]
@@ -380,12 +384,11 @@ def test_point_frames_gate_every_point():
 
     orig = dataclasses.replace(_conformal_orig(), G_P=g_p)
     zs = np.array([[x0, 0.1] for x0 in (0.3, 0.2, -0.1, 0.4)])
-    size = frame_cache_info().currsize
     with pytest.raises(NearSingularError,
                        match=r"bundle metric not positive definite at "
                              r"x=\[-0.1, 0.1\]"):
         point_frames(orig, zs)
-    assert frame_cache_info().currsize == size
+    assert frame_cache_info(orig).currsize == 0
     assert point_frames(orig, zs[:2]).G_P[1, 1, 1] == 0.2
 
 
@@ -400,33 +403,24 @@ def test_same_point_on_two_geometries_gives_two_frames(twisted, abelian):
     assert point_frame(twisted.orig, point) is a
 
 
-def test_frame_cache_stays_at_maxsize(flat):
-    """The store holds at most ``maxsize`` rows and evicts the least
-    recently used stacks first."""
-    maxsize = frame_cache_info().maxsize
-    rng = np.random.default_rng(17)
-    coords = rng.uniform(-0.4, 0.4, size=(maxsize + 40, 5))
-    stacks = [coords[start:start + 1024]
-              for start in range(0, len(coords), 1024)]
-    for stack in stacks:
-        point_frames(flat.orig, stack)
-    # every older stack went first, then the first of these
-    info = frame_cache_info()
-    assert info.currsize == len(coords) - 1024
-
-    def compiled(stack):
-        misses = frame_cache_info().misses
-        point_frames(flat.orig, stack)
-        return frame_cache_info().misses - misses
-
-    assert compiled(stacks[-1]) == 0
-    assert compiled(stacks[1]) == 0
-    # room for stacks[0] is made by evicting stacks[2], now the least
-    # recently used, not stacks[1]
-    assert compiled(stacks[0]) == 1024
-    assert compiled(stacks[1]) == 0
-    assert compiled(stacks[2]) == 1024
-    assert frame_cache_info().currsize <= maxsize
+def test_geometry_holds_the_last_points_frames(engine):
+    """After ``run_checks`` over several points the geometry holds the
+    frame stacks of the last point only: 564 rows with all seven checks
+    (1 + 21 + 101 + 441, see ``test_all_checks_compute_each_term_once``).
+    Returning to an earlier point compiles its stacks again."""
+    scenario = build_scenario("twisted_bundle")
+    orig = scenario.orig
+    points = sample_points(scenario, 3, seed=223)
+    assert run_checks(scenario, points, engine=engine).passed
+    held = frame_cache_info(orig)
+    assert held.currsize == 564
+    point_frame(orig, points[-1])
+    assert frame_cache_info(orig).hits == held.hits + 1
+    assert run_checks(scenario, points[:1], engine=engine).passed
+    again = frame_cache_info(orig)
+    assert (again.misses - held.misses, again.compiles - held.compiles) \
+        == (564, 4)
+    assert again.currsize == 564
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,23 @@ def test_norm_matches_loop_pairing(twisted, engine):
     assert_close(got, want, 1e-12, "trace pairing loops")
 
 
+def test_norm_reads_the_closed_form_alone(twisted, engine, monkeypatch):
+    """The norm builds the closed form only, with no Killing derivative,
+    and equals the norm of the whole form bit for bit."""
+    from bundlecurv import jacobian
+
+    point = sample_points(twisted, 1, seed=139)[0]
+    adapted = twisted.adapted
+    form = second_fundamental_form(adapted, point, engine)
+    want = form.norm_squared(adapted.d.d_inv(point), adapted.h_tilde(point))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("killing_derivatives called")
+
+    monkeypatch.setattr(jacobian, "killing_derivatives", refused)
+    assert j_norm_squared(adapted, point, engine) == want
+
+
 def test_norm_reproduces_decomposition_term(twisted, engine):
     for point in sample_points(twisted, 3, seed=137):
         b = decomposition_terms(twisted.adapted, point, engine)

@@ -144,7 +144,8 @@ def test_run_checks_twisted_cheap_subset(twisted, engine):
 
 
 def _fresh(scenario):
-    """A copy of ``scenario`` whose frames no earlier call has compiled."""
+    """A copy of ``scenario`` whose geometry has a frame memo of its own,
+    its counters at zero."""
     orig = dataclasses.replace(scenario.orig)
     return dataclasses.replace(scenario, orig=orig,
                                adapted=compile_adapted(orig))
@@ -157,7 +158,7 @@ def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
                                                 stacks):
     """Every stencil compiles its frames in one stacked pass, and a
     stencil that an earlier route of the check compiled is read whole
-    from the store: at a point no earlier call has seen (a fresh copy of
+    from the geometry's frame memo: at a point no earlier call has seen (a fresh copy of
     the geometry), each distinct stencil compiles once. The stencils are
     the point's row, its centre-first 21-row first-derivative stencil,
     the 101-row Hessian stencil of ``ln det d`` and the 441-row nested
@@ -166,19 +167,19 @@ def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
     stencil; the sde check differences every field over all slots, so
     it reads that stencil and the point's row."""
     fresh = _fresh(twisted)
-    before = frame_cache_info()
     report = run_checks(fresh, [ChartPoint([-0.11, 0.23],
                                            [0.14, -0.27, 0.08])],
                         (check,), engine=engine)
     assert report.passed
-    assert frame_cache_info().compiles - before.compiles == stacks
+    assert frame_cache_info(fresh.orig).compiles == stacks
 
 
 def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     """All seven checks at a fresh point share one per-point record: one
     Ricci pair per Christoffel route, one set of log-density terms, one
     set of Killing derivatives, and 564 frame rows in 4 stacks (1 + 21 +
-    101 + 441, see ``test_check_compiles_frames_once_per_stencil``)."""
+    101 + 441, see ``test_check_compiles_frames_once_per_stencil``), with
+    the other 46 lookups served from the memo."""
     from bundlecurv import curvature, jacobian
 
     calls = []
@@ -192,16 +193,14 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     fresh = _fresh(twisted)
-    before = frame_cache_info()
     report = run_checks(fresh, [ChartPoint([0.19, -0.07],
                                            [-0.21, 0.12, 0.26])],
                         engine=engine)
-    after = frame_cache_info()
+    info = frame_cache_info(fresh.orig)
     assert report.passed
     assert sorted(calls) == ["killing_derivatives", "log_density_terms",
                              "ricci_scalar_pair", "ricci_scalar_pair"]
-    assert (after.misses - before.misses,
-            after.compiles - before.compiles) == (564, 4)
+    assert (info.misses, info.compiles, info.hits) == (564, 4, 46)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -226,6 +225,23 @@ def test_residuals_do_not_depend_on_check_selection(name, engine,
     reverse = run_checks(scenario, points, engine=engine)
     assert [r.name for r in reverse.results] == list(CHECK_NAMES[::-1])
     assert together == alone == residuals(reverse)
+
+
+def test_residuals_do_not_depend_on_earlier_points(engine):
+    """A point checked again after another point gives its residuals
+    byte for byte: the frames held from the point in between serve
+    nothing, and nothing else carries over."""
+    scenario = build_scenario("twisted_bundle")
+    a, b = sample_points(scenario, 2, seed=227)
+
+    def residuals(point):
+        report = run_checks(scenario, [point], engine=engine)
+        return [np.array(p.residuals).tobytes() for r in report.results
+                for p in r.parts]
+
+    first = residuals(a)
+    residuals(b)
+    assert residuals(a) == first
 
 
 def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
