@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     _eval_stack, _field_stack, _stencil, _stencil_partials,
-                     invert_spd, partial, second_partial)
+                     _distinct_rows, _eval_stack, _field_stack, _stencil,
+                     _stencil_partials, invert_spd, partial, second_partial)
 from .geometry import AdaptedGeometry, OriginalGeometry
 from .liecore import orbit_scalar_curvature
 from .connection import (base_levi_civita, christoffel_general,
@@ -373,8 +373,11 @@ def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:
     ``(x, f, a)``.
 
     ``x``, ``f`` and ``a`` are ``(N, n_x)``, ``(N, n_v)`` and ``(N, n_g)``
-    stacks; returns the ``(N, n_t, n_t)`` stack of metrics, from one call
-    of each group-chart callable on the whole stack. Honest pullback: the
+    stacks; returns the ``(N, n_t, n_t)`` stack of metrics. Each callable
+    runs once: ``right_translate`` and its Jacobian on the whole stack,
+    ``G_P`` on the distinct translated points, and the vector-sector
+    action and its derivatives on the distinct rows of ``a``, their
+    values gathered back to every row. Honest pullback: the
     chart map sends ``(x, f, a)`` to the bundle point (group-translated
     section point, represented vector), and the metric is the Jacobian
     congruence of blockdiag(G_P, G_V). Exact closed form -- the Jacobian
@@ -388,10 +391,12 @@ def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:
     n_P, n_v, n_x = orig.n_P, orig.n_v, orig.n_x
     n_t = n_x + n_v + orig.n_g
 
-    g_p = orig.G_P(orig.right_translate(x, a))
+    q_rows, _, at_q = _distinct_rows(orig.right_translate(x, a))
+    g_p = orig.G_P(q_rows)[at_q]
     dq = orig.right_translate_jac(x, a)
-    dbar = orig.vspace_action(a)
-    dvec = orig.vspace_action_d(a)
+    a_rows, _, at_a = _distinct_rows(a)
+    dbar = orig.vspace_action(a_rows)[at_a]
+    dvec = orig.vspace_action_d(a_rows)[at_a]
 
     jac = np.zeros((len(f), n_P + n_v, n_t))
     jac[:, :n_P, :n_x] = dq[:, :, :n_x]
@@ -422,8 +427,9 @@ def scalar_curvature_coordinate_oracle(orig: OriginalGeometry, chart, x, f,
     stencils run widened (10x inner, 10x outer on top) to keep the
     rounding noise of the nested second differences well under the
     oracle's comparison budget. ``oracle_metric`` is called once, on the
-    whole nested stencil (1,089 rows for the eight coordinates of the
-    built-in scenarios).
+    whole nested stencil: 1,089 rows for the eight coordinates of the
+    built-in scenarios, holding 441 distinct ``(x, a)`` and 169 distinct
+    ``a``.
     """
     n_x, n_v = orig.n_x, orig.n_v
 

@@ -19,6 +19,10 @@ differences has one contract: it maps an ``(N, k)`` array of coordinate
 rows to the ``(N, ...)`` stack of its values, and it is called once per
 stencil, on the read-only rows themselves. For a chart field
 (``FieldHandle``) a row holds the joint chart coordinates, ``x`` first.
+A nested stencil repeats rows, and repeats sub-rows more often still
+(the base part ``x`` of a chart row, say); ``_distinct_rows`` lists the
+distinct ones, so that a function of the sub-row alone runs once per
+distinct value.
 
 All matrices here are tiny (at most ~12x12), so no attention is paid to
 asymptotics; accuracy and determinism are what matter.
@@ -196,6 +200,35 @@ def _stencil(zs, fd_step, richardson, slots=None, centre=False):
         shifted.transpose(0, 2, 1, 3).reshape(m, n_d)
     rows.setflags(write=False)
     return rows, steps
+
+
+def _distinct_rows(rows):
+    """The distinct rows of the ``(N, k)`` stack ``rows``.
+
+    Returns ``(distinct, first, inverse)``: ``distinct = rows[first]``
+    lists each distinct row once, in order of first appearance, ``first``
+    holds the index of each one's first occurrence and ``rows ==
+    distinct[inverse]``. Rows are equal only when their bytes are, so
+    ``-0.0`` and ``0.0`` stay apart. A function that maps each row on its
+    own then runs once per distinct row, and gathering its values with
+    ``inverse`` gives, byte for byte, its values on every row; the first
+    distinct row at which it fails first occurs before any other failing
+    row.
+    """
+    rows = np.ascontiguousarray(rows)
+    n, k = rows.shape
+    # one bytes key per row; zero-width rows are all equal
+    keys = (rows.view(np.dtype((np.void, rows.itemsize * k))).reshape(n)
+            .tolist() if k else [b""] * n)
+    first_of = {}
+    for i, key in enumerate(keys):
+        first_of.setdefault(key, i)
+    first = np.fromiter(first_of.values(), dtype=np.intp,
+                        count=len(first_of))
+    slot = dict(zip(first_of, range(len(first))))
+    inverse = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp,
+                          count=n)
+    return rows[first], first, inverse
 
 
 def _richardson(d):

@@ -23,17 +23,17 @@ is lost, and the coordinate-basis oracle reintroduces group coordinates
 independently.
 
 Every bundle callable of ``OriginalGeometry`` maps coordinate stacks to
-value stacks, and so does the frame compile. ``point_frames`` compiles
-the ``FrameStack`` at the rows of an ``(N, n_x + n_v)`` array of joint
-chart coordinates in one pass -- one call of each bundle callable on the
-stack, the linear algebra on ``(N, ...)`` stacks -- and ``point_frame``
-is its one-row case for a ``ChartPoint``. A compiled stack is read-only
-and kept whole, keyed on the shape and bytes of the coordinates, in the
-geometry's memo of the stacks around one chart point, so a repeated
-stencil at the point compiles nothing; ``frame_cache_info(orig)``
-reports its counters. The chart fields of ``compile_adapted`` (and every
-other ``frame_field``) map a stencil's ``FrameStack`` to the stack of
-their values.
+value stacks, row by row, and so does the frame compile. ``point_frames``
+compiles the ``FrameStack`` at the rows of an ``(N, n_x + n_v)`` array of
+joint chart coordinates in one pass -- one call of each bundle callable
+on the distinct base rows ``x`` of the stack, the linear algebra on
+``(N, ...)`` stacks -- and ``point_frame`` is its one-row case for a
+``ChartPoint``. A compiled stack is read-only and kept whole, keyed on
+the shape and bytes of the coordinates, in the geometry's memo of the
+stacks around one chart point, so a repeated stencil at the point
+compiles nothing; ``frame_cache_info(orig)`` reports its counters. The
+chart fields of ``compile_adapted`` (and every other ``frame_field``)
+map a stencil's ``FrameStack`` to the stack of their values.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ChartPoint, FieldHandle, NearSingularError,
-                     coordinate_partials, invert_spd)
+from .fields import (ChartPoint, ConfigError, FieldHandle,
+                     NearSingularError, _distinct_rows, coordinate_partials,
+                     invert_spd)
 from .liecore import OrbitMetric, StructureConstants
 
 __all__ = [
@@ -99,6 +100,12 @@ class OriginalGeometry:
 
     Every callable maps coordinate stacks to value stacks: the ``N`` rows
     of an ``(N, k)`` input give the ``N`` leading entries of the output.
+    The row contract: entry ``i`` of the output depends on row ``i`` of
+    the input alone, and equals byte for byte the callable's value on
+    that row as a one-row stack, whatever else the stack holds. The
+    frame compile and the coordinate oracle rely on it to call each
+    callable once per distinct row and gather; ``validate_original``
+    checks it at its probe rows.
     ``G_P(Q)`` is the ``(N, n_P, n_P)`` metric on the group-extended
     factor at the rows of ``Q`` (``(N, n_P)``), ``G_V`` the constant
     vector-sector metric. ``K_P(Q)`` returns the Killing fields as columns
@@ -289,68 +296,82 @@ def _spd_or_error(matrix, what, xs=None, fs=None):
             from exc
 
 
-def _compute_frames(orig: OriginalGeometry, zs) -> FrameStack:
+def _compute_frames(orig: OriginalGeometry, zs):
     """Compile the frame stack at the rows of ``zs`` in one pass.
 
-    ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates. The
-    bundle callables run once each on the whole stack; all the linear
-    algebra then runs on ``(N, ...)`` stacks, matrix by matrix with the
+    ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates.
+    Returns the ``FrameStack`` and the number of distinct base rows. The
+    base-only half of the frames -- the bundle callables at the section
+    point ``Q*(x)``, the inverses of ``G_P`` and ``gamma``, the base-sector
+    connection, ``GH_P`` with its pullback's inverse and the Faddeev-Popov
+    solve -- runs once per distinct base row ``x`` and is gathered to
+    every row; what depends on ``f`` runs on the whole stack. All the
+    linear algebra runs on ``(N, ...)`` stacks, matrix by matrix with the
     arithmetic of a single point, so a row is bit-identical whatever
     stack it was compiled in. Every gate runs at every row; the first
-    gate, in frame order, that fails at any row raises.
+    gate, in frame order, that fails at any row raises, naming the first
+    row it fails at.
     """
-    n_P, n_v, n_g = orig.n_P, orig.n_v, orig.n_g
-    xs, fs = zs[:, :orig.n_x], zs[:, orig.n_x:]
-    q = orig.section(xs)
-    q_jac = orig.section_jac(xs)
+    n_P, n_v, n_g, n_x = orig.n_P, orig.n_v, orig.n_g, orig.n_x
+    xs, fs = zs[:, :n_x], zs[:, n_x:]
+    _, first, base = _distinct_rows(xs)
+    # the first row of each distinct base row; ``[base]`` gathers a
+    # base-only stack to every row
+    zs_b = zs[first]
+    xs_b, fs_b = zs_b[:, :n_x], zs_b[:, n_x:]
+    q = orig.section(xs_b)
+    q_jac = orig.section_jac(xs_b)
     g_p = orig.G_P(q)
     k_p = orig.K_P(q)
-    k_v = orig.K_vector(fs)
     chi_jac = orig.chi_jac(q)
-    q_jac_t, k_v_t = q_jac.swapaxes(1, 2), k_v.swapaxes(1, 2)
 
     g_p_inv, _ = _spd_or_error(g_p, "bundle metric not positive definite",
-                               xs, fs)
+                               xs_b, fs_b)
     kt_g = k_p.swapaxes(1, 2) @ g_p
     gamma = kt_g @ k_p
-    gamma_prime = k_v_t @ orig.G_V @ k_v
-    d = gamma + gamma_prime
+    kg_q = kt_g @ q_jac                     # K^C G_{DC} Q*^D_i
+    q_jac_all, g_p_all, k_p_all, gamma_all = (
+        q_jac[base], g_p[base], k_p[base], gamma[base])
+
+    k_v = orig.K_vector(fs)
+    k_v_t = k_v.swapaxes(1, 2)
+    d = gamma_all + k_v_t @ orig.G_V @ k_v
     d_inv, det_d = _spd_or_error(
         d, "orbit metric degenerate (group action not free here)", xs, fs)
 
     # mechanical connection: full-d version on both sectors, gamma version
     # on the base sector only
-    kg_q = kt_g @ q_jac                     # K^C G_{DC} Q*^D_i
-    a_base = d_inv @ kg_q
+    a_base = d_inv @ kg_q[base]
     a_vector = d_inv @ (k_v_t @ orig.G_V)
     a_joint = np.concatenate([a_base, a_vector], axis=2)    # base first
     if n_g:
         gamma_inv, _ = _spd_or_error(
-            gamma, "bundle-side orbit metric gamma degenerate", xs, fs)
+            gamma, "bundle-side orbit metric gamma degenerate", xs_b, fs_b)
     else:
         gamma_inv = gamma.copy()
     a_gamma = gamma_inv @ kg_q
 
     # horizontal metric: project out orbit directions from the joint metric
     g_full = np.zeros((len(zs), n_P + n_v, n_P + n_v))
-    g_full[:, :n_P, :n_P] = g_p
+    g_full[:, :n_P, :n_P] = g_p_all
     g_full[:, n_P:, n_P:] = orig.G_V
-    k_full = np.concatenate([k_p, k_v], axis=1)
+    k_full = np.concatenate([k_p_all, k_v], axis=1)
     gk = g_full @ k_full
     gt_h = g_full - gk @ d_inv @ gk.swapaxes(1, 2)
     gh_p = g_p - (g_p @ k_p) @ gamma_inv @ kt_g
 
-    h_xx = q_jac_t @ gt_h[:, :n_P, :n_P] @ q_jac
+    q_jac_t = q_jac_all.swapaxes(1, 2)
+    h_xx = q_jac_t @ gt_h[:, :n_P, :n_P] @ q_jac_all
     h_xv = q_jac_t @ gt_h[:, :n_P, n_P:]
     h_vv = gt_h[:, n_P:, n_P:]
-    h_base = q_jac_t @ gh_p @ q_jac
+    h_base = q_jac.swapaxes(1, 2) @ gh_p @ q_jac
     h_tilde = np.concatenate(
         [np.concatenate([h_xx, h_xv], axis=2),
          np.concatenate([h_xv.swapaxes(1, 2), h_vv], axis=2)], axis=1)
     h_tilde_inv, det_h = _spd_or_error(
         h_tilde, "horizontal metric degenerate", xs, fs)
     h_base_inv, _ = _spd_or_error(h_base, "reduced base metric degenerate",
-                                  xs, fs)
+                                  xs_b, fs_b)
 
     # gauge projector pieces
     if n_g:
@@ -360,17 +381,19 @@ def _compute_frames(orig: OriginalGeometry, zs) -> FrameStack:
             raise NearSingularError(
                 "Faddeev-Popov matrix near singular: section not "
                 "transversal to the orbits at x=%s"
-                % (xs[int(np.argmax(singular))].tolist(),))
-        lam = np.linalg.solve(phi, chi_jac)
+                % (xs_b[int(np.argmax(singular))].tolist(),))
+        lam = np.linalg.solve(phi, chi_jac)[base]
     else:
         lam = np.zeros((len(zs), 0, n_P))
 
     return FrameStack(
-        Q=q, Q_jac=q_jac, G_P=g_p, G_P_inv=g_p_inv, K_P=k_p, K_V=k_v,
-        gamma=gamma, d=d, d_inv=d_inv, det_d=det_d, A=a_joint,
-        A_gamma=a_gamma, Gt_H=gt_h, GH_P=gh_p, h_xx=h_xx, h_xv=h_xv,
-        h_vv=h_vv, h_tilde=h_tilde, h_tilde_inv=h_tilde_inv, det_h=det_h,
-        h_base_inv=h_base_inv, Lambda=lam, N_vP=-k_v @ lam)
+        Q=q[base], Q_jac=q_jac_all, G_P=g_p_all, G_P_inv=g_p_inv[base],
+        K_P=k_p_all, K_V=k_v, gamma=gamma_all, d=d, d_inv=d_inv,
+        det_d=det_d, A=a_joint, A_gamma=a_gamma[base], Gt_H=gt_h,
+        GH_P=gh_p[base], h_xx=h_xx, h_xv=h_xv, h_vv=h_vv, h_tilde=h_tilde,
+        h_tilde_inv=h_tilde_inv, det_h=det_h,
+        h_base_inv=h_base_inv[base], Lambda=lam, N_vP=-k_v @ lam), \
+        len(first)
 
 
 class _FrameMemo:
@@ -386,7 +409,7 @@ class _FrameMemo:
     def __init__(self):
         self.centre = None
         self.stacks = {}
-        self.hits = self.misses = self.compiles = 0
+        self.hits = self.misses = self.compiles = self.base_rows = 0
 
     def lookup(self, orig, zs):
         """The frame stack at the rows of ``zs``, compiled on a miss."""
@@ -398,23 +421,28 @@ class _FrameMemo:
         if frames is not None:
             self.hits += 1
             return frames
-        frames = _compute_frames(orig, zs)
+        frames, base_rows = _compute_frames(orig, zs)
         self.misses += len(zs)
+        self.base_rows += base_rows
         self.compiles += 1
         self.stacks[key] = frames
         return frames
 
 
-FrameCacheInfo = namedtuple("FrameCacheInfo", "hits misses compiles currsize")
+FrameCacheInfo = namedtuple("FrameCacheInfo",
+                            "hits misses compiles currsize base_rows")
 
 
 def frame_cache_info(orig: OriginalGeometry) -> FrameCacheInfo:
     """Counters of the frame memo of ``orig``: lookups served from it
     (``hits``), rows compiled (``misses``), stacked compile calls
-    (``compiles``) and the rows it holds now (``currsize``)."""
+    (``compiles``), the rows it holds now (``currsize``) and the distinct
+    base rows the bundle callables ran on in the compiles
+    (``base_rows``)."""
     memo = orig._frames
     return FrameCacheInfo(memo.hits, memo.misses, memo.compiles,
-                          sum(shape[0] for shape, _ in memo.stacks))
+                          sum(shape[0] for shape, _ in memo.stacks),
+                          memo.base_rows)
 
 
 def point_frames(orig: OriginalGeometry, zs) -> FrameStack:
@@ -574,19 +602,58 @@ class OriginalValidity:
     ok: bool
 
 
+def _check_row_contract(orig: OriginalGeometry, probes) -> None:
+    """Raise ``ConfigError`` naming the first bundle callable of
+    ``probes`` (name to input stacks) whose stacked value at a row differs
+    from its one-row call there in any byte."""
+    for name, stacks in probes.items():
+        func = getattr(orig, name)
+        if func is None:
+            continue
+        stacked = func(*stacks)
+        for i in range(len(stacks[0])):
+            row = func(*(stack[i:i + 1] for stack in stacks))
+            if row.tobytes() != stacked[i:i + 1].tobytes():
+                raise ConfigError(
+                    "%s breaks the row contract: its row %d on a stack of "
+                    "%d differs from its one-row call" % (name, i,
+                                                          len(stacks[0])))
+
+
 def validate_original(orig: OriginalGeometry, points,
                       fd_step: float = 1e-5,
                       killing_tol: float = 1e-6,
-                      section_tol: float = 1e-10) -> OriginalValidity:
+                      section_tol: float = 1e-10,
+                      group_points=None) -> OriginalValidity:
     r"""Sampled validity gates on bundle data.
 
-    Checks at each point: the FD Lie derivative of ``G_P`` along every
-    Killing field vanishes, the gauge function vanishes on the section, and
-    the Faddeev-Popov matrix is well conditioned. Sampled, not proven;
+    First the row contract: on the probe stack of ``points`` every bundle
+    callable must give each row byte for byte its one-row value, or
+    ``ConfigError`` names it. ``group_points``, when given, holds one
+    ``(n_g,)`` group-coordinate row per point; the group-chart callables
+    are then probed at them, and ``G_P`` also at the translated points
+    ``right_translate(x, a)`` the coordinate oracle reads. Then, at each
+    point: the FD Lie derivative of ``G_P`` along every Killing field
+    vanishes, the gauge function vanishes on the section, and the
+    Faddeev-Popov matrix is well conditioned. Sampled, not proven;
     scenario construction treats failure as a configuration error.
     """
-    frames = point_frames(orig, np.reshape([p.coords for p in points],
-                                           (-1, orig.n_h)))
+    zs = np.reshape([p.coords for p in points], (-1, orig.n_h))
+    xs = zs[:, :orig.n_x]
+    qs = orig.section(xs)
+    probes = {"section": (xs,), "section_jac": (xs,), "G_P": (qs,),
+              "K_P": (qs,), "chi": (qs,), "chi_jac": (qs,)}
+    if group_points is not None:
+        a = np.reshape(np.asarray(group_points, dtype=float),
+                       (len(zs), orig.n_g))
+        probes.update(right_translate=(xs, a), right_translate_jac=(xs, a),
+                      vspace_action=(a,), vspace_action_d=(a,))
+        if orig.right_translate is not None:
+            probes["G_P"] = (np.concatenate([qs,
+                                             orig.right_translate(xs, a)]),)
+    _check_row_contract(orig, probes)
+
+    frames = point_frames(orig, zs)
     worst_k = 0.0
     for q, k_p, g_p in zip(frames.Q, frames.K_P, frames.G_P):
         dg = coordinate_partials(orig.G_P, q, fd_step)  # dg[C, A, B]

@@ -6,7 +6,8 @@ vector sector), the compiled adapted geometry, an optional group chart
 for the coordinate oracle, a potential, and a sampling box. Dimensions
 are kept at desk scale, ``n_x = 2, n_v = 3, n_g = 3``: every index
 sector is nontrivial, and the eight-dimensional coordinate oracle
-evaluates its 1,089-row stencil in one stacked metric call.
+evaluates its 1,089-row stencil in one stacked metric call, whose group
+series run on the stencil's 169 distinct group rows.
 
 All group-factor matrices (the exponential map, the one-parameter
 subgroup Jacobian factor, and the differential of the vector-sector
@@ -461,7 +462,10 @@ def build_scenario(name: str, params: dict = None, **kwargs) -> Scenario:
     scenario = _REGISTRY[name](merged)
     if scenario.orig is not None:
         probes = sample_points(scenario, 3, seed=20_240_817)
-        report = validate_original(scenario.orig, probes)
+        group = None
+        if scenario.a_domain is not None:
+            group = sample_group_coordinates(scenario, 3, seed=20_240_817)
+        report = validate_original(scenario.orig, probes, group_points=group)
         if not report.ok:
             raise ConfigError(
                 "scenario %r failed its geometry gates (killing %.2e, "

@@ -362,6 +362,33 @@ def test_oracle_calls_oracle_metric_once(flat, engine, monkeypatch):
     assert rows == [1089]
 
 
+def test_oracle_runs_group_callables_on_distinct_rows(twisted, engine):
+    """Of the 1,089 rows of the nested 8-dim stencil, 169 hold distinct
+    group coordinates ``a`` (13 among the 33 outer rows, each with 13
+    among its 33 inner rows) and 441 distinct ``(x, a)``: the group
+    action runs on the former, ``G_P`` on the translated points of the
+    latter."""
+    rows = {}
+
+    def counting(name):
+        func = getattr(twisted.orig, name).func
+
+        def counted(*stacks):
+            rows[name] = rows.get(name, 0) + len(stacks[0])
+            return func(*stacks)
+        return counted
+
+    names = ("G_P", "right_translate", "vspace_action", "vspace_action_d")
+    orig = dataclasses.replace(twisted.orig,
+                               **{name: counting(name) for name in names})
+    point = sample_points(twisted, 1)[0]
+    scalar_curvature_coordinate_oracle(orig, twisted.chart, point.x,
+                                       point.f, np.array([0.2, 0.15, 0.1]),
+                                       engine)
+    assert rows == {"G_P": 441, "right_translate": 1089,
+                    "vspace_action": 169, "vspace_action_d": 169}
+
+
 def test_oracle_flat_values(engine):
     su2 = build_scenario("flat_product", {"lam": 1.4})
     trivial = build_scenario("flat_product", {"group": "abelian"})

@@ -11,6 +11,7 @@ from bundlecurv.fields import (
     EvaluationError,
     FieldHandle,
     NearSingularError,
+    _distinct_rows,
     _stencil,
     coordinate_partials,
     invert_spd,
@@ -423,6 +424,21 @@ def test_kernel_pinned_values(twisted, richardson):
     upper = [hess[i, j] for i in range(5) for j in range(i, 5)]
     assert upper == [values[col] for values in _PINNED_HESSIAN]
     assert np.array_equal(hess, hess.T)
+
+
+def test_distinct_rows_by_bytes_in_order_of_first_appearance():
+    rows = np.array([[0.5, 0.0], [0.1, 2.0], [0.5, 0.0], [0.5, -0.0],
+                     [0.1, 2.0], [np.nan, 1.0], [np.nan, 1.0]])
+    distinct, first, inverse = _distinct_rows(rows[:, ::-1][:, ::-1])
+    assert first.tolist() == [0, 1, 3, 5]
+    assert inverse.tolist() == [0, 1, 0, 2, 1, 3, 3]
+    assert distinct.tobytes() == rows[first].tobytes()
+    assert distinct[inverse].tobytes() == rows.tobytes()
+    for zero_width in (np.zeros((3, 0)), np.zeros((0, 0)), np.zeros((0, 2))):
+        distinct, first, inverse = _distinct_rows(zero_width)
+        assert first.tolist() == list(range(min(1, len(zero_width))))
+        assert inverse.tolist() == [0] * len(zero_width)
+        assert distinct.shape == (len(first), zero_width.shape[1])
 
 
 # ---------------------------------------------------------------------------

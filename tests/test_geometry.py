@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import oracle_metric
-from bundlecurv.fields import (ChartPoint, NearSingularError, _stencil,
-                               partial, second_partial)
+from bundlecurv.curvature import PointTerms, oracle_metric
+from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
+                               _stencil, partial, second_partial)
 from bundlecurv.geometry import (
     OriginalGeometry,
     assemble_block_metric,
@@ -26,6 +26,7 @@ from bundlecurv.scenarios import (
     _twisted_g,
     _twisted_twist,
     build_scenario,
+    sample_group_coordinates,
     sample_points,
 )
 from bundlecurv.verify import run_checks
@@ -303,6 +304,95 @@ def test_point_frames_match_one_at_a_time_compiles(twisted):
     assert frame_cache_info(single).compiles == len(zs)
 
 
+def test_repeated_base_rows_compile_like_one_row_compiles(twisted):
+    """The base-only half of a compile runs once per distinct base row
+    ``x`` and is gathered to every row, bit for bit the one-row compiles.
+    Base rows are told apart by their bytes: ``x`` with ``-0.0`` in place
+    of ``0.0`` is a row of its own, and its ``Q`` keeps the sign."""
+    stacked = dataclasses.replace(twisted.orig)
+    single = dataclasses.replace(twisted.orig)
+    zs = np.array([[0.0, 0.1, 0.3, -0.15, 0.22],
+                   [0.21, -0.3, 0.1, 0.0, -0.2],
+                   [-0.0, 0.1, 0.3, -0.15, 0.22],
+                   [0.0, 0.1, -0.25, 0.05, 0.1],
+                   [0.21, -0.3, 0.1, 0.0, -0.2],
+                   [0.21, -0.3, 0.2, 0.3, -0.1]])
+    batch = point_frames(stacked, zs)
+    assert frame_cache_info(stacked).base_rows == 3
+    assert np.signbit(batch.Q[2, 0]) and not np.signbit(batch.Q[0, 0])
+    for i, z in enumerate(zs):
+        want = vars(point_frame(single, ChartPoint(z[:2], z[2:])))
+        for name, value in vars(batch).items():
+            assert value.shape == (len(zs),) + want[name].shape[1:], name
+            assert value[i].tobytes() == want[name][0].tobytes(), (name, i)
+    assert frame_cache_info(single).base_rows == len(zs)
+
+
+def test_bundle_callables_run_on_the_distinct_base_rows(twisted, engine):
+    """On the 441-row nested stencil of ``R_M`` the bundle callables run
+    on its 81 distinct base rows: 9 distinct ``x`` among the 21 outer
+    rows, each with 9 among its 21 inner rows."""
+    rows = {}
+
+    def counting(name):
+        func = getattr(twisted.orig, name).func
+
+        def counted(qs):
+            rows[name] = rows.get(name, 0) + len(qs)
+            return func(qs)
+        return counted
+
+    orig = dataclasses.replace(
+        twisted.orig, **{name: counting(name)
+                         for name in ("section", "G_P", "K_P")})
+    point = ChartPoint([0.17, -0.08], [0.2, -0.11, 0.05])
+    PointTerms(compile_adapted(orig), point, engine).R_M
+    info = frame_cache_info(orig)
+    assert (info.misses, info.compiles, info.base_rows) == (441, 1, 81)
+    assert rows == {"section": 81, "G_P": 81, "K_P": 81}
+
+
+def _break_at_large_x0(good, name):
+    """``good`` with ``G_P`` negated, or the first Killing field of
+    ``K_P`` zeroed, at bundle points with ``x0 > 0.25``."""
+    def broken(qs):
+        out = good(qs)
+        bad = qs[:, 0] > 0.25
+        if name == "G_P":
+            out[bad] *= -1.0
+        else:
+            out[bad, :, 0] = 0.0
+        return out
+    return broken
+
+
+@pytest.mark.parametrize("name", ["G_P", "K_P"])
+def test_failing_base_row_is_named_at_its_first_copy(twisted, name):
+    """A base-only gate -- ``G_P`` first in frame order, ``gamma`` after
+    the stack-wide ``d`` -- that fails at a repeated base row raises the
+    message a one-row compile of the first failing row raises, with that
+    row's ``x`` and ``f``, not those of a later copy."""
+    orig = dataclasses.replace(
+        twisted.orig,
+        **{name: _break_at_large_x0(getattr(twisted.orig, name).func,
+                                    name)})
+    zs = np.array([[0.1, 0.2, 0.3, -0.1, 0.2],
+                   [0.3, -0.1, 0.1, 0.2, 0.3],
+                   [0.1, 0.2, -0.2, 0.1, 0.0],
+                   [0.3, -0.1, -0.3, 0.0, 0.1]])
+    with pytest.raises(NearSingularError) as one:
+        point_frames(dataclasses.replace(orig), zs[1:2])
+    message = str(one.value)
+    assert "x=[0.3, -0.1] f=[0.1, 0.2, 0.3]" in message
+    assert message.startswith("bundle metric not positive definite"
+                              if name == "G_P" else
+                              "bundle-side orbit metric gamma degenerate")
+    with pytest.raises(NearSingularError) as stacked:
+        point_frames(orig, zs)
+    assert str(stacked.value) == message
+    assert frame_cache_info(orig).currsize == 0
+
+
 def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
     """Each compiled chart field reads a stencil from one stacked compile,
     with the values of one-point calls on a separate geometry, bit for
@@ -500,6 +590,35 @@ def test_validate_original_flags_broken_invariance(twisted):
     report = validate_original(broken, sample_points(twisted, 3, seed=3))
     assert not report.ok
     assert report.killing_residual > 1e-3
+
+
+def _stack_dependent(good):
+    """``good`` plus a shift that depends on the other rows of its
+    stack: a breach of the row contract."""
+    def shifted(*stacks):
+        out = good(*stacks)
+        return out + 1e-9 * float(np.mean(stacks[0]))
+    return shifted
+
+
+@pytest.mark.parametrize("name", ["section", "G_P", "chi_jac",
+                                  "vspace_action_d"])
+def test_validate_original_names_a_callable_off_the_row_contract(twisted,
+                                                                 name):
+    """A bundle callable whose row depends on the rest of its stack fails
+    validation with a ``ConfigError`` that names it; without group
+    coordinates the group-chart callables go unprobed."""
+    points = sample_points(twisted, 3, seed=3)
+    group = sample_group_coordinates(twisted, 3, seed=3)
+    assert validate_original(twisted.orig, points, group_points=group).ok
+    broken = dataclasses.replace(
+        twisted.orig,
+        **{name: _stack_dependent(getattr(twisted.orig, name).func)})
+    with pytest.raises(ConfigError, match=r"^%s breaks the row contract"
+                                          % name):
+        validate_original(broken, points, group_points=group)
+    if name == "vspace_action_d":
+        assert validate_original(broken, points).ok
 
 
 def _stack_of(mat):

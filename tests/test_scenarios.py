@@ -206,7 +206,10 @@ def _assert_rowwise(func, args, what):
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_callables_on_a_stack_equal_their_one_row_calls(name):
     """Section rows (b = 0), finite-difference offsets (|b| near 1e-3) and
-    group draws of the oracle, all in one stack."""
+    group draws of the oracle, all in one stack; the last rows repeat
+    earlier ones, or differ from them only by the sign of a zero, which
+    ``oracle_metric`` must keep apart as it runs its group side once per
+    distinct row."""
     orig = build_scenario(name).orig
     rng = np.random.default_rng(61)
     xs = rng.uniform(-0.4, 0.4, (12, orig.n_x))
@@ -216,6 +219,9 @@ def test_callables_on_a_stack_equal_their_one_row_calls(name):
         rng.choice([-1.0, 1.0], (4, orig.n_g))
         * rng.uniform(0.5e-3, 2e-3, (4, orig.n_g)),
         rng.uniform(0.1, 0.35, (4, orig.n_g))])
+    xs = np.concatenate([xs, xs[[9, 9]], [[0.0, 0.1], [-0.0, 0.1]]])
+    fs = np.concatenate([fs, fs[[9, 2, 3, 3]]])
+    bs = np.concatenate([bs, bs[[9, 9]], [[0.2, -0.0, 0.1], [0.2, 0.0, 0.1]]])
     qs = np.concatenate([xs, bs], axis=1)
     calls = {"section": (xs,), "section_jac": (xs,), "G_P": (qs,),
              "K_P": (qs,), "chi": (qs,), "chi_jac": (qs,),
