@@ -56,7 +56,6 @@ class RunConfig:
     points: int = 20
     seed: int = 0
     fd_step: float = 1e-5
-    richardson: bool = True
     tol_identity: float = None
     tol_oracle: float = None
     stat_sigma: float = 4.0
@@ -108,7 +107,7 @@ class RunConfig:
             raise ConfigError("fd_step: %s" % exc)
 
     def engine(self) -> DerivEngine:
-        return DerivEngine(fd_step=self.fd_step, richardson=self.richardson)
+        return DerivEngine(fd_step=self.fd_step)
 
     def echo(self) -> dict:
         out = {}
@@ -373,8 +372,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--points", type=int)
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--fd-step", dest="fd_step", type=float)
-        cmd.add_argument("--no-richardson", dest="richardson",
-                         action="store_false", default=None)
         cmd.add_argument("--tol-identity", dest="tol_identity", type=float)
         cmd.add_argument("--tol-oracle", dest="tol_oracle", type=float)
         cmd.add_argument("--stat-sigma", dest="stat_sigma", type=float)
@@ -399,9 +396,9 @@ def main(argv=None) -> int:
                          "positionally or with --config\n")
         return 2
     overrides = {key: getattr(args, key) for key in (
-        "scenario", "points", "seed", "fd_step", "richardson",
-        "tol_identity", "tol_oracle", "stat_sigma", "checks", "format",
-        "output", "dt", "n_paths")}
+        "scenario", "points", "seed", "fd_step", "tol_identity",
+        "tol_oracle", "stat_sigma", "checks", "format", "output", "dt",
+        "n_paths")}
     try:
         config = load_config(args.config_path or args.config_flag, overrides)
         return _COMMANDS[args.command](config)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (DEFAULT_ENGINE, DerivEngine, FieldHandle, _field_stack,
-                     invert_spd, value_and_partial)
+                     _levi_civita, invert_spd, value_and_partial)
 from .geometry import AdaptedGeometry
 from .liecore import group_direction_derivative
 
@@ -197,13 +197,6 @@ def frame_structure_functions(adapted: AdaptedGeometry, zs,
     return NonholonomicStructure(CC=cc, F=f_val, A=a_val)
 
 
-def _levi_civita(h_inv, dh):
-    # dh[i, B', A', C']
-    combo = (np.einsum("...abd->...abd", dh) + np.einsum("...bad->...abd", dh)
-             - np.einsum("...dab->...abd", dh))
-    return 0.5 * np.einsum("...cd,...abd->...cab", h_inv, combo)
-
-
 def base_levi_civita(adapted: AdaptedGeometry, zs,
                      engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:
     r"""Levi-Civita symbols of the orbit-space metric h~ on the (x,f) chart.
@@ -211,9 +204,10 @@ def base_levi_civita(adapted: AdaptedGeometry, zs,
     Returned with shape ``(N, n_h, n_h, n_h)`` at the ``N`` chart rows of
     ``zs``. These fill the purely horizontal sector of the table; the
     frame is holonomic there, so the standard coordinate formula applies.
+    The inverse is the geometry's ``h_tilde_inv`` field at the rows.
     """
-    h_val, dh = _horizontal(adapted, adapted.h_tilde, zs, engine)
-    return _levi_civita(invert_spd(h_val)[0], dh)
+    _, dh = _horizontal(adapted, adapted.h_tilde, zs, engine)
+    return _levi_civita(_field_stack(adapted.h_tilde_inv, zs), dh)
 
 
 def frame_derivatives(adapted: AdaptedGeometry, field, signature, zs, a_val,
@@ -268,10 +262,7 @@ def christoffel_general(adapted: AdaptedGeometry, zs,
     g_inv[:, n_h:, n_h:] = invert_spd(gf_val[:, n_h:, n_h:])[0]
     cc = structure.CC
 
-    combo = (np.einsum("...bcd->...bcd", hat)
-             + np.einsum("...cbd->...bcd", hat)
-             - np.einsum("...dbc->...bcd", hat))
-    metric_part = 0.5 * np.einsum("...ad,...bcd->...abc", g_inv, combo)
+    metric_part = _levi_civita(g_inv, hat)
     frame_part = -0.5 * (
         np.einsum("...ad,...ebd,...ce->...abc", g_inv, cc, gf_val)
         + np.einsum("...ad,...ecd,...be->...abc", g_inv, cc, gf_val))

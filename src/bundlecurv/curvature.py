@@ -42,8 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     _distinct_rows, _eval_stack, _field_stack, _stencil,
-                     _stencil_partials, invert_spd, partial, second_partial)
+                     _distinct_rows, _eval_stack, _field_stack, _levi_civita,
+                     _stencil, _stencil_partials, invert_spd, partial,
+                     second_partial)
 from .geometry import AdaptedGeometry, OriginalGeometry
 from .liecore import orbit_scalar_curvature
 from .connection import (base_levi_civita, christoffel_general,
@@ -80,16 +81,14 @@ _GAMMA_SIGNATURE = ("upper", "lower", "lower")
 
 
 def _widened(engine):
-    """A copy of *engine* with a 10x wider stencil for nested differencing.
+    """An engine with a 10x wider step than *engine*, capped at 9e-3, for
+    nested differencing.
 
     Every metric this module differentiates twice is exact linear algebra of
     closed-form inputs, so widening costs no meaningful truncation while it
     cuts the rounding amplification of derivative-of-derivative paths.
     """
-    return DerivEngine(
-        fd_step=min(10.0 * engine.fd_step, 9e-3),
-        richardson=engine.richardson,
-    )
+    return DerivEngine(fd_step=min(10.0 * engine.fd_step, 9e-3))
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def ricci_scalar_pair(adapted: AdaptedGeometry, point: ChartPoint,
         zs, structure.A, wide, RICCI_OUTER_SCALE)
     gamma0, hat, cc = gamma0[0], hat[0], structure.CC[0]
     n_h, n_t = adapted.n_h, adapted.n_t
-    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
+    h_inv = np.asarray(adapted.h_tilde_inv(point), dtype=float)
     d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
     g_inv = np.zeros((n_t, n_t))
     g_inv[:n_h, :n_h] = h_inv
@@ -208,7 +207,7 @@ def log_density_terms(adapted: AdaptedGeometry, point: ChartPoint,
     sigma = _log_det_d_field(adapted)
     hess = second_partial(engine, sigma, point, range(n_h))
     grad = partial(engine, sigma, zs, adapted.n_x, range(n_h))[0]
-    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
+    h_inv = np.asarray(adapted.h_tilde_inv(point), dtype=float)
     lc = base_levi_civita(adapted, zs, engine)[0]
     lap = float(np.einsum("ab,ab->", h_inv, hess)
                 - np.einsum("ab,cab,c->", h_inv, lc, grad))
@@ -258,7 +257,7 @@ class PointTerms:
 
     _ENTRIES = {
         "h_tilde": lambda t: _frozen(t.adapted.h_tilde(t.point)),
-        "h_inv": lambda t: _frozen(invert_spd(t.h_tilde)[0]),
+        "h_inv": lambda t: _frozen(t.adapted.h_tilde_inv(t.point)),
         "d": lambda t: _frozen(t.adapted.d.d(t.point)),
         "d_inv": lambda t: _frozen(t.adapted.d.d_inv(t.point)),
         "F": lambda t: _frozen(curvature_F(t.adapted, t.point.coords[None],
@@ -344,20 +343,15 @@ def coordinate_ricci_scalar(metric, z0, engine: DerivEngine = DEFAULT_ENGINE,
     z0 = np.asarray(z0, dtype=float)
     k = z0.shape[0]
     outer, outer_steps = _stencil(z0[None, :],
-                                  engine.fd_step * outer_scale,
-                                  engine.richardson, centre=True)
-    inner, inner_steps = _stencil(outer[0], engine.fd_step,
-                                  engine.richardson, centre=True)
+                                  engine.fd_step * outer_scale, centre=True)
+    inner, inner_steps = _stencil(outer[0], engine.fd_step, centre=True)
     zs = inner.reshape(-1, k)
     values = _eval_stack(metric, zs, "metric")
     values = values.reshape(inner.shape[:2] + values.shape[1:])
 
     # Levi-Civita symbols at every outer row at once, the point first
     g_inv, _ = invert_spd(values[:, 0])
-    dg = _stencil_partials(values, inner_steps)
-    combo = (np.einsum("...bcd->...bcd", dg) + np.einsum("...cbd->...bcd", dg)
-             - np.einsum("...dbc->...bcd", dg))
-    gammas = 0.5 * np.einsum("...ad,...bcd->...abc", g_inv, combo)
+    gammas = _levi_civita(g_inv, _stencil_partials(values, inner_steps))
     gamma0 = gammas[0]
     dgamma = _stencil_partials(gammas[None],
                                outer_steps)[0]     # dgamma[A, D, B, C]

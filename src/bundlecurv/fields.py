@@ -3,18 +3,19 @@ r"""Pointwise evaluation and differentiation of chart fields.
 Everything downstream works with smooth scalar/vector/matrix fields over a
 local chart with coordinates split into a base sector ``x`` and a vector
 sector ``f``. This module supplies the chart point type, a thin wrapper for
-field callables, central-difference differentiation with optional Richardson
-extrapolation, and the small dense linear algebra used everywhere else.
+field callables, central-difference differentiation with Richardson
+extrapolation, the one Levi-Civita contraction, and the small dense linear
+algebra used everywhere else.
 
 All differentiation goes through one stencil kernel on coordinate stacks:
 ``_stencil`` builds the shifted rows around each row of an ``(m, k)``
-array, and ``_stencil_partials`` applies ``(hi - lo)/(2h)`` and Richardson
-extrapolation to the values there. ``partial`` (all requested chart slots
-at every row of a stack of centres, in one call), ``second_partial`` (the
-same rows plus corner rows, around one point),
-``coordinate_partials`` (plain coordinate vectors such as the bundle
-coordinates ``Q``) and the nested stencil of the curvature module's
-coordinate Ricci scalar are all built on it. Every function the kernel
+array at steps ``h`` and ``h/2``, and ``_stencil_partials`` applies
+``(hi - lo)/(2h)`` at each step and Richardson extrapolation to the values
+there. ``partial`` (all requested chart slots at every row of a stack of
+centres, in one call), ``second_partial`` (the same rows plus corner rows,
+around one point), ``coordinate_partials`` (plain coordinate vectors such
+as the bundle coordinates ``Q``) and the nested stencil of the curvature
+module's coordinate Ricci scalar are all built on it. Every function the kernel
 differences has one contract: it maps an ``(N, k)`` array of coordinate
 rows to the ``(N, ...)`` stack of its values, and it is called once per
 stencil, on the read-only rows themselves. For a chart field
@@ -22,7 +23,9 @@ stencil, on the read-only rows themselves. For a chart field
 A nested stencil repeats rows, and repeats sub-rows more often still
 (the base part ``x`` of a chart row, say); ``_distinct_rows`` lists the
 distinct ones, so that a function of the sub-row alone runs once per
-distinct value.
+distinct value. ``_levi_civita`` turns a stack of inverse metrics and
+metric partials into Christoffel symbols; every coordinate-formula route
+contracts through it.
 
 All matrices here are tiny (at most ~12x12), so no attention is paid to
 asymptotics; accuracy and determinism are what matter.
@@ -158,14 +161,12 @@ class DerivEngine:
     r"""Configuration for numerical differentiation.
 
     ``fd_step`` is a *relative* central-difference step; the actual step at a
-    point is ``fd_step * (1 + |coordinate|)``. With ``richardson`` enabled
-    each derivative is computed at steps ``h`` and ``h/2`` and extrapolated,
-    ``(4 D(h/2) - D(h))/3``, killing the leading :math:`O(h^2)` truncation
-    term.
+    point is ``fd_step * (1 + |coordinate|)``. Each derivative is computed
+    at steps ``h`` and ``h/2`` and extrapolated, ``(4 D(h/2) - D(h))/3``,
+    killing the leading :math:`O(h^2)` truncation term.
     """
 
     fd_step: float = 1e-5
-    richardson: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.fd_step < 1e-2):
@@ -175,26 +176,26 @@ class DerivEngine:
 DEFAULT_ENGINE = DerivEngine()
 
 
-def _stencil(zs, fd_step, richardson, slots=None, centre=False):
+def _stencil(zs, fd_step, slots=None, centre=False):
     """Central-difference rows around each row of ``zs``.
 
     ``zs`` is ``(m, k)``; ``slots`` lists the coordinates differenced (all
-    ``k`` by default). Returns the read-only ``(m, c + 2 r s, k)`` rows --
+    ``k`` by default). Returns the read-only ``(m, c + 4 s, k)`` rows --
     the centre when ``centre`` is set (``c = 1``), then for each slot
-    ``+h, -h`` and, with Richardson (``r = 2``), ``+h/2, -h/2`` -- and the
-    ``(m, r, s)`` steps, ``h = fd_step * (1 + |z|)``. Rows are frozen
-    before any field sees them: a field must not change rows that the
-    stencil shares between its slots and step levels.
+    ``+h, -h, +h/2, -h/2`` -- and the ``(m, 2, s)`` steps, ``h = fd_step
+    * (1 + |z|)`` and its half. Rows are frozen before any field sees
+    them: a field must not change rows that the stencil shares between
+    its slots and step levels.
     """
     m, k = zs.shape
     cols = np.arange(k) if slots is None else np.asarray(slots, dtype=int)
     z = zs[:, cols]
     h = fd_step * (1.0 + np.abs(z))
-    levels = _STEP_LEVELS if richardson else _STEP_LEVELS[:1]
-    steps = h[:, None, :] * levels[:, None]                  # [m, step, slot]
+    steps = h[:, None, :] * _STEP_LEVELS[:, None]            # [m, step, slot]
     # z + (-h) is exactly z - h, so one broadcast gives both signs
     shifted = z[:, None, :, None] + steps[..., None] * _SIGNS
-    n_r, n_d = len(levels), 2 * len(levels) * len(cols)
+    n_r = len(_STEP_LEVELS)
+    n_d = 2 * n_r * len(cols)
     rows = np.repeat(zs[:, None, :], int(centre) + n_d, axis=1)
     rows[:, int(centre) + np.arange(n_d), np.repeat(cols, 2 * n_r)] = \
         shifted.transpose(0, 2, 1, 3).reshape(m, n_d)
@@ -233,14 +234,14 @@ def _distinct_rows(rows):
 
 def _richardson(d):
     """Extrapolate derivatives stacked by step along axis 0:
-    ``(4 D(h/2) - D(h)) / 3``, or ``D(h)`` alone without Richardson."""
-    return d[0] if len(d) == 1 else (4.0 * d[1] - d[0]) / 3.0
+    ``(4 D(h/2) - D(h)) / 3``."""
+    return (4.0 * d[1] - d[0]) / 3.0
 
 
 def _stencil_partials(values, steps):
     """Partials along every stencil slot, from values on ``_stencil`` rows.
 
-    ``values`` is ``(m, c + 2 r s, ...)``, the differenced rows last;
+    ``values`` is ``(m, c + 4 s, ...)``, the differenced rows last;
     returns ``(m, s, ...)``: ``(hi - lo) / (2 step)`` at each step, then
     Richardson extrapolation.
     """
@@ -311,8 +312,7 @@ def _slot_list(slots, n_tot):
     return slots
 
 
-def coordinate_partials(func, z, fd_step: float, richardson: bool = True,
-                        slots=None):
+def coordinate_partials(func, z, fd_step: float, slots=None):
     r"""Partials of ``func`` at the coordinate vector ``z``, one per slot.
 
     Returns a stack with one leading entry per slot of ``slots`` (all
@@ -326,7 +326,7 @@ def coordinate_partials(func, z, fd_step: float, richardson: bool = True,
     ``ValueError``; a non-finite one, ``EvaluationError``.
     """
     z = np.asarray(z, dtype=float)
-    rows, steps = _stencil(z[None], fd_step, richardson, slots)
+    rows, steps = _stencil(z[None], fd_step, slots)
     if not rows.shape[1]:
         return np.zeros(0)
     values = _eval_stack(func, rows[0])
@@ -345,7 +345,6 @@ def value_and_partial(engine: DerivEngine, field, zs, n_x: int, slots,
     module); ``n_x`` splits a row with a non-finite value for the error.
     """
     rows, steps = _stencil(zs, engine.fd_step * step_scale,
-                           engine.richardson,
                            _slot_list(slots, zs.shape[1]), centre=True)
     m, n, k = rows.shape
     values = _eval_points(field, rows.reshape(m * n, k), n_x)
@@ -372,17 +371,16 @@ def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
     Returns ``(s, s, ...)``. The diagonal is ``(hi - 2 mid + lo)/(h h)``,
     the off-diagonal ``(pp - pm - mp + mm)/(4 h1 h2)`` with the earlier slot
     of ``slots`` first, both at the internally inflated step of
-    ``SECOND_PARTIAL_STEP_SCALE``; Richardson extrapolation is applied
-    when the engine enables it since both stencils have :math:`O(h^2)`
-    error. The corner rows take each shifted coordinate from the axis row
-    of its slot; ``field`` is called once, on the centre, axis and corner
-    rows together.
+    ``SECOND_PARTIAL_STEP_SCALE``, then Richardson extrapolation, since
+    both stencils have :math:`O(h^2)` error. The corner rows take each
+    shifted coordinate from the axis row of its slot; ``field`` is called
+    once, on the centre, axis and corner rows together.
     """
     slots = _slot_list(slots, point.n_x + point.n_v)
     n_s = len(slots)
     rows, steps = _stencil(point.coords[None],
                            engine.fd_step * SECOND_PARTIAL_STEP_SCALE,
-                           engine.richardson, slots, centre=True)
+                           slots, centre=True)
     rows, steps = rows[0], steps[0]
     n_r, k = steps.shape[0], rows.shape[1]
     axis = rows[1:].reshape(n_s, n_r, 2, k)      # [slot, step, +/-, coord]
@@ -410,6 +408,20 @@ def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
             (c[r, 0, 0] - c[r, 0, 1] - c[r, 1, 0] + c[r, 1, 1])
             / (4.0 * steps[r, i] * steps[r, j]) for r in range(n_r)])
     return hess
+
+
+def _levi_civita(g_inv, dg):
+    r"""Levi-Civita symbols from an inverse metric and its partials.
+
+    ``g_inv`` is an ``(..., n, n)`` stack of inverse metrics, ``dg[...,
+    b, c, d]`` the partial :math:`\partial_b g_{cd}`; returns
+    ``gamma[..., a, b, c]``
+    :math:`= \tfrac12 g^{ad}(\partial_b g_{cd} + \partial_c g_{bd}
+    - \partial_d g_{bc})`.
+    """
+    combo = (np.einsum("...bcd->...bcd", dg) + np.einsum("...cbd->...bcd", dg)
+             - np.einsum("...dbc->...bcd", dg))
+    return 0.5 * np.einsum("...ad,...bcd->...abc", g_inv, combo)
 
 
 def invert_spd(matrix):

@@ -39,7 +39,7 @@ map a stencil's ``FrameStack`` to the stack of their values.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,9 +125,10 @@ class OriginalGeometry:
     vector sector and ``vspace_action_d(a)`` its ``(N, n_g, n_v, n_v)``
     derivatives along the group coordinates.
 
-    Construction wraps each callable so that a call checks its input and
-    result shapes, naming the callable when one is off, and gives the
-    geometry an empty frame memo of its own (see ``_FrameMemo``).
+    Construction inverts ``G_V`` once, into the read-only ``G_V_inv``,
+    wraps each callable so that a call checks its input and result
+    shapes, naming the callable when one is off, and gives the geometry
+    an empty frame memo of its own (see ``_FrameMemo``).
     """
 
     n_P: int
@@ -146,6 +147,7 @@ class OriginalGeometry:
     right_translate_jac: object = None
     vspace_action: object = None
     vspace_action_d: object = None
+    G_V_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g_v = np.asarray(self.G_V, dtype=float)
@@ -159,7 +161,10 @@ class OriginalGeometry:
             raise ValueError("n_P must be at least n_g")
         g_v.setflags(write=False)
         gens.setflags(write=False)
+        g_v_inv, _ = invert_spd(g_v)
+        g_v_inv.setflags(write=False)
         object.__setattr__(self, "G_V", g_v)
+        object.__setattr__(self, "G_V_inv", g_v_inv)
         object.__setattr__(self, "gens", gens)
         n_P, n_v, n_g, n_x = self.n_P, self.n_v, self.n_g, self.n_x
         shapes = {"section": (n_P,), "section_jac": (n_P, n_x),
@@ -202,9 +207,6 @@ class BlockMetric:
     matrix: np.ndarray
     inverse: np.ndarray
     det: float
-    h_tilde: np.ndarray
-    d: np.ndarray
-    A: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +224,9 @@ class FrameStack:
             = G_{AB}K^A_\mu K^B_\nu + G_{ab}K^a_\mu K^b_\nu,
 
     is ``d`` (with ``d_inv`` and ``det_d``), its bundle-side part
-    ``gamma``; a degenerate ``d`` raises, the working witness that the
-    group action stopped being free. The mechanical connection,
+    ``gamma`` (with ``gamma_inv``); a degenerate ``d`` raises, the
+    working witness that the group action stopped being free. The
+    mechanical connection,
 
     .. math::
 
@@ -259,6 +262,7 @@ class FrameStack:
     K_P: np.ndarray
     K_V: np.ndarray
     gamma: np.ndarray
+    gamma_inv: np.ndarray
     d: np.ndarray
     d_inv: np.ndarray
     det_d: np.ndarray
@@ -388,8 +392,8 @@ def _compute_frames(orig: OriginalGeometry, zs):
 
     return FrameStack(
         Q=q[base], Q_jac=q_jac_all, G_P=g_p_all, G_P_inv=g_p_inv[base],
-        K_P=k_p_all, K_V=k_v, gamma=gamma_all, d=d, d_inv=d_inv,
-        det_d=det_d, A=a_joint, A_gamma=a_gamma[base], Gt_H=gt_h,
+        K_P=k_p_all, K_V=k_v, gamma=gamma_all, gamma_inv=gamma_inv[base],
+        d=d, d_inv=d_inv, det_d=det_d, A=a_joint, A_gamma=a_gamma[base], Gt_H=gt_h,
         GH_P=gh_p[base], h_xx=h_xx, h_xv=h_xv, h_vv=h_vv, h_tilde=h_tilde,
         h_tilde_inv=h_tilde_inv, det_h=det_h,
         h_base_inv=h_base_inv[base], Lambda=lam, N_vP=-k_v @ lam), \
@@ -490,6 +494,8 @@ def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
     return AdaptedGeometry(
         n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
         h_tilde=frame_field(orig, "h_tilde", lambda fs: fs.h_tilde),
+        h_tilde_inv=frame_field(orig, "h_tilde_inv",
+                                lambda fs: fs.h_tilde_inv),
         d=orbit,
         A_conn=frame_field(orig, "A_conn", lambda fs: fs.A),
         c=orig.c, orig=orig)
@@ -506,10 +512,13 @@ def _as_adapted(geometry) -> "AdaptedGeometry":
 class AdaptedGeometry:
     r"""The universal input of the curvature and Jacobian operations.
 
-    ``h_tilde`` is the horizontal metric over the joint ``(x, f)`` chart,
-    ``d`` the orbit metric with inverse, ``A_conn`` the connection
-    components as an ``(n_g, n_x+n_v)`` matrix; each of them, and each of
-    the two fields of ``d``, is a ``FieldHandle``. ``orig`` is kept when
+    ``h_tilde`` is the horizontal metric over the joint ``(x, f)`` chart
+    and ``h_tilde_inv`` its inverse, ``d`` the orbit metric with inverse,
+    ``A_conn`` the connection components as an ``(n_g, n_x+n_v)`` matrix;
+    each of them, and each of the two fields of ``d``, is a
+    ``FieldHandle``. Each inverse is computed once, where its matrix is
+    built (on bundle data, in the frame compile), and read from its field
+    by every formula that contracts with it. ``orig`` is kept when
     the geometry was compiled from bundle data; operations that need the
     bundle side (projector identities, drift in gauge form) require it.
     """
@@ -518,6 +527,7 @@ class AdaptedGeometry:
     n_v: int
     n_g: int
     h_tilde: object
+    h_tilde_inv: object
     d: OrbitMetric
     A_conn: object
     c: StructureConstants
@@ -571,8 +581,7 @@ def assemble_block_metric(adapted: AdaptedGeometry,
     inverse[n_h:, :n_h] = -a @ h_inv
     inverse[n_h:, n_h:] = d_inv + a @ h_inv @ a.T
 
-    return BlockMetric(matrix=matrix, inverse=inverse, det=det_h * det_d,
-                       h_tilde=h_tilde, d=d, A=a)
+    return BlockMetric(matrix=matrix, inverse=inverse, det=det_h * det_d)
 
 
 def det_factorization_check(orig: OriginalGeometry,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     _field_stack, coordinate_partials, invert_spd, partial)
+                     _field_stack, _levi_civita, coordinate_partials, partial)
 from .geometry import (AdaptedGeometry, OriginalGeometry, _as_adapted,
                        compile_adapted, point_frame)
 from .curvature import PointTerms, _frozen, _log_det_d_field, _terms_at
@@ -140,32 +140,22 @@ def quadratic_form_paths(adapted: AdaptedGeometry, point: ChartPoint,
     n_x, n_h = adapted.n_x, adapted.n_h
     sf = sigma_field(adapted, engine)
     grad = partial(engine, sf.sigma, point.coords[None], n_x, range(n_h))[0]
-    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
+    h_inv = np.asarray(adapted.h_tilde_inv(point), dtype=float)
     block_path = float(np.einsum("ab,a,b->", h_inv, grad, grad))
 
     frames = point_frame(adapted.orig, point)
     s_x = grad[:n_x]
     s_v = grad[n_x:]
-    h_red_inv, a_gamma, k_v = (frames.h_base_inv[0], frames.A_gamma[0],
-                               frames.K_V[0])
-    gamma_inv, _ = invert_spd(frames.gamma[0])
-    g_v_inv, _ = invert_spd(adapted.orig.G_V)
+    h_red_inv, a_gamma, k_v, gamma_inv = (
+        frames.h_base_inv[0], frames.A_gamma[0], frames.K_V[0],
+        frames.gamma_inv[0])
     t1 = float(np.einsum("ij,i,j->", h_red_inv, s_x, s_x))
     t2 = 2.0 * float(np.einsum("kj,mk,am,a,j->", h_red_inv, a_gamma,
                                k_v, s_v, s_x))
     mid = gamma_inv + np.einsum("kl,ak,bl->ab", h_red_inv, a_gamma, a_gamma)
     t3 = float(np.einsum("mn,am,bn,a,b->", mid, k_v, k_v, s_v, s_v)
-               + np.einsum("ab,a,b->", g_v_inv, s_v, s_v))
+               + np.einsum("ab,a,b->", adapted.orig.G_V_inv, s_v, s_v))
     return block_path, t1 + t2 + t3
-
-
-def _bundle_christoffel(orig: OriginalGeometry, q, fd_step: float):
-    """Levi-Civita symbols of G_P at a bundle point, by plain FD."""
-    g_inv, _ = invert_spd(orig.G_P(q[None])[0])
-    dg = coordinate_partials(orig.G_P, q, fd_step)
-    combo = (np.einsum("bcd->bcd", dg) + np.einsum("cbd->bcd", dg)
-             - np.einsum("dbc->bcd", dg))
-    return 0.5 * np.einsum("ad,bcd->abc", g_inv, combo)
 
 
 def killing_derivatives(orig: OriginalGeometry, point: ChartPoint,
@@ -182,7 +172,8 @@ def killing_derivatives(orig: OriginalGeometry, point: ChartPoint,
     """
     frames = point_frame(orig, point)
     q, k = frames.Q[0], frames.K_P[0]
-    gamma_p = _bundle_christoffel(orig, q, engine.fd_step)
+    gamma_p = _levi_civita(frames.G_P_inv[0],
+                           coordinate_partials(orig.G_P, q, engine.fd_step))
     dk = coordinate_partials(orig.K_P, q, engine.fd_step)  # dk[A, C, beta]
     p = (np.einsum("aA,acB->cAB", k, dk)
          + np.einsum("cab,aA,bB->cAB", gamma_p, k, k))
@@ -272,15 +263,13 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
     raw_base = float(np.max(np.abs(lhs_base - 2.0 * sym_p))) / scale
 
     if n_v:
-        g_v_inv, _ = invert_spd(orig.G_V)
-
         def gamma_prime_of_f(fs):
             k = orig.K_vector(fs)
             return k.swapaxes(1, 2) @ orig.G_V @ k
 
         dd_f = coordinate_partials(gamma_prime_of_f, point.f,
                                    engine.fd_step)   # dd_f[q, a, b]
-        lhs_vec = -np.einsum("pq,qab->pab", g_v_inv, dd_f)
+        lhs_vec = -np.einsum("pq,qab->pab", orig.G_V_inv, dd_f)
         raw_vector = float(np.max(np.abs(lhs_vec - 2.0 * sym_v))) / scale
     else:
         raw_vector = 0.0
@@ -304,7 +293,8 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
     adapted_base = float(np.max(np.abs(rhs_adapted - sym_p))) / scale
 
     if n_v:
-        rhs_vec = -0.5 * np.einsum("pq,qab->pab", g_v_inv, dd_f_chart)
+        rhs_vec = -0.5 * np.einsum("pq,qab->pab", orig.G_V_inv,
+                                   dd_f_chart)
         adapted_vector = float(np.max(np.abs(rhs_vec - sym_v))) / scale
     else:
         adapted_vector = 0.0

@@ -149,8 +149,6 @@ def symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
 def density_H(geometry, point: ChartPoint) -> float:
     """Determinant of the orbit-space block metric at a point."""
     adapted = _as_adapted(geometry)
-    if adapted.orig is not None:
-        return float(point_frame(adapted.orig, point).det_h[0])
     _, det = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     return det
 
@@ -168,12 +166,11 @@ def diffusion_coefficients(geometry, point: ChartPoint) -> DiffusionBlocks:
         frames = point_frame(adapted.orig, point)
         k_v = frames.K_V[0]
         x_base = symmetric_sqrt(frames.h_base_inv[0])
-        gamma_inv, _ = invert_spd(frames.gamma[0])
-        g_v_inv, _ = invert_spd(adapted.orig.G_V)
         mixed = k_v @ frames.A_gamma[0] @ x_base
-        x_vector = symmetric_sqrt(k_v @ gamma_inv @ k_v.T + g_v_inv)
+        x_vector = symmetric_sqrt(k_v @ frames.gamma_inv[0] @ k_v.T
+                                  + adapted.orig.G_V_inv)
         return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
-    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
+    h_inv = np.asarray(adapted.h_tilde_inv(point), dtype=float)
     quad_xx = h_inv[:n_x, :n_x]
     quad_vx = h_inv[n_x:, :n_x]
     quad_vv = h_inv[n_x:, n_x:]
@@ -195,8 +192,8 @@ def _w_matrix(frames):
     return frames.N_vP @ frames.G_P_inv @ frames.N_vP.swapaxes(1, 2)
 
 
-#: The frame fields the drift routes difference, by name: the value at
-#: the rows of a frame stack, and the arity of one row.
+#: The frame fields the transcribed drift differences, by name: the value
+#: at the rows of a frame stack, and the arity of one row.
 _DRIFT_FIELDS = {
     "sqrt_h": (lambda fs: np.sqrt(fs.det_h), "scalar"),
     "sqrt_h_h_base_inv": (lambda fs: _sqrt_h(fs) * fs.h_base_inv, "matrix"),
@@ -205,8 +202,6 @@ _DRIFT_FIELDS = {
         lambda fs: _sqrt_h(fs) * fs.h_base_inv @ fs.A_gamma.swapaxes(1, 2),
         "matrix"),
     "W": (_w_matrix, "matrix"),
-    "sqrt_h_h_tilde_inv": (lambda fs: _sqrt_h(fs) * fs.h_tilde_inv,
-                           "matrix"),
 }
 
 
@@ -244,7 +239,6 @@ def drift_coefficients(geometry, point: ChartPoint,
     n_x, n_v = adapted.n_x, adapted.n_v
     frames0 = point_frame(orig, point)
     sqrt_h0 = np.sqrt(frames0.det_h[0])
-    g_v_inv, _ = invert_spd(orig.G_V) if n_v else (np.zeros((0, 0)), 1.0)
 
     def grad(name):
         # over all slots, so that all five fields read the one stencil
@@ -273,7 +267,7 @@ def drift_coefficients(geometry, point: ChartPoint,
                           frames0.h_base_inv[0], div_killing) / sqrt_h0)
     w0 = _w_matrix(frames0)[0]
     b_vector = (frames0.K_V[0] @ div_conn / sqrt_h0
-                + (g_v_inv + w0) @ grad_dens / sqrt_h0
+                + (orig.G_V_inv + w0) @ grad_dens / sqrt_h0
                 + div_w)
     return np.concatenate([b_base, b_vector])
 
@@ -286,19 +280,18 @@ def drift_divergence_form(geometry, point: ChartPoint,
     Independent oracle for ``drift_coefficients``: equality of the two
     certifies that the transcribed displays, together with
     :math:`\tfrac12\tilde h^{A'B'}\partial^2`, generate the
-    Laplace-Beltrami operator of the orbit-space metric.
+    Laplace-Beltrami operator of the orbit-space metric. For every
+    geometry it inverts h~ on the stencil rows itself; it shares no field
+    with the transcribed displays.
     """
     adapted = _as_adapted(geometry)
     n_h = adapted.n_h
-    orig = adapted.orig
-    if orig is not None:
-        field = _drift_field(orig, "sqrt_h_h_tilde_inv")
-    else:
-        def sqrt_h_h_tilde_inv(zs):
-            inv, det = invert_spd(_field_stack(adapted.h_tilde, zs))
-            return np.sqrt(det)[:, None, None] * inv
 
-        field = FieldHandle(sqrt_h_h_tilde_inv, "matrix")
+    def sqrt_h_h_tilde_inv(zs):
+        inv, det = invert_spd(_field_stack(adapted.h_tilde, zs))
+        return np.sqrt(det)[:, None, None] * inv
+
+    field = FieldHandle(sqrt_h_h_tilde_inv, "matrix")
     sqrt_h0 = np.sqrt(density_H(adapted, point))
     grad = partial(engine, field, point.coords[None], adapted.n_x,
                    range(n_h))[0]

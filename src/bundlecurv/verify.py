@@ -19,7 +19,7 @@ run alone computes what it did before, with the same bits. Reads:
 ``log_density`` (direct route) and ``pair_table``, ``R_G``, ``FF``,
 ``DdDd`` (geometric route); ``secondform`` ``h_inv``, ``Dd``,
 ``killing``, ``h_tilde``, ``d_inv`` and ``DdDd``; ``killingderiv``
-``killing``; ``sde`` ``h_inv`` without bundle data only. Route-private:
+``killing``; ``sde`` ``h_inv``. Route-private:
 the ``christoffel`` check's two tables, each Christoffel route's work
 inside its Ricci pair (the pairs share only the metric fields' frames),
 the Killing identities' bundle-coordinate derivatives, the determinant
@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine
-from .geometry import (assemble_block_metric, det_factorization_check,
-                       point_frame)
+from .geometry import assemble_block_metric, det_factorization_check
 from .connection import christoffel_general, christoffel_table
 from .curvature import decomposition_terms
 from .jacobian import (PointRecord, jacobian_direct, jacobian_geometric,
@@ -227,11 +226,7 @@ def _check_sde(scenario, point, terms):
     adapted, engine = scenario.adapted, terms.engine
     blocks = diffusion_coefficients(adapted, point)
     squared = blocks.full @ blocks.full.T
-    if adapted.orig is not None:
-        target = point_frame(adapted.orig, point).h_tilde_inv[0]
-    else:
-        target = terms.h_inv
-    parts = {"diffusion_square": relative_gap(squared, target)}
+    parts = {"diffusion_square": relative_gap(squared, terms.h_inv)}
     if adapted.orig is not None:
         drift = drift_coefficients(adapted, point, engine)
         divergence = drift_divergence_form(adapted, point, engine)

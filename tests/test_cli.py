@@ -20,7 +20,6 @@ def test_defaults():
     assert config.points == 20
     assert config.seed == 0
     assert config.fd_step == 1e-5
-    assert config.richardson is True
     assert config.format == "text"
     assert config.dt == 1e-4
     assert config.n_paths == 200_000
@@ -223,7 +222,14 @@ def test_simulate_rejects_bad_paths(capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
-def test_no_richardson_flag():
-    config = load_config(None, {"richardson": False})
-    assert config.richardson is False
-    assert config.engine().richardson is False
+def test_richardson_switch_is_gone(tmp_path, capsys):
+    """Every stencil extrapolates; neither a flag nor a config key turns
+    that off."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--no-richardson"])
+    assert exc.value.code == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"richardson": True}))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert "unknown config key: richardson" in capsys.readouterr().err

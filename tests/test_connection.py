@@ -31,6 +31,7 @@ def _curl_fixture():
     return AdaptedGeometry(
         n_x=2, n_v=0, n_g=1,
         h_tilde=constant_field(np.eye(2)),
+        h_tilde_inv=constant_field(np.eye(2)),
         d=_const_orbit(np.eye(1)),
         A_conn=FieldHandle(lambda zs: np.stack([-zs[:, 1], zs[:, 0]],
                                                axis=1)[:, None], "matrix"),
@@ -43,6 +44,7 @@ def _pure_orbit(d_matrix):
     return AdaptedGeometry(
         n_x=1, n_v=0, n_g=3,
         h_tilde=constant_field(np.eye(1)),
+        h_tilde_inv=constant_field(np.eye(1)),
         d=_const_orbit(d_matrix),
         A_conn=constant_field(np.zeros((3, 1))),
         c=su2_constants(),
@@ -54,6 +56,7 @@ def _const_connection(a_matrix, d_matrix):
     return AdaptedGeometry(
         n_x=a_matrix.shape[1], n_v=0, n_g=3,
         h_tilde=constant_field(np.eye(a_matrix.shape[1])),
+        h_tilde_inv=constant_field(np.eye(a_matrix.shape[1])),
         d=_const_orbit(d_matrix),
         A_conn=constant_field(a_matrix),
         c=su2_constants(),
@@ -164,6 +167,9 @@ def test_levi_civita_conformal_plane(engine):
         n_x=2, n_v=0, n_g=0,
         h_tilde=FieldHandle(lambda zs: np.exp(2.0 * zs[:, 0])[:, None, None]
                             * np.eye(2), "matrix"),
+        h_tilde_inv=FieldHandle(
+            lambda zs: np.exp(-2.0 * zs[:, 0])[:, None, None] * np.eye(2),
+            "matrix"),
         d=_const_orbit(np.zeros((0, 0))),
         A_conn=constant_field(np.zeros((0, 2))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
@@ -297,8 +303,8 @@ def test_stacks_equal_one_row_calls(name, engine):
     stacked, single = build_scenario(name).adapted, build_scenario(name).adapted
     wide = _widened(engine)
     point = ChartPoint([0.12, -0.21], [0.3, -0.15, 0.22])
-    rows = _stencil(point.coords[None], wide.fd_step * RICCI_OUTER_SCALE,
-                    wide.richardson)[0][0]
+    rows = _stencil(point.coords[None],
+                    wide.fd_step * RICCI_OUTER_SCALE)[0][0]
     assert rows.shape == (20, 5)
     for func in (christoffel_table, christoffel_general, curvature_F,
                  covariant_D_orbit_metric, base_levi_civita):

@@ -38,6 +38,7 @@ def _pure_orbit_block(d_matrix):
     return AdaptedGeometry(
         n_x=1, n_v=0, n_g=3,
         h_tilde=constant_field(np.eye(1)),
+        h_tilde_inv=constant_field(np.eye(1)),
         d=OrbitMetric(d=constant_field(d_matrix),
                       d_inv=constant_field(d_inv)),
         A_conn=constant_field(np.zeros((3, 1))),

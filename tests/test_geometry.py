@@ -8,7 +8,8 @@ import pytest
 
 from bundlecurv.curvature import PointTerms, oracle_metric
 from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
-                               _stencil, partial, second_partial)
+                               _levi_civita, _stencil, invert_spd, partial,
+                               second_partial)
 from bundlecurv.geometry import (
     OriginalGeometry,
     assemble_block_metric,
@@ -21,6 +22,7 @@ from bundlecurv.geometry import (
 )
 from bundlecurv.liecore import StructureConstants, su2_constants
 from bundlecurv.scenarios import (
+    SCENARIO_NAMES,
     _build_original,
     _twisted_bbar,
     _twisted_g,
@@ -198,6 +200,38 @@ def test_inverse_quadrant_is_base_inverse(twisted):
                      1e-10, "inverse quadrant identity")
 
 
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_shared_inverses_equal_the_inversions_they_replace(name):
+    """Each inverse is computed once, where its matrix is built, and the
+    copy every formula reads equals, bit for bit, inverting the matrix
+    again: h~ at a point, the frame's gamma, G_V and G_P at the section
+    point. The one Levi-Civita contraction matches a loop over indices."""
+    scenario = build_scenario(name)
+    orig, adapted = scenario.orig, scenario.adapted
+    assert np.array_equal(orig.G_V_inv, invert_spd(orig.G_V)[0])
+    assert not orig.G_V_inv.flags.writeable
+    for point in sample_points(scenario, 2, seed=31):
+        assert np.array_equal(adapted.h_tilde_inv(point),
+                              invert_spd(adapted.h_tilde(point))[0])
+        frames = point_frame(orig, point)
+        assert np.array_equal(frames.gamma_inv[0],
+                              invert_spd(frames.gamma[0])[0])
+        assert np.array_equal(frames.G_P_inv[0],
+                              invert_spd(orig.G_P(frames.Q[:1])[0])[0])
+
+    rng = np.random.default_rng(5)
+    n = 4
+    root = rng.normal(size=(3, n, n))
+    g_inv = root @ root.swapaxes(1, 2) + n * np.eye(n)
+    dg = rng.normal(size=(3, n, n, n))
+    dg = dg + dg.swapaxes(2, 3)            # dg[i, b, c, d] = d_b g_cd
+    want = np.zeros((3, n, n, n))
+    for i, a, b, c, d in np.ndindex(3, n, n, n, n):
+        want[i, a, b, c] += 0.5 * g_inv[i, a, d] * (
+            dg[i, b, c, d] + dg[i, c, b, d] - dg[i, d, b, c])
+    assert_close(_levi_civita(g_inv, dg), want, 1e-13, "Levi-Civita")
+
+
 # ---------------------------------------------------------------------------
 # gauge projector
 
@@ -256,7 +290,7 @@ def test_point_frame_is_cached(twisted, engine):
     the same stack object, and no compile."""
     point = ChartPoint([0.1, 0.2], [0.0, 0.1, -0.1])
     assert point_frame(twisted.orig, point) is point_frame(twisted.orig, point)
-    rows, _ = _stencil(point.coords[None], engine.fd_step, engine.richardson)
+    rows, _ = _stencil(point.coords[None], engine.fd_step)
     first = point_frames(twisted.orig, rows[0])
     before = frame_cache_info(twisted.orig)
     assert point_frames(twisted.orig, rows[0].copy()) is first
@@ -400,9 +434,10 @@ def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
     stacked = compile_adapted(dataclasses.replace(twisted.orig))
     single = compile_adapted(dataclasses.replace(twisted.orig))
     rows, _ = _stencil(np.array([[0.14, -0.06, 0.21, -0.3, 0.05]]),
-                       engine.fd_step, engine.richardson)
+                       engine.fd_step)
     points = [ChartPoint(z[:2], z[2:]) for z in rows[0]]
     for name, pick in (("h_tilde", lambda a: a.h_tilde),
+                       ("h_tilde_inv", lambda a: a.h_tilde_inv),
                        ("d", lambda a: a.d.d), ("d_inv", lambda a: a.d.d_inv),
                        ("A_conn", lambda a: a.A_conn)):
         before = frame_cache_info(stacked.orig)
@@ -421,7 +456,7 @@ def test_frames_are_shared_by_whole_stacks_only(twisted, engine):
     another point, that lookup drops the stencil's stack."""
     orig = dataclasses.replace(twisted.orig)
     rows, _ = _stencil(np.array([[0.11, -0.24, 0.05, 0.3, -0.12]]),
-                       engine.fd_step, engine.richardson)
+                       engine.fd_step)
     frames = point_frames(orig, rows[0])
     z = rows[0, 3]
     before = frame_cache_info(orig)
