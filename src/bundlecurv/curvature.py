@@ -268,7 +268,7 @@ class PointTerms:
         # so the widened stencils of the coordinate oracle apply here too
         "R_M": lambda t: coordinate_ricci_scalar(
             t.adapted.h_tilde.func, t.point.coords, _widened(t.engine)),
-        "R_G": lambda t: orbit_scalar_curvature(t.adapted.c, t.d),
+        "R_G": lambda t: orbit_scalar_curvature(t.adapted.c, t.d, t.d_inv),
         "FF": lambda t: ff_term(t.h_inv, t.d, t.F),
         "DdDd": lambda t: dddd_term(t.h_inv, t.d_inv, t.Dd),
         "log_density": lambda t: log_density_terms(t.adapted, t.point,

@@ -286,18 +286,15 @@ class FrameStack:
             array.setflags(write=False)
 
 
-def _spd_or_error(matrix, what, xs=None, fs=None):
-    """``invert_spd`` with ``what`` prefixed to its error; on a stack of
-    frames the error names the chart row ``xs[i], fs[i]`` that failed."""
+def _spd_or_error(matrix, what, xs, fs):
+    """``invert_spd`` on a stack of frames, with ``what`` and the chart row
+    ``xs[i], fs[i]`` that failed prefixed to its error."""
     try:
         return invert_spd(matrix)
     except NearSingularError as exc:
-        where = ""
-        if exc.index is not None:
-            where = " at x=%s f=%s" % (xs[exc.index].tolist(),
-                                       fs[exc.index].tolist())
-        raise NearSingularError("%s%s: %s" % (what, where, exc.reason)) \
-            from exc
+        raise NearSingularError("%s at x=%s f=%s: %s" % (
+            what, xs[exc.index].tolist(), fs[exc.index].tolist(),
+            exc.reason)) from exc
 
 
 def _compute_frames(orig: OriginalGeometry, zs):
@@ -490,12 +487,14 @@ def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
     """Wrap the frame stacks into chart fields."""
     orbit = OrbitMetric(
         d=frame_field(orig, "d", lambda fs: fs.d),
-        d_inv=frame_field(orig, "d_inv", lambda fs: fs.d_inv))
+        d_inv=frame_field(orig, "d_inv", lambda fs: fs.d_inv),
+        det_d=frame_field(orig, "det_d", lambda fs: fs.det_d, "scalar"))
     return AdaptedGeometry(
         n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
         h_tilde=frame_field(orig, "h_tilde", lambda fs: fs.h_tilde),
         h_tilde_inv=frame_field(orig, "h_tilde_inv",
                                 lambda fs: fs.h_tilde_inv),
+        det_h=frame_field(orig, "det_h", lambda fs: fs.det_h, "scalar"),
         d=orbit,
         A_conn=frame_field(orig, "A_conn", lambda fs: fs.A),
         c=orig.c, orig=orig)
@@ -512,15 +511,16 @@ def _as_adapted(geometry) -> "AdaptedGeometry":
 class AdaptedGeometry:
     r"""The universal input of the curvature and Jacobian operations.
 
-    ``h_tilde`` is the horizontal metric over the joint ``(x, f)`` chart
-    and ``h_tilde_inv`` its inverse, ``d`` the orbit metric with inverse,
-    ``A_conn`` the connection components as an ``(n_g, n_x+n_v)`` matrix;
-    each of them, and each of the two fields of ``d``, is a
-    ``FieldHandle``. Each inverse is computed once, where its matrix is
-    built (on bundle data, in the frame compile), and read from its field
-    by every formula that contracts with it. ``orig`` is kept when
-    the geometry was compiled from bundle data; operations that need the
-    bundle side (projector identities, drift in gauge form) require it.
+    ``h_tilde`` is the horizontal metric over the joint ``(x, f)`` chart,
+    ``h_tilde_inv`` its inverse and ``det_h`` its determinant, ``d`` the
+    orbit metric with inverse and determinant, ``A_conn`` the connection
+    components as an ``(n_g, n_x+n_v)`` matrix; each of them, and each of
+    the three fields of ``d``, is a ``FieldHandle``. Each inverse and
+    determinant is computed once, where its matrix is built (on bundle
+    data, in the frame compile), and read from its field by every formula
+    that needs it. ``orig`` is kept when the geometry was compiled from
+    bundle data; operations that need the bundle side (projector
+    identities, drift in gauge form) require it.
     """
 
     n_x: int
@@ -528,6 +528,7 @@ class AdaptedGeometry:
     n_g: int
     h_tilde: object
     h_tilde_inv: object
+    det_h: object
     d: OrbitMetric
     A_conn: object
     c: StructureConstants
@@ -559,14 +560,17 @@ def assemble_block_metric(adapted: AdaptedGeometry,
     and the inverse from the congruence factorization,
     ``[[h~^{-1}, -h~^{-1} A^T], [-A h~^{-1}, d^{-1} + A h~^{-1} A^T]]``,
     whose upper-left quadrant is exactly the inverse orbit-space metric.
-    ``det = det(h~) det(d)``.
+    ``det = det(h~) det(d)``. The inverses and determinants are read from
+    the geometry's fields.
     """
     h_tilde = np.asarray(adapted.h_tilde(point), dtype=float)
     d = np.asarray(adapted.d.d(point), dtype=float)
     a = np.asarray(adapted.A_conn(point), dtype=float)
+    h_inv = np.asarray(adapted.h_tilde_inv(point), dtype=float)
+    d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
+    det_h = float(adapted.det_h(point))
+    det_d = float(adapted.d.det_d(point))
     n_h, n_g = adapted.n_h, adapted.n_g
-    h_inv, det_h = _spd_or_error(h_tilde, "horizontal metric degenerate")
-    d_inv, det_d = _spd_or_error(d, "orbit metric degenerate")
 
     n_t = n_h + n_g
     matrix = np.zeros((n_t, n_t))
@@ -590,15 +594,13 @@ def det_factorization_check(orig: OriginalGeometry,
 
     ``H = det(h~)`` is the orbit-space density that also normalizes the
     reduced drift. The left side is evaluated independently through a
-    determinant of the assembled matrix.
+    determinant of the assembled matrix; the right side is the block
+    metric's ``det``, the product of the frame compile's determinants.
     """
-    adapted = compile_adapted(orig)
-    block = assemble_block_metric(adapted, point)
+    block = assemble_block_metric(compile_adapted(orig), point)
     sign, logdet = np.linalg.slogdet(block.matrix)
     det_direct = sign * np.exp(logdet)
-    frames = point_frame(orig, point)
-    det_fact = frames.det_d[0] * frames.det_h[0]
-    return abs(det_direct - det_fact) / abs(det_direct)
+    return abs(det_direct - block.det) / abs(det_direct)
 
 
 @dataclass(frozen=True)

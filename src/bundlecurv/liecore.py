@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import invert_spd
-
 __all__ = [
     "StructureConstants",
     "OrbitMetric",
@@ -57,14 +55,16 @@ class StructureConstants:
 
 @dataclass(frozen=True)
 class OrbitMetric:
-    r"""Orbit metric :math:`d_{\alpha\beta}` and its inverse as chart fields.
+    r"""Orbit metric :math:`d_{\alpha\beta}`, its inverse and its
+    determinant as chart fields.
 
     ``d`` and ``d_inv`` are ``FieldHandle`` chart fields whose value at a
-    chart point is an ``n_g`` x ``n_g`` matrix.
+    chart point is an ``n_g`` x ``n_g`` matrix, ``det_d`` a scalar one.
     """
 
     d: object
     d_inv: object
+    det_d: object
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def ad_matrix(c, gamma: int) -> np.ndarray:
     return raw[:, gamma, :]
 
 
-def orbit_scalar_curvature(c, d) -> float:
+def orbit_scalar_curvature(c, d, d_inv) -> float:
     r"""Scalar curvature of a group orbit with orbit metric ``d``.
 
     .. math::
@@ -148,13 +148,14 @@ def orbit_scalar_curvature(c, d) -> float:
             + \tfrac14 d_{\mu\sigma} d^{\alpha\beta} d^{\varepsilon\nu}
               c^\mu_{\varepsilon\alpha} c^\sigma_{\nu\beta}
 
-    ``d`` is the ``(n_g, n_g)`` orbit metric at one point. The two
-    contractions are written exactly as above; brute-force loop
-    evaluations of the same expression back this in tests.
+    ``d`` is the ``(n_g, n_g)`` orbit metric at one point and ``d_inv``
+    its inverse. The two contractions are written exactly as above;
+    brute-force loop evaluations of the same expression back this in
+    tests.
     """
     raw = _raw_constants(c)
     d_val = np.asarray(d, dtype=float)
-    d_inv, _ = invert_spd(d_val)
+    d_inv = np.asarray(d_inv, dtype=float)
     term1 = 0.5 * np.einsum("mn,sma,ans->", d_inv, raw, raw)
     term2 = 0.25 * np.einsum("ms,ab,en,mea,snb->", d_val, d_inv, d_inv, raw, raw)
     return float(term1 + term2)

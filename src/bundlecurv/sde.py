@@ -48,6 +48,9 @@ __all__ = [
 #: PSD square root; anything lower means the block was not a Gram matrix.
 SQRT_EIGENVALUE_FLOOR = -1e-12
 
+#: Rows of standard normals the moment check draws and reduces at a time.
+_NOISE_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class SdeParams:
@@ -148,9 +151,7 @@ def symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def density_H(geometry, point: ChartPoint) -> float:
     """Determinant of the orbit-space block metric at a point."""
-    adapted = _as_adapted(geometry)
-    _, det = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
-    return det
+    return float(_as_adapted(geometry).det_h(point))
 
 
 def diffusion_coefficients(geometry, point: ChartPoint) -> DiffusionBlocks:
@@ -281,8 +282,8 @@ def drift_divergence_form(geometry, point: ChartPoint,
     certifies that the transcribed displays, together with
     :math:`\tfrac12\tilde h^{A'B'}\partial^2`, generate the
     Laplace-Beltrami operator of the orbit-space metric. For every
-    geometry it inverts h~ on the stencil rows itself; it shares no field
-    with the transcribed displays.
+    geometry it inverts h~ on the stencil rows and at the point itself; it
+    shares no field with the transcribed displays.
     """
     adapted = _as_adapted(geometry)
     n_h = adapted.n_h
@@ -292,7 +293,8 @@ def drift_divergence_form(geometry, point: ChartPoint,
         return np.sqrt(det)[:, None, None] * inv
 
     field = FieldHandle(sqrt_h_h_tilde_inv, "matrix")
-    sqrt_h0 = np.sqrt(density_H(adapted, point))
+    _, det0 = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
+    sqrt_h0 = np.sqrt(det0)
     grad = partial(engine, field, point.coords[None], adapted.n_x,
                    range(n_h))[0]
     drift = np.zeros(n_h)
@@ -329,7 +331,12 @@ def euler_maruyama_check(provider, point: ChartPoint = None,
     ``0.5 mu2 kappa b dt + sqrt(mu2 kappa dt) Z Xᵀ``
 
     with a counter-based generator, so a fixed seed gives a bit-identical
-    report. Mean deviations are scored in sample standard errors, the
+    report. The rows of ``Z`` are drawn and reduced in fixed blocks of
+    rows, in order, so a seed gives the same stream of normals as one
+    ``(n_paths, n)`` draw, and only two sums of the noise are kept, its
+    mean and its centred Gram matrix: memory does not grow with
+    ``n_paths``. The sample moments are the affine images of the moments
+    of ``Z``. Mean deviations are scored in sample standard errors, the
     covariance entries in the Gaussian standard error
     ``sqrt((C_ii C_jj + C_ij^2)/(n-1))``.
 
@@ -359,15 +366,32 @@ def euler_maruyama_check(provider, point: ChartPoint = None,
     mean_target = 0.5 * scale * coeffs.b * dt
     cov_target = scale * dt * (coeffs.X @ coeffs.X.T)
 
+    # the rows of Z, drawn in order, reduced to their mean and centred Gram
+    # matrix; each block is centred on its own mean and merged by the
+    # pairwise update of Chan, Golub & LeVeque (1983), so no digits are
+    # lost to subtracting n z̄z̄ᵀ from the raw Gram matrix
     rng = np.random.Generator(np.random.Philox(seed))
-    noise = rng.standard_normal((n_paths, n_dim))
-    incr = mean_target[None, :] + np.sqrt(scale * dt) * (noise @ coeffs.X.T)
+    block = np.empty((min(n_paths, _NOISE_BLOCK_ROWS), n_dim))
+    z_mean = np.zeros(n_dim)
+    z_centred = np.zeros((n_dim, n_dim))
+    for done in range(0, n_paths, _NOISE_BLOCK_ROWS):
+        rows = block[:n_paths - done]
+        rng.standard_normal(out=rows)
+        weight = len(rows) / (done + len(rows))
+        rows_mean = rows.mean(axis=0)
+        rows -= rows_mean
+        step = rows_mean - z_mean
+        z_centred += rows.T @ rows + done * weight * np.outer(step, step)
+        z_mean += weight * step
 
-    mean_sample = incr.mean(axis=0)
+    # every statistic is an affine image of the two moments of Z; the mean
+    # deviation is scored as that image, not as a difference of means
+    mean_dev = np.sqrt(scale * dt) * (coeffs.X @ z_mean)
+    mean_sample = mean_target + mean_dev
     if n_paths > 1:
-        mean_se = incr.std(axis=0, ddof=1) / np.sqrt(n_paths)
-        centered = incr - mean_sample[None, :]
-        cov_sample = centered.T @ centered / (n_paths - 1)
+        z_cov = z_centred / (n_paths - 1)
+        cov_sample = scale * dt * (coeffs.X @ z_cov @ coeffs.X.T)
+        mean_se = np.sqrt(np.diag(cov_sample) / n_paths)
         cov_se = np.sqrt(
             (np.outer(np.diag(cov_target), np.diag(cov_target))
              + cov_target ** 2) / (n_paths - 1))
@@ -375,7 +399,7 @@ def euler_maruyama_check(provider, point: ChartPoint = None,
         mean_se = np.full(n_dim, np.inf)
         cov_sample = np.zeros((n_dim, n_dim))
         cov_se = np.full((n_dim, n_dim), np.inf)
-    mean_max = float(np.max(np.abs(mean_sample - mean_target)
+    mean_max = float(np.max(np.abs(mean_dev)
                             / np.maximum(mean_se, 1e-300))) if n_dim else 0.0
     cov_max = float(np.max(np.abs(cov_sample - cov_target)
                            / np.maximum(cov_se, 1e-300))) if n_dim else 0.0

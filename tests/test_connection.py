@@ -23,7 +23,8 @@ from conftest import assert_close, constant_field
 def _const_orbit(matrix):
     matrix = np.asarray(matrix, dtype=float)
     inv = np.linalg.inv(matrix) if matrix.size else matrix
-    return OrbitMetric(d=constant_field(matrix), d_inv=constant_field(inv))
+    return OrbitMetric(d=constant_field(matrix), d_inv=constant_field(inv),
+                       det_d=constant_field(np.linalg.det(matrix), "scalar"))
 
 
 def _curl_fixture():
@@ -32,6 +33,7 @@ def _curl_fixture():
         n_x=2, n_v=0, n_g=1,
         h_tilde=constant_field(np.eye(2)),
         h_tilde_inv=constant_field(np.eye(2)),
+        det_h=constant_field(1.0, "scalar"),
         d=_const_orbit(np.eye(1)),
         A_conn=FieldHandle(lambda zs: np.stack([-zs[:, 1], zs[:, 0]],
                                                axis=1)[:, None], "matrix"),
@@ -45,6 +47,7 @@ def _pure_orbit(d_matrix):
         n_x=1, n_v=0, n_g=3,
         h_tilde=constant_field(np.eye(1)),
         h_tilde_inv=constant_field(np.eye(1)),
+        det_h=constant_field(1.0, "scalar"),
         d=_const_orbit(d_matrix),
         A_conn=constant_field(np.zeros((3, 1))),
         c=su2_constants(),
@@ -57,6 +60,7 @@ def _const_connection(a_matrix, d_matrix):
         n_x=a_matrix.shape[1], n_v=0, n_g=3,
         h_tilde=constant_field(np.eye(a_matrix.shape[1])),
         h_tilde_inv=constant_field(np.eye(a_matrix.shape[1])),
+        det_h=constant_field(1.0, "scalar"),
         d=_const_orbit(d_matrix),
         A_conn=constant_field(a_matrix),
         c=su2_constants(),
@@ -170,6 +174,7 @@ def test_levi_civita_conformal_plane(engine):
         h_tilde_inv=FieldHandle(
             lambda zs: np.exp(-2.0 * zs[:, 0])[:, None, None] * np.eye(2),
             "matrix"),
+        det_h=FieldHandle(lambda zs: np.exp(4.0 * zs[:, 0]), "scalar"),
         d=_const_orbit(np.zeros((0, 0))),
         A_conn=constant_field(np.zeros((0, 2))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),

@@ -39,8 +39,11 @@ def _pure_orbit_block(d_matrix):
         n_x=1, n_v=0, n_g=3,
         h_tilde=constant_field(np.eye(1)),
         h_tilde_inv=constant_field(np.eye(1)),
+        det_h=constant_field(1.0, "scalar"),
         d=OrbitMetric(d=constant_field(d_matrix),
-                      d_inv=constant_field(d_inv)),
+                      d_inv=constant_field(d_inv),
+                      det_d=constant_field(np.linalg.det(d_matrix),
+                                           "scalar")),
         A_conn=constant_field(np.zeros((3, 1))),
         c=su2_constants(),
     )
@@ -307,7 +310,8 @@ def test_pure_orbit_total_matches_closed_form(engine):
     adapted = _pure_orbit_block(d_matrix)
     point = ChartPoint([0.3], [])
     r_total, r_base = ricci_scalar_pair(adapted, point, engine=engine)
-    assert_close(r_total, orbit_scalar_curvature(su2_constants(), d_matrix),
+    assert_close(r_total, orbit_scalar_curvature(su2_constants(), d_matrix,
+                                                 np.linalg.inv(d_matrix)),
                  1e-6, "pure orbit block")
     assert abs(r_base) <= 1e-6
 

@@ -202,17 +202,22 @@ def test_inverse_quadrant_is_base_inverse(twisted):
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_shared_inverses_equal_the_inversions_they_replace(name):
-    """Each inverse is computed once, where its matrix is built, and the
-    copy every formula reads equals, bit for bit, inverting the matrix
-    again: h~ at a point, the frame's gamma, G_V and G_P at the section
-    point. The one Levi-Civita contraction matches a loop over indices."""
+    """Each inverse and determinant is computed once, where its matrix is
+    built, and the copy every formula reads equals, bit for bit, inverting
+    the matrix again: h~ and d at a point, the frame's gamma, G_V and G_P
+    at the section point. The one Levi-Civita contraction matches a loop
+    over indices."""
     scenario = build_scenario(name)
     orig, adapted = scenario.orig, scenario.adapted
     assert np.array_equal(orig.G_V_inv, invert_spd(orig.G_V)[0])
     assert not orig.G_V_inv.flags.writeable
     for point in sample_points(scenario, 2, seed=31):
-        assert np.array_equal(adapted.h_tilde_inv(point),
-                              invert_spd(adapted.h_tilde(point))[0])
+        for matrix, inverse, det in (
+                (adapted.h_tilde, adapted.h_tilde_inv, adapted.det_h),
+                (adapted.d.d, adapted.d.d_inv, adapted.d.det_d)):
+            inv_again, det_again = invert_spd(matrix(point))
+            assert np.array_equal(inverse(point), inv_again)
+            assert det(point) == det_again
         frames = point_frame(orig, point)
         assert np.array_equal(frames.gamma_inv[0],
                               invert_spd(frames.gamma[0])[0])
@@ -438,7 +443,9 @@ def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
     points = [ChartPoint(z[:2], z[2:]) for z in rows[0]]
     for name, pick in (("h_tilde", lambda a: a.h_tilde),
                        ("h_tilde_inv", lambda a: a.h_tilde_inv),
+                       ("det_h", lambda a: a.det_h),
                        ("d", lambda a: a.d.d), ("d_inv", lambda a: a.d.d_inv),
+                       ("det_d", lambda a: a.d.det_d),
                        ("A_conn", lambda a: a.A_conn)):
         before = frame_cache_info(stacked.orig)
         got = pick(stacked).func(rows[0])

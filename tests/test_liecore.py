@@ -136,12 +136,14 @@ def test_ad_matrix_entries():
 
 
 def test_orbit_curvature_abelian_is_zero():
-    assert orbit_scalar_curvature(abelian_constants(2), np.eye(2)) == 0.0
+    assert orbit_scalar_curvature(abelian_constants(2), np.eye(2),
+                                  np.eye(2)) == 0.0
 
 
 def test_orbit_curvature_su2_round_metric():
     for lam in (0.5, 1.0, 2.0, 3.7):
-        got = orbit_scalar_curvature(su2_constants(), lam * np.eye(3))
+        got = orbit_scalar_curvature(su2_constants(), lam * np.eye(3),
+                                     np.eye(3) / lam)
         assert_close(got, -1.5 / lam, 1e-12, "round orbit metric, lam=%g" % lam)
 
 
@@ -166,14 +168,15 @@ def test_orbit_curvature_matches_loop_oracle():
                             term2 += 0.25 * (d[m, s] * d_inv[a, b]
                                              * d_inv[e, nn]
                                              * c[m, e, a] * c[s, nn, b])
-    got = orbit_scalar_curvature(c, d)
+    got = orbit_scalar_curvature(c, d, d_inv)
     assert_close(got, term1 + term2, 1e-12, "anisotropic orbit curvature")
 
 
 def test_orbit_curvature_inverse_scaling():
     d = np.diag([1.0, 1.7, 2.3])
-    base = orbit_scalar_curvature(su2_constants(), d)
-    half = orbit_scalar_curvature(su2_constants(), 2.0 * d)
+    d_inv = np.linalg.inv(d)
+    base = orbit_scalar_curvature(su2_constants(), d, d_inv)
+    half = orbit_scalar_curvature(su2_constants(), 2.0 * d, 0.5 * d_inv)
     assert_close(half, 0.5 * base, 1e-12, "R_G(2d) = R_G(d)/2")
 
 
@@ -184,8 +187,9 @@ def test_orbit_curvature_relabeling_invariance():
     perm = np.array([2, 0, 1])
     c_p = c[np.ix_(perm, perm, perm)]
     d_p = d[np.ix_(perm, perm)]
-    assert_close(orbit_scalar_curvature(c_p, d_p),
-                 orbit_scalar_curvature(c, d), 1e-12, "basis permutation")
+    assert_close(orbit_scalar_curvature(c_p, d_p, np.linalg.inv(d_p)),
+                 orbit_scalar_curvature(c, d, np.linalg.inv(d)), 1e-12,
+                 "basis permutation")
 
 
 # ---------------------------------------------------------------------------

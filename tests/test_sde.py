@@ -1,6 +1,7 @@
 """Reduced-process coefficients and the one-step moment check."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,9 @@ def _bare_plane(h_diag):
         n_x=n, n_v=0, n_g=0,
         h_tilde=constant_field(h),
         h_tilde_inv=constant_field(np.diag(1.0 / np.diag(h))),
-        d=OrbitMetric(d=constant_field(empty), d_inv=constant_field(empty)),
+        det_h=constant_field(np.prod(np.diag(h)), "scalar"),
+        d=OrbitMetric(d=constant_field(empty), d_inv=constant_field(empty),
+                      det_d=constant_field(1.0, "scalar")),
         A_conn=constant_field(np.zeros((0, n))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
     )
@@ -281,3 +284,79 @@ def test_moment_check_input_gates(twisted):
         euler_maruyama_check(_wiener_coeffs(), seed="7")
     with pytest.raises(ConfigError):
         euler_maruyama_check(twisted.adapted)  # geometry without a point
+
+
+def _two_pass_moments(coeffs, dt, n_paths, seed):
+    """The moment check by whole-array arithmetic: one ``(n_paths, n)``
+    draw from the same seed, the increments, their mean and centred
+    covariance. The reference the streamed sums are held against."""
+    n_dim = coeffs.b.shape[0]
+    mean_target = 0.5 * coeffs.b * dt
+    cov_target = dt * (coeffs.X @ coeffs.X.T)
+    rng = np.random.Generator(np.random.Philox(seed))
+    noise = rng.standard_normal((n_paths, n_dim))
+    incr = mean_target[None, :] + np.sqrt(dt) * (noise @ coeffs.X.T)
+    mean_sample = incr.mean(axis=0)
+    if n_paths > 1:
+        mean_se = incr.std(axis=0, ddof=1) / np.sqrt(n_paths)
+        centered = incr - mean_sample[None, :]
+        cov_sample = centered.T @ centered / (n_paths - 1)
+        cov_se = np.sqrt(
+            (np.outer(np.diag(cov_target), np.diag(cov_target))
+             + cov_target ** 2) / (n_paths - 1))
+    else:
+        mean_se = np.full(n_dim, np.inf)
+        cov_sample = np.zeros((n_dim, n_dim))
+        cov_se = np.full((n_dim, n_dim), np.inf)
+    mean_max = float(np.max(np.abs(mean_sample - mean_target)
+                            / np.maximum(mean_se, 1e-300)))
+    cov_max = float(np.max(np.abs(cov_sample - cov_target)
+                           / np.maximum(cov_se, 1e-300)))
+    return mean_sample, cov_sample, mean_max, cov_max
+
+
+_ONE_DIM = ReducedSdeCoeffs(b=np.array([0.7]), X=np.array([[1.3]]), H=1.0,
+                            n_x=1, n_v=0)
+
+
+@pytest.mark.parametrize("coeffs", [_wiener_coeffs(5), _ONE_DIM],
+                         ids=["wiener5", "one_dim"])
+@pytest.mark.parametrize("n_paths", [1, 2, 8191, 8192, 8193, 200_000])
+def test_streamed_moments_match_two_pass_formulas(coeffs, n_paths):
+    """The noise is reduced block by block to its mean and centred Gram
+    matrix; every statistic agrees with the whole-array arithmetic on the
+    same normals within 1e-12 of its scale: the sample mean of its size
+    or its standard error, whichever is larger, the covariance of the
+    target's, a sigma score of itself or 1 (it is scored against a limit
+    of a few units)."""
+    report = euler_maruyama_check(coeffs, dt=1e-4, n_paths=n_paths, seed=3)
+    mean, cov, mean_max, cov_max = _two_pass_moments(coeffs, 1e-4, n_paths,
+                                                     3)
+    mean_scale = max(np.max(np.abs(mean)),
+                     np.max(np.sqrt(np.diag(report.cov_target) / n_paths)))
+    assert np.max(np.abs(report.mean_sample - mean)) <= 1e-12 * mean_scale
+    assert np.max(np.abs(report.cov_sample - cov)) \
+        <= 1e-12 * np.max(np.abs(report.cov_target))
+    assert abs(report.mean_max_sigma - mean_max) <= 1e-12 * max(1.0,
+                                                                mean_max)
+    assert abs(report.cov_max_sigma - cov_max) <= 1e-12 * max(1.0, cov_max)
+
+
+def _traced_peak(coeffs, n_paths):
+    """Peak traced allocation, in bytes, of one moment check."""
+    tracemalloc.start()
+    try:
+        euler_maruyama_check(coeffs, dt=1e-4, n_paths=n_paths, seed=9)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_moment_check_memory_does_not_grow_with_paths():
+    """numpy's data buffers are traced: one whole-array draw of 200 000
+    five-dimensional rows alone is 8 MB."""
+    coeffs = _wiener_coeffs(5)
+    euler_maruyama_check(coeffs, n_paths=10)
+    peak = _traced_peak(coeffs, 200_000)
+    assert peak < 2_000_000
+    assert _traced_peak(coeffs, 2_000_000) <= 1.1 * peak
