@@ -17,7 +17,6 @@ from .fields import (
     NearSingularError,
     invert_spd,
     partial,
-    second_partial,
 )
 from .scenarios import ConfigError, build_scenario, sample_points
 
@@ -31,7 +30,6 @@ __all__ = [
     "NearSingularError",
     "invert_spd",
     "partial",
-    "second_partial",
     "ConfigError",
     "build_scenario",
     "sample_points",

@@ -11,11 +11,11 @@ All differentiation goes through one stencil kernel on coordinate stacks:
 ``_stencil`` builds the shifted rows around each row of an ``(m, k)``
 array at steps ``h`` and ``h/2``, and ``_stencil_partials`` applies
 ``(hi - lo)/(2h)`` at each step and Richardson extrapolation to the values
-there. ``partial`` (all requested chart slots at every row of a stack of
-centres, in one call), ``second_partial`` (the same rows plus corner rows,
-around one point), ``coordinate_partials`` (plain coordinate vectors such
-as the bundle coordinates ``Q``) and the nested stencil of the curvature
-module's coordinate Ricci scalar are all built on it. Every function the kernel
+there. ``partial`` and ``value_and_partial`` (all requested chart slots
+at every row of a stack of centres, in one call), ``coordinate_partials``
+(plain coordinate vectors such as the bundle coordinates ``Q``) and the
+nested stencil of the curvature module, from which every second
+derivative comes, are all built on it. Every function the kernel
 differences has one contract: it maps an ``(N, k)`` array of coordinate
 rows to the ``(N, ...)`` stack of its values, and it is called once per
 stencil, on the read-only rows themselves. For a chart field
@@ -48,16 +48,8 @@ __all__ = [
     "coordinate_partials",
     "partial",
     "value_and_partial",
-    "second_partial",
     "invert_spd",
-    "SECOND_PARTIAL_STEP_SCALE",
 ]
-
-#: Internal step inflation for second derivatives. A second-difference
-#: quotient divides by h^2, so the rounding-noise floor is eps/h^2; running
-#: the stencil at 100x the first-derivative step keeps that floor near 1e-10
-#: while Richardson extrapolation removes the enlarged truncation term.
-SECOND_PARTIAL_STEP_SCALE = 100.0
 
 _MAX_CONDITION = 1e12
 
@@ -363,51 +355,6 @@ def partial(engine: DerivEngine, field, zs, n_x: int, slots,
     row 0.
     """
     return value_and_partial(engine, field, zs, n_x, slots, step_scale)[1]
-
-
-def second_partial(engine: DerivEngine, field, point: ChartPoint, slots):
-    r"""Symmetric Hessian block of ``field`` over the chart ``slots``.
-
-    Returns ``(s, s, ...)``. The diagonal is ``(hi - 2 mid + lo)/(h h)``,
-    the off-diagonal ``(pp - pm - mp + mm)/(4 h1 h2)`` with the earlier slot
-    of ``slots`` first, both at the internally inflated step of
-    ``SECOND_PARTIAL_STEP_SCALE``, then Richardson extrapolation, since
-    both stencils have :math:`O(h^2)` error. The corner rows take each
-    shifted coordinate from the axis row of its slot; ``field`` is called
-    once, on the centre, axis and corner rows together.
-    """
-    slots = _slot_list(slots, point.n_x + point.n_v)
-    n_s = len(slots)
-    rows, steps = _stencil(point.coords[None],
-                           engine.fd_step * SECOND_PARTIAL_STEP_SCALE,
-                           slots, centre=True)
-    rows, steps = rows[0], steps[0]
-    n_r, k = steps.shape[0], rows.shape[1]
-    axis = rows[1:].reshape(n_s, n_r, 2, k)      # [slot, step, +/-, coord]
-    pairs = [(i, j) for i in range(n_s) for j in range(i + 1, n_s)]
-    blocks = [rows]
-    for i, j in pairs:
-        corner = np.repeat(axis[i][:, :, None, :], 2, axis=2)
-        corner[..., slots[j]] = axis[j][:, None, :, slots[j]]
-        blocks.append(corner.reshape(-1, k))  # step, +/- on i, +/- on j
-    rows = np.concatenate(blocks)
-    rows.setflags(write=False)
-    values = _eval_points(field, rows, point.n_x)
-    mid = values[0]
-    ax_vals = values[1:1 + 2 * n_r * n_s].reshape(
-        (n_s, n_r, 2) + mid.shape)
-    corner_vals = values[1 + 2 * n_r * n_s:].reshape(
-        (len(pairs), n_r, 2, 2) + mid.shape)
-    hess = np.zeros((n_s, n_s) + mid.shape)
-    for i in range(n_s):
-        hess[i, i] = _richardson([
-            (ax_vals[i, r, 0] - 2.0 * mid + ax_vals[i, r, 1])
-            / (steps[r, i] * steps[r, i]) for r in range(n_r)])
-    for (i, j), c in zip(pairs, corner_vals):
-        hess[i, j] = hess[j, i] = _richardson([
-            (c[r, 0, 0] - c[r, 0, 1] - c[r, 1, 0] + c[r, 1, 1])
-            / (4.0 * steps[r, i] * steps[r, j]) for r in range(n_r)])
-    return hess
 
 
 def _levi_civita(g_inv, dg):

@@ -588,16 +588,15 @@ def assemble_block_metric(adapted: AdaptedGeometry,
     return BlockMetric(matrix=matrix, inverse=inverse, det=det_h * det_d)
 
 
-def det_factorization_check(orig: OriginalGeometry,
-                            point: ChartPoint) -> float:
+def det_factorization_check(block: BlockMetric) -> float:
     r"""Relative residual of :math:`\det G = \det d \cdot H` at the identity.
 
-    ``H = det(h~)`` is the orbit-space density that also normalizes the
-    reduced drift. The left side is evaluated independently through a
-    determinant of the assembled matrix; the right side is the block
-    metric's ``det``, the product of the frame compile's determinants.
+    ``block`` is the ``assemble_block_metric`` of a point. ``H = det(h~)``
+    is the orbit-space density that also normalizes the reduced drift.
+    The left side is evaluated independently through a determinant of the
+    assembled matrix; the right side is the block metric's ``det``, the
+    product of the frame compile's determinants.
     """
-    block = assemble_block_metric(compile_adapted(orig), point)
     sign, logdet = np.linalg.slogdet(block.matrix)
     det_direct = sign * np.exp(logdet)
     return abs(det_direct - block.det) / abs(det_direct)

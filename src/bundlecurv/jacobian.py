@@ -34,56 +34,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     _field_stack, _levi_civita, coordinate_partials, partial)
+from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _levi_civita,
+                     coordinate_partials, partial)
 from .geometry import (AdaptedGeometry, OriginalGeometry, _as_adapted,
                        compile_adapted, point_frame)
-from .curvature import PointTerms, _frozen, _log_det_d_field, _terms_at
+from .curvature import PointTerms, _frozen, _terms_at
 
 __all__ = [
-    "SigmaField",
     "PointRecord",
     "SecondFundamentalForm",
-    "HamiltonianTerms",
     "KillingIdentityResiduals",
-    "sigma_field",
     "jacobian_direct",
     "jacobian_geometric",
-    "quadratic_form_paths",
     "killing_derivatives",
     "killing_identities_check",
     "second_fundamental_form",
     "j_norm_squared",
-    "hamiltonian_terms",
 ]
-
-
-@dataclass(frozen=True)
-class SigmaField:
-    r"""The log orbit-volume density :math:`\sigma = \ln\det d` as a field.
-
-    ``sigma`` evaluates the scalar; ``grad`` evaluates the gradient over
-    the joint chart by the trace formula
-    :math:`\partial_{A'}\sigma = \mathrm{tr}(d^{-1}\partial_{A'}d)`,
-    an independent route from differencing ``sigma`` itself.
-    """
-
-    sigma: FieldHandle
-    grad: FieldHandle
-
-
-def sigma_field(adapted: AdaptedGeometry,
-                engine: DerivEngine = DEFAULT_ENGINE) -> SigmaField:
-    n_x, n_h = adapted.n_x, adapted.n_h
-
-    def sigma_grad(zs):
-        dd = partial(engine, adapted.d.d, zs, n_x, range(n_h))
-        d_inv = _field_stack(adapted.d.d_inv, zs)
-        return np.trace(d_inv[:, None] @ dd, axis1=-2, axis2=-1)
-
-    return SigmaField(
-        sigma=_log_det_d_field(adapted),
-        grad=FieldHandle(sigma_grad, "vector"))
 
 
 def jacobian_direct(adapted: AdaptedGeometry, point: ChartPoint,
@@ -92,9 +59,7 @@ def jacobian_direct(adapted: AdaptedGeometry, point: ChartPoint,
     r"""Reduction Jacobian from the orbit-volume density.
 
     The quadratic form is contracted with the inverse orbit-space metric
-    (the upper-left quadrant of the block inverse); the written-out gauge
-    form of the same contraction is available through
-    ``quadratic_form_paths`` when bundle data exists. ``terms``, the
+    (the upper-left quadrant of the block inverse). ``terms``, the
     ``PointTerms`` of the same arguments, holds the log-density terms.
     """
     lap, grad_sq = _terms_at(adapted, point, engine, terms).log_density
@@ -113,49 +78,6 @@ def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
     terms = _terms_at(adapted, point, engine, terms)
     r_total, r_base = terms.pair_table
     return r_total - r_base - terms.R_G - terms.FF - terms.DdDd
-
-
-def quadratic_form_paths(adapted: AdaptedGeometry, point: ChartPoint,
-                         engine: DerivEngine = DEFAULT_ENGINE):
-    r"""Both evaluations of :math:`\langle\partial\sigma,\partial\sigma\rangle`.
-
-    Returns ``(block_path, gauge_path)``: the block-inverse contraction
-    ``h~^{A'B'} sigma_{A'} sigma_{B'}``, and the written-out gauge form
-
-    .. math::
-
-        h^{ij}\sigma_i\sigma_j
-        + 2 h^{kj} {}^{(\gamma)}\!\mathcal A^\mu_k K^a_\mu \sigma_a\sigma_j
-        + \big[(\gamma^{\alpha\beta} + h^{kl}\,
-          {}^{(\gamma)}\!\mathcal A^\alpha_k\,
-          {}^{(\gamma)}\!\mathcal A^\beta_l) K^a_\alpha K^b_\beta
-          + G^{ab}\big]\sigma_a\sigma_b,
-
-    which needs the bundle-side quantities and therefore requires the
-    geometry to carry its original data.
-    """
-    if adapted.orig is None:
-        raise ValueError("gauge form of the quadratic form needs original "
-                         "bundle data")
-    n_x, n_h = adapted.n_x, adapted.n_h
-    sf = sigma_field(adapted, engine)
-    grad = partial(engine, sf.sigma, point.coords[None], n_x, range(n_h))[0]
-    h_inv = np.asarray(adapted.h_tilde_inv(point), dtype=float)
-    block_path = float(np.einsum("ab,a,b->", h_inv, grad, grad))
-
-    frames = point_frame(adapted.orig, point)
-    s_x = grad[:n_x]
-    s_v = grad[n_x:]
-    h_red_inv, a_gamma, k_v, gamma_inv = (
-        frames.h_base_inv[0], frames.A_gamma[0], frames.K_V[0],
-        frames.gamma_inv[0])
-    t1 = float(np.einsum("ij,i,j->", h_red_inv, s_x, s_x))
-    t2 = 2.0 * float(np.einsum("kj,mk,am,a,j->", h_red_inv, a_gamma,
-                               k_v, s_v, s_x))
-    mid = gamma_inv + np.einsum("kl,ak,bl->ab", h_red_inv, a_gamma, a_gamma)
-    t3 = float(np.einsum("mn,am,bn,a,b->", mid, k_v, k_v, s_v, s_v)
-               + np.einsum("ab,a,b->", adapted.orig.G_V_inv, s_v, s_v))
-    return block_path, t1 + t2 + t3
 
 
 def killing_derivatives(orig: OriginalGeometry, point: ChartPoint,
@@ -418,46 +340,3 @@ def j_norm_squared(adapted: AdaptedGeometry, point: ChartPoint,
     ``D d`` when given."""
     terms = _terms_at(adapted, point, engine, terms)
     return _closed_form(terms).norm_squared(terms.d_inv, terms.h_tilde)
-
-
-@dataclass(frozen=True)
-class HamiltonianTerms:
-    """Potential pieces of the reduced Hamiltonian at a point."""
-
-    bracket: float
-    geometric_potential: float
-    kappa_term: float
-    v_value: float
-    total_potential: float
-
-
-def hamiltonian_terms(adapted: AdaptedGeometry, point: ChartPoint,
-                      mu2: float = 1.0, kappa: float = 1.0, m: float = 1.0,
-                      potential=None,
-                      engine: DerivEngine = DEFAULT_ENGINE
-                      ) -> HamiltonianTerms:
-    r"""Assemble the reduced Hamiltonian's potential terms.
-
-    With :math:`\hbar = \mu^2 m`, ``bracket`` is the geometric potential
-    content :math:`R_{\tilde{\mathcal P}} - R_{\tilde{\mathcal M}} - R_G
-    - \tfrac14 d\mathcal F\mathcal F - \|j\|^2`;
-    ``geometric_potential`` multiplies it by :math:`\hbar^2/8m`;
-    ``kappa_term`` is the real-parameter generator form
-    :math:`-(\hbar\kappa/8m)\tilde J = -(\mu^2\kappa/8)\tilde J` with the
-    Jacobian from its geometric representation. The bracket reuses
-    ``bracket`` for :math:`\tilde J` through the certified identity
-    between the covariant-derivative term and the form norm.
-    """
-    terms = PointTerms(adapted, point, engine)
-    r_total, r_base = terms.pair_table
-    norm2 = j_norm_squared(adapted, point, engine, terms)
-    bracket = r_total - r_base - terms.R_G - terms.FF - norm2
-    hbar = mu2 * m
-    v_value = float(potential(point)) if potential is not None else 0.0
-    geom = hbar * hbar / (8.0 * m) * bracket
-    return HamiltonianTerms(
-        bracket=bracket,
-        geometric_potential=geom,
-        kappa_term=-(mu2 * kappa / 8.0) * bracket,
-        v_value=v_value,
-        total_potential=geom + v_value)

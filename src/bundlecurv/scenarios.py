@@ -3,7 +3,7 @@ r"""Built-in concrete geometries with known structure.
 Each scenario packages an original bundle geometry (a chart box times a
 three-parameter group factor, acting linearly on a three-dimensional
 vector sector), the compiled adapted geometry, an optional group chart
-for the coordinate oracle, a potential, and a sampling box. Dimensions
+for the coordinate oracle, and a sampling box. Dimensions
 are kept at desk scale, ``n_x = 2, n_v = 3, n_g = 3``: every index
 sector is nontrivial, and the eight-dimensional coordinate oracle
 evaluates its 1,089-row stencil in one stacked metric call, whose group
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ChartPoint, ConfigError, FieldHandle
+from .fields import ChartPoint, ConfigError
 from .geometry import (AdaptedGeometry, OriginalGeometry, compile_adapted,
                        validate_original)
 from .liecore import StructureConstants, abelian_constants, su2_constants
@@ -177,7 +177,6 @@ class Scenario:
     adapted: AdaptedGeometry
     orig: OriginalGeometry = None
     chart: GroupChart = None
-    potential: FieldHandle = None
     sample_domain: np.ndarray = None
     a_domain: np.ndarray = None
     params: dict = field(default_factory=dict)
@@ -292,14 +291,6 @@ def _build_original(n_x: int, g_func, bbar_func, twist_func, gens,
         vspace_action_d=vspace_action_d)
 
 
-def _quadratic_potential(n_x: int):
-    def quadratic_potential(zs):
-        return np.array([0.5 * float(z[:n_x] @ z[:n_x])
-                         + 0.15 * float(z[n_x:] @ z[n_x:]) for z in zs])
-
-    return FieldHandle(quadratic_potential, "scalar")
-
-
 def _box(n: int, lo: float, hi: float) -> np.ndarray:
     return np.column_stack([np.full(n, lo), np.full(n, hi)])
 
@@ -355,7 +346,6 @@ def _build_twisted(params: dict) -> Scenario:
     return Scenario(
         name="twisted_bundle", n_x=2, n_v=3, n_g=3,
         adapted=compile_adapted(orig), orig=orig, chart=_su2_chart(),
-        potential=_quadratic_potential(orig.n_x),
         sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
         params={"lam_v": lam_v})
 
@@ -373,7 +363,6 @@ def _build_abelian(params: dict) -> Scenario:
     return Scenario(
         name="abelian_limit", n_x=2, n_v=3, n_g=3,
         adapted=compile_adapted(orig), orig=orig, chart=_trivial_chart(),
-        potential=_quadratic_potential(orig.n_x),
         sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
         params={})
 
@@ -404,7 +393,6 @@ def _build_flat(params: dict) -> Scenario:
         name="flat_product", n_x=2, n_v=3, n_g=3,
         adapted=compile_adapted(orig), orig=orig,
         chart=_su2_chart() if su2 else _trivial_chart(),
-        potential=_quadratic_potential(orig.n_x),
         sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
         params={"lam": lam, "group": group, "gv_offdiag": gv_offdiag},
         expected={"jacobian_zero": True, "r_group": expected_rg})
@@ -428,7 +416,7 @@ def _build_scaled(params: dict) -> Scenario:
     return Scenario(
         name="scaled_orbit", n_x=2, n_v=3, n_g=3,
         adapted=compile_adapted(orig), orig=orig,
-        chart=_su2_chart(), potential=_quadratic_potential(orig.n_x),
+        chart=_su2_chart(),
         sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
         params={"slope": slope},
         expected={"grad_ln_d": 9.0 * slope * slope,

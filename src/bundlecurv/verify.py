@@ -213,10 +213,10 @@ def _check_killingderiv(scenario, point, terms):
 
 
 def _check_detfact(scenario, point, terms):
+    block = assemble_block_metric(scenario.adapted, point)
     parts = {}
     if scenario.orig is not None:
-        parts["det_product"] = det_factorization_check(scenario.orig, point)
-    block = assemble_block_metric(scenario.adapted, point)
+        parts["det_product"] = det_factorization_check(block)
     round_trip = block.matrix @ block.inverse - np.eye(scenario.adapted.n_t)
     parts["inverse_round_trip"] = float(np.max(np.abs(round_trip)))
     return parts

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import _log_det_d_field
 from bundlecurv.fields import (
     ChartPoint,
     ConfigError,
@@ -16,7 +15,6 @@ from bundlecurv.fields import (
     coordinate_partials,
     invert_spd,
     partial,
-    second_partial,
     value_and_partial,
 )
 from bundlecurv.geometry import point_frame
@@ -107,7 +105,7 @@ def test_partial_slot_out_of_range(engine):
     with pytest.raises(IndexError):
         partial(engine, field, np.zeros((1, 2)), 1, range(3))
     with pytest.raises(IndexError):
-        second_partial(engine, field, ChartPoint([0.0], [0.0]), [-1])
+        partial(engine, field, np.zeros((1, 2)), 1, [-1])
 
 
 def test_partial_matrix_valued(engine):
@@ -157,7 +155,8 @@ def test_partial_raises_on_non_finite_stencil(engine):
                                               r"x=\[-1e-05\] f=\[0.5\]"):
         partial(engine, field, point.coords[None], point.n_x, range(2))
     with pytest.raises(EvaluationError, match=r"x=\[-0.001\] f=\[0.5\]"):
-        second_partial(engine, field, point, range(2))
+        partial(engine, field, point.coords[None], point.n_x, range(2),
+                step_scale=100.0)
     with pytest.raises(EvaluationError, match=r"z=\[-1e-05, 0.5\]"):
         coordinate_partials(
             lambda zs: np.where(zs[:, 0] < 0, np.nan, zs[:, 0]),
@@ -165,8 +164,8 @@ def test_partial_raises_on_non_finite_stencil(engine):
 
 
 def test_kernel_calls_a_field_once_per_stencil(engine):
-    """``partial`` and ``second_partial`` each make one field call, on
-    all their rows: a read-only float ``(N, n_x + n_v)`` array."""
+    """``partial`` makes one field call, on all its rows: a read-only
+    float ``(N, n_x + n_v)`` array."""
     calls = []
 
     def counted(zs):
@@ -179,10 +178,8 @@ def test_kernel_calls_a_field_once_per_stencil(engine):
     point = ChartPoint([0.3, -0.4], [0.2])
     partial(engine, field, point.coords[None], point.n_x, range(3))
     assert calls == [13]            # centre, +-h, +-h/2 on three slots
-    second_partial(engine, field, point, range(3))
-    assert calls == [13, 37]        # centre, 12 axis rows, 3 x 8 corners
     field(point)
-    assert calls == [13, 37, 1]
+    assert calls == [13, 1]
 
 
 def test_partial_on_a_stack_of_centres_equals_row_calls(engine):
@@ -245,65 +242,9 @@ def test_field_result_shape_is_checked(engine):
                 point.n_x, range(2))
     with pytest.raises(ValueError, match=r"field flat declared arity "
                                          r"'matrix' but returned shape "
-                                         r"\(17, 2\) for 17 points"):
-        second_partial(engine, FieldHandle(flat, "matrix"), point,
-                       range(2))
-
-
-# ---------------------------------------------------------------------------
-# second_partial
-
-
-def test_second_partial_constant_and_linear(engine):
-    point = ChartPoint([0.2, 0.4], [0.6])
-    const = FieldHandle(lambda zs: np.ones(len(zs)), arity="scalar")
-    linear = FieldHandle(lambda zs: zs @ [1.0, 2.0, 3.0], arity="scalar")
-    assert np.all(np.abs(second_partial(engine, const, point, range(3)))
-                  < 1e-9)
-    assert np.all(np.abs(second_partial(engine, linear, point, range(3)))
-                  < 1e-7)
-
-
-def test_second_partial_mixed_product(engine):
-    field = FieldHandle(lambda zs: np.prod(zs, axis=1), arity="scalar")
-    point = ChartPoint([0.9, -0.4], [])
-    assert_close(second_partial(engine, field, point, [0, 1]),
-                 [[0.0, 1.0], [1.0, 0.0]], 1e-8, "hessian of x0*x1")
-
-
-def test_second_partial_slot_symmetry(engine):
-    rng = np.random.default_rng(5)
-    coeffs = rng.normal(size=(3, 3))
-
-    def poly(z):
-        return (np.einsum("ni,ij,nj->n", z, coeffs, z)
-                + np.sin(z[:, 0]) * z[:, 2])
-
-    field = FieldHandle(poly, arity="scalar")
-    point = ChartPoint(rng.normal(size=2) * 0.5, rng.normal(size=1) * 0.5)
-    for s1 in range(3):
-        for s2 in range(s1 + 1, 3):
-            a = second_partial(engine, field, point, [s1, s2])
-            b = second_partial(engine, field, point, [s2, s1])
-            assert np.array_equal(a, a.T)
-            assert_close(a, b[::-1, ::-1], 1e-9,
-                         "slot symmetry (%d,%d)" % (s1, s2))
-
-
-def test_second_partial_quadratic_exact(engine):
-    rng = np.random.default_rng(11)
-    sym = rng.normal(size=(4, 4))
-    sym = sym + sym.T
-
-    def quad(z):
-        return 0.5 * np.einsum("ni,ij,nj->n", z, sym, z)
-
-    field = FieldHandle(quad, arity="scalar")
-    point = ChartPoint(rng.normal(size=2), rng.normal(size=2))
-    assert_close(second_partial(engine, field, point, range(4)), sym, 1e-7,
-                 "hessian")
-    assert_close(second_partial(engine, field, point, [3, 1]),
-                 sym[np.ix_([3, 1], [3, 1])], 1e-7, "hessian sub-block")
+                                         r"\(9, 2\) for 9 points"):
+        value_and_partial(engine, FieldHandle(flat, "matrix"),
+                          point.coords[None], point.n_x, range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +329,6 @@ _PINNED_PARTIALS = {
         (3, 2, 4): 0.09999999999999998,
         (4, 2, 3): 0.15000000000061262},
 }
-#: Upper triangle of the ``ln det d`` Hessian at ``_PIN``, row by row.
-_PINNED_HESSIAN = (
-    -0.04718870116266256,
-    0.0009402377089120199,
-    0.10097124324863281,
-    0.007627653471641048,
-    0.007109572023648742,
-    -0.03737520792050405,
-    0.0016416820836599553,
-    -0.041707010694885915,
-    0.08169084669567568,
-    4.0736586836297715,
-    -0.1897487347483895,
-    0.07885052107951615,
-    3.588186748387091,
-    0.6055147214493779,
-    3.298509914709799,
-)
 
 
 def test_kernel_pinned_values(twisted, engine):
@@ -421,10 +344,6 @@ def test_kernel_pinned_values(twisted, engine):
         assert got[name].shape[0] == 5
         for index, value in pins.items():
             assert got[name][index] == value, (name, index)
-    hess = second_partial(engine, _log_det_d_field(adapted), _PIN, range(5))
-    upper = [hess[i, j] for i in range(5) for j in range(i, 5)]
-    assert upper == list(_PINNED_HESSIAN)
-    assert np.array_equal(hess, hess.T)
 
 
 def test_distinct_rows_by_bytes_in_order_of_first_appearance():

@@ -6,10 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import PointTerms, oracle_metric
+from bundlecurv.curvature import PointTerms, log_density_terms, oracle_metric
 from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
-                               _levi_civita, _stencil, invert_spd, partial,
-                               second_partial)
+                               _levi_civita, _stencil, invert_spd, partial)
 from bundlecurv.geometry import (
     OriginalGeometry,
     assemble_block_metric,
@@ -478,20 +477,22 @@ def test_frames_are_shared_by_whole_stacks_only(twisted, engine):
 
 
 def test_degenerate_frame_in_a_stencil_names_its_point(engine):
-    """A frame that fails its gate inside a ``second_partial`` stencil
-    raises with the chart point of that row; the narrower first-derivative
-    stencil stays clear of it."""
+    """A frame that fails its gate inside the nested stencil of ``R_M``,
+    on which ``log_density_terms`` differences ``ln det d``, raises with
+    the chart point of that row, an outer row; the narrower
+    first-derivative stencil stays clear of it."""
     def g_p(qs):
         return (8e-4 - qs[:, 0])[:, None, None] * np.eye(2)
 
     orig = dataclasses.replace(_conformal_orig(), G_P=g_p)
-    h_tilde = compile_adapted(orig).h_tilde
+    adapted = compile_adapted(orig)
     point = ChartPoint([0.0, 0.0], [])
-    partial(engine, h_tilde, point.coords[None], point.n_x, range(2))
+    partial(engine, adapted.h_tilde, point.coords[None], point.n_x,
+            range(2))
     with pytest.raises(NearSingularError,
                        match=r"bundle metric not positive definite at "
                              r"x=\[0.001, 0.0\] f=\[\]"):
-        second_partial(engine, h_tilde, point, range(2))
+        log_density_terms(adapted, point, engine)
 
 
 def test_wrong_stack_shape_names_the_callable(twisted):
@@ -537,22 +538,22 @@ def test_same_point_on_two_geometries_gives_two_frames(twisted, abelian):
 
 def test_geometry_holds_the_last_points_frames(engine):
     """After ``run_checks`` over several points the geometry holds the
-    frame stacks of the last point only: 564 rows with all seven checks
-    (1 + 21 + 101 + 441, see ``test_all_checks_compute_each_term_once``).
+    frame stacks of the last point only: 463 rows with all seven checks
+    (1 + 21 + 441, see ``test_all_checks_compute_each_term_once``).
     Returning to an earlier point compiles its stacks again."""
     scenario = build_scenario("twisted_bundle")
     orig = scenario.orig
     points = sample_points(scenario, 3, seed=223)
     assert run_checks(scenario, points, engine=engine).passed
     held = frame_cache_info(orig)
-    assert held.currsize == 564
+    assert held.currsize == 463
     point_frame(orig, points[-1])
     assert frame_cache_info(orig).hits == held.hits + 1
     assert run_checks(scenario, points[:1], engine=engine).passed
     again = frame_cache_info(orig)
     assert (again.misses - held.misses, again.compiles - held.compiles) \
-        == (564, 4)
-    assert again.currsize == 564
+        == (463, 3)
+    assert again.currsize == 463
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +607,11 @@ def test_assembled_matches_coordinate_oracle_at_identity(twisted):
 
 def test_det_factorization_residuals(twisted, flat):
     center = sample_points(flat, 1)[0]
-    assert det_factorization_check(flat.orig, center) <= 1e-12
+    block = assemble_block_metric(flat.adapted, center)
+    assert det_factorization_check(block) <= 1e-12
     for point in sample_points(twisted, 20, seed=47):
-        assert det_factorization_check(twisted.orig, point) <= 1e-9
+        block = assemble_block_metric(twisted.adapted, point)
+        assert det_factorization_check(block) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,16 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
-from bundlecurv.curvature import decomposition_terms
+from bundlecurv.curvature import _log_det_d_field, decomposition_terms
 from bundlecurv.fields import ChartPoint, partial
 from bundlecurv.jacobian import (
-    hamiltonian_terms,
     j_norm_squared,
     jacobian_direct,
     jacobian_geometric,
     killing_derivatives,
     killing_identities_check,
-    quadratic_form_paths,
     second_fundamental_form,
-    sigma_field,
 )
 from bundlecurv.liecore import su2_constants
 from bundlecurv.scenarios import (
@@ -44,23 +40,28 @@ def _vector_free_orig():
 
 
 def test_sigma_scaled_closed_form(scaled, engine):
+    """``ln det d`` is ``6 slope x0`` on scaled_orbit."""
     slope = scaled.params["slope"]
-    sf = sigma_field(scaled.adapted, engine)
+    sigma = _log_det_d_field(scaled.adapted)
     point = ChartPoint([0.3, -0.2], [0.1, 0.0, 0.2])
-    assert_close(sf.sigma(point), 6.0 * slope * 0.3, 1e-12, "log volume")
-    grad = sf.grad(point)
+    assert_close(sigma(point), 6.0 * slope * 0.3, 1e-12, "log volume")
+    grad = partial(engine, sigma, point.coords[None], point.n_x,
+                   range(5))[0]
     assert_close(grad[0], 6.0 * slope, 1e-9, "volume slope")
     np.testing.assert_allclose(grad[1:], np.zeros(4), atol=1e-9)
 
 
 def test_sigma_gradient_routes_agree(twisted, engine):
-    """Trace formula versus direct differencing of the scalar."""
-    sf = sigma_field(twisted.adapted, engine)
+    """Trace formula, ``tr(d^-1 partial d)``, versus direct differencing
+    of ``ln det d``."""
+    adapted = twisted.adapted
+    sigma = _log_det_d_field(adapted)
     for point in sample_points(twisted, 3, seed=103):
-        grad = sf.grad(point)
-        fd = partial(engine, sf.sigma, point.coords[None], point.n_x,
-                     range(twisted.adapted.n_h))[0]
-        assert_close(grad, fd, 1e-9, "gradient routes")
+        zs = point.coords[None]
+        dd = partial(engine, adapted.d.d, zs, point.n_x, range(5))[0]
+        trace = np.trace(adapted.d.d_inv(point) @ dd, axis1=-2, axis2=-1)
+        fd = partial(engine, sigma, zs, point.n_x, range(5))[0]
+        assert_close(trace, fd, 1e-9, "gradient routes")
 
 
 # ---------------------------------------------------------------------------
@@ -85,20 +86,6 @@ def test_jacobian_direct_matches_geometric(twisted, engine):
         direct = jacobian_direct(twisted.adapted, point, engine)
         geometric = jacobian_geometric(twisted.adapted, point, engine)
         assert_close(direct, geometric, 1e-6, "two faces of the Jacobian")
-
-
-def test_quadratic_form_paths_agree(twisted, engine):
-    for point in sample_points(twisted, 3, seed=113):
-        block_path, gauge_path = quadratic_form_paths(twisted.adapted,
-                                                      point, engine)
-        assert_close(block_path, gauge_path, 1e-9, "quadratic form paths")
-
-
-def test_quadratic_form_needs_bundle_data(twisted, engine):
-    stripped = dataclasses.replace(twisted.adapted, orig=None)
-    point = sample_points(twisted, 1)[0]
-    with pytest.raises(ValueError):
-        quadratic_form_paths(stripped, point, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -250,39 +237,3 @@ def test_norm_reproduces_decomposition_term(twisted, engine):
         b = decomposition_terms(twisted.adapted, point, engine)
         got = j_norm_squared(twisted.adapted, point, engine)
         assert_close(got, b.DdDd, 1e-9, "form norm vs decomposition term")
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian assembly
-
-
-def test_hamiltonian_flat_reduces_to_potential(flat, engine):
-    point = sample_points(flat, 1)[0]
-    terms = hamiltonian_terms(flat.adapted, point, potential=flat.potential,
-                              engine=engine)
-    assert abs(terms.bracket) <= 1e-8
-    assert abs(terms.geometric_potential) <= 1e-8
-    want_v = 0.5 * float(point.x @ point.x) + 0.15 * float(point.f @ point.f)
-    assert_close(terms.v_value, want_v, 1e-12, "potential value")
-    assert_close(terms.total_potential, terms.geometric_potential + want_v,
-                 1e-12, "assembly")
-
-
-def test_hamiltonian_scaled_bracket_is_jacobian(scaled, engine):
-    point = ChartPoint([0.2, 0.1], [0.1, -0.2, 0.3])
-    terms = hamiltonian_terms(scaled.adapted, point, engine=engine)
-    assert_close(terms.bracket, scaled.expected["jacobian"], 1e-6,
-                 "bracket equals the reduction Jacobian")
-    assert terms.v_value == 0.0
-
-
-def test_hamiltonian_parameter_wiring(twisted, engine):
-    point = sample_points(twisted, 1)[0]
-    terms = hamiltonian_terms(twisted.adapted, point, mu2=2.0, kappa=3.0,
-                              m=1.5, engine=engine)
-    hbar = 2.0 * 1.5
-    assert_close(terms.geometric_potential,
-                 hbar * hbar / (8.0 * 1.5) * terms.bracket, 1e-12,
-                 "geometric prefactor")
-    assert_close(terms.kappa_term, -(2.0 * 3.0 / 8.0) * terms.bracket,
-                 1e-12, "generator prefactor")

@@ -125,12 +125,6 @@ def test_sample_group_coordinates_behavior(twisted):
         sample_group_coordinates(twisted, 0)
 
 
-def test_potential_field(twisted):
-    point = ChartPoint([0.3, -0.4], [0.1, 0.2, 0.3])
-    want = 0.5 * (0.09 + 0.16) + 0.15 * (0.01 + 0.04 + 0.09)
-    assert_close(twisted.potential(point), want, 1e-12, "potential values")
-
-
 def _exp_one(mat):
     """One-matrix reference of the exponential series."""
     total = term = np.eye(3)

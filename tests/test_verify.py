@@ -152,20 +152,20 @@ def _fresh(scenario):
 
 
 @pytest.mark.parametrize("check, stacks", [("christoffel", 1),
-                                           ("curvature", 4),
-                                           ("jacobian", 4), ("sde", 2)])
+                                           ("curvature", 3),
+                                           ("jacobian", 3), ("sde", 2)])
 def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
                                                 stacks):
     """Every stencil compiles its frames in one stacked pass, and a
     stencil that an earlier route of the check compiled is read whole
     from the geometry's frame memo: at a point no earlier call has seen (a fresh copy of
     the geometry), each distinct stencil compiles once. The stencils are
-    the point's row, its centre-first 21-row first-derivative stencil,
-    the 101-row Hessian stencil of ``ln det d`` and the 441-row nested
-    stencil of ``R_M``, whose outer rows are the rows the Ricci pair
-    runs its route on. The christoffel check reads only the 21-row
-    stencil; the sde check differences every field over all slots, so
-    it reads that stencil and the point's row."""
+    the point's row, its centre-first 21-row first-derivative stencil
+    and the 441-row nested stencil of ``R_M``, whose outer rows are the
+    rows the Ricci pair runs its route on and ``log_density_terms``
+    differences ``ln det d`` on. The christoffel check reads only the
+    21-row stencil; the sde check differences every field over all
+    slots, so it reads that stencil and the point's row."""
     fresh = _fresh(twisted)
     report = run_checks(fresh, [ChartPoint([-0.11, 0.23],
                                            [0.14, -0.27, 0.08])],
@@ -177,16 +177,18 @@ def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
 def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     """All seven checks at a fresh point share one per-point record: one
     Ricci pair per Christoffel route, one set of log-density terms, one
-    set of Killing derivatives, and 564 frame rows in 4 stacks (1 + 21 +
-    101 + 441, see ``test_check_compiles_frames_once_per_stencil``), with
-    the other 54 lookups served from the memo. The bundle callables of
-    the compiles run on 108 distinct base rows (1 + 9 + 17 + 81)."""
-    from bundlecurv import curvature, jacobian
+    set of Killing derivatives, one block metric, and 463 frame rows in
+    3 stacks (1 + 21 + 441, see
+    ``test_check_compiles_frames_once_per_stencil``), with the other 47
+    lookups served from the memo. The bundle callables of the compiles
+    run on 91 distinct base rows (1 + 9 + 81)."""
+    from bundlecurv import curvature, jacobian, verify
 
     calls = []
     for module, name in ((curvature, "ricci_scalar_pair"),
                          (curvature, "log_density_terms"),
-                         (jacobian, "killing_derivatives")):
+                         (jacobian, "killing_derivatives"),
+                         (verify, "assemble_block_metric")):
         def counted(*args, _original=getattr(module, name), _name=name,
                     **kwargs):
             calls.append(_name)
@@ -199,10 +201,11 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
                         engine=engine)
     info = frame_cache_info(fresh.orig)
     assert report.passed
-    assert sorted(calls) == ["killing_derivatives", "log_density_terms",
-                             "ricci_scalar_pair", "ricci_scalar_pair"]
-    assert (info.misses, info.compiles, info.hits) == (564, 4, 54)
-    assert info.base_rows == 108
+    assert sorted(calls) == ["assemble_block_metric", "killing_derivatives",
+                             "log_density_terms", "ricci_scalar_pair",
+                             "ricci_scalar_pair"]
+    assert (info.misses, info.compiles, info.hits) == (463, 3, 47)
+    assert info.base_rows == 91
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
