@@ -14,7 +14,8 @@ Run:  python3 demos/curvature_tour.py
 import numpy as np
 
 from bundlecurv.connection import christoffel_general
-from bundlecurv.curvature import decomposition_terms, ricci_scalar_pair
+from bundlecurv.curvature import (PointTerms, decomposition_terms,
+                                  ricci_scalar_pair)
 from bundlecurv.fields import DEFAULT_ENGINE
 from bundlecurv.geometry import assemble_block_metric, point_frame
 from bundlecurv.scenarios import build_scenario, sample_points
@@ -38,11 +39,12 @@ def main():
     print(metric.matrix)
     print("determinant: %.6f" % metric.det)
 
-    table_value, _ = ricci_scalar_pair(scenario.adapted, point,
-                                       engine=DEFAULT_ENGINE)
-    general_value, _ = ricci_scalar_pair(scenario.adapted, point,
-                                         christoffel_general, DEFAULT_ENGINE)
-    terms = decomposition_terms(scenario.adapted, point, DEFAULT_ENGINE)
+    # one record of the point's terms: both Ricci pairs read its jets
+    record = PointTerms(scenario.adapted, point, DEFAULT_ENGINE)
+    table_value, _ = ricci_scalar_pair(record)
+    general_value, _ = ricci_scalar_pair(record, christoffel_general)
+    terms = decomposition_terms(scenario.adapted, point, DEFAULT_ENGINE,
+                                record)
     assembled = terms.R_total
 
     print("\nscalar curvature, three routes:")

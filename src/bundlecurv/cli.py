@@ -325,7 +325,7 @@ def cmd_simulate(config: RunConfig) -> int:
                           "drift" % config.scenario)
     point = sample_points(scenario, config.points, seed=config.seed)[0]
     report = euler_maruyama_check(
-        scenario.orig, point=point,
+        scenario.adapted, point=point,
         params=SdeParams(), dt=config.dt, n_paths=config.n_paths,
         seed=config.seed, sigma_limit=config.stat_sigma,
         engine=config.engine())

@@ -24,19 +24,24 @@ Frame derivatives never difference over group coordinates: along horizontal
 lifts they are chart partials corrected by the connection times the
 group-direction rule, and along orbit directions they are purely algebraic
 (``liecore.group_direction_derivative``). ``frame_derivatives`` applies
-that rule to any chart field; the general formula here and the Ricci
-contraction of the curvature module both use it.
+that rule to the values and partials of any chart field; the general
+formula here and the Ricci contraction of the curvature module both use
+it.
 
-Every function here works on row stacks, the contract of the chart fields:
-it takes an ``(N, n_x + n_v)`` array of joint chart coordinates, ``x``
-first, and returns the ``(N, ...)`` stack of its values at those rows.
-Each field it reads is evaluated by one ``value_and_partial`` call over
-all ``N`` rows, which gives the field's values at the rows and its
-horizontal partials there from the centre-first rows of every row's
-stencil together; no field is evaluated on the rows alone. Each SPD
-inverse runs once per stack. The arithmetic is that of one row, matrix
-by matrix, so a row's result is bit-identical whatever stack it comes in.
-A one-point caller passes ``point.coords[None]`` and reads row 0.
+The Christoffel routes, the structure functions and the Levi-Civita
+symbols of h~ read one ``HorizontalJet``: the connection ``A``, the
+horizontal metric h~ and the orbit metric d at the rows of an ``(N, n_x +
+n_v)`` array of joint chart coordinates, ``x`` first, with their
+horizontal partials there. ``horizontal_jet`` takes each field's values
+and partials from one ``value_and_partial`` call on the centre-first rows
+of every row's stencil; the connection curvature ``F`` and the covariant
+derivative ``Dd`` of d follow from the jet, and the two Christoffel
+routes share the jet and nothing else computed from it but ``F``. Each
+function returns the ``(N, ...)`` stack of its values at the rows, and
+each SPD inverse runs once per stack. The arithmetic is that of one row,
+matrix by matrix, so a row's result is bit-identical whatever stack it
+comes in. A one-point caller builds the jet at ``point.coords[None]`` and
+reads row 0.
 """
 
 from __future__ import annotations
@@ -45,17 +50,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (DEFAULT_ENGINE, DerivEngine, FieldHandle, _field_stack,
-                     _levi_civita, invert_spd, value_and_partial)
+from .fields import (DerivEngine, _field_stack, _levi_civita, invert_spd,
+                     value_and_partial)
 from .geometry import AdaptedGeometry
 from .liecore import group_direction_derivative
 
 __all__ = [
     "NonholonomicStructure",
     "ChristoffelBlocks",
-    "curvature_F",
-    "covariant_D_orbit_metric",
-    "frame_metric_field",
+    "HorizontalJet",
+    "horizontal_jet",
     "frame_derivatives",
     "frame_structure_functions",
     "base_levi_civita",
@@ -72,13 +76,11 @@ class NonholonomicStructure:
     :math:`\mathbb{C}^A_{BC}`; only components with an upper orbit index
     are nonzero: :math:`\mathbb{C}^\gamma_{A'B'} = -\mathcal F^\gamma_{A'B'}`
     and :math:`\mathbb{C}^\gamma_{\alpha\beta} = c^\gamma_{\alpha\beta}`.
-    ``F`` is the stack of connection curvatures on their own, and ``A``
-    the stack of connections they were built from.
+    ``F`` is the stack of connection curvatures on their own.
     """
 
     CC: np.ndarray
     F: np.ndarray
-    A: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,152 +116,156 @@ class ChristoffelBlocks:
                           self._slice(lo2)]
 
 
-def _horizontal(adapted: AdaptedGeometry, field, zs, engine,
-                step_scale: float = 1.0):
-    """``field`` at the chart rows of ``zs`` and its partials along every
-    horizontal slot there, from one ``value_and_partial`` call."""
-    return value_and_partial(engine, field, zs, adapted.n_x,
-                             range(adapted.n_h), step_scale)
+@dataclass(frozen=True, eq=False)
+class HorizontalJet:
+    r"""The connection, h~ and d at the rows of a stack, with their
+    horizontal partials: the first-order input of every formula here.
 
-
-def _curvature(c, a_val, da):
-    grad = np.einsum("...amc->...mac", da)      # d_{A'} A^mu_{C'}
-    comm = np.einsum("msn,...sa,...nc->...mac", c, a_val, a_val)
-    return grad - np.einsum("...mca->...mac", grad) + comm
-
-
-def curvature_F(adapted: AdaptedGeometry, zs,
-                engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:
-    r"""Curvature of the mechanical connection.
-
-    .. math::
-
-        \mathcal F^\mu_{A'C'} = \partial_{A'}\mathcal A^\mu_{C'}
-            - \partial_{C'}\mathcal A^\mu_{A'}
-            + c^\mu_{\sigma\nu}\mathcal A^\sigma_{A'}\mathcal A^\nu_{C'}
-
-    Returned with shape ``(N, n_g, n_h, n_h)`` at the ``N`` chart rows of
-    ``zs``, antisymmetric in the last pair.
+    ``zs`` holds the ``(N, n_x + n_v)`` chart rows; ``A``, ``h`` and ``d``
+    are the ``(N, ...)`` stacks of :math:`\mathcal A`, :math:`\tilde h`
+    and :math:`d` there, and ``dA``, ``dh`` and ``dd`` their ``(N, n_h,
+    ...)`` partials along every horizontal slot. Each field's pair comes
+    from one ``value_and_partial`` call (see ``horizontal_jet``); ``F``
+    and ``Dd`` are computed from the jet on each read. The arrays are
+    read-only.
     """
-    return _curvature(adapted.c.c,
-                      *_horizontal(adapted, adapted.A_conn, zs, engine))
+
+    adapted: AdaptedGeometry
+    zs: np.ndarray
+    A: np.ndarray
+    dA: np.ndarray
+    h: np.ndarray
+    dh: np.ndarray
+    d: np.ndarray
+    dd: np.ndarray
+
+    @property
+    def F(self) -> np.ndarray:
+        r"""Curvature of the mechanical connection,
+
+        .. math::
+
+            \mathcal F^\mu_{A'C'} = \partial_{A'}\mathcal A^\mu_{C'}
+                - \partial_{C'}\mathcal A^\mu_{A'}
+                + c^\mu_{\sigma\nu}\mathcal A^\sigma_{A'}
+                  \mathcal A^\nu_{C'},
+
+        with shape ``(N, n_g, n_h, n_h)``, antisymmetric in the last pair.
+        """
+        grad = np.einsum("...amc->...mac", self.dA)  # d_{A'} A^mu_{C'}
+        comm = np.einsum("msn,...sa,...nc->...mac", self.adapted.c.c,
+                         self.A, self.A)
+        return grad - np.einsum("...mca->...mac", grad) + comm
+
+    @property
+    def Dd(self) -> np.ndarray:
+        r"""Covariant derivative of the orbit metric along horizontal
+        directions,
+
+        .. math::
+
+            \mathcal D_{A'} d_{\mu\nu} = \partial_{A'} d_{\mu\nu}
+                - c^\kappa_{\sigma\mu}\mathcal A^\sigma_{A'} d_{\kappa\nu}
+                - c^\kappa_{\sigma\nu}\mathcal A^\sigma_{A'} d_{\mu\kappa},
+
+        with shape ``(N, n_h, n_g, n_g)``, symmetric in the orbit pair.
+        """
+        c = self.adapted.c.c
+        corr = (np.einsum("ksm,...sa,...kn->...amn", c, self.A, self.d)
+                + np.einsum("ksn,...sa,...mk->...amn", c, self.A, self.d))
+        return self.dd - corr
 
 
-def _covariant_D(c, a_val, d_val, dd):
-    corr = (np.einsum("ksm,...sa,...kn->...amn", c, a_val, d_val)
-            + np.einsum("ksn,...sa,...mk->...amn", c, a_val, d_val))
-    return dd - corr
+def horizontal_jet(adapted: AdaptedGeometry, zs,
+                   engine: DerivEngine) -> HorizontalJet:
+    """The ``HorizontalJet`` at the chart rows of ``zs``: one
+    ``value_and_partial`` call at ``engine``'s step for each of ``A``,
+    ``h~`` and ``d``, over every horizontal slot."""
+    parts = []
+    for field in (adapted.A_conn, adapted.h_tilde, adapted.d.d):
+        for array in value_and_partial(engine, field, zs, adapted.n_x,
+                                       range(adapted.n_h)):
+            array.setflags(write=False)
+            parts.append(array)
+    return HorizontalJet(adapted, zs, *parts)
 
 
-def covariant_D_orbit_metric(adapted: AdaptedGeometry, zs,
-                             engine: DerivEngine = DEFAULT_ENGINE
-                             ) -> np.ndarray:
-    r"""Covariant derivative of the orbit metric along horizontal directions.
-
-    .. math::
-
-        \mathcal D_{A'} d_{\mu\nu} = \partial_{A'} d_{\mu\nu}
-            - c^\kappa_{\sigma\mu}\mathcal A^\sigma_{A'} d_{\kappa\nu}
-            - c^\kappa_{\sigma\nu}\mathcal A^\sigma_{A'} d_{\mu\kappa}
-
-    Returned with shape ``(N, n_h, n_g, n_g)`` at the ``N`` chart rows of
-    ``zs``, symmetric in the orbit pair.
-    """
-    a_val, _ = _horizontal(adapted, adapted.A_conn, zs, engine)
-    return _covariant_D(adapted.c.c, a_val,
-                        *_horizontal(adapted, adapted.d.d, zs, engine))
+def _blockdiag(upper, lower):
+    """The stack of blockdiag(``upper``, ``lower``) over the leading axes."""
+    n_h, n_g = upper.shape[-1], lower.shape[-1]
+    out = np.zeros(upper.shape[:-2] + (n_h + n_g, n_h + n_g))
+    out[..., :n_h, :n_h] = upper
+    out[..., n_h:, n_h:] = lower
+    return out
 
 
-def frame_metric_field(adapted: AdaptedGeometry) -> FieldHandle:
-    """The frame metric blockdiag(h~, d) as one chart field."""
+def frame_structure_functions(jet: HorizontalJet) -> NonholonomicStructure:
+    """Structure functions of the adapted frame at the rows of ``jet``;
+    see NonholonomicStructure."""
+    adapted = jet.adapted
     n_h, n_t = adapted.n_h, adapted.n_t
-
-    def frame_metric(zs):
-        out = np.zeros((len(zs), n_t, n_t))
-        out[:, :n_h, :n_h] = _field_stack(adapted.h_tilde, zs)
-        out[:, n_h:, n_h:] = _field_stack(adapted.d.d, zs)
-        return out
-
-    return FieldHandle(frame_metric, "matrix")
-
-
-def frame_structure_functions(adapted: AdaptedGeometry, zs,
-                              engine: DerivEngine = DEFAULT_ENGINE
-                              ) -> NonholonomicStructure:
-    """Structure functions of the adapted frame at the chart rows of
-    ``zs``; see NonholonomicStructure."""
-    n_h, n_t = adapted.n_h, adapted.n_t
-    a_val, da = _horizontal(adapted, adapted.A_conn, zs, engine)
-    f_val = _curvature(adapted.c.c, a_val, da)
-    cc = np.zeros((len(zs), n_t, n_t, n_t))
+    f_val = jet.F
+    cc = np.zeros((len(jet.zs), n_t, n_t, n_t))
     cc[:, n_h:, :n_h, :n_h] = -f_val
     cc[:, n_h:, n_h:, n_h:] = adapted.c.c
-    return NonholonomicStructure(CC=cc, F=f_val, A=a_val)
+    return NonholonomicStructure(CC=cc, F=f_val)
 
 
-def base_levi_civita(adapted: AdaptedGeometry, zs,
-                     engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:
+def base_levi_civita(jet: HorizontalJet) -> np.ndarray:
     r"""Levi-Civita symbols of the orbit-space metric h~ on the (x,f) chart.
 
-    Returned with shape ``(N, n_h, n_h, n_h)`` at the ``N`` chart rows of
-    ``zs``. These fill the purely horizontal sector of the table; the
+    Returned with shape ``(N, n_h, n_h, n_h)`` at the ``N`` rows of
+    ``jet``. These fill the purely horizontal sector of the table; the
     frame is holonomic there, so the standard coordinate formula applies.
     The inverse is the geometry's ``h_tilde_inv`` field at the rows.
     """
-    _, dh = _horizontal(adapted, adapted.h_tilde, zs, engine)
-    return _levi_civita(_field_stack(adapted.h_tilde_inv, zs), dh)
+    return _levi_civita(_field_stack(jet.adapted.h_tilde_inv, jet.zs),
+                        jet.dh)
 
 
-def frame_derivatives(adapted: AdaptedGeometry, field, signature, zs, a_val,
-                      engine: DerivEngine = DEFAULT_ENGINE,
-                      step_scale: float = 1.0):
-    r"""A chart field at chart rows and its frame derivatives there.
+def frame_derivatives(value, grad, a_val, signature, c) -> np.ndarray:
+    r"""Frame derivatives of a chart field from its values and partials.
 
-    Returns ``(value, hat)``: the ``(N, ...)`` stack of the field at the
-    ``N`` rows of ``zs`` and ``hat[i, A, ...]``, both from one
-    ``value_and_partial`` call (at ``step_scale`` times the engine step).
-    ``signature`` is the covariance signature of one row and ``a_val``
-    the ``(N, n_g, n_h)`` connection at the rows. Along the horizontal
-    lift of slot ``B'`` the derivative is the chart partial minus
-    :math:`\mathcal A^\sigma_{B'}` times the group-direction rule along
-    :math:`\sigma`; along orbit direction :math:`\sigma` it is the rule
-    itself (``liecore.group_direction_derivative``, with the row axis
-    inert).
+    ``value`` is the ``(N, ...)`` stack of the field at ``N`` chart rows,
+    ``grad`` its ``(N, n_h, ...)`` partials along every horizontal slot,
+    ``a_val`` the ``(N, n_g, n_h)`` connection at the rows, ``signature``
+    the covariance signature of one row and ``c`` the structure
+    constants. Returns ``hat[i, A, ...]``: along the horizontal lift of
+    slot ``B'`` the chart partial minus :math:`\mathcal A^\sigma_{B'}`
+    times the group-direction rule along :math:`\sigma`; along orbit
+    direction :math:`\sigma` the rule itself
+    (``liecore.group_direction_derivative``, with the row axis inert).
     """
-    n_h, n_g = adapted.n_h, adapted.n_g
-    value, grad = _horizontal(adapted, field, zs, engine, step_scale)
+    n_h, n_g = grad.shape[1], c.n_g
     rule = [group_direction_derivative(value, ("inert",) + tuple(signature),
-                                       adapted.c, s)
+                                       c, s)
             for s in range(n_g)]
     # one connection coefficient per row, broadcast over the field's axes
     a_val = a_val.reshape(a_val.shape + (1,) * (value.ndim - 1))
-    hat = np.zeros((len(zs), n_h + n_g) + value.shape[1:])
+    hat = np.zeros((len(value), n_h + n_g) + value.shape[1:])
     for bp in range(n_h):
         correction = sum((a_val[:, s, bp] * rule[s] for s in range(n_g)),
                          np.zeros_like(value))
         hat[:, bp] = grad[:, bp] - correction
     for s in range(n_g):
         hat[:, n_h + s] = rule[s]
-    return value, hat
+    return hat
 
 
-def christoffel_general(adapted: AdaptedGeometry, zs,
-                        engine: DerivEngine = DEFAULT_ENGINE
-                        ) -> ChristoffelBlocks:
+def christoffel_general(jet: HorizontalJet) -> ChristoffelBlocks:
     """Christoffel tables from the general nonholonomic formula.
 
-    At the chart rows of ``zs``, every sector comes out of one einsum
-    pipeline over the frame metric, its frame derivatives, and the
-    structure functions; no closed-form table entries are consulted.
+    At the rows of ``jet``, every sector comes out of one einsum pipeline
+    over the frame metric blockdiag(h~, d), its frame derivatives (from
+    the blockdiag of the jet's partials of h~ and d), and the structure
+    functions; no closed-form table entries are consulted.
     """
-    structure = frame_structure_functions(adapted, zs, engine)
-    gf_val, hat = frame_derivatives(adapted, frame_metric_field(adapted),
-                                    ("lower", "lower"), zs, structure.A,
-                                    engine)
-    n_h = adapted.n_h
-    g_inv = np.zeros_like(gf_val)
-    g_inv[:, :n_h, :n_h] = invert_spd(gf_val[:, :n_h, :n_h])[0]
-    g_inv[:, n_h:, n_h:] = invert_spd(gf_val[:, n_h:, n_h:])[0]
+    adapted = jet.adapted
+    structure = frame_structure_functions(jet)
+    gf_val = _blockdiag(jet.h, jet.d)
+    hat = frame_derivatives(gf_val, _blockdiag(jet.dh, jet.dd), jet.A,
+                            ("lower", "lower"), adapted.c)
+    g_inv = _blockdiag(invert_spd(jet.h)[0], invert_spd(jet.d)[0])
     cc = structure.CC
 
     metric_part = _levi_civita(g_inv, hat)
@@ -272,12 +278,10 @@ def christoffel_general(adapted: AdaptedGeometry, zs,
                              n_g=adapted.n_g)
 
 
-def christoffel_table(adapted: AdaptedGeometry, zs,
-                      engine: DerivEngine = DEFAULT_ENGINE
-                      ) -> ChristoffelBlocks:
+def christoffel_table(jet: HorizontalJet) -> ChristoffelBlocks:
     r"""Christoffel tables from the closed forms, sector by sector.
 
-    At the chart rows of ``zs``. Horizontal sector: Levi-Civita of h~.
+    At the rows of ``jet``. Horizontal sector: Levi-Civita of h~.
     Mixed and orbit sectors:
 
     .. math::
@@ -296,19 +300,18 @@ def christoffel_table(adapted: AdaptedGeometry, zs,
 
     with the mixed entries symmetric in their stated index pairs.
     """
+    adapted = jet.adapted
     n_h, n_t = adapted.n_h, adapted.n_t
-    a_val, da = _horizontal(adapted, adapted.A_conn, zs, engine)
-    h_val, dh = _horizontal(adapted, adapted.h_tilde, zs, engine)
-    d_val, d_grad = _horizontal(adapted, adapted.d.d, zs, engine)
-    h_inv, _ = invert_spd(h_val)
+    d_val = jet.d
+    h_inv, _ = invert_spd(jet.h)
     d_inv, _ = invert_spd(d_val)
     c = adapted.c.c
-    f_val = _curvature(c, a_val, da)
-    dd = _covariant_D(c, a_val, d_val, d_grad)
+    f_val = jet.F
+    dd = jet.Dd
     h, g = slice(0, n_h), slice(n_h, n_t)     # horizontal, orbit
 
-    gamma = np.zeros((len(zs), n_t, n_t, n_t))
-    gamma[:, h, h, h] = _levi_civita(h_inv, dh)
+    gamma = np.zeros((len(jet.zs), n_t, n_t, n_t))
+    gamma[:, h, h, h] = _levi_civita(h_inv, jet.dh)
 
     mixed = 0.5 * np.einsum("...ab,...nc,...bmc->...nma", d_val, h_inv,
                             f_val)

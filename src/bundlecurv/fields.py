@@ -325,18 +325,16 @@ def coordinate_partials(func, z, fd_step: float, slots=None):
     return _stencil_partials(values[None], steps)[0]
 
 
-def value_and_partial(engine: DerivEngine, field, zs, n_x: int, slots,
-                      step_scale: float = 1.0):
+def value_and_partial(engine: DerivEngine, field, zs, n_x: int, slots):
     r"""``field`` at the rows of ``zs`` and its partials there, together.
 
     ``zs`` is an ``(m, n_x + n_v)`` array of joint chart coordinates,
     ``x`` first; returns the ``(m, ...)`` values and the ``(m, s, ...)``
     partials along the chart ``slots``, both from one field call on the
-    centre-first rows of every row's stencil. ``step_scale`` inflates the
-    step for outer layers of nested differentiation (see the curvature
-    module); ``n_x`` splits a row with a non-finite value for the error.
+    centre-first rows of every row's stencil at the engine's step.
+    ``n_x`` splits a row with a non-finite value for the error.
     """
-    rows, steps = _stencil(zs, engine.fd_step * step_scale,
+    rows, steps = _stencil(zs, engine.fd_step,
                            _slot_list(slots, zs.shape[1]), centre=True)
     m, n, k = rows.shape
     values = _eval_points(field, rows.reshape(m * n, k), n_x)
@@ -344,8 +342,7 @@ def value_and_partial(engine: DerivEngine, field, zs, n_x: int, slots,
     return values[:, 0], _stencil_partials(values, steps)
 
 
-def partial(engine: DerivEngine, field, zs, n_x: int, slots,
-            step_scale: float = 1.0):
+def partial(engine: DerivEngine, field, zs, n_x: int, slots):
     r"""Partials of ``field`` along the joint chart coordinates ``slots``.
 
     The ``(m, s, ...)`` partials of ``value_and_partial``, one entry per
@@ -354,7 +351,7 @@ def partial(engine: DerivEngine, field, zs, n_x: int, slots,
     formulas. A one-point caller passes ``point.coords[None]`` and reads
     row 0.
     """
-    return value_and_partial(engine, field, zs, n_x, slots, step_scale)[1]
+    return value_and_partial(engine, field, zs, n_x, slots)[1]
 
 
 def _levi_civita(g_inv, dg):

@@ -500,13 +500,6 @@ def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
         c=orig.c, orig=orig)
 
 
-def _as_adapted(geometry) -> "AdaptedGeometry":
-    """``geometry`` itself, or compiled when it is an OriginalGeometry."""
-    if isinstance(geometry, OriginalGeometry):
-        return compile_adapted(geometry)
-    return geometry
-
-
 @dataclass(frozen=True)
 class AdaptedGeometry:
     r"""The universal input of the curvature and Jacobian operations.

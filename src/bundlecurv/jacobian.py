@@ -35,9 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _levi_civita,
-                     coordinate_partials, partial)
-from .geometry import (AdaptedGeometry, OriginalGeometry, _as_adapted,
-                       compile_adapted, point_frame)
+                     coordinate_partials)
+from .geometry import AdaptedGeometry, OriginalGeometry, point_frame
 from .curvature import PointTerms, _frozen, _terms_at
 
 __all__ = [
@@ -136,10 +135,9 @@ class KillingIdentityResiduals:
                    self.adapted_vector)
 
 
-def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
-                             engine: DerivEngine = DEFAULT_ENGINE,
-                             killing=None) -> KillingIdentityResiduals:
-    r"""Check the four directional-derivative identities at a point.
+def killing_identities_check(terms: PointRecord) -> KillingIdentityResiduals:
+    r"""Check the four directional-derivative identities at the point of
+    ``terms``, a ``PointRecord`` of a geometry with bundle data.
 
     Bundle form: with :math:`d_{\alpha\beta}(Q, f)` extended off the
     section through the Killing fields,
@@ -163,14 +161,17 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
 
     with the vector version reducing to
     :math:`(\ldots)^p = -\tfrac12 G^{pq}\partial_q d_{\alpha\beta}`.
-    ``killing`` is the ``killing_derivatives`` there, when already
-    computed.
+    The right sides are the record's ``killing`` derivatives; the chart
+    partials of ``d`` are those of its point jet.
     """
+    orig, point, engine = terms.adapted.orig, terms.point, terms.engine
+    if orig is None:
+        raise ValueError("the Killing identities need original bundle data")
     frames = point_frame(orig, point)
     n_v, n_g, n_x = orig.n_v, orig.n_g, orig.n_x
     if n_g == 0:
         return KillingIdentityResiduals(0.0, 0.0, 0.0, 0.0)
-    p, v = killing or killing_derivatives(orig, point, engine)
+    p, v = terms.killing
     sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
     d, g_p_inv = frames.d[0], frames.G_P_inv[0]
     scale = max(1.0, float(np.max(np.abs(d))))
@@ -198,9 +199,7 @@ def killing_identities_check(orig: OriginalGeometry, point: ChartPoint,
 
     # chart versions: the same right-hand sides, left sides rewritten over
     # the (x, f) chart through the section operators
-    adapted_geom = compile_adapted(orig)
-    dd_chart = partial(engine, adapted_geom.d.d, point.coords[None], n_x,
-                       range(n_x + n_v))[0]          # dd_chart[A', a, b]
+    dd_chart = terms.jet.dd[0]                      # dd_chart[A', a, b]
     dd_x = dd_chart[:n_x]
     dd_f_chart = dd_chart[n_x:]
     c = orig.c.c
@@ -273,18 +272,16 @@ def _closed_form(terms: PointTerms) -> SecondFundamentalForm:
         n_x=adapted.n_x, n_v=adapted.n_v, n_g=adapted.n_g)
 
 
-def second_fundamental_form(geometry, point: ChartPoint,
+def second_fundamental_form(adapted: AdaptedGeometry, point: ChartPoint,
                             engine: DerivEngine = DEFAULT_ENGINE,
                             terms: PointRecord = None
                             ) -> SecondFundamentalForm:
     """Closed-form second fundamental form, plus raw projections if possible.
 
-    ``geometry`` may be an AdaptedGeometry or an OriginalGeometry; raw
-    projections need the original bundle data. ``terms``, the
-    ``PointRecord`` of the same arguments, supplies ``h~^{-1}``, ``D d``
-    and the Killing derivatives when given.
+    Raw projections need the original bundle data of ``adapted.orig``.
+    ``terms``, the ``PointRecord`` of the same arguments, supplies
+    ``h~^{-1}``, ``D d`` and the Killing derivatives when given.
     """
-    adapted = _as_adapted(geometry)
     terms = _terms_at(adapted, point, engine, terms, PointRecord)
     orig = adapted.orig
     n_x, h_inv = adapted.n_x, terms.h_inv

@@ -5,8 +5,8 @@ objects: the structure constants :math:`c^\gamma_{\alpha\beta}`, the orbit
 metric :math:`d_{\alpha\beta}(x,\tilde f)`, and the rule for differentiating
 adjoint-conjugated (tilded) tensors along group directions at the identity.
 This module holds all three. Nothing here touches group elements; scenarios
-supply explicit generator matrices and the coordinate-basis oracle carries
-its own group chart.
+supply explicit generator matrices, and the coordinate-basis oracle builds
+its metric from the geometry's group action on charts.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 VALIDITY_TOL = 1e-12
-SEMISIMPLE_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,9 @@ def validate_structure_constants(c) -> ValidityReport:
 def killing_form(c) -> np.ndarray:
     r"""Killing form :math:`B_{\alpha\beta} = c^\mu_{\alpha\nu} c^\nu_{\beta\mu}`.
 
-    Nondegeneracy (``|det B| > 1e-12``) is the working semisimplicity
-    witness; callers that need compact semisimple input check it.
+    The group is semisimple exactly when ``B`` is nondegenerate. No
+    formula of the library checks that: the abelian scenarios, whose
+    ``B`` vanishes, run through every check.
     """
     raw = _raw_constants(c)
     return np.einsum("man,nbm->ab", raw, raw)

@@ -3,9 +3,11 @@ r"""Built-in concrete geometries with known structure.
 Each scenario packages an original bundle geometry (a chart box times a
 three-parameter group factor, acting linearly on a three-dimensional
 vector sector), the compiled adapted geometry, an optional group chart
-for the coordinate oracle, and a sampling box. Dimensions
-are kept at desk scale, ``n_x = 2, n_v = 3, n_g = 3``: every index
-sector is nontrivial, and the eight-dimensional coordinate oracle
+and a sampling box. The library never reads the chart: the coordinate
+oracle builds its metric from the geometry's group action, and the chart
+stays only because the benchmark harness passes it to the oracle.
+Dimensions are kept at desk scale, ``n_x = 2, n_v = 3, n_g = 3``: every
+index sector is nontrivial, and the eight-dimensional coordinate oracle
 evaluates its 1,089-row stencil in one stacked metric call, whose group
 series run on the stencil's 169 distinct group rows.
 

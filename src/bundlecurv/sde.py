@@ -28,7 +28,8 @@ import numpy as np
 from .fields import (ChartPoint, ConfigError, DEFAULT_ENGINE, DerivEngine,
                      FieldHandle, NearSingularError, _field_stack,
                      invert_spd, partial)
-from .geometry import OriginalGeometry, _as_adapted, frame_field, point_frame
+from .geometry import (AdaptedGeometry, OriginalGeometry, frame_field,
+                       point_frame)
 
 __all__ = [
     "SdeParams",
@@ -149,19 +150,19 @@ def symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def density_H(geometry, point: ChartPoint) -> float:
+def density_H(adapted: AdaptedGeometry, point: ChartPoint) -> float:
     """Determinant of the orbit-space block metric at a point."""
-    return float(_as_adapted(geometry).det_h(point))
+    return float(adapted.det_h(point))
 
 
-def diffusion_coefficients(geometry, point: ChartPoint) -> DiffusionBlocks:
+def diffusion_coefficients(adapted: AdaptedGeometry,
+                           point: ChartPoint) -> DiffusionBlocks:
     """Diffusion blocks whose assembled square reproduces the block inverse.
 
     With bundle data the blocks follow the transcribed displays; without
     it they are recovered from the quadrants of the block inverse, which
     agrees by the gauge identity behind the inverse-metric display.
     """
-    adapted = _as_adapted(geometry)
     n_x = adapted.n_x
     if adapted.orig is not None:
         frames = point_frame(adapted.orig, point)
@@ -211,7 +212,7 @@ def _drift_field(orig: OriginalGeometry, name) -> FieldHandle:
     return frame_field(orig, name, value, arity)
 
 
-def drift_coefficients(geometry, point: ChartPoint,
+def drift_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
                        engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:
     r"""Drift vector from the transcribed displays.
 
@@ -233,7 +234,6 @@ def drift_coefficients(geometry, point: ChartPoint,
     the arbiter that the whole transcription generates the
     Laplace-Beltrami operator.
     """
-    adapted = _as_adapted(geometry)
     orig = adapted.orig
     if orig is None:
         raise ValueError("drift displays need original bundle data")
@@ -273,7 +273,7 @@ def drift_coefficients(geometry, point: ChartPoint,
     return np.concatenate([b_base, b_vector])
 
 
-def drift_divergence_form(geometry, point: ChartPoint,
+def drift_divergence_form(adapted: AdaptedGeometry, point: ChartPoint,
                           engine: DerivEngine = DEFAULT_ENGINE
                           ) -> np.ndarray:
     r"""The divergence form :math:`H^{-1/2}\partial_{B'}(H^{1/2}\tilde h^{A'B'})`.
@@ -285,7 +285,6 @@ def drift_divergence_form(geometry, point: ChartPoint,
     geometry it inverts h~ on the stencil rows and at the point itself; it
     shares no field with the transcribed displays.
     """
-    adapted = _as_adapted(geometry)
     n_h = adapted.n_h
 
     def sqrt_h_h_tilde_inv(zs):
@@ -303,10 +302,9 @@ def drift_divergence_form(geometry, point: ChartPoint,
     return drift / sqrt_h0
 
 
-def reduced_sde_coefficients(geometry, point: ChartPoint,
+def reduced_sde_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
                              engine: DerivEngine = DEFAULT_ENGINE
                              ) -> ReducedSdeCoeffs:
-    adapted = _as_adapted(geometry)
     blocks = diffusion_coefficients(adapted, point)
     return ReducedSdeCoeffs(
         b=drift_coefficients(adapted, point, engine),
@@ -325,8 +323,9 @@ def euler_maruyama_check(provider, point: ChartPoint = None,
     """One explicit Euler step; sample moments against analytic targets.
 
     ``provider`` is either a ReducedSdeCoeffs (any coefficient set,
-    including full-space blocks) or a geometry, in which case ``point``
-    selects where the coefficients are evaluated. The increment is
+    including full-space blocks) or an AdaptedGeometry, in which case
+    ``point`` selects where the coefficients are evaluated. The increment
+    is
 
     ``0.5 mu2 kappa b dt + sqrt(mu2 kappa dt) Z Xᵀ``
 

@@ -14,16 +14,19 @@ NaN, infinite or missing at some point fails its part.
 The checks of one point share a ``jacobian.PointRecord``, dropped after
 the point. An entry is computed when a check first reads it, so a check
 run alone computes what it did before, with the same bits. Reads:
-``curvature`` the ``breakdown`` (from ``R_M``, ``R_G``, ``FF``, ``DdDd``,
-``log_density``), ``pair_table`` and ``pair_general``; ``jacobian`` the
-``log_density`` (direct route) and ``pair_table``, ``R_G``, ``FF``,
-``DdDd`` (geometric route); ``secondform`` ``h_inv``, ``Dd``,
-``killing``, ``h_tilde``, ``d_inv`` and ``DdDd``; ``killingderiv``
-``killing``; ``sde`` ``h_inv``. Route-private:
-the ``christoffel`` check's two tables, each Christoffel route's work
-inside its Ricci pair (the pairs share only the metric fields' frames),
-the Killing identities' bundle-coordinate derivatives, the determinant
-check's block metric and the drift routes' fields.
+``christoffel`` the point's ``jet``; ``curvature`` the ``breakdown``
+(from ``R_M``, ``R_G``, ``FF``, ``DdDd``, ``log_density``),
+``pair_table`` and ``pair_general``; ``jacobian`` the ``log_density``
+(direct route) and ``pair_table``, ``R_G``, ``FF``, ``DdDd`` (geometric
+route); ``secondform`` ``h_inv``, ``Dd``, ``killing``, ``h_tilde``,
+``d_inv`` and ``DdDd``; ``killingderiv`` ``killing`` and the ``jet``;
+``sde`` ``h_inv``. ``F``, ``Dd``, the log-density terms and both Ricci
+pairs read the two jets of the record, the point's and the nested one.
+Route-private: each Christoffel route's work from a jet, ``F`` aside
+(both routes compute it by the same formula), so the two tables of the
+``christoffel`` check and the two Ricci pairs share the jets and nothing
+else; the Killing identities' bundle-coordinate derivatives, the
+determinant check's block metric and the drift routes' fields.
 """
 
 from __future__ import annotations
@@ -165,9 +168,8 @@ class VerificationReport:
 
 
 def _check_christoffel(scenario, point, terms):
-    zs = point.coords[None]
-    table = christoffel_table(scenario.adapted, zs, terms.engine).gamma
-    general = christoffel_general(scenario.adapted, zs, terms.engine).gamma
+    table = christoffel_table(terms.jet).gamma
+    general = christoffel_general(terms.jet).gamma
     return {"table_vs_general": relative_gap(table, general)}
 
 
@@ -205,8 +207,7 @@ def _check_killingderiv(scenario, point, terms):
     if scenario.orig is None:
         raise ConfigError("check 'killingderiv' needs bundle data; scenario "
                           "%r provides none" % scenario.name)
-    res = killing_identities_check(scenario.orig, point, terms.engine,
-                                   terms.killing)
+    res = killing_identities_check(terms)
     return {"raw_base": res.raw_base, "raw_vector": res.raw_vector,
             "adapted_base": res.adapted_base,
             "adapted_vector": res.adapted_vector}

@@ -7,17 +7,20 @@ from bundlecurv.connection import (
     base_levi_civita,
     christoffel_general,
     christoffel_table,
-    covariant_D_orbit_metric,
-    curvature_F,
     frame_structure_functions,
+    horizontal_jet,
 )
-from bundlecurv.curvature import RICCI_OUTER_SCALE, _widened
-from bundlecurv.fields import ChartPoint, FieldHandle, _stencil
+from bundlecurv.curvature import _nested_stencil
+from bundlecurv.fields import ChartPoint, FieldHandle
 from bundlecurv.geometry import AdaptedGeometry
 from bundlecurv.liecore import OrbitMetric, StructureConstants, su2_constants
 from bundlecurv.scenarios import SCENARIO_NAMES, build_scenario, sample_points
 
 from conftest import assert_close, constant_field
+
+
+def _jet_at(adapted, point, engine):
+    return horizontal_jet(adapted, point.coords[None], engine)
 
 
 def _const_orbit(matrix):
@@ -73,13 +76,13 @@ def _const_connection(a_matrix, d_matrix):
 
 def test_curvature_flat_connection_is_zero(flat, engine):
     point = sample_points(flat, 1)[0]
-    f_val = curvature_F(flat.adapted, point.coords[None], engine)[0]
+    f_val = _jet_at(flat.adapted, point, engine).F[0]
     np.testing.assert_allclose(f_val, np.zeros((3, 5, 5)), atol=1e-12)
 
 
 def test_curvature_picks_up_the_curl(engine):
     adapted = _curl_fixture()
-    f_val = curvature_F(adapted, np.array([[0.4, -0.7]]), engine)[0]
+    f_val = horizontal_jet(adapted, np.array([[0.4, -0.7]]), engine).F[0]
     assert f_val.shape == (1, 2, 2)
     assert_close(f_val[0, 0, 1], 2.0, 1e-10, "abelian curl")
     assert_close(f_val[0, 1, 0], -2.0, 1e-10, "abelian curl, flipped")
@@ -89,7 +92,7 @@ def test_curvature_commutator_term(engine):
     """Constant connection: only the structure-constant term survives."""
     a_matrix = np.array([[0.3, -0.1], [0.2, 0.5], [-0.4, 0.1]])
     adapted = _const_connection(a_matrix, np.eye(3))
-    f_val = curvature_F(adapted, np.zeros((1, 2)), engine)[0]
+    f_val = horizontal_jet(adapted, np.zeros((1, 2)), engine).F[0]
     c = su2_constants().c
     want = np.einsum("msn,sa,nc->mac", c, a_matrix, a_matrix)
     assert_close(f_val, want, 1e-10, "commutator curvature")
@@ -97,7 +100,7 @@ def test_curvature_commutator_term(engine):
 
 def test_curvature_antisymmetry(twisted, engine):
     for point in sample_points(twisted, 3, seed=61):
-        f_val = curvature_F(twisted.adapted, point.coords[None], engine)[0]
+        f_val = _jet_at(twisted.adapted, point, engine).F[0]
         swap = np.einsum("mac->mca", f_val)
         assert_close(f_val, -swap, 1e-9, "antisymmetric index pair")
 
@@ -108,8 +111,7 @@ def test_curvature_antisymmetry(twisted, engine):
 
 def test_covariant_d_flat_is_zero(flat, engine):
     point = sample_points(flat, 1)[0]
-    dd = covariant_D_orbit_metric(flat.adapted, point.coords[None],
-                                  engine)[0]
+    dd = _jet_at(flat.adapted, point, engine).Dd[0]
     np.testing.assert_allclose(dd, np.zeros((5, 3, 3)), atol=1e-12)
 
 
@@ -117,16 +119,14 @@ def test_covariant_d_kills_invariant_metric(engine):
     """Round orbit metric is ad-invariant, so the correction cancels exactly."""
     a_matrix = np.array([[0.3, -0.1], [0.2, 0.5], [-0.4, 0.1]])
     adapted = _const_connection(a_matrix, 2.0 * np.eye(3))
-    dd = covariant_D_orbit_metric(adapted, np.array([[0.1, 0.2]]),
-                                  engine)[0]
+    dd = horizontal_jet(adapted, np.array([[0.1, 0.2]]), engine).Dd[0]
     np.testing.assert_allclose(dd, np.zeros((2, 3, 3)), atol=1e-12)
 
 
 def test_covariant_d_scaled_matches_closed_form(scaled, engine):
     slope = scaled.params["slope"]
     point = ChartPoint([0.2, -0.3], [0.1, 0.0, 0.2])
-    dd = covariant_D_orbit_metric(scaled.adapted, point.coords[None],
-                                  engine)[0]
+    dd = _jet_at(scaled.adapted, point, engine).Dd[0]
     want0 = 2.0 * slope * np.exp(2.0 * slope * 0.2) * np.eye(3)
     assert_close(dd[0], want0, 1e-9, "base-slope derivative")
     for slot in range(1, 5):
@@ -142,7 +142,7 @@ def test_covariant_d_loop_oracle(twisted, engine):
         a_val = np.asarray(adapted.A_conn(point), dtype=float)
         d_val = np.asarray(adapted.d.d(point), dtype=float)
         zs = point.coords[None]
-        got = covariant_D_orbit_metric(adapted, zs, engine)[0]
+        got = horizontal_jet(adapted, zs, engine).Dd[0]
         grads = partial(engine, adapted.d.d, zs, adapted.n_x,
                         range(adapted.n_h))[0]
         for slot in range(adapted.n_h):
@@ -162,7 +162,7 @@ def test_covariant_d_loop_oracle(twisted, engine):
 
 def test_levi_civita_constant_metric(flat, engine):
     point = sample_points(flat, 1)[0]
-    got = base_levi_civita(flat.adapted, point.coords[None], engine)[0]
+    got = base_levi_civita(_jet_at(flat.adapted, point, engine))[0]
     np.testing.assert_allclose(got, np.zeros((5, 5, 5)), atol=1e-10)
 
 
@@ -179,7 +179,8 @@ def test_levi_civita_conformal_plane(engine):
         A_conn=constant_field(np.zeros((0, 2))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
     )
-    got = base_levi_civita(adapted, np.array([[0.3, -0.5]]), engine)[0]
+    jet = horizontal_jet(adapted, np.array([[0.3, -0.5]]), engine)
+    got = base_levi_civita(jet)[0]
     want = np.zeros((2, 2, 2))
     want[0, 0, 0] = 1.0
     want[0, 1, 1] = -1.0
@@ -193,7 +194,7 @@ def test_levi_civita_conformal_plane(engine):
 
 def test_table_flat_product_sectors(flat, engine):
     point = sample_points(flat, 1)[0]
-    table = christoffel_table(flat.adapted, point.coords[None], engine)
+    table = christoffel_table(_jet_at(flat.adapted, point, engine))
     np.testing.assert_allclose(table.block("h", "h", "h")[0],
                                np.zeros((5, 5, 5)), atol=1e-10)
     np.testing.assert_allclose(table.block("h", "g", "g")[0],
@@ -208,7 +209,8 @@ def test_table_flat_product_sectors(flat, engine):
 def test_table_pure_orbit_loop_oracle(engine):
     d_matrix = np.diag([1.0, 1.7, 2.3])
     adapted = _pure_orbit(d_matrix)
-    table = christoffel_table(adapted, np.zeros((1, 1)), engine)
+    table = christoffel_table(horizontal_jet(adapted, np.zeros((1, 1)),
+                                             engine))
     c = su2_constants().c
     d_inv = np.linalg.inv(d_matrix)
     want = np.zeros((3, 3, 3))
@@ -227,7 +229,7 @@ def test_table_pure_orbit_loop_oracle(engine):
 
 def test_table_group_trace_vanishes(twisted, engine):
     for point in sample_points(twisted, 3, seed=71):
-        table = christoffel_table(twisted.adapted, point.coords[None], engine)
+        table = christoffel_table(_jet_at(twisted.adapted, point, engine))
         trace = np.einsum("aag->g", table.block("g", "g", "g")[0])
         np.testing.assert_allclose(trace, np.zeros(3), atol=1e-12)
 
@@ -235,7 +237,7 @@ def test_table_group_trace_vanishes(twisted, engine):
 def test_table_scaled_group_base_trace(scaled, engine):
     slope = scaled.params["slope"]
     point = ChartPoint([0.15, 0.3], [0.0, 0.1, -0.2])
-    table = christoffel_table(scaled.adapted, point.coords[None], engine)
+    table = christoffel_table(_jet_at(scaled.adapted, point, engine))
     # Gamma^gamma_{gamma i} and Gamma^gamma_{gamma a}
     trace = np.einsum("ggi->i", table.block("g", "g", "x")[0])
     assert_close(trace[0], 3.0 * slope, 1e-9, "log-volume slope")
@@ -249,8 +251,9 @@ def test_table_matches_general_formula(twisted, abelian, engine):
     for scen in (twisted, abelian):
         for point in sample_points(scen, 5, seed=73):
             zs = point.coords[None]
-            table = christoffel_table(scen.adapted, zs, engine)
-            general = christoffel_general(scen.adapted, zs, engine)
+            jet = horizontal_jet(scen.adapted, zs, engine)
+            table = christoffel_table(jet)
+            general = christoffel_general(jet)
             assert_close(table.gamma, general.gamma, 1e-8,
                          "table vs general, %s" % scen.name)
 
@@ -259,16 +262,17 @@ def test_general_torsion_balance(twisted, engine):
     """Antisymmetric part of the symbols equals the structure functions."""
     for point in sample_points(twisted, 3, seed=79):
         zs = point.coords[None]
-        general = christoffel_general(twisted.adapted, zs, engine)
-        structure = frame_structure_functions(twisted.adapted, zs, engine)
+        jet = horizontal_jet(twisted.adapted, zs, engine)
+        general = christoffel_general(jet)
+        structure = frame_structure_functions(jet)
         anti = general.gamma - np.einsum("iabc->iacb", general.gamma)
         assert_close(anti, structure.CC, 1e-9, "torsion balance")
 
 
 def test_structure_functions_layout(twisted, engine):
     point = sample_points(twisted, 1)[0]
-    structure = frame_structure_functions(twisted.adapted,
-                                          point.coords[None], engine)
+    structure = frame_structure_functions(
+        _jet_at(twisted.adapted, point, engine))
     cc = structure.CC[0]
     n_h = twisted.adapted.n_h
     # only the upper-orbit components live
@@ -285,7 +289,7 @@ def test_structure_functions_layout(twisted, engine):
 
 def test_block_slicing_labels(twisted, engine):
     point = sample_points(twisted, 1)[0]
-    table = christoffel_table(twisted.adapted, point.coords[None], engine)
+    table = christoffel_table(_jet_at(twisted.adapted, point, engine))
     assert table.block("x", "v", "g").shape == (1, 2, 3, 3)
     assert table.block("h", "h", "h").shape == (1, 5, 5, 5)
     with pytest.raises(KeyError):
@@ -302,23 +306,49 @@ def test_block_slicing_labels(twisted, engine):
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_stacks_equal_one_row_calls(name, engine):
-    """On the 20 outer rows of a Ricci-pair stencil, every connection
-    function's stack equals its one-row calls bit for bit. The one-row
-    calls compile their frames on a separate copy of the geometry."""
+    """On the 20 shifted outer rows of a nested stencil, the rows of the
+    Ricci pair's jet, a jet's arrays and everything computed from them
+    equal those of one-row jets bit for bit. The one-row jets compile
+    their frames on a separate copy of the geometry."""
     stacked, single = build_scenario(name).adapted, build_scenario(name).adapted
-    wide = _widened(engine)
     point = ChartPoint([0.12, -0.21], [0.3, -0.15, 0.22])
-    rows = _stencil(point.coords[None],
-                    wide.fd_step * RICCI_OUTER_SCALE)[0][0]
+    nested = _nested_stencil(point.coords, engine)
+    rows = nested.rows[1:]
     assert rows.shape == (20, 5)
-    for func in (christoffel_table, christoffel_general, curvature_F,
-                 covariant_D_orbit_metric, base_levi_civita):
-        def values(adapted, zs):
-            out = func(adapted, zs, wide)
-            return getattr(out, "gamma", out)
 
-        got = values(stacked, rows)
-        assert len(got) == len(rows)
-        for z, row in zip(rows, got):
-            assert np.array_equal(row, values(single, z[None])[0]), \
-                (func.__name__, z)
+    def values(jet):
+        return {"A": jet.A, "dA": jet.dA, "h": jet.h, "dh": jet.dh,
+                "d": jet.d, "dd": jet.dd, "F": jet.F, "Dd": jet.Dd,
+                "CC": frame_structure_functions(jet).CC,
+                "table": christoffel_table(jet).gamma,
+                "general": christoffel_general(jet).gamma,
+                "base_levi_civita": base_levi_civita(jet)}
+
+    got = values(horizontal_jet(stacked, rows, nested.inner))
+    for z_index, z in enumerate(rows):
+        one = values(horizontal_jet(single, z[None], nested.inner))
+        for label, stack in got.items():
+            assert len(stack) == len(rows)
+            assert np.array_equal(stack[z_index], one[label][0]), \
+                (label, z)
+
+
+def test_jet_takes_one_call_per_field(twisted, engine, monkeypatch):
+    """A jet evaluates each of ``A``, ``h~`` and ``d`` once, on the
+    centre-first stencils of all its rows, and its arrays are read-only."""
+    from bundlecurv import connection
+
+    calls = []
+    original = connection.value_and_partial
+
+    def counted(engine, field, zs, n_x, slots):
+        calls.append((field.func.__name__, len(zs), list(slots)))
+        return original(engine, field, zs, n_x, slots)
+
+    monkeypatch.setattr(connection, "value_and_partial", counted)
+    jet = horizontal_jet(twisted.adapted, np.zeros((3, 5)), engine)
+    assert calls == [(name, 3, list(range(5)))
+                     for name in ("A_conn", "h_tilde", "d")]
+    for array in (jet.A, jet.dA, jet.h, jet.dh, jet.d, jet.dd):
+        assert not array.flags.writeable
+    assert jet.dA.shape == (3, 5, 3, 5) and jet.dd.shape == (3, 5, 3, 3)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bundlecurv import curvature
-from bundlecurv.connection import (base_levi_civita, christoffel_general,
-                                   christoffel_table)
+from bundlecurv.connection import (christoffel_general, christoffel_table,
+                                   horizontal_jet)
 from bundlecurv.curvature import (
     PointTerms,
     _log_det_d_field,
@@ -182,24 +182,27 @@ _PINNED_RICCI = {
 @pytest.mark.parametrize("name", sorted(_PINNED_RICCI))
 def test_ricci_pair_pinned_values(name, engine):
     adapted = build_scenario(name).adapted
-    got = (ricci_scalar_pair(adapted, _PIN, engine=engine),
-           ricci_scalar_pair(adapted, _PIN, christoffel_general, engine),
+    terms = PointTerms(adapted, _PIN, engine)
+    got = (ricci_scalar_pair(terms),
+           ricci_scalar_pair(terms, christoffel_general),
            jacobian_geometric(adapted, _PIN, engine))
     assert got == _PINNED_RICCI[name]
 
 
 @pytest.mark.parametrize("route", [christoffel_table, christoffel_general])
 def test_ricci_pair_calls_its_route_once(twisted, engine, route):
-    """The route runs once, on the 21 centre-first rows of the outer
-    stencil: the point and its 20 shifted rows (2 steps, +-, 5 slots)."""
+    """The route runs once, on the record's nested jet: the 21
+    centre-first rows of the outer stencil, the point and its 20 shifted
+    rows (2 steps, +-, 5 slots)."""
     calls = []
 
-    def counted(adapted, zs, engine):
-        calls.append(len(zs))
-        return route(adapted, zs, engine)
+    def counted(jet):
+        calls.append(jet)
+        return route(jet)
 
-    ricci_scalar_pair(twisted.adapted, _PIN, counted, engine)
-    assert calls == [21]
+    terms = PointTerms(twisted.adapted, _PIN, engine)
+    ricci_scalar_pair(terms, counted)
+    assert calls == [terms.nested_jet] and len(calls[0].zs) == 21
 
 
 def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
@@ -212,11 +215,11 @@ def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
     point = ChartPoint([-0.17, 0.26], [0.05, 0.31, -0.22])
     decomposition_terms(adapted, point, engine)
     before = frame_cache_info(adapted.orig)
-    ricci_scalar_pair(adapted, point, christoffel_table, engine)
+    ricci_scalar_pair(PointTerms(adapted, point, engine), christoffel_table)
     after = frame_cache_info(adapted.orig)
     assert (after.misses, after.compiles) == (before.misses, before.compiles)
     assert after.hits > before.hits
-    ricci_scalar_pair(adapted, point, christoffel_general, engine)
+    ricci_scalar_pair(PointTerms(adapted, point, engine), christoffel_general)
     final = frame_cache_info(adapted.orig)
     assert (final.misses, final.compiles) == (after.misses, after.compiles)
     assert final.hits > after.hits
@@ -250,7 +253,7 @@ def test_log_density_terms_compile_two_stacks(twisted, engine):
     point = ChartPoint([0.21, -0.08], [-0.17, 0.05, 0.29])
     adapted.h_tilde(point)
     before = frame_cache_info(adapted.orig)
-    log_density_terms(adapted, point, engine)
+    log_density_terms(PointTerms(adapted, point, engine))
     after = frame_cache_info(adapted.orig)
     assert after.compiles - before.compiles == 2
     assert after.misses - before.misses == 462
@@ -258,16 +261,17 @@ def test_log_density_terms_compile_two_stacks(twisted, engine):
 
 def test_log_density_terms_read_the_r_m_stencil(twisted, engine):
     """``ln det d`` is differenced on the outer rows of the ``R_M``
-    stencil: after ``R_M`` and the Levi-Civita symbols at a point,
-    ``log_density_terms`` compiles no frame row."""
+    stencil: after ``R_M`` and the point's jet, ``log_density_terms``
+    compiles no frame row."""
     adapted = compile_adapted(dataclasses.replace(twisted.orig))
     point = ChartPoint([0.21, -0.08], [-0.17, 0.05, 0.29])
-    adapted.h_tilde_inv(point)                        # the point's row
-    PointTerms(adapted, point, engine).R_M            # 441 nested rows
-    base_levi_civita(adapted, point.coords[None], engine)     # 21 rows
+    terms = PointTerms(adapted, point, engine)
+    terms.h_inv                                       # the point's row
+    terms.R_M                                         # 441 nested rows
+    terms.jet                                         # 21 rows
     before = frame_cache_info(adapted.orig)
     assert before.misses == 463
-    log_density_terms(adapted, point, engine)
+    log_density_terms(terms)
     after = frame_cache_info(adapted.orig)
     assert (after.misses, after.compiles) == (before.misses, before.compiles)
     assert after.hits > before.hits
@@ -312,8 +316,8 @@ def test_log_density_terms_quadratic_closed_form(engine):
     h_inv = np.linalg.inv(h_tilde)
     rng = np.random.default_rng(3)
     for z in rng.uniform(-0.5, 0.5, size=(50, 3)):
-        lap, grad_sq = log_density_terms(adapted, ChartPoint(z[:2], z[2:]),
-                                         engine)
+        lap, grad_sq = log_density_terms(
+            PointTerms(adapted, ChartPoint(z[:2], z[2:]), engine))
         grad = q_hess @ z + q_grad
         assert_close(lap, np.einsum("ab,ab->", h_inv, q_hess), 5e-8,
                      "Laplacian of ln det d")
@@ -333,7 +337,6 @@ def test_log_det_d_on_a_stack_equals_one_row_calls(twisted):
 
 
 def test_twisted_ff_matches_loop_oracle(twisted, engine):
-    from bundlecurv.connection import curvature_F
     from bundlecurv.fields import invert_spd
 
     adapted = twisted.adapted
@@ -341,7 +344,7 @@ def test_twisted_ff_matches_loop_oracle(twisted, engine):
     b = decomposition_terms(adapted, point, engine)
     h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
     d_val = np.asarray(adapted.d.d(point), dtype=float)
-    f_val = curvature_F(adapted, point.coords[None], engine)[0]
+    f_val = horizontal_jet(adapted, point.coords[None], engine).F[0]
     n_h, n_g = adapted.n_h, adapted.n_g
     want = 0.0
     for a in range(n_h):
@@ -358,12 +361,12 @@ def test_twisted_ff_matches_loop_oracle(twisted, engine):
 
 def test_log_density_flat_and_analytic_route(flat, scaled, engine):
     point = sample_points(flat, 1)[0]
-    lap, grad = log_density_terms(flat.adapted, point, engine)
+    lap, grad = log_density_terms(PointTerms(flat.adapted, point, engine))
     assert abs(lap) <= 1e-10 and abs(grad) <= 1e-12
     # ln det d = 6 slope x0 on a flat h~: closed-form gradient term,
     # vanishing Laplacian
     point = ChartPoint([0.15, 0.2], [0.0, 0.1, 0.0])
-    lap, grad = log_density_terms(scaled.adapted, point, engine)
+    lap, grad = log_density_terms(PointTerms(scaled.adapted, point, engine))
     assert_close(grad, 9.0 * scaled.params["slope"] ** 2, 1e-9,
                  "closed-form gradient term")
     assert abs(lap) <= 1e-7
@@ -377,7 +380,7 @@ def test_pure_orbit_total_matches_closed_form(engine):
     d_matrix = np.diag([1.0, 1.7, 2.3])
     adapted = _pure_orbit_block(d_matrix)
     point = ChartPoint([0.3], [])
-    r_total, r_base = ricci_scalar_pair(adapted, point, engine=engine)
+    r_total, r_base = ricci_scalar_pair(PointTerms(adapted, point, engine))
     assert_close(r_total, orbit_scalar_curvature(su2_constants(), d_matrix,
                                                  np.linalg.inv(d_matrix)),
                  1e-6, "pure orbit block")
@@ -386,7 +389,8 @@ def test_pure_orbit_total_matches_closed_form(engine):
 
 def test_flat_ricci_pair(flat, engine):
     point = sample_points(flat, 1)[0]
-    r_total, r_base = ricci_scalar_pair(flat.adapted, point, engine=engine)
+    r_total, r_base = ricci_scalar_pair(PointTerms(flat.adapted, point,
+                                                   engine))
     assert_close(r_total, flat.expected["r_group"], 1e-8, "flat total")
     assert abs(r_base) <= 1e-8
 
@@ -394,11 +398,10 @@ def test_flat_ricci_pair(flat, engine):
 def test_three_way_agreement(twisted, engine):
     """Decomposition, table Ricci, and general-formula Ricci coincide."""
     for point in sample_points(twisted, 2, seed=83):
-        b = decomposition_terms(twisted.adapted, point, engine)
-        t_total, t_base = ricci_scalar_pair(twisted.adapted, point,
-                                            engine=engine)
-        g_total, g_base = ricci_scalar_pair(twisted.adapted, point,
-                                            christoffel_general, engine)
+        terms = PointTerms(twisted.adapted, point, engine)
+        b = decomposition_terms(twisted.adapted, point, engine, terms)
+        t_total, t_base = ricci_scalar_pair(terms)
+        g_total, g_base = ricci_scalar_pair(terms, christoffel_general)
         assert_close(t_total, b.R_total, 1e-6, "table vs decomposition")
         assert_close(g_total, b.R_total, 1e-6, "general vs decomposition")
         assert_close(t_base, b.R_M, 1e-6, "orbit-space block vs chart value")

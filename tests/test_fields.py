@@ -155,8 +155,8 @@ def test_partial_raises_on_non_finite_stencil(engine):
                                               r"x=\[-1e-05\] f=\[0.5\]"):
         partial(engine, field, point.coords[None], point.n_x, range(2))
     with pytest.raises(EvaluationError, match=r"x=\[-0.001\] f=\[0.5\]"):
-        partial(engine, field, point.coords[None], point.n_x, range(2),
-                step_scale=100.0)
+        partial(DerivEngine(fd_step=1e-3), field, point.coords[None],
+                point.n_x, range(2))
     with pytest.raises(EvaluationError, match=r"z=\[-1e-05, 0.5\]"):
         coordinate_partials(
             lambda zs: np.where(zs[:, 0] < 0, np.nan, zs[:, 0]),
@@ -215,13 +215,13 @@ def test_value_and_partial_takes_both_from_one_call(engine):
 
     field = FieldHandle(counted, arity="vector")
     centres = np.array([[0.3, -0.4, 0.2], [0.1, 0.2, -0.3], [-0.5, 0.0, 0.4]])
-    values, partials = value_and_partial(engine, field, centres, 2, [2, 0],
-                                         step_scale=10.0)
+    wide = DerivEngine(fd_step=1e-4)
+    values, partials = value_and_partial(wide, field, centres, 2, [2, 0])
     assert calls == [27]            # 3 centres x centre, +-h, +-h/2 on
     #                                 two slots
     assert np.array_equal(values, counted(centres))
-    assert np.array_equal(partials, partial(engine, field, centres, 2,
-                                            [2, 0], step_scale=10.0))
+    assert np.array_equal(partials, partial(wide, field, centres, 2,
+                                            [2, 0]))
 
 
 def test_field_result_shape_is_checked(engine):

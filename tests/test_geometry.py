@@ -492,7 +492,7 @@ def test_degenerate_frame_in_a_stencil_names_its_point(engine):
     with pytest.raises(NearSingularError,
                        match=r"bundle metric not positive definite at "
                              r"x=\[0.001, 0.0\] f=\[\]"):
-        log_density_terms(adapted, point, engine)
+        log_density_terms(PointTerms(adapted, point, engine))
 
 
 def test_wrong_stack_shape_names_the_callable(twisted):

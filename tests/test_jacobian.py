@@ -3,10 +3,13 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from bundlecurv.curvature import _log_det_d_field, decomposition_terms
 from bundlecurv.fields import ChartPoint, partial
+from bundlecurv.geometry import compile_adapted
 from bundlecurv.jacobian import (
+    PointRecord,
     j_norm_squared,
     jacobian_direct,
     jacobian_geometric,
@@ -129,13 +132,21 @@ def test_vector_identity_standalone_oracle():
 
 def test_killing_identities_flat(flat, engine):
     point = sample_points(flat, 1)[0]
-    res = killing_identities_check(flat.orig, point, engine)
+    res = killing_identities_check(PointRecord(flat.adapted, point, engine))
     assert res.max_residual() <= 1e-10
+
+
+def test_killing_identities_need_bundle_data(twisted, engine):
+    adapted = dataclasses.replace(twisted.adapted, orig=None)
+    point = sample_points(twisted, 1)[0]
+    with pytest.raises(ValueError, match="bundle data"):
+        killing_identities_check(PointRecord(adapted, point, engine))
 
 
 def test_killing_identities_twisted(twisted, engine):
     for point in sample_points(twisted, 5, seed=127):
-        res = killing_identities_check(twisted.orig, point, engine)
+        res = killing_identities_check(PointRecord(twisted.adapted, point,
+                                                   engine))
         assert res.raw_base <= 1e-7
         assert res.raw_vector <= 1e-7
         assert res.adapted_base <= 1e-7
@@ -164,7 +175,7 @@ def test_form_raw_matches_closed(twisted, engine):
 def test_form_without_vector_sector(engine):
     orig = _vector_free_orig()
     point = ChartPoint([0.2, -0.3], [])
-    form = second_fundamental_form(orig, point, engine)
+    form = second_fundamental_form(compile_adapted(orig), point, engine)
     j1, j2, j3, j4 = form.raw_pieces
     np.testing.assert_allclose(j2, np.zeros_like(j2), atol=1e-13)
     np.testing.assert_allclose(j3, np.zeros_like(j3), atol=1e-13)

@@ -8,7 +8,8 @@ import pytest
 
 from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
                                _stencil)
-from bundlecurv.geometry import AdaptedGeometry, OriginalGeometry, point_frame
+from bundlecurv.geometry import (AdaptedGeometry, OriginalGeometry,
+                                 compile_adapted, point_frame)
 from bundlecurv.liecore import OrbitMetric, StructureConstants
 from bundlecurv.sde import (
     ReducedSdeCoeffs,
@@ -158,10 +159,10 @@ def test_drift_flat_vanishes(flat, engine):
 
 def test_drift_conformal_plane(engine):
     """sqrt(H) h^{ij} is constant for e^{2x} in two dimensions."""
-    orig = _conformal_orig()
+    adapted = compile_adapted(_conformal_orig())
     point = ChartPoint([0.3, -0.1], [])
-    drift = drift_coefficients(orig, point, engine)
-    div = drift_divergence_form(orig, point, engine)
+    drift = drift_coefficients(adapted, point, engine)
+    div = drift_divergence_form(adapted, point, engine)
     np.testing.assert_allclose(drift, np.zeros(2), atol=1e-9)
     assert_close(drift, div, 1e-9, "display vs divergence, no group")
 

@@ -179,7 +179,7 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     Ricci pair per Christoffel route, one set of log-density terms, one
     set of Killing derivatives, one block metric, and 463 frame rows in
     3 stacks (1 + 21 + 441, see
-    ``test_check_compiles_frames_once_per_stencil``), with the other 47
+    ``test_check_compiles_frames_once_per_stencil``), with the other 29
     lookups served from the memo. The bundle callables of the compiles
     run on 91 distinct base rows (1 + 9 + 81)."""
     from bundlecurv import curvature, jacobian, verify
@@ -204,7 +204,7 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     assert sorted(calls) == ["assemble_block_metric", "killing_derivatives",
                              "log_density_terms", "ricci_scalar_pair",
                              "ricci_scalar_pair"]
-    assert (info.misses, info.compiles, info.hits) == (463, 3, 47)
+    assert (info.misses, info.compiles, info.hits) == (463, 3, 29)
     assert info.base_rows == 91
 
 
@@ -269,23 +269,46 @@ def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
     assert len(calls) == len(points)
 
 
-def test_secondform_check_takes_the_covariant_derivative_once(
-        twisted, engine, monkeypatch):
-    """The check reads the ``D d`` that its form was built from, so
-    ``covariant_D_orbit_metric`` runs once per point, not twice."""
-    from bundlecurv import connection, curvature, jacobian, verify
+def test_one_first_order_pass_per_field(twisted, engine, monkeypatch):
+    """All seven checks at a fresh point make 13 ``value_and_partial``
+    calls: one each for ``A``, ``h~`` and ``d`` in the point's jet and in
+    the nested jet, one for ``ln det d`` on the nested stencil and six in
+    the drift routes. The point's jet is the one the christoffel check
+    reads; both Ricci pairs run their routes on the nested jet, at the 21
+    outer rows of the ``R_M`` stencil."""
+    from bundlecurv import connection, curvature, fields
 
-    calls = []
-    original = connection.covariant_D_orbit_metric
+    calls, jets, routes = [], [], []
+    original = fields.value_and_partial
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return original(*args, **kwargs)
+        return original(*args)
 
-    for module in (connection, curvature, jacobian, verify):
-        if hasattr(module, "covariant_D_orbit_metric"):
-            monkeypatch.setattr(module, "covariant_D_orbit_metric", counted)
-    points = sample_points(twisted, 2, seed=157)
-    assert run_checks(twisted, points, ("secondform",),
-                      engine=engine).passed
-    assert len(calls) == len(points)
+    for module in (fields, connection, curvature):
+        monkeypatch.setattr(module, "value_and_partial", counted)
+
+    def jet_counted(*args, _original=connection.horizontal_jet):
+        jets.append(_original(*args))
+        return jets[-1]
+
+    monkeypatch.setattr(curvature, "horizontal_jet", jet_counted)
+    for name in ("christoffel_table", "christoffel_general"):
+        def route(jet, _original=getattr(connection, name), _name=name):
+            routes.append((_name, jet))
+            return _original(jet)
+
+        monkeypatch.setattr(curvature, name, route)
+        monkeypatch.setattr(verify, name, route)
+    fresh = _fresh(twisted)
+    report = run_checks(fresh, [ChartPoint([0.16, 0.09],
+                                           [0.23, -0.18, -0.05])],
+                        engine=engine)
+    assert report.passed
+    assert len(calls) == 13
+    point_jet, nested_jet = jets
+    assert (len(point_jet.zs), len(nested_jet.zs)) == (1, 21)
+    assert routes == [("christoffel_table", point_jet),
+                      ("christoffel_general", point_jet),
+                      ("christoffel_table", nested_jet),
+                      ("christoffel_general", nested_jet)]
