@@ -28,20 +28,22 @@ that rule to the values and partials of any chart field; the general
 formula here and the Ricci contraction of the curvature module both use
 it.
 
-The Christoffel routes, the structure functions and the Levi-Civita
-symbols of h~ read one ``HorizontalJet``: the connection ``A``, the
-horizontal metric h~ and the orbit metric d at the rows of an ``(N, n_x +
-n_v)`` array of joint chart coordinates, ``x`` first, with their
-horizontal partials there. ``horizontal_jet`` takes each field's values
-and partials from one ``value_and_partial`` call on the centre-first rows
-of every row's stencil; the connection curvature ``F`` and the covariant
-derivative ``Dd`` of d follow from the jet, and the two Christoffel
-routes share the jet and nothing else computed from it but ``F``. Each
-function returns the ``(N, ...)`` stack of its values at the rows, and
-each SPD inverse runs once per stack. The arithmetic is that of one row,
-matrix by matrix, so a row's result is bit-identical whatever stack it
-comes in. A one-point caller builds the jet at ``point.coords[None]`` and
-reads row 0.
+The Christoffel routes and the Levi-Civita symbols of h~ read one
+``HorizontalJet``, the complete first-order record at the rows of an
+``(N, n_x + n_v)`` array of joint chart coordinates, ``x`` first: the
+connection ``A``, the horizontal metric h~ and the orbit metric d with
+their horizontal partials, the inverses of h~ and d, the connection
+curvature ``F``, the covariant derivative ``Dd`` of d and the structure
+functions ``CC``. ``horizontal_jet`` builds one centre-first stencil
+over the rows, calls each field once on all its rows and computes every
+array of the record once; the inverses are the geometry's own fields
+(on bundle data, the frame compile's), so nothing here inverts a
+matrix. The two Christoffel routes share the record and nothing
+computed from it. Each function returns the ``(N, ...)`` stack of its
+values at the rows; the arithmetic is that of one row, matrix by matrix,
+so a row's result is bit-identical whatever stack it comes in. A
+one-point caller builds the jet at ``point.coords[None]`` and reads row
+0.
 """
 
 from __future__ import annotations
@@ -50,144 +52,107 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (DerivEngine, _field_stack, _levi_civita, invert_spd,
-                     value_and_partial)
+from .fields import (DerivEngine, _levi_civita, _stencil, _stencil_partials,
+                     _stencil_values)
 from .geometry import AdaptedGeometry
 from .liecore import group_direction_derivative
 
 __all__ = [
-    "NonholonomicStructure",
-    "ChristoffelBlocks",
     "HorizontalJet",
     "horizontal_jet",
     "frame_derivatives",
-    "frame_structure_functions",
     "base_levi_civita",
     "christoffel_general",
     "christoffel_table",
 ]
 
 
-@dataclass(frozen=True)
-class NonholonomicStructure:
-    r"""Structure functions of the adapted frame at the rows of a stack.
-
-    ``CC`` is the ``(N, n_t, n_t, n_t)`` stack of the full rank-3 arrays
-    :math:`\mathbb{C}^A_{BC}`; only components with an upper orbit index
-    are nonzero: :math:`\mathbb{C}^\gamma_{A'B'} = -\mathcal F^\gamma_{A'B'}`
-    and :math:`\mathbb{C}^\gamma_{\alpha\beta} = c^\gamma_{\alpha\beta}`.
-    ``F`` is the stack of connection curvatures on their own.
-    """
-
-    CC: np.ndarray
-    F: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChristoffelBlocks:
-    """Full Christoffel tables at the rows of a stack, sector-addressable.
-
-    ``gamma[i, A, B, C]`` holds every symbol at row ``i`` over the joint
-    index order (base, vector, group). ``block(up, lo1, lo2)`` slices the
-    last three axes by sector label: ``"x"`` base, ``"v"`` vector, ``"h"``
-    the joint horizontal range, ``"g"`` group.
-    """
-
-    gamma: np.ndarray
-    n_x: int
-    n_v: int
-    n_g: int
-
-    def _slice(self, label: str) -> slice:
-        n_h = self.n_x + self.n_v
-        table = {
-            "x": slice(0, self.n_x),
-            "v": slice(self.n_x, n_h),
-            "h": slice(0, n_h),
-            "g": slice(n_h, n_h + self.n_g),
-        }
-        try:
-            return table[label]
-        except KeyError:
-            raise KeyError("unknown sector label %r (use x/v/h/g)" % (label,))
-
-    def block(self, up: str, lo1: str, lo2: str) -> np.ndarray:
-        return self.gamma[..., self._slice(up), self._slice(lo1),
-                          self._slice(lo2)]
-
-
 @dataclass(frozen=True, eq=False)
 class HorizontalJet:
-    r"""The connection, h~ and d at the rows of a stack, with their
-    horizontal partials: the first-order input of every formula here.
+    r"""The first-order record at the rows of a stack: the input of every
+    formula here, each array computed once.
 
-    ``zs`` holds the ``(N, n_x + n_v)`` chart rows; ``A``, ``h`` and ``d``
+    ``zs`` holds the ``(N, n_x + n_v)`` chart rows. ``A``, ``h`` and ``d``
     are the ``(N, ...)`` stacks of :math:`\mathcal A`, :math:`\tilde h`
-    and :math:`d` there, and ``dA``, ``dh`` and ``dd`` their ``(N, n_h,
-    ...)`` partials along every horizontal slot. Each field's pair comes
-    from one ``value_and_partial`` call (see ``horizontal_jet``); ``F``
-    and ``Dd`` are computed from the jet on each read. The arrays are
-    read-only.
+    and :math:`d` there, ``dh`` and ``dd`` the ``(N, n_h, ...)`` partials
+    of h~ and d along every horizontal slot, and ``h_inv`` and ``d_inv``
+    the geometry's inverse fields at the rows. ``F`` is the curvature of
+    the mechanical connection,
+
+    .. math::
+
+        \mathcal F^\mu_{A'C'} = \partial_{A'}\mathcal A^\mu_{C'}
+            - \partial_{C'}\mathcal A^\mu_{A'}
+            + c^\mu_{\sigma\nu}\mathcal A^\sigma_{A'}\mathcal A^\nu_{C'},
+
+    ``(N, n_g, n_h, n_h)``, antisymmetric in the last pair; ``Dd`` the
+    covariant derivative of the orbit metric along horizontal directions,
+
+    .. math::
+
+        \mathcal D_{A'} d_{\mu\nu} = \partial_{A'} d_{\mu\nu}
+            - c^\kappa_{\sigma\mu}\mathcal A^\sigma_{A'} d_{\kappa\nu}
+            - c^\kappa_{\sigma\nu}\mathcal A^\sigma_{A'} d_{\mu\kappa},
+
+    ``(N, n_h, n_g, n_g)``, symmetric in the orbit pair; and ``CC`` the
+    ``(N, n_t, n_t, n_t)`` structure functions
+    :math:`\mathbb{C}^A_{BC}` of the adapted frame, whose only nonzero
+    components carry an upper orbit index:
+    :math:`\mathbb{C}^\gamma_{A'B'} = -\mathcal F^\gamma_{A'B'}` and
+    :math:`\mathbb{C}^\gamma_{\alpha\beta} = c^\gamma_{\alpha\beta}`.
+    The arrays are read-only.
     """
 
     adapted: AdaptedGeometry
     zs: np.ndarray
     A: np.ndarray
-    dA: np.ndarray
     h: np.ndarray
     dh: np.ndarray
     d: np.ndarray
     dd: np.ndarray
-
-    @property
-    def F(self) -> np.ndarray:
-        r"""Curvature of the mechanical connection,
-
-        .. math::
-
-            \mathcal F^\mu_{A'C'} = \partial_{A'}\mathcal A^\mu_{C'}
-                - \partial_{C'}\mathcal A^\mu_{A'}
-                + c^\mu_{\sigma\nu}\mathcal A^\sigma_{A'}
-                  \mathcal A^\nu_{C'},
-
-        with shape ``(N, n_g, n_h, n_h)``, antisymmetric in the last pair.
-        """
-        grad = np.einsum("...amc->...mac", self.dA)  # d_{A'} A^mu_{C'}
-        comm = np.einsum("msn,...sa,...nc->...mac", self.adapted.c.c,
-                         self.A, self.A)
-        return grad - np.einsum("...mca->...mac", grad) + comm
-
-    @property
-    def Dd(self) -> np.ndarray:
-        r"""Covariant derivative of the orbit metric along horizontal
-        directions,
-
-        .. math::
-
-            \mathcal D_{A'} d_{\mu\nu} = \partial_{A'} d_{\mu\nu}
-                - c^\kappa_{\sigma\mu}\mathcal A^\sigma_{A'} d_{\kappa\nu}
-                - c^\kappa_{\sigma\nu}\mathcal A^\sigma_{A'} d_{\mu\kappa},
-
-        with shape ``(N, n_h, n_g, n_g)``, symmetric in the orbit pair.
-        """
-        c = self.adapted.c.c
-        corr = (np.einsum("ksm,...sa,...kn->...amn", c, self.A, self.d)
-                + np.einsum("ksn,...sa,...mk->...amn", c, self.A, self.d))
-        return self.dd - corr
+    h_inv: np.ndarray
+    d_inv: np.ndarray
+    F: np.ndarray
+    Dd: np.ndarray
+    CC: np.ndarray
 
 
 def horizontal_jet(adapted: AdaptedGeometry, zs,
                    engine: DerivEngine) -> HorizontalJet:
-    """The ``HorizontalJet`` at the chart rows of ``zs``: one
-    ``value_and_partial`` call at ``engine``'s step for each of ``A``,
-    ``h~`` and ``d``, over every horizontal slot."""
-    parts = []
-    for field in (adapted.A_conn, adapted.h_tilde, adapted.d.d):
-        for array in value_and_partial(engine, field, zs, adapted.n_x,
-                                       range(adapted.n_h)):
-            array.setflags(write=False)
-            parts.append(array)
-    return HorizontalJet(adapted, zs, *parts)
+    """The ``HorizontalJet`` at the chart rows of ``zs``.
+
+    One centre-first stencil over every horizontal slot at ``engine``'s
+    step; each of ``A``, h~, d and the two inverse fields is called once,
+    on all its rows. The first three are differenced; the inverses are
+    read at the centre rows, from the frames the others compiled.
+    """
+    n_h, n_t = adapted.n_h, adapted.n_t
+    rows, steps = _stencil(zs, engine.fd_step, range(n_h), centre=True)
+    a_rows, h_rows, d_rows, h_inv, d_inv = (
+        _stencil_values(field, rows, adapted.n_x)
+        for field in (adapted.A_conn, adapted.h_tilde, adapted.d.d,
+                      adapted.h_tilde_inv, adapted.d.d_inv))
+    a_val, d_val = a_rows[:, 0], d_rows[:, 0]
+    c = adapted.c.c
+
+    grad = np.einsum("...amc->...mac",
+                     _stencil_partials(a_rows, steps))  # d_{A'} A^mu_{C'}
+    f_val = (grad - np.einsum("...mca->...mac", grad)
+             + np.einsum("msn,...sa,...nc->...mac", c, a_val, a_val))
+    dd = _stencil_partials(d_rows, steps)
+    corr = (np.einsum("ksm,...sa,...kn->...amn", c, a_val, d_val)
+            + np.einsum("ksn,...sa,...mk->...amn", c, a_val, d_val))
+    cc = np.zeros((len(zs), n_t, n_t, n_t))
+    cc[:, n_h:, :n_h, :n_h] = -f_val
+    cc[:, n_h:, n_h:, n_h:] = c
+
+    arrays = dict(A=a_val, h=h_rows[:, 0],
+                  dh=_stencil_partials(h_rows, steps), d=d_val, dd=dd,
+                  h_inv=h_inv[:, 0], d_inv=d_inv[:, 0], F=f_val,
+                  Dd=dd - corr, CC=cc)
+    for array in arrays.values():
+        array.setflags(write=False)
+    return HorizontalJet(adapted, zs, **arrays)
 
 
 def _blockdiag(upper, lower):
@@ -199,28 +164,15 @@ def _blockdiag(upper, lower):
     return out
 
 
-def frame_structure_functions(jet: HorizontalJet) -> NonholonomicStructure:
-    """Structure functions of the adapted frame at the rows of ``jet``;
-    see NonholonomicStructure."""
-    adapted = jet.adapted
-    n_h, n_t = adapted.n_h, adapted.n_t
-    f_val = jet.F
-    cc = np.zeros((len(jet.zs), n_t, n_t, n_t))
-    cc[:, n_h:, :n_h, :n_h] = -f_val
-    cc[:, n_h:, n_h:, n_h:] = adapted.c.c
-    return NonholonomicStructure(CC=cc, F=f_val)
-
-
 def base_levi_civita(jet: HorizontalJet) -> np.ndarray:
     r"""Levi-Civita symbols of the orbit-space metric h~ on the (x,f) chart.
 
     Returned with shape ``(N, n_h, n_h, n_h)`` at the ``N`` rows of
     ``jet``. These fill the purely horizontal sector of the table; the
     frame is holonomic there, so the standard coordinate formula applies.
-    The inverse is the geometry's ``h_tilde_inv`` field at the rows.
+    The inverse is the jet's ``h_inv``.
     """
-    return _levi_civita(_field_stack(jet.adapted.h_tilde_inv, jet.zs),
-                        jet.dh)
+    return _levi_civita(jet.h_inv, jet.dh)
 
 
 def frame_derivatives(value, grad, a_val, signature, c) -> np.ndarray:
@@ -252,37 +204,36 @@ def frame_derivatives(value, grad, a_val, signature, c) -> np.ndarray:
     return hat
 
 
-def christoffel_general(jet: HorizontalJet) -> ChristoffelBlocks:
-    """Christoffel tables from the general nonholonomic formula.
+def christoffel_general(jet: HorizontalJet) -> np.ndarray:
+    """Christoffel symbols from the general nonholonomic formula.
 
-    At the rows of ``jet``, every sector comes out of one einsum pipeline
-    over the frame metric blockdiag(h~, d), its frame derivatives (from
-    the blockdiag of the jet's partials of h~ and d), and the structure
-    functions; no closed-form table entries are consulted.
+    The ``(N, n_t, n_t, n_t)`` stack at the rows of ``jet``, over the
+    joint index order (base, vector, group). Every sector comes out of one
+    einsum pipeline over the frame metric blockdiag(h~, d), its inverse
+    blockdiag(``h_inv``, ``d_inv``), its frame derivatives (from the
+    blockdiag of the jet's partials of h~ and d), and the structure
+    functions ``CC``; no closed-form table entries are consulted.
     """
-    adapted = jet.adapted
-    structure = frame_structure_functions(jet)
     gf_val = _blockdiag(jet.h, jet.d)
     hat = frame_derivatives(gf_val, _blockdiag(jet.dh, jet.dd), jet.A,
-                            ("lower", "lower"), adapted.c)
-    g_inv = _blockdiag(invert_spd(jet.h)[0], invert_spd(jet.d)[0])
-    cc = structure.CC
+                            ("lower", "lower"), jet.adapted.c)
+    g_inv = _blockdiag(jet.h_inv, jet.d_inv)
+    cc = jet.CC
 
     metric_part = _levi_civita(g_inv, hat)
     frame_part = -0.5 * (
         np.einsum("...ad,...ebd,...ce->...abc", g_inv, cc, gf_val)
         + np.einsum("...ad,...ecd,...be->...abc", g_inv, cc, gf_val))
     torsion_part = 0.5 * cc
-    gamma = metric_part + frame_part + torsion_part
-    return ChristoffelBlocks(gamma=gamma, n_x=adapted.n_x, n_v=adapted.n_v,
-                             n_g=adapted.n_g)
+    return metric_part + frame_part + torsion_part
 
 
-def christoffel_table(jet: HorizontalJet) -> ChristoffelBlocks:
-    r"""Christoffel tables from the closed forms, sector by sector.
+def christoffel_table(jet: HorizontalJet) -> np.ndarray:
+    r"""Christoffel symbols from the closed forms, sector by sector.
 
-    At the rows of ``jet``. Horizontal sector: Levi-Civita of h~.
-    Mixed and orbit sectors:
+    The ``(N, n_t, n_t, n_t)`` stack at the rows of ``jet``, over the
+    joint index order (base, vector, group). Horizontal sector:
+    ``base_levi_civita``. Mixed and orbit sectors:
 
     .. math::
 
@@ -302,16 +253,14 @@ def christoffel_table(jet: HorizontalJet) -> ChristoffelBlocks:
     """
     adapted = jet.adapted
     n_h, n_t = adapted.n_h, adapted.n_t
-    d_val = jet.d
-    h_inv, _ = invert_spd(jet.h)
-    d_inv, _ = invert_spd(d_val)
+    d_val, h_inv, d_inv = jet.d, jet.h_inv, jet.d_inv
     c = adapted.c.c
     f_val = jet.F
     dd = jet.Dd
     h, g = slice(0, n_h), slice(n_h, n_t)     # horizontal, orbit
 
     gamma = np.zeros((len(jet.zs), n_t, n_t, n_t))
-    gamma[:, h, h, h] = _levi_civita(h_inv, jet.dh)
+    gamma[:, h, h, h] = base_levi_civita(jet)
 
     mixed = 0.5 * np.einsum("...ab,...nc,...bmc->...nma", d_val, h_inv,
                             f_val)
@@ -330,6 +279,4 @@ def christoffel_table(jet: HorizontalJet) -> ChristoffelBlocks:
         0.5 * np.einsum("...am,ebg,...em->...abg", d_inv, c, d_val)
         - 0.5 * np.einsum("...am,emg,...eb->...abg", d_inv, c, d_val)
         - 0.5 * np.einsum("...am,emb,...eg->...abg", d_inv, c, d_val))
-
-    return ChristoffelBlocks(gamma=gamma, n_x=adapted.n_x, n_v=adapted.n_v,
-                             n_g=adapted.n_g)
+    return gamma

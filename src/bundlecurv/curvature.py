@@ -28,7 +28,8 @@ stencils of the 21 rows of an outer one, with the steps that
 the oracle) evaluates its metric on the whole nested stencil as one
 coordinate stack, on which the oracle evaluates ``oracle_metric`` in one
 call. A point's ``PointTerms`` holds two ``connection.HorizontalJet``
-records: the point's own, on its first-derivative stencil, and the
+records, each with its inverses, ``F``, ``D d`` and structure functions
+computed once: the point's own, on its first-derivative stencil, and the
 nested one, at the 21 outer rows of the ``R_M`` stencil, whose fields
 read that stencil's frames. Both Ricci pairs difference their
 Christoffel symbols on the nested jet's rows, and the ``ln det d``
@@ -56,7 +57,7 @@ from .geometry import AdaptedGeometry, OriginalGeometry
 from .liecore import orbit_scalar_curvature
 from .connection import (_blockdiag, base_levi_civita, christoffel_general,
                          christoffel_table, frame_derivatives,
-                         frame_structure_functions, horizontal_jet)
+                         horizontal_jet)
 
 __all__ = [
     "CurvatureBreakdown",
@@ -159,15 +160,15 @@ def ricci_scalar_pair(terms: PointTerms, christoffel=christoffel_table):
     point and its 20 shifted rows, whose fields read the frames of that
     stencil's 441 rows. Row 0 gives the symbols at the point, the outer
     differences of the others their partials; the frame derivatives
-    correct those with the connection of the point's own jet.
+    correct those with the connection of the point's own jet, and the
+    structure functions are that jet's ``CC``.
     """
     adapted = terms.adapted
-    structure = frame_structure_functions(terms.jet)
-    gammas = christoffel(terms.nested_jet).gamma
+    gammas = christoffel(terms.nested_jet)
     hat = frame_derivatives(
         gammas[:1], _stencil_partials(gammas[None], terms.nested.steps),
         terms.jet.A, _GAMMA_SIGNATURE, adapted.c)
-    gamma0, hat, cc = gammas[0], hat[0], structure.CC[0]
+    gamma0, hat, cc = gammas[0], hat[0], terms.jet.CC[0]
     n_h, n_t = adapted.n_h, adapted.n_t
     g_inv = _blockdiag(terms.h_inv, terms.d_inv)
 
@@ -261,27 +262,27 @@ class PointTerms:
     r"""The curvature terms at one chart point, each computed on first read.
 
     An entry (a key of ``_ENTRIES``) is computed from ``adapted``,
-    ``point`` and ``engine`` when first read, and kept: the metrics
-    ``h_tilde``, ``d`` and their inverses; ``jet``, the point's
-    ``HorizontalJet`` on its first-derivative stencil, and ``F`` and
-    ``Dd`` at the point from it; ``nested``, the outer stencil of
-    ``_nested_stencil``, and ``nested_jet``, the jet at its rows at the
-    inner step; the pieces of the decomposition (``log_density`` is the
-    pair of ``log_density_terms``) and ``breakdown``, their one sum; and
-    the Ricci pair of each Christoffel route, which share the two jets
-    and nothing computed from them. The record takes no assignment and
-    its arrays are read-only.
+    ``point`` and ``engine`` when first read, and kept: ``jet``, the
+    point's ``HorizontalJet`` on its first-derivative stencil, and its
+    row 0: the metrics ``h_tilde`` and ``d``, their inverses ``h_inv``
+    and ``d_inv``, and ``F`` and ``Dd`` at the point; ``nested``, the
+    outer stencil of ``_nested_stencil``, and ``nested_jet``, the jet at
+    its rows at the inner step; the pieces of the decomposition
+    (``log_density`` is the pair of ``log_density_terms``) and
+    ``breakdown``, their one sum; and the Ricci pair of each Christoffel
+    route, which share the two jets and nothing computed from them. The
+    record takes no assignment and its arrays are read-only.
     """
 
     _ENTRIES = {
-        "h_tilde": lambda t: _frozen(t.adapted.h_tilde(t.point)),
-        "h_inv": lambda t: _frozen(t.adapted.h_tilde_inv(t.point)),
-        "d": lambda t: _frozen(t.adapted.d.d(t.point)),
-        "d_inv": lambda t: _frozen(t.adapted.d.d_inv(t.point)),
         "jet": lambda t: horizontal_jet(t.adapted, t.point.coords[None],
                                         t.engine),
-        "F": lambda t: _frozen(t.jet.F[0]),
-        "Dd": lambda t: _frozen(t.jet.Dd[0]),
+        "h_tilde": lambda t: t.jet.h[0],
+        "h_inv": lambda t: t.jet.h_inv[0],
+        "d": lambda t: t.jet.d[0],
+        "d_inv": lambda t: t.jet.d_inv[0],
+        "F": lambda t: t.jet.F[0],
+        "Dd": lambda t: t.jet.Dd[0],
         "nested": lambda t: _nested_stencil(t.point.coords, t.engine),
         "nested_jet": lambda t: horizontal_jet(t.adapted, t.nested.rows,
                                                t.nested.inner),

@@ -336,10 +336,17 @@ def value_and_partial(engine: DerivEngine, field, zs, n_x: int, slots):
     """
     rows, steps = _stencil(zs, engine.fd_step,
                            _slot_list(slots, zs.shape[1]), centre=True)
+    values = _stencil_values(field, rows, n_x)
+    return values[:, 0], _stencil_partials(values, steps)
+
+
+def _stencil_values(field, rows, n_x):
+    """The chart field ``field`` on the ``(m, n, k)`` stencil rows of
+    ``_stencil``: one call of ``_eval_points`` on all ``m n`` rows,
+    returned as the ``(m, n, ...)`` stack."""
     m, n, k = rows.shape
     values = _eval_points(field, rows.reshape(m * n, k), n_x)
-    values = values.reshape((m, n) + values.shape[1:])
-    return values[:, 0], _stencil_partials(values, steps)
+    return values.reshape((m, n) + values.shape[1:])
 
 
 def partial(engine: DerivEngine, field, zs, n_x: int, slots):

@@ -223,8 +223,8 @@ class FrameStack:
         d_{\mu\nu} = \gamma_{\mu\nu} + \gamma'_{\mu\nu}
             = G_{AB}K^A_\mu K^B_\nu + G_{ab}K^a_\mu K^b_\nu,
 
-    is ``d`` (with ``d_inv`` and ``det_d``), its bundle-side part
-    ``gamma`` (with ``gamma_inv``); a degenerate ``d`` raises, the
+    is ``d`` (with ``d_inv`` and ``det_d``); ``gamma_inv`` inverts its
+    bundle-side part :math:`\gamma`. A degenerate ``d`` raises, the
     working witness that the group action stopped being free. The
     mechanical connection,
 
@@ -261,7 +261,6 @@ class FrameStack:
     G_P_inv: np.ndarray
     K_P: np.ndarray
     K_V: np.ndarray
-    gamma: np.ndarray
     gamma_inv: np.ndarray
     d: np.ndarray
     d_inv: np.ndarray
@@ -331,12 +330,11 @@ def _compute_frames(orig: OriginalGeometry, zs):
     kt_g = k_p.swapaxes(1, 2) @ g_p
     gamma = kt_g @ k_p
     kg_q = kt_g @ q_jac                     # K^C G_{DC} Q*^D_i
-    q_jac_all, g_p_all, k_p_all, gamma_all = (
-        q_jac[base], g_p[base], k_p[base], gamma[base])
+    q_jac_all, g_p_all, k_p_all = q_jac[base], g_p[base], k_p[base]
 
     k_v = orig.K_vector(fs)
     k_v_t = k_v.swapaxes(1, 2)
-    d = gamma_all + k_v_t @ orig.G_V @ k_v
+    d = gamma[base] + k_v_t @ orig.G_V @ k_v
     d_inv, det_d = _spd_or_error(
         d, "orbit metric degenerate (group action not free here)", xs, fs)
 
@@ -389,7 +387,7 @@ def _compute_frames(orig: OriginalGeometry, zs):
 
     return FrameStack(
         Q=q[base], Q_jac=q_jac_all, G_P=g_p_all, G_P_inv=g_p_inv[base],
-        K_P=k_p_all, K_V=k_v, gamma=gamma_all, gamma_inv=gamma_inv[base],
+        K_P=k_p_all, K_V=k_v, gamma_inv=gamma_inv[base],
         d=d, d_inv=d_inv, det_d=det_d, A=a_joint, A_gamma=a_gamma[base], Gt_H=gt_h,
         GH_P=gh_p[base], h_xx=h_xx, h_xv=h_xv, h_vv=h_vv, h_tilde=h_tilde,
         h_tilde_inv=h_tilde_inv, det_h=det_h,

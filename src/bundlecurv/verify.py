@@ -20,13 +20,16 @@ run alone computes what it did before, with the same bits. Reads:
 (direct route) and ``pair_table``, ``R_G``, ``FF``, ``DdDd`` (geometric
 route); ``secondform`` ``h_inv``, ``Dd``, ``killing``, ``h_tilde``,
 ``d_inv`` and ``DdDd``; ``killingderiv`` ``killing`` and the ``jet``;
-``sde`` ``h_inv``. ``F``, ``Dd``, the log-density terms and both Ricci
-pairs read the two jets of the record, the point's and the nested one.
-Route-private: each Christoffel route's work from a jet, ``F`` aside
-(both routes compute it by the same formula), so the two tables of the
-``christoffel`` check and the two Ricci pairs share the jets and nothing
-else; the Killing identities' bundle-coordinate derivatives, the
-determinant check's block metric and the drift routes' fields.
+``sde`` ``h_inv``. The metrics, their inverses, ``F`` and ``Dd`` at the
+point are row 0 of the point's jet; the log-density terms and both
+Ricci pairs read the two jets of the record, the point's and the nested
+one. Route-private: each Christoffel route's symbols, which it
+assembles from a jet, so the two tables of the ``christoffel`` check and
+the two Ricci pairs share the jets (with their inverses, ``F``, ``Dd``
+and structure functions) and nothing else; the Killing identities'
+bundle-coordinate derivatives, the determinant check's block metric and
+the drift routes' fields. A residual reduced over routes or values uses
+numpy reductions, so a NaN anywhere makes it NaN.
 """
 
 from __future__ import annotations
@@ -168,18 +171,19 @@ class VerificationReport:
 
 
 def _check_christoffel(scenario, point, terms):
-    table = christoffel_table(terms.jet).gamma
-    general = christoffel_general(terms.jet).gamma
+    table = christoffel_table(terms.jet)
+    general = christoffel_general(terms.jet)
     return {"table_vs_general": relative_gap(table, general)}
 
 
 def _check_curvature(scenario, point, terms):
     breakdown = decomposition_terms(scenario.adapted, point, terms.engine,
                                     terms)
-    values = (breakdown.R_total, terms.pair_table[0], terms.pair_general[0])
-    scale = max(1.0, max(abs(v) for v in values))
-    spread = max(values) - min(values)
-    return {"three_way": spread / scale}
+    values = np.array([breakdown.R_total, terms.pair_table[0],
+                       terms.pair_general[0]])
+    # numpy reductions: a NaN route makes the residual NaN wherever it sits
+    scale = np.maximum(1.0, np.abs(values).max())
+    return {"three_way": float((values.max() - values.min()) / scale)}
 
 
 def _check_jacobian(scenario, point, terms):
@@ -188,7 +192,7 @@ def _check_jacobian(scenario, point, terms):
     geometric = jacobian_geometric(adapted, point, engine, terms)
     parts = {"direct_vs_geometric": relative_gap(direct, geometric)}
     if scenario.expected.get("jacobian_zero"):
-        parts["flat_absolute"] = max(abs(direct), abs(geometric))
+        parts["flat_absolute"] = _worst((abs(direct), abs(geometric)))
     return parts
 
 

@@ -1,5 +1,7 @@
 """Connection curvature, covariant orbit-metric derivative, Christoffel tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,11 @@ from bundlecurv.connection import (
     base_levi_civita,
     christoffel_general,
     christoffel_table,
-    frame_structure_functions,
     horizontal_jet,
 )
-from bundlecurv.curvature import _nested_stencil
-from bundlecurv.fields import ChartPoint, FieldHandle
-from bundlecurv.geometry import AdaptedGeometry
+from bundlecurv.curvature import PointTerms, _nested_stencil
+from bundlecurv.fields import ChartPoint, FieldHandle, invert_spd
+from bundlecurv.geometry import AdaptedGeometry, frame_cache_info
 from bundlecurv.liecore import OrbitMetric, StructureConstants, su2_constants
 from bundlecurv.scenarios import SCENARIO_NAMES, build_scenario, sample_points
 
@@ -195,14 +196,14 @@ def test_levi_civita_conformal_plane(engine):
 def test_table_flat_product_sectors(flat, engine):
     point = sample_points(flat, 1)[0]
     table = christoffel_table(_jet_at(flat.adapted, point, engine))
-    np.testing.assert_allclose(table.block("h", "h", "h")[0],
+    np.testing.assert_allclose(table[0, :5, :5, :5],
                                np.zeros((5, 5, 5)), atol=1e-10)
-    np.testing.assert_allclose(table.block("h", "g", "g")[0],
+    np.testing.assert_allclose(table[0, :5, 5:, 5:],
                                np.zeros((5, 3, 3)), atol=1e-10)
-    np.testing.assert_allclose(table.block("g", "h", "h")[0],
+    np.testing.assert_allclose(table[0, 5:, :5, :5],
                                np.zeros((3, 5, 5)), atol=1e-10)
     # round orbit metric: the pure-orbit sector collapses to half the constants
-    assert_close(table.block("g", "g", "g")[0], 0.5 * su2_constants().c,
+    assert_close(table[0, 5:, 5:, 5:], 0.5 * su2_constants().c,
                  1e-12, "round-metric orbit sector")
 
 
@@ -223,14 +224,14 @@ def test_table_pure_orbit_loop_oracle(engine):
                             c[e, b, g] * d_matrix[e, m]
                             - c[e, m, g] * d_matrix[e, b]
                             - c[e, m, b] * d_matrix[e, g])
-    assert_close(table.block("g", "g", "g")[0], want, 1e-12,
+    assert_close(table[0, 1:, 1:, 1:], want, 1e-12,
                  "anisotropic orbit sector")
 
 
 def test_table_group_trace_vanishes(twisted, engine):
     for point in sample_points(twisted, 3, seed=71):
         table = christoffel_table(_jet_at(twisted.adapted, point, engine))
-        trace = np.einsum("aag->g", table.block("g", "g", "g")[0])
+        trace = np.einsum("aag->g", table[0, 5:, 5:, 5:])
         np.testing.assert_allclose(trace, np.zeros(3), atol=1e-12)
 
 
@@ -239,11 +240,11 @@ def test_table_scaled_group_base_trace(scaled, engine):
     point = ChartPoint([0.15, 0.3], [0.0, 0.1, -0.2])
     table = christoffel_table(_jet_at(scaled.adapted, point, engine))
     # Gamma^gamma_{gamma i} and Gamma^gamma_{gamma a}
-    trace = np.einsum("ggi->i", table.block("g", "g", "x")[0])
+    trace = np.einsum("ggi->i", table[0, 5:, 5:, :2])
     assert_close(trace[0], 3.0 * slope, 1e-9, "log-volume slope")
     assert abs(trace[1]) <= 1e-9
     np.testing.assert_allclose(
-        np.einsum("gga->a", table.block("g", "g", "v")[0]), np.zeros(3),
+        np.einsum("gga->a", table[0, 5:, 5:, 2:5]), np.zeros(3),
         atol=1e-9)
 
 
@@ -254,7 +255,7 @@ def test_table_matches_general_formula(twisted, abelian, engine):
             jet = horizontal_jet(scen.adapted, zs, engine)
             table = christoffel_table(jet)
             general = christoffel_general(jet)
-            assert_close(table.gamma, general.gamma, 1e-8,
+            assert_close(table, general, 1e-8,
                          "table vs general, %s" % scen.name)
 
 
@@ -264,20 +265,18 @@ def test_general_torsion_balance(twisted, engine):
         zs = point.coords[None]
         jet = horizontal_jet(twisted.adapted, zs, engine)
         general = christoffel_general(jet)
-        structure = frame_structure_functions(jet)
-        anti = general.gamma - np.einsum("iabc->iacb", general.gamma)
-        assert_close(anti, structure.CC, 1e-9, "torsion balance")
+        anti = general - np.einsum("iabc->iacb", general)
+        assert_close(anti, jet.CC, 1e-9, "torsion balance")
 
 
 def test_structure_functions_layout(twisted, engine):
     point = sample_points(twisted, 1)[0]
-    structure = frame_structure_functions(
-        _jet_at(twisted.adapted, point, engine))
-    cc = structure.CC[0]
+    jet = _jet_at(twisted.adapted, point, engine)
+    cc = jet.CC[0]
     n_h = twisted.adapted.n_h
     # only the upper-orbit components live
     np.testing.assert_allclose(cc[:n_h], np.zeros((n_h, 8, 8)), atol=1e-15)
-    np.testing.assert_allclose(cc[n_h:, :n_h, :n_h], -structure.F[0],
+    np.testing.assert_allclose(cc[n_h:, :n_h, :n_h], -jet.F[0],
                                atol=1e-15)
     np.testing.assert_allclose(cc[n_h:, n_h:, n_h:], su2_constants().c,
                                atol=1e-15)
@@ -287,16 +286,15 @@ def test_structure_functions_layout(twisted, engine):
                  "antisymmetric lower pair")
 
 
-def test_block_slicing_labels(twisted, engine):
+def test_table_mixed_pair_symmetry(twisted, engine):
+    """The table is one ``(N, n_t, n_t, n_t)`` stack over the joint index
+    order (base, vector, group), and its mixed entries are symmetric in
+    their stated index pairs."""
     point = sample_points(twisted, 1)[0]
     table = christoffel_table(_jet_at(twisted.adapted, point, engine))
-    assert table.block("x", "v", "g").shape == (1, 2, 3, 3)
-    assert table.block("h", "h", "h").shape == (1, 5, 5, 5)
-    with pytest.raises(KeyError):
-        table.block("q", "h", "h")
-    # stated mixed symmetry of the table
-    assert_close(table.block("h", "h", "g"),
-                 np.einsum("inma->inam", table.block("h", "g", "h")),
+    assert table.shape == (1, 8, 8, 8)
+    assert_close(table[:, :5, :5, 5:],
+                 np.einsum("inma->inam", table[:, :5, 5:, :5]),
                  1e-12, "mixed-pair symmetry")
 
 
@@ -317,11 +315,11 @@ def test_stacks_equal_one_row_calls(name, engine):
     assert rows.shape == (20, 5)
 
     def values(jet):
-        return {"A": jet.A, "dA": jet.dA, "h": jet.h, "dh": jet.dh,
-                "d": jet.d, "dd": jet.dd, "F": jet.F, "Dd": jet.Dd,
-                "CC": frame_structure_functions(jet).CC,
-                "table": christoffel_table(jet).gamma,
-                "general": christoffel_general(jet).gamma,
+        return {"A": jet.A, "h": jet.h, "dh": jet.dh, "d": jet.d,
+                "dd": jet.dd, "h_inv": jet.h_inv, "d_inv": jet.d_inv,
+                "F": jet.F, "Dd": jet.Dd, "CC": jet.CC,
+                "table": christoffel_table(jet),
+                "general": christoffel_general(jet),
                 "base_levi_civita": base_levi_civita(jet)}
 
     got = values(horizontal_jet(stacked, rows, nested.inner))
@@ -333,22 +331,50 @@ def test_stacks_equal_one_row_calls(name, engine):
                 (label, z)
 
 
-def test_jet_takes_one_call_per_field(twisted, engine, monkeypatch):
-    """A jet evaluates each of ``A``, ``h~`` and ``d`` once, on the
-    centre-first stencils of all its rows, and its arrays are read-only."""
-    from bundlecurv import connection
-
+def test_jet_takes_one_call_per_field(twisted, engine):
+    """A jet calls each of ``A``, h~, d and the two inverse fields once,
+    on the centre-first stencils of all its rows; the inverses read the
+    frames the others compiled, so the jet compiles one frame stack.
+    Every array of the jet is read-only."""
     calls = []
-    original = connection.value_and_partial
 
-    def counted(engine, field, zs, n_x, slots):
-        calls.append((field.func.__name__, len(zs), list(slots)))
-        return original(engine, field, zs, n_x, slots)
+    def counted(name, field):
+        def func(zs):
+            calls.append((name, zs.shape))
+            return field.func(zs)
 
-    monkeypatch.setattr(connection, "value_and_partial", counted)
-    jet = horizontal_jet(twisted.adapted, np.zeros((3, 5)), engine)
-    assert calls == [(name, 3, list(range(5)))
-                     for name in ("A_conn", "h_tilde", "d")]
-    for array in (jet.A, jet.dA, jet.h, jet.dh, jet.d, jet.dd):
-        assert not array.flags.writeable
-    assert jet.dA.shape == (3, 5, 3, 5) and jet.dd.shape == (3, 5, 3, 3)
+        return FieldHandle(func, field.arity)
+
+    base = twisted.adapted
+    adapted = dataclasses.replace(
+        base, A_conn=counted("A", base.A_conn),
+        h_tilde=counted("h", base.h_tilde),
+        h_tilde_inv=counted("h_inv", base.h_tilde_inv),
+        d=dataclasses.replace(base.d, d=counted("d", base.d.d),
+                              d_inv=counted("d_inv", base.d.d_inv)))
+    before = frame_cache_info(base.orig)
+    jet = horizontal_jet(adapted, np.full((3, 5), 0.05), engine)
+    after = frame_cache_info(base.orig)
+    assert calls == [(name, (63, 5))
+                     for name in ("A", "h", "d", "h_inv", "d_inv")]
+    assert (after.compiles - before.compiles, after.hits - before.hits) \
+        == (1, 4)
+    for field in dataclasses.fields(jet):
+        array = getattr(jet, field.name)
+        if isinstance(array, np.ndarray) and field.name != "zs":
+            assert not array.flags.writeable, field.name
+    assert (jet.dd.shape, jet.F.shape, jet.CC.shape) == (
+        (3, 5, 3, 3), (3, 3, 5, 5), (3, 8, 8, 8))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_jet_inverses_equal_inverting_its_metrics(name, engine):
+    """The inverses a jet reads from the geometry equal, byte for byte,
+    inverting the jet's own h~ and d again, at the point jet and the
+    nested jet of a point's record."""
+    scenario = build_scenario(name)
+    terms = PointTerms(scenario.adapted, sample_points(scenario, 1,
+                                                       seed=37)[0], engine)
+    for jet in (terms.jet, terms.nested_jet):
+        assert np.array_equal(jet.h_inv, invert_spd(jet.h)[0])
+        assert np.array_equal(jet.d_inv, invert_spd(jet.d)[0])

@@ -262,15 +262,15 @@ def test_log_density_terms_compile_two_stacks(twisted, engine):
 def test_log_density_terms_read_the_r_m_stencil(twisted, engine):
     """``ln det d`` is differenced on the outer rows of the ``R_M``
     stencil: after ``R_M`` and the point's jet, ``log_density_terms``
-    compiles no frame row."""
+    compiles no frame row; the inverse metric and the symbols it
+    contracts with come from the jet."""
     adapted = compile_adapted(dataclasses.replace(twisted.orig))
     point = ChartPoint([0.21, -0.08], [-0.17, 0.05, 0.29])
     terms = PointTerms(adapted, point, engine)
-    terms.h_inv                                       # the point's row
     terms.R_M                                         # 441 nested rows
     terms.jet                                         # 21 rows
     before = frame_cache_info(adapted.orig)
-    assert before.misses == 463
+    assert before.misses == 462
     log_density_terms(terms)
     after = frame_cache_info(adapted.orig)
     assert (after.misses, after.compiles) == (before.misses, before.compiles)

@@ -1,9 +1,11 @@
-"""Every field of the frame stack is read somewhere in the library."""
+"""Every field of the frame stack and of the horizontal jet is read
+somewhere in the library."""
 
 import ast
 import dataclasses
 import pathlib
 
+from bundlecurv.connection import HorizontalJet
 from bundlecurv.geometry import FrameStack
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -41,4 +43,9 @@ def test_unread_fields_are_found():
 
 def test_every_frame_stack_field_is_read():
     assert unread_fields(FrameStack,
+                         [path.read_text() for path in SOURCES]) == []
+
+
+def test_every_horizontal_jet_field_is_read():
+    assert unread_fields(HorizontalJet,
                          [path.read_text() for path in SOURCES]) == []

@@ -130,6 +130,36 @@ def test_run_checks_flat_jacobian_magnitude(flat, engine):
     assert parts["flat_absolute"].tolerance == 1e-10
 
 
+@pytest.mark.parametrize("route", ["christoffel_table",
+                                   "christoffel_general"])
+def test_curvature_check_fails_on_a_nan_route(twisted, engine, monkeypatch,
+                                              route):
+    """A Ricci pair that reads NaN makes ``three_way`` NaN, so the check
+    fails, wherever the pair sits among the three routes."""
+    from bundlecurv import curvature
+
+    def nan_route(jet, _original=getattr(curvature, route)):
+        return np.full_like(_original(jet), np.nan)
+
+    monkeypatch.setattr(curvature, route, nan_route)
+    report = run_checks(twisted, sample_points(twisted, 1, seed=17),
+                        ("curvature",), engine=engine)
+    assert np.isnan(report.results[0].parts[0].residuals[0])
+    assert not report.passed
+
+
+def test_flat_absolute_fails_on_a_nan_route(flat, engine, monkeypatch):
+    """A NaN geometric Jacobian makes ``flat_absolute`` NaN, though it
+    comes second to the finite direct one."""
+    monkeypatch.setattr(verify, "jacobian_geometric",
+                        lambda *args: float("nan"))
+    report = run_checks(flat, sample_points(flat, 1, seed=13),
+                        ("jacobian",), engine=engine)
+    parts = {p.name: p for p in report.results[0].parts}
+    assert np.isnan(parts["flat_absolute"].residuals[0])
+    assert not parts["flat_absolute"].passed
+
+
 def test_run_checks_twisted_cheap_subset(twisted, engine):
     report = run_checks(twisted, sample_points(twisted, 2, seed=19),
                         CHEAP_CHECKS, engine=engine)
@@ -152,8 +182,8 @@ def _fresh(scenario):
 
 
 @pytest.mark.parametrize("check, stacks", [("christoffel", 1),
-                                           ("curvature", 3),
-                                           ("jacobian", 3), ("sde", 2)])
+                                           ("curvature", 2),
+                                           ("jacobian", 2), ("sde", 2)])
 def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
                                                 stacks):
     """Every stencil compiles its frames in one stacked pass, and a
@@ -164,8 +194,10 @@ def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
     and the 441-row nested stencil of ``R_M``, whose outer rows are the
     rows the Ricci pair runs its route on and ``log_density_terms``
     differences ``ln det d`` on. The christoffel check reads only the
-    21-row stencil; the sde check differences every field over all
-    slots, so it reads that stencil and the point's row."""
+    21-row stencil, and the curvature and jacobian checks read the
+    point's metrics and inverses from its jet, not from the point's row;
+    the sde check differences every field over all slots, so it reads
+    the 21-row stencil and the point's row."""
     fresh = _fresh(twisted)
     report = run_checks(fresh, [ChartPoint([-0.11, 0.23],
                                            [0.14, -0.27, 0.08])],
@@ -179,12 +211,27 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     Ricci pair per Christoffel route, one set of log-density terms, one
     set of Killing derivatives, one block metric, and 463 frame rows in
     3 stacks (1 + 21 + 441, see
-    ``test_check_compiles_frames_once_per_stencil``), with the other 29
+    ``test_check_compiles_frames_once_per_stencil``), with the other 28
     lookups served from the memo. The bundle callables of the compiles
-    run on 91 distinct base rows (1 + 9 + 81)."""
-    from bundlecurv import curvature, jacobian, verify
+    run on 91 distinct base rows (1 + 9 + 81). The point makes 18 SPD
+    inversions: 5 in each compile, one in ``R_M`` and two in the drift
+    routes; no Christoffel route inverts a matrix."""
+    import sys
 
-    calls = []
+    from bundlecurv import curvature, fields, jacobian, verify
+
+    fresh = _fresh(twisted)
+    calls, inversions = [], []
+    invert_spd = fields.invert_spd
+
+    def inverted(matrix):
+        inversions.append(np.shape(matrix))
+        return invert_spd(matrix)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("bundlecurv")
+                and getattr(module, "invert_spd", None) is invert_spd):
+            monkeypatch.setattr(module, "invert_spd", inverted)
     for module, name in ((curvature, "ricci_scalar_pair"),
                          (curvature, "log_density_terms"),
                          (jacobian, "killing_derivatives"),
@@ -195,7 +242,6 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    fresh = _fresh(twisted)
     report = run_checks(fresh, [ChartPoint([0.19, -0.07],
                                            [-0.21, 0.12, 0.26])],
                         engine=engine)
@@ -204,8 +250,9 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     assert sorted(calls) == ["assemble_block_metric", "killing_derivatives",
                              "log_density_terms", "ricci_scalar_pair",
                              "ricci_scalar_pair"]
-    assert (info.misses, info.compiles, info.hits) == (463, 3, 29)
+    assert (info.misses, info.compiles, info.hits) == (463, 3, 28)
     assert info.base_rows == 91
+    assert len(inversions) == 18
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -270,10 +317,9 @@ def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
 
 
 def test_one_first_order_pass_per_field(twisted, engine, monkeypatch):
-    """All seven checks at a fresh point make 13 ``value_and_partial``
-    calls: one each for ``A``, ``h~`` and ``d`` in the point's jet and in
-    the nested jet, one for ``ln det d`` on the nested stencil and six in
-    the drift routes. The point's jet is the one the christoffel check
+    """All seven checks at a fresh point make 7 ``value_and_partial``
+    calls: one for ``ln det d`` on the nested stencil and six in the
+    drift routes; the two jets call their fields on their own stencils. The point's jet is the one the christoffel check
     reads; both Ricci pairs run their routes on the nested jet, at the 21
     outer rows of the ``R_M`` stencil."""
     from bundlecurv import connection, curvature, fields
@@ -285,7 +331,7 @@ def test_one_first_order_pass_per_field(twisted, engine, monkeypatch):
         calls.append(1)
         return original(*args)
 
-    for module in (fields, connection, curvature):
+    for module in (fields, curvature):
         monkeypatch.setattr(module, "value_and_partial", counted)
 
     def jet_counted(*args, _original=connection.horizontal_jet):
@@ -305,7 +351,7 @@ def test_one_first_order_pass_per_field(twisted, engine, monkeypatch):
                                            [0.23, -0.18, -0.05])],
                         engine=engine)
     assert report.passed
-    assert len(calls) == 13
+    assert len(calls) == 7
     point_jet, nested_jet = jets
     assert (len(point_jet.zs), len(nested_jet.zs)) == (1, 21)
     assert routes == [("christoffel_table", point_jet),
