@@ -18,15 +18,19 @@ with ``G`` the frame metric blockdiag(h~, d~) and :math:`\hat\partial` the
 frame derivative. This module evaluates that formula numerically
 (``christoffel_general``) and, independently, the closed-form table for
 every sector (``christoffel_table``); their sector-by-sector agreement is
-the central certification of the whole connection layer.
+the central certification of the whole connection layer. The
+structure-function term contracts ``E`` first, into one
+:math:`\mathbb{C}^E_{BD} G_{CE}` array that serves both of its halves,
+and then ``D``; every contraction of the general route is a plain
+einsum of at most two arrays.
 
 Frame derivatives never difference over group coordinates: along horizontal
 lifts they are chart partials corrected by the connection times the
 group-direction rule, and along orbit directions they are purely algebraic
-(``liecore.group_direction_derivative``). ``frame_derivatives`` applies
-that rule to the values and partials of any chart field; the general
-formula here and the Ricci contraction of the curvature module both use
-it.
+(``liecore.group_direction_derivative``, which takes every orbit
+direction at once). ``frame_derivatives`` applies that rule to the values
+and partials of any chart field; the general formula here and the Ricci
+contraction of the curvature module both use it.
 
 The Christoffel routes and the Levi-Civita symbols of h~ read one
 ``HorizontalJet``, the complete first-order record at the rows of an
@@ -186,21 +190,15 @@ def frame_derivatives(value, grad, a_val, signature, c) -> np.ndarray:
     slot ``B'`` the chart partial minus :math:`\mathcal A^\sigma_{B'}`
     times the group-direction rule along :math:`\sigma`; along orbit
     direction :math:`\sigma` the rule itself
-    (``liecore.group_direction_derivative``, with the row axis inert).
+    (``liecore.group_direction_derivative``, with the row axis inert,
+    called once for every direction).
     """
-    n_h, n_g = grad.shape[1], c.n_g
-    rule = [group_direction_derivative(value, ("inert",) + tuple(signature),
-                                       c, s)
-            for s in range(n_g)]
-    # one connection coefficient per row, broadcast over the field's axes
-    a_val = a_val.reshape(a_val.shape + (1,) * (value.ndim - 1))
-    hat = np.zeros((len(value), n_h + n_g) + value.shape[1:])
-    for bp in range(n_h):
-        correction = sum((a_val[:, s, bp] * rule[s] for s in range(n_g)),
-                         np.zeros_like(value))
-        hat[:, bp] = grad[:, bp] - correction
-    for s in range(n_g):
-        hat[:, n_h + s] = rule[s]
+    n_h = grad.shape[1]
+    rule = np.moveaxis(group_direction_derivative(
+        value, ("inert",) + tuple(signature), c), 0, 1)
+    hat = np.empty((len(value), n_h + c.n_g) + value.shape[1:])
+    hat[:, :n_h] = grad - np.einsum("nsb,ns...->nb...", a_val, rule)
+    hat[:, n_h:] = rule
     return hat
 
 
@@ -212,7 +210,9 @@ def christoffel_general(jet: HorizontalJet) -> np.ndarray:
     einsum pipeline over the frame metric blockdiag(h~, d), its inverse
     blockdiag(``h_inv``, ``d_inv``), its frame derivatives (from the
     blockdiag of the jet's partials of h~ and d), and the structure
-    functions ``CC``; no closed-form table entries are consulted.
+    functions ``CC``; no closed-form table entries are consulted. The
+    structure-function term contracts ``e`` and then ``d``, each step one
+    two-operand einsum, through one intermediate shared by its two halves.
     """
     gf_val = _blockdiag(jet.h, jet.d)
     hat = frame_derivatives(gf_val, _blockdiag(jet.dh, jet.dd), jet.A,
@@ -221,9 +221,10 @@ def christoffel_general(jet: HorizontalJet) -> np.ndarray:
     cc = jet.CC
 
     metric_part = _levi_civita(g_inv, hat)
-    frame_part = -0.5 * (
-        np.einsum("...ad,...ebd,...ce->...abc", g_inv, cc, gf_val)
-        + np.einsum("...ad,...ecd,...be->...abc", g_inv, cc, gf_val))
+    # contract e, then d: one intermediate serves both terms
+    lowered = np.einsum("...ebd,...ce->...dbc", cc, gf_val)
+    frame_part = -0.5 * np.einsum("...ad,...dbc->...abc", g_inv,
+                                  lowered + np.swapaxes(lowered, -1, -2))
     torsion_part = 0.5 * cc
     return metric_part + frame_part + torsion_part
 

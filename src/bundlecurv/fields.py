@@ -25,7 +25,8 @@ A nested stencil repeats rows, and repeats sub-rows more often still
 distinct ones, so that a function of the sub-row alone runs once per
 distinct value. ``_levi_civita`` turns a stack of inverse metrics and
 metric partials into Christoffel symbols; every coordinate-formula route
-contracts through it.
+contracts through it. ``_worst`` is the one reduction of residuals to
+their largest value, NaN-keeping, that every residual report uses.
 
 All matrices here are tiny (at most ~12x12), so no attention is paid to
 asymptotics; accuracy and determinism are what matter.
@@ -359,6 +360,15 @@ def partial(engine: DerivEngine, field, zs, n_x: int, slots):
     row 0.
     """
     return value_and_partial(engine, field, zs, n_x, slots)[1]
+
+
+def _worst(values) -> float:
+    """Largest value, or NaN if any value is NaN, whatever its position.
+
+    The builtin ``max`` keeps or drops a NaN depending on where it sits.
+    """
+    values = tuple(values)
+    return float(np.max(values)) if values else 0.0
 
 
 def _levi_civita(g_inv, dg):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _levi_civita,
-                     coordinate_partials)
+                     _worst, coordinate_partials)
 from .geometry import AdaptedGeometry, OriginalGeometry, point_frame
 from .curvature import PointTerms, _frozen, _terms_at
 
@@ -131,8 +131,8 @@ class KillingIdentityResiduals:
     adapted_vector: float
 
     def max_residual(self) -> float:
-        return max(self.raw_base, self.raw_vector, self.adapted_base,
-                   self.adapted_vector)
+        return _worst((self.raw_base, self.raw_vector, self.adapted_base,
+                       self.adapted_vector))
 
 
 def killing_identities_check(terms: PointRecord) -> KillingIdentityResiduals:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import _worst
+
 __all__ = [
     "StructureConstants",
     "OrbitMetric",
@@ -76,8 +78,8 @@ class ValidityReport:
     valid: bool
 
     def max_residual(self) -> float:
-        return max(self.antisymmetry_residual, self.jacobi_residual,
-                   self.trace_residual)
+        return _worst((self.antisymmetry_residual, self.jacobi_residual,
+                       self.trace_residual))
 
 
 def su2_constants() -> StructureConstants:
@@ -118,8 +120,8 @@ def validate_structure_constants(c) -> ValidityReport:
            + np.einsum("sca,msb->abcm", raw, raw))
     jacobi = float(np.max(np.abs(jac))) if jac.size else 0.0
     trace = float(np.max(np.abs(np.einsum("asa->s", raw))))
-    valid = max(anti, jacobi, trace) <= VALIDITY_TOL
-    return ValidityReport(anti, jacobi, trace, valid)
+    return ValidityReport(anti, jacobi, trace,
+                          _worst((anti, jacobi, trace)) <= VALIDITY_TOL)
 
 
 def killing_form(c) -> np.ndarray:
@@ -171,26 +173,22 @@ def orbit_scalar_curvature(c, d, d_inv) -> float:
 RULE_SIGN = +1
 
 
-def _apply_on_axis(tensor, mat, axis):
-    moved = np.moveaxis(tensor, axis, 0)
-    out = np.tensordot(mat, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+def _generators(raw, size):
+    r"""The ``(n_g, size, size)`` stack of adjoint generators
+    :math:`(\mathrm{ad}_\gamma)^\varepsilon_{\ \mu}` in the trailing
+    ``n_g`` x ``n_g`` block of an axis of length ``size``."""
+    n_g = raw.shape[0]
+    if size < n_g:
+        raise ValueError("axis of length %d cannot carry an orbit index of "
+                         "dimension %d" % (size, n_g))
+    out = np.zeros((n_g, size, size))
+    out[:, size - n_g:, size - n_g:] = np.transpose(raw, (1, 0, 2))
+    return out
 
 
-def _embedded(mat, size, n_g):
-    if size == n_g:
-        return mat
-    if size > n_g:
-        out = np.zeros((size, size))
-        out[size - n_g:, size - n_g:] = mat
-        return out
-    raise ValueError("axis of length %d cannot carry an orbit index of "
-                     "dimension %d" % (size, n_g))
-
-
-def group_direction_derivative(tensor_value, covariance_signature, c,
-                               gamma: int):
-    r"""Derivative along group direction ``gamma`` of a tilded tensor, at identity.
+def group_direction_derivative(tensor_value, covariance_signature, c):
+    r"""Derivatives along every group direction of a tilded tensor, at
+    the identity.
 
     Tilded quantities are adjoint conjugations of identity-fiber fields, so
     their group derivative at the identity is purely algebraic: each lower
@@ -200,30 +198,34 @@ def group_direction_derivative(tensor_value, covariance_signature, c,
     axes longer than ``n_g`` carry the orbit index in their trailing block
     (horizontal components are invariant), so the generator acts there.
 
-    Scalars (empty signature) and abelian constants give zero.
+    Returns the ``(n_g,) + tensor.shape`` stack whose entry ``gamma`` is
+    the derivative along direction ``gamma``: one two-operand einsum per
+    non-inert axis, against the stack of all ``n_g`` generators. Scalars
+    (empty signature) and abelian constants give zeros.
     """
     raw = _raw_constants(c)
-    n_g = raw.shape[0]
-    if not 0 <= gamma < n_g:
-        raise IndexError("direction %d out of range for n_g=%d" % (gamma, n_g))
     tensor = np.asarray(tensor_value, dtype=float)
     signature = tuple(covariance_signature)
     if len(signature) != tensor.ndim:
         raise ValueError("signature length %d does not match tensor rank %d"
                          % (len(signature), tensor.ndim))
-    if tensor.ndim == 0:
-        return 0.0
-    m_hat = raw[:, gamma, :]
-    total = np.zeros_like(tensor)
+    rank = tensor.ndim
+    # einsum labels: the tensor's axes 0..rank-1, the direction rank, and
+    # rank + 1 for the axis a generator writes
+    axes = list(range(rank))
+    total = np.zeros((raw.shape[0],) + tensor.shape)
     for axis, kind in enumerate(signature):
         if kind == "inert":
             continue
-        mat = _embedded(m_hat, tensor.shape[axis], n_g)
-        if kind == "lower":
-            total = total + _apply_on_axis(tensor, mat.T, axis)
-        elif kind == "upper":
-            total = total - _apply_on_axis(tensor, mat, axis)
-        else:
+        if kind not in ("lower", "upper"):
             raise ValueError("signature entries must be 'lower', 'upper' or "
                              "'inert', got %r" % (kind,))
+        gens = _generators(raw, tensor.shape[axis])
+        out = [rank] + axes[:axis] + [rank + 1] + axes[axis + 1:]
+        if kind == "lower":
+            total = total + np.einsum(gens, [rank, axis, rank + 1],
+                                      tensor, axes, out)
+        else:
+            total = total - np.einsum(gens, [rank, rank + 1, axis],
+                                      tensor, axes, out)
     return RULE_SIGN * total

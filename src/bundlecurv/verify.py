@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine
+from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine, _worst
 from .geometry import assemble_block_metric, det_factorization_check
 from .connection import christoffel_general, christoffel_table
 from .curvature import decomposition_terms
@@ -93,15 +93,6 @@ def relative_gap(a, b) -> float:
     scale = max(1.0, float(np.max(np.abs(a), initial=0.0)),
                 float(np.max(np.abs(b), initial=0.0)))
     return float(np.max(np.abs(a - b), initial=0.0)) / scale
-
-
-def _worst(values) -> float:
-    """Largest value, or NaN if any value is NaN, whatever its position.
-
-    The builtin ``max`` keeps or drops a NaN depending on where it sits.
-    """
-    values = tuple(values)
-    return float(np.max(values)) if values else 0.0
 
 
 @dataclass(frozen=True)

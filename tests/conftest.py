@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bundlecurv.fields import DEFAULT_ENGINE, FieldHandle
+from bundlecurv.liecore import RULE_SIGN
 from bundlecurv.scenarios import build_scenario
 
 
@@ -20,6 +21,29 @@ def constant_field(value, arity="matrix"):
     value = np.asarray(value, dtype=float)
     return FieldHandle(lambda zs: np.repeat(value[None], len(zs), axis=0),
                        arity)
+
+
+def rule_by_loops(tensor, signature, c, gamma):
+    """The group-direction rule along ``gamma``, index by index: each
+    lower orbit index contracts with c^j_{gamma i}, each upper one with
+    -c^i_{gamma j}, on the trailing ``n_g`` slots of its axis."""
+    n_g = c.shape[0]
+    out = np.zeros(tensor.shape)
+    for idx in np.ndindex(tensor.shape):
+        total = 0.0
+        for axis, kind in enumerate(signature):
+            offset = tensor.shape[axis] - n_g
+            i = idx[axis] - offset
+            if kind == "inert" or i < 0:
+                continue
+            for j in range(n_g):
+                source = tensor[idx[:axis] + (offset + j,) + idx[axis + 1:]]
+                if kind == "lower":
+                    total += c[j, gamma, i] * source
+                else:
+                    total -= c[i, gamma, j] * source
+        out[idx] = RULE_SIGN * total
+    return out
 
 
 @pytest.fixture(scope="session")

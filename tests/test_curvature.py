@@ -171,7 +171,7 @@ _PINNED_RICCI = {
                        (-1.4331566308553185, -13.732204466302694),
                        8.44806991003096),
     "abelian_limit": ((-0.00964265174368309, -6.900613069226026),
-                      (-0.009642651743679675, -6.900613069226026),
+                      (-0.009642651743678808, -6.900613069226026),
                       4.247921432416537),
     "flat_product": ((-1.5, 0.0), (-1.5, 0.0), 0.0),
     "scaled_orbit": ((10.820058205956325, 0.0), (10.820058205956325, 0.0),

@@ -9,6 +9,7 @@ from bundlecurv.curvature import _log_det_d_field, decomposition_terms
 from bundlecurv.fields import ChartPoint, partial
 from bundlecurv.geometry import compile_adapted
 from bundlecurv.jacobian import (
+    KillingIdentityResiduals,
     PointRecord,
     j_norm_squared,
     jacobian_direct,
@@ -134,6 +135,17 @@ def test_killing_identities_flat(flat, engine):
     point = sample_points(flat, 1)[0]
     res = killing_identities_check(PointRecord(flat.adapted, point, engine))
     assert res.max_residual() <= 1e-10
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_killing_residuals_keep_a_nan(position):
+    """A NaN residual in any position fails the bound of
+    ``test_killing_identities_flat``."""
+    residuals = [1e-12, 0.0, 0.0, 0.0]
+    residuals[position] = float("nan")
+    worst = KillingIdentityResiduals(*residuals).max_residual()
+    assert np.isnan(worst)
+    assert not worst <= 1e-10
 
 
 def test_killing_identities_need_bundle_data(twisted, engine):
