@@ -18,8 +18,8 @@ Three independent routes to the total-space scalar curvature live here:
    term, and the log-density terms,
 
 3. ``scalar_curvature_coordinate_oracle`` rebuilds the metric in the plain
-   coordinate basis over ``(x, f, a)`` -- group chart included, no frames, no
-   structure constants -- and applies the standard coordinate formulas.
+   coordinate basis over ``(x, f, a)`` -- no frames, no structure
+   constants -- and applies the standard coordinate formulas.
 
 Every derivative here comes from the stencil kernel of ``fields``, and
 every second derivative from one nested stencil: the centre-first inner
@@ -62,7 +62,6 @@ from .connection import (_blockdiag, base_levi_civita, christoffel_general,
 __all__ = [
     "CurvatureBreakdown",
     "PointTerms",
-    "GroupChart",
     "ricci_scalar_pair",
     "log_density_terms",
     "ff_term",
@@ -71,7 +70,6 @@ __all__ = [
     "coordinate_ricci_scalar",
     "oracle_metric",
     "scalar_curvature_coordinate_oracle",
-    "validate_group_chart",
 ]
 
 _GAMMA_SIGNATURE = ("upper", "lower", "lower")
@@ -116,31 +114,14 @@ class CurvatureBreakdown:
     R_total: float
 
 
-@dataclass(frozen=True)
-class GroupChart:
-    """Chart matrices of the group factor, used only by the oracle.
-
-    ``u``, ``v``, ``rho`` map a group coordinate vector to the left/right
-    flow-component matrices and the adjoint matrix; ``u_bar``, ``v_bar``,
-    ``rho_bar`` are their pointwise inverses. ``rho = u_bar . v`` holds
-    identically and all three reduce to the identity at the origin.
-    """
-
-    n_g: int
-    u: object
-    v: object
-    rho: object
-    u_bar: object
-    v_bar: object
-    rho_bar: object
-
-
-def _ricci_from_pieces(gamma0, hat, cc, mask):
-    t1 = np.einsum("abbc,b->ac", hat, mask)
-    t2 = np.einsum("bbac,b->ac", hat, mask)
-    t3 = np.einsum("dbc,bad,b,d->ac", gamma0, gamma0, mask, mask)
-    t4 = np.einsum("lac,bbl,b,l->ac", gamma0, gamma0, mask, mask)
-    t5 = np.einsum("eab,bec,e,b->ac", cc, gamma0, mask, mask)
+def _ricci_from_pieces(gamma0, hat, cc, k):
+    """The frame Ricci tensor, internal indices over the first ``k``."""
+    s = slice(0, k)
+    t1 = np.einsum("abbc->ac", hat[:, s, s])
+    t2 = np.einsum("bbac->ac", hat[s, s])
+    t3 = np.einsum("dbc,bad->ac", gamma0[s, s], gamma0[s, :, s])
+    t4 = np.einsum("lac,bbl->ac", gamma0[s], gamma0[s, s, s])
+    t5 = np.einsum("eab,bec->ac", cc[s, :, s], gamma0[s, s])
     return t1 - t2 + t3 - t4 - t5
 
 
@@ -173,8 +154,8 @@ def ricci_scalar_pair(terms: PointTerms, christoffel=christoffel_table):
     g_inv = _blockdiag(terms.h_inv, terms.d_inv)
 
     # internal indices: all of them, or the horizontal ones only
-    full = _ricci_from_pieces(gamma0, hat, cc, np.ones(n_t))
-    base = _ricci_from_pieces(gamma0, hat, cc, (np.arange(n_t) < n_h) * 1.0)
+    full = _ricci_from_pieces(gamma0, hat, cc, n_t)
+    base = _ricci_from_pieces(gamma0, hat, cc, n_h)
     r_total = float(np.einsum("ac,ac->", g_inv, full))
     r_base = float(np.einsum("ac,ac->", terms.h_inv, base[:n_h, :n_h]))
     return r_total, r_base
@@ -424,15 +405,14 @@ def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:
 
 
 def scalar_curvature_coordinate_oracle(orig: OriginalGeometry, chart, x, f,
-                                       a,
-                                       engine: DerivEngine = DEFAULT_ENGINE
+                                       a, engine: DerivEngine = DEFAULT_ENGINE
                                        ) -> float:
     """Scalar curvature at ``(x, f, a)`` through the coordinate basis only.
 
-    ``chart`` is never read: the metric is built from the geometry's group
-    action. The parameter stays only because the benchmark harness passes
-    a scenario's chart. The value must be independent of ``a``; tests
-    assert that separately.
+    ``chart`` is unread; it stays only because the benchmark harness
+    passes ``scenario.chart``, which is always None. The metric comes from
+    the geometry's group action, and its value must be independent of
+    ``a``, which tests assert separately.
 
     The metric here is an analytic closed form, so it runs on the widened
     steps of the nested stencil (see ``coordinate_ricci_scalar``), which
@@ -453,25 +433,3 @@ def scalar_curvature_coordinate_oracle(orig: OriginalGeometry, chart, x, f,
                          np.asarray(a, dtype=float)])
     return coordinate_ricci_scalar(metric_stack, z0, engine)
 
-
-def validate_group_chart(chart: GroupChart, samples) -> float:
-    """Max residual of the chart identities over sample coordinates."""
-    worst = 0.0
-    eye = np.eye(chart.n_g)
-    origin = np.zeros(chart.n_g)
-    for name, func in (("u", chart.u), ("v", chart.v), ("rho", chart.rho)):
-        val = np.asarray(func(origin), dtype=float)
-        worst = max(worst, float(np.max(np.abs(val - eye))))
-    for a in samples:
-        a = np.asarray(a, dtype=float)
-        u = np.asarray(chart.u(a), dtype=float)
-        v = np.asarray(chart.v(a), dtype=float)
-        rho = np.asarray(chart.rho(a), dtype=float)
-        u_bar = np.asarray(chart.u_bar(a), dtype=float)
-        v_bar = np.asarray(chart.v_bar(a), dtype=float)
-        rho_bar = np.asarray(chart.rho_bar(a), dtype=float)
-        worst = max(worst, float(np.max(np.abs(u @ u_bar - eye))))
-        worst = max(worst, float(np.max(np.abs(v @ v_bar - eye))))
-        worst = max(worst, float(np.max(np.abs(rho @ rho_bar - eye))))
-        worst = max(worst, float(np.max(np.abs(u_bar @ v - rho))))
-    return worst

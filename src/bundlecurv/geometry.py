@@ -46,7 +46,8 @@ import numpy as np
 from .fields import (ChartPoint, ConfigError, FieldHandle,
                      NearSingularError, _distinct_rows, coordinate_partials,
                      invert_spd)
-from .liecore import OrbitMetric, StructureConstants
+from .liecore import (OrbitMetric, StructureConstants,
+                      validate_structure_constants)
 
 __all__ = [
     "OriginalGeometry",
@@ -595,11 +596,15 @@ def det_factorization_check(block: BlockMetric) -> float:
 
 @dataclass(frozen=True)
 class OriginalValidity:
-    """Sampled-gate report for an OriginalGeometry."""
+    """Sampled-gate report for an OriginalGeometry; ``bracket_pair`` is
+    the ``(alpha, beta)`` of ``bracket_residual``, () without a group."""
 
     killing_residual: float
     section_residual: float
     fp_condition: float
+    bracket_residual: float
+    bracket_pair: tuple
+    constants_valid: bool
     ok: bool
 
 
@@ -635,9 +640,13 @@ def validate_original(orig: OriginalGeometry, points,
     are then probed at them, and ``G_P`` also at the translated points
     ``right_translate(x, a)`` the coordinate oracle reads. Then, at each
     point: the FD Lie derivative of ``G_P`` along every Killing field
-    vanishes, the gauge function vanishes on the section, and the
-    Faddeev-Popov matrix is well conditioned. Sampled, not proven;
-    scenario construction treats failure as a configuration error.
+    vanishes, and so does :math:`[K_\alpha, K_\beta] -
+    c^\gamma_{\alpha\beta} K_\gamma` (``[X, Y] = X.grad Y - Y.grad X``,
+    on the vector sector ``gens_b gens_a - gens_a gens_b``); ``orig.c``
+    passes ``validate_structure_constants``; the gauge function vanishes on
+    the section; and the Faddeev-Popov matrix is well conditioned.
+    Sampled, not proven; scenario construction treats failure as a
+    configuration error.
     """
     zs = np.reshape([p.coords for p in points], (-1, orig.n_h))
     xs = zs[:, :orig.n_x]
@@ -655,16 +664,26 @@ def validate_original(orig: OriginalGeometry, points,
     _check_row_contract(orig, probes)
 
     frames = point_frames(orig, zs)
+    c, gens = orig.c.c, orig.gens
+    products = np.einsum("bij,ajk->abik", gens, gens)   # [a, b] gens_b gens_a
+    bracket = np.abs(products - products.swapaxes(0, 1) - np.einsum(
+        "gab,gij->abij", c, gens)).max(axis=(2, 3), initial=0.0)
     worst_k = 0.0
     for q, k_p, g_p in zip(frames.Q, frames.K_P, frames.G_P):
         dg = coordinate_partials(orig.G_P, q, fd_step)  # dg[C, A, B]
         dk = coordinate_partials(orig.K_P, q, fd_step)  # dk[C, A, alpha]
-        for alpha in range(orig.n_g):
-            k = k_p[:, alpha]
-            grad_k = dk[:, :, alpha]     # grad_k[slot A, component C]
-            lie = (np.einsum("c,cab->ab", k, dg)
-                   + grad_k @ g_p + g_p @ grad_k.T)
-            worst_k = max(worst_k, float(np.max(np.abs(lie))))
+        lie = (np.einsum("ca,cpq->apq", k_p, dg)   # [a, p, q] L_{K_a} G_P
+               + np.einsum("pra,rq->apq", dk, g_p)
+               + np.einsum("pr,qra->apq", g_p, dk))
+        worst_k = np.maximum(worst_k, np.abs(lie).max(initial=0.0))
+        flow = np.einsum("ca,cpb->pab", k_p, dk)   # [p, a, b] K_a . grad K_b
+        closure = (flow - flow.swapaxes(1, 2)
+                   - np.einsum("gab,pg->pab", c, k_p))
+        bracket = np.maximum(bracket,
+                             np.abs(closure).max(axis=0, initial=0.0))
+    worst_b = float(bracket.max(initial=0.0))
+    pair = divmod(int(np.argmax(bracket)), orig.n_g) if orig.n_g else ()
+    constants_valid = validate_structure_constants(orig.c).valid
     chi_val = orig.chi(frames.Q)
     worst_s = float(np.max(np.abs(chi_val))) if chi_val.size else 0.0
     worst_cond = 1.0
@@ -672,5 +691,7 @@ def validate_original(orig: OriginalGeometry, points,
         phi = orig.chi_jac(frames.Q) @ frames.K_P
         worst_cond = max(worst_cond, float(np.max(np.linalg.cond(phi))))
     ok = (worst_k <= killing_tol and worst_s <= section_tol
-          and worst_cond <= _PHI_MAX_COND)
-    return OriginalValidity(worst_k, worst_s, worst_cond, ok)
+          and worst_cond <= _PHI_MAX_COND and worst_b <= killing_tol
+          and constants_valid)
+    return OriginalValidity(float(worst_k), worst_s, worst_cond, worst_b,
+                            pair, constants_valid, ok)

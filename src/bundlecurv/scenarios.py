@@ -1,15 +1,14 @@
 r"""Built-in concrete geometries with known structure.
 
 Each scenario packages an original bundle geometry (a chart box times a
-three-parameter group factor, acting linearly on a three-dimensional
-vector sector), the compiled adapted geometry, an optional group chart
-and a sampling box. The library never reads the chart: the coordinate
-oracle builds its metric from the geometry's group action, and the chart
-stays only because the benchmark harness passes it to the oracle.
-Dimensions are kept at desk scale, ``n_x = 2, n_v = 3, n_g = 3``: every
-index sector is nontrivial, and the eight-dimensional coordinate oracle
-evaluates its 1,089-row stencil in one stacked metric call, whose group
-series run on the stencil's 169 distinct group rows.
+group factor, acting linearly on a vector sector), the compiled adapted
+geometry and a sampling box. ``_build_original`` takes any ``n_x``,
+``n_v`` (0 included) and ``n_g``: the group reaches it only through its
+structure constants ``c`` and the vector-sector generators. The
+registered scenarios have two base, three vector and three group
+dimensions: every index sector is nontrivial, and the 8-dim coordinate
+oracle evaluates its 1,089-row stencil in one stacked metric call, whose
+group series run on the stencil's 169 distinct group rows.
 
 All group-factor matrices (the exponential map, the one-parameter
 subgroup Jacobian factor, and the differential of the vector-sector
@@ -23,6 +22,7 @@ stack it was computed in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +31,6 @@ from .fields import ChartPoint, ConfigError
 from .geometry import (AdaptedGeometry, OriginalGeometry, compile_adapted,
                        validate_original)
 from .liecore import StructureConstants, abelian_constants, su2_constants
-from .curvature import GroupChart
 
 __all__ = [
     "Scenario",
@@ -42,21 +41,6 @@ __all__ = [
 ]
 
 _SERIES_TERMS = 40
-
-
-#: ``_cross`` fills the off-diagonal entries of each flattened 3x3 matrix
-#: with these vector components, times these signs.
-_CROSS_SLOTS = np.array([1, 2, 3, 5, 6, 7])
-_CROSS_PARTS = np.array([2, 1, 2, 0, 1, 0])
-_CROSS_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
-
-
-def _cross(v: np.ndarray) -> np.ndarray:
-    """The cross-product matrix of each vector of a ``(..., 3)`` stack."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (9,))
-    out[..., _CROSS_SLOTS] = v[..., _CROSS_PARTS] * _CROSS_SIGNS
-    return out.reshape(v.shape[:-1] + (3, 3))
 
 
 def _tile(mat, rows):
@@ -108,16 +92,27 @@ class _SeriesTotals:
         return self.out.reshape(shape)
 
 
+def _flat_stack(mat: np.ndarray) -> np.ndarray:
+    """A ``(..., n, n)`` stack as one ``(N, n, n)`` stack, ``0 x 0``
+    matrices included."""
+    return mat.reshape((math.prod(mat.shape[:-2]),) + mat.shape[-2:])
+
+
+def _largest(stack: np.ndarray) -> np.ndarray:
+    """The largest magnitude in each matrix of an ``(N, n, n)`` stack."""
+    return np.abs(stack).max(axis=(1, 2), initial=0.0)
+
+
 def _exp_series(mat: np.ndarray) -> np.ndarray:
     """Matrix exponential by direct series over a ``(..., n, n)`` stack;
     converges fast at chart scale."""
     mat = np.asarray(mat, dtype=float)
-    mats = mat.reshape((-1,) + mat.shape[-2:])
+    mats = _flat_stack(mat)
     term = _tile(np.eye(mats.shape[-1]), mats)
     sums = _SeriesTotals(term)
     for k in range(1, _SERIES_TERMS):
         term = term @ mats / k
-        live = sums.add(term, np.abs(term).max(axis=(1, 2)), term, mats)
+        live = sums.add(term, _largest(term), term, mats)
         if live is None:
             break
         term, mats = live
@@ -128,11 +123,11 @@ def _phi_series(mat: np.ndarray) -> np.ndarray:
     r"""The subgroup Jacobian factor :math:`\sum_k M^k/(k+1)!` over a
     ``(..., n, n)`` stack.
 
-    Equals :math:`(e^M - 1)M^{-1}`; applied to the coordinate cross
-    matrix it gives the left Jacobian of the exponential chart.
+    Equals :math:`(e^M - 1)M^{-1}`; applied to the adjoint matrix of the
+    group coordinates it gives the left Jacobian of the exponential chart.
     """
     mat = np.asarray(mat, dtype=float)
-    mats = mat.reshape((-1,) + mat.shape[-2:])
+    mats = _flat_stack(mat)
     term = _tile(np.eye(mats.shape[-1]), mats)
     sums = _SeriesTotals(term)
     fact = 1.0
@@ -140,7 +135,7 @@ def _phi_series(mat: np.ndarray) -> np.ndarray:
         term = term @ mats
         fact = fact * (k + 1)
         piece = term / fact
-        live = sums.add(piece, np.abs(piece).max(axis=(1, 2)), term, mats)
+        live = sums.add(piece, _largest(piece), term, mats)
         if live is None:
             break
         term, mats = live
@@ -152,7 +147,7 @@ def _dexp_apply(x_mat: np.ndarray, y_mat: np.ndarray) -> np.ndarray:
     for stacks of ``X`` and ``Y`` that broadcast against each other."""
     x_mat, y_mat = np.broadcast_arrays(np.asarray(x_mat, dtype=float),
                                        np.asarray(y_mat, dtype=float))
-    xs = x_mat.reshape((-1,) + x_mat.shape[-2:])
+    xs = _flat_stack(x_mat)
     term = y_mat.reshape(xs.shape)
     sums = _SeriesTotals(np.zeros(xs.shape))
     fact = 1.0
@@ -160,8 +155,7 @@ def _dexp_apply(x_mat: np.ndarray, y_mat: np.ndarray) -> np.ndarray:
         piece = term / fact
         term = xs @ term - term @ xs
         fact = fact * (k + 2)
-        live = sums.add(piece, np.abs(term).max(axis=(1, 2)) / fact, term,
-                        xs)
+        live = sums.add(piece, _largest(term) / fact, term, xs)
         if live is None:
             break
         term, xs = live
@@ -170,7 +164,9 @@ def _dexp_apply(x_mat: np.ndarray, y_mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully wired geometry plus its sampling and expectation data."""
+    """A fully wired geometry plus its sampling and expectation data;
+    ``chart`` is always None and unread, kept only because the benchmark
+    harness passes it to the coordinate oracle."""
 
     name: str
     n_x: int
@@ -178,66 +174,34 @@ class Scenario:
     n_g: int
     adapted: AdaptedGeometry
     orig: OriginalGeometry = None
-    chart: GroupChart = None
+    chart: object = None
     sample_domain: np.ndarray = None
     a_domain: np.ndarray = None
     params: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
 
 
-def _su2_chart() -> GroupChart:
-    def u(b):
-        return np.linalg.inv(_phi_series(_cross(b)))
-
-    def u_bar(b):
-        return _phi_series(_cross(b))
-
-    def v(b):
-        return np.linalg.inv(_phi_series(-_cross(b)))
-
-    def v_bar(b):
-        return _phi_series(-_cross(b))
-
-    def rho(b):
-        return _exp_series(_cross(b))
-
-    def rho_bar(b):
-        return _exp_series(-_cross(b))
-
-    return GroupChart(n_g=3, u=u, v=v, rho=rho, u_bar=u_bar, v_bar=v_bar,
-                      rho_bar=rho_bar)
-
-
-def _trivial_chart() -> GroupChart:
-    def ident(b):
-        return np.eye(3)
-
-    return GroupChart(n_g=3, u=ident, v=ident, rho=ident, u_bar=ident,
-                      v_bar=ident, rho_bar=ident)
-
-
-def _build_original(n_x: int, g_func, bbar_func, twist_func, gens,
-                    g_v: np.ndarray, c: StructureConstants,
-                    abelian_group: bool) -> OriginalGeometry:
+def _build_original(n_x: int, g_func, bbar_func, twist_func, gens, g_v,
+                    c: StructureConstants) -> OriginalGeometry:
     """Chart-box-times-group bundle with a right-invariant group factor.
 
     The group block of the metric carries the value ``bbar_func(x)`` at
-    the identity, transported by the subgroup Jacobian factor; the
-    ``twist_func`` columns mix base and group directions. Killing fields
-    are the generators of right translations, so the gauge section
-    ``b = 0`` is everywhere transversal.
+    the identity, transported by the subgroup Jacobian factor phi(ad_b),
+    ``(ad_b)^e_m = b^g c^e_{gm}``; the ``twist_func`` columns mix base
+    and group directions. Killing fields are the generators of right
+    translations, so the gauge section ``b = 0`` is everywhere
+    transversal.
     """
-    n_g = 3
+    n_g = c.n_g
     n_P = n_x + n_g
-    gens = np.asarray(gens, dtype=float)
+    gens = np.ascontiguousarray(gens, dtype=float)
     n_v = gens.shape[1]
+    # ad[g] = ad_g; C-ordered ad and gens make einsum write C-ordered
+    # matrices, which the series multiply fastest
+    ad = np.ascontiguousarray(np.transpose(c.c, (1, 0, 2)))
 
-    if abelian_group:
-        def jac_factor(b):
-            return _tile(np.eye(3), b)
-    else:
-        def jac_factor(b):
-            return _phi_series(_cross(b))
+    def jac_factor(b):
+        return _phi_series(np.einsum("ng,gem->nem", b, ad))
 
     def metric_p(q):
         x = q[:, :n_x]
@@ -297,7 +261,17 @@ def _box(n: int, lo: float, hi: float) -> np.ndarray:
     return np.column_stack([np.full(n, lo), np.full(n, hi)])
 
 
-_SU2_GENS = -_cross(np.eye(3))
+def _scenario(name: str, orig: OriginalGeometry, **data) -> Scenario:
+    """The scenario on ``orig``, with the geometry's dimensions, the chart
+    box [-0.4, 0.4] and the group box [0.1, 0.35] on every coordinate."""
+    return Scenario(name=name, n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
+                    adapted=compile_adapted(orig), orig=orig,
+                    sample_domain=_box(orig.n_h, -0.4, 0.4),
+                    a_domain=_box(orig.n_g, 0.1, 0.35), **data)
+
+
+#: The su(2) generators -ad_gamma, ``(ad_gamma)^e_m = c^e_{gamma m}``.
+_SU2_GENS = -np.ascontiguousarray(np.transpose(su2_constants().c, (1, 0, 2)))
 
 
 def _reject_unknown(params: dict, allowed) -> None:
@@ -344,29 +318,20 @@ def _build_twisted(params: dict) -> Scenario:
     orig = _build_original(
         n_x=2, g_func=_twisted_g, bbar_func=_twisted_bbar,
         twist_func=_twisted_twist, gens=_SU2_GENS,
-        g_v=lam_v * np.eye(3), c=su2_constants(), abelian_group=False)
-    return Scenario(
-        name="twisted_bundle", n_x=2, n_v=3, n_g=3,
-        adapted=compile_adapted(orig), orig=orig, chart=_su2_chart(),
-        sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
-        params={"lam_v": lam_v})
+        g_v=lam_v * np.eye(3), c=su2_constants())
+    return _scenario("twisted_bundle", orig, params={"lam_v": lam_v})
 
 
 def _build_abelian(params: dict) -> Scenario:
     _reject_unknown(params, set())
     kappa = np.array([0.7, 1.1, -0.4])
-    rotor = -_cross(np.eye(3)[2])
+    rotor = _SU2_GENS[2]            # rotation of the first two components
     gens = np.stack([kappa[g] * rotor for g in range(3)])
     orig = _build_original(
         n_x=2, g_func=_twisted_g, bbar_func=_twisted_bbar,
         twist_func=_twisted_twist, gens=gens,
-        g_v=np.diag([1.0, 1.0, 1.5]), c=abelian_constants(3),
-        abelian_group=True)
-    return Scenario(
-        name="abelian_limit", n_x=2, n_v=3, n_g=3,
-        adapted=compile_adapted(orig), orig=orig, chart=_trivial_chart(),
-        sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
-        params={})
+        g_v=np.diag([1.0, 1.0, 1.5]), c=abelian_constants(3))
+    return _scenario("abelian_limit", orig, params={})
 
 
 def _build_flat(params: dict) -> Scenario:
@@ -388,14 +353,10 @@ def _build_flat(params: dict) -> Scenario:
         bbar_func=lambda x: _tile(lam * np.eye(3), x),
         twist_func=lambda x: np.zeros((len(x), 3, 2)),
         gens=np.zeros((3, 3, 3)), g_v=g_v,
-        c=su2_constants() if su2 else abelian_constants(3),
-        abelian_group=not su2)
+        c=su2_constants() if su2 else abelian_constants(3))
     expected_rg = -1.5 / lam if su2 else 0.0
-    return Scenario(
-        name="flat_product", n_x=2, n_v=3, n_g=3,
-        adapted=compile_adapted(orig), orig=orig,
-        chart=_su2_chart() if su2 else _trivial_chart(),
-        sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
+    return _scenario(
+        "flat_product", orig,
         params={"lam": lam, "group": group, "gv_offdiag": gv_offdiag},
         expected={"jacobian_zero": True, "r_group": expected_rg})
 
@@ -413,14 +374,9 @@ def _build_scaled(params: dict) -> Scenario:
         n_x=2, g_func=lambda x: _tile(np.eye(2), x), bbar_func=bbar,
         twist_func=lambda x: np.zeros((len(x), 3, 2)),
         gens=np.zeros((3, 3, 3)), g_v=np.eye(3),
-        c=su2_constants(), abelian_group=False)
-
-    return Scenario(
-        name="scaled_orbit", n_x=2, n_v=3, n_g=3,
-        adapted=compile_adapted(orig), orig=orig,
-        chart=_su2_chart(),
-        sample_domain=_box(5, -0.4, 0.4), a_domain=_box(3, 0.1, 0.35),
-        params={"slope": slope},
+        c=su2_constants())
+    return _scenario(
+        "scaled_orbit", orig, params={"slope": slope},
         expected={"grad_ln_d": 9.0 * slope * slope,
                   "jacobian": 9.0 * slope * slope,
                   "dddd": 3.0 * slope * slope})
@@ -459,10 +415,25 @@ def build_scenario(name: str, params: dict = None, **kwargs) -> Scenario:
         if not report.ok:
             raise ConfigError(
                 "scenario %r failed its geometry gates (killing %.2e, "
-                "section %.2e, transversality condition %.2e)"
+                "section %.2e, transversality condition %.2e, bracket "
+                "%.2e, worst at (alpha, beta) = %s, structure constants "
+                "valid: %s)"
                 % (name, report.killing_residual, report.section_residual,
-                   report.fp_condition))
+                   report.fp_condition, report.bracket_residual,
+                   report.bracket_pair, report.constants_valid))
     return scenario
+
+
+def _box_draws(box, count: int, seed: int) -> np.ndarray:
+    """``count`` seeded uniform rows in ``box``; one row is its center."""
+    if count < 1:
+        raise ConfigError("count must be at least 1")
+    box = np.asarray(box, dtype=float)
+    if count == 1:
+        return 0.5 * (box[:, 0] + box[:, 1])[None, :]
+    rng = np.random.default_rng(seed)
+    span = box[:, 1] - box[:, 0]
+    return box[:, 0] + rng.random((count, box.shape[0])) * span
 
 
 def sample_points(scenario: Scenario, count: int, seed: int = 0):
@@ -470,27 +441,12 @@ def sample_points(scenario: Scenario, count: int, seed: int = 0):
 
     ``count == 1`` returns the box center, the canonical spot value.
     """
-    if count < 1:
-        raise ConfigError("count must be at least 1")
-    box = np.asarray(scenario.sample_domain, dtype=float)
-    center = 0.5 * (box[:, 0] + box[:, 1])
     n_x = scenario.n_x
-    if count == 1:
-        return [ChartPoint(x=center[:n_x], f=center[n_x:])]
-    rng = np.random.default_rng(seed)
-    span = box[:, 1] - box[:, 0]
-    draws = box[:, 0] + rng.random((count, box.shape[0])) * span
-    return [ChartPoint(x=row[:n_x], f=row[n_x:]) for row in draws]
+    return [ChartPoint(x=row[:n_x], f=row[n_x:])
+            for row in _box_draws(scenario.sample_domain, count, seed)]
 
 
 def sample_group_coordinates(scenario: Scenario, count: int,
                              seed: int = 0) -> np.ndarray:
     """Seeded group-coordinate draws inside the scenario's ``a`` box."""
-    if count < 1:
-        raise ConfigError("count must be at least 1")
-    box = np.asarray(scenario.a_domain, dtype=float)
-    if count == 1:
-        return 0.5 * (box[:, 0] + box[:, 1])[None, :]
-    rng = np.random.default_rng(seed + 1)
-    span = box[:, 1] - box[:, 0]
-    return box[:, 0] + rng.random((count, box.shape[0])) * span
+    return _box_draws(scenario.a_domain, count, seed + 1)

@@ -14,6 +14,7 @@ import pytest
 
 from bundlecurv.connection import (christoffel_general, frame_derivatives,
                                    horizontal_jet)
+from bundlecurv.curvature import _ricci_from_pieces
 from bundlecurv.scenarios import sample_points
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -51,9 +52,8 @@ def test_no_kernel_dependent_contractions(path):
     assert kernel_dependent_contractions(path.read_text()) == []
 
 
-def test_frame_contractions_take_two_operands(twisted, engine, monkeypatch):
-    """One ``christoffel_general`` call and one ``frame_derivatives`` call
-    on the Christoffel symbols make only einsums of one or two arrays."""
+def _count_operands(monkeypatch):
+    """Wrap ``np.einsum`` to record the number of arrays of each call."""
     operands = []
     einsum = np.einsum
 
@@ -63,11 +63,32 @@ def test_frame_contractions_take_two_operands(twisted, engine, monkeypatch):
                         else len(args) // 2)
         return einsum(*args, **kwargs)
 
+    monkeypatch.setattr(np, "einsum", counted)
+    return operands
+
+
+def test_frame_contractions_take_two_operands(twisted, engine, monkeypatch):
+    """One ``christoffel_general`` call and one ``frame_derivatives`` call
+    on the Christoffel symbols make only einsums of one or two arrays."""
     point = sample_points(twisted, 1)[0]
     jet = horizontal_jet(twisted.adapted, point.coords[None], engine)
-    monkeypatch.setattr(np, "einsum", counted)
+    operands = _count_operands(monkeypatch)
     gammas = christoffel_general(jet)
     frame_derivatives(gammas, np.zeros((1, 5) + gammas.shape[1:]), jet.A,
                       ("upper", "lower", "lower"), twisted.adapted.c)
+    monkeypatch.undo()
+    assert operands and max(operands) <= 2, operands
+
+
+@pytest.mark.parametrize("internal", [5, 8])
+def test_ricci_contraction_takes_two_operands(monkeypatch, internal):
+    """The frame Ricci contraction, over every frame index or the
+    horizontal ones only, makes only einsums of one or two arrays."""
+    rng = np.random.default_rng(5)
+    gamma0 = rng.normal(size=(8, 8, 8))
+    hat = rng.normal(size=(8, 8, 8, 8))
+    cc = rng.normal(size=(8, 8, 8))
+    operands = _count_operands(monkeypatch)
+    _ricci_from_pieces(gamma0, hat, cc, internal)
     monkeypatch.undo()
     assert operands and max(operands) <= 2, operands

@@ -17,7 +17,6 @@ from bundlecurv.curvature import (
     oracle_metric,
     ricci_scalar_pair,
     scalar_curvature_coordinate_oracle,
-    validate_group_chart,
 )
 from bundlecurv.fields import ChartPoint, EvaluationError, FieldHandle
 from bundlecurv.geometry import (AdaptedGeometry, compile_adapted,
@@ -157,7 +156,7 @@ def test_decomposition_pinned_values(name, engine):
 @pytest.mark.parametrize("name", sorted(_PINNED_ORACLE))
 def test_oracle_pinned_values(name, engine):
     scen = build_scenario(name)
-    got = scalar_curvature_coordinate_oracle(scen.orig, scen.chart, _PIN.x,
+    got = scalar_curvature_coordinate_oracle(scen.orig, None, _PIN.x,
                                              _PIN.f, _PIN_A, engine)
     assert got == _PINNED_ORACLE[name]
 
@@ -432,7 +431,7 @@ def test_oracle_calls_oracle_metric_once(flat, engine, monkeypatch):
 
     monkeypatch.setattr(curvature, "oracle_metric", counting)
     point = sample_points(flat, 1)[0]
-    scalar_curvature_coordinate_oracle(flat.orig, flat.chart, point.x,
+    scalar_curvature_coordinate_oracle(flat.orig, None, point.x,
                                        point.f, np.array([0.2, 0.15, 0.1]),
                                        engine)
     assert rows == [1089]
@@ -458,7 +457,7 @@ def test_oracle_runs_group_callables_on_distinct_rows(twisted, engine):
     orig = dataclasses.replace(twisted.orig,
                                **{name: counting(name) for name in names})
     point = sample_points(twisted, 1)[0]
-    scalar_curvature_coordinate_oracle(orig, twisted.chart, point.x,
+    scalar_curvature_coordinate_oracle(orig, None, point.x,
                                        point.f, np.array([0.2, 0.15, 0.1]),
                                        engine)
     assert rows == {"G_P": 441, "right_translate": 1089,
@@ -470,10 +469,10 @@ def test_oracle_flat_values(engine):
     trivial = build_scenario("flat_product", {"group": "abelian"})
     point = sample_points(su2, 1)[0]
     a = np.array([0.2, 0.15, 0.1])
-    got = scalar_curvature_coordinate_oracle(su2.orig, su2.chart, point.x,
+    got = scalar_curvature_coordinate_oracle(su2.orig, None, point.x,
                                              point.f, a, engine)
     assert_close(got, -1.5 / 1.4, 1e-6, "flat su2 oracle")
-    got0 = scalar_curvature_coordinate_oracle(trivial.orig, trivial.chart,
+    got0 = scalar_curvature_coordinate_oracle(trivial.orig, None,
                                               point.x, point.f, a, engine)
     assert abs(got0) <= 1e-6
 
@@ -482,33 +481,12 @@ def test_oracle_matches_adapted_total(twisted, engine):
     point = sample_points(twisted, 1)[0]
     b = decomposition_terms(twisted.adapted, point, engine)
     a_vals = sample_group_coordinates(twisted, 2, seed=89)
-    o1 = scalar_curvature_coordinate_oracle(twisted.orig, twisted.chart,
+    o1 = scalar_curvature_coordinate_oracle(twisted.orig, None,
                                             point.x, point.f, a_vals[0],
                                             engine)
-    o2 = scalar_curvature_coordinate_oracle(twisted.orig, twisted.chart,
+    o2 = scalar_curvature_coordinate_oracle(twisted.orig, None,
                                             point.x, point.f, a_vals[1],
                                             engine)
     assert_close(o1, b.R_total, 1e-6, "oracle vs adapted computation")
     assert_close(o1, o2, 1e-6, "group-coordinate independence")
 
-
-# ---------------------------------------------------------------------------
-# group charts
-
-
-def test_group_chart_identities(twisted, abelian):
-    for scen in (twisted, abelian):
-        samples = sample_group_coordinates(scen, 6, seed=97)
-        assert validate_group_chart(scen.chart, samples) <= 1e-12
-
-
-def test_group_chart_factorization(twisted):
-    chart = twisted.chart
-    for a in sample_group_coordinates(twisted, 4, seed=98):
-        u_bar = np.asarray(chart.u_bar(a), dtype=float)
-        v = np.asarray(chart.v(a), dtype=float)
-        rho = np.asarray(chart.rho(a), dtype=float)
-        assert_close(u_bar @ v, rho, 1e-12, "chart factorization")
-        # adjoint matrices of a compact group preserve the Killing form
-        b = np.diag([-2.0, -2.0, -2.0])
-        assert_close(rho.T @ b @ rho, b, 1e-10, "orthogonality")

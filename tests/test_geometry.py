@@ -19,7 +19,8 @@ from bundlecurv.geometry import (
     point_frames,
     validate_original,
 )
-from bundlecurv.liecore import StructureConstants, su2_constants
+from bundlecurv.liecore import (StructureConstants, su2_constants,
+                                validate_structure_constants)
 from bundlecurv.scenarios import (
     SCENARIO_NAMES,
     _build_original,
@@ -58,7 +59,7 @@ def _gens_zero_twisted():
     return _build_original(
         n_x=2, g_func=_twisted_g, bbar_func=_twisted_bbar,
         twist_func=_twisted_twist, gens=np.zeros((3, 3, 3)),
-        g_v=np.eye(3), c=su2_constants(), abelian_group=False)
+        g_v=np.eye(3), c=su2_constants())
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +643,44 @@ def test_validate_original_flags_broken_invariance(twisted):
     report = validate_original(broken, sample_points(twisted, 3, seed=3))
     assert not report.ok
     assert report.killing_residual > 1e-3
+
+
+def test_validate_original_reports_closed_brackets(twisted):
+    """The Killing fields and the vector-sector generators of a built-in
+    scenario close under its own structure constants."""
+    report = validate_original(twisted.orig, sample_points(twisted, 3, seed=3))
+    assert report.constants_valid
+    assert report.bracket_residual <= 1e-10
+
+
+@pytest.mark.parametrize("mutant", ["scaled", "negated"])
+def test_validate_original_flags_constants_off_the_group(twisted, mutant):
+    """Constants that are still a Lie algebra (c^2_01 and c^2_10 scaled by
+    1.1) or that carry the opposite sign convention fail the bracket
+    gate, though the Killing fields stay Killing."""
+    c = np.array(twisted.orig.c.c)
+    if mutant == "scaled":
+        c[2, 0, 1] *= 1.1
+        c[2, 1, 0] *= 1.1
+        assert validate_structure_constants(c).valid
+    else:
+        c = -c
+    bad = dataclasses.replace(twisted.orig, c=StructureConstants(3, c))
+    report = validate_original(bad, sample_points(twisted, 3, seed=3))
+    assert report.killing_residual <= 1e-6
+    assert report.bracket_residual > 1e-2
+    assert not report.ok
+
+
+def test_validate_original_requires_a_lie_algebra(twisted):
+    """Constants of a Lie algebra that breaks the trace condition,
+    [e_0, e_1] = e_0, are reported invalid."""
+    c = np.zeros((3, 3, 3))
+    c[0, 0, 1], c[0, 1, 0] = 1.0, -1.0
+    bad = dataclasses.replace(twisted.orig, c=StructureConstants(3, c))
+    report = validate_original(bad, sample_points(twisted, 2, seed=3))
+    assert not report.constants_valid
+    assert not report.ok
 
 
 def _stack_dependent(good):

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import _log_det_d_field, decomposition_terms
+from bundlecurv.curvature import (_log_det_d_field, decomposition_terms,
+                                  scalar_curvature_coordinate_oracle)
 from bundlecurv.fields import ChartPoint, partial
 from bundlecurv.geometry import compile_adapted
 from bundlecurv.jacobian import (
@@ -36,7 +37,7 @@ def _vector_free_orig():
     return _build_original(
         n_x=2, g_func=_twisted_g, bbar_func=_twisted_bbar,
         twist_func=_twisted_twist, gens=np.zeros((3, 0, 0)),
-        g_v=np.zeros((0, 0)), c=su2_constants(), abelian_group=False)
+        g_v=np.zeros((0, 0)), c=su2_constants())
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +195,20 @@ def test_form_without_vector_sector(engine):
     np.testing.assert_allclose(j4, np.zeros_like(j4), atol=1e-13)
     assert_close(form.raw, j1, 1e-13, "only the base projection survives")
     assert_close(form.raw, form.closed, 1e-7, "raw vs closed, n_v = 0")
+
+
+def test_vector_free_oracle_matches_total(engine):
+    """The coordinate oracle runs the group series on 0 x 0 vector-sector
+    matrices, and agrees with the decomposition total at two group
+    draws."""
+    orig = _vector_free_orig()
+    point = ChartPoint([0.2, -0.3], [])
+    total = decomposition_terms(compile_adapted(orig), point, engine).R_total
+    for a in ([0.2, 0.15, 0.1], [0.3, -0.1, 0.25]):
+        oracle = scalar_curvature_coordinate_oracle(orig, None, point.x,
+                                                    point.f, np.array(a),
+                                                    engine)
+        assert_close(oracle, total, 1e-6, "oracle vs decomposition, n_v = 0")
 
 
 def test_form_adapted_only_route(twisted, engine):

@@ -1,22 +1,32 @@
 """Scenario registry, parameter validation, and sampling helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import decomposition_terms, oracle_metric
+from bundlecurv.curvature import (decomposition_terms, oracle_metric,
+                                  scalar_curvature_coordinate_oracle)
 from bundlecurv.fields import ChartPoint, ConfigError, partial
+from bundlecurv.geometry import validate_original
+from bundlecurv.liecore import (StructureConstants, abelian_constants,
+                                su2_constants)
 from bundlecurv.scenarios import (
     SCENARIO_NAMES,
     _SERIES_TERMS,
     _SU2_GENS,
-    _cross,
+    _build_original,
     _dexp_apply,
     _exp_series,
     _phi_series,
+    _scenario,
     build_scenario,
     sample_group_coordinates,
     sample_points,
 )
+
+from bundlecurv import scenarios
+from bundlecurv.verify import run_checks
 
 from conftest import assert_close
 
@@ -67,8 +77,10 @@ def test_flat_expected_values():
     assert_close(su2.expected["r_group"], -0.75, 1e-12, "su2 expectation")
     trivial = build_scenario("flat_product", {"group": "abelian"})
     assert trivial.expected["r_group"] == 0.0
-    a = np.array([0.2, 0.1, 0.3])
-    np.testing.assert_allclose(trivial.chart.rho(a), np.eye(3))
+    # an abelian group factor does not move off the section
+    q = np.array([[0.1, -0.2, 0.2, 0.1, 0.3]])
+    section = np.concatenate([q[:, :2], np.zeros((1, 3))], axis=1)
+    assert np.array_equal(trivial.orig.G_P(q), trivial.orig.G_P(section))
 
 
 def test_scaled_expected_values_are_measured(engine):
@@ -172,11 +184,11 @@ def test_stacked_series_equal_one_matrix_sums():
                            rng.uniform(-2e-3, 2e-3, (3, 3)),
                            rng.uniform(-0.4, 0.4, (3, 3)),
                            rng.uniform(-2.0, 2.0, (2, 3))])
-    mats = _cross(vecs)
+    mats = np.einsum("ng,egm->nem", vecs, su2_constants().c)
     for v, m in zip(vecs, mats):
         want = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]],
                          [-v[1], v[0], 0.0]])
-        assert m.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(m, want)
     for g, gen in enumerate(_SU2_GENS):
         want = np.stack([_dexp_one(m, gen) for m in mats])
         assert _dexp_apply(mats, gen).tobytes() == want.tobytes(), g
@@ -230,8 +242,104 @@ def test_callables_on_a_stack_equal_their_one_row_calls(name):
 
 def test_abelian_scenario_is_torsion_free(abelian):
     np.testing.assert_allclose(abelian.adapted.c.c, np.zeros((3, 3, 3)))
-    assert abelian.chart is not None
+    # the Killing fields are the coordinate fields of the group factor,
+    # off the section too
+    q = np.array([[0.1, -0.2, 0.2, 0.1, 0.3]])
+    want = np.concatenate([np.zeros((2, 3)), np.eye(3)])
+    assert np.array_equal(abelian.orig.K_P(q)[0], want)
     # twisted connection survives the abelian limit
     point = sample_points(abelian, 1)[0]
     a_val = np.asarray(abelian.adapted.A_conn(point), dtype=float)
     assert np.max(np.abs(a_val)) > 1e-3
+
+
+def test_series_keep_empty_matrices():
+    """Stacks of 0 x 0 matrices, as a group acting on no vector sector
+    gives, keep their leading shape through every series."""
+    empty = np.zeros((2, 4, 0, 0))
+    for series in (_exp_series, _phi_series):
+        assert series(empty).shape == (2, 4, 0, 0)
+    assert _dexp_apply(empty, np.zeros((4, 0, 0))).shape == (2, 4, 0, 0)
+
+
+def _su2_u1():
+    """su(2) + u(1): the su(2) constants on the first three directions."""
+    c = np.zeros((4, 4, 4))
+    c[:3, :3, :3] = su2_constants().c
+    return StructureConstants(4, c)
+
+
+#: (n_x, n_v, constants, vector-sector generators, G_V) of shapes other
+#: than the registered 2/3/3
+_SHAPES = {
+    "su2+u1": (2, 3, _su2_u1(),
+               np.concatenate([_SU2_GENS, np.zeros((1, 3, 3))]),
+               1.2 * np.eye(3)),
+    "u1": (3, 2, abelian_constants(1),
+           np.array([[[0.0, -0.7], [0.7, 0.0]]]), 1.3 * np.eye(2)),
+    "su2-no-vectors": (2, 0, su2_constants(), np.zeros((3, 0, 0)),
+                       np.zeros((0, 0))),
+}
+
+
+def _shape_scenario(n_x, c, gens, g_v):
+    """A bundle over an ``n_x``-dim base from small closed-form blocks."""
+    n_g = c.n_g
+
+    def g_func(x):
+        out = np.repeat(np.eye(n_x)[None], len(x), axis=0)
+        out[:, 0, 0] += 0.1 * np.sin(x[:, -1])
+        return out
+
+    def bbar_func(x):
+        return (np.diag(1.0 + 0.2 * np.arange(n_g))
+                + (0.1 * np.sin(x[:, 0]))[:, None, None])
+
+    def twist_func(x):
+        out = np.empty((len(x), n_g, n_x))
+        for g in range(n_g):
+            for i in range(n_x):
+                out[:, g, i] = 0.05 * (g - i) + 0.2 * x[:, (g + i) % n_x]
+        return out
+
+    return _scenario("shape", _build_original(
+        n_x=n_x, g_func=g_func, bbar_func=bbar_func, twist_func=twist_func,
+        gens=gens, g_v=g_v, c=c))
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_builder_takes_any_shape(shape, engine):
+    """The builder reads the group from ``c`` alone: n_g = 4 and n_g = 1
+    groups and an empty vector sector pass the geometry gates, all seven
+    checks, and the frame-free oracle."""
+    n_x, n_v, c, gens, g_v = _SHAPES[shape]
+    scen = _shape_scenario(n_x, c, gens, g_v)
+    assert (scen.n_x, scen.n_v, scen.n_g) == (n_x, n_v, c.n_g)
+    probes = sample_points(scen, 3, seed=11)
+    report = validate_original(scen.orig, probes,
+                               group_points=sample_group_coordinates(
+                                   scen, 3, seed=11))
+    assert report.ok, report
+    checks = run_checks(scen, sample_points(scen, 3, seed=12), engine=engine)
+    assert len(checks.results) == 7 and not checks.not_run
+    assert checks.passed, [(r.name, r.max_residual) for r in checks.results]
+    point = probes[0]
+    total = decomposition_terms(scen.adapted, point, engine).R_total
+    for a in sample_group_coordinates(scen, 2, seed=13):
+        oracle = scalar_curvature_coordinate_oracle(scen.orig, None, point.x,
+                                                    point.f, a, engine)
+        assert_close(oracle, total, 1e-6, "oracle vs decomposition")
+
+
+def test_build_names_the_worst_bracket(twisted, monkeypatch):
+    """Bundle data whose Killing fields do not close under its own ``c``
+    fail the build, naming the worst pair."""
+    c = np.array(twisted.orig.c.c)
+    c[2, 0, 1] *= 1.1
+    c[2, 1, 0] *= 1.1
+    bad = dataclasses.replace(twisted.orig, c=StructureConstants(3, c))
+    monkeypatch.setitem(scenarios._REGISTRY, "twisted_bundle",
+                        lambda params: dataclasses.replace(twisted, orig=bad))
+    with pytest.raises(ConfigError, match=r"bracket 1\.00e-01, worst at "
+                                          r"\(alpha, beta\) = \(0, 1\)"):
+        build_scenario("twisted_bundle")
