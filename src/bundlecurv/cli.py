@@ -342,7 +342,10 @@ def cmd_simulate(config: RunConfig) -> int:
     else:
         text = ("scenario %s  n_paths %d  dt %s  seed %d\n"
                 "mean deviation %.3f sigma, covariance deviation %.3f sigma"
-                " (limit %.1f)\noverall: %s\n"
+                " (limit %.1f)\ntests the Euler step against its own "
+                "targets, blind to a wrong drift b or diffusion X; at 4 "
+                "sigma 1.27e-3 of seeds fail on correct 5-dim coefficients\n"
+                "overall: %s\n"
                 % (config.scenario, report.n_paths, _fmt(report.dt),
                    report.seed, report.mean_max_sigma, report.cov_max_sigma,
                    report.sigma_limit,

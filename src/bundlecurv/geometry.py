@@ -402,8 +402,10 @@ class _FrameMemo:
     Each stack is kept whole under the shape and bytes of its rows, so it
     is served only to a lookup of exactly its rows. Every stencil lists
     its centre first, so a lookup whose row 0 is another point drops the
-    held stacks: returning to an earlier point compiles it again. Lookups
-    are not locked: verification runs on one thread.
+    held stacks: returning to an earlier point compiles it again. A
+    one-row lookup of the centre is served from row 0 of a held stack,
+    kept under its own key. Lookups are not locked: verification runs on
+    one thread.
     """
 
     def __init__(self):
@@ -418,6 +420,10 @@ class _FrameMemo:
             self.centre, self.stacks = centre, {}
         key = (zs.shape, zs.tobytes())
         frames = self.stacks.get(key)
+        if frames is None and len(zs) == 1 and self.stacks:
+            held = next(iter(self.stacks.values()))
+            frames = self.stacks[key] = FrameStack(
+                **{name: array[:1] for name, array in vars(held).items()})
         if frames is not None:
             self.hits += 1
             return frames

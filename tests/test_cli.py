@@ -202,6 +202,7 @@ def test_simulate_flat_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    assert "blind to a wrong drift b or diffusion X" in out
 
 
 def test_simulate_json_payload(capsys):

@@ -350,6 +350,30 @@ def test_point_frames_match_one_at_a_time_compiles(twisted):
     assert frame_cache_info(single).compiles == len(zs)
 
 
+def test_point_row_is_served_from_a_held_stencil(twisted):
+    """After a stencil centred on a point, the point's own one-row lookup
+    compiles nothing: it is row 0 of the held stack, bit for bit a
+    one-row compile, and later lookups return the same object."""
+    held = dataclasses.replace(twisted.orig)
+    single = dataclasses.replace(twisted.orig)
+    center = np.array([0.12, -0.21, 0.3, -0.15, 0.22])
+    zs = np.array([center, center + 1e-3, center - 1e-3])
+    stack = point_frames(held, zs)
+    point = ChartPoint(center[:2], center[2:])
+    before = frame_cache_info(held)
+    row = point_frame(held, point)
+    assert row is point_frame(held, point)
+    after = frame_cache_info(held)
+    assert (after.compiles, after.misses, after.hits) \
+        == (before.compiles, before.misses, before.hits + 2)
+    want = vars(point_frame(single, point))
+    for name, value in vars(row).items():
+        assert value.shape == want[name].shape, name
+        assert value.tobytes() == want[name].tobytes(), name
+        assert value.tobytes() == getattr(stack, name)[:1].tobytes(), name
+        assert not value.flags.writeable, name
+
+
 def test_repeated_base_rows_compile_like_one_row_compiles(twisted):
     """The base-only half of a compile runs once per distinct base row
     ``x`` and is gathered to every row, bit for bit the one-row compiles.
@@ -546,9 +570,10 @@ def test_same_point_on_two_geometries_gives_two_frames(twisted, abelian):
 
 def test_geometry_holds_the_last_points_frames(engine):
     """After ``run_checks`` over several points the geometry holds the
-    frame stacks of the last point only: 463 rows with all seven checks
-    (1 + 21 + 441, see ``test_all_checks_compute_each_term_once``).
-    Returning to an earlier point compiles its stacks again."""
+    frame stacks of the last point only: 462 rows with all seven checks
+    (21 + 441, see ``test_all_checks_compute_each_term_once``), and the
+    point's own row as a view of row 0 of one of them. Returning to an
+    earlier point compiles its stacks again."""
     scenario = build_scenario("twisted_bundle")
     orig = scenario.orig
     points = sample_points(scenario, 3, seed=223)
@@ -560,7 +585,7 @@ def test_geometry_holds_the_last_points_frames(engine):
     assert run_checks(scenario, points[:1], engine=engine).passed
     again = frame_cache_info(orig)
     assert (again.misses - held.misses, again.compiles - held.compiles) \
-        == (463, 3)
+        == (462, 2)
     assert again.currsize == 463
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
                                _stencil)
@@ -16,6 +17,8 @@ from bundlecurv.sde import (
     SdeParams,
     _DRIFT_FIELDS,
     _drift_field,
+    _moment_report,
+    _noise_moments,
     density_H,
     diffusion_coefficients,
     drift_coefficients,
@@ -287,15 +290,14 @@ def test_moment_check_input_gates(twisted):
         euler_maruyama_check(twisted.adapted)  # geometry without a point
 
 
-def _two_pass_moments(coeffs, dt, n_paths, seed):
-    """The moment check by whole-array arithmetic: one ``(n_paths, n)``
-    draw from the same seed, the increments, their mean and centred
-    covariance. The reference the streamed sums are held against."""
-    n_dim = coeffs.b.shape[0]
+def _two_pass_moments(coeffs, dt, noise):
+    """The moment check by whole-array arithmetic on the explicit normal
+    rows ``noise``: the increments, their mean and centred covariance.
+    The reference the scoring of the noise's two moments is held
+    against."""
+    n_paths, n_dim = noise.shape
     mean_target = 0.5 * coeffs.b * dt
     cov_target = dt * (coeffs.X @ coeffs.X.T)
-    rng = np.random.Generator(np.random.Philox(seed))
-    noise = rng.standard_normal((n_paths, n_dim))
     incr = mean_target[None, :] + np.sqrt(dt) * (noise @ coeffs.X.T)
     mean_sample = incr.mean(axis=0)
     if n_paths > 1:
@@ -316,6 +318,14 @@ def _two_pass_moments(coeffs, dt, n_paths, seed):
     return mean_sample, cov_sample, mean_max, cov_max
 
 
+def _gram_moments(noise):
+    """Mean and centred Gram matrix of each stack of normal rows, two-pass:
+    ``(..., n_paths, n)`` to ``(..., n)`` and ``(..., n, n)``."""
+    mean = noise.mean(axis=-2)
+    centred = noise - mean[..., None, :]
+    return mean, centred.swapaxes(-1, -2) @ centred
+
+
 _ONE_DIM = ReducedSdeCoeffs(b=np.array([0.7]), X=np.array([[1.3]]), H=1.0,
                             n_x=1, n_v=0)
 
@@ -324,15 +334,17 @@ _ONE_DIM = ReducedSdeCoeffs(b=np.array([0.7]), X=np.array([[1.3]]), H=1.0,
                          ids=["wiener5", "one_dim"])
 @pytest.mark.parametrize("n_paths", [1, 2, 8191, 8192, 8193, 200_000])
 def test_streamed_moments_match_two_pass_formulas(coeffs, n_paths):
-    """The noise is reduced block by block to its mean and centred Gram
-    matrix; every statistic agrees with the whole-array arithmetic on the
-    same normals within 1e-12 of its scale: the sample mean of its size
-    or its standard error, whichever is larger, the covariance of the
-    target's, a sigma score of itself or 1 (it is scored against a limit
-    of a few units)."""
-    report = euler_maruyama_check(coeffs, dt=1e-4, n_paths=n_paths, seed=3)
-    mean, cov, mean_max, cov_max = _two_pass_moments(coeffs, 1e-4, n_paths,
-                                                     3)
+    """The check scores the mean and centred Gram matrix of its noise;
+    fed those two of an explicit normal array, every statistic agrees
+    with the whole-array arithmetic on the same array within 1e-12 of
+    its scale: the sample mean of its size or its standard error,
+    whichever is larger, the covariance of the target's, a sigma score
+    of itself or 1 (it is scored against a limit of a few units)."""
+    rng = np.random.Generator(np.random.Philox(3))
+    noise = rng.standard_normal((n_paths, coeffs.b.shape[0]))
+    report = _moment_report(coeffs, SdeParams(), 1e-4, n_paths, 3, 4.0,
+                            *_gram_moments(noise))
+    mean, cov, mean_max, cov_max = _two_pass_moments(coeffs, 1e-4, noise)
     mean_scale = max(np.max(np.abs(mean)),
                      np.max(np.sqrt(np.diag(report.cov_target) / n_paths)))
     assert np.max(np.abs(report.mean_sample - mean)) <= 1e-12 * mean_scale
@@ -341,6 +353,60 @@ def test_streamed_moments_match_two_pass_formulas(coeffs, n_paths):
     assert abs(report.mean_max_sigma - mean_max) <= 1e-12 * max(1.0,
                                                                 mean_max)
     assert abs(report.cov_max_sigma - cov_max) <= 1e-12 * max(1.0, cov_max)
+
+
+@pytest.mark.parametrize("n_dim", [1, 5])
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 6, 50])
+def test_drawn_moments_follow_the_law_of_normal_rows(n_paths, n_dim):
+    """The drawn mean and centred Gram matrix have the law of those of
+    ``n_paths`` explicit normal rows, ``n_paths - 1 < n_dim`` (a
+    rank-deficient Gram matrix) included: a two-sample Kolmogorov-Smirnov
+    test per entry over 2,000 seeds finds no difference at 1e-5."""
+    draws = [_noise_moments(seed, n_paths, n_dim) for seed in range(2000)]
+    drawn_mean = np.array([mean for mean, _ in draws])
+    drawn_gram = np.array([gram for _, gram in draws])
+    rng = np.random.Generator(np.random.Philox(1000 * n_paths + n_dim))
+    mean, gram = _gram_moments(rng.standard_normal((2000, n_paths, n_dim)))
+    upper = np.triu_indices(n_dim)
+    pairs = [(drawn_mean[:, i], mean[:, i]) for i in range(n_dim)] \
+        + [(drawn_gram[:, i, j], gram[:, i, j]) for i, j in zip(*upper)]
+    for drawn, explicit in pairs:
+        assert stats.ks_2samp(drawn, explicit).pvalue > 1e-5
+    if n_paths == 1:
+        assert not drawn_gram.any()
+
+
+def test_drawn_gram_matrix_has_wishart_moments():
+    """At 200,000 paths over 20,000 seeds the drawn Gram matrix has the
+    mean ``(n - 1) I`` and the entry variances ``(n - 1)(1 + delta_ij)``
+    of a Wishart matrix, within five standard errors of the estimates."""
+    n_paths, n_dim, n_seeds = 200_000, 5, 20_000
+    gram = np.array([_noise_moments(seed, n_paths, n_dim)[1]
+                     for seed in range(n_seeds)])
+    dof = n_paths - 1
+    var = dof * (1.0 + np.eye(n_dim))
+    mean_err = np.abs(gram.mean(axis=0) - dof * np.eye(n_dim))
+    assert np.all(mean_err <= 5.0 * np.sqrt(var / n_seeds))
+    # the entries are near normal, so a sample variance has a relative
+    # standard error of sqrt(2 / n_seeds)
+    var_err = np.abs(gram.var(axis=0, ddof=1) / var - 1.0)
+    assert np.all(var_err <= 5.0 * np.sqrt(2.0 / n_seeds))
+
+
+#: Failed calls of the default check on the 5-dimensional Wiener
+#: coefficients over seeds 0 to 199,999.
+_FALSE_ALARMS = 253 / 200_000
+
+
+def test_false_alarm_rate_matches_the_measured_rate():
+    """On correct coefficients the default check fails at the rate quoted
+    in its docstring: over 20,000 other seeds the failures lie in the
+    99.9% binomial interval of that rate."""
+    seeds = range(1_000_000, 1_020_000)
+    fails = sum(not euler_maruyama_check(_wiener_coeffs(5), seed=seed).passed
+                for seed in seeds)
+    low, high = stats.binom.interval(0.999, len(seeds), _FALSE_ALARMS)
+    assert low <= fails <= high
 
 
 def _traced_peak(coeffs, n_paths):

@@ -209,13 +209,14 @@ def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
 def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     """All seven checks at a fresh point share one per-point record: one
     Ricci pair per Christoffel route, one set of log-density terms, one
-    set of Killing derivatives, one block metric, and 463 frame rows in
-    3 stacks (1 + 21 + 441, see
-    ``test_check_compiles_frames_once_per_stencil``), with the other 28
-    lookups served from the memo. The bundle callables of the compiles
-    run on 91 distinct base rows (1 + 9 + 81). The point makes 18 SPD
-    inversions: 5 in each compile, one in ``R_M`` and two in the drift
-    routes; no Christoffel route inverts a matrix."""
+    set of Killing derivatives, one block metric, and 462 frame rows in
+    2 stacks (21 + 441, see
+    ``test_check_compiles_frames_once_per_stencil``), with the other 29
+    lookups served from the memo, the point's own row among them as row
+    0 of a held stack. The bundle callables of the compiles run on 90
+    distinct base rows (9 + 81). The point makes 13 SPD inversions: 5 in
+    each compile, one in ``R_M`` and two in the drift routes; no
+    Christoffel route inverts a matrix."""
     import sys
 
     from bundlecurv import curvature, fields, jacobian, verify
@@ -250,9 +251,9 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     assert sorted(calls) == ["assemble_block_metric", "killing_derivatives",
                              "log_density_terms", "ricci_scalar_pair",
                              "ricci_scalar_pair"]
-    assert (info.misses, info.compiles, info.hits) == (463, 3, 28)
-    assert info.base_rows == 91
-    assert len(inversions) == 18
+    assert (info.misses, info.compiles, info.hits) == (462, 2, 29)
+    assert info.base_rows == 90
+    assert len(inversions) == 13
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
