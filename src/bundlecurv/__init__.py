@@ -16,7 +16,6 @@ from .fields import (
     FieldHandle,
     NearSingularError,
     invert_spd,
-    partial,
 )
 from .scenarios import ConfigError, build_scenario, sample_points
 
@@ -29,7 +28,6 @@ __all__ = [
     "FieldHandle",
     "NearSingularError",
     "invert_spd",
-    "partial",
     "ConfigError",
     "build_scenario",
     "sample_points",

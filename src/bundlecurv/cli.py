@@ -70,8 +70,9 @@ class RunConfig:
                 or self.points < 1:
             raise ConfigError("points: must be a positive integer, got %r"
                               % (self.points,))
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed: must be an integer, got %r"
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
+                or self.seed < 0:
+            raise ConfigError("seed: must be a non-negative integer, got %r"
                               % (self.seed,))
         for key in ("tol_identity", "tol_oracle"):
             value = getattr(self, key)

@@ -40,14 +40,15 @@ their horizontal partials, the inverses of h~ and d, the connection
 curvature ``F``, the covariant derivative ``Dd`` of d and the structure
 functions ``CC``. ``horizontal_jet`` builds one centre-first stencil
 over the rows, calls each field once on all its rows and computes every
-array of the record once; the inverses are the geometry's own fields
-(on bundle data, the frame compile's), so nothing here inverts a
-matrix. The two Christoffel routes share the record and nothing
-computed from it. Each function returns the ``(N, ...)`` stack of its
-values at the rows; the arithmetic is that of one row, matrix by matrix,
-so a row's result is bit-identical whatever stack it comes in. A
-one-point caller builds the jet at ``point.coords[None]`` and reads row
-0.
+array of the record once; it keeps the stencil's steps and the values of
+d on all its rows, from which the curvature module differences
+``ln det d``. The inverses are the geometry's own fields (on bundle
+data, the frame compile's), so nothing here inverts a matrix. The two
+Christoffel routes share the record and nothing computed from it. Each
+function returns the ``(N, ...)`` stack of its values at the rows; the
+arithmetic is that of one row, matrix by matrix, so a row's result is
+bit-identical whatever stack it comes in. A one-point caller builds the jet at
+``point.coords[None]`` and reads row 0.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (DerivEngine, _levi_civita, _stencil, _stencil_partials,
-                     _stencil_values)
+from .fields import (DerivEngine, _blockdiag, _levi_civita, _stencil,
+                     _stencil_partials, _stencil_values)
 from .geometry import AdaptedGeometry
 from .liecore import group_direction_derivative
 
@@ -76,11 +77,14 @@ class HorizontalJet:
     r"""The first-order record at the rows of a stack: the input of every
     formula here, each array computed once.
 
-    ``zs`` holds the ``(N, n_x + n_v)`` chart rows. ``A``, ``h`` and ``d``
-    are the ``(N, ...)`` stacks of :math:`\mathcal A`, :math:`\tilde h`
-    and :math:`d` there, ``dh`` and ``dd`` the ``(N, n_h, ...)`` partials
-    of h~ and d along every horizontal slot, and ``h_inv`` and ``d_inv``
-    the geometry's inverse fields at the rows. ``F`` is the curvature of
+    ``zs`` holds the ``(N, n_x + n_v)`` chart rows and ``steps`` the
+    ``(N, 2, n_h)`` steps of their centre-first stencil. ``A``, ``h`` and
+    ``d`` are the ``(N, ...)`` stacks of :math:`\mathcal A`,
+    :math:`\tilde h` and :math:`d` there, ``d_rows`` the ``(N, 1 + 4
+    n_h, ...)`` values of d on every stencil row, the centre first,
+    ``dh`` and ``dd`` the ``(N, n_h, ...)`` partials of h~ and d along
+    every horizontal slot, and ``h_inv`` and ``d_inv`` the geometry's
+    inverse fields at the rows. ``F`` is the curvature of
     the mechanical connection,
 
     .. math::
@@ -109,10 +113,12 @@ class HorizontalJet:
 
     adapted: AdaptedGeometry
     zs: np.ndarray
+    steps: np.ndarray
     A: np.ndarray
     h: np.ndarray
     dh: np.ndarray
     d: np.ndarray
+    d_rows: np.ndarray
     dd: np.ndarray
     h_inv: np.ndarray
     d_inv: np.ndarray
@@ -150,22 +156,14 @@ def horizontal_jet(adapted: AdaptedGeometry, zs,
     cc[:, n_h:, :n_h, :n_h] = -f_val
     cc[:, n_h:, n_h:, n_h:] = c
 
-    arrays = dict(A=a_val, h=h_rows[:, 0],
-                  dh=_stencil_partials(h_rows, steps), d=d_val, dd=dd,
+    arrays = dict(steps=steps, A=a_val, h=h_rows[:, 0],
+                  dh=_stencil_partials(h_rows, steps), d=d_val,
+                  d_rows=d_rows, dd=dd,
                   h_inv=h_inv[:, 0], d_inv=d_inv[:, 0], F=f_val,
                   Dd=dd - corr, CC=cc)
     for array in arrays.values():
         array.setflags(write=False)
     return HorizontalJet(adapted, zs, **arrays)
-
-
-def _blockdiag(upper, lower):
-    """The stack of blockdiag(``upper``, ``lower``) over the leading axes."""
-    n_h, n_g = upper.shape[-1], lower.shape[-1]
-    out = np.zeros(upper.shape[:-2] + (n_h + n_g, n_h + n_g))
-    out[..., :n_h, :n_h] = upper
-    out[..., n_h:, n_h:] = lower
-    return out
 
 
 def base_levi_civita(jet: HorizontalJet) -> np.ndarray:

@@ -24,16 +24,19 @@ Three independent routes to the total-space scalar curvature live here:
 Every derivative here comes from the stencil kernel of ``fields``, and
 every second derivative from one nested stencil: the centre-first inner
 stencils of the 21 rows of an outer one, with the steps that
-``_nested_stencil`` alone sets. ``coordinate_ricci_scalar`` (``R_M`` and
-the oracle) evaluates its metric on the whole nested stencil as one
-coordinate stack, on which the oracle evaluates ``oracle_metric`` in one
-call. A point's ``PointTerms`` holds two ``connection.HorizontalJet``
-records, each with its inverses, ``F``, ``D d`` and structure functions
-computed once: the point's own, on its first-derivative stencil, and the
-nested one, at the 21 outer rows of the ``R_M`` stencil, whose fields
-read that stencil's frames. Both Ricci pairs difference their
-Christoffel symbols on the nested jet's rows, and the ``ln det d``
-Hessian of ``log_density_terms`` is taken on the same rows.
+``_nested_stencil`` alone sets. A point's ``PointTerms`` holds two
+``connection.HorizontalJet`` records, each with its inverses, ``F``,
+``D d`` and structure functions computed once: the point's own, on its
+first-derivative stencil, and the nested one, at the 21 outer rows of
+the nested stencil, whose fields read the frames of its 441 rows. Every
+second-order term of a point reads that one nested jet: ``R_M`` is the
+coordinate Ricci scalar of its Levi-Civita symbols, both Ricci pairs
+difference their Christoffel symbols on its rows, and
+``log_density_terms`` takes ``ln det d`` from its values of d. The
+frame-free ``coordinate_ricci_scalar`` of the oracle evaluates its
+metric on the whole nested stencil as one coordinate stack, on which
+the oracle evaluates ``oracle_metric`` in one call, and shares the
+Ricci contraction and the outer differencing with ``R_M``.
 
 The sign conventions are the ones the Christoffel formula and the Ricci
 display above imply; they are internally consistent and are never adjusted
@@ -49,13 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, FieldHandle,
-                     _distinct_rows, _eval_stack, _field_stack, _levi_civita,
-                     _richardson, _stencil, _stencil_partials, invert_spd,
-                     value_and_partial)
+from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _blockdiag,
+                     _distinct_rows, _eval_stack, _levi_civita, _richardson,
+                     _stencil, _stencil_partials, invert_spd)
 from .geometry import AdaptedGeometry, OriginalGeometry
 from .liecore import orbit_scalar_curvature
-from .connection import (_blockdiag, base_levi_civita, christoffel_general,
+from .connection import (base_levi_civita, christoffel_general,
                          christoffel_table, frame_derivatives,
                          horizontal_jet)
 
@@ -115,14 +117,22 @@ class CurvatureBreakdown:
 
 
 def _ricci_from_pieces(gamma0, hat, cc, k):
-    """The frame Ricci tensor, internal indices over the first ``k``."""
+    """The frame Ricci tensor, internal indices over the first ``k``.
+
+    ``gamma0`` holds the symbols at the point and ``hat[A, D, B, C]``
+    their derivatives along direction ``A``. ``cc`` is None for a
+    holonomic frame: the structure-function term is then left out, not
+    added as zeros, which could flip the sign of a zero entry.
+    """
     s = slice(0, k)
     t1 = np.einsum("abbc->ac", hat[:, s, s])
     t2 = np.einsum("bbac->ac", hat[s, s])
     t3 = np.einsum("dbc,bad->ac", gamma0[s, s], gamma0[s, :, s])
     t4 = np.einsum("lac,bbl->ac", gamma0[s], gamma0[s, s, s])
-    t5 = np.einsum("eab,bec->ac", cc[s, :, s], gamma0[s, s])
-    return t1 - t2 + t3 - t4 - t5
+    ricci = t1 - t2 + t3 - t4
+    if cc is None:
+        return ricci
+    return ricci - np.einsum("eab,bec->ac", cc[s, :, s], gamma0[s, s])
 
 
 def ricci_scalar_pair(terms: PointTerms, christoffel=christoffel_table):
@@ -137,7 +147,7 @@ def ricci_scalar_pair(terms: PointTerms, christoffel=christoffel_table):
 
     ``christoffel`` is the Christoffel route, ``christoffel_table`` or
     ``christoffel_general``. It is called once, on the nested jet of
-    ``terms``: the 21 centre-first outer rows of the ``R_M`` stencil, the
+    ``terms``: the 21 centre-first outer rows of the nested stencil, the
     point and its 20 shifted rows, whose fields read the frames of that
     stencil's 441 rows. Row 0 gives the symbols at the point, the outer
     differences of the others their partials; the frame derivatives
@@ -161,19 +171,6 @@ def ricci_scalar_pair(terms: PointTerms, christoffel=christoffel_table):
     return r_total, r_base
 
 
-def _log_det_d_field(adapted: AdaptedGeometry) -> FieldHandle:
-    def log_det_d(zs):
-        # slogdet, not the log of the frame's eigenvalue-product det_d:
-        # the latter made the Jacobian and curvature residuals 3.6-5.7x worse
-        sign, logdet = np.linalg.slogdet(_field_stack(adapted.d.d, zs))
-        if (sign <= 0).any():
-            raise ValueError("orbit metric lost positivity; log det "
-                             "undefined")
-        return logdet
-
-    return FieldHandle(log_det_d, "scalar")
-
-
 def log_density_terms(terms: PointTerms):
     r"""Horizontal Laplacian and quarter-squared-gradient of ``ln det d``.
 
@@ -182,19 +179,23 @@ def log_density_terms(terms: PointTerms):
     \Gamma^{C'}\partial)``, and the gradient term carries its quarter
     factor; the symbols come from the point's jet.
 
-    ``ln det d`` is evaluated once, on the nested stencil of ``R_M`` (its
-    frames are the 441 rows the decomposition and the Ricci pair read):
-    its values and inner partials at the 21 centre-first outer rows. The
-    gradient is the inner partial at the point, the off-diagonal Hessian
-    the outer differences of the inner partials, and the diagonal the
-    second difference ``(v(+H) - 2 v(0) + v(-H))/H^2`` of the outer rows'
+    ``ln det d`` is taken once, by ``slogdet`` of the nested jet's values
+    of d on all its 441 stencil rows: its values and inner partials at
+    the 21 centre-first outer rows of the nested stencil. The gradient is
+    the inner partial at the point, the off-diagonal Hessian the outer
+    differences of the inner partials, and the diagonal the second
+    difference ``(v(+H) - 2 v(0) + v(-H))/H^2`` of the outer rows'
     values, Richardson-extrapolated like every stencil.
     """
-    adapted = terms.adapted
-    n_h = adapted.n_h
-    inner, outer, outer_steps = terms.nested
-    values, partials = value_and_partial(inner, _log_det_d_field(adapted),
-                                         outer, adapted.n_x, range(n_h))
+    n_h = terms.adapted.n_h
+    nested_jet, outer_steps = terms.nested_jet, terms.nested.steps
+    # slogdet, not the log of the frame's eigenvalue-product det_d: the
+    # latter made the Jacobian and curvature residuals 3.6-5.7x worse
+    sign, log_det = np.linalg.slogdet(nested_jet.d_rows)
+    if (sign <= 0).any():
+        raise ValueError("orbit metric lost positivity; log det undefined")
+    values = log_det[:, 0]
+    partials = _stencil_partials(log_det, nested_jet.steps)
     grad = partials[0]
     hess = _stencil_partials(partials[None], outer_steps)[0]
     axis = values[1:].reshape(n_h, -1, 2)               # [slot, step, +/-]
@@ -248,11 +249,13 @@ class PointTerms:
     row 0: the metrics ``h_tilde`` and ``d``, their inverses ``h_inv``
     and ``d_inv``, and ``F`` and ``Dd`` at the point; ``nested``, the
     outer stencil of ``_nested_stencil``, and ``nested_jet``, the jet at
-    its rows at the inner step; the pieces of the decomposition
-    (``log_density`` is the pair of ``log_density_terms``) and
-    ``breakdown``, their one sum; and the Ricci pair of each Christoffel
-    route, which share the two jets and nothing computed from them. The
-    record takes no assignment and its arrays are read-only.
+    its rows at the inner step, from which ``R_M``, ``log_density`` and
+    both Ricci pairs take every second derivative; the pieces of the
+    decomposition (``log_density`` is the pair of ``log_density_terms``)
+    and ``breakdown``, their one sum; and the Ricci pair of each
+    Christoffel route, which share the two jets and nothing computed
+    from them. The record takes no assignment and its arrays are
+    read-only.
     """
 
     _ENTRIES = {
@@ -267,8 +270,9 @@ class PointTerms:
         "nested": lambda t: _nested_stencil(t.point.coords, t.engine),
         "nested_jet": lambda t: horizontal_jet(t.adapted, t.nested.rows,
                                                t.nested.inner),
-        "R_M": lambda t: coordinate_ricci_scalar(
-            t.adapted.h_tilde.func, t.point.coords, t.engine),
+        "R_M": lambda t: _coordinate_ricci(
+            base_levi_civita(t.nested_jet), t.nested.steps,
+            t.nested_jet.h_inv[0]),
         "R_G": lambda t: orbit_scalar_curvature(t.adapted.c, t.d, t.d_inv),
         "FF": lambda t: ff_term(t.h_inv, t.d, t.F),
         "DdDd": lambda t: dddd_term(t.h_inv, t.d_inv, t.Dd),
@@ -310,16 +314,17 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
     r"""The five-piece decomposition of the total scalar curvature.
 
     ``R_M`` is the scalar curvature of h~ on the honest ``(x, f)`` chart by
-    the plain coordinate formula; ``R_G`` the closed-form orbit curvature;
+    the plain coordinate formula, from the Levi-Civita symbols of the
+    nested jet; ``R_G`` the closed-form orbit curvature;
     ``FF`` the quarter-contraction of the connection curvature; ``DdDd``
     the quarter-contraction of the covariant derivative of ``d``; the last
     two are the horizontal Laplacian and squared gradient of
     ``ln det d``. ``R_total`` is their sum, definitionally.
 
-    h~ on the whole ``R_M`` stencil, the point itself included, comes
-    from one call of its field function on the stencil rows; on compiled
-    bundle data that is one ``point_frames`` call. ``terms``, the
-    ``PointTerms`` of the same arguments, holds pieces already computed.
+    Each field of the nested jet is called once, on the whole nested
+    stencil, the point itself included; on compiled bundle data those
+    calls share one frame compile. ``terms``, the ``PointTerms`` of the
+    same arguments, holds pieces already computed.
     """
     return _terms_at(adapted, point, engine, terms).breakdown
 
@@ -334,7 +339,8 @@ def coordinate_ricci_scalar(metric, z0,
     symbols come from first differences of the metric at the inner step,
     the Ricci tensor from differences of the symbols at the outer step,
     and the scalar from the inverse-metric contraction. Both layers run
-    on the stencil kernel of ``fields``, with the centre rows kept. A
+    on the stencil kernel of ``fields``, with the centre rows kept; the
+    outer differences and the contraction are those of ``R_M``. A
     non-finite metric value anywhere on the stencil raises
     ``EvaluationError``. This is the completely frame-free evaluation path
     used by every oracle comparison.
@@ -350,14 +356,17 @@ def coordinate_ricci_scalar(metric, z0,
     # Levi-Civita symbols at every outer row at once, the point first
     g_inv, _ = invert_spd(values[:, 0])
     gammas = _levi_civita(g_inv, _stencil_partials(values, inner_steps))
-    gamma0 = gammas[0]
-    dgamma = _stencil_partials(gammas[None],
-                               nested.steps)[0]    # dgamma[A, D, B, C]
-    ricci = (np.einsum("abbc->ac", dgamma)
-             - np.einsum("bbac->ac", dgamma)
-             + np.einsum("dbc,bad->ac", gamma0, gamma0)
-             - np.einsum("lac,bbl->ac", gamma0, gamma0))
-    return float(np.einsum("ac,ac->", g_inv[0], ricci))
+    return _coordinate_ricci(gammas, nested.steps, g_inv[0])
+
+
+def _coordinate_ricci(gammas, steps, g_inv) -> float:
+    """The scalar curvature of a holonomic frame from its Levi-Civita
+    symbols ``gammas`` at the centre-first outer rows of a nested stencil
+    with outer ``steps``, contracted with the inverse metric ``g_inv`` at
+    the point."""
+    dgamma = _stencil_partials(gammas[None], steps)[0]   # dgamma[A, D, B, C]
+    ricci = _ricci_from_pieces(gammas[0], dgamma, None, len(g_inv))
+    return float(np.einsum("ac,ac->", g_inv, ricci))
 
 
 def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:
@@ -398,10 +407,7 @@ def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:
     jac[:, n_P:, n_x + n_v:] = (dvec @ f[:, None, :, None])[..., 0] \
         .swapaxes(1, 2)
 
-    big = np.zeros((len(f), n_P + n_v, n_P + n_v))
-    big[:, :n_P, :n_P] = g_p
-    big[:, n_P:, n_P:] = orig.G_V
-    return jac.swapaxes(1, 2) @ big @ jac
+    return jac.swapaxes(1, 2) @ _blockdiag(g_p, orig.G_V) @ jac
 
 
 def scalar_curvature_coordinate_oracle(orig: OriginalGeometry, chart, x, f,

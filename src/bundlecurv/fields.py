@@ -7,26 +7,30 @@ field callables, central-difference differentiation with Richardson
 extrapolation, the one Levi-Civita contraction, and the small dense linear
 algebra used everywhere else.
 
-All differentiation goes through one stencil kernel on coordinate stacks:
-``_stencil`` builds the shifted rows around each row of an ``(m, k)``
-array at steps ``h`` and ``h/2``, and ``_stencil_partials`` applies
-``(hi - lo)/(2h)`` at each step and Richardson extrapolation to the values
-there. ``partial`` and ``value_and_partial`` (all requested chart slots
-at every row of a stack of centres, in one call), ``coordinate_partials``
-(plain coordinate vectors such as the bundle coordinates ``Q``) and the
-nested stencil of the curvature module, from which every second
-derivative comes, are all built on it. Every function the kernel
-differences has one contract: it maps an ``(N, k)`` array of coordinate
-rows to the ``(N, ...)`` stack of its values, and it is called once per
-stencil, on the read-only rows themselves. For a chart field
-(``FieldHandle``) a row holds the joint chart coordinates, ``x`` first.
-A nested stencil repeats rows, and repeats sub-rows more often still
-(the base part ``x`` of a chart row, say); ``_distinct_rows`` lists the
-distinct ones, so that a function of the sub-row alone runs once per
-distinct value. ``_levi_civita`` turns a stack of inverse metrics and
-metric partials into Christoffel symbols; every coordinate-formula route
-contracts through it. ``_worst`` is the one reduction of residuals to
-their largest value, NaN-keeping, that every residual report uses.
+All differentiation goes through one stencil kernel on coordinate
+stacks: ``_stencil`` builds the shifted rows around each row of an
+``(m, k)`` array at steps ``h`` and ``h/2``, and ``_stencil_partials``
+applies ``(hi - lo)/(2h)`` at each step and Richardson extrapolation to
+the values there. ``coordinate_partials`` (plain coordinate vectors such as
+the bundle coordinates ``Q``) is the one public differencing call; the
+horizontal jet of the connection module, the drift routes, the section
+stencil of the Killing derivatives and the nested stencil of the
+curvature module, from which every second derivative comes, call the
+kernel themselves, each on one stencil per point, and read every value
+and partial they need from that one evaluation. Every function the
+kernel differences has one contract: it maps an ``(N, k)`` array of
+coordinate rows to the ``(N, ...)`` stack of its values, and it is
+called once per stencil, on the read-only rows themselves. For a chart
+field (``FieldHandle``, evaluated by ``_stencil_values``) a row holds
+the joint chart coordinates, ``x`` first. A nested stencil repeats rows,
+and repeats sub-rows more often still (the base part ``x`` of a chart
+row, say); ``_distinct_rows`` lists the distinct ones, so that a
+function of the sub-row alone runs once per distinct value.
+``_levi_civita`` turns a stack of inverse metrics and metric partials
+into Christoffel symbols; every coordinate-formula route contracts
+through it, and ``_blockdiag`` is the one block-diagonal assembly of two
+stacked metrics. ``_worst`` is the one reduction of residuals to their
+largest value, NaN-keeping, that every residual report uses.
 
 All matrices here are tiny (at most ~12x12), so no attention is paid to
 asymptotics; accuracy and determinism are what matter.
@@ -47,8 +51,6 @@ __all__ = [
     "DerivEngine",
     "DEFAULT_ENGINE",
     "coordinate_partials",
-    "partial",
-    "value_and_partial",
     "invert_spd",
 ]
 
@@ -296,15 +298,6 @@ def _eval_points(field, rows, n_x):
         "field %s" % _name_of(field.func))
 
 
-def _slot_list(slots, n_tot):
-    slots = list(slots)
-    for slot in slots:
-        if not 0 <= slot < n_tot:
-            raise IndexError("slot %d out of range for %d chart coordinates"
-                             % (slot, n_tot))
-    return slots
-
-
 def coordinate_partials(func, z, fd_step: float, slots=None):
     r"""Partials of ``func`` at the coordinate vector ``z``, one per slot.
 
@@ -326,21 +319,6 @@ def coordinate_partials(func, z, fd_step: float, slots=None):
     return _stencil_partials(values[None], steps)[0]
 
 
-def value_and_partial(engine: DerivEngine, field, zs, n_x: int, slots):
-    r"""``field`` at the rows of ``zs`` and its partials there, together.
-
-    ``zs`` is an ``(m, n_x + n_v)`` array of joint chart coordinates,
-    ``x`` first; returns the ``(m, ...)`` values and the ``(m, s, ...)``
-    partials along the chart ``slots``, both from one field call on the
-    centre-first rows of every row's stencil at the engine's step.
-    ``n_x`` splits a row with a non-finite value for the error.
-    """
-    rows, steps = _stencil(zs, engine.fd_step,
-                           _slot_list(slots, zs.shape[1]), centre=True)
-    values = _stencil_values(field, rows, n_x)
-    return values[:, 0], _stencil_partials(values, steps)
-
-
 def _stencil_values(field, rows, n_x):
     """The chart field ``field`` on the ``(m, n, k)`` stencil rows of
     ``_stencil``: one call of ``_eval_points`` on all ``m n`` rows,
@@ -348,18 +326,6 @@ def _stencil_values(field, rows, n_x):
     m, n, k = rows.shape
     values = _eval_points(field, rows.reshape(m * n, k), n_x)
     return values.reshape((m, n) + values.shape[1:])
-
-
-def partial(engine: DerivEngine, field, zs, n_x: int, slots):
-    r"""Partials of ``field`` along the joint chart coordinates ``slots``.
-
-    The ``(m, s, ...)`` partials of ``value_and_partial``, one entry per
-    row of ``zs`` and slot. Realizes every :math:`\partial_i`,
-    :math:`\partial_a` appearing in the metric, connection and curvature
-    formulas. A one-point caller passes ``point.coords[None]`` and reads
-    row 0.
-    """
-    return value_and_partial(engine, field, zs, n_x, slots)[1]
 
 
 def _worst(values) -> float:
@@ -383,6 +349,16 @@ def _levi_civita(g_inv, dg):
     combo = (np.einsum("...bcd->...bcd", dg) + np.einsum("...cbd->...bcd", dg)
              - np.einsum("...dbc->...bcd", dg))
     return 0.5 * np.einsum("...ad,...bcd->...abc", g_inv, combo)
+
+
+def _blockdiag(upper, lower):
+    """The stack of blockdiag(``upper``, ``lower``) over the leading axes
+    of ``upper``; a ``lower`` with fewer leading axes is broadcast."""
+    n_u, n_l = upper.shape[-1], lower.shape[-1]
+    out = np.zeros(upper.shape[:-2] + (n_u + n_l, n_u + n_l))
+    out[..., :n_u, :n_u] = upper
+    out[..., n_u:, n_u:] = lower
+    return out
 
 
 def invert_spd(matrix):

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (ChartPoint, ConfigError, FieldHandle,
-                     NearSingularError, _distinct_rows, coordinate_partials,
-                     invert_spd)
+                     NearSingularError, _blockdiag, _distinct_rows,
+                     coordinate_partials, invert_spd)
 from .liecore import (OrbitMetric, StructureConstants,
                       validate_structure_constants)
 
@@ -313,7 +313,7 @@ def _compute_frames(orig: OriginalGeometry, zs):
     gate, in frame order, that fails at any row raises, naming the first
     row it fails at.
     """
-    n_P, n_v, n_g, n_x = orig.n_P, orig.n_v, orig.n_g, orig.n_x
+    n_P, n_g, n_x = orig.n_P, orig.n_g, orig.n_x
     xs, fs = zs[:, :n_x], zs[:, n_x:]
     _, first, base = _distinct_rows(xs)
     # the first row of each distinct base row; ``[base]`` gathers a
@@ -352,9 +352,7 @@ def _compute_frames(orig: OriginalGeometry, zs):
     a_gamma = gamma_inv @ kg_q
 
     # horizontal metric: project out orbit directions from the joint metric
-    g_full = np.zeros((len(zs), n_P + n_v, n_P + n_v))
-    g_full[:, :n_P, :n_P] = g_p_all
-    g_full[:, n_P:, n_P:] = orig.G_V
+    g_full = _blockdiag(g_p_all, orig.G_V)
     k_full = np.concatenate([k_p_all, k_v], axis=1)
     gk = g_full @ k_full
     gt_h = g_full - gk @ d_inv @ gk.swapaxes(1, 2)

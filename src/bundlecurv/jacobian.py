@@ -34,8 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _levi_civita,
-                     _worst, coordinate_partials)
+from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _eval_stack,
+                     _levi_civita, _stencil, _stencil_partials, _worst,
+                     coordinate_partials)
 from .geometry import AdaptedGeometry, OriginalGeometry, point_frame
 from .curvature import PointTerms, _frozen, _terms_at
 
@@ -79,23 +80,44 @@ def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
     return r_total - r_base - terms.R_G - terms.FF - terms.DdDd
 
 
-def killing_derivatives(orig: OriginalGeometry, point: ChartPoint,
-                        engine: DerivEngine = DEFAULT_ENGINE):
-    r"""Covariant derivatives :math:`\nabla_{K_\alpha}K_\beta` at the section point.
+def _section_partials(orig: OriginalGeometry, point: ChartPoint,
+                      engine: DerivEngine):
+    r"""Partials over the bundle coordinates ``Q`` at the section point
+    ``Q*(x)`` of ``point``: the triple of those of ``G_P``, of ``K_P``
+    and of the bundle-side orbit metric
+    :math:`\gamma = K_P^{\rm T} G_P K_P`, each with the derivative slot
+    first.
+
+    One stencil at the engine's step; ``G_P`` and ``K_P`` are called
+    once each, on its rows, and :math:`\gamma` is built from their
+    values there. The arrays are read-only.
+    """
+    rows, steps = _stencil(point_frame(orig, point).Q, engine.fd_step)
+    g_p = _eval_stack(orig.G_P, rows[0])
+    k_p = _eval_stack(orig.K_P, rows[0])
+    gamma = k_p.swapaxes(1, 2) @ g_p @ k_p
+    return tuple(_frozen(_stencil_partials(values[None], steps)[0])
+                 for values in (g_p, k_p, gamma))
+
+
+def killing_derivatives(terms: PointRecord):
+    r"""Covariant derivatives :math:`\nabla_{K_\alpha}K_\beta` at the
+    section point of ``terms``, a ``PointRecord`` of a geometry with
+    bundle data.
 
     Returns ``(p, v)`` with ``p[c, alpha, beta]`` the bundle part and
     ``v[q, alpha, beta]`` the vector part, for every pair at once. The
-    bundle part uses the Levi-Civita connection of ``G_P``, from one
-    finite-differenced Christoffel table and one all-slot derivative of
-    ``K_P``; the vector part uses the flat connection of the constant
-    ``G_V``, i.e. the plain directional derivative of the linear field,
-    ``gens[beta] gens[alpha] f``.
+    bundle part uses the Levi-Civita connection of ``G_P``, from the
+    record's ``section`` partials of ``G_P`` and ``K_P``; the vector part
+    uses the flat connection of the constant ``G_V``, i.e. the plain
+    directional derivative of the linear field, ``gens[beta] gens[alpha]
+    f``.
     """
+    orig, point = terms.adapted.orig, terms.point
     frames = point_frame(orig, point)
-    q, k = frames.Q[0], frames.K_P[0]
-    gamma_p = _levi_civita(frames.G_P_inv[0],
-                           coordinate_partials(orig.G_P, q, engine.fd_step))
-    dk = coordinate_partials(orig.K_P, q, engine.fd_step)  # dk[A, C, beta]
+    k = frames.K_P[0]
+    dg, dk, _ = terms.section                       # dk[A, C, beta]
+    gamma_p = _levi_civita(frames.G_P_inv[0], dg)
     p = (np.einsum("aA,acB->cAB", k, dk)
          + np.einsum("cab,aA,bB->cAB", gamma_p, k, k))
     # v_products[alpha, beta] = gens[beta] gens[alpha]
@@ -105,13 +127,18 @@ def killing_derivatives(orig: OriginalGeometry, point: ChartPoint,
 
 
 class PointRecord(PointTerms):
-    """``PointTerms`` plus ``killing``, the ``killing_derivatives`` at the
-    point: the per-point record that ``verify.run_checks`` shares between
-    its checks and drops after the point."""
+    """``PointTerms`` plus the Killing entries: ``section``, the
+    ``_section_partials`` at the point, and ``killing``, the
+    ``killing_derivatives`` there. The per-point record that
+    ``verify.run_checks`` shares between its checks and drops after the
+    point."""
 
-    _ENTRIES = dict(PointTerms._ENTRIES, killing=lambda t: tuple(
-        _frozen(part) for part in killing_derivatives(t.adapted.orig,
-                                                      t.point, t.engine)))
+    _ENTRIES = dict(
+        PointTerms._ENTRIES,
+        section=lambda t: _section_partials(t.adapted.orig, t.point,
+                                            t.engine),
+        killing=lambda t: tuple(_frozen(part)
+                                for part in killing_derivatives(t)))
 
 
 @dataclass(frozen=True)
@@ -161,8 +188,10 @@ def killing_identities_check(terms: PointRecord) -> KillingIdentityResiduals:
 
     with the vector version reducing to
     :math:`(\ldots)^p = -\tfrac12 G^{pq}\partial_q d_{\alpha\beta}`.
-    The right sides are the record's ``killing`` derivatives; the chart
-    partials of ``d`` are those of its point jet.
+    The right sides are the record's ``killing`` derivatives; the
+    bundle-coordinate partials of :math:`\gamma` are the last of the
+    record's ``section`` ones, and the chart partials of ``d`` those of its point
+    jet.
     """
     orig, point, engine = terms.adapted.orig, terms.point, terms.engine
     if orig is None:
@@ -176,12 +205,7 @@ def killing_identities_check(terms: PointRecord) -> KillingIdentityResiduals:
     d, g_p_inv = frames.d[0], frames.G_P_inv[0]
     scale = max(1.0, float(np.max(np.abs(d))))
 
-    def gamma_of_q(qs):
-        k = orig.K_P(qs)
-        return k.swapaxes(1, 2) @ orig.G_P(qs) @ k
-
-    dd_q = coordinate_partials(gamma_of_q, frames.Q[0],
-                               engine.fd_step)       # dd_q[C, a, b]
+    dd_q = terms.section[2]                         # dd_q[C, a, b]
     lhs_base = -np.einsum("ec,cab->eab", g_p_inv, dd_q)
     raw_base = float(np.max(np.abs(lhs_base - 2.0 * sym_p))) / scale
 

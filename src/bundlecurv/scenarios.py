@@ -428,6 +428,8 @@ def _box_draws(box, count: int, seed: int) -> np.ndarray:
     """``count`` seeded uniform rows in ``box``; one row is its center."""
     if count < 1:
         raise ConfigError("count must be at least 1")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative, got %r" % (seed,))
     box = np.asarray(box, dtype=float)
     if count == 1:
         return 0.5 * (box[:, 0] + box[:, 1])[None, :]

@@ -18,6 +18,11 @@ inverse. Two consistency layers are exposed:
 * statistics: ``euler_maruyama_check`` draws the sample moments of one
   short step from their exact law at a fixed seed, at a cost that does
   not grow with the paths, and scores them against the analytic ones.
+
+Each drift route evaluates its fields once, on one centre-first stencil
+at the point, and reads their values at the point from its centre row:
+the transcribed displays from one frame stack, the divergence form from
+h~ and its one inversion there.
 """
 
 from __future__ import annotations
@@ -27,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, ConfigError, DEFAULT_ENGINE, DerivEngine,
-                     FieldHandle, NearSingularError, _field_stack,
-                     invert_spd, partial)
-from .geometry import (AdaptedGeometry, OriginalGeometry, frame_field,
-                       point_frame)
+                     NearSingularError, _stencil, _stencil_partials,
+                     _stencil_values, invert_spd)
+from .geometry import AdaptedGeometry, point_frame, point_frames
 
 __all__ = [
     "SdeParams",
@@ -176,33 +180,16 @@ def diffusion_coefficients(adapted: AdaptedGeometry,
     return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
 
 
-def _sqrt_h(frames):
-    r""":math:`\sqrt H` at the rows of a frame stack, shaped to scale a
-    stack of matrices."""
-    return np.sqrt(frames.det_h)[:, None, None]
-
-
-def _w_matrix(frames):
-    r""":math:`W^{ab} = G^{AB}N^a_A N^b_B` at the rows of a frame stack."""
-    return frames.N_vP @ frames.G_P_inv @ frames.N_vP.swapaxes(1, 2)
-
-
-#: The frame fields the transcribed drift differences, by name: the value
-#: at the rows of a frame stack, and the arity of one row.
-_DRIFT_FIELDS = {
-    "sqrt_h": (lambda fs: np.sqrt(fs.det_h), "scalar"),
-    "sqrt_h_h_base_inv": (lambda fs: _sqrt_h(fs) * fs.h_base_inv, "matrix"),
-    "sqrt_h_K_V": (lambda fs: _sqrt_h(fs) * fs.K_V, "matrix"),
-    "sqrt_h_connection": (
-        lambda fs: _sqrt_h(fs) * fs.h_base_inv @ fs.A_gamma.swapaxes(1, 2),
-        "matrix"),
-    "W": (_w_matrix, "matrix"),
-}
-
-
-def _drift_field(orig: OriginalGeometry, name) -> FieldHandle:
-    value, arity = _DRIFT_FIELDS[name]
-    return frame_field(orig, name, value, arity)
+def _drift_values(frames):
+    r"""The five fields the transcribed drift differences, at the rows of
+    a frame stack: :math:`\sqrt H h^{-1}`, :math:`\sqrt H K_V`,
+    :math:`\sqrt H`, :math:`W^{ab} = G^{AB}N^a_A N^b_B` and
+    :math:`\sqrt H h^{-1}\,{}^{(\gamma)}\!\mathcal A^{\rm T}`."""
+    sqrt_h = np.sqrt(frames.det_h)
+    scale = sqrt_h[:, None, None]
+    return (scale * frames.h_base_inv, scale * frames.K_V, sqrt_h,
+            frames.N_vP @ frames.G_P_inv @ frames.N_vP.swapaxes(1, 2),
+            scale * frames.h_base_inv @ frames.A_gamma.swapaxes(1, 2))
 
 
 def drift_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
@@ -226,35 +213,33 @@ def drift_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
     the density factor exactly as displayed; ``drift_divergence_form`` is
     the arbiter that the whole transcription generates the
     Laplace-Beltrami operator.
+
+    The five differenced fields come from one ``point_frames`` call on
+    one centre-first stencil over every chart slot, the stencil that the
+    other first-derivative routes read at the point; the values at the
+    point are its row 0.
     """
     orig = adapted.orig
     if orig is None:
         raise ValueError("drift displays need original bundle data")
-    n_x, n_v = adapted.n_x, adapted.n_v
-    frames0 = point_frame(orig, point)
-    sqrt_h0 = np.sqrt(frames0.det_h[0])
-
-    def grad(name):
-        # over all slots, so that all five fields read the one stencil
-        # that the other first-derivative routes read at this point
-        return partial(engine, _drift_field(orig, name), point.coords[None],
-                       n_x, range(n_x + n_v))[0]
-
-    d_hinv = grad("sqrt_h_h_base_inv")[:n_x]
-    d_killing = grad("sqrt_h_K_V")[n_x:]
-    grad_dens = grad("sqrt_h")[n_x:]
-    d_w = grad("W")[n_x:]
-    d_conn = grad("sqrt_h_connection")[:n_x]
+    n_x = adapted.n_x
+    rows, steps = _stencil(point.coords[None], engine.fd_step, centre=True)
+    frames = point_frames(orig, rows[0])
+    values = _drift_values(frames)
+    sqrt_h0, w0 = values[2][0], values[3][0]
+    d_hinv, d_killing, grad_dens, d_w, d_conn = (
+        _stencil_partials(value[None], steps)[0] for value in values)
+    d_hinv, d_conn = d_hinv[:n_x], d_conn[:n_x]
+    d_killing, grad_dens, d_w = d_killing[n_x:], grad_dens[n_x:], d_w[n_x:]
     div_hinv = np.einsum("jij->i", d_hinv)      # sum_j d_j(vH h^{ij})
     div_killing = np.einsum("bbm->m", d_killing)  # sum_b d_b(vH K^b_mu)
     div_conn = np.einsum("jjm->m", d_conn)  # sum_j d_j(vH h^{mj} gA^mu_m)
     div_w = np.einsum("bab->a", d_w)            # sum_b d_b W^{ab}
 
     b_base = (div_hinv / sqrt_h0
-              + np.einsum("mn,ni,m->i", frames0.A_gamma[0],
-                          frames0.h_base_inv[0], div_killing) / sqrt_h0)
-    w0 = _w_matrix(frames0)[0]
-    b_vector = (frames0.K_V[0] @ div_conn / sqrt_h0
+              + np.einsum("mn,ni,m->i", frames.A_gamma[0],
+                          frames.h_base_inv[0], div_killing) / sqrt_h0)
+    b_vector = (frames.K_V[0] @ div_conn / sqrt_h0
                 + (orig.G_V_inv + w0) @ grad_dens / sqrt_h0
                 + div_w)
     return np.concatenate([b_base, b_vector])
@@ -269,21 +254,16 @@ def drift_divergence_form(adapted: AdaptedGeometry, point: ChartPoint,
     certifies that the transcribed displays, together with
     :math:`\tfrac12\tilde h^{A'B'}\partial^2`, generate the
     Laplace-Beltrami operator of the orbit-space metric. For every
-    geometry it inverts h~ on the stencil rows and at the point itself; it
-    shares no field with the transcribed displays.
+    geometry it evaluates h~ once on a centre-first stencil and inverts
+    it there, once, the point itself included; it shares no field with
+    the transcribed displays.
     """
-    n_h = adapted.n_h
-
-    def sqrt_h_h_tilde_inv(zs):
-        inv, det = invert_spd(_field_stack(adapted.h_tilde, zs))
-        return np.sqrt(det)[:, None, None] * inv
-
-    field = FieldHandle(sqrt_h_h_tilde_inv, "matrix")
-    _, det0 = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
-    sqrt_h0 = np.sqrt(det0)
-    grad = partial(engine, field, point.coords[None], adapted.n_x,
-                   range(n_h))[0]
-    return np.einsum("sas->a", grad) / sqrt_h0
+    rows, steps = _stencil(point.coords[None], engine.fd_step, centre=True)
+    inv, det = invert_spd(_stencil_values(adapted.h_tilde, rows,
+                                          adapted.n_x)[0])
+    sqrt_h = np.sqrt(det)
+    grad = _stencil_partials((sqrt_h[:, None, None] * inv)[None], steps)[0]
+    return np.einsum("sas->a", grad) / sqrt_h[0]
 
 
 def reduced_sde_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
@@ -389,8 +369,9 @@ def euler_maruyama_check(provider, point: ChartPoint = None,
         raise ConfigError("n_paths must be at least 1")
     if not float(dt) > 0.0:
         raise ConfigError("dt must be positive")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or seed < 0):
+        raise ConfigError("seed must be a non-negative integer")
     coeffs = provider
     if not isinstance(provider, ReducedSdeCoeffs):
         if point is None:

@@ -19,17 +19,20 @@ run alone computes what it did before, with the same bits. Reads:
 ``pair_table`` and ``pair_general``; ``jacobian`` the ``log_density``
 (direct route) and ``pair_table``, ``R_G``, ``FF``, ``DdDd`` (geometric
 route); ``secondform`` ``h_inv``, ``Dd``, ``killing``, ``h_tilde``,
-``d_inv`` and ``DdDd``; ``killingderiv`` ``killing`` and the ``jet``;
-``sde`` ``h_inv``. The metrics, their inverses, ``F`` and ``Dd`` at the
-point are row 0 of the point's jet; the log-density terms and both
-Ricci pairs read the two jets of the record, the point's and the nested
-one. Route-private: each Christoffel route's symbols, which it
+``d_inv`` and ``DdDd``; ``killingderiv`` ``killing``, ``section`` and
+the ``jet``; ``sde`` ``h_inv``. The metrics, their inverses, ``F`` and
+``Dd`` at the point are row 0 of the point's jet; ``R_M`` reads the
+nested jet of the record, and the log-density terms and both Ricci
+pairs read both jets. ``killing`` and the
+bundle-coordinate Killing identity read ``section``, the partials of
+``G_P``, ``K_P`` and their orbit metric from one stencil at the section
+point. Route-private: each Christoffel route's symbols, which it
 assembles from a jet, so the two tables of the ``christoffel`` check and
 the two Ricci pairs share the jets (with their inverses, ``F``, ``Dd``
-and structure functions) and nothing else; the Killing identities'
-bundle-coordinate derivatives, the determinant check's block metric and
-the drift routes' fields. A residual reduced over routes or values uses
-numpy reductions, so a NaN anywhere makes it NaN.
+and structure functions) and nothing else; the vector-sector Killing
+identity's derivatives, the determinant check's block metric and the
+two drift routes' stencils, one each. A residual reduced over routes or
+values uses numpy reductions, so a NaN anywhere makes it NaN.
 """
 
 from __future__ import annotations

@@ -223,6 +223,18 @@ def test_simulate_rejects_bad_paths(capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "report", "simulate"])
+def test_negative_seed_is_a_config_error(command, capsys):
+    """A negative seed is refused as a configuration error, exit 2, not
+    a failed check."""
+    rc = main([command, "--scenario", "flat_product", "--points", "1",
+               "--seed", "-1"])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-1)
+
+
 def test_richardson_switch_is_gone(tmp_path, capsys):
     """Every stencil extrapolates; neither a flag nor a config key turns
     that off."""

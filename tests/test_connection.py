@@ -143,7 +143,7 @@ def test_covariant_d_scaled_matches_closed_form(scaled, engine):
 
 
 def test_covariant_d_loop_oracle(twisted, engine):
-    from bundlecurv.fields import partial
+    from bundlecurv.fields import coordinate_partials
 
     adapted = twisted.adapted
     c = adapted.c.c
@@ -152,8 +152,8 @@ def test_covariant_d_loop_oracle(twisted, engine):
         d_val = np.asarray(adapted.d.d(point), dtype=float)
         zs = point.coords[None]
         got = horizontal_jet(adapted, zs, engine).Dd[0]
-        grads = partial(engine, adapted.d.d, zs, adapted.n_x,
-                        range(adapted.n_h))[0]
+        grads = coordinate_partials(adapted.d.d.func, point.coords,
+                                    engine.fd_step)
         for slot in range(adapted.n_h):
             want = grads[slot].copy()
             for m in range(3):
@@ -309,8 +309,10 @@ def test_general_frame_term_loop_oracle():
     cc = rng.standard_normal((n_rows, 8, 8, 8))
     zeros = np.zeros
     jet = HorizontalJet(
-        adapted, zeros((n_rows, n_h)), A=zeros((n_rows, n_g, n_h)), h=h,
+        adapted, zeros((n_rows, n_h)), steps=zeros((n_rows, 2, n_h)),
+        A=zeros((n_rows, n_g, n_h)), h=h,
         dh=zeros((n_rows, n_h, n_h, n_h)), d=d,
+        d_rows=np.repeat(d[:, None], 1 + 4 * n_h, axis=1),
         dd=zeros((n_rows, n_h, n_g, n_g)), h_inv=np.linalg.inv(h),
         d_inv=np.linalg.inv(d), F=zeros((n_rows, n_g, n_h, n_h)),
         Dd=zeros((n_rows, n_h, n_g, n_g)), CC=cc)

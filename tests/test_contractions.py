@@ -14,7 +14,7 @@ import pytest
 
 from bundlecurv.connection import (christoffel_general, frame_derivatives,
                                    horizontal_jet)
-from bundlecurv.curvature import _ricci_from_pieces
+from bundlecurv.curvature import _coordinate_ricci, _ricci_from_pieces
 from bundlecurv.scenarios import sample_points
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -90,5 +90,19 @@ def test_ricci_contraction_takes_two_operands(monkeypatch, internal):
     cc = rng.normal(size=(8, 8, 8))
     operands = _count_operands(monkeypatch)
     _ricci_from_pieces(gamma0, hat, cc, internal)
+    monkeypatch.undo()
+    assert operands and max(operands) <= 2, operands
+
+
+def test_coordinate_ricci_takes_two_operands(monkeypatch):
+    """The coordinate Ricci scalar of ``R_M`` and the oracle, the frame
+    contraction without its structure-function term, makes only einsums
+    of one or two arrays."""
+    rng = np.random.default_rng(7)
+    gammas = rng.normal(size=(21, 5, 5, 5))
+    steps = rng.uniform(1e-4, 2e-4, size=(1, 2, 5))
+    g_inv = rng.normal(size=(5, 5))
+    operands = _count_operands(monkeypatch)
+    _coordinate_ricci(gammas, steps, g_inv)
     monkeypatch.undo()
     assert operands and max(operands) <= 2, operands

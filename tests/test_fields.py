@@ -12,10 +12,10 @@ from bundlecurv.fields import (
     NearSingularError,
     _distinct_rows,
     _stencil,
+    _stencil_partials,
+    _stencil_values,
     coordinate_partials,
     invert_spd,
-    partial,
-    value_and_partial,
 )
 from bundlecurv.geometry import point_frame
 
@@ -77,35 +77,26 @@ def test_field_handle_checks_declared_arity():
 
 
 # ---------------------------------------------------------------------------
-# partial
+# the stencil kernel
 
 
 def test_partial_constant_is_zero(engine):
-    field = FieldHandle(lambda zs: np.full(len(zs), 4.2), arity="scalar")
-    point = ChartPoint([0.7, -0.3], [0.2])
-    got = partial(engine, field, point.coords[None], point.n_x, range(3))[0]
+    got = coordinate_partials(lambda zs: np.full(len(zs), 4.2),
+                              [0.7, -0.3, 0.2], engine.fd_step)
     assert got.shape == (3,)
     assert np.all(np.abs(got) < 1e-12)
 
 
 def test_partial_polynomial(engine):
-    field = FieldHandle(lambda zs: zs[:, 0] ** 2, arity="scalar")
-    value = partial(engine, field, np.array([[3.0]]), 1, [0])[0, 0]
+    value = coordinate_partials(lambda zs: zs[:, 0] ** 2, [3.0],
+                                engine.fd_step)[0]
     assert_close(value, 6.0, 1e-9, "d/dx x^2 at 3")
 
 
 def test_partial_sine(engine):
-    field = FieldHandle(lambda zs: np.sin(zs[:, 0]), arity="scalar")
-    value = partial(engine, field, np.array([[0.7]]), 1, [0])[0, 0]
+    value = coordinate_partials(lambda zs: np.sin(zs[:, 0]), [0.7],
+                                engine.fd_step)[0]
     assert_close(value, np.cos(0.7), 1e-10, "d/dx sin")
-
-
-def test_partial_slot_out_of_range(engine):
-    field = FieldHandle(lambda zs: np.zeros(len(zs)), arity="scalar")
-    with pytest.raises(IndexError):
-        partial(engine, field, np.zeros((1, 2)), 1, range(3))
-    with pytest.raises(IndexError):
-        partial(engine, field, np.zeros((1, 2)), 1, [-1])
 
 
 def test_partial_matrix_valued(engine):
@@ -116,29 +107,36 @@ def test_partial_matrix_valued(engine):
         return np.stack([np.stack([x, x ** 2], axis=1),
                          np.stack([0.0 * x, f * x], axis=1)], axis=1)
 
-    field = FieldHandle(matrix, arity="matrix")
     point = ChartPoint([1.5], [2.0])
-    got = partial(engine, field, point.coords[None], point.n_x, [1, 0])[0]
+    got = coordinate_partials(matrix, point.coords, engine.fd_step, [1, 0])
     want = np.array([[[0.0, 0.0], [0.0, 1.5]],
                      [[1.0, 3.0], [0.0, 2.0]]])
     assert_close(got, want, 1e-9, "matrix field partial")
-    assert partial(engine, field, point.coords[None], point.n_x,
-                   []).shape == (1, 0, 2, 2)
+    assert coordinate_partials(matrix, point.coords, engine.fd_step,
+                               []).size == 0
 
 
 def test_partial_extrapolation_is_fourth_order():
     """At steps where truncation outweighs rounding, halving the step
-    cuts the error of ``partial`` about 16-fold on every slot: the
+    cuts the error of the kernel about 16-fold on every slot: the
     extrapolated stencil is O(h^4), where a plain central difference
     would give 4-fold."""
-    field = FieldHandle(lambda zs: np.exp(2.0 * zs[:, 0])
-                        * np.cos(3.0 * zs[:, 1]), arity="scalar")
-    zs = ChartPoint([0.3], [0.2]).coords[None]
+    def func(zs):
+        return np.exp(2.0 * zs[:, 0]) * np.cos(3.0 * zs[:, 1])
+
+    z = ChartPoint([0.3], [0.2]).coords
     exact = np.exp(0.6) * np.array([2.0 * np.cos(0.6), -3.0 * np.sin(0.6)])
-    err = [abs(partial(DerivEngine(fd_step=step), field, zs, 1, [0, 1])[0]
-               - exact) for step in (4e-3, 2e-3)]
+    err = [abs(coordinate_partials(func, z, step) - exact)
+           for step in (4e-3, 2e-3)]
     ratio = err[0] / err[1]
     assert np.all((14.0 < ratio) & (ratio < 18.0)), ratio
+
+
+def _on_stencil(field, point, fd_step):
+    """``field`` on the centre-first stencil of ``point`` over every
+    slot, as the horizontal jet evaluates its fields."""
+    rows, _ = _stencil(point.coords[None], fd_step, centre=True)
+    return _stencil_values(field, rows, point.n_x)
 
 
 def test_partial_raises_on_non_finite_stencil(engine):
@@ -153,19 +151,16 @@ def test_partial_raises_on_non_finite_stencil(engine):
     with pytest.raises(EvaluationError, match=r"field half_line produced "
                                               r"non-finite value at "
                                               r"x=\[-1e-05\] f=\[0.5\]"):
-        partial(engine, field, point.coords[None], point.n_x, range(2))
+        _on_stencil(field, point, engine.fd_step)
     with pytest.raises(EvaluationError, match=r"x=\[-0.001\] f=\[0.5\]"):
-        partial(DerivEngine(fd_step=1e-3), field, point.coords[None],
-                point.n_x, range(2))
+        _on_stencil(field, point, 1e-3)
     with pytest.raises(EvaluationError, match=r"z=\[-1e-05, 0.5\]"):
-        coordinate_partials(
-            lambda zs: np.where(zs[:, 0] < 0, np.nan, zs[:, 0]),
-            [0.0, 0.5], 1e-5)
+        coordinate_partials(half_line, [0.0, 0.5], 1e-5)
 
 
 def test_kernel_calls_a_field_once_per_stencil(engine):
-    """``partial`` makes one field call, on all its rows: a read-only
-    float ``(N, n_x + n_v)`` array."""
+    """``coordinate_partials`` makes one call, on all its rows: a
+    read-only float ``(N, k)`` array."""
     calls = []
 
     def counted(zs):
@@ -176,16 +171,18 @@ def test_kernel_calls_a_field_once_per_stencil(engine):
 
     field = FieldHandle(counted, arity="scalar")
     point = ChartPoint([0.3, -0.4], [0.2])
-    partial(engine, field, point.coords[None], point.n_x, range(3))
-    assert calls == [13]            # centre, +-h, +-h/2 on three slots
+    coordinate_partials(field.func, point.coords, engine.fd_step)
+    assert calls == [12]            # +-h, +-h/2 on three slots
     field(point)
-    assert calls == [13, 1]
+    assert calls == [12, 1]
 
 
 def test_partial_on_a_stack_of_centres_equals_row_calls(engine):
-    """``partial`` on an ``(m, k)`` stack of centres makes one field call
-    on all ``m`` stencils' rows, and each row's partials equal those of a
-    one-row call bit for bit."""
+    """The kernel on an ``(m, k)`` stack of centres takes a chart field's
+    values and partials at every centre from one field call on the
+    centre-first rows of all ``m`` stencils: the values equal the field
+    on the centres, and each row's partials equal those of
+    ``coordinate_partials`` at that centre, bit for bit."""
     calls = []
 
     def counted(zs):
@@ -194,34 +191,16 @@ def test_partial_on_a_stack_of_centres_equals_row_calls(engine):
 
     field = FieldHandle(counted, arity="vector")
     centres = np.array([[0.3, -0.4, 0.2], [0.1, 0.2, -0.3], [-0.5, 0.0, 0.4]])
-    stacked = partial(engine, field, centres, 2, [2, 0])
+    rows, steps = _stencil(centres, engine.fd_step, [2, 0], centre=True)
+    values = _stencil_values(field, rows, 2)
     assert calls == [27]            # 3 centres x centre, +-h, +-h/2 on
     #                                 two slots
+    stacked = _stencil_partials(values, steps)
     assert stacked.shape == (3, 2, 2)
+    assert np.array_equal(values[:, 0], counted(centres))
     for z, got in zip(centres, stacked):
-        assert np.array_equal(got, partial(engine, field, z[None], 2,
-                                           [2, 0])[0])
-
-
-def test_value_and_partial_takes_both_from_one_call(engine):
-    """The values at the centres and the partials come from one field
-    call on the centre-first rows: the values equal the field on the
-    centres, and the partials equal ``partial``'s, bit for bit."""
-    calls = []
-
-    def counted(zs):
-        calls.append(len(zs))
-        return np.stack([np.sin(zs[:, 0]) * zs[:, 2], zs[:, 1] ** 3], axis=1)
-
-    field = FieldHandle(counted, arity="vector")
-    centres = np.array([[0.3, -0.4, 0.2], [0.1, 0.2, -0.3], [-0.5, 0.0, 0.4]])
-    wide = DerivEngine(fd_step=1e-4)
-    values, partials = value_and_partial(wide, field, centres, 2, [2, 0])
-    assert calls == [27]            # 3 centres x centre, +-h, +-h/2 on
-    #                                 two slots
-    assert np.array_equal(values, counted(centres))
-    assert np.array_equal(partials, partial(wide, field, centres, 2,
-                                            [2, 0]))
+        assert np.array_equal(got, coordinate_partials(
+            counted, z, engine.fd_step, [2, 0]))
 
 
 def test_field_result_shape_is_checked(engine):
@@ -238,13 +217,11 @@ def test_field_result_shape_is_checked(engine):
     with pytest.raises(ValueError, match=r"field short declared arity "
                                          r"'scalar' but returned shape "
                                          r"\(8,\) for 9 points"):
-        partial(engine, FieldHandle(short, "scalar"), point.coords[None],
-                point.n_x, range(2))
+        _on_stencil(FieldHandle(short, "scalar"), point, engine.fd_step)
     with pytest.raises(ValueError, match=r"field flat declared arity "
                                          r"'matrix' but returned shape "
                                          r"\(9, 2\) for 9 points"):
-        value_and_partial(engine, FieldHandle(flat, "matrix"),
-                          point.coords[None], point.n_x, range(2))
+        _on_stencil(FieldHandle(flat, "matrix"), point, engine.fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +310,7 @@ _PINNED_PARTIALS = {
 
 def test_kernel_pinned_values(twisted, engine):
     adapted = twisted.adapted
-    got = {name: partial(engine, field, _PIN.coords[None], 2, range(5))[0]
+    got = {name: coordinate_partials(field.func, _PIN.coords, engine.fd_step)
            for name, field in (("h_tilde", adapted.h_tilde),
                                ("d", adapted.d.d),
                                ("A_conn", adapted.A_conn))}

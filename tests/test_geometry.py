@@ -8,7 +8,8 @@ import pytest
 
 from bundlecurv.curvature import PointTerms, log_density_terms, oracle_metric
 from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
-                               _levi_civita, _stencil, invert_spd, partial)
+                               _levi_civita, _stencil, coordinate_partials,
+                               invert_spd)
 from bundlecurv.geometry import (
     OriginalGeometry,
     assemble_block_metric,
@@ -509,8 +510,8 @@ def test_frames_are_shared_by_whole_stacks_only(twisted, engine):
 
 
 def test_degenerate_frame_in_a_stencil_names_its_point(engine):
-    """A frame that fails its gate inside the nested stencil of ``R_M``,
-    on which ``log_density_terms`` differences ``ln det d``, raises with
+    """A frame that fails its gate inside the nested stencil, on which
+    ``log_density_terms`` differences ``ln det d``, raises with
     the chart point of that row, an outer row; the narrower
     first-derivative stencil stays clear of it."""
     def g_p(qs):
@@ -519,8 +520,7 @@ def test_degenerate_frame_in_a_stencil_names_its_point(engine):
     orig = dataclasses.replace(_conformal_orig(), G_P=g_p)
     adapted = compile_adapted(orig)
     point = ChartPoint([0.0, 0.0], [])
-    partial(engine, adapted.h_tilde, point.coords[None], point.n_x,
-            range(2))
+    coordinate_partials(adapted.h_tilde.func, point.coords, engine.fd_step)
     with pytest.raises(NearSingularError,
                        match=r"bundle metric not positive definite at "
                              r"x=\[0.001, 0.0\] f=\[\]"):

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import (_log_det_d_field, decomposition_terms,
+from bundlecurv.curvature import (decomposition_terms,
                                   scalar_curvature_coordinate_oracle)
-from bundlecurv.fields import ChartPoint, partial
+from bundlecurv.fields import ChartPoint, coordinate_partials
 from bundlecurv.geometry import compile_adapted
 from bundlecurv.jacobian import (
     KillingIdentityResiduals,
@@ -44,14 +44,22 @@ def _vector_free_orig():
 # sigma field
 
 
+def _log_det_d(adapted):
+    """``ln det d`` on stacks of joint chart coordinates."""
+    def log_det_d(zs):
+        return np.linalg.slogdet(adapted.d.d.func(zs))[1]
+
+    return log_det_d
+
+
 def test_sigma_scaled_closed_form(scaled, engine):
     """``ln det d`` is ``6 slope x0`` on scaled_orbit."""
     slope = scaled.params["slope"]
-    sigma = _log_det_d_field(scaled.adapted)
+    sigma = _log_det_d(scaled.adapted)
     point = ChartPoint([0.3, -0.2], [0.1, 0.0, 0.2])
-    assert_close(sigma(point), 6.0 * slope * 0.3, 1e-12, "log volume")
-    grad = partial(engine, sigma, point.coords[None], point.n_x,
-                   range(5))[0]
+    assert_close(sigma(point.coords[None])[0], 6.0 * slope * 0.3, 1e-12,
+                 "log volume")
+    grad = coordinate_partials(sigma, point.coords, engine.fd_step)
     assert_close(grad[0], 6.0 * slope, 1e-9, "volume slope")
     np.testing.assert_allclose(grad[1:], np.zeros(4), atol=1e-9)
 
@@ -60,12 +68,12 @@ def test_sigma_gradient_routes_agree(twisted, engine):
     """Trace formula, ``tr(d^-1 partial d)``, versus direct differencing
     of ``ln det d``."""
     adapted = twisted.adapted
-    sigma = _log_det_d_field(adapted)
+    sigma = _log_det_d(adapted)
     for point in sample_points(twisted, 3, seed=103):
-        zs = point.coords[None]
-        dd = partial(engine, adapted.d.d, zs, point.n_x, range(5))[0]
+        dd = coordinate_partials(adapted.d.d.func, point.coords,
+                                 engine.fd_step)
         trace = np.trace(adapted.d.d_inv(point) @ dd, axis1=-2, axis2=-1)
-        fd = partial(engine, sigma, zs, point.n_x, range(5))[0]
+        fd = coordinate_partials(sigma, point.coords, engine.fd_step)
         assert_close(trace, fd, 1e-9, "gradient routes")
 
 
@@ -100,7 +108,8 @@ def test_jacobian_direct_matches_geometric(twisted, engine):
 def test_killing_vector_part_is_generator_product(twisted, engine):
     orig = twisted.orig
     point = ChartPoint([0.1, 0.2], [0.3, -0.1, 0.2])
-    _, v_part = killing_derivatives(orig, point, engine)
+    _, v_part = killing_derivatives(PointRecord(twisted.adapted, point,
+                                                engine))
     assert v_part.shape == (3, 3, 3)
     for alpha in range(3):
         for beta in range(3):

@@ -7,7 +7,7 @@ import pytest
 
 from bundlecurv.curvature import (decomposition_terms, oracle_metric,
                                   scalar_curvature_coordinate_oracle)
-from bundlecurv.fields import ChartPoint, ConfigError, partial
+from bundlecurv.fields import ChartPoint, ConfigError, coordinate_partials
 from bundlecurv.geometry import validate_original
 from bundlecurv.liecore import (StructureConstants, abelian_constants,
                                 su2_constants)
@@ -100,8 +100,8 @@ def test_scaled_analytic_derivative_wired(engine):
     scen = build_scenario("scaled_orbit")
     slope = scen.params["slope"]
     point = ChartPoint([0.25, 0.1], [0.1, 0.0, -0.2])
-    got = partial(engine, scen.adapted.d.d, point.coords[None], point.n_x,
-                  range(5))[0]
+    got = coordinate_partials(scen.adapted.d.d.func, point.coords,
+                              engine.fd_step)
     want = np.zeros((5, 3, 3))
     want[0] = 2.0 * slope * np.exp(2.0 * slope * 0.25) * np.eye(3)
     assert_close(got, want, 1e-8, "FD vs closed-form orbit-metric derivative")
@@ -124,6 +124,9 @@ def test_sample_points_behavior(twisted):
         assert np.all(p.coords >= box[:, 0]) and np.all(p.coords <= box[:, 1])
     with pytest.raises(ConfigError):
         sample_points(twisted, 0)
+    for count in (1, 3):
+        with pytest.raises(ConfigError, match="seed"):
+            sample_points(twisted, count, seed=-1)
 
 
 def test_sample_group_coordinates_behavior(twisted):

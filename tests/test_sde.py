@@ -10,13 +10,12 @@ from scipy import stats
 from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
                                _stencil)
 from bundlecurv.geometry import (AdaptedGeometry, OriginalGeometry,
-                                 compile_adapted, point_frame)
+                                 compile_adapted, point_frame, point_frames)
 from bundlecurv.liecore import OrbitMetric, StructureConstants
 from bundlecurv.sde import (
     ReducedSdeCoeffs,
     SdeParams,
-    _DRIFT_FIELDS,
-    _drift_field,
+    _drift_values,
     _moment_report,
     _noise_moments,
     density_H,
@@ -177,19 +176,14 @@ def test_drift_display_matches_divergence(twisted, engine):
         assert_close(drift, div, 1e-7, "drift displays")
 
 
-def _drift_field_one_row(name, frames):
-    """The drift field ``name`` at a one-row frame stack, by the display
-    on the row's matrices."""
+def _drift_values_one_row(frames):
+    """The drift fields at a one-row frame stack, in the order of
+    ``_drift_values``, by the displays on the row's matrices."""
     sqrt_h = float(np.sqrt(frames.det_h[0]))
     n_vp = frames.N_vP[0]
-    return {
-        "sqrt_h": sqrt_h,
-        "sqrt_h_h_base_inv": sqrt_h * frames.h_base_inv[0],
-        "sqrt_h_K_V": sqrt_h * frames.K_V[0],
-        "sqrt_h_connection": (sqrt_h * frames.h_base_inv[0]
-                              @ frames.A_gamma[0].T),
-        "W": n_vp @ frames.G_P_inv[0] @ n_vp.T,
-    }[name]
+    return (sqrt_h * frames.h_base_inv[0], sqrt_h * frames.K_V[0], sqrt_h,
+            n_vp @ frames.G_P_inv[0] @ n_vp.T,
+            sqrt_h * frames.h_base_inv[0] @ frames.A_gamma[0].T)
 
 
 def test_drift_fields_on_a_stack_equal_one_row_values(twisted, engine):
@@ -198,14 +192,15 @@ def test_drift_fields_on_a_stack_equal_one_row_values(twisted, engine):
     orig = dataclasses.replace(twisted.orig)
     rows, _ = _stencil(np.array([[0.18, -0.12, 0.07, -0.25, 0.16]]),
                        engine.fd_step)
-    for name in _DRIFT_FIELDS:
-        got = _drift_field(orig, name).func(rows[0])
-        want = np.array([
-            _drift_field_one_row(name, point_frame(orig, ChartPoint(z[:2],
-                                                                    z[2:])))
-            for z in rows[0]])
-        assert got.shape == want.shape, name
-        assert np.array_equal(got, want), name
+    stacked = _drift_values(point_frames(orig, rows[0]))
+    single = [_drift_values_one_row(point_frame(orig, ChartPoint(z[:2],
+                                                                 z[2:])))
+              for z in rows[0]]
+    assert len(stacked) == 5
+    for index, got in enumerate(stacked):
+        want = np.array([values[index] for values in single])
+        assert got.shape == want.shape, index
+        assert np.array_equal(got, want), index
 
 
 def test_drift_needs_bundle_data(twisted, engine):
@@ -286,6 +281,8 @@ def test_moment_check_input_gates(twisted):
         euler_maruyama_check(_wiener_coeffs(), dt=0.0)
     with pytest.raises(ConfigError):
         euler_maruyama_check(_wiener_coeffs(), seed="7")
+    with pytest.raises(ConfigError, match="non-negative"):
+        euler_maruyama_check(_wiener_coeffs(), seed=-1)
     with pytest.raises(ConfigError):
         euler_maruyama_check(twisted.adapted)  # geometry without a point
 

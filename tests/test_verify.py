@@ -211,12 +211,12 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     Ricci pair per Christoffel route, one set of log-density terms, one
     set of Killing derivatives, one block metric, and 462 frame rows in
     2 stacks (21 + 441, see
-    ``test_check_compiles_frames_once_per_stencil``), with the other 29
+    ``test_check_compiles_frames_once_per_stencil``), with the other 22
     lookups served from the memo, the point's own row among them as row
     0 of a held stack. The bundle callables of the compiles run on 90
-    distinct base rows (9 + 81). The point makes 13 SPD inversions: 5 in
-    each compile, one in ``R_M`` and two in the drift routes; no
-    Christoffel route inverts a matrix."""
+    distinct base rows (9 + 81). The point makes 11 SPD inversions: 5 in
+    each compile and one in the divergence form of the drift; neither
+    ``R_M`` nor any Christoffel route inverts a matrix."""
     import sys
 
     from bundlecurv import curvature, fields, jacobian, verify
@@ -251,9 +251,9 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     assert sorted(calls) == ["assemble_block_metric", "killing_derivatives",
                              "log_density_terms", "ricci_scalar_pair",
                              "ricci_scalar_pair"]
-    assert (info.misses, info.compiles, info.hits) == (462, 2, 29)
+    assert (info.misses, info.compiles, info.hits) == (462, 2, 22)
     assert info.base_rows == 90
-    assert len(inversions) == 13
+    assert len(inversions) == 11
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -317,23 +317,65 @@ def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
     assert len(calls) == len(points)
 
 
-def test_one_first_order_pass_per_field(twisted, engine, monkeypatch):
-    """All seven checks at a fresh point make 7 ``value_and_partial``
-    calls: one for ``ln det d`` on the nested stencil and six in the
-    drift routes; the two jets call their fields on their own stencils. The point's jet is the one the christoffel check
-    reads; both Ricci pairs run their routes on the nested jet, at the 21
-    outer rows of the ``R_M`` stencil."""
-    from bundlecurv import connection, curvature, fields
+def test_each_stencil_is_built_once_per_point(twisted, engine,
+                                             monkeypatch):
+    """All seven checks at a fresh point build 7 stencils, each evaluated
+    once: keyed by their row count, the section stencil of the Killing
+    derivatives at ``Q`` (20 rows), that of the vector identity (12),
+    the point's jet, the drift, the divergence form and the outer nested
+    stencil (21 each) and the nested jet's (441). ``G_P`` and ``K_P`` run
+    once each on the section stencil. The frame memo is looked up 24
+    times: 12 one-row lookups, 7 of the 21-row stack and 5 of the
+    441-row one; it compiles 462 rows in 2 stacks on 90 base rows, and
+    the point makes 11 SPD inversions. The point's jet is the one the
+    christoffel check reads; both Ricci pairs run their routes on the
+    nested jet, at the 21 outer rows of the nested stencil."""
+    import collections
+    import sys
 
-    calls, jets, routes = [], [], []
-    original = fields.value_and_partial
+    from bundlecurv import connection, curvature, fields, geometry
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    stencils, lookups, section = (collections.Counter() for _ in range(3))
+    inversions, jets, routes = [], [], []
+    stencil, invert_spd = fields._stencil, fields.invert_spd
 
-    for module in (fields, curvature):
-        monkeypatch.setattr(module, "value_and_partial", counted)
+    def on_section_stencil(name):
+        original = getattr(twisted.orig, name).func
+
+        def counted(qs):
+            section[name] += len(qs) == 20
+            return original(qs)
+
+        return counted
+
+    # built before the counters: its own construction inverts G_V
+    orig = dataclasses.replace(twisted.orig, G_P=on_section_stencil("G_P"),
+                               K_P=on_section_stencil("K_P"))
+    fresh = dataclasses.replace(twisted, orig=orig,
+                                adapted=compile_adapted(orig))
+
+    def built(*args, **kwargs):
+        rows, steps = stencil(*args, **kwargs)
+        stencils[rows.shape[0] * rows.shape[1]] += 1
+        return rows, steps
+
+    def inverted(matrix):
+        inversions.append(np.shape(matrix))
+        return invert_spd(matrix)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("bundlecurv"):
+            for name, original, counted in (("_stencil", stencil, built),
+                                            ("invert_spd", invert_spd,
+                                             inverted)):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+    def looked_up(memo, orig, zs, _original=geometry._FrameMemo.lookup):
+        lookups[len(zs)] += 1
+        return _original(memo, orig, zs)
+
+    monkeypatch.setattr(geometry._FrameMemo, "lookup", looked_up)
 
     def jet_counted(*args, _original=connection.horizontal_jet):
         jets.append(_original(*args))
@@ -347,12 +389,17 @@ def test_one_first_order_pass_per_field(twisted, engine, monkeypatch):
 
         monkeypatch.setattr(curvature, name, route)
         monkeypatch.setattr(verify, name, route)
-    fresh = _fresh(twisted)
+
     report = run_checks(fresh, [ChartPoint([0.16, 0.09],
                                            [0.23, -0.18, -0.05])],
                         engine=engine)
+    info = frame_cache_info(orig)
     assert report.passed
-    assert len(calls) == 7
+    assert stencils == {12: 1, 20: 1, 21: 4, 441: 1}
+    assert lookups == {1: 12, 21: 7, 441: 5}
+    assert section == {"G_P": 1, "K_P": 1}
+    assert len(inversions) == 11
+    assert (info.compiles, info.misses, info.base_rows) == (2, 462, 90)
     point_jet, nested_jet = jets
     assert (len(point_jet.zs), len(nested_jet.zs)) == (1, 21)
     assert routes == [("christoffel_table", point_jet),
