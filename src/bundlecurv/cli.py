@@ -321,9 +321,6 @@ def cmd_simulate(config: RunConfig) -> int:
     """Moment-check the reduced diffusion at the first sampled point."""
     start = time.perf_counter()
     scenario = build_scenario(config.scenario, config.params)
-    if scenario.orig is None:
-        raise ConfigError("scenario %r provides no bundle data for the "
-                          "drift" % config.scenario)
     point = sample_points(scenario, config.points, seed=config.seed)[0]
     report = euler_maruyama_check(
         scenario.adapted, point=point,

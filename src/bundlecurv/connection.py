@@ -32,19 +32,20 @@ direction at once). ``frame_derivatives`` applies that rule to the values
 and partials of any chart field; the general formula here and the Ricci
 contraction of the curvature module both use it.
 
-The Christoffel routes and the Levi-Civita symbols of h~ read one
-``HorizontalJet``, the complete first-order record at the rows of an
-``(N, n_x + n_v)`` array of joint chart coordinates, ``x`` first: the
-connection ``A``, the horizontal metric h~ and the orbit metric d with
-their horizontal partials, the inverses of h~ and d, the connection
-curvature ``F``, the covariant derivative ``Dd`` of d and the structure
-functions ``CC``. ``horizontal_jet`` builds one centre-first stencil
-over the rows, calls each field once on all its rows and computes every
-array of the record once; it keeps the stencil's steps and the values of
-d on all its rows, from which the curvature module differences
-``ln det d``. The inverses are the geometry's own fields (on bundle
-data, the frame compile's), so nothing here inverts a matrix. The two
-Christoffel routes share the record and nothing computed from it. Each
+The Christoffel routes read one ``HorizontalJet``, the complete
+first-order record at the rows of an ``(N, n_x + n_v)`` array of joint
+chart coordinates, ``x`` first: the connection ``A``, the horizontal
+metric h~ and the orbit metric d with their horizontal partials, the
+inverses of h~ and d, the Levi-Civita symbols ``lc`` of h~, the
+connection curvature ``F``, the covariant derivative ``Dd`` of d and the
+structure functions ``CC``. ``horizontal_jet`` builds one centre-first
+stencil over the rows, reads the geometry's frames on all its rows in
+one ``geometry.frames_at`` call and computes every array of the record
+once; it keeps the stencil's steps and the values of d on all its rows,
+from which the curvature module differences ``ln det d``. The inverses
+are the frames' own (on bundle data, the frame compile's), so nothing
+here inverts a matrix. The two Christoffel routes share the record and
+nothing computed from it. Each
 function returns the ``(N, ...)`` stack of its values at the rows; the
 arithmetic is that of one row, matrix by matrix, so a row's result is
 bit-identical whatever stack it comes in. A one-point caller builds the jet at
@@ -58,15 +59,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (DerivEngine, _blockdiag, _levi_civita, _stencil,
-                     _stencil_partials, _stencil_values)
-from .geometry import AdaptedGeometry
+                     _stencil_partials)
+from .geometry import AdaptedGeometry, frames_at
 from .liecore import group_direction_derivative
 
 __all__ = [
     "HorizontalJet",
     "horizontal_jet",
     "frame_derivatives",
-    "base_levi_civita",
     "christoffel_general",
     "christoffel_table",
 ]
@@ -83,9 +83,11 @@ class HorizontalJet:
     :math:`\tilde h` and :math:`d` there, ``d_rows`` the ``(N, 1 + 4
     n_h, ...)`` values of d on every stencil row, the centre first,
     ``dh`` and ``dd`` the ``(N, n_h, ...)`` partials of h~ and d along
-    every horizontal slot, and ``h_inv`` and ``d_inv`` the geometry's
-    inverse fields at the rows. ``F`` is the curvature of
-    the mechanical connection,
+    every horizontal slot, ``h_inv`` and ``d_inv`` the inverses of the
+    geometry's frames at the rows, and ``lc`` the ``(N, n_h, n_h, n_h)``
+    Levi-Civita symbols of h~ on the (x, f) chart, from ``h_inv`` and
+    ``dh``: the horizontal sector of the table, where the frame is
+    holonomic. ``F`` is the curvature of the mechanical connection,
 
     .. math::
 
@@ -122,6 +124,7 @@ class HorizontalJet:
     dd: np.ndarray
     h_inv: np.ndarray
     d_inv: np.ndarray
+    lc: np.ndarray
     F: np.ndarray
     Dd: np.ndarray
     CC: np.ndarray
@@ -132,17 +135,16 @@ def horizontal_jet(adapted: AdaptedGeometry, zs,
     """The ``HorizontalJet`` at the chart rows of ``zs``.
 
     One centre-first stencil over every horizontal slot at ``engine``'s
-    step; each of ``A``, h~, d and the two inverse fields is called once,
-    on all its rows. The first three are differenced; the inverses are
-    read at the centre rows, from the frames the others compiled.
+    step, and one ``frames_at`` call on all its rows. ``A``, h~ and d are
+    differenced; the inverses are read at the centre rows.
     """
     n_h, n_t = adapted.n_h, adapted.n_t
     rows, steps = _stencil(zs, engine.fd_step, range(n_h), centre=True)
-    a_rows, h_rows, d_rows, h_inv, d_inv = (
-        _stencil_values(field, rows, adapted.n_x)
-        for field in (adapted.A_conn, adapted.h_tilde, adapted.d.d,
-                      adapted.h_tilde_inv, adapted.d.d_inv))
+    frames = frames_at(adapted, rows)
+    a_rows, h_rows, d_rows = frames.A, frames.h_tilde, frames.d
+    h_inv = frames.h_tilde_inv[:, 0]
     a_val, d_val = a_rows[:, 0], d_rows[:, 0]
+    dh = _stencil_partials(h_rows, steps)
     c = adapted.c.c
 
     grad = np.einsum("...amc->...mac",
@@ -156,25 +158,13 @@ def horizontal_jet(adapted: AdaptedGeometry, zs,
     cc[:, n_h:, :n_h, :n_h] = -f_val
     cc[:, n_h:, n_h:, n_h:] = c
 
-    arrays = dict(steps=steps, A=a_val, h=h_rows[:, 0],
-                  dh=_stencil_partials(h_rows, steps), d=d_val,
-                  d_rows=d_rows, dd=dd,
-                  h_inv=h_inv[:, 0], d_inv=d_inv[:, 0], F=f_val,
-                  Dd=dd - corr, CC=cc)
+    arrays = dict(steps=steps, A=a_val, h=h_rows[:, 0], dh=dh, d=d_val,
+                  d_rows=d_rows, dd=dd, h_inv=h_inv,
+                  d_inv=frames.d_inv[:, 0], lc=_levi_civita(h_inv, dh),
+                  F=f_val, Dd=dd - corr, CC=cc)
     for array in arrays.values():
         array.setflags(write=False)
     return HorizontalJet(adapted, zs, **arrays)
-
-
-def base_levi_civita(jet: HorizontalJet) -> np.ndarray:
-    r"""Levi-Civita symbols of the orbit-space metric h~ on the (x,f) chart.
-
-    Returned with shape ``(N, n_h, n_h, n_h)`` at the ``N`` rows of
-    ``jet``. These fill the purely horizontal sector of the table; the
-    frame is holonomic there, so the standard coordinate formula applies.
-    The inverse is the jet's ``h_inv``.
-    """
-    return _levi_civita(jet.h_inv, jet.dh)
 
 
 def frame_derivatives(value, grad, a_val, signature, c) -> np.ndarray:
@@ -231,8 +221,8 @@ def christoffel_table(jet: HorizontalJet) -> np.ndarray:
     r"""Christoffel symbols from the closed forms, sector by sector.
 
     The ``(N, n_t, n_t, n_t)`` stack at the rows of ``jet``, over the
-    joint index order (base, vector, group). Horizontal sector:
-    ``base_levi_civita``. Mixed and orbit sectors:
+    joint index order (base, vector, group). Horizontal sector: the
+    jet's Levi-Civita symbols ``lc``. Mixed and orbit sectors:
 
     .. math::
 
@@ -259,7 +249,7 @@ def christoffel_table(jet: HorizontalJet) -> np.ndarray:
     h, g = slice(0, n_h), slice(n_h, n_t)     # horizontal, orbit
 
     gamma = np.zeros((len(jet.zs), n_t, n_t, n_t))
-    gamma[:, h, h, h] = base_levi_civita(jet)
+    gamma[:, h, h, h] = jet.lc
 
     mixed = 0.5 * np.einsum("...ab,...nc,...bmc->...nma", d_val, h_inv,
                             f_val)

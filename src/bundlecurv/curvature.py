@@ -25,10 +25,11 @@ Every derivative here comes from the stencil kernel of ``fields``, and
 every second derivative from one nested stencil: the centre-first inner
 stencils of the 21 rows of an outer one, with the steps that
 ``_nested_stencil`` alone sets. A point's ``PointTerms`` holds two
-``connection.HorizontalJet`` records, each with its inverses, ``F``,
-``D d`` and structure functions computed once: the point's own, on its
-first-derivative stencil, and the nested one, at the 21 outer rows of
-the nested stencil, whose fields read the frames of its 441 rows. Every
+``connection.HorizontalJet`` records, each with its inverses, the
+Levi-Civita symbols of h~, ``F``, ``D d`` and structure functions
+computed once: the point's own, on its first-derivative stencil, and
+the nested one, at the 21 outer rows of the nested stencil, which reads
+the frames of its 441 rows in one call. Every
 second-order term of a point reads that one nested jet: ``R_M`` is the
 coordinate Ricci scalar of its Levi-Civita symbols, both Ricci pairs
 difference their Christoffel symbols on its rows, and
@@ -57,9 +58,8 @@ from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _blockdiag,
                      _stencil, _stencil_partials, invert_spd)
 from .geometry import AdaptedGeometry, OriginalGeometry
 from .liecore import orbit_scalar_curvature
-from .connection import (base_levi_civita, christoffel_general,
-                         christoffel_table, frame_derivatives,
-                         horizontal_jet)
+from .connection import (christoffel_general, christoffel_table,
+                         frame_derivatives, horizontal_jet)
 
 __all__ = [
     "CurvatureBreakdown",
@@ -148,7 +148,7 @@ def ricci_scalar_pair(terms: PointTerms, christoffel=christoffel_table):
     ``christoffel`` is the Christoffel route, ``christoffel_table`` or
     ``christoffel_general``. It is called once, on the nested jet of
     ``terms``: the 21 centre-first outer rows of the nested stencil, the
-    point and its 20 shifted rows, whose fields read the frames of that
+    point and its 20 shifted rows, which read the frames of that
     stencil's 441 rows. Row 0 gives the symbols at the point, the outer
     differences of the others their partials; the frame derivatives
     correct those with the connection of the point's own jet, and the
@@ -205,7 +205,7 @@ def log_density_terms(terms: PointTerms):
     second = (axis[..., 0] - 2.0 * values[0] + axis[..., 1]) / (steps * steps)
     np.fill_diagonal(hess, _richardson(second.T))
     h_inv = terms.h_inv
-    lc = base_levi_civita(terms.jet)[0]
+    lc = terms.jet.lc[0]
     lap = float(np.einsum("ab,ab->", h_inv, hess)
                 - np.einsum("ab,cab,c->", h_inv, lc, grad))
     grad_sq = 0.25 * float(np.einsum("ab,a,b->", h_inv, grad, grad))
@@ -270,9 +270,8 @@ class PointTerms:
         "nested": lambda t: _nested_stencil(t.point.coords, t.engine),
         "nested_jet": lambda t: horizontal_jet(t.adapted, t.nested.rows,
                                                t.nested.inner),
-        "R_M": lambda t: _coordinate_ricci(
-            base_levi_civita(t.nested_jet), t.nested.steps,
-            t.nested_jet.h_inv[0]),
+        "R_M": lambda t: _coordinate_ricci(t.nested_jet.lc, t.nested.steps,
+                                           t.nested_jet.h_inv[0]),
         "R_G": lambda t: orbit_scalar_curvature(t.adapted.c, t.d, t.d_inv),
         "FF": lambda t: ff_term(t.h_inv, t.d, t.F),
         "DdDd": lambda t: dddd_term(t.h_inv, t.d_inv, t.Dd),
@@ -321,10 +320,10 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
     two are the horizontal Laplacian and squared gradient of
     ``ln det d``. ``R_total`` is their sum, definitionally.
 
-    Each field of the nested jet is called once, on the whole nested
-    stencil, the point itself included; on compiled bundle data those
-    calls share one frame compile. ``terms``, the ``PointTerms`` of the
-    same arguments, holds pieces already computed.
+    The nested jet reads the frames once, on the whole nested stencil,
+    the point itself included; on compiled bundle data that is one frame
+    compile. ``terms``, the ``PointTerms`` of the same arguments, holds
+    pieces already computed.
     """
     return _terms_at(adapted, point, engine, terms).breakdown
 

@@ -20,9 +20,10 @@ kernel themselves, each on one stencil per point, and read every value
 and partial they need from that one evaluation. Every function the
 kernel differences has one contract: it maps an ``(N, k)`` array of
 coordinate rows to the ``(N, ...)`` stack of its values, and it is
-called once per stencil, on the read-only rows themselves. For a chart
-field (``FieldHandle``, evaluated by ``_stencil_values``) a row holds
-the joint chart coordinates, ``x`` first. A nested stencil repeats rows,
+called once per stencil, on the read-only rows themselves. For the
+frames of an adapted geometry (``geometry.frames_at``, which reads all
+seven of its arrays from one call) a row holds the joint chart
+coordinates, ``x`` first. A nested stencil repeats rows,
 and repeats sub-rows more often still (the base part ``x`` of a chart
 row, say); ``_distinct_rows`` lists the distinct ones, so that a
 function of the sub-row alone runs once per distinct value.
@@ -130,12 +131,13 @@ class FieldHandle:
     r"""A chart field on coordinate stacks, with its declared shape.
 
     ``func`` maps an ``(N, n_x + n_v)`` array of joint chart coordinates,
-    ``x`` first, to the ``(N, ...)`` stack of the field's values there;
-    the difference kernel calls it once per stencil, on the read-only
-    stencil rows. Calling the handle on one ``ChartPoint`` is the one-row
-    case, ``point.coords[None]``, and returns that row. ``arity`` is one
-    of ``"scalar"``, ``"vector"``, ``"matrix"``, ``"rank3"``, the number
-    of axes of one row.
+    ``x`` first, to the ``(N, ...)`` stack of the field's values there.
+    Calling the handle on one ``ChartPoint`` is the one-row case,
+    ``point.coords[None]``, and returns that row. ``arity`` is one of
+    ``"scalar"``, ``"vector"``, ``"matrix"``, ``"rank3"``, the number of
+    axes of one row. No formula of the library takes a handle: the
+    adapted geometry hands out its arrays through ``frames``. The
+    benchmark harness's tracer wraps its call.
     """
 
     func: object
@@ -288,16 +290,6 @@ def _field_stack(field, zs):
     return values
 
 
-def _eval_points(field, rows, n_x):
-    """The chart field ``field`` at the joint-coordinate rows of ``rows``:
-    one field call, its result checked by ``_field_stack`` and checked
-    finite; a non-finite row is named split at ``n_x``."""
-    return _finite_or_raise(
-        _field_stack(field, rows), lambda i: "x=%s f=%s"
-        % (rows[i, :n_x].tolist(), rows[i, n_x:].tolist()),
-        "field %s" % _name_of(field.func))
-
-
 def coordinate_partials(func, z, fd_step: float, slots=None):
     r"""Partials of ``func`` at the coordinate vector ``z``, one per slot.
 
@@ -317,15 +309,6 @@ def coordinate_partials(func, z, fd_step: float, slots=None):
         return np.zeros(0)
     values = _eval_stack(func, rows[0])
     return _stencil_partials(values[None], steps)[0]
-
-
-def _stencil_values(field, rows, n_x):
-    """The chart field ``field`` on the ``(m, n, k)`` stencil rows of
-    ``_stencil``: one call of ``_eval_points`` on all ``m n`` rows,
-    returned as the ``(m, n, ...)`` stack."""
-    m, n, k = rows.shape
-    values = _eval_points(field, rows.reshape(m * n, k), n_x)
-    return values.reshape((m, n) + values.shape[1:])
 
 
 def _worst(values) -> float:

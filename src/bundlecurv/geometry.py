@@ -31,29 +31,37 @@ on the distinct base rows ``x`` of the stack, the linear algebra on
 ``ChartPoint``. A compiled stack is read-only and kept whole, keyed on
 the shape and bytes of the coordinates, in the geometry's memo of the
 stacks around one chart point, so a repeated stencil at the point
-compiles nothing; ``frame_cache_info(orig)`` reports its counters. The
-chart fields of ``compile_adapted`` (and every other ``frame_field``)
-map a stencil's ``FrameStack`` to the stack of their values.
+compiles nothing; ``frame_cache_info(orig)`` reports its counters.
+
+The curvature, Jacobian and SDE formulas take the seven arrays of the
+adapted metric -- ``A``, ``h_tilde``, ``h_tilde_inv``, ``det_h``, ``d``,
+``d_inv`` and ``det_d`` -- from an ``AdaptedGeometry``, whose one
+``frames`` callable hands out all seven at the rows of a stack; on
+bundle data it is ``point_frames``, whose ``FrameStack`` carries them
+under these names. ``frames_at`` is the one reader: one ``frames`` call
+per stencil, its result checked for shape and finiteness.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .fields import (ChartPoint, ConfigError, FieldHandle,
-                     NearSingularError, _blockdiag, _distinct_rows,
+from .fields import (ChartPoint, ConfigError, NearSingularError,
+                     _blockdiag, _distinct_rows, _finite_or_raise,
                      coordinate_partials, invert_spd)
-from .liecore import (OrbitMetric, StructureConstants,
-                      validate_structure_constants)
+from .liecore import StructureConstants, validate_structure_constants
 
 __all__ = [
     "OriginalGeometry",
     "AdaptedGeometry",
     "BlockMetric",
     "FrameStack",
+    "AdaptedFrames",
+    "frames_at",
     "point_frame",
     "point_frames",
     "frame_cache_info",
@@ -61,7 +69,6 @@ __all__ = [
     "assemble_block_metric",
     "det_factorization_check",
     "compile_adapted",
-    "frame_field",
     "validate_original",
 ]
 
@@ -471,62 +478,36 @@ def point_frame(orig: OriginalGeometry, point: ChartPoint) -> FrameStack:
     return point_frames(orig, point.coords[None])
 
 
-def frame_field(orig: OriginalGeometry, name, value,
-                arity="matrix") -> FieldHandle:
-    """The chart field ``value(frames)``, named ``name``.
-
-    ``value`` maps the ``FrameStack`` of a stack of rows to the ``(N,
-    ...)`` stack of the field there, so a stencil reads its frames from
-    one ``point_frames`` call.
-    """
-    def evaluate(zs):
-        return value(point_frames(orig, zs))
-
-    evaluate.__name__ = name
-    return FieldHandle(evaluate, arity)
-
-
 def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
-    """Wrap the frame stacks into chart fields."""
-    orbit = OrbitMetric(
-        d=frame_field(orig, "d", lambda fs: fs.d),
-        d_inv=frame_field(orig, "d_inv", lambda fs: fs.d_inv),
-        det_d=frame_field(orig, "det_d", lambda fs: fs.det_d, "scalar"))
-    return AdaptedGeometry(
-        n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
-        h_tilde=frame_field(orig, "h_tilde", lambda fs: fs.h_tilde),
-        h_tilde_inv=frame_field(orig, "h_tilde_inv",
-                                lambda fs: fs.h_tilde_inv),
-        det_h=frame_field(orig, "det_h", lambda fs: fs.det_h, "scalar"),
-        d=orbit,
-        A_conn=frame_field(orig, "A_conn", lambda fs: fs.A),
-        c=orig.c, orig=orig)
+    """The adapted geometry of bundle data: its frames are the frame
+    stacks of ``orig``."""
+    return AdaptedGeometry(n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
+                           frames=partial(point_frames, orig), c=orig.c,
+                           orig=orig)
 
 
 @dataclass(frozen=True)
 class AdaptedGeometry:
     r"""The universal input of the curvature and Jacobian operations.
 
-    ``h_tilde`` is the horizontal metric over the joint ``(x, f)`` chart,
-    ``h_tilde_inv`` its inverse and ``det_h`` its determinant, ``d`` the
-    orbit metric with inverse and determinant, ``A_conn`` the connection
-    components as an ``(n_g, n_x+n_v)`` matrix; each of them, and each of
-    the three fields of ``d``, is a ``FieldHandle``. Each inverse and
+    ``frames`` maps an ``(N, n_x + n_v)`` array of joint chart
+    coordinates, ``x`` first, to a record of the seven ``(N, ...)``
+    arrays of the adapted metric there, read by ``frames_at``: the
+    connection ``A`` (``(N, n_g, n_x + n_v)``, base columns first), the
+    horizontal metric ``h_tilde`` over the joint ``(x, f)`` chart with
+    its inverse ``h_tilde_inv`` and determinant ``det_h``, and the orbit
+    metric ``d`` with ``d_inv`` and ``det_d``. Each inverse and
     determinant is computed once, where its matrix is built (on bundle
-    data, in the frame compile), and read from its field by every formula
-    that needs it. ``orig`` is kept when the geometry was compiled from
-    bundle data; operations that need the bundle side (projector
-    identities, drift in gauge form) require it.
+    data, in the frame compile), and read from the record by every
+    formula that needs it. ``orig`` is kept when the geometry was
+    compiled from bundle data; operations that need the bundle side
+    (projector identities, drift in gauge form) require it.
     """
 
     n_x: int
     n_v: int
     n_g: int
-    h_tilde: object
-    h_tilde_inv: object
-    det_h: object
-    d: OrbitMetric
-    A_conn: object
+    frames: object
     c: StructureConstants
     orig: object = None
 
@@ -537,6 +518,44 @@ class AdaptedGeometry:
     @property
     def n_t(self) -> int:
         return self.n_x + self.n_v + self.n_g
+
+
+AdaptedFrames = namedtuple("AdaptedFrames",
+                           "A h_tilde h_tilde_inv det_h d d_inv det_d")
+
+
+def frames_at(adapted: AdaptedGeometry, rows) -> AdaptedFrames:
+    """The seven frame arrays of ``adapted`` at chart rows, from one
+    ``frames`` call.
+
+    ``rows`` is a ``(..., n_x + n_v)`` array, a stack of stencils, say;
+    ``frames`` is called once, on its rows flattened to ``(N, n_x +
+    n_v)``, and each array comes back with the leading shape of
+    ``rows``. An array of the wrong shape raises ``ValueError`` naming
+    it, and a non-finite entry ``EvaluationError`` naming the array and
+    its row as ``x=.. f=..``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    lead, n_x = rows.shape[:-1], adapted.n_x
+    flat = rows.reshape(-1, rows.shape[-1])
+    frames = adapted.frames(flat)
+    n_h, n_g = adapted.n_h, adapted.n_g
+    shapes = {"A": (n_g, n_h), "h_tilde": (n_h, n_h),
+              "h_tilde_inv": (n_h, n_h), "det_h": (), "d": (n_g, n_g),
+              "d_inv": (n_g, n_g), "det_d": ()}
+    arrays = {}
+    for name, shape in shapes.items():
+        value = np.asarray(getattr(frames, name), dtype=float)
+        want = (len(flat),) + shape
+        if value.shape != want:
+            raise ValueError("field %s returned shape %s for %d rows, "
+                             "expected %s" % (name, value.shape, len(flat),
+                                              want))
+        _finite_or_raise(value, lambda i: "x=%s f=%s" % (
+            flat[i, :n_x].tolist(), flat[i, n_x:].tolist()),
+            "field %s" % name)
+        arrays[name] = value.reshape(lead + shape)
+    return AdaptedFrames(**arrays)
 
 
 def assemble_block_metric(adapted: AdaptedGeometry,
@@ -557,15 +576,12 @@ def assemble_block_metric(adapted: AdaptedGeometry,
     ``[[h~^{-1}, -h~^{-1} A^T], [-A h~^{-1}, d^{-1} + A h~^{-1} A^T]]``,
     whose upper-left quadrant is exactly the inverse orbit-space metric.
     ``det = det(h~) det(d)``. The inverses and determinants are read from
-    the geometry's fields.
+    the geometry's frames at the point, one ``frames_at`` call.
     """
-    h_tilde = np.asarray(adapted.h_tilde(point), dtype=float)
-    d = np.asarray(adapted.d.d(point), dtype=float)
-    a = np.asarray(adapted.A_conn(point), dtype=float)
-    h_inv = np.asarray(adapted.h_tilde_inv(point), dtype=float)
-    d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-    det_h = float(adapted.det_h(point))
-    det_d = float(adapted.d.det_d(point))
+    frames = frames_at(adapted, point.coords[None])
+    h_tilde, h_inv = frames.h_tilde[0], frames.h_tilde_inv[0]
+    d, d_inv, a = frames.d[0], frames.d_inv[0], frames.A[0]
+    det_h, det_d = float(frames.det_h[0]), float(frames.det_d[0])
     n_h, n_g = adapted.n_h, adapted.n_g
 
     n_t = n_h + n_g

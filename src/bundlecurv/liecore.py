@@ -4,9 +4,12 @@ The structure group only ever enters the numerics through three algebraic
 objects: the structure constants :math:`c^\gamma_{\alpha\beta}`, the orbit
 metric :math:`d_{\alpha\beta}(x,\tilde f)`, and the rule for differentiating
 adjoint-conjugated (tilded) tensors along group directions at the identity.
-This module holds all three. Nothing here touches group elements; scenarios
-supply explicit generator matrices, and the coordinate-basis oracle builds
-its metric from the geometry's group action on charts.
+This module holds the constants and the rule; the orbit metric and its
+inverse are arrays of the adapted geometry's frames (``geometry.frames_at``),
+and ``orbit_scalar_curvature`` takes them at one point. Nothing here touches
+group elements; scenarios supply explicit generator matrices, and the
+coordinate-basis oracle builds its metric from the geometry's group action
+on charts.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .fields import _worst
 
 __all__ = [
     "StructureConstants",
-    "OrbitMetric",
     "ValidityReport",
     "su2_constants",
     "abelian_constants",
@@ -52,20 +54,6 @@ class StructureConstants:
                 % (self.n_g, c.shape))
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True)
-class OrbitMetric:
-    r"""Orbit metric :math:`d_{\alpha\beta}`, its inverse and its
-    determinant as chart fields.
-
-    ``d`` and ``d_inv`` are ``FieldHandle`` chart fields whose value at a
-    chart point is an ``n_g`` x ``n_g`` matrix, ``det_d`` a scalar one.
-    """
-
-    d: object
-    d_inv: object
-    det_d: object
 
 
 @dataclass(frozen=True)

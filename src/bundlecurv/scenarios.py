@@ -173,10 +173,10 @@ class Scenario:
     n_v: int
     n_g: int
     adapted: AdaptedGeometry
-    orig: OriginalGeometry = None
+    orig: OriginalGeometry
+    sample_domain: np.ndarray
+    a_domain: np.ndarray
     chart: object = None
-    sample_domain: np.ndarray = None
-    a_domain: np.ndarray = None
     params: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
 
@@ -396,7 +396,7 @@ def build_scenario(name: str, params: dict = None, **kwargs) -> Scenario:
     """Construct a registered scenario.
 
     Parameters may come as a dict, as keyword arguments, or both
-    (keywords win). Each scenario with bundle data is passed through the
+    (keywords win). Each scenario's bundle data is passed through the
     Killing/section/transversality gates at probe points before it is
     returned.
     """
@@ -406,21 +406,18 @@ def build_scenario(name: str, params: dict = None, **kwargs) -> Scenario:
     merged = dict(params or {})
     merged.update(kwargs)
     scenario = _REGISTRY[name](merged)
-    if scenario.orig is not None:
-        probes = sample_points(scenario, 3, seed=20_240_817)
-        group = None
-        if scenario.a_domain is not None:
-            group = sample_group_coordinates(scenario, 3, seed=20_240_817)
-        report = validate_original(scenario.orig, probes, group_points=group)
-        if not report.ok:
-            raise ConfigError(
-                "scenario %r failed its geometry gates (killing %.2e, "
-                "section %.2e, transversality condition %.2e, bracket "
-                "%.2e, worst at (alpha, beta) = %s, structure constants "
-                "valid: %s)"
-                % (name, report.killing_residual, report.section_residual,
-                   report.fp_condition, report.bracket_residual,
-                   report.bracket_pair, report.constants_valid))
+    report = validate_original(
+        scenario.orig, sample_points(scenario, 3, seed=20_240_817),
+        group_points=sample_group_coordinates(scenario, 3, seed=20_240_817))
+    if not report.ok:
+        raise ConfigError(
+            "scenario %r failed its geometry gates (killing %.2e, "
+            "section %.2e, transversality condition %.2e, bracket "
+            "%.2e, worst at (alpha, beta) = %s, structure constants "
+            "valid: %s)"
+            % (name, report.killing_residual, report.section_residual,
+               report.fp_condition, report.bracket_residual,
+               report.bracket_pair, report.constants_valid))
     return scenario
 
 

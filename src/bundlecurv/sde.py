@@ -19,10 +19,11 @@ inverse. Two consistency layers are exposed:
   short step from their exact law at a fixed seed, at a cost that does
   not grow with the paths, and scores them against the analytic ones.
 
-Each drift route evaluates its fields once, on one centre-first stencil
-at the point, and reads their values at the point from its centre row:
-the transcribed displays from one frame stack, the divergence form from
-h~ and its one inversion there.
+Each drift route reads its frames once, on one centre-first stencil at
+the point, and their values at the point from its centre row: the
+transcribed displays from one frame stack, the divergence form from the
+h~ of one ``geometry.frames_at`` call and its one inversion there. Every
+other coefficient at a point reads one frame record there.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from .fields import (ChartPoint, ConfigError, DEFAULT_ENGINE, DerivEngine,
                      NearSingularError, _stencil, _stencil_partials,
-                     _stencil_values, invert_spd)
-from .geometry import AdaptedGeometry, point_frame, point_frames
+                     invert_spd)
+from .geometry import AdaptedGeometry, frames_at, point_frame, point_frames
 
 __all__ = [
     "SdeParams",
@@ -149,7 +150,7 @@ def symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def density_H(adapted: AdaptedGeometry, point: ChartPoint) -> float:
     """Determinant of the orbit-space block metric at a point."""
-    return float(adapted.det_h(point))
+    return float(frames_at(adapted, point.coords[None]).det_h[0])
 
 
 def diffusion_coefficients(adapted: AdaptedGeometry,
@@ -169,7 +170,7 @@ def diffusion_coefficients(adapted: AdaptedGeometry,
         x_vector = symmetric_sqrt(k_v @ frames.gamma_inv[0] @ k_v.T
                                   + adapted.orig.G_V_inv)
         return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
-    h_inv = np.asarray(adapted.h_tilde_inv(point), dtype=float)
+    h_inv = frames_at(adapted, point.coords[None]).h_tilde_inv[0]
     quad_xx = h_inv[:n_x, :n_x]
     quad_vx = h_inv[n_x:, :n_x]
     quad_vv = h_inv[n_x:, n_x:]
@@ -254,13 +255,12 @@ def drift_divergence_form(adapted: AdaptedGeometry, point: ChartPoint,
     certifies that the transcribed displays, together with
     :math:`\tfrac12\tilde h^{A'B'}\partial^2`, generate the
     Laplace-Beltrami operator of the orbit-space metric. For every
-    geometry it evaluates h~ once on a centre-first stencil and inverts
-    it there, once, the point itself included; it shares no field with
-    the transcribed displays.
+    geometry it reads h~ on a centre-first stencil from one
+    ``frames_at`` call and inverts it there once, the point itself
+    included; it shares no field with the transcribed displays.
     """
     rows, steps = _stencil(point.coords[None], engine.fd_step, centre=True)
-    inv, det = invert_spd(_stencil_values(adapted.h_tilde, rows,
-                                          adapted.n_x)[0])
+    inv, det = invert_spd(frames_at(adapted, rows).h_tilde[0])
     sqrt_h = np.sqrt(det)
     grad = _stencil_partials((sqrt_h[:, None, None] * inv)[None], steps)[0]
     return np.einsum("sas->a", grad) / sqrt_h[0]

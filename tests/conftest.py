@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from bundlecurv.fields import DEFAULT_ENGINE, FieldHandle
+from bundlecurv.fields import DEFAULT_ENGINE
+from bundlecurv.geometry import frames_at
 from bundlecurv.liecore import RULE_SIGN
 from bundlecurv.scenarios import build_scenario
 
@@ -16,11 +19,26 @@ def assert_close(actual, expected, tol, what=""):
     assert gap <= tol, "%s: relative gap %.3e exceeds %.0e" % (what, gap, tol)
 
 
-def constant_field(value, arity="matrix"):
-    """A chart field with the same value at every point."""
+def constant_field(value):
+    """A stack function with the same value at every row."""
     value = np.asarray(value, dtype=float)
-    return FieldHandle(lambda zs: np.repeat(value[None], len(zs), axis=0),
-                       arity)
+    return lambda zs: np.repeat(value[None], len(zs), axis=0)
+
+
+def frames_of(**fields):
+    """The ``frames`` callable of a hand-built ``AdaptedGeometry``: each
+    keyword names one of its seven arrays and maps an ``(N, n_x + n_v)``
+    stack to the ``(N, ...)`` values there."""
+    def frames(zs):
+        return SimpleNamespace(**{name: func(zs)
+                                  for name, func in fields.items()})
+
+    return frames
+
+
+def frame_array(adapted, name):
+    """The frame array ``name`` of ``adapted`` as a stack function."""
+    return lambda zs: getattr(frames_at(adapted, zs), name)
 
 
 def rule_by_loops(tensor, signature, c, gamma):

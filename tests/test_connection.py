@@ -7,20 +7,20 @@ import pytest
 
 from bundlecurv.connection import (
     HorizontalJet,
-    base_levi_civita,
     christoffel_general,
     christoffel_table,
     frame_derivatives,
     horizontal_jet,
 )
 from bundlecurv.curvature import PointTerms, _nested_stencil
-from bundlecurv.fields import ChartPoint, FieldHandle, invert_spd
-from bundlecurv.geometry import AdaptedGeometry, frame_cache_info
-from bundlecurv.liecore import (OrbitMetric, StructureConstants,
-                               abelian_constants, su2_constants)
+from bundlecurv.fields import ChartPoint, invert_spd
+from bundlecurv.geometry import AdaptedGeometry, frame_cache_info, frames_at
+from bundlecurv.liecore import (StructureConstants, abelian_constants,
+                               su2_constants)
 from bundlecurv.scenarios import SCENARIO_NAMES, build_scenario, sample_points
 
-from conftest import assert_close, constant_field, rule_by_loops
+from conftest import (assert_close, constant_field, frame_array, frames_of,
+                      rule_by_loops)
 
 
 def _jet_at(adapted, point, engine):
@@ -28,10 +28,18 @@ def _jet_at(adapted, point, engine):
 
 
 def _const_orbit(matrix):
+    """The orbit-metric arrays of ``frames_of``: ``matrix`` everywhere."""
     matrix = np.asarray(matrix, dtype=float)
     inv = np.linalg.inv(matrix) if matrix.size else matrix
-    return OrbitMetric(d=constant_field(matrix), d_inv=constant_field(inv),
-                       det_d=constant_field(np.linalg.det(matrix), "scalar"))
+    return dict(d=constant_field(matrix), d_inv=constant_field(inv),
+                det_d=constant_field(np.linalg.det(matrix)))
+
+
+def _flat_base(n_h):
+    """The horizontal-metric arrays of ``frames_of``: the identity."""
+    return dict(h_tilde=constant_field(np.eye(n_h)),
+                h_tilde_inv=constant_field(np.eye(n_h)),
+                det_h=constant_field(1.0))
 
 
 def _random_spd(rng, n_rows, n):
@@ -43,12 +51,9 @@ def _curl_fixture():
     """One abelian orbit direction over a flat plane, rotational connection."""
     return AdaptedGeometry(
         n_x=2, n_v=0, n_g=1,
-        h_tilde=constant_field(np.eye(2)),
-        h_tilde_inv=constant_field(np.eye(2)),
-        det_h=constant_field(1.0, "scalar"),
-        d=_const_orbit(np.eye(1)),
-        A_conn=FieldHandle(lambda zs: np.stack([-zs[:, 1], zs[:, 0]],
-                                               axis=1)[:, None], "matrix"),
+        frames=frames_of(
+            A=lambda zs: np.stack([-zs[:, 1], zs[:, 0]], axis=1)[:, None],
+            **_flat_base(2), **_const_orbit(np.eye(1))),
         c=StructureConstants(1, np.zeros((1, 1, 1))),
     )
 
@@ -57,11 +62,8 @@ def _pure_orbit(d_matrix):
     """One flat base direction, constant anisotropic orbit metric, no twist."""
     return AdaptedGeometry(
         n_x=1, n_v=0, n_g=3,
-        h_tilde=constant_field(np.eye(1)),
-        h_tilde_inv=constant_field(np.eye(1)),
-        det_h=constant_field(1.0, "scalar"),
-        d=_const_orbit(d_matrix),
-        A_conn=constant_field(np.zeros((3, 1))),
+        frames=frames_of(A=constant_field(np.zeros((3, 1))),
+                         **_flat_base(1), **_const_orbit(d_matrix)),
         c=su2_constants(),
     )
 
@@ -70,11 +72,9 @@ def _const_connection(a_matrix, d_matrix):
     a_matrix = np.asarray(a_matrix, dtype=float)
     return AdaptedGeometry(
         n_x=a_matrix.shape[1], n_v=0, n_g=3,
-        h_tilde=constant_field(np.eye(a_matrix.shape[1])),
-        h_tilde_inv=constant_field(np.eye(a_matrix.shape[1])),
-        det_h=constant_field(1.0, "scalar"),
-        d=_const_orbit(d_matrix),
-        A_conn=constant_field(a_matrix),
+        frames=frames_of(A=constant_field(a_matrix),
+                         **_flat_base(a_matrix.shape[1]),
+                         **_const_orbit(d_matrix)),
         c=su2_constants(),
     )
 
@@ -148,11 +148,11 @@ def test_covariant_d_loop_oracle(twisted, engine):
     adapted = twisted.adapted
     c = adapted.c.c
     for point in sample_points(twisted, 2, seed=67):
-        a_val = np.asarray(adapted.A_conn(point), dtype=float)
-        d_val = np.asarray(adapted.d.d(point), dtype=float)
         zs = point.coords[None]
+        frames = frames_at(adapted, zs)
+        a_val, d_val = frames.A[0], frames.d[0]
         got = horizontal_jet(adapted, zs, engine).Dd[0]
-        grads = coordinate_partials(adapted.d.d.func, point.coords,
+        grads = coordinate_partials(frame_array(adapted, "d"), point.coords,
                                     engine.fd_step)
         for slot in range(adapted.n_h):
             want = grads[slot].copy()
@@ -171,25 +171,25 @@ def test_covariant_d_loop_oracle(twisted, engine):
 
 def test_levi_civita_constant_metric(flat, engine):
     point = sample_points(flat, 1)[0]
-    got = base_levi_civita(_jet_at(flat.adapted, point, engine))[0]
+    got = _jet_at(flat.adapted, point, engine).lc[0]
     np.testing.assert_allclose(got, np.zeros((5, 5, 5)), atol=1e-10)
 
 
 def test_levi_civita_conformal_plane(engine):
     adapted = AdaptedGeometry(
         n_x=2, n_v=0, n_g=0,
-        h_tilde=FieldHandle(lambda zs: np.exp(2.0 * zs[:, 0])[:, None, None]
-                            * np.eye(2), "matrix"),
-        h_tilde_inv=FieldHandle(
-            lambda zs: np.exp(-2.0 * zs[:, 0])[:, None, None] * np.eye(2),
-            "matrix"),
-        det_h=FieldHandle(lambda zs: np.exp(4.0 * zs[:, 0]), "scalar"),
-        d=_const_orbit(np.zeros((0, 0))),
-        A_conn=constant_field(np.zeros((0, 2))),
+        frames=frames_of(
+            h_tilde=lambda zs: np.exp(2.0 * zs[:, 0])[:, None, None]
+            * np.eye(2),
+            h_tilde_inv=lambda zs: np.exp(-2.0 * zs[:, 0])[:, None, None]
+            * np.eye(2),
+            det_h=lambda zs: np.exp(4.0 * zs[:, 0]),
+            A=constant_field(np.zeros((0, 2))),
+            **_const_orbit(np.zeros((0, 0)))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
     )
     jet = horizontal_jet(adapted, np.array([[0.3, -0.5]]), engine)
-    got = base_levi_civita(jet)[0]
+    got = jet.lc[0]
     want = np.zeros((2, 2, 2))
     want[0, 0, 0] = 1.0
     want[0, 1, 1] = -1.0
@@ -314,7 +314,8 @@ def test_general_frame_term_loop_oracle():
         dh=zeros((n_rows, n_h, n_h, n_h)), d=d,
         d_rows=np.repeat(d[:, None], 1 + 4 * n_h, axis=1),
         dd=zeros((n_rows, n_h, n_g, n_g)), h_inv=np.linalg.inv(h),
-        d_inv=np.linalg.inv(d), F=zeros((n_rows, n_g, n_h, n_h)),
+        d_inv=np.linalg.inv(d), lc=zeros((n_rows, n_h, n_h, n_h)),
+        F=zeros((n_rows, n_g, n_h, n_h)),
         Dd=zeros((n_rows, n_h, n_g, n_g)), CC=cc)
     got = christoffel_general(jet)
     metric = np.zeros((n_rows, 8, 8))
@@ -384,10 +385,9 @@ def test_stacks_equal_one_row_calls(name, engine):
     def values(jet):
         return {"A": jet.A, "h": jet.h, "dh": jet.dh, "d": jet.d,
                 "dd": jet.dd, "h_inv": jet.h_inv, "d_inv": jet.d_inv,
-                "F": jet.F, "Dd": jet.Dd, "CC": jet.CC,
+                "lc": jet.lc, "F": jet.F, "Dd": jet.Dd, "CC": jet.CC,
                 "table": christoffel_table(jet),
-                "general": christoffel_general(jet),
-                "base_levi_civita": base_levi_civita(jet)}
+                "general": christoffel_general(jet)}
 
     got = values(horizontal_jet(stacked, rows, nested.inner))
     for z_index, z in enumerate(rows):
@@ -398,40 +398,30 @@ def test_stacks_equal_one_row_calls(name, engine):
                 (label, z)
 
 
-def test_jet_takes_one_call_per_field(twisted, engine):
-    """A jet calls each of ``A``, h~, d and the two inverse fields once,
-    on the centre-first stencils of all its rows; the inverses read the
-    frames the others compiled, so the jet compiles one frame stack.
-    Every array of the jet is read-only."""
+def test_jet_takes_one_frames_call(twisted, engine):
+    """A jet reads the geometry's frames once, on the centre-first
+    stencils of all its rows, and so compiles one frame stack that it
+    never looks up again. Every array of the jet is read-only."""
     calls = []
-
-    def counted(name, field):
-        def func(zs):
-            calls.append((name, zs.shape))
-            return field.func(zs)
-
-        return FieldHandle(func, field.arity)
-
     base = twisted.adapted
-    adapted = dataclasses.replace(
-        base, A_conn=counted("A", base.A_conn),
-        h_tilde=counted("h", base.h_tilde),
-        h_tilde_inv=counted("h_inv", base.h_tilde_inv),
-        d=dataclasses.replace(base.d, d=counted("d", base.d.d),
-                              d_inv=counted("d_inv", base.d.d_inv)))
+
+    def counted(zs):
+        calls.append(zs.shape)
+        return base.frames(zs)
+
+    adapted = dataclasses.replace(base, frames=counted)
     before = frame_cache_info(base.orig)
     jet = horizontal_jet(adapted, np.full((3, 5), 0.05), engine)
     after = frame_cache_info(base.orig)
-    assert calls == [(name, (63, 5))
-                     for name in ("A", "h", "d", "h_inv", "d_inv")]
+    assert calls == [(63, 5)]
     assert (after.compiles - before.compiles, after.hits - before.hits) \
-        == (1, 4)
+        == (1, 0)
     for field in dataclasses.fields(jet):
         array = getattr(jet, field.name)
         if isinstance(array, np.ndarray) and field.name != "zs":
             assert not array.flags.writeable, field.name
-    assert (jet.dd.shape, jet.F.shape, jet.CC.shape) == (
-        (3, 5, 3, 3), (3, 3, 5, 5), (3, 8, 8, 8))
+    assert (jet.dd.shape, jet.lc.shape, jet.F.shape, jet.CC.shape) == (
+        (3, 5, 3, 3), (3, 5, 5, 5), (3, 3, 5, 5), (3, 8, 8, 8))
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

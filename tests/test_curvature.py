@@ -17,19 +17,18 @@ from bundlecurv.curvature import (
     ricci_scalar_pair,
     scalar_curvature_coordinate_oracle,
 )
-from bundlecurv.fields import (ChartPoint, EvaluationError, FieldHandle,
-                               _stencil_partials)
+from bundlecurv.fields import ChartPoint, EvaluationError, _stencil_partials
 from bundlecurv.geometry import (AdaptedGeometry, compile_adapted,
-                                 frame_cache_info)
+                                 frame_cache_info, frames_at)
 from bundlecurv.jacobian import jacobian_geometric
-from bundlecurv.liecore import OrbitMetric, orbit_scalar_curvature, su2_constants
+from bundlecurv.liecore import orbit_scalar_curvature, su2_constants
 from bundlecurv.scenarios import (
     build_scenario,
     sample_group_coordinates,
     sample_points,
 )
 
-from conftest import assert_close, constant_field
+from conftest import assert_close, constant_field, frames_of
 
 
 def _pure_orbit_block(d_matrix):
@@ -37,14 +36,13 @@ def _pure_orbit_block(d_matrix):
     d_inv = np.linalg.inv(d_matrix)
     return AdaptedGeometry(
         n_x=1, n_v=0, n_g=3,
-        h_tilde=constant_field(np.eye(1)),
-        h_tilde_inv=constant_field(np.eye(1)),
-        det_h=constant_field(1.0, "scalar"),
-        d=OrbitMetric(d=constant_field(d_matrix),
-                      d_inv=constant_field(d_inv),
-                      det_d=constant_field(np.linalg.det(d_matrix),
-                                           "scalar")),
-        A_conn=constant_field(np.zeros((3, 1))),
+        frames=frames_of(
+            h_tilde=constant_field(np.eye(1)),
+            h_tilde_inv=constant_field(np.eye(1)),
+            det_h=constant_field(1.0), d=constant_field(d_matrix),
+            d_inv=constant_field(d_inv),
+            det_d=constant_field(np.linalg.det(d_matrix)),
+            A=constant_field(np.zeros((3, 1)))),
         c=su2_constants(),
     )
 
@@ -268,7 +266,7 @@ def test_log_density_terms_compile_two_stacks(twisted, engine):
     own, compiled first here."""
     adapted = compile_adapted(dataclasses.replace(twisted.orig))
     point = ChartPoint([0.21, -0.08], [-0.17, 0.05, 0.29])
-    adapted.h_tilde(point)
+    frames_at(adapted, point.coords[None])
     before = frame_cache_info(adapted.orig)
     log_density_terms(PointTerms(adapted, point, engine))
     after = frame_cache_info(adapted.orig)
@@ -300,19 +298,18 @@ def _quadratic_log_density(h_tilde, q_hess, q_grad):
         return 0.5 * np.einsum("ni,ij,nj->n", zs, q_hess, zs) + zs @ q_grad
 
     def scaled_eye(power):
-        def field(zs):
-            return np.exp(power * q(zs) / 3.0)[:, None, None] * np.eye(3)
-
-        return FieldHandle(field, "matrix")
+        return lambda zs: np.exp(power * q(zs) / 3.0)[:, None, None] \
+            * np.eye(3)
 
     return AdaptedGeometry(
         n_x=2, n_v=len(h_tilde) - 2, n_g=3,
-        h_tilde=constant_field(h_tilde),
-        h_tilde_inv=constant_field(np.linalg.inv(h_tilde)),
-        det_h=constant_field(np.linalg.det(h_tilde), "scalar"),
-        d=OrbitMetric(d=scaled_eye(1.0), d_inv=scaled_eye(-1.0),
-                      det_d=FieldHandle(lambda zs: np.exp(q(zs)), "scalar")),
-        A_conn=constant_field(np.zeros((3, len(h_tilde)))),
+        frames=frames_of(
+            h_tilde=constant_field(h_tilde),
+            h_tilde_inv=constant_field(np.linalg.inv(h_tilde)),
+            det_h=constant_field(np.linalg.det(h_tilde)),
+            d=scaled_eye(1.0), d_inv=scaled_eye(-1.0),
+            det_d=lambda zs: np.exp(q(zs)),
+            A=constant_field(np.zeros((3, len(h_tilde))))),
         c=su2_constants())
 
 
@@ -353,8 +350,9 @@ def test_log_det_d_on_a_stack_equals_one_row_calls(twisted, engine):
     assert stacked.shape == (12, 21)
     assert stacked.tolist() == [[np.linalg.slogdet(d)[1] for d in row]
                                 for row in jet.d_rows]
-    assert stacked[:, 0].tolist() == [np.linalg.slogdet(adapted.d.d(p))[1]
-                                      for p in points]
+    assert stacked[:, 0].tolist() == [
+        np.linalg.slogdet(frames_at(adapted, p.coords[None]).d[0])[1]
+        for p in points]
 
 
 def test_twisted_ff_matches_loop_oracle(twisted, engine):
@@ -363,8 +361,9 @@ def test_twisted_ff_matches_loop_oracle(twisted, engine):
     adapted = twisted.adapted
     point = sample_points(twisted, 1)[0]
     b = decomposition_terms(adapted, point, engine)
-    h_inv, _ = invert_spd(np.asarray(adapted.h_tilde(point), dtype=float))
-    d_val = np.asarray(adapted.d.d(point), dtype=float)
+    frames = frames_at(adapted, point.coords[None])
+    h_inv, _ = invert_spd(frames.h_tilde[0])
+    d_val = frames.d[0]
     f_val = horizontal_jet(adapted, point.coords[None], engine).F[0]
     n_h, n_g = adapted.n_h, adapted.n_g
     want = 0.0

@@ -1,5 +1,7 @@
 """Differentiation engine, chart points, and the SPD inverter."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,13 @@ from bundlecurv.fields import (
     _distinct_rows,
     _stencil,
     _stencil_partials,
-    _stencil_values,
     coordinate_partials,
     invert_spd,
 )
-from bundlecurv.geometry import point_frame
+from bundlecurv.geometry import AdaptedGeometry, frames_at, point_frame
+from bundlecurv.liecore import abelian_constants
 
-from conftest import assert_close
+from conftest import assert_close, constant_field, frame_array, frames_of
 
 
 # ---------------------------------------------------------------------------
@@ -132,28 +134,44 @@ def test_partial_extrapolation_is_fourth_order():
     assert np.all((14.0 < ratio) & (ratio < 18.0)), ratio
 
 
-def _on_stencil(field, point, fd_step):
-    """``field`` on the centre-first stencil of ``point`` over every
-    slot, as the horizontal jet evaluates its fields."""
+def _plane(n_x, n_v, **fields):
+    """A group-free geometry on an ``n_x + n_v`` chart whose frames are
+    the identity metric, but for the arrays given as ``fields``."""
+    n_h = n_x + n_v
+    base = dict(A=constant_field(np.zeros((0, n_h))),
+                h_tilde=constant_field(np.eye(n_h)),
+                h_tilde_inv=constant_field(np.eye(n_h)),
+                det_h=constant_field(1.0), d=constant_field(np.zeros((0, 0))),
+                d_inv=constant_field(np.zeros((0, 0))),
+                det_d=constant_field(1.0))
+    return AdaptedGeometry(n_x=n_x, n_v=n_v, n_g=0,
+                           frames=frames_of(**dict(base, **fields)),
+                           c=abelian_constants(0))
+
+
+def _on_stencil(adapted, point, fd_step):
+    """The frames of ``adapted`` on the centre-first stencil of ``point``
+    over every slot, as the horizontal jet reads them."""
     rows, _ = _stencil(point.coords[None], fd_step, centre=True)
-    return _stencil_values(field, rows, point.n_x)
+    return frames_at(adapted, rows)
 
 
 def test_partial_raises_on_non_finite_stencil(engine):
-    # blows up on one side of the stencil: the error names the first
-    # stencil row that produced a non-finite value, -h along slot 0
+    # blows up on one side of the stencil: the error names the field and
+    # the first stencil row that produced a non-finite value, -h along
+    # slot 0
     def half_line(zs):
         x = zs[:, 0]
         return np.where(x < 0, np.nan, x)
 
-    field = FieldHandle(half_line, arity="scalar")
+    adapted = _plane(1, 1, det_h=half_line)
     point = ChartPoint([0.0], [0.5])
-    with pytest.raises(EvaluationError, match=r"field half_line produced "
+    with pytest.raises(EvaluationError, match=r"field det_h produced "
                                               r"non-finite value at "
                                               r"x=\[-1e-05\] f=\[0.5\]"):
-        _on_stencil(field, point, engine.fd_step)
+        _on_stencil(adapted, point, engine.fd_step)
     with pytest.raises(EvaluationError, match=r"x=\[-0.001\] f=\[0.5\]"):
-        _on_stencil(field, point, 1e-3)
+        _on_stencil(adapted, point, 1e-3)
     with pytest.raises(EvaluationError, match=r"z=\[-1e-05, 0.5\]"):
         coordinate_partials(half_line, [0.0, 0.5], 1e-5)
 
@@ -178,34 +196,41 @@ def test_kernel_calls_a_field_once_per_stencil(engine):
 
 
 def test_partial_on_a_stack_of_centres_equals_row_calls(engine):
-    """The kernel on an ``(m, k)`` stack of centres takes a chart field's
-    values and partials at every centre from one field call on the
-    centre-first rows of all ``m`` stencils: the values equal the field
-    on the centres, and each row's partials equal those of
+    """The kernel on an ``(m, k)`` stack of centres takes a frame
+    array's values and partials at every centre from one ``frames`` call
+    on the centre-first rows of all ``m`` stencils: the values equal the
+    array on the centres, and each row's partials equal those of
     ``coordinate_partials`` at that centre, bit for bit."""
     calls = []
 
+    def metric(zs):
+        diag = np.stack([1.0 + np.sin(zs[:, 0]) ** 2 * zs[:, 2] ** 2,
+                         1.0 + zs[:, 1] ** 4, np.exp(zs[:, 0])], axis=1)
+        return diag[:, :, None] * np.eye(3)
+
+    plane = _plane(2, 1, h_tilde=metric)
+
     def counted(zs):
         calls.append(len(zs))
-        return np.stack([np.sin(zs[:, 0]) * zs[:, 2], zs[:, 1] ** 3], axis=1)
+        return plane.frames(zs)
 
-    field = FieldHandle(counted, arity="vector")
+    adapted = dataclasses.replace(plane, frames=counted)
     centres = np.array([[0.3, -0.4, 0.2], [0.1, 0.2, -0.3], [-0.5, 0.0, 0.4]])
     rows, steps = _stencil(centres, engine.fd_step, [2, 0], centre=True)
-    values = _stencil_values(field, rows, 2)
+    values = frames_at(adapted, rows).h_tilde
     assert calls == [27]            # 3 centres x centre, +-h, +-h/2 on
     #                                 two slots
     stacked = _stencil_partials(values, steps)
-    assert stacked.shape == (3, 2, 2)
-    assert np.array_equal(values[:, 0], counted(centres))
+    assert stacked.shape == (3, 2, 3, 3)
+    assert np.array_equal(values[:, 0], metric(centres))
     for z, got in zip(centres, stacked):
         assert np.array_equal(got, coordinate_partials(
-            counted, z, engine.fd_step, [2, 0]))
+            metric, z, engine.fd_step, [2, 0]))
 
 
 def test_field_result_shape_is_checked(engine):
-    """A stacked result with the wrong row count or arity names the
-    field."""
+    """A stacked frame array with the wrong row count or shape names the
+    array."""
     point = ChartPoint([0.3], [0.2])
 
     def short(zs):
@@ -214,14 +239,14 @@ def test_field_result_shape_is_checked(engine):
     def flat(zs):
         return np.zeros((len(zs), 2))
 
-    with pytest.raises(ValueError, match=r"field short declared arity "
-                                         r"'scalar' but returned shape "
-                                         r"\(8,\) for 9 points"):
-        _on_stencil(FieldHandle(short, "scalar"), point, engine.fd_step)
-    with pytest.raises(ValueError, match=r"field flat declared arity "
-                                         r"'matrix' but returned shape "
-                                         r"\(9, 2\) for 9 points"):
-        _on_stencil(FieldHandle(flat, "matrix"), point, engine.fd_step)
+    with pytest.raises(ValueError, match=r"field det_h returned shape "
+                                         r"\(8,\) for 9 rows, expected "
+                                         r"\(9,\)"):
+        _on_stencil(_plane(1, 1, det_h=short), point, engine.fd_step)
+    with pytest.raises(ValueError, match=r"field h_tilde returned shape "
+                                         r"\(9, 2\) for 9 rows, expected "
+                                         r"\(9, 2, 2\)"):
+        _on_stencil(_plane(1, 1, h_tilde=flat), point, engine.fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +335,10 @@ _PINNED_PARTIALS = {
 
 def test_kernel_pinned_values(twisted, engine):
     adapted = twisted.adapted
-    got = {name: coordinate_partials(field.func, _PIN.coords, engine.fd_step)
-           for name, field in (("h_tilde", adapted.h_tilde),
-                               ("d", adapted.d.d),
-                               ("A_conn", adapted.A_conn))}
+    got = {label: coordinate_partials(frame_array(adapted, name),
+                                      _PIN.coords, engine.fd_step)
+           for label, name in (("h_tilde", "h_tilde"), ("d", "d"),
+                               ("A_conn", "A"))}
     got["G_P"] = coordinate_partials(
         twisted.orig.G_P, point_frame(twisted.orig, _PIN).Q[0],
         engine.fd_step)

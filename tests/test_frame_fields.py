@@ -1,12 +1,14 @@
-"""Every field of the frame stack and of the horizontal jet is read
-somewhere in the library."""
+"""Every field of the frame stack, the horizontal jet and the adapted
+geometry, and every entry of the point record, is read somewhere in the
+library."""
 
 import ast
 import dataclasses
 import pathlib
 
 from bundlecurv.connection import HorizontalJet
-from bundlecurv.geometry import FrameStack
+from bundlecurv.geometry import AdaptedGeometry, FrameStack
+from bundlecurv.jacobian import PointRecord
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bundlecurv").rglob("*.py"))
@@ -19,13 +21,19 @@ def attributes_read(source):
             and isinstance(node.ctx, ast.Load)}
 
 
+def unread_names(names, sources):
+    """The ``names`` that no source reads as an attribute. The match is
+    by name: a name counts as read when any expression reads an
+    attribute of that name."""
+    read = set().union(*(attributes_read(source) for source in sources))
+    return [name for name in names if name not in read]
+
+
 def unread_fields(cls, sources):
     """Fields of the dataclass ``cls`` that no source reads as an
-    attribute. The match is by name: a field counts as read when any
-    expression reads an attribute of that name."""
-    read = set().union(*(attributes_read(source) for source in sources))
-    return [field.name for field in dataclasses.fields(cls)
-            if field.name not in read]
+    attribute."""
+    return unread_names([field.name for field in dataclasses.fields(cls)],
+                        sources)
 
 
 @dataclasses.dataclass
@@ -49,3 +57,13 @@ def test_every_frame_stack_field_is_read():
 def test_every_horizontal_jet_field_is_read():
     assert unread_fields(HorizontalJet,
                          [path.read_text() for path in SOURCES]) == []
+
+
+def test_every_adapted_geometry_field_is_read():
+    assert unread_fields(AdaptedGeometry,
+                         [path.read_text() for path in SOURCES]) == []
+
+
+def test_every_point_record_entry_is_read():
+    assert unread_names(PointRecord._ENTRIES,
+                        [path.read_text() for path in SOURCES]) == []

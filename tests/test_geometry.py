@@ -16,6 +16,7 @@ from bundlecurv.geometry import (
     compile_adapted,
     det_factorization_check,
     frame_cache_info,
+    frames_at,
     point_frame,
     point_frames,
     validate_original,
@@ -34,7 +35,7 @@ from bundlecurv.scenarios import (
 )
 from bundlecurv.verify import run_checks
 
-from conftest import assert_close
+from conftest import assert_close, frame_array
 
 
 def _conformal_orig(scale=1.0):
@@ -220,12 +221,12 @@ def test_shared_inverses_equal_the_inversions_they_replace(name):
     assert np.array_equal(orig.G_V_inv, invert_spd(orig.G_V)[0])
     assert not orig.G_V_inv.flags.writeable
     for point in sample_points(scenario, 2, seed=31):
-        for matrix, inverse, det in (
-                (adapted.h_tilde, adapted.h_tilde_inv, adapted.det_h),
-                (adapted.d.d, adapted.d.d_inv, adapted.d.det_d)):
-            inv_again, det_again = invert_spd(matrix(point))
-            assert np.array_equal(inverse(point), inv_again)
-            assert det(point) == det_again
+        at = frames_at(adapted, point.coords[None])
+        for matrix, inverse, det in ((at.h_tilde, at.h_tilde_inv, at.det_h),
+                                     (at.d, at.d_inv, at.det_d)):
+            inv_again, det_again = invert_spd(matrix[0])
+            assert np.array_equal(inverse[0], inv_again)
+            assert det[0] == det_again
         frames = point_frame(orig, point)
         assert np.array_equal(frames.gamma_inv[0],
                               invert_spd(_bundle_gamma(frames)[0])[0])
@@ -465,27 +466,23 @@ def test_failing_base_row_is_named_at_its_first_copy(twisted, name):
 
 
 def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
-    """Each compiled chart field reads a stencil from one stacked compile,
-    with the values of one-point calls on a separate geometry, bit for
-    bit."""
+    """The compiled geometry reads all seven arrays of a stencil from one
+    stacked compile, with the values of one-point reads on a separate
+    geometry, bit for bit."""
     stacked = compile_adapted(dataclasses.replace(twisted.orig))
     single = compile_adapted(dataclasses.replace(twisted.orig))
     rows, _ = _stencil(np.array([[0.14, -0.06, 0.21, -0.3, 0.05]]),
                        engine.fd_step)
-    points = [ChartPoint(z[:2], z[2:]) for z in rows[0]]
-    for name, pick in (("h_tilde", lambda a: a.h_tilde),
-                       ("h_tilde_inv", lambda a: a.h_tilde_inv),
-                       ("det_h", lambda a: a.det_h),
-                       ("d", lambda a: a.d.d), ("d_inv", lambda a: a.d.d_inv),
-                       ("det_d", lambda a: a.d.det_d),
-                       ("A_conn", lambda a: a.A_conn)):
-        before = frame_cache_info(stacked.orig)
-        got = pick(stacked).func(rows[0])
-        assert frame_cache_info(stacked.orig).compiles - before.compiles \
-            <= 1, name
-        want = np.array([pick(single)(p) for p in points])
-        assert got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+    before = frame_cache_info(stacked.orig)
+    got = frames_at(stacked, rows[0])
+    after = frame_cache_info(stacked.orig)
+    assert (after.compiles - before.compiles, after.misses - before.misses) \
+        == (1, 20)
+    rows_alone = [frames_at(single, z[None]) for z in rows[0]]
+    for name in got._fields:
+        want = np.array([getattr(alone, name)[0] for alone in rows_alone])
+        assert getattr(got, name).shape == want.shape, name
+        assert getattr(got, name).tobytes() == want.tobytes(), name
 
 
 def test_frames_are_shared_by_whole_stacks_only(twisted, engine):
@@ -520,7 +517,8 @@ def test_degenerate_frame_in_a_stencil_names_its_point(engine):
     orig = dataclasses.replace(_conformal_orig(), G_P=g_p)
     adapted = compile_adapted(orig)
     point = ChartPoint([0.0, 0.0], [])
-    coordinate_partials(adapted.h_tilde.func, point.coords, engine.fd_step)
+    coordinate_partials(frame_array(adapted, "h_tilde"), point.coords,
+                        engine.fd_step)
     with pytest.raises(NearSingularError,
                        match=r"bundle metric not positive definite at "
                              r"x=\[0.001, 0.0\] f=\[\]"):

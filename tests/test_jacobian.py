@@ -8,7 +8,7 @@ import pytest
 from bundlecurv.curvature import (decomposition_terms,
                                   scalar_curvature_coordinate_oracle)
 from bundlecurv.fields import ChartPoint, coordinate_partials
-from bundlecurv.geometry import compile_adapted
+from bundlecurv.geometry import compile_adapted, frames_at
 from bundlecurv.jacobian import (
     KillingIdentityResiduals,
     PointRecord,
@@ -29,7 +29,7 @@ from bundlecurv.scenarios import (
     sample_points,
 )
 
-from conftest import assert_close
+from conftest import assert_close, frame_array
 
 
 def _vector_free_orig():
@@ -47,7 +47,7 @@ def _vector_free_orig():
 def _log_det_d(adapted):
     """``ln det d`` on stacks of joint chart coordinates."""
     def log_det_d(zs):
-        return np.linalg.slogdet(adapted.d.d.func(zs))[1]
+        return np.linalg.slogdet(frames_at(adapted, zs).d)[1]
 
     return log_det_d
 
@@ -70,9 +70,10 @@ def test_sigma_gradient_routes_agree(twisted, engine):
     adapted = twisted.adapted
     sigma = _log_det_d(adapted)
     for point in sample_points(twisted, 3, seed=103):
-        dd = coordinate_partials(adapted.d.d.func, point.coords,
+        dd = coordinate_partials(frame_array(adapted, "d"), point.coords,
                                  engine.fd_step)
-        trace = np.trace(adapted.d.d_inv(point) @ dd, axis1=-2, axis2=-1)
+        d_inv = frames_at(adapted, point.coords[None]).d_inv[0]
+        trace = np.trace(d_inv @ dd, axis1=-2, axis2=-1)
         fd = coordinate_partials(sigma, point.coords, engine.fd_step)
         assert_close(trace, fd, 1e-9, "gradient routes")
 
@@ -245,8 +246,8 @@ def test_norm_matches_loop_pairing(twisted, engine):
     point = sample_points(twisted, 1)[0]
     adapted = twisted.adapted
     form = second_fundamental_form(adapted, point, engine)
-    d_inv = np.asarray(adapted.d.d_inv(point), dtype=float)
-    h_val = np.asarray(adapted.h_tilde(point), dtype=float)
+    frames = frames_at(adapted, point.coords[None])
+    d_inv, h_val = frames.d_inv[0], frames.h_tilde[0]
     want = 0.0
     for a in range(3):
         for m in range(3):
@@ -270,7 +271,8 @@ def test_norm_reads_the_closed_form_alone(twisted, engine, monkeypatch):
     point = sample_points(twisted, 1, seed=139)[0]
     adapted = twisted.adapted
     form = second_fundamental_form(adapted, point, engine)
-    want = form.norm_squared(adapted.d.d_inv(point), adapted.h_tilde(point))
+    frames = frames_at(adapted, point.coords[None])
+    want = form.norm_squared(frames.d_inv[0], frames.h_tilde[0])
 
     def refused(*args, **kwargs):
         raise AssertionError("killing_derivatives called")

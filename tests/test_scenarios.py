@@ -8,7 +8,7 @@ import pytest
 from bundlecurv.curvature import (decomposition_terms, oracle_metric,
                                   scalar_curvature_coordinate_oracle)
 from bundlecurv.fields import ChartPoint, ConfigError, coordinate_partials
-from bundlecurv.geometry import validate_original
+from bundlecurv.geometry import frames_at, validate_original
 from bundlecurv.liecore import (StructureConstants, abelian_constants,
                                 su2_constants)
 from bundlecurv.scenarios import (
@@ -28,7 +28,7 @@ from bundlecurv.scenarios import (
 from bundlecurv import scenarios
 from bundlecurv.verify import run_checks
 
-from conftest import assert_close
+from conftest import assert_close, frame_array
 
 
 def test_registry_names():
@@ -100,7 +100,7 @@ def test_scaled_analytic_derivative_wired(engine):
     scen = build_scenario("scaled_orbit")
     slope = scen.params["slope"]
     point = ChartPoint([0.25, 0.1], [0.1, 0.0, -0.2])
-    got = coordinate_partials(scen.adapted.d.d.func, point.coords,
+    got = coordinate_partials(frame_array(scen.adapted, "d"), point.coords,
                               engine.fd_step)
     want = np.zeros((5, 3, 3))
     want[0] = 2.0 * slope * np.exp(2.0 * slope * 0.25) * np.eye(3)
@@ -252,7 +252,7 @@ def test_abelian_scenario_is_torsion_free(abelian):
     assert np.array_equal(abelian.orig.K_P(q)[0], want)
     # twisted connection survives the abelian limit
     point = sample_points(abelian, 1)[0]
-    a_val = np.asarray(abelian.adapted.A_conn(point), dtype=float)
+    a_val = frames_at(abelian.adapted, point.coords[None]).A[0]
     assert np.max(np.abs(a_val)) > 1e-3
 
 

@@ -10,8 +10,9 @@ from scipy import stats
 from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
                                _stencil)
 from bundlecurv.geometry import (AdaptedGeometry, OriginalGeometry,
-                                 compile_adapted, point_frame, point_frames)
-from bundlecurv.liecore import OrbitMetric, StructureConstants
+                                 compile_adapted, frames_at, point_frame,
+                                 point_frames)
+from bundlecurv.liecore import StructureConstants
 from bundlecurv.sde import (
     ReducedSdeCoeffs,
     SdeParams,
@@ -28,7 +29,7 @@ from bundlecurv.sde import (
 )
 from bundlecurv.scenarios import sample_points
 
-from conftest import assert_close, constant_field
+from conftest import assert_close, constant_field, frames_of
 
 
 def _bare_plane(h_diag):
@@ -38,12 +39,12 @@ def _bare_plane(h_diag):
     empty = np.zeros((0, 0))
     return AdaptedGeometry(
         n_x=n, n_v=0, n_g=0,
-        h_tilde=constant_field(h),
-        h_tilde_inv=constant_field(np.diag(1.0 / np.diag(h))),
-        det_h=constant_field(np.prod(np.diag(h)), "scalar"),
-        d=OrbitMetric(d=constant_field(empty), d_inv=constant_field(empty),
-                      det_d=constant_field(1.0, "scalar")),
-        A_conn=constant_field(np.zeros((0, n))),
+        frames=frames_of(
+            h_tilde=constant_field(h),
+            h_tilde_inv=constant_field(np.diag(1.0 / np.diag(h))),
+            det_h=constant_field(np.prod(np.diag(h))),
+            d=constant_field(empty), d_inv=constant_field(empty),
+            det_d=constant_field(1.0), A=constant_field(np.zeros((0, n)))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
     )
 
@@ -111,7 +112,8 @@ def test_density_closed_forms(flat, twisted):
     assert_close(density_H(plane, ChartPoint([0.0, 0.0], [])), 36.0,
                  1e-12, "diagonal density")
     for point in sample_points(twisted, 3, seed=139):
-        want = np.linalg.det(np.asarray(twisted.adapted.h_tilde(point)))
+        want = np.linalg.det(
+            frames_at(twisted.adapted, point.coords[None]).h_tilde[0])
         assert_close(density_H(twisted.adapted, point), want, 1e-9,
                      "twisted density")
 

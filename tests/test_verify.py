@@ -211,7 +211,7 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     Ricci pair per Christoffel route, one set of log-density terms, one
     set of Killing derivatives, one block metric, and 462 frame rows in
     2 stacks (21 + 441, see
-    ``test_check_compiles_frames_once_per_stencil``), with the other 22
+    ``test_check_compiles_frames_once_per_stencil``), with the other 8
     lookups served from the memo, the point's own row among them as row
     0 of a held stack. The bundle callables of the compiles run on 90
     distinct base rows (9 + 81). The point makes 11 SPD inversions: 5 in
@@ -251,7 +251,7 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
     assert sorted(calls) == ["assemble_block_metric", "killing_derivatives",
                              "log_density_terms", "ricci_scalar_pair",
                              "ricci_scalar_pair"]
-    assert (info.misses, info.compiles, info.hits) == (462, 2, 22)
+    assert (info.misses, info.compiles, info.hits) == (462, 2, 8)
     assert info.base_rows == 90
     assert len(inversions) == 11
 
@@ -324,20 +324,27 @@ def test_each_stencil_is_built_once_per_point(twisted, engine,
     derivatives at ``Q`` (20 rows), that of the vector identity (12),
     the point's jet, the drift, the divergence form and the outer nested
     stencil (21 each) and the nested jet's (441). ``G_P`` and ``K_P`` run
-    once each on the section stencil. The frame memo is looked up 24
-    times: 12 one-row lookups, 7 of the 21-row stack and 5 of the
-    441-row one; it compiles 462 rows in 2 stacks on 90 base rows, and
-    the point makes 11 SPD inversions. The point's jet is the one the
-    christoffel check reads; both Ricci pairs run their routes on the
-    nested jet, at the 21 outer rows of the nested stencil."""
+    once each on the section stencil. The frame memo is looked up 10
+    times, once per reader: 6 one-row lookups (the block metric, the
+    diffusion, the second fundamental form, the section stencil and the
+    two Killing readers), 3 of the 21-row stack (the point's jet and the
+    two drift routes) and 1 of the 441-row one (the nested jet); it
+    compiles 462 rows in 2 stacks on 90 base rows, and the point makes
+    11 SPD inversions. The point's jet is the one the christoffel check
+    reads; both Ricci pairs run their routes on the nested jet, at the
+    21 outer rows of the nested stencil. The Levi-Civita contraction runs
+    once per metric it serves: on h~ once per jet, on the frame metric
+    once per general route, and on ``G_P`` once at the section point."""
     import collections
     import sys
 
     from bundlecurv import connection, curvature, fields, geometry
 
-    stencils, lookups, section = (collections.Counter() for _ in range(3))
+    stencils, lookups, section, symbols = (collections.Counter()
+                                           for _ in range(4))
     inversions, jets, routes = [], [], []
     stencil, invert_spd = fields._stencil, fields.invert_spd
+    levi_civita = fields._levi_civita
 
     def on_section_stencil(name):
         original = getattr(twisted.orig, name).func
@@ -363,11 +370,17 @@ def test_each_stencil_is_built_once_per_point(twisted, engine,
         inversions.append(np.shape(matrix))
         return invert_spd(matrix)
 
+    def contracted(g_inv, dg):
+        symbols[np.shape(g_inv)] += 1
+        return levi_civita(g_inv, dg)
+
     for module in list(sys.modules.values()):
         if module.__name__.startswith("bundlecurv"):
             for name, original, counted in (("_stencil", stencil, built),
                                             ("invert_spd", invert_spd,
-                                             inverted)):
+                                             inverted),
+                                            ("_levi_civita", levi_civita,
+                                             contracted)):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
 
@@ -396,7 +409,9 @@ def test_each_stencil_is_built_once_per_point(twisted, engine,
     info = frame_cache_info(orig)
     assert report.passed
     assert stencils == {12: 1, 20: 1, 21: 4, 441: 1}
-    assert lookups == {1: 12, 21: 7, 441: 5}
+    assert lookups == {1: 6, 21: 3, 441: 1}
+    assert symbols == {(1, 5, 5): 1, (21, 5, 5): 1, (1, 8, 8): 1,
+                       (21, 8, 8): 1, (5, 5): 1}
     assert section == {"G_P": 1, "K_P": 1}
     assert len(inversions) == 11
     assert (info.compiles, info.misses, info.base_rows) == (2, 462, 90)
