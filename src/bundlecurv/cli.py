@@ -201,7 +201,7 @@ def _report_rows(scenario, points, engine):
             "J_geometric": jacobian_geometric(adapted, point, engine,
                                               terms),
             "j_norm2": j_norm_squared(adapted, point, engine, terms),
-            "H": density_H(adapted, point),
+            "H": density_H(adapted, point, engine, terms),
         })
         rows.append(row)
     return rows

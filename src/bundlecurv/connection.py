@@ -38,17 +38,19 @@ chart coordinates, ``x`` first: the connection ``A``, the horizontal
 metric h~ and the orbit metric d with their horizontal partials, the
 inverses of h~ and d, the Levi-Civita symbols ``lc`` of h~, the
 connection curvature ``F``, the covariant derivative ``Dd`` of d and the
-structure functions ``CC``. ``horizontal_jet`` builds one centre-first
-stencil over the rows, reads the geometry's frames on all its rows in
-one ``geometry.frames_at`` call and computes every array of the record
-once; it keeps the stencil's steps and the values of d on all its rows,
-from which the curvature module differences ``ln det d``. The inverses
-are the frames' own (on bundle data, the frame compile's), so nothing
-here inverts a matrix. The two Christoffel routes share the record and
-nothing computed from it. Each
-function returns the ``(N, ...)`` stack of its values at the rows; the
-arithmetic is that of one row, matrix by matrix, so a row's result is
-bit-identical whatever stack it comes in. A one-point caller builds the jet at
+structure functions ``CC``. ``horizontal_jet`` computes every array of
+the record once from one read of the geometry's frames (a
+``geometry.frames_at`` or ``geometry.check_frames`` result) on a
+centre-first stencil over the rows, which the caller builds and reads:
+the point record of the curvature module, which holds the frames of its
+stencils. The jet keeps the stencil's steps and the values of d on all
+its rows, from which the curvature module differences ``ln det d``. The
+inverses are the frames' own (on bundle data, the frame compile's), so
+nothing here inverts a matrix. The two Christoffel routes share the
+record and nothing computed from it. Each function returns the ``(N,
+...)`` stack of its values at the rows; the arithmetic is that of one
+row, matrix by matrix, so a row's result is bit-identical whatever stack
+it comes in. A one-point caller builds the stencil at
 ``point.coords[None]`` and reads row 0.
 """
 
@@ -58,9 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (DerivEngine, _blockdiag, _levi_civita, _stencil,
-                     _stencil_partials)
-from .geometry import AdaptedGeometry, frames_at
+from .fields import _blockdiag, _levi_civita, _stencil_partials
+from .geometry import AdaptedFrames, AdaptedGeometry
 from .liecore import group_direction_derivative
 
 __all__ = [
@@ -130,17 +131,18 @@ class HorizontalJet:
     CC: np.ndarray
 
 
-def horizontal_jet(adapted: AdaptedGeometry, zs,
-                   engine: DerivEngine) -> HorizontalJet:
-    """The ``HorizontalJet`` at the chart rows of ``zs``.
+def horizontal_jet(adapted: AdaptedGeometry, rows, steps,
+                   frames: AdaptedFrames) -> HorizontalJet:
+    """The ``HorizontalJet`` at the centre rows of a stencil.
 
-    One centre-first stencil over every horizontal slot at ``engine``'s
-    step, and one ``frames_at`` call on all its rows. ``A``, h~ and d are
-    differenced; the inverses are read at the centre rows.
+    ``rows`` and ``steps`` are the ``(N, 1 + 4 n_h, n_h)`` rows and the
+    steps of a centre-first stencil over every horizontal slot
+    (``fields._stencil`` with ``centre=True``), and ``frames`` the checked
+    frames read on ``rows``. ``A``, h~ and d are differenced; the inverses
+    are read at the centre rows, which are the jet's ``zs``.
     """
     n_h, n_t = adapted.n_h, adapted.n_t
-    rows, steps = _stencil(zs, engine.fd_step, range(n_h), centre=True)
-    frames = frames_at(adapted, rows)
+    zs = rows[:, 0]
     a_rows, h_rows, d_rows = frames.A, frames.h_tilde, frames.d
     h_inv = frames.h_tilde_inv[:, 0]
     a_val, d_val = a_rows[:, 0], d_rows[:, 0]

@@ -56,7 +56,8 @@ import numpy as np
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _blockdiag,
                      _distinct_rows, _eval_stack, _levi_civita, _richardson,
                      _stencil, _stencil_partials, invert_spd)
-from .geometry import AdaptedGeometry, OriginalGeometry
+from .geometry import (AdaptedGeometry, OriginalGeometry, check_frames,
+                       frames_at)
 from .liecore import orbit_scalar_curvature
 from .connection import (christoffel_general, christoffel_table,
                          frame_derivatives, horizontal_jet)
@@ -76,26 +77,29 @@ __all__ = [
 
 _GAMMA_SIGNATURE = ("upper", "lower", "lower")
 
-_NestedStencil = namedtuple("_NestedStencil", "inner rows steps")
+_NestedStencil = namedtuple("_NestedStencil",
+                            "rows steps inner_rows inner_steps")
 
 
 def _nested_stencil(z0, engine) -> _NestedStencil:
-    """The outer stencil of every nested second difference at ``z0``.
+    """The two layers of every nested second difference at ``z0``.
 
-    Returns ``(inner, rows, steps)``: the engine of the inner layer, its
-    step ``min(10 fd_step, 9e-3)``, and the 21 centre-first ``rows`` of
-    the outer stencil over every coordinate of ``z0`` with their
-    ``steps``, at ten times the inner step. Every field this module
-    differentiates twice is exact linear algebra of closed-form inputs,
-    so the wider steps cost no meaningful truncation: the inner layer
-    leaves rounding noise of order eps/h ~ 1e-12, the outer division
-    amplifies it only to ~1e-9, and Richardson extrapolation keeps the
-    truncation error of both far below either.
+    Returns ``(rows, steps, inner_rows, inner_steps)``: the 21
+    centre-first ``rows`` of the outer stencil over every coordinate of
+    ``z0`` with their ``steps``, and the centre-first inner stencils of
+    those rows, their ``(21, 21, k)`` rows with their steps. The inner
+    step is ``min(10 fd_step, 9e-3)``, the outer one ten times it. Every
+    field this module differentiates twice is exact linear algebra of
+    closed-form inputs, so the wider steps cost no meaningful truncation:
+    the inner layer leaves rounding noise of order eps/h ~ 1e-12, the
+    outer division amplifies it only to ~1e-9, and Richardson
+    extrapolation keeps the truncation error of both far below either.
     """
-    inner = DerivEngine(fd_step=min(10.0 * engine.fd_step, 9e-3))
+    inner_step = min(10.0 * engine.fd_step, 9e-3)
     rows, steps = _stencil(np.asarray(z0, dtype=float)[None],
-                           inner.fd_step * 10.0, centre=True)
-    return _NestedStencil(inner, rows[0], steps)
+                           inner_step * 10.0, centre=True)
+    return _NestedStencil(rows[0], steps,
+                          *_stencil(rows[0], inner_step, centre=True))
 
 
 @dataclass(frozen=True)
@@ -244,23 +248,33 @@ class PointTerms:
     r"""The curvature terms at one chart point, each computed on first read.
 
     An entry (a key of ``_ENTRIES``) is computed from ``adapted``,
-    ``point`` and ``engine`` when first read, and kept: ``jet``, the
-    point's ``HorizontalJet`` on its first-derivative stencil, and its
-    row 0: the metrics ``h_tilde`` and ``d``, their inverses ``h_inv``
-    and ``d_inv``, and ``F`` and ``Dd`` at the point; ``nested``, the
-    outer stencil of ``_nested_stencil``, and ``nested_jet``, the jet at
-    its rows at the inner step, from which ``R_M``, ``log_density`` and
-    both Ricci pairs take every second derivative; the pieces of the
-    decomposition (``log_density`` is the pair of ``log_density_terms``)
-    and ``breakdown``, their one sum; and the Ricci pair of each
-    Christoffel route, which share the two jets and nothing computed
-    from them. The record takes no assignment and its arrays are
-    read-only.
+    ``point`` and ``engine`` when first read, and kept. The record owns
+    the frames of the point: ``stencil``, the ``(rows, steps)`` of the
+    point's centre-first first-derivative stencil over every chart slot
+    at the engine's step, whose row 0 is the point; ``stack``, the record
+    of the one ``adapted.frames`` call on its 21 rows (on bundle data the
+    ``FrameStack``, whose row 0 the bundle-side formulas read at the
+    point); and ``frames``, its seven arrays as ``geometry.check_frames``
+    passes them, shaped like the stencil rows. ``jet`` is the point's
+    ``HorizontalJet`` on that stencil, and its row 0 gives the metrics
+    ``h_tilde`` and ``d``, their inverses ``h_inv`` and ``d_inv``, and
+    ``F`` and ``Dd`` at the point; ``nested`` is the stencil of
+    ``_nested_stencil``, and ``nested_jet`` the jet at its outer rows,
+    from one ``frames_at`` read of its 441 inner rows, from which
+    ``R_M``, ``log_density`` and both Ricci pairs take every second
+    derivative; then the pieces of the decomposition (``log_density`` is
+    the pair of ``log_density_terms``) and ``breakdown``, their one sum;
+    and the Ricci pair of each Christoffel route, which share the two
+    jets and nothing computed from them. The record takes no assignment
+    and its arrays are read-only.
     """
 
     _ENTRIES = {
-        "jet": lambda t: horizontal_jet(t.adapted, t.point.coords[None],
-                                        t.engine),
+        "stencil": lambda t: _stencil(t.point.coords[None], t.engine.fd_step,
+                                      centre=True),
+        "stack": lambda t: t.adapted.frames(t.stencil[0][0]),
+        "frames": lambda t: check_frames(t.adapted, t.stencil[0], t.stack),
+        "jet": lambda t: horizontal_jet(t.adapted, *t.stencil, t.frames),
         "h_tilde": lambda t: t.jet.h[0],
         "h_inv": lambda t: t.jet.h_inv[0],
         "d": lambda t: t.jet.d[0],
@@ -268,8 +282,9 @@ class PointTerms:
         "F": lambda t: t.jet.F[0],
         "Dd": lambda t: t.jet.Dd[0],
         "nested": lambda t: _nested_stencil(t.point.coords, t.engine),
-        "nested_jet": lambda t: horizontal_jet(t.adapted, t.nested.rows,
-                                               t.nested.inner),
+        "nested_jet": lambda t: horizontal_jet(
+            t.adapted, t.nested.inner_rows, t.nested.inner_steps,
+            frames_at(t.adapted, t.nested.inner_rows)),
         "R_M": lambda t: _coordinate_ricci(t.nested_jet.lc, t.nested.steps,
                                            t.nested_jet.h_inv[0]),
         "R_G": lambda t: orbit_scalar_curvature(t.adapted.c, t.d, t.d_inv),
@@ -345,16 +360,15 @@ def coordinate_ricci_scalar(metric, z0,
     used by every oracle comparison.
     """
     nested = _nested_stencil(z0, engine)
-    k = nested.rows.shape[1]
-    inner, inner_steps = _stencil(nested.rows, nested.inner.fd_step,
-                                  centre=True)
-    zs = inner.reshape(-1, k)
-    values = _eval_stack(metric, zs, "metric")
+    inner = nested.inner_rows
+    values = _eval_stack(metric, inner.reshape(-1, inner.shape[-1]),
+                         "metric")
     values = values.reshape(inner.shape[:2] + values.shape[1:])
 
     # Levi-Civita symbols at every outer row at once, the point first
     g_inv, _ = invert_spd(values[:, 0])
-    gammas = _levi_civita(g_inv, _stencil_partials(values, inner_steps))
+    gammas = _levi_civita(g_inv, _stencil_partials(values,
+                                                   nested.inner_steps))
     return _coordinate_ricci(gammas, nested.steps, g_inv[0])
 
 

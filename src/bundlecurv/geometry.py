@@ -28,10 +28,10 @@ compiles the ``FrameStack`` at the rows of an ``(N, n_x + n_v)`` array of
 joint chart coordinates in one pass -- one call of each bundle callable
 on the distinct base rows ``x`` of the stack, the linear algebra on
 ``(N, ...)`` stacks -- and ``point_frame`` is its one-row case for a
-``ChartPoint``. A compiled stack is read-only and kept whole, keyed on
-the shape and bytes of the coordinates, in the geometry's memo of the
-stacks around one chart point, so a repeated stencil at the point
-compiles nothing; ``frame_cache_info(orig)`` reports its counters.
+``ChartPoint``. Each call compiles; nothing is kept between calls. The
+checks of a chart point share its compiled stacks through the point's
+record (``curvature.PointTerms``), which reads each stencil's frames
+once.
 
 The curvature, Jacobian and SDE formulas take the seven arrays of the
 adapted metric -- ``A``, ``h_tilde``, ``h_tilde_inv``, ``det_h``, ``d``,
@@ -39,7 +39,8 @@ adapted metric -- ``A``, ``h_tilde``, ``h_tilde_inv``, ``det_h``, ``d``,
 ``frames`` callable hands out all seven at the rows of a stack; on
 bundle data it is ``point_frames``, whose ``FrameStack`` carries them
 under these names. ``frames_at`` is the one reader: one ``frames`` call
-per stencil, its result checked for shape and finiteness.
+per stencil, its result checked by ``check_frames`` for shape and
+finiteness.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ __all__ = [
     "frames_at",
     "point_frame",
     "point_frames",
-    "frame_cache_info",
-    "FrameCacheInfo",
+    "check_frames",
     "assemble_block_metric",
     "det_factorization_check",
     "compile_adapted",
@@ -75,18 +75,22 @@ __all__ = [
 _PHI_MAX_COND = 1e12
 
 
+@dataclass(frozen=True, eq=False)
 class _StackCallable:
     """A bundle callable on coordinate stacks, with its result checked.
 
     Called with ``(N, k)`` coordinate stacks, it returns the ``(N,) +
     shape`` float stack, a fresh array owned by the caller. Any other
-    input or result shape raises ``ValueError`` naming the callable.
+    input or result shape raises ``ValueError`` naming the callable,
+    whose ``name`` is also its ``__name__``, as a function's is.
     """
 
-    def __init__(self, name, func, shape):
-        self.__name__ = name
-        self.func = func
-        self.shape = shape
+    name: str
+    func: object
+    shape: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "__name__", self.name)
 
     def __call__(self, *stacks):
         for stack in stacks:
@@ -135,8 +139,7 @@ class OriginalGeometry:
 
     Construction inverts ``G_V`` once, into the read-only ``G_V_inv``,
     wraps each callable so that a call checks its input and result
-    shapes, naming the callable when one is off, and gives the geometry
-    an empty frame memo of its own (see ``_FrameMemo``).
+    shapes, naming the callable when one is off.
     """
 
     n_P: int
@@ -188,7 +191,6 @@ class OriginalGeometry:
             if func is not None:
                 object.__setattr__(self, name,
                                    _StackCallable(name, func, shape))
-        object.__setattr__(self, "_frames", _FrameMemo())
 
     @property
     def n_x(self) -> int:
@@ -288,7 +290,7 @@ class FrameStack:
     N_vP: np.ndarray
 
     def __post_init__(self):
-        # a stack is stored and shared by every later lookup of its rows
+        # a stack is shared by every reader of the point record holding it
         for array in vars(self).values():
             array.setflags(write=False)
 
@@ -307,8 +309,7 @@ def _spd_or_error(matrix, what, xs, fs):
 def _compute_frames(orig: OriginalGeometry, zs):
     """Compile the frame stack at the rows of ``zs`` in one pass.
 
-    ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates.
-    Returns the ``FrameStack`` and the number of distinct base rows. The
+    ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates. The
     base-only half of the frames -- the bundle callables at the section
     point ``Q*(x)``, the inverses of ``G_P`` and ``gamma``, the base-sector
     connection, ``GH_P`` with its pullback's inverse and the Faddeev-Popov
@@ -397,79 +398,20 @@ def _compute_frames(orig: OriginalGeometry, zs):
         d=d, d_inv=d_inv, det_d=det_d, A=a_joint, A_gamma=a_gamma[base], Gt_H=gt_h,
         GH_P=gh_p[base], h_xx=h_xx, h_xv=h_xv, h_vv=h_vv, h_tilde=h_tilde,
         h_tilde_inv=h_tilde_inv, det_h=det_h,
-        h_base_inv=h_base_inv[base], Lambda=lam, N_vP=-k_v @ lam), \
-        len(first)
-
-
-class _FrameMemo:
-    """A geometry's compiled frame stacks around one chart point.
-
-    Each stack is kept whole under the shape and bytes of its rows, so it
-    is served only to a lookup of exactly its rows. Every stencil lists
-    its centre first, so a lookup whose row 0 is another point drops the
-    held stacks: returning to an earlier point compiles it again. A
-    one-row lookup of the centre is served from row 0 of a held stack,
-    kept under its own key. Lookups are not locked: verification runs on
-    one thread.
-    """
-
-    def __init__(self):
-        self.centre = None
-        self.stacks = {}
-        self.hits = self.misses = self.compiles = self.base_rows = 0
-
-    def lookup(self, orig, zs):
-        """The frame stack at the rows of ``zs``, compiled on a miss."""
-        centre = zs[:1].tobytes()
-        if centre != self.centre:
-            self.centre, self.stacks = centre, {}
-        key = (zs.shape, zs.tobytes())
-        frames = self.stacks.get(key)
-        if frames is None and len(zs) == 1 and self.stacks:
-            held = next(iter(self.stacks.values()))
-            frames = self.stacks[key] = FrameStack(
-                **{name: array[:1] for name, array in vars(held).items()})
-        if frames is not None:
-            self.hits += 1
-            return frames
-        frames, base_rows = _compute_frames(orig, zs)
-        self.misses += len(zs)
-        self.base_rows += base_rows
-        self.compiles += 1
-        self.stacks[key] = frames
-        return frames
-
-
-FrameCacheInfo = namedtuple("FrameCacheInfo",
-                            "hits misses compiles currsize base_rows")
-
-
-def frame_cache_info(orig: OriginalGeometry) -> FrameCacheInfo:
-    """Counters of the frame memo of ``orig``: lookups served from it
-    (``hits``), rows compiled (``misses``), stacked compile calls
-    (``compiles``), the rows it holds now (``currsize``) and the distinct
-    base rows the bundle callables ran on in the compiles
-    (``base_rows``)."""
-    memo = orig._frames
-    return FrameCacheInfo(memo.hits, memo.misses, memo.compiles,
-                          sum(shape[0] for shape, _ in memo.stacks),
-                          memo.base_rows)
+        h_base_inv=h_base_inv[base], Lambda=lam, N_vP=-k_v @ lam)
 
 
 def point_frames(orig: OriginalGeometry, zs) -> FrameStack:
-    """The frame stack at the rows of ``zs``, compiled in one call on a miss.
+    """The frame stack at the rows of ``zs``, compiled in one call.
 
     ``zs`` is an ``(N, n_x + n_v)`` array of joint chart coordinates; row
     ``i`` of every field of the result belongs to row ``i`` of ``zs``.
-    The stack is kept whole in the frame memo of ``orig``, so a later
-    lookup of the same rows in the same order compiles nothing until a
-    lookup centred on another point.
     """
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != orig.n_h:
         raise ValueError("point_frames takes an (N, %d) coordinate stack, "
                          "got shape %s" % (orig.n_h, zs.shape))
-    return orig._frames.lookup(orig, zs)
+    return _compute_frames(orig, zs)
 
 
 def point_frame(orig: OriginalGeometry, point: ChartPoint) -> FrameStack:
@@ -480,7 +422,7 @@ def point_frame(orig: OriginalGeometry, point: ChartPoint) -> FrameStack:
 
 def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
     """The adapted geometry of bundle data: its frames are the frame
-    stacks of ``orig``."""
+    stacks of ``orig``, compiled on each call."""
     return AdaptedGeometry(n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
                            frames=partial(point_frames, orig), c=orig.c,
                            orig=orig)
@@ -530,15 +472,24 @@ def frames_at(adapted: AdaptedGeometry, rows) -> AdaptedFrames:
 
     ``rows`` is a ``(..., n_x + n_v)`` array, a stack of stencils, say;
     ``frames`` is called once, on its rows flattened to ``(N, n_x +
-    n_v)``, and each array comes back with the leading shape of
-    ``rows``. An array of the wrong shape raises ``ValueError`` naming
-    it, and a non-finite entry ``EvaluationError`` naming the array and
-    its row as ``x=.. f=..``.
+    n_v)``, and ``check_frames`` checks what it returns.
     """
     rows = np.asarray(rows, dtype=float)
+    return check_frames(adapted, rows,
+                        adapted.frames(rows.reshape(-1, rows.shape[-1])))
+
+
+def check_frames(adapted: AdaptedGeometry, rows, frames) -> AdaptedFrames:
+    """The seven arrays of ``frames``, the record that ``adapted.frames``
+    returned on the ``(..., n_x + n_v)`` array ``rows`` flattened, each
+    with the leading shape of ``rows``.
+
+    An array of the wrong shape raises ``ValueError`` naming it, and a
+    non-finite entry ``EvaluationError`` naming the array and its row as
+    ``x=.. f=..``.
+    """
     lead, n_x = rows.shape[:-1], adapted.n_x
     flat = rows.reshape(-1, rows.shape[-1])
-    frames = adapted.frames(flat)
     n_h, n_g = adapted.n_h, adapted.n_g
     shapes = {"A": (n_g, n_h), "h_tilde": (n_h, n_h),
               "h_tilde_inv": (n_h, n_h), "det_h": (), "d": (n_g, n_g),
@@ -558,8 +509,8 @@ def frames_at(adapted: AdaptedGeometry, rows) -> AdaptedFrames:
     return AdaptedFrames(**arrays)
 
 
-def assemble_block_metric(adapted: AdaptedGeometry,
-                          point: ChartPoint) -> BlockMetric:
+def assemble_block_metric(adapted: AdaptedGeometry, point: ChartPoint,
+                          frames: AdaptedFrames = None) -> BlockMetric:
     r"""Full block metric at the group identity, with closed-form inverse.
 
     The matrix is assembled blockwise from the defining fields,
@@ -576,9 +527,12 @@ def assemble_block_metric(adapted: AdaptedGeometry,
     ``[[h~^{-1}, -h~^{-1} A^T], [-A h~^{-1}, d^{-1} + A h~^{-1} A^T]]``,
     whose upper-left quadrant is exactly the inverse orbit-space metric.
     ``det = det(h~) det(d)``. The inverses and determinants are read from
-    the geometry's frames at the point, one ``frames_at`` call.
+    ``frames``, the checked frames at the point's row alone (each array
+    with leading shape ``(1,)``), such as the point's row of its record's
+    frames; when None, from one ``frames_at`` call at the point.
     """
-    frames = frames_at(adapted, point.coords[None])
+    if frames is None:
+        frames = frames_at(adapted, point.coords[None])
     h_tilde, h_inv = frames.h_tilde[0], frames.h_tilde_inv[0]
     d, d_inv, a = frames.d[0], frames.d_inv[0], frames.A[0]
     det_h, det_d = float(frames.det_h[0]), float(frames.det_d[0])

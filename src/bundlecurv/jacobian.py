@@ -37,7 +37,7 @@ import numpy as np
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _eval_stack,
                      _levi_civita, _stencil, _stencil_partials, _worst,
                      coordinate_partials)
-from .geometry import AdaptedGeometry, OriginalGeometry, point_frame
+from .geometry import AdaptedGeometry
 from .curvature import PointTerms, _frozen, _terms_at
 
 __all__ = [
@@ -80,19 +80,20 @@ def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
     return r_total - r_base - terms.R_G - terms.FF - terms.DdDd
 
 
-def _section_partials(orig: OriginalGeometry, point: ChartPoint,
-                      engine: DerivEngine):
+def _section_partials(terms: PointRecord):
     r"""Partials over the bundle coordinates ``Q`` at the section point
-    ``Q*(x)`` of ``point``: the triple of those of ``G_P``, of ``K_P``
-    and of the bundle-side orbit metric
-    :math:`\gamma = K_P^{\rm T} G_P K_P`, each with the derivative slot
-    first.
+    ``Q*(x)`` of ``terms``, a ``PointRecord`` of a geometry with bundle
+    data: the triple of those of ``G_P``, of ``K_P`` and of the
+    bundle-side orbit metric :math:`\gamma = K_P^{\rm T} G_P K_P`, each
+    with the derivative slot first.
 
-    One stencil at the engine's step; ``G_P`` and ``K_P`` are called
-    once each, on its rows, and :math:`\gamma` is built from their
-    values there. The arrays are read-only.
+    ``Q*(x)`` is row 0 of the record's frame stack. One stencil there at
+    the engine's step; ``G_P`` and ``K_P`` are called once each, on its
+    rows, and :math:`\gamma` is built from their values there. The
+    arrays are read-only.
     """
-    rows, steps = _stencil(point_frame(orig, point).Q, engine.fd_step)
+    orig = terms.adapted.orig
+    rows, steps = _stencil(terms.stack.Q[:1], terms.engine.fd_step)
     g_p = _eval_stack(orig.G_P, rows[0])
     k_p = _eval_stack(orig.K_P, rows[0])
     gamma = k_p.swapaxes(1, 2) @ g_p @ k_p
@@ -108,13 +109,13 @@ def killing_derivatives(terms: PointRecord):
     Returns ``(p, v)`` with ``p[c, alpha, beta]`` the bundle part and
     ``v[q, alpha, beta]`` the vector part, for every pair at once. The
     bundle part uses the Levi-Civita connection of ``G_P``, from the
-    record's ``section`` partials of ``G_P`` and ``K_P``; the vector part
-    uses the flat connection of the constant ``G_V``, i.e. the plain
-    directional derivative of the linear field, ``gens[beta] gens[alpha]
-    f``.
+    record's ``section`` partials of ``G_P`` and ``K_P`` and the point's
+    row of its frame stack; the vector part uses the flat connection of
+    the constant ``G_V``, i.e. the plain directional derivative of the
+    linear field, ``gens[beta] gens[alpha] f``.
     """
     orig, point = terms.adapted.orig, terms.point
-    frames = point_frame(orig, point)
+    frames = terms.stack
     k = frames.K_P[0]
     dg, dk, _ = terms.section                       # dk[A, C, beta]
     gamma_p = _levi_civita(frames.G_P_inv[0], dg)
@@ -135,8 +136,7 @@ class PointRecord(PointTerms):
 
     _ENTRIES = dict(
         PointTerms._ENTRIES,
-        section=lambda t: _section_partials(t.adapted.orig, t.point,
-                                            t.engine),
+        section=_section_partials,
         killing=lambda t: tuple(_frozen(part)
                                 for part in killing_derivatives(t)))
 
@@ -190,13 +190,13 @@ def killing_identities_check(terms: PointRecord) -> KillingIdentityResiduals:
     :math:`(\ldots)^p = -\tfrac12 G^{pq}\partial_q d_{\alpha\beta}`.
     The right sides are the record's ``killing`` derivatives; the
     bundle-coordinate partials of :math:`\gamma` are the last of the
-    record's ``section`` ones, and the chart partials of ``d`` those of its point
-    jet.
+    record's ``section`` ones, the chart partials of ``d`` those of its
+    point jet, and the rest is read at row 0 of its frame stack.
     """
     orig, point, engine = terms.adapted.orig, terms.point, terms.engine
     if orig is None:
         raise ValueError("the Killing identities need original bundle data")
-    frames = point_frame(orig, point)
+    frames = terms.stack
     n_v, n_g, n_x = orig.n_v, orig.n_g, orig.n_x
     if n_g == 0:
         return KillingIdentityResiduals(0.0, 0.0, 0.0, 0.0)
@@ -304,7 +304,8 @@ def second_fundamental_form(adapted: AdaptedGeometry, point: ChartPoint,
 
     Raw projections need the original bundle data of ``adapted.orig``.
     ``terms``, the ``PointRecord`` of the same arguments, supplies
-    ``h~^{-1}``, ``D d`` and the Killing derivatives when given.
+    ``h~^{-1}``, ``D d``, the Killing derivatives and the frame stack
+    whose row 0 holds the bundle-side blocks at the point.
     """
     terms = _terms_at(adapted, point, engine, terms, PointRecord)
     orig = adapted.orig
@@ -313,7 +314,7 @@ def second_fundamental_form(adapted: AdaptedGeometry, point: ChartPoint,
     if orig is None or adapted.n_g == 0:
         return form
 
-    frames = point_frame(orig, point)
+    frames = terms.stack
     p, v = terms.killing
     sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
     n_P = orig.n_P

@@ -19,11 +19,9 @@ inverse. Two consistency layers are exposed:
   short step from their exact law at a fixed seed, at a cost that does
   not grow with the paths, and scores them against the analytic ones.
 
-Each drift route reads its frames once, on one centre-first stencil at
-the point, and their values at the point from its centre row: the
-transcribed displays from one frame stack, the divergence form from the
-h~ of one ``geometry.frames_at`` call and its one inversion there. Every
-other coefficient at a point reads one frame record there.
+Every coefficient at a point reads the frames that the point's record
+``terms`` (``curvature.PointTerms``, built when None) compiled once on
+its centre-first stencil, and their values at the point at row 0.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, ConfigError, DEFAULT_ENGINE, DerivEngine,
-                     NearSingularError, _stencil, _stencil_partials,
-                     invert_spd)
-from .geometry import AdaptedGeometry, frames_at, point_frame, point_frames
+                     NearSingularError, _stencil_partials, invert_spd)
+from .geometry import AdaptedGeometry
+from .curvature import PointTerms, _terms_at
 
 __all__ = [
     "SdeParams",
@@ -148,13 +146,17 @@ def symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def density_H(adapted: AdaptedGeometry, point: ChartPoint) -> float:
+def density_H(adapted: AdaptedGeometry, point: ChartPoint,
+              engine: DerivEngine = DEFAULT_ENGINE,
+              terms: PointTerms = None) -> float:
     """Determinant of the orbit-space block metric at a point."""
-    return float(frames_at(adapted, point.coords[None]).det_h[0])
+    return float(_terms_at(adapted, point, engine,
+                           terms).frames.det_h[0, 0])
 
 
-def diffusion_coefficients(adapted: AdaptedGeometry,
-                           point: ChartPoint) -> DiffusionBlocks:
+def diffusion_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
+                           engine: DerivEngine = DEFAULT_ENGINE,
+                           terms: PointTerms = None) -> DiffusionBlocks:
     """Diffusion blocks whose assembled square reproduces the block inverse.
 
     With bundle data the blocks follow the transcribed displays; without
@@ -162,15 +164,16 @@ def diffusion_coefficients(adapted: AdaptedGeometry,
     agrees by the gauge identity behind the inverse-metric display.
     """
     n_x = adapted.n_x
+    terms = _terms_at(adapted, point, engine, terms)
     if adapted.orig is not None:
-        frames = point_frame(adapted.orig, point)
+        frames = terms.stack
         k_v = frames.K_V[0]
         x_base = symmetric_sqrt(frames.h_base_inv[0])
         mixed = k_v @ frames.A_gamma[0] @ x_base
         x_vector = symmetric_sqrt(k_v @ frames.gamma_inv[0] @ k_v.T
                                   + adapted.orig.G_V_inv)
         return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
-    h_inv = frames_at(adapted, point.coords[None]).h_tilde_inv[0]
+    h_inv = terms.frames.h_tilde_inv[0, 0]
     quad_xx = h_inv[:n_x, :n_x]
     quad_vx = h_inv[n_x:, :n_x]
     quad_vv = h_inv[n_x:, n_x:]
@@ -194,7 +197,8 @@ def _drift_values(frames):
 
 
 def drift_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
-                       engine: DerivEngine = DEFAULT_ENGINE) -> np.ndarray:
+                       engine: DerivEngine = DEFAULT_ENGINE,
+                       terms: PointTerms = None) -> np.ndarray:
     r"""Drift vector from the transcribed displays.
 
     .. math::
@@ -215,17 +219,17 @@ def drift_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
     the arbiter that the whole transcription generates the
     Laplace-Beltrami operator.
 
-    The five differenced fields come from one ``point_frames`` call on
-    one centre-first stencil over every chart slot, the stencil that the
-    other first-derivative routes read at the point; the values at the
-    point are its row 0.
+    The five differenced fields come from the frame stack of ``terms``
+    on the point's centre-first stencil over every chart slot, which the
+    other first-derivative routes read too.
     """
     orig = adapted.orig
     if orig is None:
         raise ValueError("drift displays need original bundle data")
     n_x = adapted.n_x
-    rows, steps = _stencil(point.coords[None], engine.fd_step, centre=True)
-    frames = point_frames(orig, rows[0])
+    terms = _terms_at(adapted, point, engine, terms)
+    _, steps = terms.stencil
+    frames = terms.stack
     values = _drift_values(frames)
     sqrt_h0, w0 = values[2][0], values[3][0]
     d_hinv, d_killing, grad_dens, d_w, d_conn = (
@@ -247,20 +251,21 @@ def drift_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
 
 
 def drift_divergence_form(adapted: AdaptedGeometry, point: ChartPoint,
-                          engine: DerivEngine = DEFAULT_ENGINE
-                          ) -> np.ndarray:
+                          engine: DerivEngine = DEFAULT_ENGINE,
+                          terms: PointTerms = None) -> np.ndarray:
     r"""The divergence form :math:`H^{-1/2}\partial_{B'}(H^{1/2}\tilde h^{A'B'})`.
 
     Independent oracle for ``drift_coefficients``: equality of the two
     certifies that the transcribed displays, together with
     :math:`\tfrac12\tilde h^{A'B'}\partial^2`, generate the
     Laplace-Beltrami operator of the orbit-space metric. For every
-    geometry it reads h~ on a centre-first stencil from one
-    ``frames_at`` call and inverts it there once, the point itself
-    included; it shares no field with the transcribed displays.
+    geometry it inverts the checked h~ of ``terms`` once on the point's
+    stencil, the point itself included; it shares no field with the
+    transcribed displays.
     """
-    rows, steps = _stencil(point.coords[None], engine.fd_step, centre=True)
-    inv, det = invert_spd(frames_at(adapted, rows).h_tilde[0])
+    terms = _terms_at(adapted, point, engine, terms)
+    _, steps = terms.stencil
+    inv, det = invert_spd(terms.frames.h_tilde[0])
     sqrt_h = np.sqrt(det)
     grad = _stencil_partials((sqrt_h[:, None, None] * inv)[None], steps)[0]
     return np.einsum("sas->a", grad) / sqrt_h[0]
@@ -269,11 +274,16 @@ def drift_divergence_form(adapted: AdaptedGeometry, point: ChartPoint,
 def reduced_sde_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
                              engine: DerivEngine = DEFAULT_ENGINE
                              ) -> ReducedSdeCoeffs:
-    blocks = diffusion_coefficients(adapted, point)
+    """The drift ``b`` of ``drift_coefficients``, the assembled diffusion
+    matrix ``X`` of ``diffusion_coefficients`` and the density ``H`` of
+    ``density_H`` at ``point``, all three read from one ``PointTerms``
+    there, so from one frame compile. Needs bundle data, as the drift
+    displays do."""
+    terms = PointTerms(adapted, point, engine)
     return ReducedSdeCoeffs(
-        b=drift_coefficients(adapted, point, engine),
-        X=blocks.full,
-        H=density_H(adapted, point),
+        b=drift_coefficients(adapted, point, engine, terms),
+        X=diffusion_coefficients(adapted, point, engine, terms).full,
+        H=density_H(adapted, point, engine, terms),
         n_x=adapted.n_x,
         n_v=adapted.n_v)
 

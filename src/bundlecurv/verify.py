@@ -12,29 +12,28 @@ with a fixed seed always produces the identical report. A residual that is
 NaN, infinite or missing at some point fails its part.
 
 The checks of one point share a ``jacobian.PointRecord``, dropped after
-the point. An entry is computed when a check first reads it, so a check
-run alone computes what it did before, with the same bits. Reads:
-``christoffel`` the point's ``jet``; ``curvature`` the ``breakdown``
-(from ``R_M``, ``R_G``, ``FF``, ``DdDd``, ``log_density``),
-``pair_table`` and ``pair_general``; ``jacobian`` the ``log_density``
-(direct route) and ``pair_table``, ``R_G``, ``FF``, ``DdDd`` (geometric
-route); ``secondform`` ``h_inv``, ``Dd``, ``killing``, ``h_tilde``,
-``d_inv`` and ``DdDd``; ``killingderiv`` ``killing``, ``section`` and
-the ``jet``; ``sde`` ``h_inv``. The metrics, their inverses, ``F`` and
-``Dd`` at the point are row 0 of the point's jet, each jet holds the
-Levi-Civita symbols of h~ once for the table route, ``R_M`` (the
-nested jet's) and the log-density terms (the point jet's), and both
-Ricci pairs read both jets. Each jet reads the geometry's frames in one
-``geometry.frames_at`` call, and so does the block metric at the point.
-``killing`` and the bundle-coordinate Killing identity read
-``section``, the partials of ``G_P``, ``K_P`` and their orbit metric
-from one stencil at the section point. Route-private: each Christoffel route's symbols, which it
-assembles from a jet, so the two tables of the ``christoffel`` check and
-the two Ricci pairs share the jets (with their inverses, the symbols
-of h~, ``F``, ``Dd`` and structure functions) and nothing else; the vector-sector Killing
-identity's derivatives, the determinant check's block metric and the
-two drift routes' stencils, one each. A residual reduced over routes or
-values uses numpy reductions, so a NaN anywhere makes it NaN.
+the point, which owns the point's frames: the one read on its
+centre-first 21-row ``stencil``, as the ``stack`` and its checked
+``frames``, row 0 the point. An entry is computed when a check first
+reads it, so a check run alone computes only what it reads, with the
+same bits. Reads: ``christoffel`` the point's ``jet``; ``curvature``
+the ``breakdown`` (from ``R_M``, ``R_G``, ``FF``, ``DdDd``,
+``log_density``), ``pair_table`` and ``pair_general``; ``jacobian`` the
+``log_density`` (direct route) and ``pair_table``, ``R_G``, ``FF``,
+``DdDd`` (geometric route); ``secondform`` ``h_inv``, ``Dd``,
+``killing``, ``h_tilde``, ``d_inv``, ``DdDd`` and the ``stack``;
+``killingderiv`` ``killing``, ``section``, the ``jet`` and the
+``stack``; ``detfact`` the point's row of ``frames``; ``sde`` ``h_inv``
+and the ``stencil``, ``stack`` and ``frames``. The metrics, their
+inverses, ``F`` and ``Dd`` at the point are row 0 of the point's jet;
+each jet holds the Levi-Civita symbols of h~ once, and both Ricci pairs
+read both jets. ``killing`` and the bundle-coordinate Killing identity
+read ``section``, the partials of ``G_P``, ``K_P`` and their orbit
+metric from one stencil at the section point. Route-private: each
+Christoffel route's symbols, the vector-sector Killing identity's
+derivatives, the determinant check's block metric and each drift
+route's differenced fields. A residual reduced over routes or values
+uses numpy reductions, so a NaN anywhere makes it NaN.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine, _worst
-from .geometry import assemble_block_metric, det_factorization_check
+from .geometry import (AdaptedFrames, assemble_block_metric,
+                       det_factorization_check)
 from .connection import christoffel_general, christoffel_table
 from .curvature import decomposition_terms
 from .jacobian import (PointRecord, jacobian_direct, jacobian_geometric,
@@ -211,7 +211,9 @@ def _check_killingderiv(scenario, point, terms):
 
 
 def _check_detfact(scenario, point, terms):
-    block = assemble_block_metric(scenario.adapted, point)
+    block = assemble_block_metric(
+        scenario.adapted, point,
+        AdaptedFrames._make(array[:, 0] for array in terms.frames))
     round_trip = block.matrix @ block.inverse - np.eye(scenario.adapted.n_t)
     return {"det_product": det_factorization_check(block),
             "inverse_round_trip": float(np.max(np.abs(round_trip)))}
@@ -219,12 +221,12 @@ def _check_detfact(scenario, point, terms):
 
 def _check_sde(scenario, point, terms):
     adapted, engine = scenario.adapted, terms.engine
-    blocks = diffusion_coefficients(adapted, point)
+    blocks = diffusion_coefficients(adapted, point, engine, terms)
     squared = blocks.full @ blocks.full.T
     parts = {"diffusion_square": relative_gap(squared, terms.h_inv)}
     if adapted.orig is not None:
-        drift = drift_coefficients(adapted, point, engine)
-        divergence = drift_divergence_form(adapted, point, engine)
+        drift = drift_coefficients(adapted, point, engine, terms)
+        divergence = drift_divergence_form(adapted, point, engine, terms)
         parts["drift_vs_divergence"] = relative_gap(drift, divergence)
     return parts
 

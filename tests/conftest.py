@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bundlecurv.fields import DEFAULT_ENGINE
+from bundlecurv.connection import horizontal_jet
+from bundlecurv.fields import DEFAULT_ENGINE, _stencil
 from bundlecurv.geometry import frames_at
 from bundlecurv.liecore import RULE_SIGN
 from bundlecurv.scenarios import build_scenario
@@ -41,6 +42,15 @@ def frame_array(adapted, name):
     return lambda zs: getattr(frames_at(adapted, zs), name)
 
 
+def jet_at(adapted, zs, engine):
+    """The ``HorizontalJet`` at the rows of ``zs``, built as the point
+    record builds its own: one centre-first stencil at the engine's step
+    and one ``frames_at`` read on it."""
+    rows, steps = _stencil(np.asarray(zs, dtype=float), engine.fd_step,
+                           centre=True)
+    return horizontal_jet(adapted, rows, steps, frames_at(adapted, rows))
+
+
 def rule_by_loops(tensor, signature, c, gamma):
     """The group-direction rule along ``gamma``, index by index: each
     lower orbit index contracts with c^j_{gamma i}, each upper one with
@@ -62,6 +72,22 @@ def rule_by_loops(tensor, signature, c, gamma):
                     total -= c[i, gamma, j] * source
         out[idx] = RULE_SIGN * total
     return out
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The row count of each frame compile made while the test runs, in
+    order; the library keeps no counter of its own."""
+    from bundlecurv import geometry
+
+    counts = []
+
+    def counted(orig, zs, _compute=geometry._compute_frames):
+        counts.append(len(zs))
+        return _compute(orig, zs)
+
+    monkeypatch.setattr(geometry, "_compute_frames", counted)
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -13,18 +13,18 @@ from bundlecurv.connection import (
     horizontal_jet,
 )
 from bundlecurv.curvature import PointTerms, _nested_stencil
-from bundlecurv.fields import ChartPoint, invert_spd
-from bundlecurv.geometry import AdaptedGeometry, frame_cache_info, frames_at
+from bundlecurv.fields import ChartPoint, _stencil, invert_spd
+from bundlecurv.geometry import AdaptedGeometry, frames_at
 from bundlecurv.liecore import (StructureConstants, abelian_constants,
                                su2_constants)
 from bundlecurv.scenarios import SCENARIO_NAMES, build_scenario, sample_points
 
 from conftest import (assert_close, constant_field, frame_array, frames_of,
-                      rule_by_loops)
+                      jet_at, rule_by_loops)
 
 
 def _jet_at(adapted, point, engine):
-    return horizontal_jet(adapted, point.coords[None], engine)
+    return jet_at(adapted, point.coords[None], engine)
 
 
 def _const_orbit(matrix):
@@ -91,7 +91,7 @@ def test_curvature_flat_connection_is_zero(flat, engine):
 
 def test_curvature_picks_up_the_curl(engine):
     adapted = _curl_fixture()
-    f_val = horizontal_jet(adapted, np.array([[0.4, -0.7]]), engine).F[0]
+    f_val = jet_at(adapted, np.array([[0.4, -0.7]]), engine).F[0]
     assert f_val.shape == (1, 2, 2)
     assert_close(f_val[0, 0, 1], 2.0, 1e-10, "abelian curl")
     assert_close(f_val[0, 1, 0], -2.0, 1e-10, "abelian curl, flipped")
@@ -101,7 +101,7 @@ def test_curvature_commutator_term(engine):
     """Constant connection: only the structure-constant term survives."""
     a_matrix = np.array([[0.3, -0.1], [0.2, 0.5], [-0.4, 0.1]])
     adapted = _const_connection(a_matrix, np.eye(3))
-    f_val = horizontal_jet(adapted, np.zeros((1, 2)), engine).F[0]
+    f_val = jet_at(adapted, np.zeros((1, 2)), engine).F[0]
     c = su2_constants().c
     want = np.einsum("msn,sa,nc->mac", c, a_matrix, a_matrix)
     assert_close(f_val, want, 1e-10, "commutator curvature")
@@ -128,7 +128,7 @@ def test_covariant_d_kills_invariant_metric(engine):
     """Round orbit metric is ad-invariant, so the correction cancels exactly."""
     a_matrix = np.array([[0.3, -0.1], [0.2, 0.5], [-0.4, 0.1]])
     adapted = _const_connection(a_matrix, 2.0 * np.eye(3))
-    dd = horizontal_jet(adapted, np.array([[0.1, 0.2]]), engine).Dd[0]
+    dd = jet_at(adapted, np.array([[0.1, 0.2]]), engine).Dd[0]
     np.testing.assert_allclose(dd, np.zeros((2, 3, 3)), atol=1e-12)
 
 
@@ -151,7 +151,7 @@ def test_covariant_d_loop_oracle(twisted, engine):
         zs = point.coords[None]
         frames = frames_at(adapted, zs)
         a_val, d_val = frames.A[0], frames.d[0]
-        got = horizontal_jet(adapted, zs, engine).Dd[0]
+        got = jet_at(adapted, zs, engine).Dd[0]
         grads = coordinate_partials(frame_array(adapted, "d"), point.coords,
                                     engine.fd_step)
         for slot in range(adapted.n_h):
@@ -188,7 +188,7 @@ def test_levi_civita_conformal_plane(engine):
             **_const_orbit(np.zeros((0, 0)))),
         c=StructureConstants(0, np.zeros((0, 0, 0))),
     )
-    jet = horizontal_jet(adapted, np.array([[0.3, -0.5]]), engine)
+    jet = jet_at(adapted, np.array([[0.3, -0.5]]), engine)
     got = jet.lc[0]
     want = np.zeros((2, 2, 2))
     want[0, 0, 0] = 1.0
@@ -218,7 +218,7 @@ def test_table_flat_product_sectors(flat, engine):
 def test_table_pure_orbit_loop_oracle(engine):
     d_matrix = np.diag([1.0, 1.7, 2.3])
     adapted = _pure_orbit(d_matrix)
-    table = christoffel_table(horizontal_jet(adapted, np.zeros((1, 1)),
+    table = christoffel_table(jet_at(adapted, np.zeros((1, 1)),
                                              engine))
     c = su2_constants().c
     d_inv = np.linalg.inv(d_matrix)
@@ -260,7 +260,7 @@ def test_table_matches_general_formula(twisted, abelian, engine):
     for scen in (twisted, abelian):
         for point in sample_points(scen, 5, seed=73):
             zs = point.coords[None]
-            jet = horizontal_jet(scen.adapted, zs, engine)
+            jet = jet_at(scen.adapted, zs, engine)
             table = christoffel_table(jet)
             general = christoffel_general(jet)
             assert_close(table, general, 1e-8,
@@ -271,7 +271,7 @@ def test_general_torsion_balance(twisted, engine):
     """Antisymmetric part of the symbols equals the structure functions."""
     for point in sample_points(twisted, 3, seed=79):
         zs = point.coords[None]
-        jet = horizontal_jet(twisted.adapted, zs, engine)
+        jet = jet_at(twisted.adapted, zs, engine)
         general = christoffel_general(jet)
         anti = general - np.einsum("iabc->iacb", general)
         assert_close(anti, jet.CC, 1e-9, "torsion balance")
@@ -374,8 +374,8 @@ def test_table_mixed_pair_symmetry(twisted, engine):
 def test_stacks_equal_one_row_calls(name, engine):
     """On the 20 shifted outer rows of a nested stencil, the rows of the
     Ricci pair's jet, a jet's arrays and everything computed from them
-    equal those of one-row jets bit for bit. The one-row jets compile
-    their frames on a separate copy of the geometry."""
+    equal those of one-row jets bit for bit. Each jet reads its frames
+    on its own stencils."""
     stacked, single = build_scenario(name).adapted, build_scenario(name).adapted
     point = ChartPoint([0.12, -0.21], [0.3, -0.15, 0.22])
     nested = _nested_stencil(point.coords, engine)
@@ -389,9 +389,15 @@ def test_stacks_equal_one_row_calls(name, engine):
                 "table": christoffel_table(jet),
                 "general": christoffel_general(jet)}
 
-    got = values(horizontal_jet(stacked, rows, nested.inner))
+    got = values(horizontal_jet(stacked, nested.inner_rows[1:],
+                                nested.inner_steps[1:],
+                                frames_at(stacked, nested.inner_rows[1:])))
     for z_index, z in enumerate(rows):
-        one = values(horizontal_jet(single, z[None], nested.inner))
+        one_row = slice(z_index + 1, z_index + 2)
+        one = values(horizontal_jet(single, nested.inner_rows[one_row],
+                                    nested.inner_steps[one_row],
+                                    frames_at(single,
+                                              nested.inner_rows[one_row])))
         for label, stack in got.items():
             assert len(stack) == len(rows)
             assert np.array_equal(stack[z_index], one[label][0]), \
@@ -399,9 +405,10 @@ def test_stacks_equal_one_row_calls(name, engine):
 
 
 def test_jet_takes_one_frames_call(twisted, engine):
-    """A jet reads the geometry's frames once, on the centre-first
-    stencils of all its rows, and so compiles one frame stack that it
-    never looks up again. Every array of the jet is read-only."""
+    """A jet is built from one frames call, on the centre-first stencils
+    of all its rows, which its caller makes and hands it; the jet makes
+    no call of its own, and its centre rows are its ``zs``. Every array
+    of the jet is read-only."""
     calls = []
     base = twisted.adapted
 
@@ -410,12 +417,13 @@ def test_jet_takes_one_frames_call(twisted, engine):
         return base.frames(zs)
 
     adapted = dataclasses.replace(base, frames=counted)
-    before = frame_cache_info(base.orig)
-    jet = horizontal_jet(adapted, np.full((3, 5), 0.05), engine)
-    after = frame_cache_info(base.orig)
+    rows, steps = _stencil(np.full((3, 5), 0.05), engine.fd_step,
+                           centre=True)
+    frames = frames_at(adapted, rows)
     assert calls == [(63, 5)]
-    assert (after.compiles - before.compiles, after.hits - before.hits) \
-        == (1, 0)
+    jet = horizontal_jet(adapted, rows, steps, frames)
+    assert calls == [(63, 5)]
+    assert np.array_equal(jet.zs, np.full((3, 5), 0.05))
     for field in dataclasses.fields(jet):
         array = getattr(jet, field.name)
         if isinstance(array, np.ndarray) and field.name != "zs":

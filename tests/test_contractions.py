@@ -12,10 +12,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from bundlecurv.connection import (christoffel_general, frame_derivatives,
-                                   horizontal_jet)
+from bundlecurv.connection import christoffel_general, frame_derivatives
 from bundlecurv.curvature import _coordinate_ricci, _ricci_from_pieces
 from bundlecurv.scenarios import sample_points
+
+from conftest import jet_at
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "bundlecurv").rglob("*.py"))
@@ -71,7 +72,7 @@ def test_frame_contractions_take_two_operands(twisted, engine, monkeypatch):
     """One ``christoffel_general`` call and one ``frame_derivatives`` call
     on the Christoffel symbols make only einsums of one or two arrays."""
     point = sample_points(twisted, 1)[0]
-    jet = horizontal_jet(twisted.adapted, point.coords[None], engine)
+    jet = jet_at(twisted.adapted, point.coords[None], engine)
     operands = _count_operands(monkeypatch)
     gammas = christoffel_general(jet)
     frame_derivatives(gammas, np.zeros((1, 5) + gammas.shape[1:]), jet.A,

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from bundlecurv import curvature
-from bundlecurv.connection import (christoffel_general, christoffel_table,
-                                   horizontal_jet)
+from bundlecurv.connection import christoffel_general, christoffel_table
 from bundlecurv.curvature import (
     PointTerms,
     coordinate_ricci_scalar,
@@ -18,8 +17,7 @@ from bundlecurv.curvature import (
     scalar_curvature_coordinate_oracle,
 )
 from bundlecurv.fields import ChartPoint, EvaluationError, _stencil_partials
-from bundlecurv.geometry import (AdaptedGeometry, compile_adapted,
-                                 frame_cache_info, frames_at)
+from bundlecurv.geometry import AdaptedGeometry, frames_at
 from bundlecurv.jacobian import jacobian_geometric
 from bundlecurv.liecore import orbit_scalar_curvature, su2_constants
 from bundlecurv.scenarios import (
@@ -28,7 +26,7 @@ from bundlecurv.scenarios import (
     sample_points,
 )
 
-from conftest import assert_close, constant_field, frames_of
+from conftest import assert_close, constant_field, frames_of, jet_at
 
 
 def _pure_orbit_block(d_matrix):
@@ -220,24 +218,20 @@ def test_ricci_pair_calls_its_route_once(twisted, engine, route):
     assert calls == [terms.nested_jet] and len(calls[0].zs) == 21
 
 
-def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine):
+def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine,
+                                                    compiles):
     """The Ricci pair's route runs on the outer rows of the nested
     stencil, so its fields read the 441-row stack that the decomposition
     compiled, and the structure functions and metrics at the point read
     the decomposition's stacks too: after the decomposition, neither
-    route's pair compiles a frame."""
-    adapted = compile_adapted(dataclasses.replace(twisted.orig))
+    route's pair on the same record compiles a frame."""
     point = ChartPoint([-0.17, 0.26], [0.05, 0.31, -0.22])
-    decomposition_terms(adapted, point, engine)
-    before = frame_cache_info(adapted.orig)
-    ricci_scalar_pair(PointTerms(adapted, point, engine), christoffel_table)
-    after = frame_cache_info(adapted.orig)
-    assert (after.misses, after.compiles) == (before.misses, before.compiles)
-    assert after.hits > before.hits
-    ricci_scalar_pair(PointTerms(adapted, point, engine), christoffel_general)
-    final = frame_cache_info(adapted.orig)
-    assert (final.misses, final.compiles) == (after.misses, after.compiles)
-    assert final.hits > after.hits
+    terms = PointTerms(twisted.adapted, point, engine)
+    decomposition_terms(twisted.adapted, point, engine, terms)
+    assert sorted(compiles) == [21, 441]
+    ricci_scalar_pair(terms, christoffel_table)
+    ricci_scalar_pair(terms, christoffel_general)
+    assert sorted(compiles) == [21, 441]
 
 
 def test_point_terms_compute_each_entry_once(twisted, engine):
@@ -259,35 +253,27 @@ def test_point_terms_compute_each_entry_once(twisted, engine):
         decomposition_terms(adapted, other, engine, terms)
 
 
-def test_log_density_terms_compile_two_stacks(twisted, engine):
+def test_log_density_terms_compile_two_stacks(twisted, engine, compiles):
     """``ln det d`` on the nested stencil (441 rows) and the
     Levi-Civita symbols on the centre-first first-derivative stencil (21
-    rows) compile one stack each; the point's own row is a stack of its
-    own, compiled first here."""
-    adapted = compile_adapted(dataclasses.replace(twisted.orig))
+    rows) compile one stack each."""
     point = ChartPoint([0.21, -0.08], [-0.17, 0.05, 0.29])
-    frames_at(adapted, point.coords[None])
-    before = frame_cache_info(adapted.orig)
-    log_density_terms(PointTerms(adapted, point, engine))
-    after = frame_cache_info(adapted.orig)
-    assert after.compiles - before.compiles == 2
-    assert after.misses - before.misses == 462
+    log_density_terms(PointTerms(twisted.adapted, point, engine))
+    assert sorted(compiles) == [21, 441]
 
 
-def test_log_density_terms_read_the_r_m_stencil(twisted, engine):
+def test_log_density_terms_read_the_r_m_stencil(twisted, engine, compiles):
     """``ln det d`` is taken from the nested jet that ``R_M`` reads:
-    after ``R_M`` and the point's jet, ``log_density_terms`` makes no
-    frame lookup at all; the values of d, the inverse metric and the
-    symbols it contracts with all come from the two jets."""
-    adapted = compile_adapted(dataclasses.replace(twisted.orig))
+    after ``R_M`` and the point's jet, ``log_density_terms`` compiles no
+    frame at all; the values of d, the inverse metric and the symbols it
+    contracts with all come from the two jets."""
     point = ChartPoint([0.21, -0.08], [-0.17, 0.05, 0.29])
-    terms = PointTerms(adapted, point, engine)
+    terms = PointTerms(twisted.adapted, point, engine)
     terms.R_M                                         # 441 nested rows
     terms.jet                                         # 21 rows
-    before = frame_cache_info(adapted.orig)
-    assert before.misses == 462
+    assert compiles == [441, 21]
     log_density_terms(terms)
-    assert frame_cache_info(adapted.orig) == before
+    assert compiles == [441, 21]
 
 
 def _quadratic_log_density(h_tilde, q_hess, q_grad):
@@ -344,7 +330,7 @@ def test_log_det_d_on_a_stack_equals_one_row_calls(twisted, engine):
     metric field at the points."""
     adapted = twisted.adapted
     points = sample_points(twisted, 12, seed=211)
-    jet = horizontal_jet(adapted, np.array([p.coords for p in points]),
+    jet = jet_at(adapted, np.array([p.coords for p in points]),
                          engine)
     stacked = np.linalg.slogdet(jet.d_rows)[1]
     assert stacked.shape == (12, 21)
@@ -364,7 +350,7 @@ def test_twisted_ff_matches_loop_oracle(twisted, engine):
     frames = frames_at(adapted, point.coords[None])
     h_inv, _ = invert_spd(frames.h_tilde[0])
     d_val = frames.d[0]
-    f_val = horizontal_jet(adapted, point.coords[None], engine).F[0]
+    f_val = jet_at(adapted, point.coords[None], engine).F[0]
     n_h, n_g = adapted.n_h, adapted.n_g
     want = 0.0
     for a in range(n_h):

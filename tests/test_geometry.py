@@ -1,5 +1,5 @@
 """Metric-block builders: orbit metric, connection, horizontal blocks,
-gauge projector, and the per-geometry frame memo."""
+gauge projector, and the stacked frame compile."""
 
 import dataclasses
 
@@ -15,7 +15,6 @@ from bundlecurv.geometry import (
     assemble_block_metric,
     compile_adapted,
     det_factorization_check,
-    frame_cache_info,
     frames_at,
     point_frame,
     point_frames,
@@ -33,7 +32,6 @@ from bundlecurv.scenarios import (
     sample_group_coordinates,
     sample_points,
 )
-from bundlecurv.verify import run_checks
 
 from conftest import assert_close, frame_array
 
@@ -299,22 +297,9 @@ def test_frame_without_group_keeps_ambient_metric():
                  "no group, no reduction")
 
 
-def test_point_frame_is_cached(twisted, engine):
-    """A repeated lookup of the same rows is served whole from the memo:
-    the same stack object, and no compile."""
-    point = ChartPoint([0.1, 0.2], [0.0, 0.1, -0.1])
-    assert point_frame(twisted.orig, point) is point_frame(twisted.orig, point)
-    rows, _ = _stencil(point.coords[None], engine.fd_step)
-    first = point_frames(twisted.orig, rows[0])
-    before = frame_cache_info(twisted.orig)
-    assert point_frames(twisted.orig, rows[0].copy()) is first
-    after = frame_cache_info(twisted.orig)
-    assert (after.misses, after.compiles) == (before.misses, before.compiles)
-    assert after.hits == before.hits + 1
-
-
 def test_point_frame_arrays_are_frozen(twisted):
-    """A stored stack is shared by every later lookup; writes must fail."""
+    """A stack is shared by every reader of a point record; writes must
+    fail."""
     frames = point_frame(twisted.orig, ChartPoint([0.15, -0.1],
                                                   [0.2, 0.0, 0.1]))
     before = frames.d.copy()
@@ -324,56 +309,26 @@ def test_point_frame_arrays_are_frozen(twisted):
     np.testing.assert_array_equal(frames.d, before)
 
 
-def test_point_frames_match_one_at_a_time_compiles(twisted):
+def test_point_frames_match_one_at_a_time_compiles(twisted, compiles):
     """A stacked compile over a stencil equals one-row compiles, field by
-    field and bit for bit, and its arrays are read-only."""
-    # fresh copies of the geometry, each with a frame memo of its own
-    stacked = dataclasses.replace(twisted.orig)
-    single = dataclasses.replace(twisted.orig)
+    field and bit for bit, the centre row included, and its arrays are
+    read-only. Each call compiles, the repeated row's too."""
+    orig = twisted.orig
     center = np.array([0.12, -0.21, 0.3, -0.15, 0.22])
     coords = [center] + [center + sign * 1e-3 * np.eye(5)[s]
                          for s in range(5) for sign in (1.0, -1.0)]
     zs = np.array(coords + [coords[3]])
-    before = frame_cache_info(stacked)
-    batch = point_frames(stacked, zs)
-    after = frame_cache_info(stacked)
-    assert after.compiles == before.compiles + 1
-    assert after.misses == before.misses + len(zs)
+    batch = point_frames(orig, zs)
+    assert compiles == [len(zs)]
     for i, z in enumerate(zs):
-        want = vars(point_frame(single, ChartPoint(z[:2], z[2:])))
+        want = vars(point_frame(orig, ChartPoint(z[:2], z[2:])))
         got = vars(batch)
         assert got.keys() == want.keys()
         for name, value in got.items():
             assert value.shape == (len(zs),) + want[name].shape[1:], name
             assert value[i].tobytes() == want[name][0].tobytes(), name
             assert not value.flags.writeable, name
-    # each one-row lookup is centred on another point than the last, so
-    # each compiles, the repeated row included
-    assert frame_cache_info(single).compiles == len(zs)
-
-
-def test_point_row_is_served_from_a_held_stencil(twisted):
-    """After a stencil centred on a point, the point's own one-row lookup
-    compiles nothing: it is row 0 of the held stack, bit for bit a
-    one-row compile, and later lookups return the same object."""
-    held = dataclasses.replace(twisted.orig)
-    single = dataclasses.replace(twisted.orig)
-    center = np.array([0.12, -0.21, 0.3, -0.15, 0.22])
-    zs = np.array([center, center + 1e-3, center - 1e-3])
-    stack = point_frames(held, zs)
-    point = ChartPoint(center[:2], center[2:])
-    before = frame_cache_info(held)
-    row = point_frame(held, point)
-    assert row is point_frame(held, point)
-    after = frame_cache_info(held)
-    assert (after.compiles, after.misses, after.hits) \
-        == (before.compiles, before.misses, before.hits + 2)
-    want = vars(point_frame(single, point))
-    for name, value in vars(row).items():
-        assert value.shape == want[name].shape, name
-        assert value.tobytes() == want[name].tobytes(), name
-        assert value.tobytes() == getattr(stack, name)[:1].tobytes(), name
-        assert not value.flags.writeable, name
+    assert compiles == [len(zs)] + [1] * len(zs)
 
 
 def test_repeated_base_rows_compile_like_one_row_compiles(twisted):
@@ -381,26 +336,32 @@ def test_repeated_base_rows_compile_like_one_row_compiles(twisted):
     ``x`` and is gathered to every row, bit for bit the one-row compiles.
     Base rows are told apart by their bytes: ``x`` with ``-0.0`` in place
     of ``0.0`` is a row of its own, and its ``Q`` keeps the sign."""
-    stacked = dataclasses.replace(twisted.orig)
-    single = dataclasses.replace(twisted.orig)
+    base_rows = []
+
+    def section(xs, _original=twisted.orig.section.func):
+        base_rows.append(len(xs))
+        return _original(xs)
+
+    orig = dataclasses.replace(twisted.orig, section=section)
     zs = np.array([[0.0, 0.1, 0.3, -0.15, 0.22],
                    [0.21, -0.3, 0.1, 0.0, -0.2],
                    [-0.0, 0.1, 0.3, -0.15, 0.22],
                    [0.0, 0.1, -0.25, 0.05, 0.1],
                    [0.21, -0.3, 0.1, 0.0, -0.2],
                    [0.21, -0.3, 0.2, 0.3, -0.1]])
-    batch = point_frames(stacked, zs)
-    assert frame_cache_info(stacked).base_rows == 3
+    batch = point_frames(orig, zs)
+    assert base_rows == [3]
     assert np.signbit(batch.Q[2, 0]) and not np.signbit(batch.Q[0, 0])
     for i, z in enumerate(zs):
-        want = vars(point_frame(single, ChartPoint(z[:2], z[2:])))
+        want = vars(point_frame(orig, ChartPoint(z[:2], z[2:])))
         for name, value in vars(batch).items():
             assert value.shape == (len(zs),) + want[name].shape[1:], name
             assert value[i].tobytes() == want[name][0].tobytes(), (name, i)
-    assert frame_cache_info(single).base_rows == len(zs)
+    assert base_rows == [3] + [1] * len(zs)
 
 
-def test_bundle_callables_run_on_the_distinct_base_rows(twisted, engine):
+def test_bundle_callables_run_on_the_distinct_base_rows(twisted, engine,
+                                                        compiles):
     """On the 441-row nested stencil of ``R_M`` the bundle callables run
     on its 81 distinct base rows: 9 distinct ``x`` among the 21 outer
     rows, each with 9 among its 21 inner rows."""
@@ -419,8 +380,7 @@ def test_bundle_callables_run_on_the_distinct_base_rows(twisted, engine):
                          for name in ("section", "G_P", "K_P")})
     point = ChartPoint([0.17, -0.08], [0.2, -0.11, 0.05])
     PointTerms(compile_adapted(orig), point, engine).R_M
-    info = frame_cache_info(orig)
-    assert (info.misses, info.compiles, info.base_rows) == (441, 1, 81)
+    assert compiles == [441]
     assert rows == {"section": 81, "G_P": 81, "K_P": 81}
 
 
@@ -453,7 +413,7 @@ def test_failing_base_row_is_named_at_its_first_copy(twisted, name):
                    [0.1, 0.2, -0.2, 0.1, 0.0],
                    [0.3, -0.1, -0.3, 0.0, 0.1]])
     with pytest.raises(NearSingularError) as one:
-        point_frames(dataclasses.replace(orig), zs[1:2])
+        point_frames(orig, zs[1:2])
     message = str(one.value)
     assert "x=[0.3, -0.1] f=[0.1, 0.2, 0.3]" in message
     assert message.startswith("bundle metric not positive definite"
@@ -462,48 +422,22 @@ def test_failing_base_row_is_named_at_its_first_copy(twisted, name):
     with pytest.raises(NearSingularError) as stacked:
         point_frames(orig, zs)
     assert str(stacked.value) == message
-    assert frame_cache_info(orig).currsize == 0
 
 
-def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine):
+def test_adapted_fields_on_a_stack_equal_one_row_calls(twisted, engine,
+                                                       compiles):
     """The compiled geometry reads all seven arrays of a stencil from one
-    stacked compile, with the values of one-point reads on a separate
-    geometry, bit for bit."""
-    stacked = compile_adapted(dataclasses.replace(twisted.orig))
-    single = compile_adapted(dataclasses.replace(twisted.orig))
+    stacked compile, with the values of one-point reads, bit for bit."""
+    adapted = twisted.adapted
     rows, _ = _stencil(np.array([[0.14, -0.06, 0.21, -0.3, 0.05]]),
                        engine.fd_step)
-    before = frame_cache_info(stacked.orig)
-    got = frames_at(stacked, rows[0])
-    after = frame_cache_info(stacked.orig)
-    assert (after.compiles - before.compiles, after.misses - before.misses) \
-        == (1, 20)
-    rows_alone = [frames_at(single, z[None]) for z in rows[0]]
+    got = frames_at(adapted, rows[0])
+    assert compiles == [20]
+    rows_alone = [frames_at(adapted, z[None]) for z in rows[0]]
     for name in got._fields:
         want = np.array([getattr(alone, name)[0] for alone in rows_alone])
         assert getattr(got, name).shape == want.shape, name
         assert getattr(got, name).tobytes() == want.tobytes(), name
-
-
-def test_frames_are_shared_by_whole_stacks_only(twisted, engine):
-    """The memo keys a stack on all of its rows: the chart point at one
-    stencil row compiles a one-row stack of its own, with that row's
-    values, which a later lookup of the row alone reads. Centred on
-    another point, that lookup drops the stencil's stack."""
-    orig = dataclasses.replace(twisted.orig)
-    rows, _ = _stencil(np.array([[0.11, -0.24, 0.05, 0.3, -0.12]]),
-                       engine.fd_step)
-    frames = point_frames(orig, rows[0])
-    z = rows[0, 3]
-    before = frame_cache_info(orig)
-    one = point_frame(orig, ChartPoint(z[:2], z[2:]))
-    after = frame_cache_info(orig)
-    assert (after.misses, after.compiles) == (before.misses + 1,
-                                              before.compiles + 1)
-    assert after.currsize == 1
-    for name, value in vars(one).items():
-        assert value[0].tobytes() == vars(frames)[name][3].tobytes(), name
-    assert point_frames(orig, rows[0, 3:4]) is one
 
 
 def test_degenerate_frame_in_a_stencil_names_its_point(engine):
@@ -551,7 +485,6 @@ def test_point_frames_gate_every_point():
                        match=r"bundle metric not positive definite at "
                              r"x=\[-0.1, 0.1\]"):
         point_frames(orig, zs)
-    assert frame_cache_info(orig).currsize == 0
     assert point_frames(orig, zs[:2]).G_P[1, 1, 1] == 0.2
 
 
@@ -561,30 +494,6 @@ def test_same_point_on_two_geometries_gives_two_frames(twisted, abelian):
     b = point_frame(abelian.orig, point)
     assert a is not b
     assert not np.array_equal(a.h_tilde, b.h_tilde)
-    twin = dataclasses.replace(twisted.orig)
-    assert point_frame(twin, point) is not a
-    assert point_frame(twisted.orig, point) is a
-
-
-def test_geometry_holds_the_last_points_frames(engine):
-    """After ``run_checks`` over several points the geometry holds the
-    frame stacks of the last point only: 462 rows with all seven checks
-    (21 + 441, see ``test_all_checks_compute_each_term_once``), and the
-    point's own row as a view of row 0 of one of them. Returning to an
-    earlier point compiles its stacks again."""
-    scenario = build_scenario("twisted_bundle")
-    orig = scenario.orig
-    points = sample_points(scenario, 3, seed=223)
-    assert run_checks(scenario, points, engine=engine).passed
-    held = frame_cache_info(orig)
-    assert held.currsize == 463
-    point_frame(orig, points[-1])
-    assert frame_cache_info(orig).hits == held.hits + 1
-    assert run_checks(scenario, points[:1], engine=engine).passed
-    again = frame_cache_info(orig)
-    assert (again.misses - held.misses, again.compiles - held.compiles) \
-        == (462, 2)
-    assert again.currsize == 463
 
 
 # ---------------------------------------------------------------------------

@@ -212,15 +212,23 @@ def test_drift_needs_bundle_data(twisted, engine):
         drift_coefficients(stripped, point, engine)
 
 
-def test_reduced_coefficients_assembly(twisted, engine):
+def test_reduced_coefficients_assembly(twisted, engine, compiles):
+    """The drift, diffusion and density are read from one point record,
+    so from one frame compile on the point's 21-row stencil, with the
+    bits each of the three functions gives on its own."""
     point = sample_points(twisted, 1)[0]
     coeffs = reduced_sde_coefficients(twisted.adapted, point, engine)
+    assert compiles == [21]
     assert coeffs.H > 0
     assert coeffs.b.shape == (5,)
     assert coeffs.X.shape == (5, 5)
     assert coeffs.n_x == 2 and coeffs.n_v == 3
-    assert_close(coeffs.b, drift_coefficients(twisted.adapted, point, engine),
-                 1e-12, "drift slot")
+    adapted = twisted.adapted
+    assert np.array_equal(coeffs.b,
+                          drift_coefficients(adapted, point, engine))
+    assert np.array_equal(coeffs.X,
+                          diffusion_coefficients(adapted, point).full)
+    assert coeffs.H == density_H(adapted, point)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bundlecurv.fields import ChartPoint, ConfigError
-from bundlecurv.geometry import compile_adapted, frame_cache_info
+from bundlecurv.geometry import compile_adapted
 from bundlecurv.scenarios import SCENARIO_NAMES, build_scenario, sample_points
 from bundlecurv.verify import (
     CHECK_NAMES,
@@ -173,55 +173,60 @@ def test_run_checks_twisted_cheap_subset(twisted, engine):
         "det_product", "inverse_round_trip"}
 
 
-def _fresh(scenario):
-    """A copy of ``scenario`` whose geometry has a frame memo of its own,
-    its counters at zero."""
-    orig = dataclasses.replace(scenario.orig)
+def _counting_base_rows(scenario):
+    """A copy of ``scenario`` whose ``section`` callable records the
+    rows of each call: a frame compile calls it once, on the distinct
+    base rows of its stack."""
+    base_rows = []
+
+    def section(xs, _original=scenario.orig.section.func):
+        base_rows.append(len(xs))
+        return _original(xs)
+
+    orig = dataclasses.replace(scenario.orig, section=section)
     return dataclasses.replace(scenario, orig=orig,
-                               adapted=compile_adapted(orig))
+                               adapted=compile_adapted(orig)), base_rows
 
 
 @pytest.mark.parametrize("check, stacks", [("christoffel", 1),
                                            ("curvature", 2),
-                                           ("jacobian", 2), ("sde", 2)])
-def test_check_compiles_frames_once_per_stencil(twisted, engine, check,
-                                                stacks):
-    """Every stencil compiles its frames in one stacked pass, and a
-    stencil that an earlier route of the check compiled is read whole
-    from the geometry's frame memo: at a point no earlier call has seen (a fresh copy of
-    the geometry), each distinct stencil compiles once. The stencils are
-    the point's row, its centre-first 21-row first-derivative stencil
-    and the 441-row nested stencil of ``R_M``, whose outer rows are the
-    rows the Ricci pair runs its route on and ``log_density_terms``
-    differences ``ln det d`` on. The christoffel check reads only the
-    21-row stencil, and the curvature and jacobian checks read the
-    point's metrics and inverses from its jet, not from the point's row;
-    the sde check differences every field over all slots, so it reads
-    the 21-row stencil and the point's row."""
-    fresh = _fresh(twisted)
-    report = run_checks(fresh, [ChartPoint([-0.11, 0.23],
-                                           [0.14, -0.27, 0.08])],
+                                           ("jacobian", 2), ("sde", 1)])
+def test_check_compiles_frames_once_per_stencil(twisted, engine, compiles,
+                                                check, stacks):
+    """Every stencil compiles its frames in one stacked pass, which the
+    point's record reads once and shares: each distinct stencil of a
+    point compiles once. The stencils are the point's centre-first
+    21-row first-derivative stencil, whose row 0 is the point, and the
+    441-row nested stencil of ``R_M``, whose outer rows are the rows the
+    Ricci pair runs its route on and ``log_density_terms`` differences
+    ``ln det d`` on. The christoffel check reads only the 21-row
+    stencil, and so does the sde check: its drift routes difference
+    the fields of that stencil, and the diffusion reads the point's
+    row 0 of it."""
+    report = run_checks(twisted, [ChartPoint([-0.11, 0.23],
+                                             [0.14, -0.27, 0.08])],
                         (check,), engine=engine)
     assert report.passed
-    assert frame_cache_info(fresh.orig).compiles == stacks
+    assert sorted(compiles) == [21, 441][:stacks]
 
 
-def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
-    """All seven checks at a fresh point share one per-point record: one
+def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch,
+                                           compiles):
+    """All seven checks at a point share one per-point record: one
     Ricci pair per Christoffel route, one set of log-density terms, one
     set of Killing derivatives, one block metric, and 462 frame rows in
-    2 stacks (21 + 441, see
-    ``test_check_compiles_frames_once_per_stencil``), with the other 8
-    lookups served from the memo, the point's own row among them as row
-    0 of a held stack. The bundle callables of the compiles run on 90
-    distinct base rows (9 + 81). The point makes 11 SPD inversions: 5 in
-    each compile and one in the divergence form of the drift; neither
-    ``R_M`` nor any Christoffel route inverts a matrix."""
+    2 compiles (21 + 441, see
+    ``test_check_compiles_frames_once_per_stencil``); every other reader
+    reads the record's stacks, the point's own row as their row 0. The
+    bundle callables of the compiles run on 90 distinct base rows (9 +
+    81). The point makes 11 SPD inversions: 5 in each compile and one in
+    the divergence form of the drift; neither ``R_M`` nor any
+    Christoffel route inverts a matrix."""
     import sys
 
     from bundlecurv import curvature, fields, jacobian, verify
 
-    fresh = _fresh(twisted)
+    scenario, base_rows = _counting_base_rows(twisted)
     calls, inversions = [], []
     invert_spd = fields.invert_spd
 
@@ -243,16 +248,15 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    report = run_checks(fresh, [ChartPoint([0.19, -0.07],
-                                           [-0.21, 0.12, 0.26])],
+    report = run_checks(scenario, [ChartPoint([0.19, -0.07],
+                                              [-0.21, 0.12, 0.26])],
                         engine=engine)
-    info = frame_cache_info(fresh.orig)
     assert report.passed
     assert sorted(calls) == ["assemble_block_metric", "killing_derivatives",
                              "log_density_terms", "ricci_scalar_pair",
                              "ricci_scalar_pair"]
-    assert (info.misses, info.compiles, info.hits) == (462, 2, 8)
-    assert info.base_rows == 90
+    assert (sum(compiles), len(compiles)) == (462, 2)
+    assert sum(base_rows) == 90
     assert len(inversions) == 11
 
 
@@ -282,8 +286,7 @@ def test_residuals_do_not_depend_on_check_selection(name, engine,
 
 def test_residuals_do_not_depend_on_earlier_points(engine):
     """A point checked again after another point gives its residuals
-    byte for byte: the frames held from the point in between serve
-    nothing, and nothing else carries over."""
+    byte for byte: nothing carries over from the point in between."""
     scenario = build_scenario("twisted_bundle")
     a, b = sample_points(scenario, 2, seed=227)
 
@@ -318,30 +321,30 @@ def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
 
 
 def test_each_stencil_is_built_once_per_point(twisted, engine,
-                                             monkeypatch):
-    """All seven checks at a fresh point build 7 stencils, each evaluated
+                                             monkeypatch, compiles):
+    """All seven checks at a fresh point build 5 stencils, each evaluated
     once: keyed by their row count, the section stencil of the Killing
     derivatives at ``Q`` (20 rows), that of the vector identity (12),
-    the point's jet, the drift, the divergence form and the outer nested
-    stencil (21 each) and the nested jet's (441). ``G_P`` and ``K_P`` run
-    once each on the section stencil. The frame memo is looked up 10
-    times, once per reader: 6 one-row lookups (the block metric, the
-    diffusion, the second fundamental form, the section stencil and the
-    two Killing readers), 3 of the 21-row stack (the point's jet and the
-    two drift routes) and 1 of the 441-row one (the nested jet); it
-    compiles 462 rows in 2 stacks on 90 base rows, and the point makes
-    11 SPD inversions. The point's jet is the one the christoffel check
-    reads; both Ricci pairs run their routes on the nested jet, at the
-    21 outer rows of the nested stencil. The Levi-Civita contraction runs
-    once per metric it serves: on h~ once per jet, on the frame metric
-    once per general route, and on ``G_P`` once at the section point."""
+    the point's stencil and the outer nested stencil (21 each) and the
+    nested jet's (441). ``G_P`` and ``K_P`` run once each on the section
+    stencil. The point's record reads the geometry's frames twice, once
+    per compiled stencil: its 21 rows, whose frames the point's jet, the
+    two drift routes, the block metric, the diffusion, the second
+    fundamental form and the Killing readers share, the point's own row
+    as row 0, and the 441 rows of the nested jet. The 2 compiles hold
+    462 rows on 90 base rows, and the point makes 11 SPD inversions. The
+    point's jet is the one the christoffel check reads; both Ricci pairs
+    run their routes on the nested jet, at the 21 outer rows of the
+    nested stencil. The Levi-Civita contraction runs once per metric it
+    serves: on h~ once per jet, on the frame metric once per general
+    route, and on ``G_P`` once at the section point."""
     import collections
     import sys
 
-    from bundlecurv import connection, curvature, fields, geometry
+    from bundlecurv import connection, curvature, fields
 
-    stencils, lookups, section, symbols = (collections.Counter()
-                                           for _ in range(4))
+    stencils, reads, section, symbols = (collections.Counter()
+                                         for _ in range(4))
     inversions, jets, routes = [], [], []
     stencil, invert_spd = fields._stencil, fields.invert_spd
     levi_civita = fields._levi_civita
@@ -356,10 +359,19 @@ def test_each_stencil_is_built_once_per_point(twisted, engine,
         return counted
 
     # built before the counters: its own construction inverts G_V
-    orig = dataclasses.replace(twisted.orig, G_P=on_section_stencil("G_P"),
+    counting, base_rows = _counting_base_rows(twisted)
+    orig = dataclasses.replace(counting.orig,
+                               G_P=on_section_stencil("G_P"),
                                K_P=on_section_stencil("K_P"))
-    fresh = dataclasses.replace(twisted, orig=orig,
-                                adapted=compile_adapted(orig))
+    compiled = compile_adapted(orig)
+
+    def read(zs):
+        reads[len(zs)] += 1
+        return compiled.frames(zs)
+
+    fresh = dataclasses.replace(
+        twisted, orig=orig, adapted=dataclasses.replace(compiled,
+                                                        frames=read))
 
     def built(*args, **kwargs):
         rows, steps = stencil(*args, **kwargs)
@@ -384,12 +396,6 @@ def test_each_stencil_is_built_once_per_point(twisted, engine,
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
 
-    def looked_up(memo, orig, zs, _original=geometry._FrameMemo.lookup):
-        lookups[len(zs)] += 1
-        return _original(memo, orig, zs)
-
-    monkeypatch.setattr(geometry._FrameMemo, "lookup", looked_up)
-
     def jet_counted(*args, _original=connection.horizontal_jet):
         jets.append(_original(*args))
         return jets[-1]
@@ -406,15 +412,14 @@ def test_each_stencil_is_built_once_per_point(twisted, engine,
     report = run_checks(fresh, [ChartPoint([0.16, 0.09],
                                            [0.23, -0.18, -0.05])],
                         engine=engine)
-    info = frame_cache_info(orig)
     assert report.passed
-    assert stencils == {12: 1, 20: 1, 21: 4, 441: 1}
-    assert lookups == {1: 6, 21: 3, 441: 1}
+    assert stencils == {12: 1, 20: 1, 21: 2, 441: 1}
+    assert reads == {21: 1, 441: 1}
     assert symbols == {(1, 5, 5): 1, (21, 5, 5): 1, (1, 8, 8): 1,
                        (21, 8, 8): 1, (5, 5): 1}
     assert section == {"G_P": 1, "K_P": 1}
     assert len(inversions) == 11
-    assert (info.compiles, info.misses, info.base_rows) == (2, 462, 90)
+    assert (len(compiles), sum(compiles), sum(base_rows)) == (2, 462, 90)
     point_jet, nested_jet = jets
     assert (len(point_jet.zs), len(nested_jet.zs)) == (1, 21)
     assert routes == [("christoffel_table", point_jet),
