@@ -396,10 +396,8 @@ def main(argv=None) -> int:
         sys.stderr.write("error: give the config path once, either "
                          "positionally or with --config\n")
         return 2
-    overrides = {key: getattr(args, key) for key in (
-        "scenario", "points", "seed", "fd_step", "tol_identity",
-        "tol_oracle", "stat_sigma", "checks", "format", "output", "dt",
-        "n_paths")}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in _CONFIG_KEYS}
     try:
         config = load_config(args.config_path or args.config_flag, overrides)
         return _COMMANDS[args.command](config)

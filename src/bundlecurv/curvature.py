@@ -39,6 +39,9 @@ metric on the whole nested stencil as one coordinate stack, on which
 the oracle evaluates ``oracle_metric`` in one call, and shares the
 Ricci contraction and the outer differencing with ``R_M``.
 
+``PointTerms`` is the library's one per-point record; on bundle data it
+also holds the Killing entries that ``jacobian`` reads.
+
 The sign conventions are the ones the Christoffel formula and the Ricci
 display above imply; they are internally consistent and are never adjusted
 to match external references (the round two-sphere comes out negative
@@ -57,7 +60,7 @@ from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _blockdiag,
                      _distinct_rows, _eval_stack, _levi_civita, _richardson,
                      _stencil, _stencil_partials, invert_spd)
 from .geometry import (AdaptedGeometry, OriginalGeometry, check_frames,
-                       frames_at)
+                       frames_at, killing_derivatives, section_partials)
 from .liecore import orbit_scalar_curvature
 from .connection import (christoffel_general, christoffel_table,
                          frame_derivatives, horizontal_jet)
@@ -245,7 +248,7 @@ def _breakdown(t) -> CurvatureBreakdown:
 
 
 class PointTerms:
-    r"""The curvature terms at one chart point, each computed on first read.
+    r"""The one record of a chart point, each entry computed on first read.
 
     An entry (a key of ``_ENTRIES``) is computed from ``adapted``,
     ``point`` and ``engine`` when first read, and kept. The record owns
@@ -265,8 +268,11 @@ class PointTerms:
     derivative; then the pieces of the decomposition (``log_density`` is
     the pair of ``log_density_terms``) and ``breakdown``, their one sum;
     and the Ricci pair of each Christoffel route, which share the two
-    jets and nothing computed from them. The record takes no assignment
-    and its arrays are read-only.
+    jets and nothing computed from them. On bundle data, ``section`` is
+    the ``geometry.section_partials`` row at the section point, row 0 of
+    the ``stack``, and ``killing`` the ``geometry.killing_derivatives``
+    pair there, symmetrized once. The record takes no assignment and its
+    arrays are read-only.
     """
 
     _ENTRIES = {
@@ -294,6 +300,14 @@ class PointTerms:
         "pair_table": lambda t: ricci_scalar_pair(t, christoffel_table),
         "pair_general": lambda t: ricci_scalar_pair(t, christoffel_general),
         "breakdown": _breakdown,
+        "section": lambda t: tuple(
+            partials[0] for partials in section_partials(
+                t.adapted.orig, t.stack.Q[:1], t.engine.fd_step)),
+        "killing": lambda t: tuple(
+            _frozen(0.5 * (part + part.swapaxes(1, 2)))
+            for part in killing_derivatives(t.adapted.orig, t.section,
+                                            t.stack.K_P[0],
+                                            t.stack.G_P_inv[0], t.point.f)),
     }
 
     def __init__(self, adapted: AdaptedGeometry, point: ChartPoint,
@@ -310,11 +324,11 @@ class PointTerms:
         raise AttributeError("PointTerms is read-only")
 
 
-def _terms_at(adapted, point, engine, terms, kind=PointTerms):
+def _terms_at(adapted, point, engine, terms):
     """``terms``, checked to belong to ``adapted``, ``point`` and
-    ``engine``; a new ``kind`` record there when ``terms`` is None."""
+    ``engine``; a new record there when ``terms`` is None."""
     if terms is None:
-        return kind(adapted, point, engine)
+        return PointTerms(adapted, point, engine)
     if (terms.adapted is not adapted or terms.point is not point
             or terms.engine != engine):
         raise ValueError("terms belong to another geometry, point or "

@@ -41,6 +41,11 @@ bundle data it is ``point_frames``, whose ``FrameStack`` carries them
 under these names. ``frames_at`` is the one reader: one ``frames`` call
 per stencil, its result checked by ``check_frames`` for shape and
 finiteness.
+
+``section_partials`` is the one section stencil, over a stack of
+section points; the gates of ``validate_original`` and the point record
+read it, and ``killing_derivatives`` turns one row of it into the
+covariant derivatives of the Killing fields.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ from functools import partial
 import numpy as np
 
 from .fields import (ChartPoint, ConfigError, NearSingularError,
-                     _blockdiag, _distinct_rows, _finite_or_raise,
-                     coordinate_partials, invert_spd)
+                     _blockdiag, _distinct_rows, _eval_stack,
+                     _finite_or_raise, _levi_civita, _stencil,
+                     _stencil_partials, invert_spd)
 from .liecore import StructureConstants, validate_structure_constants
 
 __all__ = [
@@ -69,6 +75,8 @@ __all__ = [
     "assemble_block_metric",
     "det_factorization_check",
     "compile_adapted",
+    "section_partials",
+    "killing_derivatives",
     "validate_original",
 ]
 
@@ -126,7 +134,7 @@ class OriginalGeometry:
     ``section(x)`` embeds chart rows into the ``Q``-space, ``(N, n_P)``,
     with analytic Jacobian ``section_jac`` (``(N, n_P, n_x)``); ``chi`` is
     the gauge function vanishing on the section, ``(N, n_g)``, with
-    analytic Jacobian ``chi_jac`` (``(N, n_g, n_P)``).
+    analytic Jacobian ``chi_jac`` (``(N, n_g, n_P)``); ``n_g`` is ``c.n_g``.
 
     The optional trailing callables describe the group action on charts
     and are consumed only by the coordinate-basis oracle and by
@@ -144,7 +152,6 @@ class OriginalGeometry:
 
     n_P: int
     n_v: int
-    n_g: int
     G_P: object
     G_V: np.ndarray
     K_P: object
@@ -166,8 +173,9 @@ class OriginalGeometry:
         if g_v.shape != (self.n_v, self.n_v):
             raise ValueError("G_V must be (%d, %d)" % (self.n_v, self.n_v))
         if gens.shape != (self.n_g, self.n_v, self.n_v):
-            raise ValueError("gens must be (n_g, n_v, n_v), got %s"
-                             % (gens.shape,))
+            raise ValueError("gens must be (n_g, n_v, n_v) = %s, with n_g "
+                             "that of the structure constants c, got %s"
+                             % ((self.n_g, self.n_v, self.n_v), gens.shape))
         if self.n_P < self.n_g:
             raise ValueError("n_P must be at least n_g")
         g_v.setflags(write=False)
@@ -191,6 +199,10 @@ class OriginalGeometry:
             if func is not None:
                 object.__setattr__(self, name,
                                    _StackCallable(name, func, shape))
+
+    @property
+    def n_g(self) -> int:
+        return self.c.n_g
 
     @property
     def n_x(self) -> int:
@@ -352,11 +364,8 @@ def _compute_frames(orig: OriginalGeometry, zs):
     a_base = d_inv @ kg_q[base]
     a_vector = d_inv @ (k_v_t @ orig.G_V)
     a_joint = np.concatenate([a_base, a_vector], axis=2)    # base first
-    if n_g:
-        gamma_inv, _ = _spd_or_error(
-            gamma, "bundle-side orbit metric gamma degenerate", xs_b, fs_b)
-    else:
-        gamma_inv = gamma.copy()
+    gamma_inv, _ = _spd_or_error(
+        gamma, "bundle-side orbit metric gamma degenerate", xs_b, fs_b)
     a_gamma = gamma_inv @ kg_q
 
     # horizontal metric: project out orbit directions from the joint metric
@@ -423,7 +432,7 @@ def point_frame(orig: OriginalGeometry, point: ChartPoint) -> FrameStack:
 def compile_adapted(orig: OriginalGeometry) -> "AdaptedGeometry":
     """The adapted geometry of bundle data: its frames are the frame
     stacks of ``orig``, compiled on each call."""
-    return AdaptedGeometry(n_x=orig.n_x, n_v=orig.n_v, n_g=orig.n_g,
+    return AdaptedGeometry(n_x=orig.n_x, n_v=orig.n_v,
                            frames=partial(point_frames, orig), c=orig.c,
                            orig=orig)
 
@@ -441,17 +450,20 @@ class AdaptedGeometry:
     metric ``d`` with ``d_inv`` and ``det_d``. Each inverse and
     determinant is computed once, where its matrix is built (on bundle
     data, in the frame compile), and read from the record by every
-    formula that needs it. ``orig`` is kept when the geometry was
-    compiled from bundle data; operations that need the bundle side
-    (projector identities, drift in gauge form) require it.
+    formula that needs it; ``n_g`` is ``c.n_g``. ``orig`` is kept when
+    the geometry was compiled from bundle data; operations that need the
+    bundle side (projector identities, drift in gauge form) require it.
     """
 
     n_x: int
     n_v: int
-    n_g: int
     frames: object
     c: StructureConstants
     orig: object = None
+
+    @property
+    def n_g(self) -> int:
+        return self.c.n_g
 
     @property
     def n_h(self) -> int:
@@ -568,6 +580,44 @@ def det_factorization_check(block: BlockMetric) -> float:
     return abs(det_direct - block.det) / abs(det_direct)
 
 
+def section_partials(orig: OriginalGeometry, qs, fd_step: float):
+    r"""The read-only partials over ``Q`` of ``G_P``, of ``K_P`` and of
+    :math:`\gamma = K_P^{\rm T} G_P K_P` at the rows of the ``(m, n_P)``
+    stack ``qs`` of section points, each ``(m, n_P, ...)``, the
+    derivative slot after the row. One stencil over the stack at step
+    ``fd_step``, with one call of ``G_P`` and of ``K_P`` on all its rows;
+    a row's partials are those of a one-row stack, bit for bit.
+    """
+    rows, steps = _stencil(np.asarray(qs, dtype=float), fd_step)
+    flat, lead = rows.reshape(-1, orig.n_P), rows.shape[:2]
+    g_p = _eval_stack(orig.G_P, flat).reshape(lead + (orig.n_P,) * 2)
+    k_p = _eval_stack(orig.K_P, flat).reshape(lead + (orig.n_P, orig.n_g))
+    gamma = k_p.swapaxes(-1, -2) @ g_p @ k_p
+    partials = tuple(_stencil_partials(values, steps)
+                     for values in (g_p, k_p, gamma))
+    for array in partials:
+        array.setflags(write=False)
+    return partials
+
+
+def killing_derivatives(orig: OriginalGeometry, section, k_p, g_p_inv, f):
+    r"""Covariant derivatives :math:`\nabla_{K_\alpha}K_\beta` at one
+    section point: ``section`` is one row of ``section_partials`` there,
+    ``k_p`` and ``g_p_inv`` the frame stack's ``K_P`` and ``G_P_inv``
+    rows and ``f`` the vector coordinates. Returns ``(p, v)``, the bundle
+    part ``p[c, alpha, beta]`` by the Levi-Civita connection of ``G_P``
+    and the vector part ``v[q, alpha, beta]`` by the flat one of the
+    constant ``G_V``: ``gens[beta] gens[alpha] f``.
+    """
+    dg, dk, _ = section                             # dk[A, C, beta]
+    gamma_p = _levi_civita(g_p_inv, dg)
+    p = (np.einsum("aA,acB->cAB", k_p, dk)
+         + np.einsum("cab,aA,bB->cAB", gamma_p, k_p, k_p))
+    # v_products[alpha, beta] = gens[beta] gens[alpha]
+    v_products = orig.gens[None] @ orig.gens[:, None]
+    return p, np.moveaxis(v_products @ f, -1, 0)
+
+
 @dataclass(frozen=True)
 class OriginalValidity:
     """Sampled-gate report for an OriginalGeometry; ``bracket_pair`` is
@@ -612,9 +662,10 @@ def validate_original(orig: OriginalGeometry, points,
     ``ConfigError`` names it. ``group_points``, when given, holds one
     ``(n_g,)`` group-coordinate row per point; the group-chart callables
     are then probed at them, and ``G_P`` also at the translated points
-    ``right_translate(x, a)`` the coordinate oracle reads. Then, at each
-    point: the FD Lie derivative of ``G_P`` along every Killing field
-    vanishes, and so does :math:`[K_\alpha, K_\beta] -
+    ``right_translate(x, a)`` the coordinate oracle reads. Then, at every
+    point, from the ``section_partials`` of one stencil over all their
+    section points: the FD Lie derivative of ``G_P`` along every Killing
+    field vanishes, and so does :math:`[K_\alpha, K_\beta] -
     c^\gamma_{\alpha\beta} K_\gamma` (``[X, Y] = X.grad Y - Y.grad X``,
     on the vector sector ``gens_b gens_a - gens_a gens_b``); ``orig.c``
     passes ``validate_structure_constants``; the gauge function vanishes on
@@ -638,23 +689,20 @@ def validate_original(orig: OriginalGeometry, points,
     _check_row_contract(orig, probes)
 
     frames = point_frames(orig, zs)
-    c, gens = orig.c.c, orig.gens
+    c, gens, k_p, g_p = orig.c.c, orig.gens, frames.K_P, frames.G_P
     products = np.einsum("bij,ajk->abik", gens, gens)   # [a, b] gens_b gens_a
     bracket = np.abs(products - products.swapaxes(0, 1) - np.einsum(
         "gab,gij->abij", c, gens)).max(axis=(2, 3), initial=0.0)
-    worst_k = 0.0
-    for q, k_p, g_p in zip(frames.Q, frames.K_P, frames.G_P):
-        dg = coordinate_partials(orig.G_P, q, fd_step)  # dg[C, A, B]
-        dk = coordinate_partials(orig.K_P, q, fd_step)  # dk[C, A, alpha]
-        lie = (np.einsum("ca,cpq->apq", k_p, dg)   # [a, p, q] L_{K_a} G_P
-               + np.einsum("pra,rq->apq", dk, g_p)
-               + np.einsum("pr,qra->apq", g_p, dk))
-        worst_k = np.maximum(worst_k, np.abs(lie).max(initial=0.0))
-        flow = np.einsum("ca,cpb->pab", k_p, dk)   # [p, a, b] K_a . grad K_b
-        closure = (flow - flow.swapaxes(1, 2)
-                   - np.einsum("gab,pg->pab", c, k_p))
-        bracket = np.maximum(bracket,
-                             np.abs(closure).max(axis=0, initial=0.0))
+    # dg[n, C, A, B] and dk[n, C, A, alpha]: slot C at probe point n
+    dg, dk, _ = section_partials(orig, frames.Q, fd_step)
+    lie = (np.einsum("nca,ncpq->napq", k_p, dg)   # [n, a, p, q] L_{K_a} G_P
+           + np.einsum("npra,nrq->napq", dk, g_p)
+           + np.einsum("npr,nqra->napq", g_p, dk))
+    worst_k = np.abs(lie).max(initial=0.0)
+    flow = np.einsum("nca,ncpb->npab", k_p, dk)   # [n, p, a, b] K_a . grad K_b
+    closure = flow - flow.swapaxes(2, 3) - np.einsum("gab,npg->npab", c, k_p)
+    bracket = np.maximum(bracket,
+                         np.abs(closure).max(axis=(0, 1), initial=0.0))
     worst_b = float(bracket.max(initial=0.0))
     pair = divmod(int(np.argmax(bracket)), orig.n_g) if orig.n_g else ()
     constants_valid = validate_structure_constants(orig.c).valid

@@ -26,6 +26,10 @@ form in :math:`\mathcal D d`, and from the raw orthogonal projections of
 the symmetrized covariant derivatives of the Killing fields. The directional
 derivative identities that collapse the raw projections are checked
 numerically as well.
+
+Every route reads the point's record, ``curvature.PointTerms``; the raw
+projections and the Killing identities read its one symmetrized pair of
+Killing derivatives.
 """
 
 from __future__ import annotations
@@ -34,19 +38,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _eval_stack,
-                     _levi_civita, _stencil, _stencil_partials, _worst,
+from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _worst,
                      coordinate_partials)
 from .geometry import AdaptedGeometry
-from .curvature import PointTerms, _frozen, _terms_at
+from .curvature import PointTerms, _terms_at
 
 __all__ = [
-    "PointRecord",
     "SecondFundamentalForm",
     "KillingIdentityResiduals",
     "jacobian_direct",
     "jacobian_geometric",
-    "killing_derivatives",
     "killing_identities_check",
     "second_fundamental_form",
     "j_norm_squared",
@@ -80,67 +81,6 @@ def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
     return r_total - r_base - terms.R_G - terms.FF - terms.DdDd
 
 
-def _section_partials(terms: PointRecord):
-    r"""Partials over the bundle coordinates ``Q`` at the section point
-    ``Q*(x)`` of ``terms``, a ``PointRecord`` of a geometry with bundle
-    data: the triple of those of ``G_P``, of ``K_P`` and of the
-    bundle-side orbit metric :math:`\gamma = K_P^{\rm T} G_P K_P`, each
-    with the derivative slot first.
-
-    ``Q*(x)`` is row 0 of the record's frame stack. One stencil there at
-    the engine's step; ``G_P`` and ``K_P`` are called once each, on its
-    rows, and :math:`\gamma` is built from their values there. The
-    arrays are read-only.
-    """
-    orig = terms.adapted.orig
-    rows, steps = _stencil(terms.stack.Q[:1], terms.engine.fd_step)
-    g_p = _eval_stack(orig.G_P, rows[0])
-    k_p = _eval_stack(orig.K_P, rows[0])
-    gamma = k_p.swapaxes(1, 2) @ g_p @ k_p
-    return tuple(_frozen(_stencil_partials(values[None], steps)[0])
-                 for values in (g_p, k_p, gamma))
-
-
-def killing_derivatives(terms: PointRecord):
-    r"""Covariant derivatives :math:`\nabla_{K_\alpha}K_\beta` at the
-    section point of ``terms``, a ``PointRecord`` of a geometry with
-    bundle data.
-
-    Returns ``(p, v)`` with ``p[c, alpha, beta]`` the bundle part and
-    ``v[q, alpha, beta]`` the vector part, for every pair at once. The
-    bundle part uses the Levi-Civita connection of ``G_P``, from the
-    record's ``section`` partials of ``G_P`` and ``K_P`` and the point's
-    row of its frame stack; the vector part uses the flat connection of
-    the constant ``G_V``, i.e. the plain directional derivative of the
-    linear field, ``gens[beta] gens[alpha] f``.
-    """
-    orig, point = terms.adapted.orig, terms.point
-    frames = terms.stack
-    k = frames.K_P[0]
-    dg, dk, _ = terms.section                       # dk[A, C, beta]
-    gamma_p = _levi_civita(frames.G_P_inv[0], dg)
-    p = (np.einsum("aA,acB->cAB", k, dk)
-         + np.einsum("cab,aA,bB->cAB", gamma_p, k, k))
-    # v_products[alpha, beta] = gens[beta] gens[alpha]
-    v_products = orig.gens[None] @ orig.gens[:, None]
-    v = np.moveaxis(v_products @ point.f, -1, 0)
-    return p, v
-
-
-class PointRecord(PointTerms):
-    """``PointTerms`` plus the Killing entries: ``section``, the
-    ``_section_partials`` at the point, and ``killing``, the
-    ``killing_derivatives`` there. The per-point record that
-    ``verify.run_checks`` shares between its checks and drops after the
-    point."""
-
-    _ENTRIES = dict(
-        PointTerms._ENTRIES,
-        section=_section_partials,
-        killing=lambda t: tuple(_frozen(part)
-                                for part in killing_derivatives(t)))
-
-
 @dataclass(frozen=True)
 class KillingIdentityResiduals:
     """Residuals of the directional-derivative identities for ``d``.
@@ -162,9 +102,9 @@ class KillingIdentityResiduals:
                        self.adapted_vector))
 
 
-def killing_identities_check(terms: PointRecord) -> KillingIdentityResiduals:
+def killing_identities_check(terms: PointTerms) -> KillingIdentityResiduals:
     r"""Check the four directional-derivative identities at the point of
-    ``terms``, a ``PointRecord`` of a geometry with bundle data.
+    ``terms``, a ``PointTerms`` of a geometry with bundle data.
 
     Bundle form: with :math:`d_{\alpha\beta}(Q, f)` extended off the
     section through the Killing fields,
@@ -188,7 +128,7 @@ def killing_identities_check(terms: PointRecord) -> KillingIdentityResiduals:
 
     with the vector version reducing to
     :math:`(\ldots)^p = -\tfrac12 G^{pq}\partial_q d_{\alpha\beta}`.
-    The right sides are the record's ``killing`` derivatives; the
+    The right sides are the record's symmetrized ``killing`` pair; the
     bundle-coordinate partials of :math:`\gamma` are the last of the
     record's ``section`` ones, the chart partials of ``d`` those of its
     point jet, and the rest is read at row 0 of its frame stack.
@@ -200,8 +140,7 @@ def killing_identities_check(terms: PointRecord) -> KillingIdentityResiduals:
     n_v, n_g, n_x = orig.n_v, orig.n_g, orig.n_x
     if n_g == 0:
         return KillingIdentityResiduals(0.0, 0.0, 0.0, 0.0)
-    p, v = terms.killing
-    sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
+    sym_p, sym_v = terms.killing
     d, g_p_inv = frames.d[0], frames.G_P_inv[0]
     scale = max(1.0, float(np.max(np.abs(d))))
 
@@ -298,16 +237,16 @@ def _closed_form(terms: PointTerms) -> SecondFundamentalForm:
 
 def second_fundamental_form(adapted: AdaptedGeometry, point: ChartPoint,
                             engine: DerivEngine = DEFAULT_ENGINE,
-                            terms: PointRecord = None
+                            terms: PointTerms = None
                             ) -> SecondFundamentalForm:
     """Closed-form second fundamental form, plus raw projections if possible.
 
     Raw projections need the original bundle data of ``adapted.orig``.
-    ``terms``, the ``PointRecord`` of the same arguments, supplies
-    ``h~^{-1}``, ``D d``, the Killing derivatives and the frame stack
-    whose row 0 holds the bundle-side blocks at the point.
+    ``terms``, the ``PointTerms`` of the same arguments, supplies
+    ``h~^{-1}``, ``D d``, the symmetrized Killing derivatives and the
+    frame stack whose row 0 holds the bundle-side blocks at the point.
     """
-    terms = _terms_at(adapted, point, engine, terms, PointRecord)
+    terms = _terms_at(adapted, point, engine, terms)
     orig = adapted.orig
     n_x, h_inv = adapted.n_x, terms.h_inv
     form = _closed_form(terms)
@@ -315,8 +254,7 @@ def second_fundamental_form(adapted: AdaptedGeometry, point: ChartPoint,
         return form
 
     frames = terms.stack
-    p, v = terms.killing
-    sym_p, sym_v = 0.5 * (p + p.swapaxes(1, 2)), 0.5 * (v + v.swapaxes(1, 2))
+    sym_p, sym_v = terms.killing
     n_P = orig.n_P
     gt_h, q_jac, gh_p, n_vp = (frames.Gt_H[0], frames.Q_jac[0],
                                frames.GH_P[0], frames.N_vP[0])

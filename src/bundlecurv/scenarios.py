@@ -245,7 +245,7 @@ def _build_original(n_x: int, g_func, bbar_func, twist_func, gens, g_v,
         return _dexp_apply(m[:, None], gens) @ act[:, None]
 
     return OriginalGeometry(
-        n_P=n_P, n_v=n_v, n_g=n_g,
+        n_P=n_P, n_v=n_v,
         G_P=metric_p, G_V=np.asarray(g_v, dtype=float), K_P=killing_p,
         gens=gens,
         section=section, section_jac=lambda x: _tile(section_jac_mat, x),

@@ -11,29 +11,30 @@ reduction into a report is an ordered pass over point indices, so a config
 with a fixed seed always produces the identical report. A residual that is
 NaN, infinite or missing at some point fails its part.
 
-The checks of one point share a ``jacobian.PointRecord``, dropped after
-the point, which owns the point's frames: the one read on its
-centre-first 21-row ``stencil``, as the ``stack`` and its checked
-``frames``, row 0 the point. An entry is computed when a check first
-reads it, so a check run alone computes only what it reads, with the
-same bits. Reads: ``christoffel`` the point's ``jet``; ``curvature``
-the ``breakdown`` (from ``R_M``, ``R_G``, ``FF``, ``DdDd``,
-``log_density``), ``pair_table`` and ``pair_general``; ``jacobian`` the
-``log_density`` (direct route) and ``pair_table``, ``R_G``, ``FF``,
-``DdDd`` (geometric route); ``secondform`` ``h_inv``, ``Dd``,
-``killing``, ``h_tilde``, ``d_inv``, ``DdDd`` and the ``stack``;
-``killingderiv`` ``killing``, ``section``, the ``jet`` and the
-``stack``; ``detfact`` the point's row of ``frames``; ``sde`` ``h_inv``
-and the ``stencil``, ``stack`` and ``frames``. The metrics, their
-inverses, ``F`` and ``Dd`` at the point are row 0 of the point's jet;
-each jet holds the Levi-Civita symbols of h~ once, and both Ricci pairs
-read both jets. ``killing`` and the bundle-coordinate Killing identity
-read ``section``, the partials of ``G_P``, ``K_P`` and their orbit
-metric from one stencil at the section point. Route-private: each
-Christoffel route's symbols, the vector-sector Killing identity's
-derivatives, the determinant check's block metric and each drift
-route's differenced fields. A residual reduced over routes or values
-uses numpy reductions, so a NaN anywhere makes it NaN.
+The checks of one point share its ``curvature.PointTerms``, the one
+point record, dropped after the point, which owns the point's frames:
+the one read on its centre-first 21-row ``stencil``, as the ``stack``
+and its checked ``frames``, row 0 the point. An entry is computed when
+a check first reads it, so a check run alone computes only what it
+reads, with the same bits. Reads: ``christoffel`` the point's ``jet``;
+``curvature`` the ``breakdown`` (from ``R_M``, ``R_G``, ``FF``,
+``DdDd``, ``log_density``), ``pair_table`` and ``pair_general``;
+``jacobian`` the ``log_density`` (direct route) and ``pair_table``,
+``R_G``, ``FF``, ``DdDd`` (geometric route); ``secondform`` ``h_inv``,
+``Dd``, ``killing``, ``h_tilde``, ``d_inv``, ``DdDd`` and the
+``stack``; ``killingderiv`` ``killing``, ``section``, the ``jet`` and
+the ``stack``; ``detfact`` the point's row of ``frames``; ``sde``
+``h_inv`` and the ``stencil``, ``stack`` and ``frames``. The metrics,
+their inverses, ``F`` and ``Dd`` at the point are row 0 of the point's
+jet; each jet holds the Levi-Civita symbols of h~ once, and both Ricci
+pairs read both jets. ``section`` is the one section stencil's partials
+at the point, the ones the scenario's Killing gate takes, and
+``killing`` the Killing derivatives, symmetrized once for both readers.
+Route-private: each Christoffel route's symbols, the
+vector-sector Killing identity's derivatives, the determinant check's
+block metric and each drift route's differenced fields. A residual
+reduced over routes or values uses numpy reductions, so a NaN anywhere
+makes it NaN.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine, _worst
 from .geometry import (AdaptedFrames, assemble_block_metric,
                        det_factorization_check)
 from .connection import christoffel_general, christoffel_table
-from .curvature import decomposition_terms
-from .jacobian import (PointRecord, jacobian_direct, jacobian_geometric,
+from .curvature import PointTerms, decomposition_terms
+from .jacobian import (jacobian_direct, jacobian_geometric,
                        killing_identities_check, second_fundamental_form)
 from .sde import (diffusion_coefficients, drift_coefficients,
                   drift_divergence_form)
@@ -277,7 +278,7 @@ def run_checks(scenario, points, checks=CHECK_NAMES, *,
     start = time.perf_counter()
 
     def evaluate(point):
-        terms = PointRecord(scenario.adapted, point, engine)
+        terms = PointTerms(scenario.adapted, point, engine)
         return {name: _CHECK_FUNCS[name](scenario, point, terms)
                 for name in selected}
 

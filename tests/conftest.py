@@ -74,6 +74,18 @@ def rule_by_loops(tensor, signature, c, gamma):
     return out
 
 
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace the function ``original`` by ``replacement`` in every
+    ``bundlecurv`` module that binds it: its home and each module that
+    imported it by name."""
+    import sys
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("bundlecurv")
+                and getattr(module, original.__name__, None) is original):
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
 @pytest.fixture
 def compiles(monkeypatch):
     """The row count of each frame compile made while the test runs, in

@@ -1,10 +1,12 @@
 """Config loading and the three CLI commands, run in-process."""
 
+import dataclasses
 import json
 
 import pytest
 
-from bundlecurv.cli import REPORT_COLUMNS, RunConfig, load_config, main
+from bundlecurv.cli import (REPORT_COLUMNS, RunConfig, _parser, load_config,
+                            main)
 from bundlecurv.fields import ConfigError
 
 from conftest import assert_close
@@ -35,6 +37,16 @@ def test_file_and_override_merge(tmp_path):
     assert config.points == 5          # override wins
     assert config.seed == 0            # None override is ignored
     assert config.checks == ("christoffel", "detfact")
+
+
+@pytest.mark.parametrize("command", ["verify", "report", "simulate"])
+def test_every_config_key_but_params_has_a_flag(command):
+    """Each command parses a flag for every ``RunConfig`` field but the
+    scenario ``params``, which only a config file sets; ``main`` hands
+    the flags to ``load_config`` by these names."""
+    parsed = vars(_parser().parse_args([command]))
+    keys = {field.name for field in dataclasses.fields(RunConfig)}
+    assert keys - set(parsed) == {"params"}
 
 
 def test_config_error_messages(tmp_path):

@@ -50,7 +50,7 @@ def _random_spd(rng, n_rows, n):
 def _curl_fixture():
     """One abelian orbit direction over a flat plane, rotational connection."""
     return AdaptedGeometry(
-        n_x=2, n_v=0, n_g=1,
+        n_x=2, n_v=0,
         frames=frames_of(
             A=lambda zs: np.stack([-zs[:, 1], zs[:, 0]], axis=1)[:, None],
             **_flat_base(2), **_const_orbit(np.eye(1))),
@@ -61,7 +61,7 @@ def _curl_fixture():
 def _pure_orbit(d_matrix):
     """One flat base direction, constant anisotropic orbit metric, no twist."""
     return AdaptedGeometry(
-        n_x=1, n_v=0, n_g=3,
+        n_x=1, n_v=0,
         frames=frames_of(A=constant_field(np.zeros((3, 1))),
                          **_flat_base(1), **_const_orbit(d_matrix)),
         c=su2_constants(),
@@ -71,7 +71,7 @@ def _pure_orbit(d_matrix):
 def _const_connection(a_matrix, d_matrix):
     a_matrix = np.asarray(a_matrix, dtype=float)
     return AdaptedGeometry(
-        n_x=a_matrix.shape[1], n_v=0, n_g=3,
+        n_x=a_matrix.shape[1], n_v=0,
         frames=frames_of(A=constant_field(a_matrix),
                          **_flat_base(a_matrix.shape[1]),
                          **_const_orbit(d_matrix)),
@@ -177,7 +177,7 @@ def test_levi_civita_constant_metric(flat, engine):
 
 def test_levi_civita_conformal_plane(engine):
     adapted = AdaptedGeometry(
-        n_x=2, n_v=0, n_g=0,
+        n_x=2, n_v=0,
         frames=frames_of(
             h_tilde=lambda zs: np.exp(2.0 * zs[:, 0])[:, None, None]
             * np.eye(2),

@@ -33,7 +33,7 @@ def _pure_orbit_block(d_matrix):
     d_matrix = np.asarray(d_matrix, dtype=float)
     d_inv = np.linalg.inv(d_matrix)
     return AdaptedGeometry(
-        n_x=1, n_v=0, n_g=3,
+        n_x=1, n_v=0,
         frames=frames_of(
             h_tilde=constant_field(np.eye(1)),
             h_tilde_inv=constant_field(np.eye(1)),
@@ -288,7 +288,7 @@ def _quadratic_log_density(h_tilde, q_hess, q_grad):
             * np.eye(3)
 
     return AdaptedGeometry(
-        n_x=2, n_v=len(h_tilde) - 2, n_g=3,
+        n_x=2, n_v=len(h_tilde) - 2,
         frames=frames_of(
             h_tilde=constant_field(h_tilde),
             h_tilde_inv=constant_field(np.linalg.inv(h_tilde)),

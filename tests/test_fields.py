@@ -144,7 +144,7 @@ def _plane(n_x, n_v, **fields):
                 det_h=constant_field(1.0), d=constant_field(np.zeros((0, 0))),
                 d_inv=constant_field(np.zeros((0, 0))),
                 det_d=constant_field(1.0))
-    return AdaptedGeometry(n_x=n_x, n_v=n_v, n_g=0,
+    return AdaptedGeometry(n_x=n_x, n_v=n_v,
                            frames=frames_of(**dict(base, **fields)),
                            c=abelian_constants(0))
 

@@ -20,8 +20,8 @@ from bundlecurv.geometry import (
     point_frames,
     validate_original,
 )
-from bundlecurv.liecore import (StructureConstants, su2_constants,
-                                validate_structure_constants)
+from bundlecurv.liecore import (StructureConstants, abelian_constants,
+                                su2_constants, validate_structure_constants)
 from bundlecurv.scenarios import (
     SCENARIO_NAMES,
     _build_original,
@@ -42,7 +42,7 @@ def _conformal_orig(scale=1.0):
         return scale * np.exp(2.0 * qs[:, 0])[:, None, None] * np.eye(2)
 
     return OriginalGeometry(
-        n_P=2, n_v=0, n_g=0,
+        n_P=2, n_v=0,
         G_P=g_p, G_V=np.zeros((0, 0)),
         K_P=lambda qs: np.zeros((len(qs), 2, 0)),
         gens=np.zeros((0, 0, 0)),
@@ -615,6 +615,68 @@ def test_validate_original_requires_a_lie_algebra(twisted):
     assert not report.ok
 
 
+def test_scenario_gates_difference_all_probe_points_at_once(monkeypatch):
+    """``build_scenario`` runs the Killing and bracket gates of its three
+    probe points on one section stencil: ``G_P`` and ``K_P`` are called
+    once each on its 3 x 20 rows. Their other calls, the row-contract
+    probes and the frame compile, take at most 6 rows."""
+    from bundlecurv import scenarios
+
+    lengths = {"G_P": [], "K_P": []}
+    build = scenarios._REGISTRY["twisted_bundle"]
+
+    def counting(name, scenario):
+        original = getattr(scenario.orig, name).func
+
+        def counted(qs):
+            lengths[name].append(len(qs))
+            return original(qs)
+
+        return counted
+
+    def built(params):
+        scenario = build(params)
+        orig = dataclasses.replace(
+            scenario.orig, **{name: counting(name, scenario)
+                              for name in lengths})
+        return dataclasses.replace(scenario, orig=orig,
+                                   adapted=compile_adapted(orig))
+
+    monkeypatch.setitem(scenarios._REGISTRY, "twisted_bundle", built)
+    build_scenario("twisted_bundle")
+    for name, calls in lengths.items():
+        assert [n for n in calls if n > 6] == [60], name
+
+
+def test_gate_partials_are_the_point_record_section(twisted, engine,
+                                                    monkeypatch):
+    """The partials the Killing gate differences at each of its probe
+    points are, bit for bit, the point record's ``section`` entry there
+    and the ``coordinate_partials`` of ``G_P`` and ``K_P`` at its
+    section point."""
+    from bundlecurv import geometry
+
+    taken = []
+
+    def captured(*args, _original=geometry.section_partials):
+        taken.append(_original(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(geometry, "section_partials", captured)
+    points = sample_points(twisted, 3, seed=3)
+    assert validate_original(twisted.orig, points).ok
+    (gate,) = taken
+    for i, point in enumerate(points):
+        terms = PointTerms(twisted.adapted, point, engine)
+        assert [rows[i].tobytes() for rows in gate] == [
+            partials.tobytes() for partials in terms.section]
+        q = terms.stack.Q[0]
+        for partials, func in zip(gate, (twisted.orig.G_P,
+                                         twisted.orig.K_P)):
+            assert partials[i].tobytes() == coordinate_partials(
+                func, q, engine.fd_step).tobytes()
+
+
 def _stack_dependent(good):
     """``good`` plus a shift that depends on the other rows of its
     stack: a breach of the row contract."""
@@ -650,10 +712,21 @@ def _stack_of(mat):
                                      axis=0)
 
 
+def test_structure_constants_set_the_group_dimension(twisted):
+    """Both geometries read ``n_g`` from their structure constants, and
+    bundle data whose generators do not match the dimension of ``c``
+    raise at construction, naming both."""
+    assert twisted.orig.n_g == twisted.adapted.n_g == twisted.orig.c.n_g
+    with pytest.raises(ValueError, match=r"gens must be \(n_g, n_v, n_v\) "
+                       r"= \(2, 3, 3\), with n_g that of the structure "
+                       r"constants c, got \(3, 3, 3\)"):
+        dataclasses.replace(twisted.orig, c=abelian_constants(2))
+
+
 def test_constructor_shape_gates():
     with pytest.raises(ValueError):
         OriginalGeometry(
-            n_P=2, n_v=3, n_g=3,  # n_P < n_g
+            n_P=2, n_v=3,  # n_P < n_g
             G_P=_stack_of(np.eye(2)), G_V=np.eye(3),
             K_P=_stack_of(np.zeros((2, 3))), gens=np.zeros((3, 3, 3)),
             section=lambda xs: xs, section_jac=_stack_of(np.eye(2)),
@@ -661,7 +734,7 @@ def test_constructor_shape_gates():
             c=su2_constants())
     with pytest.raises(ValueError):
         OriginalGeometry(
-            n_P=5, n_v=3, n_g=3,
+            n_P=5, n_v=3,
             G_P=_stack_of(np.eye(5)), G_V=np.eye(2),  # wrong G_V shape
             K_P=_stack_of(np.zeros((5, 3))), gens=np.zeros((3, 3, 3)),
             section=lambda xs: xs, section_jac=_stack_of(np.eye(2)),

@@ -5,17 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import (decomposition_terms,
+from bundlecurv.curvature import (PointTerms, decomposition_terms,
                                   scalar_curvature_coordinate_oracle)
 from bundlecurv.fields import ChartPoint, coordinate_partials
-from bundlecurv.geometry import compile_adapted, frames_at
+from bundlecurv.geometry import (compile_adapted, frames_at,
+                                 killing_derivatives)
 from bundlecurv.jacobian import (
     KillingIdentityResiduals,
-    PointRecord,
     j_norm_squared,
     jacobian_direct,
     jacobian_geometric,
-    killing_derivatives,
     killing_identities_check,
     second_fundamental_form,
 )
@@ -29,7 +28,7 @@ from bundlecurv.scenarios import (
     sample_points,
 )
 
-from conftest import assert_close, frame_array
+from conftest import assert_close, frame_array, patch_everywhere
 
 
 def _vector_free_orig():
@@ -109,8 +108,9 @@ def test_jacobian_direct_matches_geometric(twisted, engine):
 def test_killing_vector_part_is_generator_product(twisted, engine):
     orig = twisted.orig
     point = ChartPoint([0.1, 0.2], [0.3, -0.1, 0.2])
-    _, v_part = killing_derivatives(PointRecord(twisted.adapted, point,
-                                                engine))
+    terms = PointTerms(twisted.adapted, point, engine)
+    _, v_part = killing_derivatives(orig, terms.section, terms.stack.K_P[0],
+                                    terms.stack.G_P_inv[0], point.f)
     assert v_part.shape == (3, 3, 3)
     for alpha in range(3):
         for beta in range(3):
@@ -144,7 +144,7 @@ def test_vector_identity_standalone_oracle():
 
 def test_killing_identities_flat(flat, engine):
     point = sample_points(flat, 1)[0]
-    res = killing_identities_check(PointRecord(flat.adapted, point, engine))
+    res = killing_identities_check(PointTerms(flat.adapted, point, engine))
     assert res.max_residual() <= 1e-10
 
 
@@ -163,13 +163,13 @@ def test_killing_identities_need_bundle_data(twisted, engine):
     adapted = dataclasses.replace(twisted.adapted, orig=None)
     point = sample_points(twisted, 1)[0]
     with pytest.raises(ValueError, match="bundle data"):
-        killing_identities_check(PointRecord(adapted, point, engine))
+        killing_identities_check(PointTerms(adapted, point, engine))
 
 
 def test_killing_identities_twisted(twisted, engine):
     for point in sample_points(twisted, 5, seed=127):
-        res = killing_identities_check(PointRecord(twisted.adapted, point,
-                                                   engine))
+        res = killing_identities_check(PointTerms(twisted.adapted, point,
+                                                  engine))
         assert res.raw_base <= 1e-7
         assert res.raw_vector <= 1e-7
         assert res.adapted_base <= 1e-7
@@ -266,8 +266,6 @@ def test_norm_matches_loop_pairing(twisted, engine):
 def test_norm_reads_the_closed_form_alone(twisted, engine, monkeypatch):
     """The norm builds the closed form only, with no Killing derivative,
     and equals the norm of the whole form bit for bit."""
-    from bundlecurv import jacobian
-
     point = sample_points(twisted, 1, seed=139)[0]
     adapted = twisted.adapted
     form = second_fundamental_form(adapted, point, engine)
@@ -277,7 +275,7 @@ def test_norm_reads_the_closed_form_alone(twisted, engine, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("killing_derivatives called")
 
-    monkeypatch.setattr(jacobian, "killing_derivatives", refused)
+    patch_everywhere(monkeypatch, killing_derivatives, refused)
     assert j_norm_squared(adapted, point, engine) == want
 
 

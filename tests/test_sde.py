@@ -38,7 +38,7 @@ def _bare_plane(h_diag):
     n = h.shape[0]
     empty = np.zeros((0, 0))
     return AdaptedGeometry(
-        n_x=n, n_v=0, n_g=0,
+        n_x=n, n_v=0,
         frames=frames_of(
             h_tilde=constant_field(h),
             h_tilde_inv=constant_field(np.diag(1.0 / np.diag(h))),
@@ -54,7 +54,7 @@ def _conformal_orig():
         return np.exp(2.0 * qs[:, 0])[:, None, None] * np.eye(2)
 
     return OriginalGeometry(
-        n_P=2, n_v=0, n_g=0,
+        n_P=2, n_v=0,
         G_P=g_p, G_V=np.zeros((0, 0)),
         K_P=lambda qs: np.zeros((len(qs), 2, 0)),
         gens=np.zeros((0, 0, 0)),

@@ -18,6 +18,8 @@ from bundlecurv.verify import (
 )
 from bundlecurv import verify
 
+from conftest import patch_everywhere
+
 
 CHEAP_CHECKS = ("christoffel", "secondform", "detfact", "sde")
 
@@ -222,9 +224,7 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch,
     81). The point makes 11 SPD inversions: 5 in each compile and one in
     the divergence form of the drift; neither ``R_M`` nor any
     Christoffel route inverts a matrix."""
-    import sys
-
-    from bundlecurv import curvature, fields, jacobian, verify
+    from bundlecurv import curvature, fields, geometry, verify
 
     scenario, base_rows = _counting_base_rows(twisted)
     calls, inversions = [], []
@@ -234,20 +234,17 @@ def test_all_checks_compute_each_term_once(twisted, engine, monkeypatch,
         inversions.append(np.shape(matrix))
         return invert_spd(matrix)
 
-    for module in list(sys.modules.values()):
-        if (module.__name__.startswith("bundlecurv")
-                and getattr(module, "invert_spd", None) is invert_spd):
-            monkeypatch.setattr(module, "invert_spd", inverted)
+    patch_everywhere(monkeypatch, invert_spd, inverted)
     for module, name in ((curvature, "ricci_scalar_pair"),
                          (curvature, "log_density_terms"),
-                         (jacobian, "killing_derivatives"),
+                         (geometry, "killing_derivatives"),
                          (verify, "assemble_block_metric")):
         def counted(*args, _original=getattr(module, name), _name=name,
                     **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        patch_everywhere(monkeypatch, getattr(module, name), counted)
     report = run_checks(scenario, [ChartPoint([0.19, -0.07],
                                               [-0.21, 0.12, 0.26])],
                         engine=engine)
@@ -304,16 +301,15 @@ def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
                                                          monkeypatch):
     """The check reads the norm of the form it already holds, so the
     Killing derivatives are computed once per point, not twice."""
-    from bundlecurv import jacobian
+    from bundlecurv.geometry import killing_derivatives
 
     calls = []
-    original = jacobian.killing_derivatives
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return original(*args, **kwargs)
+        return killing_derivatives(*args, **kwargs)
 
-    monkeypatch.setattr(jacobian, "killing_derivatives", counted)
+    patch_everywhere(monkeypatch, killing_derivatives, counted)
     points = sample_points(twisted, 2, seed=151)
     assert run_checks(twisted, points, ("secondform",),
                       engine=engine).passed
@@ -339,7 +335,6 @@ def test_each_stencil_is_built_once_per_point(twisted, engine,
     serves: on h~ once per jet, on the frame metric once per general
     route, and on ``G_P`` once at the section point."""
     import collections
-    import sys
 
     from bundlecurv import connection, curvature, fields
 
@@ -386,15 +381,9 @@ def test_each_stencil_is_built_once_per_point(twisted, engine,
         symbols[np.shape(g_inv)] += 1
         return levi_civita(g_inv, dg)
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("bundlecurv"):
-            for name, original, counted in (("_stencil", stencil, built),
-                                            ("invert_spd", invert_spd,
-                                             inverted),
-                                            ("_levi_civita", levi_civita,
-                                             contracted)):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+    for original, counted in ((stencil, built), (invert_spd, inverted),
+                              (levi_civita, contracted)):
+        patch_everywhere(monkeypatch, original, counted)
 
     def jet_counted(*args, _original=connection.horizontal_jet):
         jets.append(_original(*args))
