@@ -39,10 +39,11 @@ def main():
     print(metric.matrix)
     print("determinant: %.6f" % metric.det)
 
-    # one record of the point's terms: both Ricci pairs read its jets
+    # one record of the point's terms: both Ricci pairs read its jets and
+    # give one value per point of the record
     record = PointTerms(scenario.adapted, point, DEFAULT_ENGINE)
-    table_value, _ = ricci_scalar_pair(record)
-    general_value, _ = ricci_scalar_pair(record, christoffel_general)
+    (table_value,), _ = ricci_scalar_pair(record)
+    (general_value,), _ = ricci_scalar_pair(record, christoffel_general)
     terms = decomposition_terms(scenario.adapted, point, DEFAULT_ENGINE,
                                 record)
     assembled = terms.R_total

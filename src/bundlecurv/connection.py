@@ -43,8 +43,9 @@ the record once from one read of the geometry's frames (a
 ``geometry.frames_at`` or ``geometry.check_frames`` result) on a
 centre-first stencil over the rows, which the caller builds and reads:
 the point record of the curvature module, which holds the frames of its
-stencils. The jet keeps the stencil's steps and the values of d on all
-its rows, from which the curvature module differences ``ln det d``. The
+stencils, one row per point of its stack. The jet keeps the stencil's
+steps and the values of d on all its rows, from which the curvature
+module differences ``ln det d``. The
 inverses are the frames' own (on bundle data, the frame compile's), so
 nothing here inverts a matrix. The two Christoffel routes share the
 record and nothing computed from it. Each function returns the ``(N,

@@ -16,8 +16,9 @@ the bundle coordinates ``Q``) is the one public differencing call; the
 horizontal jet of the connection module, the drift routes, the section
 stencil of the Killing derivatives and the nested stencil of the
 curvature module, from which every second derivative comes, call the
-kernel themselves, each on one stencil per point, and read every value
-and partial they need from that one evaluation. Every function the
+kernel themselves, each on one stencil over all the points of a stack
+(the nested one on one stencil per point), and read every value and
+partial they need from that one evaluation. Every function the
 kernel differences has one contract: it maps an ``(N, k)`` array of
 coordinate rows to the ``(N, ...)`` stack of its values, and it is
 called once per stencil, on the read-only rows themselves. For the
@@ -294,21 +295,26 @@ def coordinate_partials(func, z, fd_step: float, slots=None):
     r"""Partials of ``func`` at the coordinate vector ``z``, one per slot.
 
     Returns a stack with one leading entry per slot of ``slots`` (all
-    coordinates by default; no slots give an empty stack). ``func`` maps
-    an ``(N, k)`` stack of plain coordinate vectors -- the bundle
-    coordinates ``Q`` of the Killing gate and the Killing derivatives,
-    say -- to the ``(N, ...)`` stack of its values, the contract of the
-    ``metric`` of the curvature module's coordinate Ricci scalar. It is
-    called once, on all the stencil rows, and the rows are differenced
-    in one pass. A result without one entry per row raises
-    ``ValueError``; a non-finite one, ``EvaluationError``.
+    coordinates by default; no slots give an empty stack). ``z`` may
+    also be an ``(m, k)`` stack of vectors, which gives the ``(m, s,
+    ...)`` partials at each of them from one stencil. ``func`` maps an
+    ``(N, k)`` stack of plain coordinate vectors -- the bundle
+    coordinates ``Q`` of the Killing gate or the vector coordinates
+    ``f`` of the vector-sector Killing identity, say -- to the ``(N,
+    ...)`` stack of its values, the contract of the ``metric`` of the
+    curvature module's coordinate Ricci scalar. It is called once, on
+    all the stencil rows, and the rows are differenced in one pass. A
+    result without one entry per row raises ``ValueError``; a non-finite
+    one, ``EvaluationError``.
     """
     z = np.asarray(z, dtype=float)
-    rows, steps = _stencil(z[None], fd_step, slots)
+    rows, steps = _stencil(z.reshape(-1, z.shape[-1]), fd_step, slots)
     if not rows.shape[1]:
-        return np.zeros(0)
-    values = _eval_stack(func, rows[0])
-    return _stencil_partials(values[None], steps)[0]
+        return np.zeros(z.shape[:-1] + (0,))
+    values = _eval_stack(func, rows.reshape(-1, z.shape[-1]))
+    partials = _stencil_partials(
+        values.reshape(rows.shape[:2] + values.shape[1:]), steps)
+    return partials.reshape(z.shape[:-1] + partials.shape[1:])
 
 
 def _worst(values) -> float:

@@ -29,9 +29,10 @@ joint chart coordinates in one pass -- one call of each bundle callable
 on the distinct base rows ``x`` of the stack, the linear algebra on
 ``(N, ...)`` stacks -- and ``point_frame`` is its one-row case for a
 ``ChartPoint``. Each call compiles; nothing is kept between calls. The
-checks of a chart point share its compiled stacks through the point's
-record (``curvature.PointTerms``), which reads each stencil's frames
-once.
+checks of the points of one call share their compiled stacks through
+the record of those points (``curvature.PointTerms``), which reads the
+frames of all their first-derivative stencils in one call and those of
+each point's nested stencil in one call per point.
 
 The curvature, Jacobian and SDE formulas take the seven arrays of the
 adapted metric -- ``A``, ``h_tilde``, ``h_tilde_inv``, ``det_h``, ``d``,
@@ -45,7 +46,8 @@ finiteness.
 ``section_partials`` is the one section stencil, over a stack of
 section points; the gates of ``validate_original`` and the point record
 read it, and ``killing_derivatives`` turns one row of it into the
-covariant derivatives of the Killing fields.
+covariant derivatives of the Killing fields. ``assemble_block_metric``
+and ``det_factorization_check`` take one point or a stack of them.
 """
 
 from __future__ import annotations
@@ -224,11 +226,12 @@ class OriginalGeometry:
 
 @dataclass(frozen=True)
 class BlockMetric:
-    """Full adapted block metric at the group identity."""
+    """Full adapted block metric at the group identity, at one point or
+    at each point of a stack (a leading point axis on every field)."""
 
     matrix: np.ndarray
     inverse: np.ndarray
-    det: float
+    det: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,6 +456,8 @@ class AdaptedGeometry:
     formula that needs it; ``n_g`` is ``c.n_g``. ``orig`` is kept when
     the geometry was compiled from bundle data; operations that need the
     bundle side (projector identities, drift in gauge form) require it.
+    A geometry whose ``n_x``, ``n_v`` or ``c`` differs from its
+    ``orig``'s raises ``ValueError`` naming both values.
     """
 
     n_x: int
@@ -460,6 +465,20 @@ class AdaptedGeometry:
     frames: object
     c: StructureConstants
     orig: object = None
+
+    def __post_init__(self):
+        orig = self.orig
+        if orig is None:
+            return
+        for name in ("n_x", "n_v"):
+            if getattr(self, name) != getattr(orig, name):
+                raise ValueError("%s = %d disagrees with orig.%s = %d"
+                                 % (name, getattr(self, name), name,
+                                    getattr(orig, name)))
+        if (self.c.n_g != orig.c.n_g
+                or not np.array_equal(self.c.c, orig.c.c)):
+            raise ValueError("c = %s disagrees with orig.c = %s"
+                             % (self.c.c.tolist(), orig.c.c.tolist()))
 
     @property
     def n_g(self) -> int:
@@ -521,7 +540,7 @@ def check_frames(adapted: AdaptedGeometry, rows, frames) -> AdaptedFrames:
     return AdaptedFrames(**arrays)
 
 
-def assemble_block_metric(adapted: AdaptedGeometry, point: ChartPoint,
+def assemble_block_metric(adapted: AdaptedGeometry, point,
                           frames: AdaptedFrames = None) -> BlockMetric:
     r"""Full block metric at the group identity, with closed-form inverse.
 
@@ -538,46 +557,53 @@ def assemble_block_metric(adapted: AdaptedGeometry, point: ChartPoint,
     and the inverse from the congruence factorization,
     ``[[h~^{-1}, -h~^{-1} A^T], [-A h~^{-1}, d^{-1} + A h~^{-1} A^T]]``,
     whose upper-left quadrant is exactly the inverse orbit-space metric.
-    ``det = det(h~) det(d)``. The inverses and determinants are read from
-    ``frames``, the checked frames at the point's row alone (each array
-    with leading shape ``(1,)``), such as the point's row of its record's
-    frames; when None, from one ``frames_at`` call at the point.
+    ``det = det(h~) det(d)``. ``point`` is one ``ChartPoint`` or a
+    sequence of them, and every field of the result carries the leading
+    shape of its coordinates: none for one point, ``(B,)`` for ``B``.
+    The inverses and determinants are read from ``frames``, the checked
+    frames at the points' rows with that leading shape, such as the
+    point rows of a record's frames; when None, from one ``frames_at``
+    call at the points.
     """
     if frames is None:
-        frames = frames_at(adapted, point.coords[None])
-    h_tilde, h_inv = frames.h_tilde[0], frames.h_tilde_inv[0]
-    d, d_inv, a = frames.d[0], frames.d_inv[0], frames.A[0]
-    det_h, det_d = float(frames.det_h[0]), float(frames.det_d[0])
+        coords = (point.coords if isinstance(point, ChartPoint)
+                  else np.array([p.coords for p in point]))
+        frames = frames_at(adapted, coords)
+    h_tilde, h_inv = frames.h_tilde, frames.h_tilde_inv
+    d, d_inv, a = frames.d, frames.d_inv, frames.A
+    a_t = a.swapaxes(-1, -2)
     n_h, n_g = adapted.n_h, adapted.n_g
 
     n_t = n_h + n_g
-    matrix = np.zeros((n_t, n_t))
-    matrix[:n_h, :n_h] = h_tilde + a.T @ d @ a
-    matrix[:n_h, n_h:] = a.T @ d
-    matrix[n_h:, :n_h] = d @ a
-    matrix[n_h:, n_h:] = d
+    matrix = np.zeros(d.shape[:-2] + (n_t, n_t))
+    matrix[..., :n_h, :n_h] = h_tilde + a_t @ d @ a
+    matrix[..., :n_h, n_h:] = a_t @ d
+    matrix[..., n_h:, :n_h] = d @ a
+    matrix[..., n_h:, n_h:] = d
 
-    inverse = np.zeros((n_t, n_t))
-    inverse[:n_h, :n_h] = h_inv
-    inverse[:n_h, n_h:] = -h_inv @ a.T
-    inverse[n_h:, :n_h] = -a @ h_inv
-    inverse[n_h:, n_h:] = d_inv + a @ h_inv @ a.T
+    inverse = np.zeros(matrix.shape)
+    inverse[..., :n_h, :n_h] = h_inv
+    inverse[..., :n_h, n_h:] = -h_inv @ a_t
+    inverse[..., n_h:, :n_h] = -a @ h_inv
+    inverse[..., n_h:, n_h:] = d_inv + a @ h_inv @ a_t
 
-    return BlockMetric(matrix=matrix, inverse=inverse, det=det_h * det_d)
+    return BlockMetric(matrix=matrix, inverse=inverse,
+                       det=frames.det_h * frames.det_d)
 
 
-def det_factorization_check(block: BlockMetric) -> float:
+def det_factorization_check(block: BlockMetric):
     r"""Relative residual of :math:`\det G = \det d \cdot H` at the identity.
 
-    ``block`` is the ``assemble_block_metric`` of a point. ``H = det(h~)``
-    is the orbit-space density that also normalizes the reduced drift.
-    The left side is evaluated independently through a determinant of the
+    ``block`` is the ``assemble_block_metric`` of a point, or of a stack
+    of points, which gives one residual per point. ``H = det(h~)`` is the
+    orbit-space density that also normalizes the reduced drift. The left
+    side is evaluated independently through a determinant of the
     assembled matrix; the right side is the block metric's ``det``, the
     product of the frame compile's determinants.
     """
     sign, logdet = np.linalg.slogdet(block.matrix)
     det_direct = sign * np.exp(logdet)
-    return abs(det_direct - block.det) / abs(det_direct)
+    return np.abs(det_direct - block.det) / np.abs(det_direct)
 
 
 def section_partials(orig: OriginalGeometry, qs, fd_step: float):
@@ -607,12 +633,14 @@ def killing_derivatives(orig: OriginalGeometry, section, k_p, g_p_inv, f):
     rows and ``f`` the vector coordinates. Returns ``(p, v)``, the bundle
     part ``p[c, alpha, beta]`` by the Levi-Civita connection of ``G_P``
     and the vector part ``v[q, alpha, beta]`` by the flat one of the
-    constant ``G_V``: ``gens[beta] gens[alpha] f``.
+    constant ``G_V``: ``gens[beta] gens[alpha] f``. A leading axis of
+    the ``section`` partials, ``k_p`` or ``g_p_inv`` broadcasts through
+    the bundle part.
     """
     dg, dk, _ = section                             # dk[A, C, beta]
     gamma_p = _levi_civita(g_p_inv, dg)
-    p = (np.einsum("aA,acB->cAB", k_p, dk)
-         + np.einsum("cab,aA,bB->cAB", gamma_p, k_p, k_p))
+    p = (np.einsum("...aA,...acB->...cAB", k_p, dk)
+         + np.einsum("...cab,...aA,...bB->...cAB", gamma_p, k_p, k_p))
     # v_products[alpha, beta] = gens[beta] gens[alpha]
     v_products = orig.gens[None] @ orig.gens[:, None]
     return p, np.moveaxis(v_products @ f, -1, 0)

@@ -27,9 +27,12 @@ the symmetrized covariant derivatives of the Killing fields. The directional
 derivative identities that collapse the raw projections are checked
 numerically as well.
 
-Every route reads the point's record, ``curvature.PointTerms``; the raw
-projections and the Killing identities read its one symmetrized pair of
-Killing derivatives.
+Every route reads the record of a stack of points,
+``curvature.PointTerms``, and runs on all its points at once; a one-point
+function runs the same code on a one-point stack, or on a stack that
+holds its point, and reads its point's row. The raw projections and the
+Killing identities read the record's one symmetrized pair of Killing
+derivatives.
 """
 
 from __future__ import annotations
@@ -60,11 +63,13 @@ def jacobian_direct(adapted: AdaptedGeometry, point: ChartPoint,
     r"""Reduction Jacobian from the orbit-volume density.
 
     The quadratic form is contracted with the inverse orbit-space metric
-    (the upper-left quadrant of the block inverse). ``terms``, the
-    ``PointTerms`` of the same arguments, holds the log-density terms.
+    (the upper-left quadrant of the block inverse). ``terms``, a
+    ``PointTerms`` of the same geometry and engine that holds ``point``,
+    holds the log-density terms.
     """
-    lap, grad_sq = _terms_at(adapted, point, engine, terms).log_density
-    return lap + grad_sq
+    terms, i = _terms_at(adapted, point, engine, terms)
+    lap, grad_sq = terms.log_density
+    return float(lap[i] + grad_sq[i])
 
 
 def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
@@ -74,11 +79,13 @@ def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
 
     Both scalar curvatures come from a single frame-derivative pass so
     their FD noise largely cancels in the difference; the other terms
-    are the decomposition's pieces, all read from ``terms``.
+    are the decomposition's pieces, all read from ``terms``, a
+    ``PointTerms`` that holds ``point``.
     """
-    terms = _terms_at(adapted, point, engine, terms)
+    terms, i = _terms_at(adapted, point, engine, terms)
     r_total, r_base = terms.pair_table
-    return r_total - r_base - terms.R_G - terms.FF - terms.DdDd
+    return float(r_total[i] - r_base[i] - terms.R_G[i] - terms.FF[i]
+                 - terms.DdDd[i])
 
 
 @dataclass(frozen=True)
@@ -90,12 +97,15 @@ class KillingIdentityResiduals:
     ``raw_vector``: same on the vector sector with constant ``G_V``;
     ``adapted_base`` / ``adapted_vector``: the chart versions written
     through the section operators ``T``, ``Lambda`` and the reduced metric.
+    ``killing_identities_check`` gives each as a ``(B,)`` array, one
+    residual per point of its record; ``max_residual`` is the worst of
+    all.
     """
 
-    raw_base: float
-    raw_vector: float
-    adapted_base: float
-    adapted_vector: float
+    raw_base: np.ndarray
+    raw_vector: np.ndarray
+    adapted_base: np.ndarray
+    adapted_vector: np.ndarray
 
     def max_residual(self) -> float:
         return _worst((self.raw_base, self.raw_vector, self.adapted_base,
@@ -103,8 +113,9 @@ class KillingIdentityResiduals:
 
 
 def killing_identities_check(terms: PointTerms) -> KillingIdentityResiduals:
-    r"""Check the four directional-derivative identities at the point of
-    ``terms``, a ``PointTerms`` of a geometry with bundle data.
+    r"""Check the four directional-derivative identities at the points of
+    ``terms``, a ``PointTerms`` of a geometry with bundle data; each
+    residual is a ``(B,)`` array over the points.
 
     Bundle form: with :math:`d_{\alpha\beta}(Q, f)` extended off the
     section through the Killing fields,
@@ -131,57 +142,64 @@ def killing_identities_check(terms: PointTerms) -> KillingIdentityResiduals:
     The right sides are the record's symmetrized ``killing`` pair; the
     bundle-coordinate partials of :math:`\gamma` are the last of the
     record's ``section`` ones, the chart partials of ``d`` those of its
-    point jet, and the rest is read at row 0 of its frame stack.
+    jet, the vector partials of :math:`\gamma'` come from one stencil
+    over every point's ``f``, and the rest is read from its
+    ``at_points`` frames.
     """
-    orig, point, engine = terms.adapted.orig, terms.point, terms.engine
+    orig, engine = terms.adapted.orig, terms.engine
     if orig is None:
         raise ValueError("the Killing identities need original bundle data")
-    frames = terms.stack
     n_v, n_g, n_x = orig.n_v, orig.n_g, orig.n_x
     if n_g == 0:
-        return KillingIdentityResiduals(0.0, 0.0, 0.0, 0.0)
+        zero = np.zeros(len(terms.points))
+        return KillingIdentityResiduals(zero, zero, zero, zero)
+    frames = terms.at_points
     sym_p, sym_v = terms.killing
-    d, g_p_inv = frames.d[0], frames.G_P_inv[0]
-    scale = max(1.0, float(np.max(np.abs(d))))
+    d, g_p_inv = frames.d, frames.G_P_inv
+    scale = np.maximum(1.0, np.abs(d).max(axis=(1, 2)))
 
-    dd_q = terms.section[2]                         # dd_q[C, a, b]
-    lhs_base = -np.einsum("ec,cab->eab", g_p_inv, dd_q)
-    raw_base = float(np.max(np.abs(lhs_base - 2.0 * sym_p))) / scale
+    def worst(gap):
+        return np.abs(gap).max(axis=(1, 2, 3)) / scale
+
+    dd_q = terms.section[2]                         # dd_q[n, C, a, b]
+    lhs_base = -np.einsum("...ec,...cab->...eab", g_p_inv, dd_q)
+    raw_base = worst(lhs_base - 2.0 * sym_p)
 
     if n_v:
         def gamma_prime_of_f(fs):
             k = orig.K_vector(fs)
             return k.swapaxes(1, 2) @ orig.G_V @ k
 
-        dd_f = coordinate_partials(gamma_prime_of_f, point.f,
-                                   engine.fd_step)   # dd_f[q, a, b]
-        lhs_vec = -np.einsum("pq,qab->pab", orig.G_V_inv, dd_f)
-        raw_vector = float(np.max(np.abs(lhs_vec - 2.0 * sym_v))) / scale
+        dd_f = coordinate_partials(gamma_prime_of_f, terms.coords[:, n_x:],
+                                   engine.fd_step)   # dd_f[n, q, a, b]
+        lhs_vec = -np.einsum("pq,...qab->...pab", orig.G_V_inv, dd_f)
+        raw_vector = worst(lhs_vec - 2.0 * sym_v)
     else:
-        raw_vector = 0.0
+        raw_vector = np.zeros(len(terms.points))
 
     # chart versions: the same right-hand sides, left sides rewritten over
     # the (x, f) chart through the section operators
-    dd_chart = terms.jet.dd[0]                      # dd_chart[A', a, b]
-    dd_x = dd_chart[:n_x]
-    dd_f_chart = dd_chart[n_x:]
+    dd_chart = terms.jet.dd                         # dd_chart[n, A', a, b]
+    dd_x = dd_chart[:, :n_x]
+    dd_f_chart = dd_chart[:, n_x:]
     c = orig.c.c
-    alg = (np.einsum("fea,fb->eab", c, d)
-           + np.einsum("feb,af->eab", c, d))   # alg[eps, alpha, beta]
-    lam = frames.Lambda[0]
-    bracket = (np.einsum("CD,Dm,mi,iab->Cab", frames.GH_P[0],
-                         frames.Q_jac[0], frames.h_base_inv[0], dd_x)
-               - np.einsum("sC,qs,qab->Cab", lam, frames.K_V[0], dd_f_chart)
-               + np.einsum("eC,eab->Cab", lam, alg))
-    rhs_adapted = -0.5 * np.einsum("ce,cab->eab", g_p_inv, bracket)
-    adapted_base = float(np.max(np.abs(rhs_adapted - sym_p))) / scale
+    alg = (np.einsum("fea,...fb->...eab", c, d)
+           + np.einsum("feb,...af->...eab", c, d))   # alg[n, eps, alpha, beta]
+    lam = frames.Lambda
+    bracket = (np.einsum("...CD,...Dm,...mi,...iab->...Cab", frames.GH_P,
+                         frames.Q_jac, frames.h_base_inv, dd_x)
+               - np.einsum("...sC,...qs,...qab->...Cab", lam, frames.K_V,
+                           dd_f_chart)
+               + np.einsum("...eC,...eab->...Cab", lam, alg))
+    rhs_adapted = -0.5 * np.einsum("...ce,...cab->...eab", g_p_inv, bracket)
+    adapted_base = worst(rhs_adapted - sym_p)
 
     if n_v:
-        rhs_vec = -0.5 * np.einsum("pq,qab->pab", orig.G_V_inv,
+        rhs_vec = -0.5 * np.einsum("pq,...qab->...pab", orig.G_V_inv,
                                    dd_f_chart)
-        adapted_vector = float(np.max(np.abs(rhs_vec - sym_v))) / scale
+        adapted_vector = worst(rhs_vec - sym_v)
     else:
-        adapted_vector = 0.0
+        adapted_vector = np.zeros(len(terms.points))
 
     return KillingIdentityResiduals(raw_base, raw_vector, adapted_base,
                                     adapted_vector)
@@ -197,7 +215,8 @@ class SecondFundamentalForm:
     data, ``raw`` holds the same components rebuilt from the four raw
     orthogonal projections of the symmetrized Killing derivatives, and
     ``raw_pieces`` the individual projections (base/vector output legs
-    times base/vector metric legs).
+    times base/vector metric legs). A form of a stack of points carries
+    a leading point axis on each array.
     """
 
     closed: np.ndarray
@@ -207,9 +226,9 @@ class SecondFundamentalForm:
     raw: np.ndarray = None
     raw_pieces: tuple = None
 
-    def norm_squared(self, d_inv, h_tilde) -> float:
+    def norm_squared(self, d_inv, h_tilde):
         r"""Squared norm of the closed form, given :math:`d^{-1}` and
-        :math:`\tilde h` at its point.
+        :math:`\tilde h` at its point, or at each point of a stacked form.
 
         The trace pairing contracts the orbit legs with :math:`d^{-1}d^{-1}`
         and the basis legs with :math:`\tilde h`:
@@ -222,17 +241,71 @@ class SecondFundamentalForm:
         which reproduces the covariant-derivative term of the curvature
         decomposition identically.
         """
-        return float(np.einsum("am,bn,NM,Nab,Mmn->", d_inv, d_inv, h_tilde,
-                               self.closed, self.closed))
+        return np.einsum("...am,...bn,...NM,...Nab,...Mmn->...", d_inv,
+                         d_inv, h_tilde, self.closed, self.closed)
 
 
 def _closed_form(terms: PointTerms) -> SecondFundamentalForm:
-    """The form with its closed part alone, from the ``h~^{-1}`` and ``D
-    d`` of ``terms``."""
+    """The stacked form with its closed part alone, from the ``h~^{-1}``
+    and ``D d`` of ``terms``."""
     adapted = terms.adapted
     return SecondFundamentalForm(
-        closed=-0.5 * np.einsum("nb,bst->nst", terms.h_inv, terms.Dd),
+        closed=-0.5 * np.einsum("...nb,...bst->...nst", terms.h_inv,
+                                terms.Dd),
         n_x=adapted.n_x, n_v=adapted.n_v, n_g=adapted.n_g)
+
+
+def _second_fundamental_forms(terms: PointTerms) -> SecondFundamentalForm:
+    """The form at every point of ``terms``, each array with a leading
+    point axis: the closed part, and the raw projections when the
+    geometry has bundle data, from the record's ``h~^{-1}``, ``D d``,
+    symmetrized Killing derivatives and ``at_points`` frames."""
+    adapted = terms.adapted
+    orig = adapted.orig
+    n_x, h_inv = adapted.n_x, terms.h_inv
+    form = _closed_form(terms)
+    if orig is None or adapted.n_g == 0:
+        return form
+
+    frames = terms.at_points
+    sym_p, sym_v = terms.killing
+    n_P = orig.n_P
+    gt_h, q_jac, gh_p, n_vp = frames.Gt_H, frames.Q_jac, frames.GH_P, \
+        frames.N_vP
+    gt_pp = gt_h[:, :n_P, :n_P]
+    gt_pv = gt_h[:, :n_P, n_P:]
+    gt_vv = gt_h[:, n_P:, n_P:]
+    h_xx, h_xv, h_vv = frames.h_xx, frames.h_xv, frames.h_vv
+    h_base_inv = frames.h_base_inv
+    hi_xx = h_inv[:, :n_x, :n_x]
+    hi_xv = h_inv[:, :n_x, n_x:]
+    hi_vv = h_inv[:, n_x:, n_x:]
+
+    # base output leg, base metric leg
+    j1 = (np.einsum("...kn,...BM,...Bk,...Mst->...nst", hi_xx, gt_pp, q_jac,
+                    sym_p)
+          + np.einsum("...kn,...Bc,...Bk,...cst->...nst", hi_xx, gt_pv,
+                      q_jac, sym_v))
+    # vector output leg, cross metric leg
+    braket2 = (np.einsum("...ML,...Lm,...mi,...ki->...kM", gh_p, q_jac,
+                         h_base_inv, h_xx)
+               + np.einsum("...aM,...ka->...kM", n_vp, h_xv))
+    j2 = (np.einsum("...kb,...kM,...Mst->...bst", hi_xv, braket2, sym_p)
+          + np.einsum("...kb,...kc,...cst->...bst", hi_xv, h_xv, sym_v))
+    # base output leg, cross metric leg
+    braket3 = (np.einsum("...ML,...Lm,...mi,...ib->...bM", gh_p, q_jac,
+                         h_base_inv, h_xv)
+               + np.einsum("...aM,...ab->...bM", n_vp, h_vv))
+    j3 = (np.einsum("...kb,...bM,...Mst->...kst", hi_xv, braket3, sym_p)
+          + np.einsum("...kb,...cb,...cst->...kst", hi_xv, h_vv, sym_v))
+    # vector output leg, vector metric leg
+    j4 = (np.einsum("...ab,...Ma,...Mst->...bst", hi_vv, gt_pv, sym_p)
+          + np.einsum("...ab,...da,...dst->...bst", hi_vv, gt_vv, sym_v))
+
+    raw = np.zeros_like(form.closed)
+    raw[:, :n_x] = j1 + j3
+    raw[:, n_x:] = j2 + j4
+    return replace(form, raw=raw, raw_pieces=(j1, j2, j3, j4))
 
 
 def second_fundamental_form(adapted: AdaptedGeometry, point: ChartPoint,
@@ -242,52 +315,16 @@ def second_fundamental_form(adapted: AdaptedGeometry, point: ChartPoint,
     """Closed-form second fundamental form, plus raw projections if possible.
 
     Raw projections need the original bundle data of ``adapted.orig``.
-    ``terms``, the ``PointTerms`` of the same arguments, supplies
-    ``h~^{-1}``, ``D d``, the symmetrized Killing derivatives and the
-    frame stack whose row 0 holds the bundle-side blocks at the point.
+    ``terms``, a ``PointTerms`` of the same geometry and engine that
+    holds ``point``, supplies ``h~^{-1}``, ``D d``, the symmetrized
+    Killing derivatives and the frame stack's rows at the point.
     """
-    terms = _terms_at(adapted, point, engine, terms)
-    orig = adapted.orig
-    n_x, h_inv = adapted.n_x, terms.h_inv
-    form = _closed_form(terms)
-    if orig is None or adapted.n_g == 0:
-        return form
-
-    frames = terms.stack
-    sym_p, sym_v = terms.killing
-    n_P = orig.n_P
-    gt_h, q_jac, gh_p, n_vp = (frames.Gt_H[0], frames.Q_jac[0],
-                               frames.GH_P[0], frames.N_vP[0])
-    gt_pp = gt_h[:n_P, :n_P]
-    gt_pv = gt_h[:n_P, n_P:]
-    gt_vv = gt_h[n_P:, n_P:]
-    h_xx, h_xv, h_vv = frames.h_xx[0], frames.h_xv[0], frames.h_vv[0]
-    h_base_inv = frames.h_base_inv[0]
-    hi_xx = h_inv[:n_x, :n_x]
-    hi_xv = h_inv[:n_x, n_x:]
-    hi_vv = h_inv[n_x:, n_x:]
-
-    # base output leg, base metric leg
-    j1 = (np.einsum("kn,BM,Bk,Mst->nst", hi_xx, gt_pp, q_jac, sym_p)
-          + np.einsum("kn,Bc,Bk,cst->nst", hi_xx, gt_pv, q_jac, sym_v))
-    # vector output leg, cross metric leg
-    braket2 = (np.einsum("ML,Lm,mi,ki->kM", gh_p, q_jac, h_base_inv, h_xx)
-               + np.einsum("aM,ka->kM", n_vp, h_xv))
-    j2 = (np.einsum("kb,kM,Mst->bst", hi_xv, braket2, sym_p)
-          + np.einsum("kb,kc,cst->bst", hi_xv, h_xv, sym_v))
-    # base output leg, cross metric leg
-    braket3 = (np.einsum("ML,Lm,mi,ib->bM", gh_p, q_jac, h_base_inv, h_xv)
-               + np.einsum("aM,ab->bM", n_vp, h_vv))
-    j3 = (np.einsum("kb,bM,Mst->kst", hi_xv, braket3, sym_p)
-          + np.einsum("kb,cb,cst->kst", hi_xv, h_vv, sym_v))
-    # vector output leg, vector metric leg
-    j4 = (np.einsum("ab,Ma,Mst->bst", hi_vv, gt_pv, sym_p)
-          + np.einsum("ab,da,dst->bst", hi_vv, gt_vv, sym_v))
-
-    raw = np.zeros_like(form.closed)
-    raw[:n_x] = j1 + j3
-    raw[n_x:] = j2 + j4
-    return replace(form, raw=raw, raw_pieces=(j1, j2, j3, j4))
+    terms, i = _terms_at(adapted, point, engine, terms)
+    form = _second_fundamental_forms(terms)
+    if form.raw is None:
+        return replace(form, closed=form.closed[i])
+    return replace(form, closed=form.closed[i], raw=form.raw[i],
+                   raw_pieces=tuple(piece[i] for piece in form.raw_pieces))
 
 
 def j_norm_squared(adapted: AdaptedGeometry, point: ChartPoint,
@@ -295,8 +332,9 @@ def j_norm_squared(adapted: AdaptedGeometry, point: ChartPoint,
                    terms: PointTerms = None) -> float:
     """Squared norm of the second fundamental form at ``point``; see
     ``SecondFundamentalForm.norm_squared``. Only the closed form enters,
-    so no Killing derivative is computed. ``terms``, the ``PointTerms``
-    of the same arguments, supplies ``h~``, its inverse, ``d^{-1}`` and
+    so no Killing derivative is computed. ``terms``, a ``PointTerms``
+    that holds ``point``, supplies ``h~``, its inverse, ``d^{-1}`` and
     ``D d`` when given."""
-    terms = _terms_at(adapted, point, engine, terms)
-    return _closed_form(terms).norm_squared(terms.d_inv, terms.h_tilde)
+    terms, i = _terms_at(adapted, point, engine, terms)
+    return float(_closed_form(terms).norm_squared(terms.d_inv,
+                                                  terms.h_tilde)[i])

@@ -6,10 +6,10 @@ metric :math:`d_{\alpha\beta}(x,\tilde f)`, and the rule for differentiating
 adjoint-conjugated (tilded) tensors along group directions at the identity.
 This module holds the constants and the rule; the orbit metric and its
 inverse are arrays of the adapted geometry's frames (``geometry.frames_at``),
-and ``orbit_scalar_curvature`` takes them at one point. Nothing here touches
-group elements; scenarios supply explicit generator matrices, and the
-coordinate-basis oracle builds its metric from the geometry's group action
-on charts.
+and ``orbit_scalar_curvature`` takes them at one point or at a stack of
+points. Nothing here touches group elements; scenarios supply explicit
+generator matrices, and the coordinate-basis oracle builds its metric
+from the geometry's group action on charts.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def ad_matrix(c, gamma: int) -> np.ndarray:
     return raw[:, gamma, :]
 
 
-def orbit_scalar_curvature(c, d, d_inv) -> float:
+def orbit_scalar_curvature(c, d, d_inv):
     r"""Scalar curvature of a group orbit with orbit metric ``d``.
 
     .. math::
@@ -138,17 +138,19 @@ def orbit_scalar_curvature(c, d, d_inv) -> float:
             + \tfrac14 d_{\mu\sigma} d^{\alpha\beta} d^{\varepsilon\nu}
               c^\mu_{\varepsilon\alpha} c^\sigma_{\nu\beta}
 
-    ``d`` is the ``(n_g, n_g)`` orbit metric at one point and ``d_inv``
-    its inverse. The two contractions are written exactly as above;
+    ``d`` is the ``(..., n_g, n_g)`` orbit metric at one point or at each
+    point of a stack and ``d_inv`` its inverse; the result has their
+    leading shape. The two contractions are written exactly as above;
     brute-force loop evaluations of the same expression back this in
     tests.
     """
     raw = _raw_constants(c)
     d_val = np.asarray(d, dtype=float)
     d_inv = np.asarray(d_inv, dtype=float)
-    term1 = 0.5 * np.einsum("mn,sma,ans->", d_inv, raw, raw)
-    term2 = 0.25 * np.einsum("ms,ab,en,mea,snb->", d_val, d_inv, d_inv, raw, raw)
-    return float(term1 + term2)
+    term1 = 0.5 * np.einsum("...mn,sma,ans->...", d_inv, raw, raw)
+    term2 = 0.25 * np.einsum("...ms,...ab,...en,mea,snb->...", d_val, d_inv,
+                             d_inv, raw, raw)
+    return term1 + term2
 
 
 # Overall sign of the group-direction rule. The relative sign between upper

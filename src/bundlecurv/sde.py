@@ -19,9 +19,11 @@ inverse. Two consistency layers are exposed:
   short step from their exact law at a fixed seed, at a cost that does
   not grow with the paths, and scores them against the analytic ones.
 
-Every coefficient at a point reads the frames that the point's record
-``terms`` (``curvature.PointTerms``, built when None) compiled once on
-its centre-first stencil, and their values at the point at row 0.
+Every coefficient is computed at all the points of a record
+(``curvature.PointTerms``) at once, from the frames it compiled once on
+their centre-first stencils; a one-point function reads its point's row
+of a record that holds it, or of a one-point record built when ``terms``
+is None.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ class SdeParams:
 
 @dataclass(frozen=True)
 class DiffusionBlocks:
-    r"""The three diffusion blocks.
+    r"""The three diffusion blocks, at one point or at each point of a
+    stack.
 
     ``base`` is :math:`(h^{ij})^{1/2}`, ``mixed`` the induced
     :math:`\tilde X^a_{\bar m} = \tilde X^k_{\bar m}\,
@@ -87,8 +90,12 @@ class DiffusionBlocks:
 
     @property
     def full(self) -> np.ndarray:
-        zero = np.zeros((self.base.shape[0], self.vector.shape[0]))
-        return np.block([[self.base, zero], [self.mixed, self.vector]])
+        n_b, n_v = self.base.shape[-1], self.vector.shape[-1]
+        full = np.zeros(self.base.shape[:-2] + (n_b + n_v, n_b + n_v))
+        full[..., :n_b, :n_b] = self.base
+        full[..., n_b:, :n_b] = self.mixed
+        full[..., n_b:, n_b:] = self.vector
+        return full
 
 
 @dataclass(frozen=True)
@@ -127,31 +134,59 @@ class MomentReport:
 def symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root by eigendecomposition.
 
-    Any factor with ``X Xᵀ = mat`` gives the same process law; the
-    symmetric root is chosen for determinism. Eigenvalues below the
+    ``mat`` is one matrix or an ``(..., n, n)`` stack, rooted matrix by
+    matrix. Any factor with ``X Xᵀ = mat`` gives the same process law;
+    the symmetric root is chosen for determinism. Eigenvalues below the
     rounding floor raise; tiny negatives are clamped to zero.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         return np.zeros_like(mat)
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > 1e-10 * scale:
+    mat_t = mat.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
+    if (np.abs(mat - mat_t).max(axis=(-2, -1)) > 1e-10 * scale).any():
         raise ValueError("matrix square root input is not symmetric")
-    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
-    if np.min(w) < SQRT_EIGENVALUE_FLOOR * scale:
+    w, v = np.linalg.eigh(0.5 * (mat + mat_t))
+    if (w.min(axis=-1) < SQRT_EIGENVALUE_FLOOR * scale).any():
         raise NearSingularError(
             f"matrix is not positive semidefinite (min eigenvalue "
             f"{np.min(w):.3e})")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+    return (v * np.sqrt(w)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def density_H(adapted: AdaptedGeometry, point: ChartPoint,
               engine: DerivEngine = DEFAULT_ENGINE,
               terms: PointTerms = None) -> float:
     """Determinant of the orbit-space block metric at a point."""
-    return float(_terms_at(adapted, point, engine,
-                           terms).frames.det_h[0, 0])
+    terms, i = _terms_at(adapted, point, engine, terms)
+    return float(terms.frames.det_h[i, 0])
+
+
+def _diffusions(terms: PointTerms) -> DiffusionBlocks:
+    """The blocks of ``diffusion_coefficients`` at every point of
+    ``terms``, stacked."""
+    adapted = terms.adapted
+    n_x = adapted.n_x
+    if adapted.orig is not None:
+        frames = terms.at_points
+        k_v = frames.K_V
+        x_base = symmetric_sqrt(frames.h_base_inv)
+        mixed = k_v @ frames.A_gamma @ x_base
+        x_vector = symmetric_sqrt(k_v @ frames.gamma_inv
+                                  @ k_v.swapaxes(1, 2)
+                                  + adapted.orig.G_V_inv)
+        return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
+    h_inv = terms.frames.h_tilde_inv[:, 0]
+    quad_xx = h_inv[:, :n_x, :n_x]
+    quad_vx = h_inv[:, n_x:, :n_x]
+    quad_vv = h_inv[:, n_x:, n_x:]
+    h_mat, _ = invert_spd(quad_xx)
+    x_base = symmetric_sqrt(quad_xx)
+    mixed = quad_vx @ h_mat @ x_base
+    x_vector = symmetric_sqrt(quad_vv
+                              - quad_vx @ h_mat @ quad_vx.swapaxes(1, 2))
+    return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
 
 
 def diffusion_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
@@ -163,25 +198,10 @@ def diffusion_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
     it they are recovered from the quadrants of the block inverse, which
     agrees by the gauge identity behind the inverse-metric display.
     """
-    n_x = adapted.n_x
-    terms = _terms_at(adapted, point, engine, terms)
-    if adapted.orig is not None:
-        frames = terms.stack
-        k_v = frames.K_V[0]
-        x_base = symmetric_sqrt(frames.h_base_inv[0])
-        mixed = k_v @ frames.A_gamma[0] @ x_base
-        x_vector = symmetric_sqrt(k_v @ frames.gamma_inv[0] @ k_v.T
-                                  + adapted.orig.G_V_inv)
-        return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
-    h_inv = terms.frames.h_tilde_inv[0, 0]
-    quad_xx = h_inv[:n_x, :n_x]
-    quad_vx = h_inv[n_x:, :n_x]
-    quad_vv = h_inv[n_x:, n_x:]
-    h_mat, _ = invert_spd(quad_xx)
-    x_base = symmetric_sqrt(quad_xx)
-    mixed = quad_vx @ h_mat @ x_base
-    x_vector = symmetric_sqrt(quad_vv - quad_vx @ h_mat @ quad_vx.T)
-    return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
+    terms, i = _terms_at(adapted, point, engine, terms)
+    blocks = _diffusions(terms)
+    return DiffusionBlocks(base=blocks.base[i], mixed=blocks.mixed[i],
+                           vector=blocks.vector[i])
 
 
 def _drift_values(frames):
@@ -194,6 +214,46 @@ def _drift_values(frames):
     return (scale * frames.h_base_inv, scale * frames.K_V, sqrt_h,
             frames.N_vP @ frames.G_P_inv @ frames.N_vP.swapaxes(1, 2),
             scale * frames.h_base_inv @ frames.A_gamma.swapaxes(1, 2))
+
+
+def _drifts(terms: PointTerms) -> np.ndarray:
+    r"""The transcribed drift of ``drift_coefficients`` at every point of
+    ``terms``, ``(B, n_x + n_v)``.
+
+    The five differenced fields come from the record's frame stack on
+    the points' centre-first stencils over every chart slot, which the
+    other first-derivative routes read too.
+    """
+    adapted = terms.adapted
+    orig = adapted.orig
+    if orig is None:
+        raise ValueError("drift displays need original bundle data")
+    n_x = adapted.n_x
+    rows, steps = terms.stencil
+    frames = terms.at_points
+    values = [value.reshape(rows.shape[:2] + value.shape[1:])
+              for value in _drift_values(terms.stack)]
+    sqrt_h0, w0 = values[2][:, 0], values[3][:, 0]
+    d_hinv, d_killing, grad_dens, d_w, d_conn = (
+        _stencil_partials(value, steps) for value in values)
+    d_hinv, d_conn = d_hinv[:, :n_x], d_conn[:, :n_x]
+    d_killing, grad_dens, d_w = (d_killing[:, n_x:], grad_dens[:, n_x:],
+                                 d_w[:, n_x:])
+    div_hinv = np.einsum("...jij->...i", d_hinv)     # sum_j d_j(vH h^{ij})
+    div_killing = np.einsum("...bbm->...m", d_killing)  # sum_b d_b(vH K^b_mu)
+    # sum_j d_j(vH h^{mj} gA^mu_m)
+    div_conn = np.einsum("...jjm->...m", d_conn)
+    div_w = np.einsum("...bab->...a", d_w)           # sum_b d_b W^{ab}
+
+    sqrt_h0 = sqrt_h0[:, None]
+    b_base = (div_hinv / sqrt_h0
+              + np.einsum("...mn,...ni,...m->...i", frames.A_gamma,
+                          frames.h_base_inv, div_killing) / sqrt_h0)
+    b_vector = ((frames.K_V @ div_conn[..., None])[..., 0] / sqrt_h0
+                + ((orig.G_V_inv + w0) @ grad_dens[..., None])[..., 0]
+                / sqrt_h0
+                + div_w)
+    return np.concatenate([b_base, b_vector], axis=1)
 
 
 def drift_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
@@ -219,35 +279,22 @@ def drift_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
     the arbiter that the whole transcription generates the
     Laplace-Beltrami operator.
 
-    The five differenced fields come from the frame stack of ``terms``
-    on the point's centre-first stencil over every chart slot, which the
-    other first-derivative routes read too.
+    ``terms``, a ``PointTerms`` that holds ``point``, supplies the five
+    differenced fields on its frame stack.
     """
-    orig = adapted.orig
-    if orig is None:
-        raise ValueError("drift displays need original bundle data")
-    n_x = adapted.n_x
-    terms = _terms_at(adapted, point, engine, terms)
-    _, steps = terms.stencil
-    frames = terms.stack
-    values = _drift_values(frames)
-    sqrt_h0, w0 = values[2][0], values[3][0]
-    d_hinv, d_killing, grad_dens, d_w, d_conn = (
-        _stencil_partials(value[None], steps)[0] for value in values)
-    d_hinv, d_conn = d_hinv[:n_x], d_conn[:n_x]
-    d_killing, grad_dens, d_w = d_killing[n_x:], grad_dens[n_x:], d_w[n_x:]
-    div_hinv = np.einsum("jij->i", d_hinv)      # sum_j d_j(vH h^{ij})
-    div_killing = np.einsum("bbm->m", d_killing)  # sum_b d_b(vH K^b_mu)
-    div_conn = np.einsum("jjm->m", d_conn)  # sum_j d_j(vH h^{mj} gA^mu_m)
-    div_w = np.einsum("bab->a", d_w)            # sum_b d_b W^{ab}
+    terms, i = _terms_at(adapted, point, engine, terms)
+    return _drifts(terms)[i]
 
-    b_base = (div_hinv / sqrt_h0
-              + np.einsum("mn,ni,m->i", frames.A_gamma[0],
-                          frames.h_base_inv[0], div_killing) / sqrt_h0)
-    b_vector = (frames.K_V[0] @ div_conn / sqrt_h0
-                + (orig.G_V_inv + w0) @ grad_dens / sqrt_h0
-                + div_w)
-    return np.concatenate([b_base, b_vector])
+
+def _divergences(terms: PointTerms) -> np.ndarray:
+    """The divergence form of ``drift_divergence_form`` at every point of
+    ``terms``, ``(B, n_x + n_v)``, from one inversion of the checked h~
+    on all the points' stencils."""
+    _, steps = terms.stencil
+    inv, det = invert_spd(terms.frames.h_tilde)
+    sqrt_h = np.sqrt(det)
+    grad = _stencil_partials(sqrt_h[..., None, None] * inv, steps)
+    return np.einsum("...sas->...a", grad) / sqrt_h[:, :1]
 
 
 def drift_divergence_form(adapted: AdaptedGeometry, point: ChartPoint,
@@ -259,16 +306,12 @@ def drift_divergence_form(adapted: AdaptedGeometry, point: ChartPoint,
     certifies that the transcribed displays, together with
     :math:`\tfrac12\tilde h^{A'B'}\partial^2`, generate the
     Laplace-Beltrami operator of the orbit-space metric. For every
-    geometry it inverts the checked h~ of ``terms`` once on the point's
-    stencil, the point itself included; it shares no field with the
-    transcribed displays.
+    geometry it inverts the checked h~ of ``terms`` once on the points'
+    stencils, the points themselves included; it shares no field with
+    the transcribed displays.
     """
-    terms = _terms_at(adapted, point, engine, terms)
-    _, steps = terms.stencil
-    inv, det = invert_spd(terms.frames.h_tilde[0])
-    sqrt_h = np.sqrt(det)
-    grad = _stencil_partials((sqrt_h[:, None, None] * inv)[None], steps)[0]
-    return np.einsum("sas->a", grad) / sqrt_h[0]
+    terms, i = _terms_at(adapted, point, engine, terms)
+    return _divergences(terms)[i]
 
 
 def reduced_sde_coefficients(adapted: AdaptedGeometry, point: ChartPoint,

@@ -6,33 +6,46 @@ point and the relative gap ``|a - b| / max(1, |a|, |b|)`` is recorded.
 The command line front end is the main consumer, but the runner is plain
 library code and the test suite drives it directly.
 
-Points are evaluated one after another in the order given, and the
-reduction into a report is an ordered pass over point indices, so a config
-with a fixed seed always produces the identical report. A residual that is
-NaN, infinite or missing at some point fails its part.
+A call evaluates all its points at once, and the reduction into a report
+is an ordered pass over point indices, so a config with a fixed seed
+always produces the identical report. A point's residuals do not depend
+on the other points of its call, nor on their order: every stacked
+contraction runs point by point along a leading point axis. A residual
+that is NaN, infinite or missing at some point fails its part.
 
-The checks of one point share its ``curvature.PointTerms``, the one
-point record, dropped after the point, which owns the point's frames:
-the one read on its centre-first 21-row ``stencil``, as the ``stack``
-and its checked ``frames``, row 0 the point. An entry is computed when
-a check first reads it, so a check run alone computes only what it
-reads, with the same bits. Reads: ``christoffel`` the point's ``jet``;
-``curvature`` the ``breakdown`` (from ``R_M``, ``R_G``, ``FF``,
-``DdDd``, ``log_density``), ``pair_table`` and ``pair_general``;
-``jacobian`` the ``log_density`` (direct route) and ``pair_table``,
-``R_G``, ``FF``, ``DdDd`` (geometric route); ``secondform`` ``h_inv``,
-``Dd``, ``killing``, ``h_tilde``, ``d_inv``, ``DdDd`` and the
-``stack``; ``killingderiv`` ``killing``, ``section``, the ``jet`` and
-the ``stack``; ``detfact`` the point's row of ``frames``; ``sde``
-``h_inv`` and the ``stencil``, ``stack`` and ``frames``. The metrics,
-their inverses, ``F`` and ``Dd`` at the point are row 0 of the point's
-jet; each jet holds the Levi-Civita symbols of h~ once, and both Ricci
-pairs read both jets. ``section`` is the one section stencil's partials
-at the point, the ones the scenario's Killing gate takes, and
+The checks of one call share its ``curvature.PointTerms``, the one
+record of the call's ``B`` points, dropped after the call, which owns
+the points' frames: the one read on all their centre-first 21-row
+``stencil`` rows (one compile of ``21 B`` rows on bundle data), as the
+``stack``, its checked ``frames`` and, on bundle data, the stack's rows
+at the points, ``at_points``. A check returns one residual per point of
+the record it is given, per part. The first-order checks run once per
+call, on all the points. The curvature and jacobian checks, which
+difference twice, run point by point on ``PointTerms.single``, the
+point's one-point record that shares the call's jet row and its
+``R_G``, ``FF`` and ``DdDd``, so that a call holds one point's 441-row
+nested jet at a time. An entry is computed when a check first reads it,
+so a check run alone computes only what it reads, with the same bits.
+Reads: ``christoffel`` the points' ``jet``; ``curvature`` the
+``breakdown`` (from ``R_M``, ``R_G``, ``FF``, ``DdDd``,
+``log_density``), ``pair_table`` and ``pair_general``; ``jacobian`` the
+``log_density`` (direct route) and ``pair_table``, ``R_G``, ``FF``,
+``DdDd`` (geometric route), both checks through the one-point
+functions; ``secondform`` ``h_inv``, ``Dd``, ``killing``, ``h_tilde``,
+``d_inv``, ``DdDd`` and ``at_points``;
+``killingderiv`` ``killing``, ``section``, ``coords``, the ``jet`` and
+``at_points``; ``detfact`` the points' rows of ``frames``; ``sde``
+``h_inv``, ``at_points`` and the ``stencil``, ``stack`` and ``frames``.
+The metrics, their inverses, ``F`` and ``Dd`` at the points are the
+rows of the points' jet; each jet holds the Levi-Civita symbols of h~
+once, and both Ricci pairs read both jets. The second-order entries read
+the nested jet, whose frames each point compiles on its own 441 rows.
+``section`` is the one section stencil's partials at the points'
+section points, the ones the scenario's Killing gate takes, and
 ``killing`` the Killing derivatives, symmetrized once for both readers.
 Route-private: each Christoffel route's symbols, the
 vector-sector Killing identity's derivatives, the determinant check's
-block metric and each drift route's differenced fields. A residual
+block metrics and each drift route's differenced fields. A residual
 reduced over routes or values uses numpy reductions, so a NaN anywhere
 makes it NaN.
 """
@@ -49,10 +62,9 @@ from .geometry import (AdaptedFrames, assemble_block_metric,
                        det_factorization_check)
 from .connection import christoffel_general, christoffel_table
 from .curvature import PointTerms, decomposition_terms
-from .jacobian import (jacobian_direct, jacobian_geometric,
-                       killing_identities_check, second_fundamental_form)
-from .sde import (diffusion_coefficients, drift_coefficients,
-                  drift_divergence_form)
+from .jacobian import (_second_fundamental_forms, jacobian_direct,
+                       jacobian_geometric, killing_identities_check)
+from .sde import _diffusions, _divergences, _drifts
 
 __all__ = [
     "CHECK_NAMES",
@@ -92,13 +104,22 @@ DEFAULT_TOLERANCES = {
 _ORACLE_CHECKS = frozenset({"curvature", "jacobian"})
 
 
-def relative_gap(a, b) -> float:
-    """Max-norm relative gap ``|a - b| / max(1, |a|, |b|)``."""
+def _point_gaps(a, b):
+    """``relative_gap`` of each point of two stacks, over all but their
+    leading axis: one gap per point."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)),
-                float(np.max(np.abs(b), initial=0.0)))
-    return float(np.max(np.abs(a - b), initial=0.0)) / scale
+
+    def worst(x):
+        return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
+
+    return worst(a - b) / np.maximum(1.0, np.maximum(worst(a), worst(b)))
+
+
+def relative_gap(a, b) -> float:
+    """Max-norm relative gap ``|a - b| / max(1, |a|, |b|)``."""
+    return float(_point_gaps(np.asarray(a, dtype=float)[None],
+                             np.asarray(b, dtype=float)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -167,68 +188,67 @@ class VerificationReport:
         return _worst(r.max_residual for r in self.results)
 
 
-def _check_christoffel(scenario, point, terms):
+def _check_christoffel(scenario, terms):
     table = christoffel_table(terms.jet)
     general = christoffel_general(terms.jet)
-    return {"table_vs_general": relative_gap(table, general)}
+    return {"table_vs_general": _point_gaps(table, general)}
 
 
-def _check_curvature(scenario, point, terms):
-    breakdown = decomposition_terms(scenario.adapted, point, terms.engine,
-                                    terms)
-    values = np.array([breakdown.R_total, terms.pair_table[0],
-                       terms.pair_general[0]])
+def _check_curvature(scenario, terms):
+    totals = [decomposition_terms(scenario.adapted, point, terms.engine,
+                                  terms).R_total for point in terms.points]
+    values = np.array([totals, terms.pair_table[0], terms.pair_general[0]])
     # numpy reductions: a NaN route makes the residual NaN wherever it sits
-    scale = np.maximum(1.0, np.abs(values).max())
-    return {"three_way": float((values.max() - values.min()) / scale)}
+    scale = np.maximum(1.0, np.abs(values).max(axis=0))
+    return {"three_way": (values.max(axis=0) - values.min(axis=0)) / scale}
 
 
-def _check_jacobian(scenario, point, terms):
+def _check_jacobian(scenario, terms):
     adapted, engine = scenario.adapted, terms.engine
-    direct = jacobian_direct(adapted, point, engine, terms)
-    geometric = jacobian_geometric(adapted, point, engine, terms)
-    parts = {"direct_vs_geometric": relative_gap(direct, geometric)}
+    direct = np.array([jacobian_direct(adapted, point, engine, terms)
+                       for point in terms.points])
+    geometric = np.array([jacobian_geometric(adapted, point, engine, terms)
+                          for point in terms.points])
+    parts = {"direct_vs_geometric": _point_gaps(direct, geometric)}
     if scenario.expected.get("jacobian_zero"):
-        parts["flat_absolute"] = _worst((abs(direct), abs(geometric)))
+        parts["flat_absolute"] = np.maximum(np.abs(direct),
+                                            np.abs(geometric))
     return parts
 
 
-def _check_secondform(scenario, point, terms):
-    form = second_fundamental_form(scenario.adapted, point, terms.engine,
-                                   terms)
+def _check_secondform(scenario, terms):
+    form = _second_fundamental_forms(terms)
     parts = {}
     if form.raw is not None:
-        parts["raw_vs_closed"] = relative_gap(form.raw, form.closed)
-    parts["norm_vs_decomposition"] = relative_gap(
+        parts["raw_vs_closed"] = _point_gaps(form.raw, form.closed)
+    parts["norm_vs_decomposition"] = _point_gaps(
         form.norm_squared(terms.d_inv, terms.h_tilde), terms.DdDd)
     return parts
 
 
-def _check_killingderiv(scenario, point, terms):
+def _check_killingderiv(scenario, terms):
     res = killing_identities_check(terms)
     return {"raw_base": res.raw_base, "raw_vector": res.raw_vector,
             "adapted_base": res.adapted_base,
             "adapted_vector": res.adapted_vector}
 
 
-def _check_detfact(scenario, point, terms):
+def _check_detfact(scenario, terms):
     block = assemble_block_metric(
-        scenario.adapted, point,
+        scenario.adapted, terms.points,
         AdaptedFrames._make(array[:, 0] for array in terms.frames))
     round_trip = block.matrix @ block.inverse - np.eye(scenario.adapted.n_t)
     return {"det_product": det_factorization_check(block),
-            "inverse_round_trip": float(np.max(np.abs(round_trip)))}
+            "inverse_round_trip": np.abs(round_trip).max(axis=(1, 2))}
 
 
-def _check_sde(scenario, point, terms):
-    adapted, engine = scenario.adapted, terms.engine
-    blocks = diffusion_coefficients(adapted, point, engine, terms)
-    squared = blocks.full @ blocks.full.T
-    parts = {"diffusion_square": relative_gap(squared, terms.h_inv)}
-    if adapted.orig is not None:
-        drift = drift_coefficients(adapted, point, engine, terms)
-        divergence = drift_divergence_form(adapted, point, engine, terms)
-        parts["drift_vs_divergence"] = relative_gap(drift, divergence)
+def _check_sde(scenario, terms):
+    full = _diffusions(terms).full
+    parts = {"diffusion_square": _point_gaps(full @ full.swapaxes(1, 2),
+                                             terms.h_inv)}
+    if scenario.adapted.orig is not None:
+        parts["drift_vs_divergence"] = _point_gaps(_drifts(terms),
+                                                   _divergences(terms))
     return parts
 
 
@@ -259,8 +279,13 @@ def run_checks(scenario, points, checks=CHECK_NAMES, *,
     ``checks`` must be a nonempty subset of CHECK_NAMES; unselected checks
     are reported under ``not_run``. ``tol_identity`` and ``tol_oracle``
     override the per-part defaults for their check classes (see
-    DEFAULT_TOLERANCES). Points are evaluated in order; a part missing at
-    some point records NaN there, so the part fails.
+    DEFAULT_TOLERANCES). The points are stacked through one
+    ``curvature.PointTerms``: the first-order work of all of them runs
+    once (one frame compile, one jet, one section stencil), and each
+    first-order check once, returning one residual per point. The
+    curvature and jacobian checks run point by point, each point's
+    nested compile on its own. A part missing at some point records NaN
+    there, so the part fails.
     """
     selected = [c for c in CHECK_NAMES if c in set(checks)]
     unknown = set(checks) - set(CHECK_NAMES)
@@ -276,25 +301,34 @@ def run_checks(scenario, points, checks=CHECK_NAMES, *,
         raise ConfigError("points: need at least one sample point")
 
     start = time.perf_counter()
+    terms = PointTerms(scenario.adapted, points, engine)
+    table = {name: [{} for _ in points] for name in selected}
 
-    def evaluate(point):
-        terms = PointTerms(scenario.adapted, point, engine)
-        return {name: _CHECK_FUNCS[name](scenario, point, terms)
-                for name in selected}
+    def fill(name, rows, record):
+        for pname, values in _CHECK_FUNCS[name](scenario, record).items():
+            for row, value in zip(rows, values):
+                row[pname] = float(value)
 
-    per_point = [evaluate(p) for p in points]
+    twice = [name for name in selected if name in _ORACLE_CHECKS]
+    for name in selected:
+        if name not in twice:
+            fill(name, table[name], terms)
+    # the checks that difference twice go point by point, so that a call
+    # holds one point's nested jet at a time: stacked, the jets and their
+    # Christoffel routes raised the peak memory of 20 points by 25 MB
+    for i in range(len(points) if twice else 0):
+        single = terms.single(i)
+        for name in twice:
+            fill(name, table[name][i:i + 1], single)
 
     results = []
     for name in selected:
-        part_names = []
-        for row in per_point:
-            for pname in row[name]:
-                if pname not in part_names:
-                    part_names.append(pname)
+        part_names = list(dict.fromkeys(pname for row in table[name]
+                                        for pname in row))
         parts = tuple(
             CheckPart(name=pname,
-                      residuals=tuple(row[name].get(pname, float("nan"))
-                                      for row in per_point),
+                      residuals=tuple(row.get(pname, float("nan"))
+                                      for row in table[name]),
                       tolerance=_resolve_tolerance(name, pname,
                                                    tol_identity, tol_oracle))
             for pname in part_names)

@@ -236,13 +236,14 @@ def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine,
 
 def test_point_terms_compute_each_entry_once(twisted, engine):
     """An entry is computed on first read and kept, read-only; the
-    decomposition read from a record is the one computed without it, and
-    a record of another point is refused."""
+    decomposition read from a record is the record's own for its point
+    and the one computed without it, and a record of another point is
+    refused."""
     adapted = twisted.adapted
     terms = PointTerms(adapted, _PIN, engine)
     assert terms.Dd is terms.Dd and not terms.Dd.flags.writeable
     breakdown = decomposition_terms(adapted, _PIN, engine, terms)
-    assert breakdown is terms.breakdown
+    assert breakdown is terms.breakdown[0]
     assert breakdown == decomposition_terms(adapted, _PIN, engine)
     with pytest.raises(AttributeError, match="read-only"):
         terms.R_M = 0.0
@@ -251,6 +252,32 @@ def test_point_terms_compute_each_entry_once(twisted, engine):
     other = ChartPoint(_PIN.x, _PIN.f)
     with pytest.raises(ValueError, match="another"):
         decomposition_terms(adapted, other, engine, terms)
+
+
+def test_stacked_second_order_entries_equal_one_point_records(twisted,
+                                                             engine,
+                                                             compiles):
+    """A record of three points holds each point's second-order entries
+    byte for byte as its one-point record does, and so does its
+    ``single`` record of each point; the stack compiles its first-order
+    rows once and each point's nested stencil on its own."""
+    points = sample_points(twisted, 3, seed=241)
+    stack = PointTerms(twisted.adapted, points, engine)
+
+    def second_order(terms):
+        return [np.asarray(value) for value in (
+            terms.R_M, terms.R_G, terms.FF, terms.DdDd,
+            *terms.log_density, *terms.pair_table, *terms.pair_general)]
+
+    stacked = second_order(stack)
+    assert sorted(compiles) == [63, 441, 441, 441]
+    for i, point in enumerate(points):
+        alone = [value.tobytes() for value in second_order(
+            PointTerms(twisted.adapted, point, engine))]
+        single = stack.single(i)
+        assert single.points == (point,)
+        assert [value.tobytes() for value in second_order(single)] == alone
+        assert [value[i:i + 1].tobytes() for value in stacked] == alone
 
 
 def test_log_density_terms_compile_two_stacks(twisted, engine, compiles):

@@ -20,7 +20,6 @@ SOURCES = sorted((ROOT / "src" / "bundlecurv").rglob("*.py"))
 #: ``src`` that reads it.
 READ_OUTSIDE = {
     ("Scenario", "chart"): "perfbench/workloads.py",
-    ("SecondFundamentalForm", "raw_pieces"): "tests/test_jacobian.py",
     ("ReducedSdeCoeffs", "H"): "tests/test_sde.py",
     ("MomentReport", "mean_target"): "tests/test_sde.py",
     ("MomentReport", "mean_sample"): "tests/test_sde.py",

@@ -17,7 +17,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bundlecurv.curvature import decomposition_terms
+from bundlecurv.curvature import (decomposition_terms,
+                                  scalar_curvature_coordinate_oracle)
 from bundlecurv.fields import ChartPoint
 from bundlecurv.geometry import compile_adapted, validate_original
 from bundlecurv.jacobian import jacobian_direct
@@ -115,3 +116,22 @@ def test_orbit_quantities_do_not_depend_on_the_section(twisted, resectioned,
         assert_close(density_H(resectioned.adapted, point, engine),
                      density_H(twisted.adapted, zero, engine),
                      1e-12, "density")
+
+
+def test_oracle_at_the_section_confirms_the_resectioned_total(twisted,
+                                                              resectioned,
+                                                              engine):
+    """The coordinate oracle at the group coordinates ``a = s(x)`` and
+    the vector ``rho(exp(-s(x))) f`` reads the metric at the bundle point
+    of ``(x, f)`` under the section ``s``, through the group action
+    alone, so its scalar curvature is the re-sectioned ``R_total``. The
+    worst gap measured over these 8 points is 3.9e-8; the tolerance sits
+    more than two decades above it."""
+    for point in sample_points(resectioned, 8, seed=47):
+        oracle = scalar_curvature_coordinate_oracle(
+            resectioned.orig, None, point.x,
+            _on_section_zero(twisted, point).f, _s(point.x[None])[0],
+            engine)
+        assert_close(oracle, decomposition_terms(resectioned.adapted, point,
+                                                 engine).R_total,
+                     1e-5, "oracle at a = s(x)")

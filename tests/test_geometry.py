@@ -740,3 +740,22 @@ def test_constructor_shape_gates():
             section=lambda xs: xs, section_jac=_stack_of(np.eye(2)),
             chi=_stack_of(np.zeros(3)), chi_jac=_stack_of(np.zeros((3, 5))),
             c=su2_constants())
+
+
+def test_adapted_geometry_must_agree_with_its_bundle_data(twisted):
+    """An adapted geometry whose own ``n_x``, ``n_v`` or structure
+    constants disagree with its ``orig`` raises at construction, naming
+    both values, instead of at its first frame read."""
+    adapted = twisted.adapted
+    with pytest.raises(ValueError, match=r"^c = .* disagrees with orig\.c"):
+        dataclasses.replace(adapted, c=abelian_constants(2))
+    with pytest.raises(ValueError, match=r"^c = .* disagrees with orig\.c"):
+        dataclasses.replace(adapted, c=abelian_constants(3))
+    with pytest.raises(ValueError,
+                       match=r"^n_x = 3 disagrees with orig\.n_x = 2$"):
+        dataclasses.replace(adapted, n_x=3)
+    with pytest.raises(ValueError,
+                       match=r"^n_v = 2 disagrees with orig\.n_v = 3$"):
+        dataclasses.replace(adapted, n_v=2)
+    assert dataclasses.replace(adapted, orig=None).orig is None
+    assert dataclasses.replace(adapted, c=su2_constants()).n_g == 3

@@ -1,5 +1,6 @@
 """The verification layer: parts, tolerances, the serial runner, reports."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -67,10 +68,8 @@ def test_check_part_fails_on_non_finite(residuals):
 def test_run_checks_missing_part_fails(flat, engine, monkeypatch):
     """A part reported at some points only is non-finite where it is
     missing, so the report fails instead of reading 0 there."""
-    calls = iter(range(10))
-
-    def patchy(scenario, point, engine):
-        return {"det_product": 0.0} if next(calls) == 0 else {}
+    def patchy(scenario, terms):
+        return {"det_product": (0.0,)}
 
     monkeypatch.setitem(verify._CHECK_FUNCS, "detfact", patchy)
     report = run_checks(flat, sample_points(flat, 2, seed=5), ("detfact",),
@@ -297,6 +296,28 @@ def test_residuals_do_not_depend_on_earlier_points(engine):
     assert residuals(a) == first
 
 
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_residuals_do_not_depend_on_the_stack(name, engine):
+    """One call stacks its points through one record, yet each point's
+    residuals are, byte for byte, those of a one-point call and those of
+    a call with the points reversed."""
+    scenario = build_scenario(name)
+    points = sample_points(scenario, 4, seed=229)
+
+    def by_point(report):
+        """``[point][part]`` residual bytes of ``report``."""
+        parts = [p.residuals for r in report.results for p in r.parts]
+        return [[np.float64(residuals[i]).tobytes() for residuals in parts]
+                for i in range(report.n_points)]
+
+    stacked = by_point(run_checks(scenario, points, engine=engine))
+    alone = [by_point(run_checks(scenario, [point], engine=engine))[0]
+             for point in points]
+    reverse = by_point(run_checks(scenario, points[::-1], engine=engine))
+    assert len(stacked[0]) >= 11
+    assert stacked == alone == reverse[::-1]
+
+
 def test_secondform_check_takes_killing_derivatives_once(twisted, engine,
                                                          monkeypatch):
     """The check reads the norm of the form it already holds, so the
@@ -415,3 +436,48 @@ def test_each_stencil_is_built_once_per_point(twisted, engine,
                       ("christoffel_general", point_jet),
                       ("christoffel_table", nested_jet),
                       ("christoffel_general", nested_jet)]
+
+
+FIRST_ORDER_CHECKS = ("christoffel", "secondform", "killingderiv",
+                      "detfact", "sde")
+
+
+def test_first_order_work_runs_once_per_call(twisted, engine, compiles):
+    """The first-order checks of a 4-point call compile the frames of
+    all four centre-first stencils at once, 84 rows, and call ``G_P``
+    and ``K_P`` once each on the one section stencil of the four section
+    points, 80 rows, beside their one call in the compile, on its 36
+    distinct base rows (9 a point)."""
+    section = collections.Counter()
+
+    def on_section_stencil(name):
+        original = getattr(twisted.orig, name).func
+
+        def counted(qs):
+            section[name, len(qs)] += 1
+            return original(qs)
+
+        return counted
+
+    orig = dataclasses.replace(twisted.orig, G_P=on_section_stencil("G_P"),
+                               K_P=on_section_stencil("K_P"))
+    scenario = dataclasses.replace(twisted, orig=orig,
+                                   adapted=compile_adapted(orig))
+    section.clear()
+    compiles.clear()
+    report = run_checks(scenario, sample_points(twisted, 4, seed=233),
+                        FIRST_ORDER_CHECKS, engine=engine)
+    assert report.passed
+    assert compiles == [84]
+    assert section == {("G_P", 36): 1, ("K_P", 36): 1, ("G_P", 80): 1,
+                       ("K_P", 80): 1}
+
+
+def test_nested_compile_stays_one_per_point(twisted, engine, compiles):
+    """All seven checks on two points compile the first-order frames of
+    both points once, 42 rows, and each point's 441-row nested stencil
+    on its own."""
+    report = run_checks(twisted, sample_points(twisted, 2, seed=239),
+                        engine=engine)
+    assert report.passed
+    assert sorted(compiles) == [42, 441, 441]
