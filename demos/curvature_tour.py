@@ -14,10 +14,9 @@ Run:  python3 demos/curvature_tour.py
 import numpy as np
 
 from bundlecurv.connection import christoffel_general
-from bundlecurv.curvature import (PointTerms, decomposition_terms,
-                                  ricci_scalar_pair)
+from bundlecurv.curvature import PointTerms, ricci_scalar_pair
 from bundlecurv.fields import DEFAULT_ENGINE
-from bundlecurv.geometry import assemble_block_metric, point_frame
+from bundlecurv.geometry import assemble_block_metric, frames_at, point_frame
 from bundlecurv.scenarios import build_scenario, sample_points
 
 
@@ -34,18 +33,19 @@ def main():
     print("\nconnection coefficients on the base directions:")
     print(frames.A[0][:, :point.n_x])
 
-    metric = assemble_block_metric(scenario.adapted, point)
+    metric = assemble_block_metric(scenario.adapted,
+                                   frames_at(scenario.adapted, point.coords))
     print("\nfull block metric (8x8), horizontal block first:")
     print(metric.matrix)
     print("determinant: %.6f" % metric.det)
 
-    # one record of the point's terms: both Ricci pairs read its jets and
-    # give one value per point of the record
+    # one record of the point's terms: both Ricci pairs and the
+    # decomposition read its jets and give one value per point of the
+    # record, here row 0
     record = PointTerms(scenario.adapted, point, DEFAULT_ENGINE)
     (table_value,), _ = ricci_scalar_pair(record)
     (general_value,), _ = ricci_scalar_pair(record, christoffel_general)
-    terms = decomposition_terms(scenario.adapted, point, DEFAULT_ENGINE,
-                                record)
+    terms = record.breakdown[0]
     assembled = terms.R_total
 
     print("\nscalar curvature, three routes:")

@@ -11,6 +11,7 @@ Run:  python3 demos/reduced_diffusion.py
 
 import numpy as np
 
+from bundlecurv.curvature import PointTerms
 from bundlecurv.fields import DEFAULT_ENGINE
 from bundlecurv.geometry import point_frame
 from bundlecurv.scenarios import build_scenario, sample_points
@@ -40,9 +41,10 @@ def main():
     residual = abs(coeffs.X @ coeffs.X.T - h_tilde_inv).max()
     print("\n|X X^T - inverse horizontal metric| = %.3e" % residual)
 
-    drift = drift_coefficients(scenario.adapted, point, DEFAULT_ENGINE)
-    divergence = drift_divergence_form(scenario.adapted, point,
-                                       DEFAULT_ENGINE)
+    # the two drift routes read one record of the point, row 0
+    record = PointTerms(scenario.adapted, point, DEFAULT_ENGINE)
+    drift = drift_coefficients(record)[0]
+    divergence = drift_divergence_form(record)[0]
     print("|drift - divergence form|          = %.3e"
           % abs(drift - divergence).max())
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .fields import ConfigError, DerivEngine
-from .curvature import PointTerms, decomposition_terms
-from .jacobian import jacobian_direct, jacobian_geometric, j_norm_squared
+from .curvature import PointTerms
+from .jacobian import j_norm_squared
 from .sde import SdeParams, density_H, euler_maruyama_check
 from .scenarios import build_scenario, sample_points
 from .verify import CHECK_NAMES, run_checks
@@ -187,7 +187,7 @@ def _report_rows(scenario, points, engine):
     rows = []
     for point in points:
         terms = PointTerms(adapted, point, engine)
-        breakdown = decomposition_terms(adapted, point, engine, terms)
+        breakdown = terms.breakdown[0]
         row = {}
         for i, value in enumerate(point.x):
             row["x%d" % i] = float(value)
@@ -197,11 +197,10 @@ def _report_rows(scenario, points, engine):
             "R_M": breakdown.R_M, "R_G": breakdown.R_G, "FF": breakdown.FF,
             "DdDd": breakdown.DdDd, "lap_ln_d": breakdown.lap_ln_d,
             "grad_ln_d": breakdown.grad_ln_d, "R_total": breakdown.R_total,
-            "J_direct": jacobian_direct(adapted, point, engine, terms),
-            "J_geometric": jacobian_geometric(adapted, point, engine,
-                                              terms),
-            "j_norm2": j_norm_squared(adapted, point, engine, terms),
-            "H": density_H(adapted, point, engine, terms),
+            "J_direct": float(terms.J_direct[0]),
+            "J_geometric": float(terms.J_geometric[0]),
+            "j_norm2": float(j_norm_squared(terms)[0]),
+            "H": float(density_H(terms)[0]),
         })
         rows.append(row)
     return rows

@@ -45,13 +45,15 @@ stack, on which the oracle evaluates ``oracle_metric`` in one call, and
 shares the Ricci contraction and the outer differencing with ``R_M``.
 
 ``PointTerms`` is the library's one point record; on bundle data it
-also holds the section and Killing entries that ``jacobian`` reads. The
-one-point functions (``decomposition_terms`` here, and those of
-``jacobian`` and ``sde``) take a record that holds their point, or build
-a one-point one, and read their point's row. A stack's second-order
-entries hold every point's nested jet and run the Christoffel routes on
-all their rows at once, so memory grows with the stack; the checks read
-them point by point, on ``PointTerms.single``.
+also holds the section and Killing entries that ``jacobian`` reads.
+Every route to a per-point quantity, here and in ``jacobian`` and
+``sde``, takes a record and returns one leading entry per point; the
+decomposition and both faces of the reduction Jacobian are entries of
+the record itself. ``decomposition_terms`` is the one-point read of a
+fresh one-point record. A stack's second-order entries hold every
+point's nested jet and run the Christoffel routes on all their rows at
+once, so memory grows with the stack; the checks read them point by
+point, on ``PointTerms.single``.
 
 The sign conventions are the ones the Christoffel formula and the Ricci
 display above imply; they are internally consistent and are never adjusted
@@ -348,7 +350,12 @@ class PointTerms:
     (``log_density`` is the pair of ``log_density_terms``) and
     ``breakdown``, the ``CurvatureBreakdown`` of each point, and the
     Ricci pair of each Christoffel route, which share the two jets and
-    nothing computed from them. On bundle data, ``section`` is the
+    nothing computed from them. ``J_direct`` and ``J_geometric`` are the
+    two faces of the reduction Jacobian (see ``jacobian``): the sum of
+    the log-density terms, and the table route's pair difference less
+    ``R_G``, ``FF`` and ``DdDd``, whose shared derivative pass lets the
+    FD noise of the two scalar curvatures largely cancel. On bundle
+    data, ``section`` is the
     ``geometry.section_partials`` of the one stencil over the points'
     section points, and ``killing`` the ``geometry.killing_derivatives``
     pair at each, symmetrized once. A point's entries are those of its
@@ -388,6 +395,9 @@ class PointTerms:
         "pair_table": lambda t: ricci_scalar_pair(t, christoffel_table),
         "pair_general": lambda t: ricci_scalar_pair(t, christoffel_general),
         "breakdown": _breakdowns,
+        "J_direct": lambda t: _frozen(t.log_density[0] + t.log_density[1]),
+        "J_geometric": lambda t: _frozen(
+            t.pair_table[0] - t.pair_table[1] - t.R_G - t.FF - t.DdDd),
         "section": lambda t: section_partials(
             t.adapted.orig, t.at_points.Q, t.engine.fd_step),
         "killing": _killing,
@@ -411,11 +421,13 @@ class PointTerms:
         raise AttributeError("PointTerms is read-only")
 
     def single(self, i):
-        """The one-point record of point ``i``, whose ``jet``, ``R_G``,
+        """The one-point record of point ``i`` (a negative ``i`` counts
+        from the end, as in ``points``), whose ``jet``, ``R_G``,
         ``FF`` and ``DdDd`` are row ``i`` of this record's, bit for bit
         those of a one-point record: its second-order entries are
         computed on it and dropped with it, so that a caller going point
         by point holds one point's nested jet at a time."""
+        i = range(len(self.points))[i]
         jet = self.jet
         record = PointTerms(self.adapted, self.points[i], self.engine)
         record.__dict__.update(
@@ -427,22 +439,9 @@ class PointTerms:
         return record
 
 
-def _terms_at(adapted, point, engine, terms):
-    """``(terms, i)``: ``terms``, checked to belong to ``adapted`` and
-    ``engine`` and to hold ``point`` as its point ``i``; a new one-point
-    record at ``point`` and 0 when ``terms`` is None."""
-    if terms is None:
-        return PointTerms(adapted, point, engine), 0
-    if terms.adapted is adapted and terms.engine == engine:
-        for i, held in enumerate(terms.points):
-            if held is point:
-                return terms, i
-    raise ValueError("terms belong to another geometry, point or engine")
-
-
 def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
-                        engine: DerivEngine = DEFAULT_ENGINE,
-                        terms: PointTerms = None) -> CurvatureBreakdown:
+                        engine: DerivEngine = DEFAULT_ENGINE
+                        ) -> CurvatureBreakdown:
     r"""The five-piece decomposition of the total scalar curvature.
 
     ``R_M`` is the scalar curvature of h~ on the honest ``(x, f)`` chart by
@@ -455,11 +454,10 @@ def decomposition_terms(adapted: AdaptedGeometry, point: ChartPoint,
 
     The nested jet reads the frames once, on the whole nested stencil,
     the point itself included; on compiled bundle data that is one frame
-    compile. ``terms``, a ``PointTerms`` of the same geometry and engine
-    that holds ``point``, holds pieces already computed.
+    compile. This is the ``breakdown`` of a fresh one-point
+    ``PointTerms``, which a caller holding a record reads instead.
     """
-    terms, i = _terms_at(adapted, point, engine, terms)
-    return terms.breakdown[i]
+    return PointTerms(adapted, point, engine).breakdown[0]
 
 
 def coordinate_ricci_scalar(metric, z0,

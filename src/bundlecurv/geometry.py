@@ -47,7 +47,8 @@ finiteness.
 section points; the gates of ``validate_original`` and the point record
 read it, and ``killing_derivatives`` turns one row of it into the
 covariant derivatives of the Killing fields. ``assemble_block_metric``
-and ``det_factorization_check`` take one point or a stack of them.
+and ``det_factorization_check`` take the frames of one point or of a
+stack of them.
 """
 
 from __future__ import annotations
@@ -540,8 +541,8 @@ def check_frames(adapted: AdaptedGeometry, rows, frames) -> AdaptedFrames:
     return AdaptedFrames(**arrays)
 
 
-def assemble_block_metric(adapted: AdaptedGeometry, point,
-                          frames: AdaptedFrames = None) -> BlockMetric:
+def assemble_block_metric(adapted: AdaptedGeometry,
+                          frames: AdaptedFrames) -> BlockMetric:
     r"""Full block metric at the group identity, with closed-form inverse.
 
     The matrix is assembled blockwise from the defining fields,
@@ -557,18 +558,13 @@ def assemble_block_metric(adapted: AdaptedGeometry, point,
     and the inverse from the congruence factorization,
     ``[[h~^{-1}, -h~^{-1} A^T], [-A h~^{-1}, d^{-1} + A h~^{-1} A^T]]``,
     whose upper-left quadrant is exactly the inverse orbit-space metric.
-    ``det = det(h~) det(d)``. ``point`` is one ``ChartPoint`` or a
-    sequence of them, and every field of the result carries the leading
-    shape of its coordinates: none for one point, ``(B,)`` for ``B``.
-    The inverses and determinants are read from ``frames``, the checked
-    frames at the points' rows with that leading shape, such as the
-    point rows of a record's frames; when None, from one ``frames_at``
-    call at the points.
+    ``det = det(h~) det(d)``. ``frames`` are the checked frames at one
+    point or at the rows of a stack of them, such as ``frames_at`` of a
+    point's coordinates or the point rows of a record's frames, and
+    every field of the result carries their leading shape: none for one
+    point, ``(B,)`` for ``B``. The inverses and determinants are read
+    from them.
     """
-    if frames is None:
-        coords = (point.coords if isinstance(point, ChartPoint)
-                  else np.array([p.coords for p in point]))
-        frames = frames_at(adapted, coords)
     h_tilde, h_inv = frames.h_tilde, frames.h_tilde_inv
     d, d_inv, a = frames.d, frames.d_inv, frames.A
     a_t = a.swapaxes(-1, -2)

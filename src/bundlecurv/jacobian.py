@@ -27,12 +27,13 @@ the symmetrized covariant derivatives of the Killing fields. The directional
 derivative identities that collapse the raw projections are checked
 numerically as well.
 
-Every route reads the record of a stack of points,
-``curvature.PointTerms``, and runs on all its points at once; a one-point
-function runs the same code on a one-point stack, or on a stack that
-holds its point, and reads its point's row. The raw projections and the
-Killing identities read the record's one symmetrized pair of Killing
-derivatives.
+Every route takes the record of a stack of points,
+``curvature.PointTerms``, runs on all its points at once and returns one
+leading entry per point. Both faces of the Jacobian are entries of the
+record, ``J_direct`` and ``J_geometric``; ``jacobian_direct`` and
+``jacobian_geometric`` read them on a fresh one-point record. The raw
+projections and the Killing identities read the record's one
+symmetrized pair of Killing derivatives.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _worst,
                      coordinate_partials)
 from .geometry import AdaptedGeometry
-from .curvature import PointTerms, _terms_at
+from .curvature import PointTerms
 
 __all__ = [
     "SecondFundamentalForm",
@@ -58,34 +59,26 @@ __all__ = [
 
 
 def jacobian_direct(adapted: AdaptedGeometry, point: ChartPoint,
-                    engine: DerivEngine = DEFAULT_ENGINE,
-                    terms: PointTerms = None) -> float:
-    r"""Reduction Jacobian from the orbit-volume density.
+                    engine: DerivEngine = DEFAULT_ENGINE) -> float:
+    """Reduction Jacobian from the orbit-volume density at ``point``.
 
     The quadratic form is contracted with the inverse orbit-space metric
-    (the upper-left quadrant of the block inverse). ``terms``, a
-    ``PointTerms`` of the same geometry and engine that holds ``point``,
-    holds the log-density terms.
+    (the upper-left quadrant of the block inverse). This is the
+    ``J_direct`` of a fresh one-point ``PointTerms``.
     """
-    terms, i = _terms_at(adapted, point, engine, terms)
-    lap, grad_sq = terms.log_density
-    return float(lap[i] + grad_sq[i])
+    return float(PointTerms(adapted, point, engine).J_direct[0])
 
 
 def jacobian_geometric(adapted: AdaptedGeometry, point: ChartPoint,
-                       engine: DerivEngine = DEFAULT_ENGINE,
-                       terms: PointTerms = None) -> float:
-    """Reduction Jacobian as a curvature deficit; see the module docstring.
+                       engine: DerivEngine = DEFAULT_ENGINE) -> float:
+    """Reduction Jacobian as a curvature deficit at ``point``; see the
+    module docstring.
 
     Both scalar curvatures come from a single frame-derivative pass so
-    their FD noise largely cancels in the difference; the other terms
-    are the decomposition's pieces, all read from ``terms``, a
-    ``PointTerms`` that holds ``point``.
+    their FD noise largely cancels in the difference. This is the
+    ``J_geometric`` of a fresh one-point ``PointTerms``.
     """
-    terms, i = _terms_at(adapted, point, engine, terms)
-    r_total, r_base = terms.pair_table
-    return float(r_total[i] - r_base[i] - terms.R_G[i] - terms.FF[i]
-                 - terms.DdDd[i])
+    return float(PointTerms(adapted, point, engine).J_geometric[0])
 
 
 @dataclass(frozen=True)
@@ -212,19 +205,25 @@ class SecondFundamentalForm:
     ``closed[N', alpha, beta]`` holds the closed form
     :math:`j^{N'}_{\alpha\beta} = -\tfrac12 \tilde h^{N'B'}
     \mathcal D_{B'} d_{\alpha\beta}`. When the geometry carries bundle
-    data, ``raw`` holds the same components rebuilt from the four raw
-    orthogonal projections of the symmetrized Killing derivatives, and
-    ``raw_pieces`` the individual projections (base/vector output legs
-    times base/vector metric legs). A form of a stack of points carries
-    a leading point axis on each array.
+    data, ``raw_pieces`` holds the four raw orthogonal projections of the
+    symmetrized Killing derivatives (base/vector output legs times
+    base/vector metric legs), and ``raw`` the same components as
+    ``closed`` rebuilt from them; both are None without bundle data. A
+    form of a stack of points carries a leading point axis on each
+    array.
     """
 
     closed: np.ndarray
-    n_x: int
-    n_v: int
-    n_g: int
-    raw: np.ndarray = None
     raw_pieces: tuple = None
+
+    @property
+    def raw(self):
+        """The base output legs ``j1 + j3`` over the vector ones
+        ``j2 + j4`` of ``raw_pieces``."""
+        if self.raw_pieces is None:
+            return None
+        j1, j2, j3, j4 = self.raw_pieces
+        return np.concatenate([j1 + j3, j2 + j4], axis=-3)
 
     def norm_squared(self, d_inv, h_tilde):
         r"""Squared norm of the closed form, given :math:`d^{-1}` and
@@ -248,18 +247,21 @@ class SecondFundamentalForm:
 def _closed_form(terms: PointTerms) -> SecondFundamentalForm:
     """The stacked form with its closed part alone, from the ``h~^{-1}``
     and ``D d`` of ``terms``."""
-    adapted = terms.adapted
     return SecondFundamentalForm(
         closed=-0.5 * np.einsum("...nb,...bst->...nst", terms.h_inv,
-                                terms.Dd),
-        n_x=adapted.n_x, n_v=adapted.n_v, n_g=adapted.n_g)
+                                terms.Dd))
 
 
-def _second_fundamental_forms(terms: PointTerms) -> SecondFundamentalForm:
-    """The form at every point of ``terms``, each array with a leading
-    point axis: the closed part, and the raw projections when the
-    geometry has bundle data, from the record's ``h~^{-1}``, ``D d``,
-    symmetrized Killing derivatives and ``at_points`` frames."""
+def second_fundamental_form(terms: PointTerms) -> SecondFundamentalForm:
+    """Closed-form second fundamental form at every point of ``terms``,
+    plus the raw projections when the geometry has bundle data; each
+    array has a leading point axis.
+
+    The closed part reads the record's ``h~^{-1}`` and ``D d``; the raw
+    projections need the original bundle data of ``adapted.orig`` and
+    read the record's symmetrized Killing derivatives and ``at_points``
+    frames.
+    """
     adapted = terms.adapted
     orig = adapted.orig
     n_x, h_inv = adapted.n_x, terms.h_inv
@@ -302,39 +304,12 @@ def _second_fundamental_forms(terms: PointTerms) -> SecondFundamentalForm:
     j4 = (np.einsum("...ab,...Ma,...Mst->...bst", hi_vv, gt_pv, sym_p)
           + np.einsum("...ab,...da,...dst->...bst", hi_vv, gt_vv, sym_v))
 
-    raw = np.zeros_like(form.closed)
-    raw[:, :n_x] = j1 + j3
-    raw[:, n_x:] = j2 + j4
-    return replace(form, raw=raw, raw_pieces=(j1, j2, j3, j4))
+    return replace(form, raw_pieces=(j1, j2, j3, j4))
 
 
-def second_fundamental_form(adapted: AdaptedGeometry, point: ChartPoint,
-                            engine: DerivEngine = DEFAULT_ENGINE,
-                            terms: PointTerms = None
-                            ) -> SecondFundamentalForm:
-    """Closed-form second fundamental form, plus raw projections if possible.
-
-    Raw projections need the original bundle data of ``adapted.orig``.
-    ``terms``, a ``PointTerms`` of the same geometry and engine that
-    holds ``point``, supplies ``h~^{-1}``, ``D d``, the symmetrized
-    Killing derivatives and the frame stack's rows at the point.
-    """
-    terms, i = _terms_at(adapted, point, engine, terms)
-    form = _second_fundamental_forms(terms)
-    if form.raw is None:
-        return replace(form, closed=form.closed[i])
-    return replace(form, closed=form.closed[i], raw=form.raw[i],
-                   raw_pieces=tuple(piece[i] for piece in form.raw_pieces))
-
-
-def j_norm_squared(adapted: AdaptedGeometry, point: ChartPoint,
-                   engine: DerivEngine = DEFAULT_ENGINE,
-                   terms: PointTerms = None) -> float:
-    """Squared norm of the second fundamental form at ``point``; see
-    ``SecondFundamentalForm.norm_squared``. Only the closed form enters,
-    so no Killing derivative is computed. ``terms``, a ``PointTerms``
-    that holds ``point``, supplies ``h~``, its inverse, ``d^{-1}`` and
-    ``D d`` when given."""
-    terms, i = _terms_at(adapted, point, engine, terms)
-    return float(_closed_form(terms).norm_squared(terms.d_inv,
-                                                  terms.h_tilde)[i])
+def j_norm_squared(terms: PointTerms) -> np.ndarray:
+    """Squared norm of the second fundamental form at each point of
+    ``terms``, a ``(B,)`` array; see ``SecondFundamentalForm.norm_squared``.
+    Only the closed form enters, so no Killing derivative is computed:
+    the record's ``h~``, its inverse, ``d^{-1}`` and ``D d`` suffice."""
+    return _closed_form(terms).norm_squared(terms.d_inv, terms.h_tilde)

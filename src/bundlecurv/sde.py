@@ -19,11 +19,11 @@ inverse. Two consistency layers are exposed:
   short step from their exact law at a fixed seed, at a cost that does
   not grow with the paths, and scores them against the analytic ones.
 
-Every coefficient is computed at all the points of a record
-(``curvature.PointTerms``) at once, from the frames it compiled once on
-their centre-first stencils; a one-point function reads its point's row
-of a record that holds it, or of a one-point record built when ``terms``
-is None.
+Every coefficient route takes a record (``curvature.PointTerms``),
+computes at all its points at once, from the frames it compiled once on
+their centre-first stencils, and returns one leading entry per point.
+``reduced_sde_coefficients`` reads the three coefficients at one point
+from a fresh one-point record.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (ChartPoint, ConfigError, DEFAULT_ENGINE, DerivEngine,
-                     NearSingularError, _stencil_partials, invert_spd)
+                     NearSingularError, _first_failure, _stencil_partials,
+                     invert_spd)
 from .geometry import AdaptedGeometry
-from .curvature import PointTerms, _terms_at
+from .curvature import PointTerms
 
 __all__ = [
     "SdeParams",
@@ -110,8 +111,6 @@ class ReducedSdeCoeffs:
     b: np.ndarray
     X: np.ndarray
     H: float
-    n_x: int
-    n_v: int
 
 
 @dataclass(frozen=True)
@@ -137,35 +136,44 @@ def symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
     ``mat`` is one matrix or an ``(..., n, n)`` stack, rooted matrix by
     matrix. Any factor with ``X Xᵀ = mat`` gives the same process law;
     the symmetric root is chosen for determinism. Eigenvalues below the
-    rounding floor raise; tiny negatives are clamped to zero.
+    rounding floor raise; tiny negatives are clamped to zero. An error
+    on a stack names the first failing matrix and its own eigenvalue.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.size == 0:
         return np.zeros_like(mat)
     mat_t = mat.swapaxes(-1, -2)
     scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))
-    if (np.abs(mat - mat_t).max(axis=(-2, -1)) > 1e-10 * scale).any():
-        raise ValueError("matrix square root input is not symmetric")
+    asym = np.abs(mat - mat_t).max(axis=(-2, -1)) > 1e-10 * scale
+    if asym.any():
+        _first_failure(asym, ValueError,
+                       "matrix square root input is not symmetric")
     w, v = np.linalg.eigh(0.5 * (mat + mat_t))
-    if (w.min(axis=-1) < SQRT_EIGENVALUE_FLOOR * scale).any():
-        raise NearSingularError(
-            f"matrix is not positive semidefinite (min eigenvalue "
-            f"{np.min(w):.3e})")
+    # ascending eigenvalues: the first is the smallest
+    w_min = w[..., 0]
+    negative = w_min < SQRT_EIGENVALUE_FLOOR * scale
+    if negative.any():
+        _first_failure(negative, NearSingularError,
+                       "matrix is not positive semidefinite (min eigenvalue "
+                       "%.3e)", w_min)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
-def density_H(adapted: AdaptedGeometry, point: ChartPoint,
-              engine: DerivEngine = DEFAULT_ENGINE,
-              terms: PointTerms = None) -> float:
-    """Determinant of the orbit-space block metric at a point."""
-    terms, i = _terms_at(adapted, point, engine, terms)
-    return float(terms.frames.det_h[i, 0])
+def density_H(terms: PointTerms) -> np.ndarray:
+    """Determinant of the orbit-space block metric at each point of
+    ``terms``, a ``(B,)`` array read from the record's checked frames."""
+    return terms.frames.det_h[:, 0]
 
 
-def _diffusions(terms: PointTerms) -> DiffusionBlocks:
-    """The blocks of ``diffusion_coefficients`` at every point of
-    ``terms``, stacked."""
+def diffusion_coefficients(terms: PointTerms) -> DiffusionBlocks:
+    """Diffusion blocks whose assembled square reproduces the block
+    inverse, at every point of ``terms``, stacked.
+
+    With bundle data the blocks follow the transcribed displays; without
+    it they are recovered from the quadrants of the block inverse, which
+    agrees by the gauge identity behind the inverse-metric display.
+    """
     adapted = terms.adapted
     n_x = adapted.n_x
     if adapted.orig is not None:
@@ -189,21 +197,6 @@ def _diffusions(terms: PointTerms) -> DiffusionBlocks:
     return DiffusionBlocks(base=x_base, mixed=mixed, vector=x_vector)
 
 
-def diffusion_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
-                           engine: DerivEngine = DEFAULT_ENGINE,
-                           terms: PointTerms = None) -> DiffusionBlocks:
-    """Diffusion blocks whose assembled square reproduces the block inverse.
-
-    With bundle data the blocks follow the transcribed displays; without
-    it they are recovered from the quadrants of the block inverse, which
-    agrees by the gauge identity behind the inverse-metric display.
-    """
-    terms, i = _terms_at(adapted, point, engine, terms)
-    blocks = _diffusions(terms)
-    return DiffusionBlocks(base=blocks.base[i], mixed=blocks.mixed[i],
-                           vector=blocks.vector[i])
-
-
 def _drift_values(frames):
     r"""The five fields the transcribed drift differences, at the rows of
     a frame stack: :math:`\sqrt H h^{-1}`, :math:`\sqrt H K_V`,
@@ -216,9 +209,27 @@ def _drift_values(frames):
             scale * frames.h_base_inv @ frames.A_gamma.swapaxes(1, 2))
 
 
-def _drifts(terms: PointTerms) -> np.ndarray:
-    r"""The transcribed drift of ``drift_coefficients`` at every point of
+def drift_coefficients(terms: PointTerms) -> np.ndarray:
+    r"""Drift vector from the transcribed displays at every point of
     ``terms``, ``(B, n_x + n_v)``.
+
+    .. math::
+
+        \tilde b^i = \frac1{\sqrt H}\partial_{x^j}(\sqrt H\, h^{ij})
+            + {}^{(\gamma)}\!\mathcal A^\mu_n h^{ni}
+              \frac1{\sqrt H}\partial_{\tilde f^b}(\sqrt H\, K^b_\mu),
+
+    .. math::
+
+        \tilde b^a = \frac1{\sqrt H}\partial_{x^j}
+              (\sqrt H\, h^{mj}\, {}^{(\gamma)}\!\mathcal A^\mu_m)K^a_\mu
+            + (G^{ab} + W^{ab})\frac1{\sqrt H}\partial_{\tilde f^b}\sqrt H
+            + \partial_{\tilde f^b} W^{ab},
+
+    with :math:`W^{ab} = G^{AB}N^a_A N^b_B`. The last term sits outside
+    the density factor exactly as displayed; ``drift_divergence_form`` is
+    the arbiter that the whole transcription generates the
+    Laplace-Beltrami operator.
 
     The five differenced fields come from the record's frame stack on
     the points' centre-first stencils over every chart slot, which the
@@ -256,51 +267,9 @@ def _drifts(terms: PointTerms) -> np.ndarray:
     return np.concatenate([b_base, b_vector], axis=1)
 
 
-def drift_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
-                       engine: DerivEngine = DEFAULT_ENGINE,
-                       terms: PointTerms = None) -> np.ndarray:
-    r"""Drift vector from the transcribed displays.
-
-    .. math::
-
-        \tilde b^i = \frac1{\sqrt H}\partial_{x^j}(\sqrt H\, h^{ij})
-            + {}^{(\gamma)}\!\mathcal A^\mu_n h^{ni}
-              \frac1{\sqrt H}\partial_{\tilde f^b}(\sqrt H\, K^b_\mu),
-
-    .. math::
-
-        \tilde b^a = \frac1{\sqrt H}\partial_{x^j}
-              (\sqrt H\, h^{mj}\, {}^{(\gamma)}\!\mathcal A^\mu_m)K^a_\mu
-            + (G^{ab} + W^{ab})\frac1{\sqrt H}\partial_{\tilde f^b}\sqrt H
-            + \partial_{\tilde f^b} W^{ab},
-
-    with :math:`W^{ab} = G^{AB}N^a_A N^b_B`. The last term sits outside
-    the density factor exactly as displayed; ``drift_divergence_form`` is
-    the arbiter that the whole transcription generates the
-    Laplace-Beltrami operator.
-
-    ``terms``, a ``PointTerms`` that holds ``point``, supplies the five
-    differenced fields on its frame stack.
-    """
-    terms, i = _terms_at(adapted, point, engine, terms)
-    return _drifts(terms)[i]
-
-
-def _divergences(terms: PointTerms) -> np.ndarray:
-    """The divergence form of ``drift_divergence_form`` at every point of
-    ``terms``, ``(B, n_x + n_v)``, from one inversion of the checked h~
-    on all the points' stencils."""
-    _, steps = terms.stencil
-    inv, det = invert_spd(terms.frames.h_tilde)
-    sqrt_h = np.sqrt(det)
-    grad = _stencil_partials(sqrt_h[..., None, None] * inv, steps)
-    return np.einsum("...sas->...a", grad) / sqrt_h[:, :1]
-
-
-def drift_divergence_form(adapted: AdaptedGeometry, point: ChartPoint,
-                          engine: DerivEngine = DEFAULT_ENGINE,
-                          terms: PointTerms = None) -> np.ndarray:
-    r"""The divergence form :math:`H^{-1/2}\partial_{B'}(H^{1/2}\tilde h^{A'B'})`.
+def drift_divergence_form(terms: PointTerms) -> np.ndarray:
+    r"""The divergence form :math:`H^{-1/2}\partial_{B'}(H^{1/2}\tilde h^{A'B'})`
+    at every point of ``terms``, ``(B, n_x + n_v)``.
 
     Independent oracle for ``drift_coefficients``: equality of the two
     certifies that the transcribed displays, together with
@@ -310,8 +279,11 @@ def drift_divergence_form(adapted: AdaptedGeometry, point: ChartPoint,
     stencils, the points themselves included; it shares no field with
     the transcribed displays.
     """
-    terms, i = _terms_at(adapted, point, engine, terms)
-    return _divergences(terms)[i]
+    _, steps = terms.stencil
+    inv, det = invert_spd(terms.frames.h_tilde)
+    sqrt_h = np.sqrt(det)
+    grad = _stencil_partials(sqrt_h[..., None, None] * inv, steps)
+    return np.einsum("...sas->...a", grad) / sqrt_h[:, :1]
 
 
 def reduced_sde_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
@@ -319,16 +291,13 @@ def reduced_sde_coefficients(adapted: AdaptedGeometry, point: ChartPoint,
                              ) -> ReducedSdeCoeffs:
     """The drift ``b`` of ``drift_coefficients``, the assembled diffusion
     matrix ``X`` of ``diffusion_coefficients`` and the density ``H`` of
-    ``density_H`` at ``point``, all three read from one ``PointTerms``
-    there, so from one frame compile. Needs bundle data, as the drift
-    displays do."""
+    ``density_H`` at ``point``, all three read from one fresh one-point
+    ``PointTerms``, so from one frame compile. Needs bundle data, as the
+    drift displays do."""
     terms = PointTerms(adapted, point, engine)
-    return ReducedSdeCoeffs(
-        b=drift_coefficients(adapted, point, engine, terms),
-        X=diffusion_coefficients(adapted, point, engine, terms).full,
-        H=density_H(adapted, point, engine, terms),
-        n_x=adapted.n_x,
-        n_v=adapted.n_v)
+    return ReducedSdeCoeffs(b=drift_coefficients(terms)[0],
+                            X=diffusion_coefficients(terms).full[0],
+                            H=float(density_H(terms)[0]))
 
 
 def _noise_moments(seed, n_paths: int, n_dim: int):

@@ -26,13 +26,14 @@ point's one-point record that shares the call's jet row and its
 ``R_G``, ``FF`` and ``DdDd``, so that a call holds one point's 441-row
 nested jet at a time. An entry is computed when a check first reads it,
 so a check run alone computes only what it reads, with the same bits.
-Reads: ``christoffel`` the points' ``jet``; ``curvature`` the
-``breakdown`` (from ``R_M``, ``R_G``, ``FF``, ``DdDd``,
-``log_density``), ``pair_table`` and ``pair_general``; ``jacobian`` the
-``log_density`` (direct route) and ``pair_table``, ``R_G``, ``FF``,
-``DdDd`` (geometric route), both checks through the one-point
-functions; ``secondform`` ``h_inv``, ``Dd``, ``killing``, ``h_tilde``,
-``d_inv``, ``DdDd`` and ``at_points``;
+Every check reads the record's entries or calls the public routes of
+``jacobian`` and ``sde`` on it. Reads: ``christoffel`` the points'
+``jet``; ``curvature`` the ``breakdown`` (from ``R_M``, ``R_G``, ``FF``,
+``DdDd``, ``log_density``), ``pair_table`` and ``pair_general``;
+``jacobian`` ``J_direct`` (from ``log_density``) and ``J_geometric``
+(from ``pair_table``, ``R_G``, ``FF``, ``DdDd``); ``secondform``
+``h_inv``, ``Dd``, ``killing``, ``h_tilde``, ``d_inv``, ``DdDd`` and
+``at_points``;
 ``killingderiv`` ``killing``, ``section``, ``coords``, the ``jet`` and
 ``at_points``; ``detfact`` the points' rows of ``frames``; ``sde``
 ``h_inv``, ``at_points`` and the ``stencil``, ``stack`` and ``frames``.
@@ -61,10 +62,10 @@ from .fields import ConfigError, DEFAULT_ENGINE, DerivEngine, _worst
 from .geometry import (AdaptedFrames, assemble_block_metric,
                        det_factorization_check)
 from .connection import christoffel_general, christoffel_table
-from .curvature import PointTerms, decomposition_terms
-from .jacobian import (_second_fundamental_forms, jacobian_direct,
-                       jacobian_geometric, killing_identities_check)
-from .sde import _diffusions, _divergences, _drifts
+from .curvature import PointTerms
+from .jacobian import killing_identities_check, second_fundamental_form
+from .sde import (diffusion_coefficients, drift_coefficients,
+                  drift_divergence_form)
 
 __all__ = [
     "CHECK_NAMES",
@@ -195,8 +196,7 @@ def _check_christoffel(scenario, terms):
 
 
 def _check_curvature(scenario, terms):
-    totals = [decomposition_terms(scenario.adapted, point, terms.engine,
-                                  terms).R_total for point in terms.points]
+    totals = [breakdown.R_total for breakdown in terms.breakdown]
     values = np.array([totals, terms.pair_table[0], terms.pair_general[0]])
     # numpy reductions: a NaN route makes the residual NaN wherever it sits
     scale = np.maximum(1.0, np.abs(values).max(axis=0))
@@ -204,11 +204,7 @@ def _check_curvature(scenario, terms):
 
 
 def _check_jacobian(scenario, terms):
-    adapted, engine = scenario.adapted, terms.engine
-    direct = np.array([jacobian_direct(adapted, point, engine, terms)
-                       for point in terms.points])
-    geometric = np.array([jacobian_geometric(adapted, point, engine, terms)
-                          for point in terms.points])
+    direct, geometric = terms.J_direct, terms.J_geometric
     parts = {"direct_vs_geometric": _point_gaps(direct, geometric)}
     if scenario.expected.get("jacobian_zero"):
         parts["flat_absolute"] = np.maximum(np.abs(direct),
@@ -217,10 +213,11 @@ def _check_jacobian(scenario, terms):
 
 
 def _check_secondform(scenario, terms):
-    form = _second_fundamental_forms(terms)
+    form = second_fundamental_form(terms)
+    raw = form.raw
     parts = {}
-    if form.raw is not None:
-        parts["raw_vs_closed"] = _point_gaps(form.raw, form.closed)
+    if raw is not None:
+        parts["raw_vs_closed"] = _point_gaps(raw, form.closed)
     parts["norm_vs_decomposition"] = _point_gaps(
         form.norm_squared(terms.d_inv, terms.h_tilde), terms.DdDd)
     return parts
@@ -235,7 +232,7 @@ def _check_killingderiv(scenario, terms):
 
 def _check_detfact(scenario, terms):
     block = assemble_block_metric(
-        scenario.adapted, terms.points,
+        scenario.adapted,
         AdaptedFrames._make(array[:, 0] for array in terms.frames))
     round_trip = block.matrix @ block.inverse - np.eye(scenario.adapted.n_t)
     return {"det_product": det_factorization_check(block),
@@ -243,12 +240,12 @@ def _check_detfact(scenario, terms):
 
 
 def _check_sde(scenario, terms):
-    full = _diffusions(terms).full
+    full = diffusion_coefficients(terms).full
     parts = {"diffusion_square": _point_gaps(full @ full.swapaxes(1, 2),
                                              terms.h_inv)}
     if scenario.adapted.orig is not None:
-        parts["drift_vs_divergence"] = _point_gaps(_drifts(terms),
-                                                   _divergences(terms))
+        parts["drift_vs_divergence"] = _point_gaps(
+            drift_coefficients(terms), drift_divergence_form(terms))
     return parts
 
 

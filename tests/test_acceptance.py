@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bundlecurv.curvature import (
+    PointTerms,
     decomposition_terms,
     oracle_metric,
     scalar_curvature_coordinate_oracle,
@@ -137,7 +138,7 @@ def test_determinant_factorization(announce, twisted):
     worst_group = 0.0
     for point in sample_points(twisted, 2, seed=3):
         d = point_frame(twisted.orig, point).d[0]
-        H = density_H(twisted.adapted, point)
+        H = density_H(PointTerms(twisted.adapted, point))[0]
         for a in sample_group_coordinates(twisted, 2, seed=5):
             det_full = np.linalg.det(
                 oracle_metric(twisted.orig, point.x[None], point.f[None],

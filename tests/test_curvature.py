@@ -227,7 +227,7 @@ def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine,
     route's pair on the same record compiles a frame."""
     point = ChartPoint([-0.17, 0.26], [0.05, 0.31, -0.22])
     terms = PointTerms(twisted.adapted, point, engine)
-    decomposition_terms(twisted.adapted, point, engine, terms)
+    terms.breakdown
     assert sorted(compiles) == [21, 441]
     ricci_scalar_pair(terms, christoffel_table)
     ricci_scalar_pair(terms, christoffel_general)
@@ -236,22 +236,18 @@ def test_ricci_pair_reads_the_decomposition_stencil(twisted, engine,
 
 def test_point_terms_compute_each_entry_once(twisted, engine):
     """An entry is computed on first read and kept, read-only; the
-    decomposition read from a record is the record's own for its point
-    and the one computed without it, and a record of another point is
-    refused."""
+    record's decomposition of its point is the one
+    ``decomposition_terms`` computes on a record of its own."""
     adapted = twisted.adapted
     terms = PointTerms(adapted, _PIN, engine)
     assert terms.Dd is terms.Dd and not terms.Dd.flags.writeable
-    breakdown = decomposition_terms(adapted, _PIN, engine, terms)
+    breakdown = terms.breakdown[0]
     assert breakdown is terms.breakdown[0]
     assert breakdown == decomposition_terms(adapted, _PIN, engine)
     with pytest.raises(AttributeError, match="read-only"):
         terms.R_M = 0.0
     with pytest.raises(AttributeError):
         terms.R_P
-    other = ChartPoint(_PIN.x, _PIN.f)
-    with pytest.raises(ValueError, match="another"):
-        decomposition_terms(adapted, other, engine, terms)
 
 
 def test_stacked_second_order_entries_equal_one_point_records(twisted,
@@ -278,6 +274,30 @@ def test_stacked_second_order_entries_equal_one_point_records(twisted,
         assert single.points == (point,)
         assert [value.tobytes() for value in second_order(single)] == alone
         assert [value[i:i + 1].tobytes() for value in stacked] == alone
+
+
+def test_single_takes_negative_indices(twisted, engine):
+    """``single(-1)`` is the one-point record of the last point, bit for
+    bit ``single(B - 1)``: the same jet row, ``R_G``, ``FF``, ``DdDd`` and
+    breakdown. An index past the stack raises ``IndexError``."""
+    points = sample_points(twisted, 3, seed=241)
+    stack = PointTerms(twisted.adapted, points, engine)
+    last, negative = stack.single(2), stack.single(-1)
+    assert negative.points == last.points == (points[2],)
+    for field in dataclasses.fields(last.jet):
+        if field.name != "adapted":
+            want = getattr(last.jet, field.name)
+            got = getattr(negative.jet, field.name)
+            assert got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+    for name in ("R_G", "FF", "DdDd"):
+        assert getattr(negative, name).shape == (1,), name
+        assert (getattr(negative, name).tobytes()
+                == getattr(last, name).tobytes()), name
+    assert len(negative.breakdown) == 1
+    assert negative.breakdown == last.breakdown
+    with pytest.raises(IndexError):
+        stack.single(3)
 
 
 def test_log_density_terms_compile_two_stacks(twisted, engine, compiles):
@@ -432,7 +452,7 @@ def test_three_way_agreement(twisted, engine):
     """Decomposition, table Ricci, and general-formula Ricci coincide."""
     for point in sample_points(twisted, 2, seed=83):
         terms = PointTerms(twisted.adapted, point, engine)
-        b = decomposition_terms(twisted.adapted, point, engine, terms)
+        b = terms.breakdown[0]
         t_total, t_base = ricci_scalar_pair(terms)
         g_total, g_base = ricci_scalar_pair(terms, christoffel_general)
         assert_close(t_total, b.R_total, 1e-6, "table vs decomposition")

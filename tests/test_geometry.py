@@ -503,7 +503,8 @@ def test_same_point_on_two_geometries_gives_two_frames(twisted, abelian):
 def test_assembled_metric_flat_is_block_diagonal():
     scen = build_scenario("flat_product", {"lam": 1.6, "gv_offdiag": 0.2})
     point = sample_points(scen, 1)[0]
-    block = assemble_block_metric(scen.adapted, point)
+    block = assemble_block_metric(scen.adapted,
+                                  frames_at(scen.adapted, point.coords))
     g_v = np.eye(3)
     g_v[0, 1] = g_v[1, 0] = 0.2
     want = np.zeros((8, 8))
@@ -518,7 +519,8 @@ def test_assembled_metric_flat_is_block_diagonal():
 def test_assembled_metric_inverse_round_trip(twisted):
     n_t = twisted.adapted.n_t
     for point in sample_points(twisted, 5, seed=41):
-        block = assemble_block_metric(twisted.adapted, point)
+        block = assemble_block_metric(
+            twisted.adapted, frames_at(twisted.adapted, point.coords))
         assert_close(block.matrix @ block.inverse, np.eye(n_t), 1e-10,
                      "closed-form inverse round trip")
         numeric = np.linalg.inv(block.matrix)
@@ -529,16 +531,20 @@ def test_assembled_metric_inverse_round_trip(twisted):
 
 def test_assembled_det_scales_with_orbit_volume():
     center = ChartPoint([0.0, 0.0], [0.0, 0.0, 0.0])
-    det1 = assemble_block_metric(
-        build_scenario("flat_product", {"lam": 1.0}).adapted, center).det
-    det2 = assemble_block_metric(
-        build_scenario("flat_product", {"lam": 2.0}).adapted, center).det
+
+    def det_at_center(lam):
+        adapted = build_scenario("flat_product", {"lam": lam}).adapted
+        return assemble_block_metric(adapted,
+                                     frames_at(adapted, center.coords)).det
+
+    det1, det2 = det_at_center(1.0), det_at_center(2.0)
     assert_close(det2 / det1, 2.0 ** 3, 1e-12, "det tracks det d")
 
 
 def test_assembled_matches_coordinate_oracle_at_identity(twisted):
     for point in sample_points(twisted, 3, seed=43):
-        block = assemble_block_metric(twisted.adapted, point)
+        block = assemble_block_metric(
+            twisted.adapted, frames_at(twisted.adapted, point.coords))
         oracle = oracle_metric(twisted.orig, point.x[None], point.f[None],
                                np.zeros((1, 3)))[0]
         assert_close(block.matrix, oracle, 1e-10,
@@ -547,10 +553,12 @@ def test_assembled_matches_coordinate_oracle_at_identity(twisted):
 
 def test_det_factorization_residuals(twisted, flat):
     center = sample_points(flat, 1)[0]
-    block = assemble_block_metric(flat.adapted, center)
+    block = assemble_block_metric(flat.adapted,
+                                  frames_at(flat.adapted, center.coords))
     assert det_factorization_check(block) <= 1e-12
     for point in sample_points(twisted, 20, seed=47):
-        block = assemble_block_metric(twisted.adapted, point)
+        block = assemble_block_metric(
+            twisted.adapted, frames_at(twisted.adapted, point.coords))
         assert det_factorization_check(block) <= 1e-9
 
 

@@ -182,23 +182,26 @@ def test_killing_identities_twisted(twisted, engine):
 
 def test_form_vanishes_for_flat_product(flat, engine):
     point = sample_points(flat, 1)[0]
-    form = second_fundamental_form(flat.adapted, point, engine)
-    np.testing.assert_allclose(form.closed, np.zeros((5, 3, 3)), atol=1e-12)
-    np.testing.assert_allclose(form.raw, np.zeros((5, 3, 3)), atol=1e-10)
+    form = second_fundamental_form(PointTerms(flat.adapted, point, engine))
+    np.testing.assert_allclose(form.closed[0], np.zeros((5, 3, 3)),
+                               atol=1e-12)
+    np.testing.assert_allclose(form.raw[0], np.zeros((5, 3, 3)), atol=1e-10)
 
 
 def test_form_raw_matches_closed(twisted, engine):
-    for point in sample_points(twisted, 4, seed=131):
-        form = second_fundamental_form(twisted.adapted, point, engine)
-        np.testing.assert_allclose(form.closed, form.closed.swapaxes(1, 2),
+    form = second_fundamental_form(PointTerms(
+        twisted.adapted, sample_points(twisted, 4, seed=131), engine))
+    for closed, raw in zip(form.closed, form.raw):
+        np.testing.assert_allclose(closed, closed.swapaxes(1, 2),
                                    rtol=0.0, atol=1e-10)
-        assert_close(form.raw, form.closed, 1e-7, "raw projections")
+        assert_close(raw, closed, 1e-7, "raw projections")
 
 
 def test_form_without_vector_sector(engine):
     orig = _vector_free_orig()
     point = ChartPoint([0.2, -0.3], [])
-    form = second_fundamental_form(compile_adapted(orig), point, engine)
+    form = second_fundamental_form(PointTerms(compile_adapted(orig), point,
+                                              engine))
     j1, j2, j3, j4 = form.raw_pieces
     np.testing.assert_allclose(j2, np.zeros_like(j2), atol=1e-13)
     np.testing.assert_allclose(j3, np.zeros_like(j3), atol=1e-13)
@@ -224,9 +227,9 @@ def test_vector_free_oracle_matches_total(engine):
 def test_form_adapted_only_route(twisted, engine):
     stripped = dataclasses.replace(twisted.adapted, orig=None)
     point = sample_points(twisted, 1)[0]
-    form = second_fundamental_form(stripped, point, engine)
+    form = second_fundamental_form(PointTerms(stripped, point, engine))
     assert form.raw is None
-    full = second_fundamental_form(twisted.adapted, point, engine)
+    full = second_fundamental_form(PointTerms(twisted.adapted, point, engine))
     assert_close(form.closed, full.closed, 1e-13, "closed form, no bundle")
 
 
@@ -236,16 +239,18 @@ def test_form_adapted_only_route(twisted, engine):
 
 def test_norm_flat_and_scaled(flat, scaled, engine):
     point = sample_points(flat, 1)[0]
-    assert abs(j_norm_squared(flat.adapted, point, engine)) <= 1e-12
+    (norm,) = j_norm_squared(PointTerms(flat.adapted, point, engine))
+    assert abs(norm) <= 1e-12
     point = ChartPoint([0.1, 0.3], [0.2, 0.0, -0.1])
-    assert_close(j_norm_squared(scaled.adapted, point, engine),
-                 scaled.expected["dddd"], 1e-8, "scaled form norm")
+    (norm,) = j_norm_squared(PointTerms(scaled.adapted, point, engine))
+    assert_close(norm, scaled.expected["dddd"], 1e-8, "scaled form norm")
 
 
 def test_norm_matches_loop_pairing(twisted, engine):
     point = sample_points(twisted, 1)[0]
     adapted = twisted.adapted
-    form = second_fundamental_form(adapted, point, engine)
+    terms = PointTerms(adapted, point, engine)
+    closed = second_fundamental_form(terms).closed[0]
     frames = frames_at(adapted, point.coords[None])
     d_inv, h_val = frames.d_inv[0], frames.h_tilde[0]
     want = 0.0
@@ -257,9 +262,9 @@ def test_norm_matches_loop_pairing(twisted, engine):
                         for mm in range(5):
                             want += (d_inv[a, m] * d_inv[b, n]
                                      * h_val[nn, mm]
-                                     * form.closed[nn, a, b]
-                                     * form.closed[mm, m, n])
-    got = j_norm_squared(adapted, point, engine)
+                                     * closed[nn, a, b]
+                                     * closed[mm, m, n])
+    (got,) = j_norm_squared(terms)
     assert_close(got, want, 1e-12, "trace pairing loops")
 
 
@@ -268,19 +273,21 @@ def test_norm_reads_the_closed_form_alone(twisted, engine, monkeypatch):
     and equals the norm of the whole form bit for bit."""
     point = sample_points(twisted, 1, seed=139)[0]
     adapted = twisted.adapted
-    form = second_fundamental_form(adapted, point, engine)
+    form = second_fundamental_form(PointTerms(adapted, point, engine))
     frames = frames_at(adapted, point.coords[None])
-    want = form.norm_squared(frames.d_inv[0], frames.h_tilde[0])
+    want = form.norm_squared(frames.d_inv, frames.h_tilde)
 
     def refused(*args, **kwargs):
         raise AssertionError("killing_derivatives called")
 
     patch_everywhere(monkeypatch, killing_derivatives, refused)
-    assert j_norm_squared(adapted, point, engine) == want
+    assert np.array_equal(j_norm_squared(PointTerms(adapted, point, engine)),
+                          want)
 
 
 def test_norm_reproduces_decomposition_term(twisted, engine):
     for point in sample_points(twisted, 3, seed=137):
-        b = decomposition_terms(twisted.adapted, point, engine)
-        got = j_norm_squared(twisted.adapted, point, engine)
-        assert_close(got, b.DdDd, 1e-9, "form norm vs decomposition term")
+        terms = PointTerms(twisted.adapted, point, engine)
+        (got,) = j_norm_squared(terms)
+        assert_close(got, terms.breakdown[0].DdDd, 1e-9,
+                     "form norm vs decomposition term")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bundlecurv.curvature import PointTerms
 from bundlecurv.fields import (ChartPoint, ConfigError, NearSingularError,
                                _stencil)
 from bundlecurv.geometry import (AdaptedGeometry, OriginalGeometry,
@@ -101,36 +102,55 @@ def test_symmetric_sqrt_rejects_bad_input():
         symmetric_sqrt(np.diag([1.0, -1.0]))
 
 
+def test_symmetric_sqrt_names_the_failing_matrix():
+    """Of ``diag(100, -5e-11)`` and ``diag(1, -2e-12)`` only the second
+    falls below its scaled eigenvalue floor: the error names index 1 and
+    that matrix's eigenvalue, not the first's. An asymmetric matrix of a
+    stack is named the same way."""
+    stack = np.array([np.diag([100.0, -5e-11]), np.diag([1.0, -2e-12])])
+    with pytest.raises(NearSingularError) as caught:
+        symmetric_sqrt(stack)
+    assert caught.value.index == 1
+    assert str(caught.value) == ("matrix is not positive semidefinite "
+                                 "(min eigenvalue -2.000e-12) at index 1")
+    stack = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.eye(2)])
+    with pytest.raises(ValueError, match=r"not symmetric at index 1$"):
+        symmetric_sqrt(stack)
+
+
 # ---------------------------------------------------------------------------
 # density and diffusion blocks
 
 
 def test_density_closed_forms(flat, twisted):
     point = sample_points(flat, 1)[0]
-    assert_close(density_H(flat.adapted, point), 1.0, 1e-12, "flat density")
+    assert_close(density_H(PointTerms(flat.adapted, point))[0], 1.0, 1e-12,
+                 "flat density")
     plane = _bare_plane([4.0, 9.0])
-    assert_close(density_H(plane, ChartPoint([0.0, 0.0], [])), 36.0,
-                 1e-12, "diagonal density")
-    for point in sample_points(twisted, 3, seed=139):
+    assert_close(density_H(PointTerms(plane, ChartPoint([0.0, 0.0], [])))[0],
+                 36.0, 1e-12, "diagonal density")
+    points = sample_points(twisted, 3, seed=139)
+    got = density_H(PointTerms(twisted.adapted, points))
+    for point, value in zip(points, got):
         want = np.linalg.det(
             frames_at(twisted.adapted, point.coords[None]).h_tilde[0])
-        assert_close(density_H(twisted.adapted, point), want, 1e-9,
-                     "twisted density")
+        assert_close(value, want, 1e-9, "twisted density")
 
 
 def test_diffusion_base_block_is_root_of_inverse():
     plane = _bare_plane([0.25, 1.0 / 9.0])   # inverse block diag(4, 9)
-    blocks = diffusion_coefficients(plane, ChartPoint([0.0, 0.0], []))
-    assert_close(blocks.base, np.diag([2.0, 3.0]), 1e-12, "base root")
-    assert blocks.full.shape == (2, 2)
+    blocks = diffusion_coefficients(PointTerms(plane,
+                                               ChartPoint([0.0, 0.0], [])))
+    assert_close(blocks.base[0], np.diag([2.0, 3.0]), 1e-12, "base root")
+    assert blocks.full.shape == (1, 2, 2)
 
 
 def test_diffusion_squares_to_block_inverse(twisted):
     from bundlecurv.geometry import point_frame
 
-    for point in sample_points(twisted, 3, seed=149):
-        blocks = diffusion_coefficients(twisted.adapted, point)
-        x = blocks.full
+    points = sample_points(twisted, 3, seed=149)
+    stacked = diffusion_coefficients(PointTerms(twisted.adapted, points))
+    for point, x in zip(points, stacked.full):
         h_tilde_inv = point_frame(twisted.orig, point).h_tilde_inv[0]
         assert_close(x @ x.T, h_tilde_inv, 1e-9,
                      "diffusion square vs block inverse")
@@ -140,12 +160,14 @@ def test_diffusion_squares_to_block_inverse(twisted):
 
 def test_diffusion_routes_agree(twisted):
     stripped = dataclasses.replace(twisted.adapted, orig=None)
-    for point in sample_points(twisted, 3, seed=151):
-        with_bundle = diffusion_coefficients(twisted.adapted, point)
-        without = diffusion_coefficients(stripped, point)
-        assert_close(without.base, with_bundle.base, 1e-9, "base route")
-        assert_close(without.mixed, with_bundle.mixed, 1e-9, "mixed route")
-        assert_close(without.vector, with_bundle.vector, 1e-9,
+    points = sample_points(twisted, 3, seed=151)
+    with_bundle = diffusion_coefficients(PointTerms(twisted.adapted, points))
+    without = diffusion_coefficients(PointTerms(stripped, points))
+    for i in range(len(points)):
+        assert_close(without.base[i], with_bundle.base[i], 1e-9, "base route")
+        assert_close(without.mixed[i], with_bundle.mixed[i], 1e-9,
+                     "mixed route")
+        assert_close(without.vector[i], with_bundle.vector[i], 1e-9,
                      "vector route")
 
 
@@ -154,27 +176,28 @@ def test_diffusion_routes_agree(twisted):
 
 
 def test_drift_flat_vanishes(flat, engine):
-    point = sample_points(flat, 1)[0]
-    drift = drift_coefficients(flat.adapted, point, engine)
+    terms = PointTerms(flat.adapted, sample_points(flat, 1)[0], engine)
+    drift = drift_coefficients(terms)[0]
     np.testing.assert_allclose(drift, np.zeros(5), atol=1e-10)
-    div = drift_divergence_form(flat.adapted, point, engine)
+    div = drift_divergence_form(terms)[0]
     np.testing.assert_allclose(div, np.zeros(5), atol=1e-10)
 
 
 def test_drift_conformal_plane(engine):
     """sqrt(H) h^{ij} is constant for e^{2x} in two dimensions."""
     adapted = compile_adapted(_conformal_orig())
-    point = ChartPoint([0.3, -0.1], [])
-    drift = drift_coefficients(adapted, point, engine)
-    div = drift_divergence_form(adapted, point, engine)
+    terms = PointTerms(adapted, ChartPoint([0.3, -0.1], []), engine)
+    drift = drift_coefficients(terms)[0]
+    div = drift_divergence_form(terms)[0]
     np.testing.assert_allclose(drift, np.zeros(2), atol=1e-9)
     assert_close(drift, div, 1e-9, "display vs divergence, no group")
 
 
 def test_drift_display_matches_divergence(twisted, engine):
-    for point in sample_points(twisted, 3, seed=157):
-        drift = drift_coefficients(twisted.adapted, point, engine)
-        div = drift_divergence_form(twisted.adapted, point, engine)
+    terms = PointTerms(twisted.adapted, sample_points(twisted, 3, seed=157),
+                       engine)
+    for drift, div in zip(drift_coefficients(terms),
+                          drift_divergence_form(terms)):
         assert_close(drift, div, 1e-7, "drift displays")
 
 
@@ -209,26 +232,26 @@ def test_drift_needs_bundle_data(twisted, engine):
     stripped = dataclasses.replace(twisted.adapted, orig=None)
     point = sample_points(twisted, 1)[0]
     with pytest.raises(ValueError):
-        drift_coefficients(stripped, point, engine)
+        drift_coefficients(PointTerms(stripped, point, engine))
 
 
 def test_reduced_coefficients_assembly(twisted, engine, compiles):
     """The drift, diffusion and density are read from one point record,
     so from one frame compile on the point's 21-row stencil, with the
-    bits each of the three functions gives on its own."""
+    bits each of the three routes gives at row 0 of its own record."""
     point = sample_points(twisted, 1)[0]
     coeffs = reduced_sde_coefficients(twisted.adapted, point, engine)
     assert compiles == [21]
     assert coeffs.H > 0
     assert coeffs.b.shape == (5,)
     assert coeffs.X.shape == (5, 5)
-    assert coeffs.n_x == 2 and coeffs.n_v == 3
     adapted = twisted.adapted
-    assert np.array_equal(coeffs.b,
-                          drift_coefficients(adapted, point, engine))
-    assert np.array_equal(coeffs.X,
-                          diffusion_coefficients(adapted, point).full)
-    assert coeffs.H == density_H(adapted, point)
+    assert np.array_equal(
+        coeffs.b, drift_coefficients(PointTerms(adapted, point, engine))[0])
+    assert np.array_equal(
+        coeffs.X,
+        diffusion_coefficients(PointTerms(adapted, point, engine)).full[0])
+    assert coeffs.H == density_H(PointTerms(adapted, point, engine))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +259,7 @@ def test_reduced_coefficients_assembly(twisted, engine, compiles):
 
 
 def _wiener_coeffs(n=2):
-    return ReducedSdeCoeffs(b=np.zeros(n), X=np.eye(n), H=1.0, n_x=n, n_v=0)
+    return ReducedSdeCoeffs(b=np.zeros(n), X=np.eye(n), H=1.0)
 
 
 def test_moment_check_pure_wiener():
@@ -333,8 +356,7 @@ def _gram_moments(noise):
     return mean, centred.swapaxes(-1, -2) @ centred
 
 
-_ONE_DIM = ReducedSdeCoeffs(b=np.array([0.7]), X=np.array([[1.3]]), H=1.0,
-                            n_x=1, n_v=0)
+_ONE_DIM = ReducedSdeCoeffs(b=np.array([0.7]), X=np.array([[1.3]]), H=1.0)
 
 
 @pytest.mark.parametrize("coeffs", [_wiener_coeffs(5), _ONE_DIM],

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bundlecurv.curvature import PointTerms
 from bundlecurv.fields import ChartPoint, ConfigError
 from bundlecurv.geometry import compile_adapted
 from bundlecurv.scenarios import SCENARIO_NAMES, build_scenario, sample_points
@@ -152,8 +153,8 @@ def test_curvature_check_fails_on_a_nan_route(twisted, engine, monkeypatch,
 def test_flat_absolute_fails_on_a_nan_route(flat, engine, monkeypatch):
     """A NaN geometric Jacobian makes ``flat_absolute`` NaN, though it
     comes second to the finite direct one."""
-    monkeypatch.setattr(verify, "jacobian_geometric",
-                        lambda *args: float("nan"))
+    monkeypatch.setitem(PointTerms._ENTRIES, "J_geometric",
+                        lambda t: np.full(len(t.points), np.nan))
     report = run_checks(flat, sample_points(flat, 1, seed=13),
                         ("jacobian",), engine=engine)
     parts = {p.name: p for p in report.results[0].parts}
