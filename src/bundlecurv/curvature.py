@@ -22,10 +22,10 @@ Three independent routes to the total-space scalar curvature live here:
    constants -- and applies the standard coordinate formulas.
 
 Every derivative here comes from the stencil kernel of ``fields``, and
-every second derivative from one nested stencil per point: the
-centre-first inner stencils of the 21 rows of an outer one, with the
-steps that ``_nested_stencil`` alone sets. ``PointTerms`` is the record
-of a stack of ``B`` chart points, and holds two
+every second derivative of the frame routes from one nested stencil
+per point: the centre-first inner stencils of the 21 rows of an outer
+one, with the steps that ``_nested_stencil`` alone sets. ``PointTerms``
+is the record of a stack of ``B`` chart points, and holds two
 ``connection.HorizontalJet`` records, each with its inverses, the
 Levi-Civita symbols of h~, ``F``, ``D d`` and structure functions
 computed once: the points' own, one row per point, on the first-derivative
@@ -39,10 +39,12 @@ difference their Christoffel symbols on its rows, and
 entry and each function of a record holds or returns one value per
 point, and a point's values are those of its one-point record, bit for
 bit: every contraction runs matrix by matrix along the leading point
-axis. The frame-free ``coordinate_ricci_scalar`` of the oracle evaluates
-its metric on the whole nested stencil of one point as one coordinate
-stack, on which the oracle evaluates ``oracle_metric`` in one call, and
-shares the Ricci contraction and the outer differencing with ``R_M``.
+axis. The frame-free ``coordinate_ricci_scalar`` of the oracle takes
+no nested stencil: it evaluates its metric once, on the ``1 + 4 k^2``
+rows of the second-difference stencil ``fields._pair_stencil`` at the
+point (one ``oracle_metric`` call), and differentiates the symbols
+analytically from the metric's first and second partials there. It
+shares with ``R_M`` only the Ricci contraction of a holonomic frame.
 
 ``PointTerms`` is the library's one point record; on bundle data it
 also holds the section and Killing entries that ``jacobian`` reads.
@@ -70,8 +72,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .fields import (ChartPoint, DEFAULT_ENGINE, DerivEngine, _blockdiag,
-                     _distinct_rows, _eval_stack, _levi_civita, _richardson,
-                     _stencil, _stencil_partials, invert_spd)
+                     _distinct_rows, _eval_stack, _levi_civita, _pair_partials,
+                     _pair_stencil, _richardson, _stencil, _stencil_partials,
+                     invert_spd)
 from .geometry import (AdaptedFrames, AdaptedGeometry, FrameStack,
                        OriginalGeometry, check_frames, frames_at,
                        killing_derivatives, section_partials)
@@ -99,7 +102,8 @@ _NestedStencil = namedtuple("_NestedStencil",
 
 
 def _nested_stencil(zs, engine) -> _NestedStencil:
-    """The two layers of every nested second difference at ``zs``.
+    """The two layers of every nested second difference of the frame
+    routes at ``zs``.
 
     ``zs`` is one coordinate vector or an ``(m, k)`` stack of them.
     Returns ``(rows, steps, inner_rows, inner_steps)``: the 21
@@ -107,13 +111,15 @@ def _nested_stencil(zs, engine) -> _NestedStencil:
     each vector, ``(..., 21, k)`` with the leading shape of ``zs``, with
     their ``(m, 2, k)`` ``steps``, and the centre-first inner stencils of
     all those rows, their ``(21 m, 21, k)`` rows with their steps, point
-    after point. The inner step is ``min(10 fd_step, 9e-3)``, the outer
-    one ten times it. Every field this module differentiates twice is
-    exact linear algebra of closed-form inputs, so the wider steps cost
-    no meaningful truncation: the inner layer leaves rounding noise of
-    order eps/h ~ 1e-12, the outer division amplifies it only to ~1e-9,
-    and Richardson extrapolation keeps the truncation error of both far
-    below either.
+    after point. The nested jet of ``PointTerms`` reads it; the oracle's
+    ``coordinate_ricci_scalar`` differences its metric on
+    ``fields._pair_stencil`` instead. The inner step is ``min(10
+    fd_step, 9e-3)``, the outer one ten times it. Every field
+    differentiated on it is exact linear algebra of closed-form inputs,
+    so the wider steps cost no meaningful truncation: the inner layer
+    leaves rounding noise of order eps/h ~ 1e-12, the outer division
+    amplifies it only to ~1e-9, and Richardson extrapolation keeps the
+    truncation error of both far below either.
     """
     zs = np.asarray(zs, dtype=float)
     k = zs.shape[-1]
@@ -409,6 +415,12 @@ class PointTerms:
                   else tuple(points))
         if not points:
             raise ValueError("a record needs at least one point")
+        for i, point in enumerate(points):
+            if (point.n_x, point.n_v) != (adapted.n_x, adapted.n_v):
+                raise ValueError(
+                    "point %d has n_x = %d and n_v = %d; the geometry has "
+                    "n_x = %d and n_v = %d" % (i, point.n_x, point.n_v,
+                                               adapted.n_x, adapted.n_v))
         self.__dict__.update(adapted=adapted, points=points, engine=engine)
 
     def __getattr__(self, name):
@@ -465,28 +477,50 @@ def coordinate_ricci_scalar(metric, z0,
     r"""Scalar curvature of a metric field by the plain coordinate formulas.
 
     ``metric`` maps an ``(N, k)`` stack of coordinate vectors to the
-    ``(N, n, n)`` stack of SPD matrices there; it is called once, on the
-    whole nested stencil of ``_nested_stencil`` at ``engine``. Levi-Civita
-    symbols come from first differences of the metric at the inner step,
-    the Ricci tensor from differences of the symbols at the outer step,
-    and the scalar from the inverse-metric contraction. Both layers run
-    on the stencil kernel of ``fields``, with the centre rows kept; the
-    outer differences and the contraction are those of ``R_M``. A
-    non-finite metric value anywhere on the stencil raises
-    ``EvaluationError``. This is the completely frame-free evaluation path
-    used by every oracle comparison.
-    """
-    nested = _nested_stencil(z0, engine)
-    inner = nested.inner_rows
-    values = _eval_stack(metric, inner.reshape(-1, inner.shape[-1]),
-                         "metric")
-    values = values.reshape(inner.shape[:2] + values.shape[1:])
+    ``(N, k, k)`` stack of SPD matrices there; it is called once, on the
+    ``1 + 4 k^2`` rows of ``fields._pair_stencil`` at ``z0``. The first
+    and second partials of the metric at ``z0`` give the Levi-Civita
+    symbols and their partials,
 
-    # Levi-Civita symbols at every outer row at once, the point first
-    g_inv, _ = invert_spd(values[:, 0])
-    gammas = _levi_civita(g_inv, _stencil_partials(values,
-                                                   nested.inner_steps))
-    return float(_coordinate_ricci(gammas, nested.steps, g_inv[0]))
+    .. math::
+
+        \partial_m \Gamma^a_{bc} = \tfrac12 g^{ad}(\partial_m\partial_b
+            g_{cd} + \partial_m\partial_c g_{bd}
+            - \partial_m\partial_d g_{bc})
+            - g^{ae}\,\partial_m g_{ef}\,\Gamma^f_{bc},
+
+    from the one inverse of the metric at ``z0``. The Ricci tensor and
+    its contraction are those of ``R_M``, with that sign convention; past
+    the metric nothing is shared with the frame routes. The relative step
+    is ``min(300 fd_step, 9e-3)``: the metric is exact linear algebra of
+    closed-form inputs, so the second differences pay rounding noise of
+    order eps/h^2 ~ 1e-11, and after Richardson extrapolation the
+    truncation error stays below that noise; at three times the step it
+    already shows on the round sphere. A non-finite metric value
+    anywhere on the stencil raises ``EvaluationError``. This is the
+    completely frame-free evaluation path used by every oracle
+    comparison.
+    """
+    z0 = np.asarray(z0, dtype=float)
+    rows, steps = _pair_stencil(z0, min(300.0 * engine.fd_step, 9e-3))
+    values = _eval_stack(metric, rows, "metric")
+    dg, ddg = _pair_partials(values, steps)
+    g_inv, _ = invert_spd(values[0])
+    gamma = _levi_civita(g_inv, dg)
+    # d g^{-1} = -g^{-1} dg g^{-1}, so the inverse's share of dGamma is
+    # -g^{-1} dg Gamma; contracted pairwise
+    dgamma = _levi_civita(g_inv, ddg) - np.einsum(
+        "ae,mebc->mabc", g_inv, np.einsum("mef,fbc->mebc", dg, gamma))
+    return float(_ricci_scalar(gamma, dgamma, g_inv))
+
+
+def _ricci_scalar(gamma, dgamma, g_inv):
+    """The scalar curvature of a holonomic frame from its Levi-Civita
+    symbols ``gamma[..., a, b, c]``, their partials ``dgamma[..., m, a,
+    b, c]`` and the inverse metric ``g_inv``, over any leading axes they
+    share."""
+    ricci = _ricci_from_pieces(gamma, dgamma, None, g_inv.shape[-1])
+    return np.einsum("...ac,...ac->...", g_inv, ricci)
 
 
 def _coordinate_ricci(gammas, steps, g_inv):
@@ -498,11 +532,30 @@ def _coordinate_ricci(gammas, steps, g_inv):
     result has that leading shape."""
     flat = gammas.reshape((-1,) + gammas.shape[-4:])
     dgamma = _stencil_partials(flat, steps)            # dgamma[., A, D, B, C]
-    ricci = _ricci_from_pieces(gammas[..., 0, :, :, :],
-                               dgamma.reshape(gammas.shape[:-4]
-                                              + dgamma.shape[1:]),
-                               None, g_inv.shape[-1])
-    return np.einsum("...ac,...ac->...", g_inv, ricci)
+    return _ricci_scalar(gammas[..., 0, :, :, :],
+                         dgamma.reshape(gammas.shape[:-4] + dgamma.shape[1:]),
+                         g_inv)
+
+
+def _oracle_coordinates(orig, ndim, x, f, a):
+    """``x``, ``f`` and ``a`` as float arrays, checked against the
+    sectors of ``orig``: each ``ndim``-d with last axis ``n_x``, ``n_v``
+    and ``n_g``, and as stacks (``ndim`` 2) with one row count. A
+    mismatch raises ``ValueError`` naming the argument, where a plain
+    concatenation would move the point between sectors."""
+    arrays = {name: np.asarray(value, dtype=float)
+              for name, value in (("x", x), ("f", f), ("a", a))}
+    for (name, array), size in zip(arrays.items(),
+                                   (orig.n_x, orig.n_v, orig.n_g)):
+        if array.ndim != ndim or array.shape[-1] != size:
+            raise ValueError("%s must have shape %s, got %s" % (
+                name, "(%d,)" % size if ndim == 1 else "(N, %d)" % size,
+                array.shape))
+    if ndim == 2 and len({len(array) for array in arrays.values()}) > 1:
+        raise ValueError("x, f and a must have one row count, got %s"
+                         % ", ".join("%d" % len(array)
+                                     for array in arrays.values()))
+    return tuple(arrays.values())
 
 
 def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:
@@ -510,7 +563,8 @@ def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:
     ``(x, f, a)``.
 
     ``x``, ``f`` and ``a`` are ``(N, n_x)``, ``(N, n_v)`` and ``(N, n_g)``
-    stacks; returns the ``(N, n_t, n_t)`` stack of metrics. Each callable
+    stacks; any other shape raises ``ValueError`` naming the argument.
+    Returns the ``(N, n_t, n_t)`` stack of metrics. Each callable
     runs once: ``right_translate`` and its Jacobian on the whole stack,
     ``G_P`` on the distinct translated points, and the vector-sector
     action and its derivatives on the distinct rows of ``a``, their
@@ -524,7 +578,7 @@ def oracle_metric(orig: OriginalGeometry, x, f, a) -> np.ndarray:
     if orig.right_translate is None or orig.vspace_action is None:
         raise ValueError("geometry supplies no group-chart action; "
                          "coordinate oracle unavailable")
-    f = np.asarray(f, dtype=float)
+    x, f, a = _oracle_coordinates(orig, 2, x, f, a)
     n_P, n_v, n_x = orig.n_P, orig.n_v, orig.n_x
     n_t = n_x + n_v + orig.n_g
 
@@ -551,27 +605,26 @@ def scalar_curvature_coordinate_oracle(orig: OriginalGeometry, chart, x, f,
                                        ) -> float:
     """Scalar curvature at ``(x, f, a)`` through the coordinate basis only.
 
-    ``chart`` is unread; it stays only because the benchmark harness
-    passes ``scenario.chart``, which is always None. The metric comes from
-    the geometry's group action, and its value must be independent of
-    ``a``, which tests assert separately.
+    ``x``, ``f`` and ``a`` hold ``n_x``, ``n_v`` and ``n_g`` entries;
+    any other shape raises ``ValueError`` naming the argument. ``chart``
+    is unread; it stays only because the benchmark harness passes
+    ``scenario.chart``, which is always None. The metric comes from the
+    geometry's group action, and its value must be independent of ``a``,
+    which tests assert separately.
 
-    The metric here is an analytic closed form, so it runs on the widened
-    steps of the nested stencil (see ``coordinate_ricci_scalar``), which
-    keep the rounding noise of the nested second differences well under
-    the oracle's comparison budget. ``oracle_metric`` is called once, on the
-    whole nested stencil: 1,089 rows for the eight coordinates of the
-    built-in scenarios, holding 441 distinct ``(x, a)`` and 169 distinct
-    ``a``.
+    ``coordinate_ricci_scalar`` differences the metric twice at the
+    point itself, on the ``1 + 4 k^2`` rows of its second-difference
+    stencil over the ``k = n_x + n_v + n_g`` coordinates, and
+    ``oracle_metric`` is called once, on all of them: for the eight
+    coordinates of the built-in scenarios, 257 rows holding 101 distinct
+    ``(x, a)`` and 37 distinct ``a``.
     """
+    x, f, a = _oracle_coordinates(orig, 1, x, f, a)
     n_x, n_v = orig.n_x, orig.n_v
 
     def metric_stack(zs):
         return oracle_metric(orig, zs[:, :n_x], zs[:, n_x:n_x + n_v],
                              zs[:, n_x + n_v:])
 
-    z0 = np.concatenate([np.asarray(x, dtype=float),
-                         np.asarray(f, dtype=float),
-                         np.asarray(a, dtype=float)])
-    return coordinate_ricci_scalar(metric_stack, z0, engine)
-
+    return coordinate_ricci_scalar(metric_stack, np.concatenate([x, f, a]),
+                                   engine)

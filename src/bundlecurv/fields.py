@@ -15,19 +15,23 @@ the values there. ``coordinate_partials`` (plain coordinate vectors such as
 the bundle coordinates ``Q``) is the one public differencing call; the
 horizontal jet of the connection module, the drift routes, the section
 stencil of the Killing derivatives and the nested stencil of the
-curvature module, from which every second derivative comes, call the
-kernel themselves, each on one stencil over all the points of a stack
-(the nested one on one stencil per point), and read every value and
-partial they need from that one evaluation. Every function the
-kernel differences has one contract: it maps an ``(N, k)`` array of
-coordinate rows to the ``(N, ...)`` stack of its values, and it is
-called once per stencil, on the read-only rows themselves. For the
-frames of an adapted geometry (``geometry.frames_at``, which reads all
-seven of its arrays from one call) a row holds the joint chart
-coordinates, ``x`` first. A nested stencil repeats rows,
-and repeats sub-rows more often still (the base part ``x`` of a chart
-row, say); ``_distinct_rows`` lists the distinct ones, so that a
-function of the sub-row alone runs once per distinct value.
+curvature module, from which every second derivative of the frame
+routes comes, call the kernel themselves, each on one stencil over all
+the points of a stack (the nested one on one stencil per point), and
+read every value and partial they need from that one evaluation. The
+coordinate oracle's second partials come from ``_pair_stencil`` instead:
+the point, its axis rows and the four corners of each coordinate pair,
+at the same two steps, which ``_pair_partials`` differences at the
+point alone. Every function a stencil differences has one contract: it
+maps an ``(N, k)`` array of coordinate rows to the ``(N, ...)`` stack
+of its values, and it is called once per stencil, on the read-only rows
+themselves. For the frames of an adapted geometry
+(``geometry.frames_at``, which reads all seven of its arrays from one
+call) a row holds the joint chart coordinates, ``x`` first. A stencil
+repeats sub-rows (the base part ``x`` of a chart row, say), and a
+nested one repeats whole rows too; ``_distinct_rows`` lists the
+distinct ones, so that a function of the sub-row alone runs once per
+distinct value.
 ``_levi_civita`` turns a stack of inverse metrics and metric partials
 into Christoffel symbols; every coordinate-formula route contracts
 through it, and ``_blockdiag`` is the one block-diagonal assembly of two
@@ -199,6 +203,58 @@ def _stencil(zs, fd_step, slots=None, centre=False):
         shifted.transpose(0, 2, 1, 3).reshape(m, n_d)
     rows.setflags(write=False)
     return rows, steps
+
+
+def _pair_stencil(z, fd_step):
+    """Second-difference rows around the one coordinate vector ``z``.
+
+    ``z`` has ``k`` entries. Returns the read-only ``(1 + 4 k^2, k)``
+    rows -- ``z`` first, then at each step level (``h = fd_step * (1 +
+    |z|)``, then its half) the axis rows ``z + h_i e_i, z - h_i e_i`` of
+    each slot ``i`` and the corners ``z +- h_i e_i +- h_j e_j`` (signs
+    ``++, +-, -+, --``) of each pair ``i < j`` -- and the ``(2, k)``
+    steps. An entry a row does not shift keeps the bytes of ``z``, as in
+    ``_stencil``.
+    """
+    k = len(z)
+    eye = np.eye(k)
+    i, j = np.triu_indices(k, 1)
+    corners = (_SIGNS[:, None, None, None] * eye[i]
+               + _SIGNS[None, :, None, None] * eye[j])     # [s_i, s_j, pair]
+    offsets = np.concatenate([(eye[:, None] * _SIGNS[:, None]).reshape(-1, k),
+                              corners.transpose(2, 0, 1, 3).reshape(-1, k)])
+    steps = fd_step * (1.0 + np.abs(z)) * _STEP_LEVELS[:, None]
+    shifted = np.where(offsets != 0.0, z + steps[:, None] * offsets, z)
+    rows = np.concatenate([z[None], shifted.reshape(-1, k)])
+    rows.setflags(write=False)
+    return rows, steps
+
+
+def _pair_partials(values, steps):
+    """First and second partials at the centre of ``_pair_stencil`` rows.
+
+    ``values`` is ``(1 + 4 k^2, ...)``, one entry per row. Returns
+    ``(first, second)``, ``(k, ...)`` and the symmetric ``(k, k, ...)``:
+    at each step, ``(v(+h) - v(-h)) / (2h)``, ``(v(+h) - 2 v + v(-h)) /
+    h^2`` on the diagonal and ``(v(++) - v(+-) - v(-+) + v(--)) / (4 h_i
+    h_j)`` off it, then Richardson extrapolation.
+    """
+    n_r, k = steps.shape
+    i, j = np.triu_indices(k, 1)
+    tail = values.shape[1:]
+    centre, shifted = values[0], values[1:].reshape((n_r, 2 * k * k) + tail)
+    axis = shifted[:, :2 * k].reshape((n_r, k, 2) + tail)
+    corners = shifted[:, 2 * k:].reshape((n_r, len(i), 4) + tail)
+    pad = (1,) * len(tail)
+    h = steps.reshape(steps.shape + pad)
+    first = _richardson((axis[:, :, 0] - axis[:, :, 1]) / (2.0 * h))
+    second = np.empty((k, k) + tail)
+    second[np.arange(k), np.arange(k)] = _richardson(
+        (axis[:, :, 0] - 2.0 * centre + axis[:, :, 1]) / (h * h))
+    second[i, j] = second[j, i] = _richardson(
+        (corners[:, :, 0] - corners[:, :, 1] - corners[:, :, 2]
+         + corners[:, :, 3]) / (4.0 * h[:, i] * h[:, j]))
+    return first, second
 
 
 def _distinct_rows(rows):

@@ -7,8 +7,9 @@ geometry and a sampling box. ``_build_original`` takes any ``n_x``,
 structure constants ``c`` and the vector-sector generators. The
 registered scenarios have two base, three vector and three group
 dimensions: every index sector is nontrivial, and the 8-dim coordinate
-oracle evaluates its 1,089-row stencil in one stacked metric call, whose
-group series run on the stencil's 169 distinct group rows.
+oracle evaluates its 257-row second-difference stencil in one stacked
+metric call, whose group series run on the stencil's 37 distinct group
+rows.
 
 All group-factor matrices (the exponential map, the one-parameter
 subgroup Jacobian factor, and the differential of the vector-sector

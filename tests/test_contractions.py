@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from bundlecurv.connection import christoffel_general, frame_derivatives
-from bundlecurv.curvature import _coordinate_ricci, _ricci_from_pieces
+from bundlecurv.curvature import (_coordinate_ricci, _ricci_from_pieces,
+                                  coordinate_ricci_scalar)
 from bundlecurv.scenarios import sample_points
 
 from conftest import jet_at
@@ -105,5 +106,20 @@ def test_coordinate_ricci_takes_two_operands(monkeypatch):
     g_inv = rng.normal(size=(5, 5))
     operands = _count_operands(monkeypatch)
     _coordinate_ricci(gammas, steps, g_inv)
+    monkeypatch.undo()
+    assert operands and max(operands) <= 2, operands
+
+
+def test_coordinate_oracle_takes_two_operands(monkeypatch):
+    """The oracle's coordinate Ricci scalar, from the metric's first and
+    second partials at the point to the partials of its symbols and the
+    Ricci contraction, makes only einsums of one or two arrays."""
+    def metric(zs):
+        s = np.sin(zs)
+        return ((1.0 + (zs * zs).sum(axis=1))[:, None, None] * np.eye(5)
+                + 0.1 * s[:, :, None] * s[:, None, :])
+
+    operands = _count_operands(monkeypatch)
+    coordinate_ricci_scalar(metric, np.linspace(-0.2, 0.3, 5))
     monkeypatch.undo()
     assert operands and max(operands) <= 2, operands

@@ -25,6 +25,7 @@ from bundlecurv.scenarios import (
     sample_group_coordinates,
     sample_points,
 )
+from bundlecurv.verify import run_checks
 
 from conftest import assert_close, constant_field, frames_of, jet_at
 
@@ -153,11 +154,13 @@ _PINNED_DECOMPOSITION = {
     "scaled_orbit": (0.0, 10.820058208547424),
 }
 #: The coordinate oracle at ``_PIN`` and group coordinates ``_PIN_A``,
-#: recorded the same way.
+#: recorded the same way; re-recorded when the oracle moved from the
+#: nested stencil to its second-difference stencil, which moved each
+#: toward the decomposition's total (by 4.0e-8 and 1.7e-8).
 _PIN_A = np.array([0.2, -0.1, 0.15])
 _PINNED_ORACLE = {
-    "twisted_bundle": -1.4331565983394752,
-    "flat_product": -1.4999999832350597,
+    "twisted_bundle": -1.4331566383933718,
+    "flat_product": -1.500000000166065,
 }
 
 
@@ -475,7 +478,8 @@ def test_oracle_metric_block_structure(twisted):
 
 
 def test_oracle_calls_oracle_metric_once(flat, engine, monkeypatch):
-    """The whole nested 8-dim stencil goes to one oracle_metric call."""
+    """The whole second-difference stencil over the eight coordinates,
+    ``1 + 4 k^2 = 257`` rows, goes to one oracle_metric call."""
     rows = []
     real = curvature.oracle_metric
 
@@ -488,15 +492,17 @@ def test_oracle_calls_oracle_metric_once(flat, engine, monkeypatch):
     scalar_curvature_coordinate_oracle(flat.orig, None, point.x,
                                        point.f, np.array([0.2, 0.15, 0.1]),
                                        engine)
-    assert rows == [1089]
+    assert rows == [257]
 
 
 def test_oracle_runs_group_callables_on_distinct_rows(twisted, engine):
-    """Of the 1,089 rows of the nested 8-dim stencil, 169 hold distinct
-    group coordinates ``a`` (13 among the 33 outer rows, each with 13
-    among its 33 inner rows) and 441 distinct ``(x, a)``: the group
-    action runs on the former, ``G_P`` on the translated points of the
-    latter."""
+    """The ``1 + 4 k^2`` rows of the second-difference stencil over
+    ``k = 8`` coordinates are 257, and a row moves only the one or two
+    coordinates of its slot or pair. A sub-vector of ``k'`` of them takes
+    ``1 + 4 k' + 8 k'(k' - 1)/2 = 1 + 4 k'^2`` distinct values: 37 for
+    the group coordinates ``a`` (``k' = 3``) and 101 for ``(x, a)``
+    (``k' = 5``). The group action runs on the former, ``G_P`` on the
+    translated points of the latter."""
     rows = {}
 
     def counting(name):
@@ -514,8 +520,8 @@ def test_oracle_runs_group_callables_on_distinct_rows(twisted, engine):
     scalar_curvature_coordinate_oracle(orig, None, point.x,
                                        point.f, np.array([0.2, 0.15, 0.1]),
                                        engine)
-    assert rows == {"G_P": 441, "right_translate": 1089,
-                    "vspace_action": 169, "vspace_action_d": 169}
+    assert rows == {"G_P": 101, "right_translate": 257,
+                    "vspace_action": 37, "vspace_action_d": 37}
 
 
 def test_oracle_flat_values(engine):
@@ -544,3 +550,65 @@ def test_oracle_matches_adapted_total(twisted, engine):
     assert_close(o1, b.R_total, 1e-6, "oracle vs adapted computation")
     assert_close(o1, o2, 1e-6, "group-coordinate independence")
 
+
+def _oracle_sample(scen):
+    """The oracle at 8 seeded points, each at 2 seeded group draws."""
+    draws = sample_group_coordinates(scen, 16, seed=5).reshape(8, 2, -1)
+    return np.array([[scalar_curvature_coordinate_oracle(
+                          scen.orig, None, point.x, point.f, a)
+                      for a in pair]
+                     for point, pair in zip(sample_points(scen, 8, seed=5),
+                                            draws)])
+
+
+def test_oracle_flat_closed_form_gap(flat):
+    """On flat_product the oracle meets the closed form ``-3/(2 lam)``;
+    the worst gap recorded on this sample was 9.9e-10 (1.7e-8 on the
+    nested stencil that preceded the second-difference one)."""
+    gaps = np.abs(_oracle_sample(flat) + 1.5 / flat.params["lam"])
+    assert gaps.max() <= 1e-7, gaps.max()
+
+
+def test_oracle_group_shift_gap(twisted):
+    """The oracle does not depend on the group coordinates; the worst
+    shift ``|R(a_1) - R(a_2)|`` recorded on this sample was 3.0e-9
+    (5.0e-8 on the nested stencil)."""
+    values = _oracle_sample(twisted)
+    shifts = np.abs(values[:, 0] - values[:, 1])
+    assert shifts.max() <= 3e-7, shifts.max()
+
+
+@pytest.mark.parametrize("x, f, a, bad", [
+    ([0.1, 0.2, 0.0], [0.1, 0.2], [0.2, -0.1, 0.15], "x"),
+    ([0.1, 0.2], [0.1, 0.2], [0.2, -0.1, 0.15], "f"),
+    ([0.1, 0.2], [0.1, 0.2, 0.0], [0.2, -0.1], "a"),
+    ([[0.1, 0.2]], [0.1, 0.2, 0.0], [0.2, -0.1, 0.15], "x"),
+])
+def test_oracle_rejects_a_wrong_split(twisted, x, f, a, bad):
+    """A wrong split of the coordinates is an error naming the argument,
+    not the curvature at the point their concatenation would be."""
+    with pytest.raises(ValueError, match="^%s must have shape" % bad):
+        scalar_curvature_coordinate_oracle(twisted.orig, None, x, f, a)
+
+
+def test_oracle_metric_rejects_wrong_stacks(twisted):
+    x, f, a = np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3))
+    with pytest.raises(ValueError, match="^a must have shape \\(N, 3\\)"):
+        oracle_metric(twisted.orig, x, f, a[:, :2])
+    with pytest.raises(ValueError, match="^x must have shape"):
+        oracle_metric(twisted.orig, x[0], f, a)
+    with pytest.raises(ValueError, match="one row count, got 2, 2, 1"):
+        oracle_metric(twisted.orig, x, f, a[:1])
+
+
+def test_record_rejects_a_wrong_split(twisted):
+    """A point whose ``x`` and ``f`` do not match the geometry's sectors
+    is an error naming the point, through ``decomposition_terms`` and
+    ``run_checks``: the record would otherwise re-split its coordinates
+    at ``n_x`` and evaluate another point."""
+    wrong = ChartPoint([0.1, 0.2, 0.0], [0.1, 0.2])
+    with pytest.raises(ValueError, match="^point 0 has n_x = 3"):
+        decomposition_terms(twisted.adapted, wrong)
+    with pytest.raises(ValueError, match="^point 1 has n_x = 3"):
+        run_checks(twisted, [sample_points(twisted, 1)[0], wrong],
+                   ["christoffel"])
